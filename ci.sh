@@ -20,6 +20,13 @@ cargo check --offline -p ntc-bench --features bench --benches
 echo "==> cargo clippy --offline --workspace --all-targets -- -D warnings"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
+echo "==> benchmark binaries (grid-op, layer-trace) build against the current crates"
+# The benchmark's binaries live in a workspace of their own and reach into
+# internal APIs (layer-trace); an API change that breaks them must fail
+# here, not on the next benchmark run.
+CARGO_TARGET_DIR=target/perfbench-driver cargo build --release --offline --locked \
+  --manifest-path perfbench/driver/Cargo.toml --bins
+
 echo "==> repro --list covers all three registries (experiments + schemes + vdd)"
 ./target/release/repro --list > target/repro-ci-list.txt
 # Spot-gate the registries: the newest experiment id, the scheme roster,
@@ -50,14 +57,14 @@ test -s target/repro-ci/manifest.json
 test -s target/repro-ci/fig3_4.csv
 # The manifest and every stdout table document must parse as JSON.
 if command -v jq >/dev/null 2>&1; then
-  jq -e '.schema == "ntc-repro-manifest/6" and .failed == 0 and (.records | length) == 1' \
+  jq -e '.schema == "ntc-repro-manifest/7" and .failed == 0 and (.records | length) == 1' \
     target/repro-ci/manifest.json >/dev/null
   jq -e . target/repro-ci-tables.jsonl >/dev/null
 elif command -v python3 >/dev/null 2>&1; then
   python3 - <<'EOF'
 import json
 m = json.load(open("target/repro-ci/manifest.json"))
-assert m["schema"] == "ntc-repro-manifest/6" and m["failed"] == 0 and len(m["records"]) == 1, m
+assert m["schema"] == "ntc-repro-manifest/7" and m["failed"] == 0 and len(m["records"]) == 1, m
 for line in open("target/repro-ci-tables.jsonl"):
     if line.strip():
         json.loads(line)
@@ -119,45 +126,6 @@ test "$(cat "$stale")" = 'NTCGRID1 written by an older schema'
 if ls target/repro-ci-vdd-cache/*.corrupt >/dev/null 2>&1; then
   echo "FAIL: old-schema artifact must be ignored, not quarantined"; exit 1
 fi
-
-echo "==> timing screen: on vs off, byte-identical CSVs, nonzero hit rate"
-# fig3.11 carries HFG, whose guardbanded clock the conservative screen can
-# prove safe — the armed screen must fire there. Two cold processes (no
-# --cache-dir, separate --out dirs), every CSV compared byte-for-byte.
-rm -rf target/repro-ci-screen-on target/repro-ci-screen-off
-./target/release/repro --fast --out target/repro-ci-screen-on fig3.11 >/dev/null
-./target/release/repro --fast --no-screen --out target/repro-ci-screen-off \
-  fig3.11 >/dev/null
-cmp target/repro-ci-screen-on/fig3_11.csv target/repro-ci-screen-off/fig3_11.csv
-# Counters are emitted in a fixed key order (OracleStats::fields):
-# the screened manifest must record hits, the unscreened one must not.
-grep -Eq '"screen_hits":[1-9][0-9]*,' target/repro-ci-screen-on/manifest.json
-grep -q '"screen_hits":0,' target/repro-ci-screen-off/manifest.json
-# NTC_SCREEN=off must behave exactly like --no-screen.
-rm -rf target/repro-ci-screen-env
-NTC_SCREEN=off ./target/release/repro --fast --out target/repro-ci-screen-env \
-  fig3.11 >/dev/null
-cmp target/repro-ci-screen-on/fig3_11.csv target/repro-ci-screen-env/fig3_11.csv
-grep -q '"screen_hits":0,' target/repro-ci-screen-env/manifest.json
-
-echo "==> incremental re-timing: on vs off, byte-identical CSVs, counters"
-# fig3.8's fast grid walks several chips on one topology, so the memo
-# pool re-times chip→chip deltas instead of re-analyzing — the armed
-# engine must record incremental passes, and disarming it (either
-# spelling) must not change a single CSV byte.
-rm -rf target/repro-ci-incr-on target/repro-ci-incr-off target/repro-ci-incr-env
-./target/release/repro --fast --out target/repro-ci-incr-on fig3.8 >/dev/null
-./target/release/repro --fast --no-incr --out target/repro-ci-incr-off \
-  fig3.8 >/dev/null
-cmp target/repro-ci-incr-on/fig3_8.csv target/repro-ci-incr-off/fig3_8.csv
-# Counters are emitted in a fixed key order (OracleStats::fields).
-grep -Eq '"sta_incremental":[1-9][0-9]*,' target/repro-ci-incr-on/manifest.json
-grep -q '"sta_incremental":0,' target/repro-ci-incr-off/manifest.json
-# NTC_INCR=off must behave exactly like --no-incr.
-NTC_INCR=off ./target/release/repro --fast --out target/repro-ci-incr-env \
-  fig3.8 >/dev/null
-cmp target/repro-ci-incr-on/fig3_8.csv target/repro-ci-incr-env/fig3_8.csv
-grep -q '"sta_incremental":0,' target/repro-ci-incr-env/manifest.json
 
 echo "==> repro --resume finishes a suite a failed experiment cut short"
 rm -rf target/repro-ci-resume
@@ -233,8 +201,8 @@ cmp target/repro-ci-cold/fig3_8.csv target/serve-ci/c1.csv
 cmp target/repro-ci-cold/fig3_8.csv target/serve-ci/c2.csv
 # Exactly one compute across the pair; the other receipt shows a
 # coalesced or cache hit (receipts are schema-tagged, fixed key order).
-grep -q '"schema":"ntc-serve-receipt/1"' target/serve-ci/r1.json
-grep -q '"schema":"ntc-serve-receipt/1"' target/serve-ci/r2.json
+grep -q '"schema":"ntc-serve-receipt/2"' target/serve-ci/r1.json
+grep -q '"schema":"ntc-serve-receipt/2"' target/serve-ci/r2.json
 test "$(cat target/serve-ci/r1.json target/serve-ci/r2.json \
   | grep -c '"tier":"computed"')" = 1
 cat target/serve-ci/r1.json target/serve-ci/r2.json \

@@ -1,9 +1,13 @@
 //! # ntc-bench
 //!
-//! Shared fixtures for the Criterion benchmark harness: each bench target
-//! under `benches/` times the computational kernel behind one paper figure
-//! or table (see DESIGN.md's per-experiment index), at a reduced size so a
-//! full `cargo bench` stays laptop-friendly.
+//! Shared fixtures for the Criterion-style benchmark harness. Two bench
+//! targets live under `benches/`:
+//!
+//! * `figures` — one table with a row per timed kernel behind each paper
+//!   figure or table (see DESIGN.md's per-experiment index), at a reduced
+//!   size so a full `cargo bench` stays laptop-friendly; positional
+//!   arguments filter rows by `group/id` substring;
+//! * `dynamic_sim` — the exact dynamic-timing kernel on its own.
 
 #![warn(missing_docs)]
 

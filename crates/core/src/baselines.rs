@@ -4,7 +4,7 @@
 //! inefficient against choke errors at NTC.
 
 use crate::scheme::{CycleContext, CycleOutcome, ResilienceScheme};
-use ntc_timing::{ClockSpec, ErrorClass};
+use ntc_timing::ErrorClass;
 
 /// Razor: double-sampling flip-flops detect late transitions; recovery is
 /// a full pipeline flush + instruction replay. Short paths are padded with
@@ -156,21 +156,6 @@ impl ResilienceScheme for Hfg {
 
     fn period_stretch(&self) -> f64 {
         self.stretch
-    }
-
-    /// HFG classifies every cycle at the guardbanded (stretched) clock and
-    /// nothing tighter, so the screen may prove safety against it — which
-    /// is what makes HFG runs almost entirely screenable: the guardband is
-    /// sized past the chip's static critical delay, the ceiling of every
-    /// per-cycle cone bound. The hold side is released entirely (`0.0`)
-    /// because HFG discards min-side violations — guardbanding stretches
-    /// setup time and does nothing for hold, so the scheme never
-    /// thresholds against the hold window.
-    fn screen_clock(&self, base: ClockSpec) -> ClockSpec {
-        ClockSpec {
-            period_ps: base.period_ps * self.stretch,
-            hold_ps: 0.0,
-        }
     }
 
     fn power_overhead_frac(&self) -> f64 {

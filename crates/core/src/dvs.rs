@@ -168,18 +168,6 @@ impl ResilienceScheme for DvsController {
         outcome
     }
 
-    /// The tightest clock any rung thresholds against: the bottom rung's
-    /// period (smallest scale) with the grid rung's hold window (largest).
-    /// Safety proven there holds at every rung the controller can occupy,
-    /// so screening cannot change a single decision.
-    fn screen_clock(&self, base: ClockSpec) -> ClockSpec {
-        let bottom = self.levels[self.levels.len() - 1].period_scale;
-        ClockSpec {
-            period_ps: base.period_ps * bottom,
-            hold_ps: base.hold_ps * self.levels[0].period_scale,
-        }
-    }
-
     fn power_overhead_frac(&self) -> f64 {
         self.power_overhead
     }
@@ -253,26 +241,6 @@ mod tests {
         }
         assert_eq!(dvs.level(), 1, "saturated correction rate backs off");
         assert!(dvs.mean_supply_ratio() < 1.0, "margin was harvested");
-    }
-
-    #[test]
-    fn screen_clock_is_the_tightest_rung() {
-        let dvs = DvsController::new(ladder(), 10, DVS_TARGET_PPM);
-        let base = ClockSpec {
-            period_ps: 100.0,
-            hold_ps: 10.0,
-        };
-        let screen = dvs.screen_clock(base);
-        assert!((screen.period_ps - 62.0).abs() < 1e-9);
-        assert!((screen.hold_ps - 10.0).abs() < 1e-9);
-        // Tighter (period) / no looser (hold) than every rung's clock.
-        for i in 0..ladder().len() {
-            let mut d = dvs.clone();
-            d.level = i;
-            let eff = d.effective_clock(base);
-            assert!(screen.period_ps <= eff.period_ps + 1e-9);
-            assert!(screen.hold_ps >= eff.hold_ps - 1e-9);
-        }
     }
 
     #[test]

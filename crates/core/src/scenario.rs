@@ -702,19 +702,6 @@ mod tests {
         for spec in SchemeSpec::roster() {
             assert!(!spec.build(&ctx).name().is_empty());
         }
-        // DVS at the NTC endpoint has nowhere to undervolt: its single-rung
-        // ladder thresholds at the base clock exactly. At a higher grid
-        // point the bottom rung tightens the screen period.
-        let dvs_ntc = SchemeSpec::Dvs.build(&ctx);
-        assert_eq!(dvs_ntc.screen_clock(ctx.clock), ctx.clock);
-        let mid = ChipContext {
-            point: OperatingPoint::parse("v0.60").unwrap(),
-            ..ctx
-        };
-        let dvs_mid = SchemeSpec::Dvs.build(&mid);
-        let screen = dvs_mid.screen_clock(ctx.clock);
-        assert!(screen.period_ps < ctx.clock.period_ps);
-        assert_eq!(screen.hold_ps, ctx.clock.hold_ps);
         // The hardening count flows through to the harness hook.
         assert_eq!(SchemeSpec::HardenChoke { top_k: 8 }.hardened_top_k(), Some(8));
         assert_eq!(SchemeSpec::Dvs.hardened_top_k(), None);

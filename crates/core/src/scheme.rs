@@ -99,18 +99,6 @@ pub trait ResilienceScheme {
         1.0
     }
 
-    /// The *tightest* clock this scheme thresholds oracle delays against
-    /// during a run at `base` — what the run loop arms the oracle's
-    /// conservative screen with. Schemes that only ever classify at a
-    /// looser, stretched clock (HFG) override this so the screen can prove
-    /// safety against the clock actually in force; everything the scheme
-    /// observes is then still identical to an unscreened run. A scheme
-    /// must NOT override this with anything looser than every threshold
-    /// it applies, or screening could change its decisions.
-    fn screen_clock(&self, base: ClockSpec) -> ClockSpec {
-        base
-    }
-
     /// Always-on power of the scheme's hardware as a fraction of core
     /// power (fed by the overhead tables).
     fn power_overhead_frac(&self) -> f64 {

@@ -85,12 +85,6 @@ pub fn run_scheme(
     pipe: Pipeline,
 ) -> SimResult {
     assert!(trace.len() >= 2, "need at least two instructions");
-    // Engage the conservative screen for the duration of this run (a
-    // no-op on screenless oracles), armed at the tightest clock the scheme
-    // thresholds delays against — `clock` for most schemes, the stretched
-    // guardband clock for HFG. That is exactly the contract under which a
-    // screened envelope is interchangeable with the exact delays.
-    oracle.arm_screen(&scheme.screen_clock(clock));
     let mut cost = RunCost::new((trace.len() - 1) as u64);
     let mut avoided = 0u64;
     let mut false_positives = 0u64;
@@ -151,7 +145,6 @@ pub fn run_scheme(
             cur_delays = d;
         }
     }
-    oracle.disarm_screen();
 
     SimResult {
         scheme: scheme.name(),
@@ -207,9 +200,6 @@ pub fn profile_errors(
     clock: ClockSpec,
 ) -> ErrorProfile {
     assert!(trace.len() >= 2, "need at least two instructions");
-    // Same screening contract as `run_scheme`: the profiler thresholds
-    // delays against `clock` and nothing else.
-    oracle.arm_screen(&clock);
     let mut profile = ErrorProfile::default();
     let mut cur_delays = oracle.delays(&trace[0], &trace[1]);
     // A min violation absorbed into the previous cycle's consecutive error
@@ -260,7 +250,6 @@ pub fn profile_errors(
             cur_delays = d;
         }
     }
-    oracle.disarm_screen();
     profile
 }
 

@@ -22,7 +22,7 @@
 use ntc_isa::{ErrorTag, Instruction};
 use ntc_netlist::generators::alu::Alu;
 use ntc_netlist::Netlist;
-use ntc_timing::{ClockSpec, ScreenBounds, ScreenVerdict, SimWorkspace};
+use ntc_timing::SimWorkspace;
 use ntc_varmodel::{ChipSignature, Corner};
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -128,48 +128,25 @@ pub struct OracleStats {
     pub local_hits: u64,
     /// Hits in the shared full-operand cache.
     pub shared_hits: u64,
-    /// Queries answered by the conservative screen without running the
-    /// exact kernel (fresh safe/quiet verdicts plus their replays).
-    pub screen_hits: u64,
-    /// Fresh screen consultations that came back inconclusive, forcing
-    /// the exact kernel to run (a subset of `gate_sims`).
-    pub screen_misses: u64,
-    /// Queries on a screen-equipped oracle that bypassed the screen —
-    /// the clock in force was incompatible with the screen thresholds, or
-    /// the caller needed numeric delays — and ran/fetched the exact value.
-    pub screen_fallbacks: u64,
-    /// Full from-scratch static timing analyses
+    /// Static timing analyses
     /// ([`ntc_timing::StaticTiming::analyze`] passes).
     pub sta_full: u64,
-    /// Incremental re-timing passes: chip→chip (or point-mutation) delay
-    /// deltas propagated through the retained engine instead of a full
-    /// analysis.
-    pub sta_incremental: u64,
-    /// Gates/nets actually re-folded across those incremental passes —
-    /// the work the delta propagation did, to set against a full pass's
-    /// `netlist.len()` per chip.
-    pub incr_gates_touched: u64,
 }
 
 impl OracleStats {
     /// Total delay queries answered.
     pub fn queries(&self) -> u64 {
-        self.gate_sims + self.local_hits + self.shared_hits + self.screen_hits
+        self.gate_sims + self.local_hits + self.shared_hits
     }
 
     /// The counters as stable `(field name, value)` pairs, in declaration
     /// order — the single source of truth for serializers.
-    pub fn fields(&self) -> [(&'static str, u64); 9] {
+    pub fn fields(&self) -> [(&'static str, u64); 4] {
         [
             ("gate_sims", self.gate_sims),
             ("local_hits", self.local_hits),
             ("shared_hits", self.shared_hits),
-            ("screen_hits", self.screen_hits),
-            ("screen_misses", self.screen_misses),
-            ("screen_fallbacks", self.screen_fallbacks),
             ("sta_full", self.sta_full),
-            ("sta_incremental", self.sta_incremental),
-            ("incr_gates_touched", self.incr_gates_touched),
         ]
     }
 }
@@ -181,21 +158,13 @@ impl std::ops::AddAssign for OracleStats {
         self.gate_sims += rhs.gate_sims;
         self.local_hits += rhs.local_hits;
         self.shared_hits += rhs.shared_hits;
-        self.screen_hits += rhs.screen_hits;
-        self.screen_misses += rhs.screen_misses;
-        self.screen_fallbacks += rhs.screen_fallbacks;
         self.sta_full += rhs.sta_full;
-        self.sta_incremental += rhs.sta_incremental;
-        self.incr_gates_touched += rhs.incr_gates_touched;
     }
 }
 
 static STAT_GATE_SIMS: AtomicU64 = AtomicU64::new(0);
 static STAT_LOCAL_HITS: AtomicU64 = AtomicU64::new(0);
 static STAT_SHARED_HITS: AtomicU64 = AtomicU64::new(0);
-static STAT_SCREEN_HITS: AtomicU64 = AtomicU64::new(0);
-static STAT_SCREEN_MISSES: AtomicU64 = AtomicU64::new(0);
-static STAT_SCREEN_FALLBACKS: AtomicU64 = AtomicU64::new(0);
 
 /// A per-run attribution scope for the oracle counters. While installed
 /// on a thread (see [`set_oracle_scope`]), every increment additionally
@@ -204,33 +173,24 @@ static STAT_SCREEN_FALLBACKS: AtomicU64 = AtomicU64::new(0);
 /// drain ([`take_oracle_stats`]) other callers rely on. The scope
 /// carries its own [`ntc_timing::StaScope`] so one install covers the
 /// whole timing stack, mirroring how the global drain folds
-/// `take_sta_counters` in.
+/// [`ntc_timing::take_sta_full`] in.
 #[derive(Debug, Default)]
 pub struct OracleScope {
     gate_sims: AtomicU64,
     local_hits: AtomicU64,
     shared_hits: AtomicU64,
-    screen_hits: AtomicU64,
-    screen_misses: AtomicU64,
-    screen_fallbacks: AtomicU64,
     sta: std::sync::Arc<ntc_timing::StaScope>,
 }
 
 impl OracleScope {
     /// The counters accumulated in this scope so far (non-draining),
-    /// with the STA counters of the embedded timing scope folded in.
+    /// with the STA count of the embedded timing scope folded in.
     pub fn snapshot(&self) -> OracleStats {
-        let sta = self.sta.snapshot();
         OracleStats {
             gate_sims: self.gate_sims.load(Ordering::Relaxed),
             local_hits: self.local_hits.load(Ordering::Relaxed),
             shared_hits: self.shared_hits.load(Ordering::Relaxed),
-            screen_hits: self.screen_hits.load(Ordering::Relaxed),
-            screen_misses: self.screen_misses.load(Ordering::Relaxed),
-            screen_fallbacks: self.screen_fallbacks.load(Ordering::Relaxed),
-            sta_full: sta.sta_full,
-            sta_incremental: sta.sta_incremental,
-            incr_gates_touched: sta.incr_gates_touched,
+            sta_full: self.sta.sta_full(),
         }
     }
 }
@@ -271,21 +231,15 @@ fn bump(global: &AtomicU64, pick: fn(&OracleScope) -> &AtomicU64) {
 
 /// Drain the process-wide [`OracleStats`] counters, resetting them to
 /// zero — call once per run/experiment to report cache effectiveness.
-/// Mirrors the runner's sweep-stats drain. The static-timing cost
-/// counters live in `ntc-timing` (`take_sta_counters`) and are folded in
-/// here, so one drain covers the whole timing stack.
+/// Mirrors the runner's sweep-stats drain. The static-timing count
+/// lives in `ntc-timing` ([`ntc_timing::take_sta_full`]) and is folded
+/// in here, so one drain covers the whole timing stack.
 pub fn take_oracle_stats() -> OracleStats {
-    let sta = ntc_timing::take_sta_counters();
     OracleStats {
         gate_sims: STAT_GATE_SIMS.swap(0, Ordering::Relaxed),
         local_hits: STAT_LOCAL_HITS.swap(0, Ordering::Relaxed),
         shared_hits: STAT_SHARED_HITS.swap(0, Ordering::Relaxed),
-        screen_hits: STAT_SCREEN_HITS.swap(0, Ordering::Relaxed),
-        screen_misses: STAT_SCREEN_MISSES.swap(0, Ordering::Relaxed),
-        screen_fallbacks: STAT_SCREEN_FALLBACKS.swap(0, Ordering::Relaxed),
-        sta_full: sta.sta_full,
-        sta_incremental: sta.sta_incremental,
-        incr_gates_touched: sta.incr_gates_touched,
+        sta_full: ntc_timing::take_sta_full(),
     }
 }
 
@@ -313,51 +267,6 @@ impl Default for OracleConfig {
     }
 }
 
-/// One screened `(tag, bucket)` entry: the conservative delay envelope
-/// being replayed, plus the *representative pair* — the first pair of the
-/// bucket, whose exact simulation the screen skipped. Keeping the pair is
-/// what makes screening transparent: if the bucket is ever read under an
-/// incompatible clock (or by a numeric consumer), the oracle promotes the
-/// entry by simulating exactly this stored pair, reconstructing the very
-/// value an unscreened oracle would have cached.
-#[derive(Debug, Clone, Copy)]
-struct ScreenedEntry {
-    delays: CycleDelays,
-    prev: Instruction,
-    cur: Instruction,
-}
-
-/// Screen tier of a [`TagDelayOracle`]: shared bound tables, the clock the
-/// current run screens against (if any), and the screened-bucket side table.
-#[derive(Debug)]
-struct ScreenState {
-    bounds: Arc<ScreenBounds>,
-    /// The clock of the run in progress — the *tightest* clock any
-    /// consumer of this run thresholds delays against (schemes report it
-    /// via [`ResilienceScheme::screen_clock`](crate::scheme::ResilienceScheme::screen_clock)).
-    /// `None` between runs: every access then promotes screened buckets
-    /// back to exact delays.
-    armed: Option<ClockSpec>,
-    screened: HashMap<(ErrorTag, u32), ScreenedEntry>,
-}
-
-impl ScreenState {
-    /// Is `entry` interchangeable with the exact delays under `clock`?
-    /// Quiet envelopes (no output activity, proven structurally) always
-    /// are; safe envelopes are re-proven against the clock now in force,
-    /// since they may have been admitted under a looser one.
-    fn replayable(entry: &ScreenedEntry, clock: &ClockSpec) -> bool {
-        match (entry.delays.min_ps, entry.delays.max_ps) {
-            (None, None) => true,
-            (Some(lo), Some(hi)) => {
-                hi + ntc_timing::SCREEN_GUARD_PS <= clock.period_ps
-                    && lo - ntc_timing::SCREEN_GUARD_PS >= clock.hold_ps
-            }
-            _ => false,
-        }
-    }
-}
-
 /// The per-chip tag→delay oracle.
 ///
 /// Owns the netlist and its fabricated signature; borrows nothing, so it
@@ -369,15 +278,11 @@ pub struct TagDelayOracle {
     config: OracleConfig,
     cache: HashMap<(ErrorTag, u32), CycleDelays>,
     shared: Option<SharedDelayCache>,
-    screen: Option<ScreenState>,
     /// Precomputed critical delays (from the chip memo pool); computed on
     /// demand when absent.
     nominal_critical_ps: Option<f64>,
     static_critical_ps: Option<f64>,
     gate_sims: u64,
-    screen_hits: u64,
-    screen_misses: u64,
-    screen_fallbacks: u64,
     /// Reusable kernel buffers: Phase-A simulation allocates nothing in
     /// steady state.
     workspace: SimWorkspace,
@@ -433,13 +338,9 @@ impl TagDelayOracle {
             config,
             cache: HashMap::new(),
             shared: None,
-            screen: None,
             nominal_critical_ps: None,
             static_critical_ps: None,
             gate_sims: 0,
-            screen_hits: 0,
-            screen_misses: 0,
-            screen_fallbacks: 0,
             workspace: SimWorkspace::new(),
             pi_init: Vec::new(),
             pi_sens: Vec::new(),
@@ -456,32 +357,6 @@ impl TagDelayOracle {
         self
     }
 
-    /// Attach a conservative screen: delay queries made while a run's
-    /// clock is armed (see [`arm_screen`](Self::arm_screen)) may be
-    /// answered by the screen's envelope instead of the exact kernel.
-    /// The bounds must belong to this oracle's chip.
-    ///
-    /// Correctness contract: a screened answer is only ever a *safe*
-    /// envelope (no possible transition crosses either threshold) or an
-    /// exactly-quiet `None`/`None`, so any consumer that thresholds the
-    /// delays against the armed clock classifies identically to an
-    /// unscreened oracle. Consumers that read the delays numerically, or
-    /// run under a tighter clock, transparently get the exact value: the
-    /// screened bucket is promoted by simulating its stored first pair.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the bounds were built for a different netlist.
-    pub fn with_screen(mut self, bounds: Arc<ScreenBounds>) -> Self {
-        assert_eq!(bounds.len(), self.netlist.len(), "screen/netlist mismatch");
-        self.screen = Some(ScreenState {
-            bounds,
-            armed: None,
-            screened: HashMap::new(),
-        });
-        self
-    }
-
     /// Seed the precomputed critical delays (nominal and post-silicon
     /// static), so the accessors below stop re-running static analysis.
     /// The values must equal what the accessors would compute.
@@ -489,38 +364,6 @@ impl TagDelayOracle {
         self.nominal_critical_ps = Some(nominal_ps);
         self.static_critical_ps = Some(static_ps);
         self
-    }
-
-    /// Engage the screen for a run at `clock` — the tightest clock any
-    /// consumer of the run thresholds delays against (schemes stretching
-    /// their clock, like HFG, arm the *stretched* one via
-    /// [`ResilienceScheme::screen_clock`](crate::scheme::ResilienceScheme::screen_clock)).
-    /// A no-op on screenless oracles. `run_scheme`/`profile_errors` call
-    /// this on entry and [`disarm_screen`](Self::disarm_screen) on exit.
-    pub fn arm_screen(&mut self, clock: &ClockSpec) {
-        if let Some(state) = &mut self.screen {
-            state.armed = Some(*clock);
-        }
-    }
-
-    /// Disengage the screen: subsequent queries are answered exactly
-    /// (screened buckets promote on access). A no-op on screenless
-    /// oracles.
-    pub fn disarm_screen(&mut self) {
-        if let Some(state) = &mut self.screen {
-            state.armed = None;
-        }
-    }
-
-    /// True when a screen is attached (armed or not).
-    pub fn has_screen(&self) -> bool {
-        self.screen.is_some()
-    }
-
-    /// Number of `(tag, bucket)` entries currently held as screened
-    /// envelopes rather than exact delays.
-    pub fn screened_len(&self) -> usize {
-        self.screen.as_ref().map_or(0, |s| s.screened.len())
     }
 
     /// The nominal (PV-free) critical delay of this oracle's netlist at its
@@ -547,18 +390,8 @@ impl TagDelayOracle {
     }
 
     /// Sensitized min/max delays for executing `cur` right after `prev` on
-    /// this chip.
-    ///
-    /// With a screen attached and armed, a first-in-bucket pair whose
-    /// toggled-input cone provably cannot cross either threshold of the
-    /// armed clock is answered with its conservative envelope instead of
-    /// an exact simulation; replays of that bucket return the same
-    /// envelope after re-proving it against the clock now armed. Any
-    /// access outside an armed run — or under a clock the stored envelope
-    /// cannot be proven safe at — promotes the bucket back to the exact
-    /// delays of the *same* stored first pair, so screening never changes
-    /// which pair defines a bucket — the property the bit-identical-results
-    /// contract rests on.
+    /// this chip: the local `(tag, bucket)` table, then the shared
+    /// full-operand table, then the exact kernel.
     pub fn delays(&mut self, prev: &Instruction, cur: &Instruction) -> CycleDelays {
         let tag = ErrorTag::of(prev, cur);
         let bucket = operand_bucket(prev, cur, self.config.buckets_per_tag);
@@ -567,105 +400,14 @@ impl TagDelayOracle {
             bump(&STAT_LOCAL_HITS, |s| &s.local_hits);
             return *d;
         }
-        if let Some(state) = &mut self.screen {
-            let armed = state.armed;
-            if let Some(clock) = armed {
-                if let Some(e) = state.screened.get(&key) {
-                    if ScreenState::replayable(e, &clock) {
-                        self.screen_hits += 1;
-                        bump(&STAT_SCREEN_HITS, |s| &s.screen_hits);
-                        return e.delays;
-                    }
-                }
-            }
-            if let Some(entry) = state.screened.remove(&key) {
-                // Unarmed access, or an envelope admitted under a looser
-                // clock than the one now armed: rebuild the exact value an
-                // unscreened oracle would hold by simulating the bucket's
-                // original first pair — not the current one.
-                self.screen_fallbacks += 1;
-                bump(&STAT_SCREEN_FALLBACKS, |s| &s.screen_fallbacks);
-                let d = self.simulate_uncached(tag, &entry.prev, &entry.cur);
-                self.cache.insert(key, d);
-                return d;
-            }
-        }
-        // On a local miss the old path would simulate (prev, cur) exactly;
-        // a shared hit under the full-operand key returns precisely that
-        // simulation's result, so behaviour is unchanged by sharing.
+        // A shared hit under the full-operand key is exactly the result
+        // simulating (prev, cur) here would produce, so sharing changes
+        // only the number of simulations, never a delay.
         let full: SharedDelayKey = (tag, prev.a, prev.b, cur.a, cur.b);
-        if let Some(shared) = &self.shared {
-            if let Some(d) = shared.get(&full) {
-                bump(&STAT_SHARED_HITS, |s| &s.shared_hits);
-                self.cache.insert(key, d);
-                return d;
-            }
-        }
-        if let Some(state) = &mut self.screen {
-            if let Some(clock) = state.armed {
-                encode_into(self.width, prev, &mut self.pi_init);
-                encode_into(self.width, cur, &mut self.pi_sens);
-                match state.bounds.screen(&self.pi_init, &self.pi_sens, &clock) {
-                    ScreenVerdict::Quiet => {
-                        self.screen_hits += 1;
-                        bump(&STAT_SCREEN_HITS, |s| &s.screen_hits);
-                        let d = CycleDelays {
-                            min_ps: None,
-                            max_ps: None,
-                        };
-                        state.screened.insert(
-                            key,
-                            ScreenedEntry {
-                                delays: d,
-                                prev: *prev,
-                                cur: *cur,
-                            },
-                        );
-                        return d;
-                    }
-                    ScreenVerdict::Safe { min_ps, max_ps } => {
-                        self.screen_hits += 1;
-                        bump(&STAT_SCREEN_HITS, |s| &s.screen_hits);
-                        let d = CycleDelays {
-                            min_ps: Some(min_ps),
-                            max_ps: Some(max_ps),
-                        };
-                        state.screened.insert(
-                            key,
-                            ScreenedEntry {
-                                delays: d,
-                                prev: *prev,
-                                cur: *cur,
-                            },
-                        );
-                        return d;
-                    }
-                    ScreenVerdict::Inconclusive => {
-                        self.screen_misses += 1;
-                        bump(&STAT_SCREEN_MISSES, |s| &s.screen_misses);
-                    }
-                }
-            } else {
-                self.screen_fallbacks += 1;
-                bump(&STAT_SCREEN_FALLBACKS, |s| &s.screen_fallbacks);
-            }
-        }
-        let d = self.simulate_uncached(tag, prev, cur);
-        self.cache.insert(key, d);
-        d
-    }
-
-    /// Exact Phase-A resolution of one pair: shared-cache lookup, then a
-    /// gate-level simulation whose result is published to the shared
-    /// cache. Only exact values ever enter the shared cache — screened
-    /// envelopes stay in the oracle-private side table.
-    fn simulate_uncached(&mut self, tag: ErrorTag, prev: &Instruction, cur: &Instruction) -> CycleDelays {
-        let full: SharedDelayKey = (tag, prev.a, prev.b, cur.a, cur.b);
-        if let Some(shared) = &self.shared {
-            if let Some(d) = shared.get(&full) {
-                bump(&STAT_SHARED_HITS, |s| &s.shared_hits);
-                return d;
-            }
+        if let Some(d) = self.shared.as_ref().and_then(|shared| shared.get(&full)) {
+            bump(&STAT_SHARED_HITS, |s| &s.shared_hits);
+            self.cache.insert(key, d);
+            return d;
         }
         encode_into(self.width, prev, &mut self.pi_init);
         encode_into(self.width, cur, &mut self.pi_sens);
@@ -686,27 +428,13 @@ impl TagDelayOracle {
         if let Some(shared) = &self.shared {
             shared.insert_if_absent(full, d);
         }
+        self.cache.insert(key, d);
         d
     }
 
     /// Number of gate-level simulations run so far (Phase-A cost).
     pub fn gate_sim_count(&self) -> u64 {
         self.gate_sims
-    }
-
-    /// Queries this oracle answered from the screen tier.
-    pub fn screen_hit_count(&self) -> u64 {
-        self.screen_hits
-    }
-
-    /// Fresh screen consultations that were inconclusive.
-    pub fn screen_miss_count(&self) -> u64 {
-        self.screen_misses
-    }
-
-    /// Queries that bypassed an attached screen (disarmed/incompatible).
-    pub fn screen_fallback_count(&self) -> u64 {
-        self.screen_fallbacks
     }
 
     /// Number of cached (tag, bucket) delay entries.
@@ -855,179 +583,26 @@ mod tests {
             gate_sims: 2,
             local_hits: 5,
             shared_hits: 1,
-            screen_hits: 7,
-            screen_misses: 2,
-            screen_fallbacks: 1,
             sta_full: 3,
-            sta_incremental: 1,
-            incr_gates_touched: 40,
         };
         total += OracleStats {
             gate_sims: 1,
             local_hits: 0,
             shared_hits: 4,
-            screen_hits: 3,
-            screen_misses: 0,
-            screen_fallbacks: 2,
             sta_full: 1,
-            sta_incremental: 4,
-            incr_gates_touched: 2,
         };
-        // Queries = answered lookups: sims + local + shared + screened.
-        // Misses/fallbacks annotate *how* sims happened, not extra
-        // queries; the STA counters meter the timing stack, not lookups.
-        assert_eq!(total.queries(), 23);
+        // Queries = answered lookups: sims + local + shared. The STA
+        // count meters the timing stack, not lookups.
+        assert_eq!(total.queries(), 13);
         assert_eq!(
             total.fields(),
             [
                 ("gate_sims", 3),
                 ("local_hits", 5),
                 ("shared_hits", 5),
-                ("screen_hits", 10),
-                ("screen_misses", 2),
-                ("screen_fallbacks", 3),
                 ("sta_full", 4),
-                ("sta_incremental", 5),
-                ("incr_gates_touched", 42),
             ]
         );
-    }
-
-    /// Build bound tables for an oracle's chip, optionally corrupted.
-    fn screen_for(o: &TagDelayOracle) -> Arc<ScreenBounds> {
-        let sta = ntc_timing::StaticTiming::analyze(o.netlist(), o.signature());
-        Arc::new(ScreenBounds::build(o.netlist(), o.signature(), &sta))
-    }
-
-    /// A clock loose enough that most pairs screen safe on this chip.
-    fn loose_clock(o: &TagDelayOracle) -> ClockSpec {
-        let crit = o.static_critical_delay_ps();
-        ClockSpec {
-            period_ps: crit * 1.5,
-            hold_ps: 0.0,
-        }
-    }
-
-    #[test]
-    fn screened_oracle_matches_exact_classification_and_promotes() {
-        let mut exact = oracle();
-        let mut screened = oracle();
-        let bounds = screen_for(&screened);
-        let clock = loose_clock(&screened);
-        screened = screened.with_screen(bounds);
-        screened.arm_screen(&clock);
-        let pairs = [
-            (Instruction::new(Opcode::Addu, 0, 0), Instruction::new(Opcode::Addu, u64::MAX, 1)),
-            (Instruction::new(Opcode::Move, 7, 7), Instruction::new(Opcode::Move, 7, 7)),
-            (Instruction::new(Opcode::Mult, 3, 9), Instruction::new(Opcode::Xor, 0xF0F0, 0x0F0F)),
-        ];
-        for (p, c) in &pairs {
-            let e = exact.delays(p, c);
-            let s = screened.delays(p, c);
-            // The envelope classifies identically at the armed clock…
-            assert_eq!(
-                e.max_ps.is_some_and(|d| d > clock.period_ps),
-                s.max_ps.is_some_and(|d| d > clock.period_ps)
-            );
-            assert_eq!(
-                e.min_ps.is_some_and(|d| d < clock.hold_ps),
-                s.min_ps.is_some_and(|d| d < clock.hold_ps)
-            );
-            // …and brackets the exact delays.
-            if let (Some(se), Some(ss)) = (e.max_ps, s.max_ps) {
-                assert!(se <= ss + 1e-6);
-            }
-        }
-        assert!(
-            screened.gate_sim_count() < exact.gate_sim_count(),
-            "the loose clock must let the screen skip simulations"
-        );
-        // Disarming promotes screened buckets on access: numeric values
-        // become exactly the unscreened oracle's.
-        screened.disarm_screen();
-        for (p, c) in &pairs {
-            assert_eq!(screened.delays(p, c), exact.delays(p, c));
-        }
-        assert_eq!(screened.screened_len(), 0, "all buckets promoted");
-    }
-
-    #[test]
-    fn screen_counters_are_monotone_and_consistent() {
-        // Per-oracle counters, not the process-wide atomics: other tests
-        // in this binary run concurrently and share the globals.
-        let mut o = oracle();
-        let bounds = screen_for(&o);
-        let clock = loose_clock(&o);
-        o = o.with_screen(bounds);
-        o.arm_screen(&clock);
-        let prev = Instruction::new(Opcode::Addu, 0, 0);
-        let operands = [1u64, 0xFF, 0xFFFF, 0xFFFF_FFFF];
-        let mut last = (0u64, 0u64, 0u64, 0u64);
-        for a in operands {
-            let cur = Instruction::new(Opcode::Addu, a, 1);
-            let _ = o.delays(&prev, &cur);
-            let _ = o.delays(&prev, &cur); // replay of the same bucket
-            let now = (
-                o.gate_sim_count(),
-                o.screen_hit_count(),
-                o.screen_miss_count(),
-                o.screen_fallback_count(),
-            );
-            // Monotone: every counter only grows.
-            assert!(now.0 >= last.0 && now.1 >= last.1);
-            assert!(now.2 >= last.2 && now.3 >= last.3);
-            last = now;
-        }
-        // While armed with no shared cache, the only way to reach the
-        // kernel is an inconclusive screen: misses and simulations match
-        // one-to-one, and the screen tier plus the caches account for
-        // every query.
-        assert_eq!(o.screen_miss_count(), o.gate_sim_count());
-        assert!(
-            o.screen_hit_count() + o.gate_sim_count() <= 2 * operands.len() as u64,
-            "screen hits + sims cannot exceed total queries"
-        );
-        assert_eq!(o.screen_fallback_count(), 0, "armed run never falls back");
-        assert!(o.screen_hit_count() > 0, "loose clock must screen something");
-        // Disarming promotes each screened bucket on first access — one
-        // fallback and one exact simulation apiece.
-        let screened = o.screened_len() as u64;
-        let sims_before = o.gate_sim_count();
-        o.disarm_screen();
-        for a in operands {
-            let cur = Instruction::new(Opcode::Addu, a, 1);
-            let _ = o.delays(&prev, &cur);
-        }
-        assert_eq!(o.screen_fallback_count(), screened);
-        assert_eq!(o.gate_sim_count(), sims_before + screened);
-        assert_eq!(o.screened_len(), 0);
-    }
-
-    #[test]
-    fn rearming_tighter_promotes_instead_of_replaying_stale_envelopes() {
-        let mut exact = oracle();
-        let mut o = oracle();
-        let bounds = screen_for(&o);
-        let loose = loose_clock(&o);
-        o = o.with_screen(bounds);
-        o.arm_screen(&loose);
-        let p = Instruction::new(Opcode::Addu, 1, 2);
-        let c = Instruction::new(Opcode::Addu, 0xFFFF, 3);
-        let _ = o.delays(&p, &c);
-        assert_eq!(o.screen_hit_count(), 1, "loose clock screens the bucket");
-        assert_eq!(o.screened_len(), 1);
-        // Re-arm at a clock tighter than the stored envelope can be proven
-        // safe at: the replay check must reject it and promote the bucket
-        // to the exact delays of the same first pair.
-        let tight = ClockSpec {
-            period_ps: o.static_critical_delay_ps() * 0.5,
-            hold_ps: 0.0,
-        };
-        o.arm_screen(&tight);
-        let d = o.delays(&p, &c);
-        assert_eq!(o.screen_fallback_count(), 1, "stale envelope rejected");
-        assert_eq!(o.screened_len(), 0);
-        assert_eq!(d, exact.delays(&p, &c), "promotion restores exact delays");
     }
 
     #[test]

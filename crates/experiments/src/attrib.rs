@@ -21,13 +21,13 @@ use ntc_core::{set_oracle_scope, OracleScope, OracleStats};
 use std::sync::Arc;
 
 /// Everything a single scoped run accumulated: sweep time, oracle
-/// invocation mix (including the STA screen layer), and grid-cache
+/// invocation mix (including static-timing analyses), and grid-cache
 /// traffic.
 #[derive(Debug, Clone)]
 pub struct ScopedCounters {
     /// Busy/wall time spent inside [`crate::runner::sweep`] calls.
     pub sweep: SweepStats,
-    /// Timing-oracle and STA-screen invocation counts.
+    /// Timing-oracle lookup and static-timing analysis counts.
     pub oracle: OracleStats,
     /// Grid-cache hits, misses, evictions, and bytes written.
     pub cache: CacheStats,

@@ -4,8 +4,8 @@
 //!
 //! ```text
 //! repro [--full] [--jobs N] [--out DIR] [--format text|json]
-//!       [--cache-dir DIR] [--no-cache] [--no-screen] [--no-incr]
-//!       [--vdd LIST] [--trace-dir DIR [--record | --phases]]
+//!       [--cache-dir DIR] [--no-cache] [--vdd LIST]
+//!       [--trace-dir DIR [--record | --phases]]
 //!       [--resume] [ID ...]
 //! ```
 //!
@@ -49,21 +49,6 @@
 //! simulated instructions, results within a pinned tolerance).
 //! `--record` and `--phases` require `--trace-dir` and are mutually
 //! exclusive.
-//!
-//! `--no-screen` (or `NTC_SCREEN=off` in the environment) disables the
-//! conservative timing screen in front of the exact dynamic kernel.
-//! Results are bit-identical with the screen on or off — the screen only
-//! skips cycles it can prove safe — so the flag exists for A/B timing
-//! comparisons and as a belt-and-braces escape hatch; CI runs the fast
-//! suite both ways and compares every CSV byte-for-byte.
-//!
-//! `--no-incr` (or `NTC_INCR=off`) likewise disables incremental STA
-//! re-timing: every chip of a sweep falls back to a from-scratch
-//! `StaticTiming::analyze` and full screen-table build instead of
-//! delta-propagating from the previous chip of the same topology.
-//! Results are bit-identical either way (the incremental engine
-//! recomputes through the exact same per-gate folds), and CI proves it
-//! with the same byte-for-byte CSV comparison.
 //!
 //! Every run also writes `<out>/manifest.json`: one structured
 //! [`RunRecord`] per experiment (scale, jobs, wall time, sweep busy/wall
@@ -127,8 +112,6 @@ fn run() -> i32 {
                 }
             },
             "--no-cache" => no_cache = true,
-            "--no-screen" => ntc_experiments::config::set_screen_disabled(true),
-            "--no-incr" => ntc_experiments::config::set_incr_disabled(true),
             "--trace-dir" => match args.next() {
                 Some(dir) => trace_dir = Some(PathBuf::from(dir)),
                 None => {
@@ -200,14 +183,10 @@ fn run() -> i32 {
             "--help" | "-h" => {
                 println!(
                     "usage: repro [--full] [--jobs N] [--out DIR] [--format text|json] \
-                     [--cache-dir DIR] [--no-cache] [--no-screen] [--no-incr] [--vdd LIST] \
+                     [--cache-dir DIR] [--no-cache] [--vdd LIST] \
                      [--trace-dir DIR [--record | --phases]] [--resume] [--list] [ID ...]\n\
                      --cache-dir DIR  persistent grid-result cache shared across runs\n\
                      --no-cache       bypass all grid caching (cold run)\n\
-                     --no-screen      disable the conservative timing screen (also NTC_SCREEN=off);\n\
-                     \u{20}                results are bit-identical, only exact-kernel work changes\n\
-                     --no-incr        disable incremental STA re-timing (also NTC_INCR=off);\n\
-                     \u{20}                results are bit-identical, only static-analysis work changes\n\
                      --vdd LIST       sweep grids over these operating points (also NTC_VDD);\n\
                      \u{20}                comma-separated, e.g. `0.45,0.60,stc`; default ntc only\n\
                      --trace-dir DIR  replay recorded binary traces from DIR instead of the\n\
@@ -494,25 +473,11 @@ fn describe(r: &RunRecord) -> String {
             ", oracle {} sims / {} local hits / {} shared hits",
             r.oracle.gate_sims, r.oracle.local_hits, r.oracle.shared_hits
         ));
-        // Screen tier (two-tier oracle): cycles answered by the
-        // conservative bound vs inconclusive screens that fell through to
-        // the exact kernel vs queries that bypassed the screen outright.
-        if r.oracle.screen_hits + r.oracle.screen_misses + r.oracle.screen_fallbacks > 0 {
-            line.push_str(&format!(
-                ", screen {} hits / {} misses / {} fallbacks",
-                r.oracle.screen_hits, r.oracle.screen_misses, r.oracle.screen_fallbacks
-            ));
-        }
     }
-    // Static-timing cost: full analyses vs incremental re-timing passes
-    // (and how much of the netlist the deltas actually touched). The
-    // headline win of the retained engine is visible right here — chips
-    // after the first re-time incrementally instead of fully.
-    if r.oracle.sta_full + r.oracle.sta_incremental > 0 {
-        line.push_str(&format!(
-            ", sta {} full / {} incremental ({} gates touched)",
-            r.oracle.sta_full, r.oracle.sta_incremental, r.oracle.incr_gates_touched
-        ));
+    // Static-timing cost: one analysis per fabricated chip plus the
+    // topology's nominal clock anchors.
+    if r.oracle.sta_full > 0 {
+        line.push_str(&format!(", sta {} full", r.oracle.sta_full));
     }
     // Grid disk-cache traffic: a warm rerun shows hits where the cold run
     // showed misses + bytes written; corrupt evictions flag artifacts

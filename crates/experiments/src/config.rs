@@ -14,51 +14,10 @@ use ntc_core::tag_delay::{OracleConfig, SharedDelayCache, TagDelayOracle};
 use ntc_netlist::buffer_insertion::insert_hold_buffers;
 use ntc_netlist::generators::alu::Alu;
 use ntc_netlist::Netlist;
-use ntc_timing::{ClockSpec, IncrementalTiming, ScreenBounds, StaticTiming};
+use ntc_timing::{ClockSpec, StaticTiming};
 use ntc_varmodel::{ChipSignature, Corner, OperatingPoint, VariationParams};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-
-/// Process-wide opt-out of the conservative timing screen (the fast tier
-/// of the two-tier oracle). Results are bit-identical either way; only
-/// the number of exact gate-level simulations changes.
-static SCREEN_DISABLED: AtomicBool = AtomicBool::new(false);
-
-/// Disable (or re-enable) the timing screen for every oracle built after
-/// this call — the `repro --no-screen` escape hatch. Mirrors
-/// [`crate::cache::set_disabled`].
-pub fn set_screen_disabled(disabled: bool) {
-    SCREEN_DISABLED.store(disabled, Ordering::Relaxed);
-}
-
-/// True when the screen is off, via [`set_screen_disabled`] or the
-/// `NTC_SCREEN=off` (or `0`) environment variable.
-pub fn screen_disabled() -> bool {
-    SCREEN_DISABLED.load(Ordering::Relaxed)
-        || std::env::var("NTC_SCREEN").is_ok_and(|v| v == "off" || v == "0")
-}
-
-/// Process-wide opt-out of incremental STA re-timing: chip blanks fall
-/// back to a from-scratch [`StaticTiming::analyze`] + full
-/// [`ScreenBounds::build`] per chip. Results are bit-identical either
-/// way (the CI `cmp` gate proves it per release); only the static-analysis
-/// cost changes.
-static INCR_DISABLED: AtomicBool = AtomicBool::new(false);
-
-/// Disable (or re-enable) incremental re-timing for every chip built
-/// after this call — the `repro --no-incr` escape hatch. Mirrors
-/// [`set_screen_disabled`].
-pub fn set_incr_disabled(disabled: bool) {
-    INCR_DISABLED.store(disabled, Ordering::Relaxed);
-}
-
-/// True when incremental re-timing is off, via [`set_incr_disabled`] or
-/// the `NTC_INCR=off` (or `0`) environment variable.
-pub fn incr_disabled() -> bool {
-    INCR_DISABLED.load(Ordering::Relaxed)
-        || std::env::var("NTC_INCR").is_ok_and(|v| v == "off" || v == "0")
-}
 
 /// Process-wide voltage roster for the grid-backed experiments: which
 /// operating points the benchmark grids sweep. Empty means "unset" —
@@ -271,10 +230,10 @@ impl ClockRegime {
 
 /// Everything that is a pure function of one fabricated chip: its padded
 /// (or bare) netlist, its fabricated signature, the delay table its
-/// oracles fill in, the static-timing summaries every consumer needs, and
-/// the screen's slack tables. Memoized so experiments sharing a chip
-/// neither re-fabricate it, repeat each other's Phase-A gate simulations,
-/// nor re-run static analysis per call site.
+/// oracles fill in, and the static-timing summaries every consumer needs.
+/// Memoized so experiments sharing a chip neither re-fabricate it, repeat
+/// each other's Phase-A gate simulations, nor re-run static analysis per
+/// call site.
 struct ChipBlank {
     netlist: Netlist,
     signature: ChipSignature,
@@ -283,8 +242,6 @@ struct ChipBlank {
     nominal_critical_ps: f64,
     /// Post-silicon static critical delay of this fabricated chip.
     static_critical_ps: f64,
-    /// Conservative toggle-to-output bound tables for the screen.
-    screen: Arc<ScreenBounds>,
 }
 
 /// Memo key: everything [`build_oracle`] folds into the chip. `vdd` and
@@ -304,21 +261,15 @@ static CHIP_BLANKS: OnceLock<Mutex<HashMap<ChipKey, ChipCell>>> = OnceLock::new(
 
 /// Everything that is a pure function of one netlist *topology* — the
 /// per-chip memo key minus the fabrication seed and the supply. All
-/// chips of a sweep share the topology, so the netlist variant, its
-/// per-corner nominal critical delays, and (crucially) the retained
-/// incremental re-timing engine are hoisted here: chip→chip *and*
-/// operating-point→operating-point the engine delta-propagates arrivals
-/// and screen bounds instead of re-analyzing from scratch.
+/// chips of a sweep share the topology, so the netlist variant and its
+/// per-corner nominal critical delays (the clock anchors) are hoisted
+/// here.
 struct TopoState {
     netlist: Netlist,
     /// Nominal (PV-free) critical delay of this netlist variant, per
     /// supply voltage (keyed by the corner's vdd bit pattern). Filled
     /// lazily as operating points first appear on the sweep axis.
     nominal: Mutex<HashMap<u64, f64>>,
-    /// Retained arrival + screen state of the most recently re-timed
-    /// chip of this topology. Chips of one topology serialize here;
-    /// different topologies re-time concurrently.
-    engine: Mutex<IncrementalTiming>,
 }
 
 /// Topology memo key: the netlist variant is corner-free (see
@@ -338,8 +289,7 @@ static TOPOLOGIES: OnceLock<Mutex<HashMap<TopoKey, TopoCell>>> = OnceLock::new()
 /// derived here from the NTC corner's timing and divided back by its
 /// delay factor — the same ratio every corner would give mathematically,
 /// pinned to one corner so the division is bit-for-bit reproducible and
-/// the whole voltage axis shares a single netlist (and one re-timing
-/// engine).
+/// the whole voltage axis shares a single netlist.
 fn build_topology(buffered: bool, regime: ClockRegime) -> Netlist {
     let alu = Alu::new(ntc_isa::ARCH_WIDTH);
     if !buffered {
@@ -372,7 +322,6 @@ fn topo_state(buffered: bool, regime: ClockRegime) -> Arc<TopoState> {
         Arc::new(TopoState {
             netlist: build_topology(buffered, regime),
             nominal: Mutex::new(HashMap::new()),
-            engine: Mutex::new(IncrementalTiming::new()),
         })
     })
     .clone()
@@ -444,41 +393,15 @@ fn chip_blank(
             signature.inject_choke(&slow, 1.0);
         }
         // One static analysis per chip, hoisted here from the per-call
-        // accessors — and for every chip of a topology after the first,
-        // not even that: the retained engine re-times the delay delta,
-        // chip→chip and operating-point→operating-point alike (the
-        // voltage axis shares the topology, so a supply move is just
-        // another delta), updating arrivals and screen tables in place.
-        // Both paths
-        // are bit-identical (the engine recomputes through the exact same
-        // per-gate folds), so `--no-incr` only changes the cost.
-        let (static_critical_ps, screen) = if incr_disabled() {
-            let sta = StaticTiming::analyze(&topo.netlist, &signature);
-            let static_critical_ps = sta.critical_delay_ps(&topo.netlist);
-            let screen = Arc::new(ScreenBounds::build(&topo.netlist, &signature, &sta));
-            (static_critical_ps, screen)
-        } else {
-            let mut engine = topo.engine.lock().expect("timing engine poisoned");
-            engine.retime(&topo.netlist, &signature);
-            let screen = match engine.screen_bounds() {
-                Some(b) => Arc::new(b.clone()),
-                // `retime` always seeds the tables; this arm is the
-                // recoverable fallback should that invariant ever move.
-                None => Arc::new(ScreenBounds::build(
-                    &topo.netlist,
-                    &signature,
-                    engine.timing(),
-                )),
-            };
-            (engine.timing().critical_delay_ps(&topo.netlist), screen)
-        };
+        // accessors.
+        let static_critical_ps =
+            StaticTiming::analyze(&topo.netlist, &signature).critical_delay_ps(&topo.netlist);
         Arc::new(ChipBlank {
             netlist: topo.netlist.clone(),
             signature,
             delays: SharedDelayCache::default(),
             nominal_critical_ps,
             static_critical_ps,
-            screen,
         })
     })
     .clone()
@@ -500,11 +423,8 @@ fn chip_blank(
 /// Phase-A gate simulations. Results are bit-identical either way — the
 /// delay table is a pure function of the chip (see
 /// [`ntc_core::tag_delay::SharedDelayCache`]).
-/// Oracles also carry the chip's memoized critical delays (so the
-/// accessors stop re-running static analysis) and — unless
-/// [`set_screen_disabled`]`(true)` or `NTC_SCREEN=off` is in force — the
-/// chip's conservative timing screen (armed per run at the run's own
-/// clock by `run_scheme`/`profile_errors`).
+/// Oracles also carry the chip's memoized critical delays, so the
+/// accessors stop re-running static analysis.
 pub fn build_oracle(corner: Corner, seed: u64, buffered: bool, regime: ClockRegime) -> TagDelayOracle {
     oracle_from_blank(chip_blank(corner, seed, buffered, regime, 0))
 }
@@ -528,18 +448,13 @@ pub fn build_hardened_oracle(
 }
 
 fn oracle_from_blank(blank: Arc<ChipBlank>) -> TagDelayOracle {
-    let oracle = TagDelayOracle::new(
+    TagDelayOracle::new(
         blank.netlist.clone(),
         blank.signature.clone(),
         OracleConfig::default(),
     )
     .with_shared_cache(blank.delays.clone())
-    .with_critical_delays(blank.nominal_critical_ps, blank.static_critical_ps);
-    if screen_disabled() {
-        oracle
-    } else {
-        oracle.with_screen(blank.screen.clone())
-    }
+    .with_critical_delays(blank.nominal_critical_ps, blank.static_critical_ps)
 }
 
 /// Normalize a series against its first element (the figures normalize

@@ -56,7 +56,7 @@ pub use runner::{
     SweepScope, SweepStats,
 };
 pub use scenario::{
-    row_label, run_grid, run_grid_traced, run_grid_uncached, screen_run_order, take_voltage_cells,
+    row_label, run_grid, run_grid_traced, run_grid_uncached, take_voltage_cells,
     GridResult, GridSpec, GridTier, Regime,
 };
 pub use table::ResultTable;

@@ -31,8 +31,10 @@ use std::time::Duration;
 /// counters `sta_full` / `sta_incremental` / `incr_gates_touched`;
 /// `/5` the per-operating-point `voltages` cell counters; `/6` the
 /// requested voltage roster, the workload trace `source`, and the
-/// `workload` record/replay counters.)
-pub const MANIFEST_SCHEMA: &str = "ntc-repro-manifest/6";
+/// `workload` record/replay counters; `/7` dropped the screen and
+/// incremental-STA counters, leaving the oracle object `gate_sims` /
+/// `local_hits` / `shared_hits` / `sta_full`.)
+pub const MANIFEST_SCHEMA: &str = "ntc-repro-manifest/7";
 
 /// Telemetry of one experiment run inside a `repro` invocation.
 #[derive(Debug, Clone, PartialEq)]
@@ -218,12 +220,7 @@ impl RunRecord {
             gate_sims: u64_of(oracle_obj, "gate_sims")?,
             local_hits: u64_of(oracle_obj, "local_hits")?,
             shared_hits: u64_of(oracle_obj, "shared_hits")?,
-            screen_hits: u64_of(oracle_obj, "screen_hits")?,
-            screen_misses: u64_of(oracle_obj, "screen_misses")?,
-            screen_fallbacks: u64_of(oracle_obj, "screen_fallbacks")?,
             sta_full: u64_of(oracle_obj, "sta_full")?,
-            sta_incremental: u64_of(oracle_obj, "sta_incremental")?,
-            incr_gates_touched: u64_of(oracle_obj, "incr_gates_touched")?,
         };
         let cache_obj = v
             .get("cache")
@@ -891,12 +888,7 @@ mod tests {
                 gate_sims: 7,
                 local_hits: 40,
                 shared_hits: 3,
-                screen_hits: 25,
-                screen_misses: 4,
-                screen_fallbacks: 2,
                 sta_full: 3,
-                sta_incremental: 5,
-                incr_gates_touched: 1234,
             },
             cache: CacheStats {
                 disk_hits: 1,

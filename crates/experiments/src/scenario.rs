@@ -311,22 +311,12 @@ where
     out
 }
 
-/// The order a cell *executes* its schemes in: guardbanded (stretched-
-/// clock) schemes first, everything else in spec order after them.
-///
-/// Results are independent of the execution order — every scheme replays
-/// the same trace, so each `(tag, bucket)` of the cell's oracle is defined
-/// by the same first pair no matter which scheme touches it first, and the
-/// exact delay of a pair is a pure function of the chip. What the order
-/// *does* change is who performs the first resolution of each bucket:
-/// running HFG first lets the conservative timing screen answer its whole
-/// run from slack bounds (its guardband clock sits past the chip's static
-/// critical delay, the ceiling of every cone bound), and the tight-clock
-/// schemes afterwards promote only the buckets they actually revisit.
+/// Spec order, `0..schemes.len()`. Kept only because the benchmark's
+/// `layer-trace` binary (under `perfbench/`) imports it; [`run_grid`]
+/// itself runs a cell's schemes in spec order, and results do not depend
+/// on that order (pinned in `tests/scenario_grid.rs`).
 pub fn screen_run_order(schemes: &[SchemeSpec]) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..schemes.len()).collect();
-    order.sort_by_key(|&i| !matches!(schemes[i], SchemeSpec::Hfg));
-    order
+    (0..schemes.len()).collect()
 }
 
 /// One (benchmark, operating point, chip) cell: build the chip's
@@ -335,13 +325,13 @@ pub fn screen_run_order(schemes: &[SchemeSpec]) -> Vec<usize> {
 /// clock policy — buffer padding must not slow the target clock), and run
 /// every scheme of the spec over the cell's weighted trace segments (one
 /// whole trace for generator/record/replay sources; the SimPoint
-/// representatives for phase sources). Within each segment schemes
-/// execute in [`screen_run_order`]; the returned results are
-/// `[scheme][segment]` pairs of `(result, fold weight)` in spec order
-/// regardless.
+/// representatives for phase sources). Within each segment schemes run
+/// in spec order; the returned results are `[scheme][segment]` pairs of
+/// `(result, fold weight)`.
 ///
-/// Oracles persist across the segments of a cell — a cached `(tag,
-/// bucket)` delay is a pure function of the chip, so phase replays reuse
+/// Oracles persist across the segments of a cell. Every scheme replays
+/// the same segment, so each `(tag, bucket)` is defined by the same first
+/// pair whichever scheme resolves it first, and phase replays reuse
 /// Phase-A work exactly like one longer trace would. Schemes are rebuilt
 /// fresh per segment (each representative stands for an interval run on
 /// its own, per the SimPoint model).
@@ -381,8 +371,7 @@ fn run_cell(
         });
     let mut results: Vec<Vec<(SimResult, u64)>> = vec![Vec::new(); spec.schemes.len()];
     for segment in &segments {
-        for i in screen_run_order(&spec.schemes) {
-            let s = &spec.schemes[i];
+        for (s, out) in spec.schemes.iter().zip(&mut results) {
             let (oracle, static_critical) = if let Some(top_k) = s.hardened_top_k() {
                 let idx = match hardened.iter().position(|(k, _)| *k == top_k) {
                     Some(idx) => idx,
@@ -419,7 +408,7 @@ fn run_cell(
                 point,
             };
             let mut scheme = s.build(&ctx);
-            results[i].push((
+            out.push((
                 run_scheme(
                     scheme.as_mut(),
                     oracle,
@@ -589,20 +578,6 @@ pub fn run_grid_traced(spec: &GridSpec) -> (Arc<GridResult>, GridTier) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn screen_run_order_puts_guardbanded_schemes_first_and_is_otherwise_stable() {
-        let spec = vec![
-            SchemeSpec::RazorCh3,
-            SchemeSpec::DcsIcslt { entries: 128 },
-            SchemeSpec::Hfg,
-            SchemeSpec::Trident { cet_entries: 128 },
-            SchemeSpec::Hfg,
-            SchemeSpec::Ocst,
-        ];
-        assert_eq!(screen_run_order(&spec), vec![2, 4, 0, 1, 3, 5]);
-        assert_eq!(screen_run_order(&[]), Vec::<usize>::new());
-    }
 
     #[test]
     fn expand_orders_chips_within_groups() {

@@ -1,7 +1,7 @@
 //! Regression pin for the chip memo: static timing analysis runs *once per
 //! memoized chip blank*, never per oracle or per accessor call. Before the
-//! hoist, every `static_critical_delay_ps()` / screen construction re-ran a
-//! full STA pass; this test pins the budget so it cannot creep back.
+//! hoist, every `static_critical_delay_ps()` call re-ran a full STA pass;
+//! this test pins the budget so it cannot creep back.
 
 use ntc_experiments::{build_oracle, CH3_REGIME};
 use ntc_timing::sta::analysis_count;
@@ -15,15 +15,14 @@ const BUFFERED_SEED: u64 = 990_002;
 #[test]
 fn static_analysis_runs_once_per_chip_blank() {
     // Bare blank, first chip of its topology: one nominal pass (hoisted
-    // to the topology memo — it anchors the clocks) + one full seeding
-    // pass of the retained incremental engine. Later chips of the same
-    // topology re-time incrementally (pinned in `incr_retime.rs`).
+    // to the topology memo — it anchors the clocks) + the chip's own
+    // analysis. Later chips of the same topology cost one analysis each.
     let before = analysis_count();
     let oracle = build_oracle(Corner::NTC, BARE_SEED, false, CH3_REGIME);
     assert_eq!(
         analysis_count() - before,
         2,
-        "bare chip blank: topology anchor + engine seed, nothing more"
+        "bare chip blank: topology anchor + chip analysis, nothing more"
     );
 
     // The accessors read the memoized values — zero additional passes.
@@ -39,12 +38,12 @@ fn static_analysis_runs_once_per_chip_blank() {
     assert_eq!(analysis_count() - before, 0, "memoized blank rebuilt STA");
 
     // Buffered blank: bare-nominal anchor + buffered-nominal (both
-    // topology-level) + the engine's full seeding pass.
+    // topology-level) + the chip's own analysis.
     let before = analysis_count();
     let _buffered = build_oracle(Corner::NTC, BUFFERED_SEED, true, CH3_REGIME);
     assert_eq!(
         analysis_count() - before,
         3,
-        "buffered chip blank: bare anchor + buffered nominal + engine seed"
+        "buffered chip blank: bare anchor + buffered nominal + chip analysis"
     );
 }

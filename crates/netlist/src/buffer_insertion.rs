@@ -37,17 +37,6 @@ pub struct BufferReport {
 #[derive(Debug, Clone, Default)]
 pub struct InsertedBuffers(pub Vec<Signal>);
 
-impl InsertedBuffers {
-    /// Raw gate indices of the inserted buffers, in insertion order — the
-    /// mutation targets an adaptive scheme hands to the incremental
-    /// timing engine's `retime_gate` hook (`ntc-timing`) when it resizes
-    /// a buffer mid-run: the delay of one of these gates changes and only
-    /// its fanout cone is re-timed, no full re-analysis.
-    pub fn gate_indices(&self) -> impl Iterator<Item = usize> + '_ {
-        self.0.iter().map(|s| s.index())
-    }
-}
-
 /// Clone `nl`, inserting hold-fix buffer chains so every primary output's
 /// earliest nominal arrival is at least `min_delay_ps`, while keeping all
 /// latest arrivals within `setup_ps`.

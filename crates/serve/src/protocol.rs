@@ -50,8 +50,9 @@ use ntc_workload::ALL_BENCHMARKS;
 
 /// Schema tag of the per-request receipt, bumped on any
 /// field/semantics change (mirrors the manifest's
-/// `ntc-repro-manifest/N` convention).
-pub const RECEIPT_SCHEMA: &str = "ntc-serve-receipt/1";
+/// `ntc-repro-manifest/N` convention). `/2` dropped the screen and
+/// incremental-STA oracle counters.
+pub const RECEIPT_SCHEMA: &str = "ntc-serve-receipt/2";
 
 /// Machine-readable failure classes of the protocol.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -237,17 +238,16 @@ fn spec_from_json(v: &Json) -> Result<GridSpec, String> {
     })
 }
 
-/// Telemetry drained around one compute, attributed to the request in
-/// its receipt. Exact when the server's compute budget is 1 (the
-/// default — requests drain the process-global counters sequentially,
-/// the same pattern batch `repro` uses per experiment); at larger
-/// budgets concurrent computes share the counters and the split is
-/// approximate.
+/// Telemetry of one compute, attributed to the request in its receipt.
+/// Exact at any compute budget: the server runs each compute inside its
+/// own counter scope (`ntc_experiments::with_counter_scope`), which the
+/// sweep engine forwards into its workers, so concurrent computes never
+/// bill each other's work.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct JobCounters {
     /// Sweep busy/wall time of the compute.
     pub sweep: SweepStats,
-    /// Delay-oracle counters (gate sims, cache tiers, screen, STA).
+    /// Delay-oracle counters (gate sims, cache tiers, STA analyses).
     pub oracle: OracleStats,
     /// Disk-cache counters.
     pub cache: CacheStats,

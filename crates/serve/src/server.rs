@@ -4,10 +4,10 @@
 //! One thread per connection (clients are few and long computes
 //! dominate); within a compute, the shared parallel runner spreads the
 //! grid's cells over the worker pool, so the daemon's own threading
-//! stays trivial. The process-global telemetry counters (sweep
-//! busy/wall, oracle, disk cache) are drained around each compute into
-//! the request's receipt — exact at the default compute budget of 1,
-//! approximate above it (documented in [`crate::protocol::JobCounters`]).
+//! stays trivial. Each compute runs inside its own counter scope, so the
+//! telemetry in the request's receipt (sweep busy/wall, oracle, disk
+//! cache) is exactly that compute's work at any compute budget (see
+//! [`crate::protocol::JobCounters`]).
 
 use crate::admission::Admission;
 use crate::coalesce::{FlightMap, Role};

@@ -6,13 +6,8 @@
 //!
 //! * [`sta`] — static min/max arrival analysis and critical-path extraction
 //!   under a per-chip delay signature;
-//! * [`incr`] — retained incremental re-timing: delta-propagation of
-//!   arrival state and screen bounds across chips / operating points,
-//!   bit-identical to from-scratch analysis;
 //! * [`dynamic`] — glitch-aware two-vector (initializing + sensitizing)
 //!   timing simulation producing per-output transition waveforms;
-//! * [`screen`] — conservative per-cycle screening (toggled-input cone
-//!   bounds) that skips the exact kernel on provably-safe cycles;
 //! * [`choke`] — CDL / CGL choke-point metrics over sensitized cycles;
 //! * [`errors`] — classification of cycles into minimum / maximum timing
 //!   violations and Trident's SE / CE error classes.
@@ -49,11 +44,9 @@
 pub mod choke;
 pub mod dynamic;
 pub mod errors;
-pub mod incr;
 pub mod paths;
 #[cfg(test)]
 mod reference;
-pub mod screen;
 pub mod sta;
 
 pub use choke::{identify_choke_event, CdlCategory, CdlCglProfile, ChokeEvent, ALL_CDL_CATEGORIES};
@@ -64,10 +57,5 @@ pub use errors::{
     classify_cycle, classify_stream, illegal_transition_count, ClockSpec, CycleViolation,
     ErrorClass,
 };
-pub use incr::{
-    current_sta_scope, retime_count, set_sta_scope, take_sta_counters, IncrementalScreen,
-    IncrementalSta, IncrementalTiming, RetimeOutcome, StaCounters, StaScope,
-};
 pub use paths::{k_critical_paths, RankedPath, SlackReport};
-pub use screen::{ScreenBounds, ScreenVerdict, ScreenedSim, SCREEN_GUARD_PS};
-pub use sta::{StaticTiming, TimingPath};
+pub use sta::{set_sta_scope, take_sta_full, StaScope, StaticTiming, TimingPath};

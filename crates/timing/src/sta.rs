@@ -4,10 +4,22 @@
 //! Static analysis is topological and input-independent (every path is
 //! assumed sensitizable); the *dynamic* analysis in [`crate::dynamic`]
 //! refines this with actual input vectors.
+//!
+//! # Counters
+//!
+//! Every [`StaticTiming::analyze`] pass bumps two process-wide counters:
+//! the cumulative [`analysis_count`], which regression tests use to pin
+//! how often the analysis runs, and the draining `sta_full` count
+//! ([`take_sta_full`]), which the delay-oracle stats fold into run
+//! telemetry. A [`StaScope`] installed on a thread (see [`set_sta_scope`])
+//! additionally receives that thread's `sta_full` increments, so a server
+//! running concurrent jobs can bill each one for its own analyses.
 
 use ntc_varmodel::ChipSignature;
 use ntc_netlist::{Netlist, Signal};
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Process-wide count of [`StaticTiming::analyze`] runs, for regression
 /// tests that pin how often the (linear but non-free) analysis executes —
@@ -19,25 +31,61 @@ pub fn analysis_count() -> u64 {
     ANALYSIS_COUNT.load(Ordering::Relaxed)
 }
 
+/// Draining count of full analyses, reset by [`take_sta_full`].
+static STA_FULL: AtomicU64 = AtomicU64::new(0);
+
+/// A per-run attribution scope for the `sta_full` counter. While
+/// installed on a thread, every analysis that thread runs lands in the
+/// scope *in addition to* the process-wide drain.
+#[derive(Debug, Default)]
+pub struct StaScope {
+    sta_full: AtomicU64,
+}
+
+impl StaScope {
+    /// Full analyses accumulated in this scope so far (non-draining).
+    pub fn sta_full(&self) -> u64 {
+        self.sta_full.load(Ordering::Relaxed)
+    }
+}
+
+thread_local! {
+    static STA_SCOPE: RefCell<Option<Arc<StaScope>>> = const { RefCell::new(None) };
+}
+
+/// Install (or, with `None`, clear) the calling thread's STA attribution
+/// scope, returning the previously installed one so callers can restore
+/// it. Install the same `Arc` on every worker thread of a run to
+/// aggregate across them.
+pub fn set_sta_scope(scope: Option<Arc<StaScope>>) -> Option<Arc<StaScope>> {
+    STA_SCOPE.with(|s| s.replace(scope))
+}
+
+/// Drain the process-wide `sta_full` count: full analyses since the last
+/// call. The delay oracle's stats drain consumes this.
+pub fn take_sta_full() -> u64 {
+    STA_FULL.swap(0, Ordering::Relaxed)
+}
+
+fn note_full_analysis() {
+    ANALYSIS_COUNT.fetch_add(1, Ordering::Relaxed);
+    STA_FULL.fetch_add(1, Ordering::Relaxed);
+    STA_SCOPE.with(|s| {
+        if let Some(scope) = s.borrow().as_ref() {
+            scope.sta_full.fetch_add(1, Ordering::Relaxed);
+        }
+    });
+}
+
 /// Static arrival times for every signal of a netlist under one chip's
 /// delay signature.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct StaticTiming {
     max_arrival: Vec<f64>,
     min_arrival: Vec<f64>,
 }
 
 impl StaticTiming {
-    /// An empty analysis holding no arrival state — a target for
-    /// [`analyze_into`](Self::analyze_into) when the caller retains the
-    /// buffers across chips (the incremental engine, the chip memo pool).
-    pub fn with_capacity(n: usize) -> Self {
-        StaticTiming {
-            max_arrival: Vec::with_capacity(n),
-            min_arrival: Vec::with_capacity(n),
-        }
-    }
-
     /// Run static min/max arrival analysis.
     ///
     /// # Panics
@@ -45,61 +93,33 @@ impl StaticTiming {
     /// Panics if the signature was fabricated for a different netlist
     /// (length mismatch).
     pub fn analyze(nl: &Netlist, sig: &ChipSignature) -> Self {
-        let mut t = StaticTiming::with_capacity(nl.len());
-        t.analyze_into(nl, sig);
-        t
-    }
-
-    /// Run a full analysis *into* this instance, reusing its arrival
-    /// buffers — no per-chip allocations once the buffers have grown to
-    /// the netlist's size. [`analyze`](Self::analyze) routes through this.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the signature was fabricated for a different netlist
-    /// (length mismatch).
-    pub fn analyze_into(&mut self, nl: &Netlist, sig: &ChipSignature) {
         assert_eq!(
             sig.delays_ps().len(),
             nl.len(),
             "signature/netlist mismatch"
         );
-        ANALYSIS_COUNT.fetch_add(1, Ordering::Relaxed);
-        crate::incr::note_full_analysis();
+        note_full_analysis();
         let n = nl.len();
-        self.max_arrival.clear();
-        self.max_arrival.resize(n, 0.0);
-        self.min_arrival.clear();
-        self.min_arrival.resize(n, 0.0);
+        let mut max_arrival = vec![0.0; n];
+        let mut min_arrival = vec![0.0; n];
         for (i, gate) in nl.gates().iter().enumerate() {
             if gate.kind().is_pseudo() {
                 continue;
             }
-            let (lo, hi) = fold_gate_arrivals(gate, &self.min_arrival, &self.max_arrival);
+            let mut lo = f64::INFINITY;
+            let mut hi = 0.0f64;
+            for s in gate.inputs() {
+                lo = lo.min(min_arrival[s.index()]);
+                hi = hi.max(max_arrival[s.index()]);
+            }
             let d = sig.delay_ps(i);
-            self.min_arrival[i] = lo + d;
-            self.max_arrival[i] = hi + d;
+            min_arrival[i] = lo + d;
+            max_arrival[i] = hi + d;
         }
-    }
-
-    /// Re-fold one gate's arrivals from the current state of this
-    /// analysis — *exactly* the fold [`analyze_into`](Self::analyze_into)
-    /// performs for that gate, so a recompute from unchanged inputs is
-    /// bit-for-bit the stored value. This is the primitive the
-    /// incremental engine's dirty worklist is built on.
-    ///
-    /// Returns the `(min, max)` arrival the gate takes under delay `d`.
-    #[inline]
-    pub(crate) fn refold_gate(&self, gate: &ntc_netlist::Gate, d: f64) -> (f64, f64) {
-        let (lo, hi) = fold_gate_arrivals(gate, &self.min_arrival, &self.max_arrival);
-        (lo + d, hi + d)
-    }
-
-    /// Store the arrivals of one gate (incremental-engine write access).
-    #[inline]
-    pub(crate) fn set_arrivals(&mut self, idx: usize, min_ps: f64, max_ps: f64) {
-        self.min_arrival[idx] = min_ps;
-        self.max_arrival[idx] = max_ps;
+        StaticTiming {
+            max_arrival,
+            min_arrival,
+        }
     }
 
     /// Latest possible arrival at signal index `idx`, ps.
@@ -159,26 +179,6 @@ impl StaticTiming {
             signals: chain,
         }
     }
-}
-
-/// The one canonical per-gate arrival fold: min/max over the gate's
-/// inputs *in pin order*. Both the full pass and the incremental
-/// recompute go through this function, which is what makes an
-/// incremental result provably bit-identical to a from-scratch one —
-/// identical inputs fold to identical bits.
-#[inline]
-fn fold_gate_arrivals(
-    gate: &ntc_netlist::Gate,
-    min_arrival: &[f64],
-    max_arrival: &[f64],
-) -> (f64, f64) {
-    let mut lo = f64::INFINITY;
-    let mut hi = 0.0f64;
-    for s in gate.inputs() {
-        lo = lo.min(min_arrival[s.index()]);
-        hi = hi.max(max_arrival[s.index()]);
-    }
-    (lo, hi)
 }
 
 /// A timing path: an input-to-output chain of signals and its total delay.

@@ -6,13 +6,9 @@
 //! registry dependencies and every failure reproduces exactly.
 
 use ntc_netlist::generators::alu::{Alu, AluFunc, ALL_ALU_FUNCS};
-use ntc_timing::{
-    k_critical_paths, ClockSpec, DynamicSim, ScreenBounds, ScreenVerdict, ScreenedSim,
-    StaticTiming, SCREEN_GUARD_PS,
-};
+use ntc_timing::{k_critical_paths, DynamicSim, StaticTiming};
 use ntc_varmodel::rng::SplitMix64;
 use ntc_varmodel::{ChipSignature, Corner, VariationParams};
-use std::sync::Arc;
 
 fn alu8() -> Alu {
     Alu::new(8)
@@ -105,150 +101,6 @@ fn no_transitions_without_input_change() {
         let v = alu.encode(pick_func(&mut rng), rng.gen_u64() & 0xFF, rng.gen_u64() & 0xFF);
         let t = sim.simulate_pair(&v, &v);
         assert_eq!(t.total_output_transitions, 0, "case {case}");
-    }
-}
-
-/// The screen's per-cycle envelope brackets every delay the exact kernel
-/// produces — for arbitrary chips and vector pairs. This is the soundness
-/// property the two-tier oracle rests on.
-#[test]
-fn screen_bounds_bracket_kernel_for_random_chips_and_vectors() {
-    let alu = alu8();
-    let mut rng = SplitMix64::seed_from_u64(0x71AE_0006);
-    for case in 0..48 {
-        let seed = rng.gen_u64() % 64;
-        let sig =
-            ChipSignature::fabricate(alu.netlist(), Corner::NTC, VariationParams::ntc(), seed);
-        let sta = StaticTiming::analyze(alu.netlist(), &sig);
-        let bounds = ScreenBounds::build(alu.netlist(), &sig, &sta);
-        let mut sim = DynamicSim::new(alu.netlist(), &sig);
-        let init = alu.encode(pick_func(&mut rng), rng.gen_u64() & 0xFF, rng.gen_u64() & 0xFF);
-        let sens = alu.encode(pick_func(&mut rng), rng.gen_u64() & 0xFF, rng.gen_u64() & 0xFF);
-        let t = sim.simulate_pair_minmax(&init, &sens);
-        match bounds.cone_bounds(&init, &sens) {
-            None => {
-                assert_eq!(t.min_ps, None, "case {case} chip {seed}: quiet must be exact");
-                assert_eq!(t.max_ps, None, "case {case} chip {seed}");
-            }
-            Some((lo, hi)) => {
-                if let Some(max) = t.max_ps {
-                    assert!(max <= hi + SCREEN_GUARD_PS, "case {case} chip {seed}: {max} > {hi}");
-                }
-                if let Some(min) = t.min_ps {
-                    assert!(min >= lo - SCREEN_GUARD_PS, "case {case} chip {seed}: {min} < {lo}");
-                }
-            }
-        }
-    }
-}
-
-/// Differential: a `ScreenedSim` and the raw kernel agree *bit-for-bit*
-/// wherever the screen falls back, and agree on the violation set at the
-/// screened clock everywhere — across random chips, vector pairs and
-/// clocks, including clocks placed right at the slack bound.
-#[test]
-fn screened_sim_agrees_with_kernel_bit_for_bit() {
-    let alu = alu8();
-    let mut rng = SplitMix64::seed_from_u64(0x71AE_0007);
-    for case in 0..48 {
-        let seed = rng.gen_u64() % 64;
-        let sig =
-            ChipSignature::fabricate(alu.netlist(), Corner::NTC, VariationParams::ntc(), seed);
-        let sta = StaticTiming::analyze(alu.netlist(), &sig);
-        let bounds = Arc::new(ScreenBounds::build(alu.netlist(), &sig, &sta));
-        let init = alu.encode(pick_func(&mut rng), rng.gen_u64() & 0xFF, rng.gen_u64() & 0xFF);
-        let sens = alu.encode(pick_func(&mut rng), rng.gen_u64() & 0xFF, rng.gen_u64() & 0xFF);
-        let crit = sta.critical_delay_ps(alu.netlist());
-        // Adversarial clock menu: generous slack, mid-range, aggressively
-        // tight, and — when the pair toggles — right at its own envelope,
-        // where one ulp of optimism would flip the verdict.
-        let mut clocks = vec![
-            ClockSpec { period_ps: crit * 1.25, hold_ps: crit * 0.01 },
-            ClockSpec { period_ps: crit * 0.95, hold_ps: crit * 0.12 },
-            ClockSpec { period_ps: crit * 0.60, hold_ps: crit * 0.30 },
-        ];
-        if let Some((lo, hi)) = bounds.cone_bounds(&init, &sens) {
-            clocks.push(ClockSpec {
-                period_ps: hi + SCREEN_GUARD_PS,
-                hold_ps: lo - SCREEN_GUARD_PS,
-            });
-            clocks.push(ClockSpec {
-                period_ps: hi * (1.0 - 1e-9),
-                hold_ps: lo * (1.0 + 1e-9),
-            });
-        }
-        let mut exact = DynamicSim::new(alu.netlist(), &sig);
-        let e = exact.simulate_pair_minmax(&init, &sens);
-        for clock in clocks {
-            let mut screened = ScreenedSim::new(alu.netlist(), &sig, bounds.clone(), clock);
-            let s = screened.simulate_pair_minmax(&init, &sens);
-            match screened.bounds().screen(&init, &sens, &clock) {
-                ScreenVerdict::Inconclusive => {
-                    // Fallback path: the kernel ran, results are the same
-                    // bits.
-                    assert_eq!(s.min_ps.map(f64::to_bits), e.min_ps.map(f64::to_bits), "case {case}");
-                    assert_eq!(s.max_ps.map(f64::to_bits), e.max_ps.map(f64::to_bits), "case {case}");
-                    assert_eq!(screened.screen_misses(), 1, "case {case}");
-                }
-                ScreenVerdict::Quiet => {
-                    // Quiet is exact, not just safe.
-                    assert_eq!(s.min_ps.map(f64::to_bits), e.min_ps.map(f64::to_bits), "case {case}");
-                    assert_eq!(s.max_ps.map(f64::to_bits), e.max_ps.map(f64::to_bits), "case {case}");
-                    assert_eq!(screened.screen_hits(), 1, "case {case}");
-                }
-                ScreenVerdict::Safe { .. } => {
-                    // Screened path: the violation sets must match exactly
-                    // — both sides clean at this clock.
-                    for d in [s, e] {
-                        assert!(
-                            !d.max_ps.is_some_and(|m| m > clock.period_ps),
-                            "case {case}: screened-safe cycle violates max"
-                        );
-                        assert!(
-                            !d.min_ps.is_some_and(|m| m < clock.hold_ps),
-                            "case {case}: screened-safe cycle violates min"
-                        );
-                    }
-                    assert_eq!(screened.screen_hits(), 1, "case {case}");
-                }
-            }
-        }
-    }
-}
-
-/// Full-activity screening is exact everywhere: for arbitrary vector
-/// pairs the screened `simulate_pair` equals the kernel's result
-/// structurally (every transition time, every output), whether the quiet
-/// skip fired or not.
-#[test]
-fn screened_full_activity_is_bit_identical() {
-    let alu = alu8();
-    let mut rng = SplitMix64::seed_from_u64(0x71AE_0008);
-    for case in 0..32 {
-        let seed = rng.gen_u64() % 32;
-        let sig =
-            ChipSignature::fabricate(alu.netlist(), Corner::NTC, VariationParams::ntc(), seed);
-        let sta = StaticTiming::analyze(alu.netlist(), &sig);
-        let bounds = Arc::new(ScreenBounds::build(alu.netlist(), &sig, &sta));
-        let crit = sta.critical_delay_ps(alu.netlist());
-        let clock = ClockSpec {
-            period_ps: crit * 2.0,
-            hold_ps: 0.0,
-        };
-        let mut screened = ScreenedSim::new(alu.netlist(), &sig, bounds, clock);
-        let mut exact = DynamicSim::new(alu.netlist(), &sig);
-        let init = alu.encode(pick_func(&mut rng), rng.gen_u64() & 0xFF, rng.gen_u64() & 0xFF);
-        // Mix settled pairs (the skippable case) with toggling ones.
-        let sens = if case % 4 == 0 {
-            init.clone()
-        } else {
-            alu.encode(pick_func(&mut rng), rng.gen_u64() & 0xFF, rng.gen_u64() & 0xFF)
-        };
-        assert_eq!(
-            screened.simulate_pair(&init, &sens),
-            exact.simulate_pair(&init, &sens),
-            "case {case} chip {seed}"
-        );
     }
 }
 

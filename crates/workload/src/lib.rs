@@ -33,7 +33,6 @@
 pub mod simpoint;
 pub mod source;
 pub mod trace_bin;
-pub mod trace_io;
 
 pub use source::{take_stats, Segment, TraceSource, WorkloadStats};
 

@@ -119,6 +119,7 @@ impl TraceSource {
             TraceSource::Record(dir) => {
                 let trace = Arc::new(TraceGenerator::new(bench, seed).trace(cycles));
                 let path = Self::trace_path(dir, bench, seed, cycles);
+                let _guard = RECORD_LOCK.lock().expect("record lock poisoned");
                 if !path.is_file() {
                     trace_bin::write_trace_file(&path, &trace)
                         .map_err(|e| format!("recording {}: {e}", path.display()))?;
@@ -169,30 +170,29 @@ impl std::fmt::Display for TraceSource {
     }
 }
 
+/// Serializes the record path's check-then-write: the chips of a grid
+/// resolve the same trace concurrently, and only one of them may write
+/// (and count) the file.
+static RECORD_LOCK: Mutex<()> = Mutex::new(());
+
 /// Process-wide decoded-trace memo: a grid touches each trace file once
 /// per (chip × scheme × voltage) cell, and a process touches only a
-/// handful of distinct files, so an unbounded map is fine.
+/// handful of distinct files, so an unbounded map is fine. The lock is
+/// held across a load, so concurrent cells of one trace decode it once.
 static TRACE_MEMO: Mutex<Option<HashMap<PathBuf, Arc<Vec<Instruction>>>>> = Mutex::new(None);
-/// Same, for sampled phase sets.
+/// Same, for sampled phase sets (which are also written at most once).
 static PHASE_MEMO: Mutex<Option<HashMap<PathBuf, Arc<PhaseSet>>>> = Mutex::new(None);
 
 fn memo_trace(path: &Path) -> Result<Arc<Vec<Instruction>>, String> {
-    if let Some(hit) = TRACE_MEMO
-        .lock()
-        .expect("trace memo poisoned")
-        .get_or_insert_with(HashMap::new)
-        .get(path)
-    {
+    let mut memo = TRACE_MEMO.lock().expect("trace memo poisoned");
+    let memo = memo.get_or_insert_with(HashMap::new);
+    if let Some(hit) = memo.get(path) {
         return Ok(hit.clone());
     }
     let trace = Arc::new(
         trace_bin::read_trace_file(path).map_err(|e| format!("{}: {e}", path.display()))?,
     );
-    TRACE_MEMO
-        .lock()
-        .expect("trace memo poisoned")
-        .get_or_insert_with(HashMap::new)
-        .insert(path.to_path_buf(), trace.clone());
+    memo.insert(path.to_path_buf(), trace.clone());
     Ok(trace)
 }
 
@@ -203,12 +203,9 @@ fn memo_phases(
     cycles: usize,
 ) -> Result<Arc<PhaseSet>, String> {
     let path = TraceSource::phases_path(dir, bench, seed, cycles);
-    if let Some(hit) = PHASE_MEMO
-        .lock()
-        .expect("phase memo poisoned")
-        .get_or_insert_with(HashMap::new)
-        .get(&path)
-    {
+    let mut memo = PHASE_MEMO.lock().expect("phase memo poisoned");
+    let memo = memo.get_or_insert_with(HashMap::new);
+    if let Some(hit) = memo.get(&path) {
         return Ok(hit.clone());
     }
     let set = if path.is_file() {
@@ -229,11 +226,7 @@ fn memo_phases(
             .map_err(|e| format!("writing {}: {e}", path.display()))?;
         set
     };
-    PHASE_MEMO
-        .lock()
-        .expect("phase memo poisoned")
-        .get_or_insert_with(HashMap::new)
-        .insert(path, set.clone());
+    memo.insert(path, set.clone());
     Ok(set)
 }
 

@@ -1,12 +1,10 @@
-//! Compact binary trace serialization — the record/replay format.
-//!
-//! The text format in [`crate::trace_io`] is for diffing and archiving;
-//! this one is for feeding million-instruction recorded workloads back
-//! into the simulators cheaply. The artifact discipline mirrors the
-//! experiments grid cache: leading magic, an explicit version, a
-//! mandatory instruction count, fixed-width records, and a trailing
-//! FNV-1a checksum over everything before it. A flipped byte or a
-//! truncated file is always a detected error, never a silently shorter
+//! Compact binary trace serialization — the record/replay format and the
+//! only trace file format: it feeds million-instruction recorded
+//! workloads back into the simulators cheaply. The artifact discipline
+//! mirrors the experiments grid cache: leading magic, an explicit
+//! version, a mandatory instruction count, fixed-width records, and a
+//! trailing FNV-1a checksum over everything before it. A flipped byte or
+//! a truncated file is always a detected error, never a silently shorter
 //! trace.
 //!
 //! Layout (all integers little-endian):

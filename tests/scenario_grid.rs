@@ -5,7 +5,10 @@
 //!   and every spec builds a live scheme;
 //! * `run_grid` cells are bit-identical across `--jobs 1/2/8`: the grid
 //!   driver folds in index order, so no aggregate — integer counter or
-//!   floating-point mean — may depend on the thread count.
+//!   floating-point mean — may depend on the thread count;
+//! * and across scheme order: every scheme of a cell replays the same
+//!   trace against the same oracles, so listing the schemes in reverse
+//!   changes no scheme's accumulator.
 //!
 //! Both live in a single `#[test]` because `runner::set_jobs` is
 //! process-global: parallel test functions would race on it.
@@ -79,11 +82,14 @@ fn registry_round_trips_and_grids_are_thread_count_invariant() {
         cycles: 4_000,
         source: ntc_workload::TraceSource::Generator,
     };
-    let grids: Vec<_> = [1usize, 2, 8]
-        .into_iter()
-        .map(|jobs| {
+    let mut reversed = spec.clone();
+    reversed.schemes.reverse();
+    let runs = [(1usize, &spec), (2, &spec), (8, &spec), (2, &reversed)];
+    let grids: Vec<_> = runs
+        .iter()
+        .map(|&(jobs, spec)| {
             runner::set_jobs(jobs);
-            run_grid_uncached(&spec)
+            run_grid_uncached(spec)
         })
         .collect();
     runner::set_jobs(1);
@@ -99,20 +105,27 @@ fn registry_round_trips_and_grids_are_thread_count_invariant() {
         assert_eq!(*bench, spec.benchmarks[i / voltages.len()], "row {i} bench");
         assert_eq!(*point, voltages[i % voltages.len()], "row {i} point");
     }
-    for (jobs, grid) in [2usize, 8].into_iter().zip(&grids[1..]) {
-        assert_eq!(grid.schemes(), reference.schemes());
+    for (&(jobs, run_spec), grid) in runs.iter().zip(&grids).skip(1) {
+        assert_eq!(grid.schemes(), &run_spec.schemes[..]);
         for ((b_ref, v_ref, accs_ref), (b, v, accs)) in
             reference.rows().iter().zip(grid.rows())
         {
             assert_eq!(b, b_ref, "--jobs {jobs}: benchmark order");
             assert_eq!(v, v_ref, "--jobs {jobs}: voltage order");
-            for (spec, (acc_ref, acc)) in spec.schemes.iter().zip(accs_ref.iter().zip(accs)) {
+            for (spec, acc) in run_spec.schemes.iter().zip(accs) {
+                let at = reference
+                    .schemes()
+                    .iter()
+                    .position(|s| s == spec)
+                    .expect("same schemes");
+                let acc_ref = &accs_ref[at];
                 // The whole accumulator — every integer counter and float
                 // sum — must match exactly…
                 assert_eq!(
                     acc,
                     acc_ref,
-                    "--jobs {jobs}: {} on {} @ {} diverged",
+                    "--jobs {jobs}, schemes {:?}: {} on {} @ {} diverged",
+                    grid.schemes(),
                     spec.name(),
                     b.name(),
                     v.name()
