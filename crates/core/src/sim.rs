@@ -3,8 +3,8 @@
 //! scheme-free profiler behind the error-distribution figures.
 
 use crate::scheme::{violation_of, CycleContext, CycleOutcome, ResilienceScheme};
-use crate::tag_delay::TagDelayOracle;
-use ntc_isa::{Instruction, Opcode, OperandSize};
+use crate::tag_delay::{CycleDelays, TagDelayOracle, STREAM_CHUNK};
+use ntc_isa::{ErrorTag, Instruction, Opcode, OperandSize};
 use ntc_pipeline::{EnergyModel, EnergyReport, Pipeline, RunCost};
 use ntc_timing::{classify_stream, ClockSpec, ErrorClass};
 use std::collections::HashMap;
@@ -68,7 +68,175 @@ impl SimResult {
     }
 }
 
-/// Run `scheme` over `trace` using `oracle` for cyclewise delays.
+/// Stream the cyclewise delays of `trace` through `visit` as
+/// `(i, delays, next_delays)`: cycle `i` executes `trace[i]` after
+/// `trace[i - 1]`, and its lookahead is cycle `i + 1`'s delays (`None` at
+/// the end of the stream). The oracle resolves the pairs one window of
+/// [`STREAM_CHUNK`] at a time; the last cycle of a window waits for its
+/// lookahead in the next one. This is the one lookahead loop behind
+/// [`run_schemes`] and [`profile_errors`].
+///
+/// # Panics
+///
+/// Panics if the trace has fewer than two instructions.
+fn stream(
+    oracle: &mut TagDelayOracle,
+    trace: &[Instruction],
+    mut visit: impl FnMut(usize, CycleDelays, Option<CycleDelays>),
+) {
+    assert!(trace.len() >= 2, "need at least two instructions");
+    let pairs = trace.len() - 1;
+    // Delays of the cycle waiting for its lookahead.
+    let mut carried: Option<CycleDelays> = None;
+    let mut first = 0;
+    while first < pairs {
+        let end = (first + STREAM_CHUNK).min(pairs);
+        for (j, d) in oracle.resolve_pairs(&trace[first..=end]).enumerate() {
+            if let Some(c) = carried {
+                visit(first + j, c, Some(d));
+            }
+            carried = Some(d);
+        }
+        first = end;
+    }
+    visit(pairs, carried.expect("at least one pair"), None);
+}
+
+/// One scheme's seat in a stream: the scheme, its clock, the
+/// consecutive-error carry and the running tallies.
+struct Lane<'s> {
+    scheme: &'s mut dyn ResilienceScheme,
+    clock: ClockSpec,
+    /// Set when the previous cycle's outcome consumed this cycle's min
+    /// violation as the second half of a consecutive error.
+    min_consumed: bool,
+    tally: SimResult,
+}
+
+impl<'s> Lane<'s> {
+    fn new(scheme: &'s mut dyn ResilienceScheme, clock: ClockSpec, cycles: u64) -> Self {
+        let tally = SimResult {
+            scheme: scheme.name(),
+            cost: RunCost::new(cycles),
+            avoided: 0,
+            false_positives: 0,
+            recovered: 0,
+            corruptions: 0,
+            recovered_by_class: [0; ErrorClass::COUNT],
+            period_stretch: 1.0,
+            power_overhead: 0.0,
+        };
+        Lane {
+            scheme,
+            clock,
+            min_consumed: false,
+            tally,
+        }
+    }
+
+    #[inline]
+    fn step(
+        &mut self,
+        prev: &Instruction,
+        cur: &Instruction,
+        delays: CycleDelays,
+        next_delays: Option<CycleDelays>,
+        pipe: &Pipeline,
+    ) {
+        let ctx = CycleContext {
+            prev,
+            cur,
+            tag: ErrorTag::of(prev, cur),
+            delays,
+            next_delays,
+            base_clock: self.clock,
+            min_consumed: self.min_consumed,
+        };
+        let outcome = self.scheme.on_cycle(&ctx);
+        // A handled consecutive error (recovered as CE, or pre-empted with
+        // the two-stall CE budget) absorbs the next cycle's min violation.
+        self.min_consumed = matches!(
+            outcome,
+            CycleOutcome::Recovered {
+                class: ErrorClass::Consecutive
+            } | CycleOutcome::Avoided { stalls: 2, .. }
+        );
+        let t = &mut self.tally;
+        match outcome {
+            CycleOutcome::Clean => {}
+            CycleOutcome::Avoided { stalls, needed } => {
+                t.cost.add_stalls(stalls);
+                if needed {
+                    t.avoided += 1;
+                } else {
+                    t.false_positives += 1;
+                }
+            }
+            CycleOutcome::Recovered { class } => {
+                t.cost.add_flush(pipe);
+                t.recovered += 1;
+                t.recovered_by_class[class.index()] += 1;
+            }
+            CycleOutcome::SilentCorruption => {
+                t.corruptions += 1;
+            }
+        }
+    }
+
+    /// The tallies, with the scheme's stretch and power overhead as they
+    /// stand at the end of the run.
+    fn result(&self) -> SimResult {
+        SimResult {
+            period_stretch: self.scheme.period_stretch(),
+            power_overhead: self.scheme.power_overhead_frac(),
+            ..self.tally.clone()
+        }
+    }
+}
+
+/// Advance every lane over the delay stream of `trace`, each cycle's
+/// delays resolved once for all of them.
+fn run_lanes(
+    lanes: &mut [Lane<'_>],
+    oracle: &mut TagDelayOracle,
+    trace: &[Instruction],
+    pipe: Pipeline,
+) {
+    stream(oracle, trace, |i, delays, next| {
+        for lane in lanes.iter_mut() {
+            lane.step(&trace[i - 1], &trace[i], delays, next, &pipe);
+        }
+    });
+}
+
+/// Run several schemes, each at its own clock, over `trace` on one chip:
+/// the cyclewise delays are resolved once per [`STREAM_CHUNK`]-pair window
+/// and read by every scheme, instead of once per scheme. Results come back
+/// in `schemes` order and equal, bit for bit, one [`run_scheme`] per
+/// scheme on a fresh oracle of the same chip — a cycle's delays depend on
+/// the operand state and the chip, not on the consumer.
+///
+/// # Panics
+///
+/// Panics if the trace has fewer than two instructions.
+pub fn run_schemes(
+    schemes: &mut [(Box<dyn ResilienceScheme>, ClockSpec)],
+    oracle: &mut TagDelayOracle,
+    trace: &[Instruction],
+    pipe: Pipeline,
+) -> Vec<SimResult> {
+    let cycles = trace.len().saturating_sub(1) as u64;
+    let mut lanes: Vec<Lane<'_>> = schemes
+        .iter_mut()
+        .map(|(scheme, clock)| Lane::new(scheme.as_mut(), *clock, cycles))
+        .collect();
+    run_lanes(&mut lanes, oracle, trace, pipe);
+    lanes.iter().map(Lane::result).collect()
+}
+
+/// Run `scheme` over `trace` using `oracle` for cyclewise delays — the
+/// one-scheme case of [`run_schemes`], allocation-free once the oracle is
+/// warm.
 ///
 /// The first instruction only initializes the pipeline state; cycle `i`
 /// executes `trace[i]` with `trace[i-1]` as the initializing vector, as in
@@ -84,79 +252,10 @@ pub fn run_scheme(
     clock: ClockSpec,
     pipe: Pipeline,
 ) -> SimResult {
-    assert!(trace.len() >= 2, "need at least two instructions");
-    let mut cost = RunCost::new((trace.len() - 1) as u64);
-    let mut avoided = 0u64;
-    let mut false_positives = 0u64;
-    let mut recovered = 0u64;
-    let mut corruptions = 0u64;
-    // Fixed-size per-class counters: no allocation on the recovery path.
-    let mut by_class = [0u64; ErrorClass::COUNT];
-
-    // Precompute delays pairwise, streaming: delays[i] for (i-1, i).
-    let mut cur_delays = oracle.delays(&trace[0], &trace[1]);
-    // Set when the previous cycle's outcome consumed this cycle's min
-    // violation as the second half of a consecutive error.
-    let mut min_consumed = false;
-    for i in 1..trace.len() {
-        let next_delays = if i + 1 < trace.len() {
-            Some(oracle.delays(&trace[i], &trace[i + 1]))
-        } else {
-            None
-        };
-        let ctx = CycleContext {
-            prev: &trace[i - 1],
-            cur: &trace[i],
-            tag: ntc_isa::ErrorTag::of(&trace[i - 1], &trace[i]),
-            delays: cur_delays,
-            next_delays,
-            base_clock: clock,
-            min_consumed,
-        };
-        let outcome = scheme.on_cycle(&ctx);
-        // A handled consecutive error (recovered as CE, or pre-empted with
-        // the two-stall CE budget) absorbs the next cycle's min violation.
-        min_consumed = matches!(
-            outcome,
-            CycleOutcome::Recovered {
-                class: ErrorClass::Consecutive
-            } | CycleOutcome::Avoided { stalls: 2, .. }
-        );
-        match outcome {
-            CycleOutcome::Clean => {}
-            CycleOutcome::Avoided { stalls, needed } => {
-                cost.add_stalls(stalls);
-                if needed {
-                    avoided += 1;
-                } else {
-                    false_positives += 1;
-                }
-            }
-            CycleOutcome::Recovered { class } => {
-                cost.add_flush(&pipe);
-                recovered += 1;
-                by_class[class.index()] += 1;
-            }
-            CycleOutcome::SilentCorruption => {
-                corruptions += 1;
-            }
-        }
-        if let Some(d) = next_delays {
-            cur_delays = d;
-        }
-    }
-
-    SimResult {
-        scheme: scheme.name(),
-        cost,
-        avoided,
-        false_positives,
-        recovered,
-        corruptions,
-        recovered_by_class: by_class,
-        period_stretch: scheme.period_stretch(),
-        power_overhead: scheme.power_overhead_frac(),
-    }
+    let cycles = trace.len().saturating_sub(1) as u64;
+    let mut lanes = [Lane::new(scheme, clock, cycles)];
+    run_lanes(&mut lanes, oracle, trace, pipe);
+    lanes[0].result()
 }
 
 /// Scheme-free error profile of a trace on a chip: the raw material of the
@@ -199,19 +298,12 @@ pub fn profile_errors(
     trace: &[Instruction],
     clock: ClockSpec,
 ) -> ErrorProfile {
-    assert!(trace.len() >= 2, "need at least two instructions");
     let mut profile = ErrorProfile::default();
-    let mut cur_delays = oracle.delays(&trace[0], &trace[1]);
     // A min violation absorbed into the previous cycle's consecutive error
     // must not be re-counted as an SE(Min) of its own cycle.
     let mut min_consumed_by_ce = false;
-    for i in 1..trace.len() {
-        let next_delays = if i + 1 < trace.len() {
-            Some(oracle.delays(&trace[i], &trace[i + 1]))
-        } else {
-            None
-        };
-        let mut v = violation_of(cur_delays, &clock);
+    stream(oracle, trace, |i, delays, next_delays| {
+        let mut v = violation_of(delays, &clock);
         if min_consumed_by_ce {
             v.min = false;
         }
@@ -246,10 +338,7 @@ pub fn profile_errors(
             entry.1 += 1;
         }
         profile.cycles += 1;
-        if let Some(d) = next_delays {
-            cur_delays = d;
-        }
-    }
+    });
     profile
 }
 

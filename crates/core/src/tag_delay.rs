@@ -18,6 +18,13 @@
 //! Within-tag variability (the reason prediction is not 100 % accurate) is
 //! preserved: operand values hash into one of several buckets per tag, each
 //! bucket simulated with its own real operands.
+//!
+//! The Phase-B table is dense: one `u16` slot per (opcode, OWM, prev
+//! opcode, prev OWM, bucket), pointing into a values vector. A cycle's
+//! delays depend only on the operand state and the chip, never on the
+//! scheme consuming them, so the simulator resolves each window of a
+//! trace once into an oracle-owned chunk buffer and lets every scheme
+//! read the same chunk (see [`crate::sim::run_schemes`]).
 
 use ntc_isa::{ErrorTag, Instruction};
 use ntc_netlist::generators::alu::Alu;
@@ -124,7 +131,8 @@ pub type SharedDelayCache = Arc<ShardedDelayCache>;
 pub struct OracleStats {
     /// Phase-A gate-level simulations (cache misses all the way through).
     pub gate_sims: u64,
-    /// Hits in per-oracle `(tag, bucket)` caches.
+    /// Hits in per-oracle `(tag, bucket)` caches: one per resolved pair,
+    /// however many schemes then read the resolved delays.
     pub local_hits: u64,
     /// Hits in the shared full-operand cache.
     pub shared_hits: u64,
@@ -167,10 +175,11 @@ static STAT_LOCAL_HITS: AtomicU64 = AtomicU64::new(0);
 static STAT_SHARED_HITS: AtomicU64 = AtomicU64::new(0);
 
 /// A per-run attribution scope for the oracle counters. While installed
-/// on a thread (see [`set_oracle_scope`]), every increment additionally
-/// lands in the scope, so a server interleaving jobs can attribute the
-/// timing work each job caused without disturbing the process-wide
-/// drain ([`take_oracle_stats`]) other callers rely on. The scope
+/// on a thread (see [`set_oracle_scope`]), every counter flush — one per
+/// resolved chunk or single lookup — additionally lands in the scope, so
+/// a server interleaving jobs can attribute the timing work each job
+/// caused without disturbing the process-wide drain
+/// ([`take_oracle_stats`]) other callers rely on. The scope
 /// carries its own [`ntc_timing::StaScope`] so one install covers the
 /// whole timing stack, mirroring how the global drain folds
 /// [`ntc_timing::take_sta_full`] in.
@@ -218,15 +227,34 @@ pub fn current_oracle_scope() -> Option<std::sync::Arc<OracleScope>> {
     ORACLE_SCOPE.with(|s| s.borrow().clone())
 }
 
-/// Bump a global oracle counter, mirroring the increment into the
-/// thread's installed scope when one is present.
-fn bump(global: &AtomicU64, pick: fn(&OracleScope) -> &AtomicU64) {
-    global.fetch_add(1, Ordering::Relaxed);
-    ORACLE_SCOPE.with(|s| {
-        if let Some(scope) = s.borrow().as_ref() {
-            pick(scope).fetch_add(1, Ordering::Relaxed);
+/// Oracle counter increments accumulated over a run of lookups, flushed
+/// into the process totals and the thread's installed scope in one go —
+/// once per resolved chunk, not once per hit.
+#[derive(Debug, Default)]
+struct Tally {
+    gate_sims: u64,
+    local_hits: u64,
+    shared_hits: u64,
+}
+
+impl Tally {
+    fn flush(self) {
+        fn add(counter: &AtomicU64, n: u64) {
+            if n > 0 {
+                counter.fetch_add(n, Ordering::Relaxed);
+            }
         }
-    });
+        add(&STAT_GATE_SIMS, self.gate_sims);
+        add(&STAT_LOCAL_HITS, self.local_hits);
+        add(&STAT_SHARED_HITS, self.shared_hits);
+        ORACLE_SCOPE.with(|s| {
+            if let Some(scope) = s.borrow().as_ref() {
+                add(&scope.gate_sims, self.gate_sims);
+                add(&scope.local_hits, self.local_hits);
+                add(&scope.shared_hits, self.shared_hits);
+            }
+        });
+    }
 }
 
 /// Drain the process-wide [`OracleStats`] counters, resetting them to
@@ -257,7 +285,8 @@ pub struct CycleDelays {
 pub struct OracleConfig {
     /// Operand buckets per tag: distinct gate-level samples kept for one
     /// `(prev, cur)` opcode+OWM tag. More buckets = finer within-tag
-    /// delay diversity at more Phase-A cost.
+    /// delay diversity at more Phase-A cost. At most 33, so that every
+    /// `(tag, bucket)` of the dense local table has a `u16` id.
     pub buckets_per_tag: usize,
 }
 
@@ -267,6 +296,23 @@ impl Default for OracleConfig {
     }
 }
 
+/// Distinct `(opcode, OWM, prev opcode, prev OWM)` error tags.
+const TAGS: usize = ntc_isa::ALL_OPCODES.len() * 2 * ntc_isa::ALL_OPCODES.len() * 2;
+
+/// Marks an unresolved slot of the dense local table.
+const EMPTY_SLOT: u16 = u16::MAX;
+
+/// Largest [`OracleConfig::buckets_per_tag`] the dense local table
+/// indexes (33): every `(tag, bucket)` slot id must fit a `u16` below
+/// the empty marker.
+const MAX_BUCKETS: usize = (EMPTY_SLOT as usize) / TAGS;
+
+/// Consecutive pairs the simulator's delay stream resolves at a time
+/// (see [`crate::sim::run_schemes`]): large enough that the
+/// per-chunk counter flush is noise, small enough that the chunk buffer
+/// (2 B a pair) stays cache-resident.
+pub const STREAM_CHUNK: usize = 4_096;
+
 /// The per-chip tag→delay oracle.
 ///
 /// Owns the netlist and its fabricated signature; borrows nothing, so it
@@ -275,8 +321,15 @@ pub struct TagDelayOracle {
     netlist: Netlist,
     signature: ChipSignature,
     width: usize,
-    config: OracleConfig,
-    cache: HashMap<(ErrorTag, u32), CycleDelays>,
+    /// Operand buckets per tag (at least one).
+    buckets: usize,
+    /// The local `(tag, bucket)` table, dense: one slot per
+    /// [`slot_of`] index holding an id into `values`, or [`EMPTY_SLOT`].
+    slots: Vec<u16>,
+    values: Vec<CycleDelays>,
+    /// The chunk buffer [`resolve_pairs`](Self::resolve_pairs) fills:
+    /// one `values` id per pair.
+    chunk: Vec<u16>,
     shared: Option<SharedDelayCache>,
     /// Precomputed critical delays (from the chip memo pool); computed on
     /// demand when absent.
@@ -294,7 +347,7 @@ impl std::fmt::Debug for TagDelayOracle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TagDelayOracle")
             .field("gates", &self.netlist.len())
-            .field("cached", &self.cache.len())
+            .field("cached", &self.values.len())
             .field("gate_sims", &self.gate_sims)
             .finish_non_exhaustive()
     }
@@ -320,8 +373,9 @@ impl TagDelayOracle {
     ///
     /// # Panics
     ///
-    /// Panics if the signature length does not match the netlist, or the
-    /// netlist lacks the `op`/`a`/`b` input ports of an ALU-shaped block.
+    /// Panics if the signature length does not match the netlist, the
+    /// netlist lacks the `op`/`a`/`b` input ports of an ALU-shaped block,
+    /// or `config` asks for more than 33 buckets per tag.
     pub fn new(netlist: Netlist, signature: ChipSignature, config: OracleConfig) -> Self {
         assert_eq!(signature.delays_ps().len(), netlist.len());
         let width = netlist
@@ -331,12 +385,19 @@ impl TagDelayOracle {
             .len();
         assert!(netlist.input_port("op").is_some(), "missing `op` port");
         assert!(netlist.input_port("b").is_some(), "missing `b` port");
+        let buckets = config.buckets_per_tag.max(1);
+        assert!(
+            buckets <= MAX_BUCKETS,
+            "{buckets} buckets per tag exceed the local table's {MAX_BUCKETS}"
+        );
         TagDelayOracle {
             netlist,
             signature,
             width,
-            config,
-            cache: HashMap::new(),
+            buckets,
+            slots: vec![EMPTY_SLOT; TAGS * buckets],
+            values: Vec::new(),
+            chunk: Vec::new(),
             shared: None,
             nominal_critical_ps: None,
             static_critical_ps: None,
@@ -393,43 +454,83 @@ impl TagDelayOracle {
     /// this chip: the local `(tag, bucket)` table, then the shared
     /// full-operand table, then the exact kernel.
     pub fn delays(&mut self, prev: &Instruction, cur: &Instruction) -> CycleDelays {
+        let mut tally = Tally::default();
+        let id = self.resolve(prev, cur, &mut tally);
+        tally.flush();
+        self.values[usize::from(id)]
+    }
+
+    /// Resolve every consecutive pair of `instrs`, in order, and return
+    /// their delays: item `j` is what
+    /// [`delays`](Self::delays)`(&instrs[j], &instrs[j + 1])` answers. The
+    /// window lives in the oracle's chunk buffer as two-byte ids into the
+    /// local table, overwritten by the next call, and the counters are
+    /// flushed once for the whole window. Allocation-free once the buffer
+    /// has grown to the window size ([`STREAM_CHUNK`] pairs for the
+    /// simulator's stream).
+    pub(crate) fn resolve_pairs(
+        &mut self,
+        instrs: &[Instruction],
+    ) -> impl Iterator<Item = CycleDelays> + '_ {
+        let mut chunk = std::mem::take(&mut self.chunk);
+        chunk.clear();
+        let mut tally = Tally::default();
+        for w in instrs.windows(2) {
+            chunk.push(self.resolve(&w[0], &w[1], &mut tally));
+        }
+        tally.flush();
+        self.chunk = chunk;
+        self.chunk.iter().map(|&id| self.values[usize::from(id)])
+    }
+
+    /// Resolve one pair through the three tiers, counted into `tally`,
+    /// and return the id of its delays in `values`.
+    fn resolve(&mut self, prev: &Instruction, cur: &Instruction, tally: &mut Tally) -> u16 {
         let tag = ErrorTag::of(prev, cur);
-        let bucket = operand_bucket(prev, cur, self.config.buckets_per_tag);
-        let key = (tag, bucket);
-        if let Some(d) = self.cache.get(&key) {
-            bump(&STAT_LOCAL_HITS, |s| &s.local_hits);
-            return *d;
+        let slot = slot_of(tag, operand_bucket(prev, cur, self.buckets), self.buckets);
+        if self.slots[slot] != EMPTY_SLOT {
+            tally.local_hits += 1;
+            return self.slots[slot];
         }
         // A shared hit under the full-operand key is exactly the result
         // simulating (prev, cur) here would produce, so sharing changes
         // only the number of simulations, never a delay.
         let full: SharedDelayKey = (tag, prev.a, prev.b, cur.a, cur.b);
-        if let Some(d) = self.shared.as_ref().and_then(|shared| shared.get(&full)) {
-            bump(&STAT_SHARED_HITS, |s| &s.shared_hits);
-            self.cache.insert(key, d);
-            return d;
-        }
-        encode_into(self.width, prev, &mut self.pi_init);
-        encode_into(self.width, cur, &mut self.pi_sens);
-        // Lean min/max entry point on the owned workspace: no per-miss
-        // simulator construction, no per-output activity vectors.
-        let t = self.workspace.simulate_pair_minmax(
-            &self.netlist,
-            &self.signature,
-            &self.pi_init,
-            &self.pi_sens,
-        );
-        self.gate_sims += 1;
-        bump(&STAT_GATE_SIMS, |s| &s.gate_sims);
-        let d = CycleDelays {
-            min_ps: t.min_ps,
-            max_ps: t.max_ps,
+        let d = match self.shared.as_ref().and_then(|shared| shared.get(&full)) {
+            Some(d) => {
+                tally.shared_hits += 1;
+                d
+            }
+            None => {
+                encode_into(self.width, prev, &mut self.pi_init);
+                encode_into(self.width, cur, &mut self.pi_sens);
+                // Lean min/max entry point on the owned workspace: no
+                // per-miss simulator construction, no per-output activity
+                // vectors.
+                let t = self.workspace.simulate_pair_minmax(
+                    &self.netlist,
+                    &self.signature,
+                    &self.pi_init,
+                    &self.pi_sens,
+                );
+                self.gate_sims += 1;
+                tally.gate_sims += 1;
+                let d = CycleDelays {
+                    min_ps: t.min_ps,
+                    max_ps: t.max_ps,
+                };
+                if let Some(shared) = &self.shared {
+                    shared.insert_if_absent(full, d);
+                }
+                d
+            }
         };
-        if let Some(shared) = &self.shared {
-            shared.insert_if_absent(full, d);
-        }
-        self.cache.insert(key, d);
-        d
+        // At most one entry per slot, and `new` keeps the slot count below
+        // EMPTY_SLOT (MAX_BUCKETS), so the id fits and is never the marker.
+        let id = u16::try_from(self.values.len()).expect("slot ids fit a u16");
+        self.slots[slot] = id;
+        self.values.push(d);
+        id
     }
 
     /// Number of gate-level simulations run so far (Phase-A cost).
@@ -439,7 +540,7 @@ impl TagDelayOracle {
 
     /// Number of cached (tag, bucket) delay entries.
     pub fn cache_len(&self) -> usize {
-        self.cache.len()
+        self.values.len()
     }
 
     /// The bound netlist.
@@ -454,7 +555,7 @@ impl TagDelayOracle {
 }
 
 /// Stable operand bucket for within-tag delay diversity.
-fn operand_bucket(prev: &Instruction, cur: &Instruction, buckets: usize) -> u32 {
+fn operand_bucket(prev: &Instruction, cur: &Instruction, buckets: usize) -> usize {
     if buckets <= 1 {
         return 0;
     }
@@ -463,7 +564,19 @@ fn operand_bucket(prev: &Instruction, cur: &Instruction, buckets: usize) -> u32 
         h ^= v;
         h = h.wrapping_mul(0x1000_0000_01b3);
     }
-    (h % buckets as u64) as u32
+    (h % buckets as u64) as usize
+}
+
+/// Index of `(tag, bucket)` in the dense local table: opcode, OWM, prev
+/// opcode, prev OWM and bucket as the digits of one mixed-radix number.
+#[inline]
+fn slot_of(tag: ErrorTag, bucket: usize, buckets: usize) -> usize {
+    let ops = ntc_isa::ALL_OPCODES.len();
+    let tag_index = ((usize::from(tag.opcode) * 2 + usize::from(tag.owm)) * ops
+        + usize::from(tag.prev_opcode))
+        * 2
+        + usize::from(tag.prev_owm);
+    tag_index * buckets + bucket
 }
 
 /// Encode an instruction as the ALU-shaped netlist's primary inputs,
@@ -602,6 +715,43 @@ mod tests {
                 ("shared_hits", 5),
                 ("sta_full", 4),
             ]
+        );
+    }
+
+    #[test]
+    fn slot_of_numbers_every_tag_and_bucket_once() {
+        let ops = ntc_isa::ALL_OPCODES.len() as u8;
+        let buckets = MAX_BUCKETS;
+        let mut slots = Vec::new();
+        for opcode in 0..ops {
+            for prev_opcode in 0..ops {
+                for owm_bits in 0..4u8 {
+                    let tag = ErrorTag {
+                        opcode,
+                        owm: owm_bits & 1 == 1,
+                        prev_opcode,
+                        prev_owm: owm_bits & 2 == 2,
+                    };
+                    slots.extend((0..buckets).map(|b| slot_of(tag, b, buckets)));
+                }
+            }
+        }
+        // A bijection onto the table, whose ids all stay below the marker.
+        slots.sort_unstable();
+        assert!(slots.into_iter().eq(0..TAGS * buckets));
+        assert!(TAGS * buckets < usize::from(EMPTY_SLOT));
+    }
+
+    #[test]
+    #[should_panic(expected = "buckets per tag exceed")]
+    fn more_buckets_than_u16_ids_are_rejected() {
+        let _ = TagDelayOracle::for_chip(
+            Corner::NTC,
+            VariationParams::ntc(),
+            11,
+            OracleConfig {
+                buckets_per_tag: MAX_BUCKETS + 1,
+            },
         );
     }
 

@@ -34,8 +34,7 @@ use crate::cache::{self, MemoLru};
 use crate::config::{build_hardened_oracle, build_oracle, ClockRegime, CH3_REGIME, CH4_REGIME};
 use crate::runner::sweep_over;
 use ntc_core::scenario::{ChipContext, SchemeSpec, SimAccumulator};
-use ntc_core::sim::{run_scheme, SimResult};
-use ntc_core::tag_delay::TagDelayOracle;
+use ntc_core::sim::{run_schemes, SimResult};
 use ntc_pipeline::Pipeline;
 use ntc_varmodel::OperatingPoint;
 use ntc_workload::{Benchmark, TraceSource};
@@ -312,9 +311,11 @@ where
 }
 
 /// Spec order, `0..schemes.len()`. Kept only because the benchmark's
-/// `layer-trace` binary (under `perfbench/`) imports it; [`run_grid`]
-/// itself runs a cell's schemes in spec order, and results do not depend
-/// on that order (pinned in `tests/scenario_grid.rs`).
+/// `layer-trace` binary (under `perfbench/`) imports it. [`run_grid`]
+/// itself runs a cell's schemes grouped by the oracle they read (bare,
+/// buffered, or one per hardened top-k), each group over one shared delay
+/// stream, and results do not depend on that order (pinned in
+/// `tests/scenario_grid.rs`).
 pub fn screen_run_order(schemes: &[SchemeSpec]) -> Vec<usize> {
     (0..schemes.len()).collect()
 }
@@ -325,38 +326,50 @@ pub fn screen_run_order(schemes: &[SchemeSpec]) -> Vec<usize> {
 /// clock policy — buffer padding must not slow the target clock), and run
 /// every scheme of the spec over the cell's weighted trace segments (one
 /// whole trace for generator/record/replay sources; the SimPoint
-/// representatives for phase sources). Within each segment schemes run
-/// in spec order; the returned results are `[scheme][segment]` pairs of
-/// `(result, fold weight)`.
+/// representatives for phase sources). The returned results are
+/// `[scheme][segment]` pairs of `(result, fold weight)`, in spec order.
 ///
-/// Oracles persist across the segments of a cell. Every scheme replays
-/// the same segment, so each `(tag, bucket)` is defined by the same first
-/// pair whichever scheme resolves it first, and phase replays reuse
-/// Phase-A work exactly like one longer trace would. Schemes are rebuilt
-/// fresh per segment (each representative stands for an interval run on
-/// its own, per the SimPoint model).
+/// Schemes are grouped by the oracle they read — bare, hold-buffered, or
+/// one per hardened top-k, each built on first use — and each group runs
+/// through one [`run_schemes`] call per segment, so a segment's delays are
+/// resolved once per oracle rather than once per scheme. Oracles persist
+/// across the segments of a cell, so phase replays reuse Phase-A work
+/// exactly like one longer trace would. Schemes are rebuilt fresh per
+/// segment (each representative stands for an interval run on its own,
+/// per the SimPoint model).
 fn run_cell(
     spec: &GridSpec,
     bench: Benchmark,
     point: OperatingPoint,
     chip: usize,
-    need_buffered: bool,
 ) -> Vec<Vec<(SimResult, u64)>> {
     let regime = spec.regime.params();
     let seed = spec.chip_seed_base + chip as u64;
     let corner = point.corner();
-    let mut bare = build_oracle(corner, seed, false, regime);
-    let mut buffered = need_buffered.then(|| build_oracle(corner, seed, true, regime));
+    // A scheme's oracle is keyed by (hardened top-k, hold-buffered netlist).
+    let oracle_key = |s: &SchemeSpec| (s.hardened_top_k(), s.wants_buffered_netlist());
+    let build = |(top_k, buffered): (Option<usize>, bool)| match top_k {
+        Some(top_k) => build_hardened_oracle(corner, seed, buffered, regime, top_k),
+        None => build_oracle(corner, seed, buffered, regime),
+    };
+    let bare = build((None, false));
     let nominal = bare.nominal_critical_delay_ps();
     let clock = regime.clock(nominal);
     let tdc_clock = regime.tdc_clock(nominal);
-    // Hoisted out of the scheme loop: the static critical delay is a
-    // chip property (memoized with the blank), not a per-scheme one.
-    let bare_static = bare.static_critical_delay_ps();
-    let buffered_static = buffered.as_ref().map(|o| o.static_critical_delay_ps());
-    // Selectively-hardened chip variants (the `harden-choke` ablation),
-    // built on first use per distinct top-k of the spec.
-    let mut hardened: Vec<(usize, TagDelayOracle)> = Vec::new();
+    // Each oracle of the cell with the spec indices of the schemes reading
+    // it; the bare die is built regardless, since it sets the clocks.
+    let mut groups = vec![((None, false), bare, Vec::new())];
+    for (i, s) in spec.schemes.iter().enumerate() {
+        let key = oracle_key(s);
+        let g = match groups.iter().position(|(k, ..)| *k == key) {
+            Some(g) => g,
+            None => {
+                groups.push((key, build(key), Vec::new()));
+                groups.len() - 1
+            }
+        };
+        groups[g].2.push(i);
+    }
     let segments = spec
         .source
         .segments(bench, spec.trace_seed, spec.cycles)
@@ -371,53 +384,26 @@ fn run_cell(
         });
     let mut results: Vec<Vec<(SimResult, u64)>> = vec![Vec::new(); spec.schemes.len()];
     for segment in &segments {
-        for (s, out) in spec.schemes.iter().zip(&mut results) {
-            let (oracle, static_critical) = if let Some(top_k) = s.hardened_top_k() {
-                let idx = match hardened.iter().position(|(k, _)| *k == top_k) {
-                    Some(idx) => idx,
-                    None => {
-                        hardened.push((
-                            top_k,
-                            build_hardened_oracle(
-                                corner,
-                                seed,
-                                s.wants_buffered_netlist(),
-                                regime,
-                                top_k,
-                            ),
-                        ));
-                        hardened.len() - 1
-                    }
-                };
-                let o = &mut hardened[idx].1;
-                let static_critical = o.static_critical_delay_ps();
-                (o, static_critical)
-            } else if s.wants_buffered_netlist() {
-                (
-                    buffered.as_mut().expect("buffered oracle built on demand"),
-                    buffered_static.expect("buffered oracle built on demand"),
-                )
-            } else {
-                (&mut bare, bare_static)
-            };
-            let scheme_clock = if s.uses_tdc_clock() { tdc_clock } else { clock };
-            let ctx = ChipContext {
-                static_critical_delay_ps: static_critical,
-                clock: scheme_clock,
-                trace_len: segment.trace.len(),
-                point,
-            };
-            let mut scheme = s.build(&ctx);
-            out.push((
-                run_scheme(
-                    scheme.as_mut(),
-                    oracle,
-                    &segment.trace,
-                    scheme_clock,
-                    Pipeline::core1(),
-                ),
-                segment.weight,
-            ));
+        for (_, oracle, members) in groups.iter_mut().filter(|(.., m)| !m.is_empty()) {
+            let static_critical = oracle.static_critical_delay_ps();
+            let mut schemes: Vec<_> = members
+                .iter()
+                .map(|&i| {
+                    let s = &spec.schemes[i];
+                    let scheme_clock = if s.uses_tdc_clock() { tdc_clock } else { clock };
+                    let ctx = ChipContext {
+                        static_critical_delay_ps: static_critical,
+                        clock: scheme_clock,
+                        trace_len: segment.trace.len(),
+                        point,
+                    };
+                    (s.build(&ctx), scheme_clock)
+                })
+                .collect();
+            let runs = run_schemes(&mut schemes, oracle, &segment.trace, Pipeline::core1());
+            for (&i, r) in members.iter().zip(runs) {
+                results[i].push((r, segment.weight));
+            }
         }
     }
     results
@@ -448,11 +434,10 @@ pub fn take_voltage_cells() -> Vec<(OperatingPoint, u64)> {
 /// order. This is the function the thread-count determinism test
 /// exercises.
 pub fn run_grid_uncached(spec: &GridSpec) -> GridResult {
-    let need_buffered = spec.schemes.iter().any(SchemeSpec::wants_buffered_netlist);
     let groups = spec.row_groups();
     let grid = expand(&groups, spec.chips);
     let cells = sweep_over(&grid, |_, &((bench, point), chip)| {
-        run_cell(spec, bench, point, chip, need_buffered)
+        run_cell(spec, bench, point, chip)
     });
     {
         let mut counts = VOLTAGE_CELLS.lock().expect("voltage counters poisoned");

@@ -1,0 +1,111 @@
+//! The oracle counters stay exact when a cell's schemes share one delay
+//! stream: every (oracle, segment) resolves each consecutive pair of its
+//! segment exactly once — as a gate-level simulation, a shared-table hit
+//! or a local-table hit — however many schemes read the result, and the
+//! per-chunk flush reaches an installed attribution scope exactly as it
+//! reaches the process-wide drain.
+//!
+//! One `#[test]` body: the oracle counters are process-global, so the
+//! runs must drain them sequentially.
+
+use ntc_core::scenario::SchemeSpec;
+use ntc_core::tag_delay::take_oracle_stats;
+use ntc_experiments::{run_grid_uncached, with_counter_scope, GridSpec, Regime};
+use ntc_varmodel::OperatingPoint;
+use ntc_workload::{Benchmark, TraceSource};
+
+const TRACE_SEED: u64 = 17;
+/// Long enough to cross two chunk edges of the delay stream.
+const CYCLES: usize = 9_000;
+
+fn spec(regime: Regime, schemes: Vec<SchemeSpec>, source: TraceSource) -> GridSpec {
+    GridSpec {
+        benchmarks: vec![Benchmark::Gzip],
+        chips: 1,
+        schemes,
+        voltages: vec![OperatingPoint::NTC],
+        regime,
+        chip_seed_base: 990_101,
+        trace_seed: TRACE_SEED,
+        cycles: CYCLES,
+        source,
+    }
+}
+
+#[test]
+fn lookups_equal_pairs_per_oracle_and_segment_and_scopes_match_the_drain() {
+    let dir = std::env::temp_dir().join(format!("ntc-oracle-counters-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("test dir");
+    let ch4_mix = vec![
+        SchemeSpec::RazorCh4,
+        SchemeSpec::Trident { cet_entries: 128 },
+        SchemeSpec::HardenChoke { top_k: 8 },
+        SchemeSpec::Ocst,
+    ];
+    // (spec, oracles the cell streams through). The buffered-only grid
+    // still builds the bare die for its clocks, but never streams it.
+    let cases = [
+        (
+            spec(
+                Regime::Ch4,
+                ch4_mix.clone(),
+                TraceSource::Record(dir.clone()),
+            ),
+            3,
+        ),
+        (
+            spec(Regime::Ch4, ch4_mix, TraceSource::Phases(dir.clone())),
+            3,
+        ),
+        (
+            spec(
+                Regime::Ch4,
+                vec![SchemeSpec::RazorCh4, SchemeSpec::Ocst],
+                TraceSource::Generator,
+            ),
+            1,
+        ),
+        (
+            spec(
+                Regime::Ch3,
+                vec![
+                    SchemeSpec::RazorCh3,
+                    SchemeSpec::Hfg,
+                    SchemeSpec::DcsIcslt { entries: 128 },
+                    SchemeSpec::DcsAcslt {
+                        entries: 32,
+                        associativity: 16,
+                    },
+                ],
+                TraceSource::Generator,
+            ),
+            1,
+        ),
+    ];
+    let _ = take_oracle_stats();
+    for (spec, oracles) in &cases {
+        let (_, scoped) = with_counter_scope(|| run_grid_uncached(spec));
+        let global = take_oracle_stats();
+        assert_eq!(
+            scoped.oracle, global,
+            "{}: the scope must see exactly the drained deltas",
+            spec.source
+        );
+        let pairs: u64 = spec
+            .source
+            .segments(Benchmark::Gzip, TRACE_SEED, CYCLES)
+            .expect("segments resolve")
+            .iter()
+            .map(|s| s.trace.len() as u64 - 1)
+            .sum();
+        assert_eq!(
+            global.gate_sims + global.local_hits + global.shared_hits,
+            oracles * pairs,
+            "{} with {} schemes: one lookup per pair per (oracle, segment)",
+            spec.source,
+            spec.schemes.len()
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

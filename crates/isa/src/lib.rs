@@ -38,9 +38,11 @@ use std::fmt;
 /// paper's FabScalar Core-1 configuration).
 pub const ARCH_WIDTH: usize = 32;
 
-/// Architectural opcodes of the modelled ISA subset.
+/// Architectural opcodes of the modelled ISA subset. The discriminants
+/// are the tag encodings: declaration order is [`ALL_OPCODES`] order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[allow(missing_docs)] // variant names are the mnemonics themselves
+#[repr(u8)]
 pub enum Opcode {
     Addu,
     Subu,
@@ -97,10 +99,7 @@ impl Opcode {
     /// stores 8-bit opcodes).
     #[inline]
     pub fn encoding(self) -> u8 {
-        ALL_OPCODES
-            .iter()
-            .position(|&o| o == self)
-            .expect("every opcode is in ALL_OPCODES") as u8
+        self as u8
     }
 
     /// Inverse of [`encoding`](Self::encoding).
@@ -310,6 +309,13 @@ mod tests {
             assert_eq!(Opcode::from_encoding(op.encoding()), Some(op));
         }
         assert_eq!(Opcode::from_encoding(200), None);
+    }
+
+    #[test]
+    fn discriminants_are_all_opcodes_indices() {
+        for (i, op) in ALL_OPCODES.into_iter().enumerate() {
+            assert_eq!(op as u8 as usize, i, "{op}");
+        }
     }
 
     #[test]

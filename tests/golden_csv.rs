@@ -1,8 +1,11 @@
-//! Golden-file regression tests: the fast-scale CSV output of two cheap
-//! experiments (one per evaluation chapter) is pinned byte-for-byte under
-//! `tests/golden/`. Any change to the device model, timing analysis,
-//! trace generation, RNG streams or sweep engine that shifts a single
-//! digit shows up here as a readable diff.
+//! Golden-file regression tests: the fast-scale CSV output of four
+//! experiments is pinned byte-for-byte under `tests/golden/` — per
+//! evaluation chapter, one error-profile figure (`fig3.4`, `fig4.3`) and
+//! one scheme-comparison grid (`fig3.10`: one bare-oracle group of four
+//! schemes; `fig4.10`: buffered Razor/OCST beside bare Trident). Any
+//! change to the device model, timing analysis, trace generation, RNG
+//! streams, delay stream or sweep engine that shifts a single digit
+//! shows up here as a readable diff.
 //!
 //! After an *intentional* model change, regenerate the fixtures with:
 //!
@@ -59,4 +62,14 @@ fn fig3_4_matches_golden_csv() {
 #[test]
 fn fig4_3_matches_golden_csv() {
     check_against_golden("fig4.3");
+}
+
+#[test]
+fn fig3_10_matches_golden_csv() {
+    check_against_golden("fig3.10");
+}
+
+#[test]
+fn fig4_10_matches_golden_csv() {
+    check_against_golden("fig4.10");
 }

@@ -13,19 +13,30 @@
 //!   consecutive errors because it cannot absorb the trailing min half;
 //!   DVS tightens its effective clock as it harvests supply rungs and so
 //!   sees *at least* the base-clock profile, recovering all of it);
-//! * two same-seed runs produce an identical `SimResult`.
+//! * two same-seed runs produce an identical `SimResult`;
+//! * `run_schemes` over the whole roster on one oracle equals one
+//!   `run_scheme` per scheme on fresh oracles, bit for bit, at trace
+//!   lengths on both sides of every delay-stream chunk edge — `dvs`
+//!   included: it scales its clock, not the delays, so it reads the
+//!   bare stream like everyone else. At the same lengths the stream
+//!   hands every cycle its own pair's delays and the next pair's as
+//!   lookahead, exactly as one `delays` lookup per pair would;
+//! * a grid cell grouping bare, buffered and hardened oracles equals
+//!   its one-scheme grids.
 
 use ntc_choke::core::baselines::{Hfg, Ocst, Razor};
 use ntc_choke::core::dcs::Dcs;
 use ntc_choke::core::scenario::{ChipContext, SchemeSpec};
-use ntc_choke::core::scheme::ResilienceScheme;
-use ntc_choke::core::sim::{profile_errors, run_scheme, SimResult};
-use ntc_choke::core::tag_delay::{OracleConfig, TagDelayOracle};
+use ntc_choke::core::scheme::{CycleContext, CycleOutcome, ResilienceScheme};
+use ntc_choke::core::sim::{profile_errors, run_scheme, run_schemes, SimResult};
+use ntc_choke::core::tag_delay::{CycleDelays, OracleConfig, TagDelayOracle, STREAM_CHUNK};
 use ntc_choke::core::trident::Trident;
+use ntc_choke::experiments::{run_grid_uncached, GridSpec, Regime};
+use ntc_choke::isa::Instruction;
 use ntc_choke::pipeline::Pipeline;
 use ntc_choke::timing::ClockSpec;
 use ntc_choke::varmodel::{Corner, OperatingPoint, VariationParams};
-use ntc_choke::workload::{Benchmark, TraceGenerator};
+use ntc_choke::workload::{Benchmark, TraceGenerator, TraceSource};
 
 const CHIP_SEED: u64 = 21;
 const TRACE_LEN: usize = 6_000;
@@ -39,7 +50,7 @@ fn oracle() -> TagDelayOracle {
     )
 }
 
-fn trace() -> Vec<ntc_choke::isa::Instruction> {
+fn trace() -> Vec<Instruction> {
     TraceGenerator::new(Benchmark::Mcf, 8).trace(TRACE_LEN)
 }
 
@@ -342,5 +353,90 @@ fn same_seed_runs_produce_identical_results() {
         let a = run_once();
         let b = run_once();
         assert_eq!(a, b, "scheme #{idx} ({}): same-seed runs diverged", a.scheme);
+    }
+}
+
+#[test]
+fn run_schemes_equals_one_run_scheme_per_scheme_across_chunk_edges() {
+    let pipe = Pipeline::core1();
+    let o = oracle();
+    let longest = TraceGenerator::new(Benchmark::Mcf, 8).trace(3 * STREAM_CHUNK + 5);
+    for len in [
+        2,
+        3,
+        STREAM_CHUNK,
+        STREAM_CHUNK + 1,
+        STREAM_CHUNK + 2,
+        3 * STREAM_CHUNK + 5,
+    ] {
+        let trace = &longest[..len];
+        let mut roster = all_schemes(&o);
+        assert_eq!(roster.len(), 9, "the whole registered roster");
+        let shared = run_schemes(&mut roster, &mut oracle(), trace, pipe);
+        let alone: Vec<SimResult> = all_schemes(&o)
+            .into_iter()
+            .map(|(mut scheme, clock)| run_scheme(scheme.as_mut(), &mut oracle(), trace, clock, pipe))
+            .collect();
+        assert_eq!(shared, alone, "{len}-instruction trace");
+
+        // Both sides above read the same chunked stream, so check the
+        // stream itself against one `delays` lookup per pair: every cycle
+        // sees its own pair's delays and, as lookahead, the next pair's.
+        let mut probe = Probe(Vec::new());
+        run_scheme(&mut probe, &mut oracle(), trace, ch3_clock(&o), pipe);
+        let mut chip = oracle();
+        let pairs: Vec<_> = trace.windows(2).map(|w| chip.delays(&w[0], &w[1])).collect();
+        let expected: Vec<_> = trace
+            .windows(2)
+            .zip(&pairs)
+            .enumerate()
+            .map(|(p, (w, &d))| (w[0], w[1], d, pairs.get(p + 1).copied()))
+            .collect();
+        assert_eq!(probe.0, expected, "{len}-instruction trace: delay stream");
+    }
+}
+
+/// A scheme that logs what the simulator hands it each cycle: the pair,
+/// its delays and the lookahead.
+struct Probe(Vec<(Instruction, Instruction, CycleDelays, Option<CycleDelays>)>);
+
+impl ResilienceScheme for Probe {
+    fn name(&self) -> &'static str {
+        "probe"
+    }
+
+    fn on_cycle(&mut self, ctx: &CycleContext<'_>) -> CycleOutcome {
+        self.0.push((*ctx.prev, *ctx.cur, ctx.delays, ctx.next_delays));
+        CycleOutcome::Clean
+    }
+}
+
+#[test]
+fn grid_cells_grouping_bare_buffered_and_hardened_oracles_equal_one_scheme_grids() {
+    // Spec order interleaves the groups: buffered {razor-ch4, ocst}, bare
+    // {trident, dcs-icslt}, hardened {harden-choke}.
+    let schemes = vec![
+        SchemeSpec::RazorCh4,
+        SchemeSpec::Trident { cet_entries: 128 },
+        SchemeSpec::HardenChoke { top_k: 8 },
+        SchemeSpec::Ocst,
+        SchemeSpec::DcsIcslt { entries: 128 },
+    ];
+    let spec = |schemes: Vec<SchemeSpec>| GridSpec {
+        benchmarks: vec![Benchmark::Mcf],
+        chips: 1,
+        schemes,
+        voltages: vec![OperatingPoint::NTC],
+        regime: Regime::Ch4,
+        chip_seed_base: CHIP_SEED,
+        trace_seed: 8,
+        cycles: 2 * STREAM_CHUNK + 3,
+        source: TraceSource::Generator,
+    };
+    let grouped = run_grid_uncached(&spec(schemes.clone()));
+    let row = &grouped.rows()[0].2;
+    for (i, s) in schemes.into_iter().enumerate() {
+        let alone = run_grid_uncached(&spec(vec![s]));
+        assert_eq!(row[i], alone.rows()[0].2[0], "{}", s.name());
     }
 }
