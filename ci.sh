@@ -57,14 +57,14 @@ test -s target/repro-ci/manifest.json
 test -s target/repro-ci/fig3_4.csv
 # The manifest and every stdout table document must parse as JSON.
 if command -v jq >/dev/null 2>&1; then
-  jq -e '.schema == "ntc-repro-manifest/7" and .failed == 0 and (.records | length) == 1' \
+  jq -e '.schema == "ntc-repro-manifest/8" and .failed == 0 and (.records | length) == 1' \
     target/repro-ci/manifest.json >/dev/null
   jq -e . target/repro-ci-tables.jsonl >/dev/null
 elif command -v python3 >/dev/null 2>&1; then
   python3 - <<'EOF'
 import json
 m = json.load(open("target/repro-ci/manifest.json"))
-assert m["schema"] == "ntc-repro-manifest/7" and m["failed"] == 0 and len(m["records"]) == 1, m
+assert m["schema"] == "ntc-repro-manifest/8" and m["failed"] == 0 and len(m["records"]) == 1, m
 for line in open("target/repro-ci-tables.jsonl"):
     if line.strip():
         json.loads(line)
@@ -145,7 +145,7 @@ echo "==> trace record/replay: full replay reproduces the generator CSV byte-for
 # replay of those files. All three CSVs must be byte-identical — the
 # replay gate is the acceptance criterion for the binary trace format.
 rm -rf target/repro-ci-traces target/repro-ci-trace-gen \
-  target/repro-ci-trace-rec target/repro-ci-trace-rep target/repro-ci-trace-ph
+  target/repro-ci-trace-rec target/repro-ci-trace-rep
 ./target/release/repro --fast --out target/repro-ci-trace-gen fig3.8 >/dev/null
 ./target/release/repro --fast --trace-dir target/repro-ci-traces --record \
   --out target/repro-ci-trace-rec fig3.8 >/dev/null
@@ -161,18 +161,6 @@ grep -q '"source":"record:' target/repro-ci-trace-rec/manifest.json
 grep -Eq '"traces_recorded":[1-9][0-9]*,' target/repro-ci-trace-rec/manifest.json
 grep -q '"source":"replay:' target/repro-ci-trace-rep/manifest.json
 grep -Eq '"trace_replays":[1-9][0-9]*,' target/repro-ci-trace-rep/manifest.json
-
-echo "==> trace phases: SimPoint-weighted replay passes and persists its phase sets"
-# The tolerance contract (phase estimates within pinned bounds of the
-# full trace, ≤20% of its instructions) is enforced by the
-# trace_sampling integration test above; here the gate is that the
-# end-to-end --phases pipeline runs green and accounts its sampling.
-./target/release/repro --fast --trace-dir target/repro-ci-traces --phases \
-  --out target/repro-ci-trace-ph fig3.8 >/dev/null
-ls target/repro-ci-traces/*.ntp >/dev/null
-grep -q '"source":"phases:' target/repro-ci-trace-ph/manifest.json
-grep -Eq '"phase_replays":[1-9][0-9]*,' target/repro-ci-trace-ph/manifest.json
-grep -q '"failed":0,' target/repro-ci-trace-ph/manifest.json
 
 echo "==> ntc-serve: concurrent clients, batch-identical CSVs, disk hit, clean SIGTERM"
 # Daemon on a temp unix socket, sharing a fresh cache dir. Two concurrent

@@ -11,8 +11,7 @@
 //!
 //! The numbers are honest but unsophisticated: no outlier rejection, no
 //! bootstrap confidence intervals. For cross-run comparisons on a quiet
-//! machine that is enough to spot the ×2-and-bigger effects the per-figure
-//! kernels exhibit.
+//! machine that is enough to spot ×2-and-bigger kernel effects.
 
 use std::hint::black_box;
 use std::marker::PhantomData;

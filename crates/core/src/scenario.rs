@@ -478,18 +478,17 @@ impl SimAccumulator {
         self.accuracy_sum += r.prediction_accuracy();
     }
 
-    /// Fold one run in `weight` times — the phase-sampling fold: a
-    /// SimPoint representative standing for `weight` intervals counts as
-    /// `weight` runs of its own result. `push_weighted(r, 1)` is *not*
-    /// guaranteed bit-identical to `push(r)` (the `f64` sums multiply by
-    /// `1.0` here); whole-trace callers keep using [`push`](Self::push).
+    /// Fold one run in `weight` times, as `weight` runs of its own
+    /// result. Kept only because the benchmark's `layer-trace` binary
+    /// (under `perfbench/`) calls it; the grid folds through
+    /// [`push`](Self::push). `push_weighted(r, 1)` is *not* guaranteed
+    /// bit-identical to `push(r)` (the `f64` sums multiply by `1.0`).
     ///
     /// # Panics
     ///
-    /// Panics if `weight` is zero — a phase standing for no intervals is
-    /// a sampling bug, not a no-op.
+    /// Panics if `weight` is zero.
     pub fn push_weighted(&mut self, r: &SimResult, weight: u64) {
-        assert!(weight > 0, "phase weight must be positive");
+        assert!(weight > 0, "fold weight must be positive");
         if self.runs == 0 {
             self.scheme = Some(r.scheme);
             self.power_overhead = r.power_overhead;
@@ -607,7 +606,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "phase weight must be positive")]
+    #[should_panic(expected = "fold weight must be positive")]
     fn zero_weight_push_is_rejected() {
         let mut acc = SimAccumulator::default();
         acc.push_weighted(&sample(1.0, 1, 1), 0);

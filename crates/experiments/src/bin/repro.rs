@@ -5,7 +5,7 @@
 //! ```text
 //! repro [--full] [--jobs N] [--out DIR] [--format text|json]
 //!       [--cache-dir DIR] [--no-cache] [--vdd LIST]
-//!       [--trace-dir DIR [--record | --phases]]
+//!       [--trace-dir DIR [--record]]
 //!       [--resume] [ID ...]
 //! ```
 //!
@@ -40,15 +40,12 @@
 //!   crashed suite finishes from where it stopped.
 //!
 //! `--trace-dir DIR` switches every grid cell's instruction stream from
-//! the statistical generator to recorded binary traces in `DIR`:
-//! replayed whole by default (byte-identical results to the generator
-//! when the traces were recorded from the same seeds), with `--record`
-//! generating *and* writing each cell's trace file (results identical to
-//! a plain generator run), or `--phases` replaying SimPoint-sampled
-//! weighted phases instead of whole traces (an order of magnitude fewer
-//! simulated instructions, results within a pinned tolerance).
-//! `--record` and `--phases` require `--trace-dir` and are mutually
-//! exclusive.
+//! the statistical generator to recorded binary traces in `DIR`, each
+//! replayed whole (byte-identical results to the generator when the
+//! traces were recorded from the same seeds). With `--record` the run
+//! generates *and* writes each cell's trace file instead (results
+//! identical to a plain generator run); `--record` requires
+//! `--trace-dir`.
 //!
 //! Every run also writes `<out>/manifest.json`: one structured
 //! [`RunRecord`] per experiment (scale, jobs, wall time, sweep busy/wall
@@ -97,7 +94,6 @@ fn run() -> i32 {
     let mut vdd_flag = false;
     let mut trace_dir: Option<PathBuf> = None;
     let mut record = false;
-    let mut phases = false;
     let mut selected: Vec<String> = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -120,7 +116,6 @@ fn run() -> i32 {
                 }
             },
             "--record" => record = true,
-            "--phases" => phases = true,
             "--vdd" => match args.next().as_deref().map(ntc_experiments::parse_voltages) {
                 Some(Ok(points)) => {
                     vdd_flag = true;
@@ -184,7 +179,7 @@ fn run() -> i32 {
                 println!(
                     "usage: repro [--full] [--jobs N] [--out DIR] [--format text|json] \
                      [--cache-dir DIR] [--no-cache] [--vdd LIST] \
-                     [--trace-dir DIR [--record | --phases]] [--resume] [--list] [ID ...]\n\
+                     [--trace-dir DIR [--record]] [--resume] [--list] [ID ...]\n\
                      --cache-dir DIR  persistent grid-result cache shared across runs\n\
                      --no-cache       bypass all grid caching (cold run)\n\
                      --vdd LIST       sweep grids over these operating points (also NTC_VDD);\n\
@@ -192,8 +187,6 @@ fn run() -> i32 {
                      --trace-dir DIR  replay recorded binary traces from DIR instead of the\n\
                      \u{20}                statistical generator (see also `ntc-workload record`)\n\
                      --record         with --trace-dir: generate and record each cell's trace\n\
-                     --phases         with --trace-dir: replay SimPoint-weighted phases instead\n\
-                     \u{20}                of whole traces (faster, tolerance-bounded results)\n\
                      --resume         skip experiments already passing in <out>/manifest.json;\n\
                      \u{20}                reruns records whose vdd roster or trace source changed\n\
                      exit codes: 0 all good; 1 experiment/CSV/manifest failure; \
@@ -209,26 +202,16 @@ fn run() -> i32 {
         }
     }
 
-    // Trace flags compose into one source; the modifier flags are
-    // meaningless without a directory and contradictory together.
-    if record && phases {
-        eprintln!("--record and --phases are mutually exclusive");
-        return 2;
-    }
-    let source = match (&trace_dir, record, phases) {
-        (None, false, false) => ntc_workload::TraceSource::Generator,
-        (None, true, _) => {
+    // Trace flags compose into one source; `--record` is meaningless
+    // without a directory.
+    let source = match (&trace_dir, record) {
+        (None, false) => ntc_workload::TraceSource::Generator,
+        (None, true) => {
             eprintln!("--record requires --trace-dir");
             return 2;
         }
-        (None, false, true) => {
-            eprintln!("--phases requires --trace-dir");
-            return 2;
-        }
-        (Some(dir), true, false) => ntc_workload::TraceSource::Record(dir.clone()),
-        (Some(dir), false, true) => ntc_workload::TraceSource::Phases(dir.clone()),
-        (Some(dir), false, false) => ntc_workload::TraceSource::Replay(dir.clone()),
-        (Some(_), true, true) => unreachable!("rejected above"),
+        (Some(dir), true) => ntc_workload::TraceSource::Record(dir.clone()),
+        (Some(dir), false) => ntc_workload::TraceSource::Replay(dir.clone()),
     };
     ntc_experiments::set_workload_source(Some(source.clone()));
     let source_label = source.to_string();
@@ -509,18 +492,12 @@ fn describe(r: &RunRecord) -> String {
         line.push_str(&format!(", cells per vdd {}", per_point.join(" ")));
     }
     // Trace record/replay traffic: only present when a --trace-dir mode
-    // was active (the generator path leaves all five counters zero).
+    // was active (the generator path leaves all three counters zero).
     if r.workload.any() {
         line.push_str(&format!(
-            ", trace {} recorded / {} replayed / {} phase-replayed",
-            r.workload.traces_recorded, r.workload.trace_replays, r.workload.phase_replays
+            ", trace {} recorded / {} replayed",
+            r.workload.traces_recorded, r.workload.trace_replays
         ));
-        if r.workload.phase_instructions > 0 {
-            line.push_str(&format!(
-                " ({} phase instr simulated)",
-                r.workload.phase_instructions
-            ));
-        }
     }
     if !r.sweep_failures.is_empty() {
         line.push_str(&format!(

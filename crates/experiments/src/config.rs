@@ -80,7 +80,7 @@ pub fn voltages() -> Vec<OperatingPoint> {
 /// Process-wide trace source for the grid-backed experiments — which
 /// [`TraceSource`] the figure runners put in their [`GridSpec`]s. The
 /// default is the statistical generator, keeping every legacy run
-/// byte-identical; `repro --trace-dir` (with `--record` / `--phases`)
+/// byte-identical; `repro --trace-dir` (with or without `--record`)
 /// selects the record/replay paths.
 ///
 /// [`GridSpec`]: crate::scenario::GridSpec

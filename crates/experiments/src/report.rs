@@ -33,8 +33,10 @@ use std::time::Duration;
 /// requested voltage roster, the workload trace `source`, and the
 /// `workload` record/replay counters; `/7` dropped the screen and
 /// incremental-STA counters, leaving the oracle object `gate_sims` /
-/// `local_hits` / `shared_hits` / `sta_full`.)
-pub const MANIFEST_SCHEMA: &str = "ntc-repro-manifest/7";
+/// `local_hits` / `shared_hits` / `sta_full`; `/8` dropped the phase
+/// counters, leaving the workload object `traces_recorded` /
+/// `trace_replays` / `replayed_instructions`.)
+pub const MANIFEST_SCHEMA: &str = "ntc-repro-manifest/8";
 
 /// Telemetry of one experiment run inside a `repro` invocation.
 #[derive(Debug, Clone, PartialEq)]
@@ -67,7 +69,7 @@ pub struct RunRecord {
     /// results for the wrong voltage set.
     pub requested_vdd: Vec<String>,
     /// Workload trace source the run used (`"generator"`,
-    /// `"replay:<dir>"`, `"phases:<dir>"`, …) — `--resume` recomputes
+    /// `"record:<dir>"` or `"replay:<dir>"`) — `--resume` recomputes
     /// when it differs, same as the voltage roster.
     pub source: String,
     /// Trace record/replay counters drained after this experiment.
@@ -257,9 +259,7 @@ impl RunRecord {
         let workload = ntc_workload::WorkloadStats {
             traces_recorded: u64_of(workload_obj, "traces_recorded")?,
             trace_replays: u64_of(workload_obj, "trace_replays")?,
-            phase_replays: u64_of(workload_obj, "phase_replays")?,
             replayed_instructions: u64_of(workload_obj, "replayed_instructions")?,
-            phase_instructions: u64_of(workload_obj, "phase_instructions")?,
         };
         let mut sweep_failures = Vec::new();
         for f in v
@@ -902,9 +902,7 @@ mod tests {
             workload: ntc_workload::WorkloadStats {
                 traces_recorded: 2,
                 trace_replays: 4,
-                phase_replays: 0,
                 replayed_instructions: 120_000,
-                phase_instructions: 0,
             },
             sweep_failures: Vec::new(),
             rows: 6,

@@ -100,8 +100,8 @@ pub struct GridSpec {
     /// Trace length per cell, instructions.
     pub cycles: usize,
     /// Where each cell's instruction stream comes from: the statistical
-    /// generator (the legacy path), record-while-generating, whole-trace
-    /// replay, or weighted SimPoint phases.
+    /// generator (the legacy path), record-while-generating, or
+    /// whole-trace replay.
     pub source: TraceSource,
 }
 
@@ -143,16 +143,13 @@ impl GridSpec {
         // `Record` deliberately encodes exactly like `Generator` (the
         // canonical tag aliases them): a recording run simulates the
         // generated stream, so the two must share cache identity. Replay
-        // and phase sources append their directory too — note the key
-        // covers the *path*, not the files' contents, so replacing trace
-        // files in place under the same directory requires `--no-cache`
-        // (or a fresh directory) to avoid stale artifact hits.
+        // appends its directory too — note the key covers the *path*, not
+        // the files' contents, so replacing trace files in place under
+        // the same directory requires `--no-cache` (or a fresh directory)
+        // to avoid stale artifact hits.
         push_str(&mut out, self.source.canon_tag());
-        match &self.source {
-            TraceSource::Generator | TraceSource::Record(_) => {}
-            TraceSource::Replay(dir) | TraceSource::Phases(dir) => {
-                push_str(&mut out, &dir.display().to_string());
-            }
+        if let TraceSource::Replay(dir) = &self.source {
+            push_str(&mut out, &dir.display().to_string());
         }
         out
     }
@@ -324,25 +321,19 @@ pub fn screen_run_order(schemes: &[SchemeSpec]) -> Vec<usize> {
 /// oracle(s) at the cell's supply, derive the regime clocks from the
 /// *bare* die's nominal critical delay at that supply (the canonical
 /// clock policy — buffer padding must not slow the target clock), and run
-/// every scheme of the spec over the cell's weighted trace segments (one
-/// whole trace for generator/record/replay sources; the SimPoint
-/// representatives for phase sources). The returned results are
-/// `[scheme][segment]` pairs of `(result, fold weight)`, in spec order.
+/// every scheme of the spec over the cell's whole trace. Returns one
+/// result per scheme, in spec order.
 ///
 /// Schemes are grouped by the oracle they read — bare, hold-buffered, or
 /// one per hardened top-k, each built on first use — and each group runs
-/// through one [`run_schemes`] call per segment, so a segment's delays are
-/// resolved once per oracle rather than once per scheme. Oracles persist
-/// across the segments of a cell, so phase replays reuse Phase-A work
-/// exactly like one longer trace would. Schemes are rebuilt fresh per
-/// segment (each representative stands for an interval run on its own,
-/// per the SimPoint model).
+/// through one [`run_schemes`] call, so the trace's delays are resolved
+/// once per oracle rather than once per scheme.
 fn run_cell(
     spec: &GridSpec,
     bench: Benchmark,
     point: OperatingPoint,
     chip: usize,
-) -> Vec<Vec<(SimResult, u64)>> {
+) -> Vec<SimResult> {
     let regime = spec.regime.params();
     let seed = spec.chip_seed_base + chip as u64;
     let corner = point.corner();
@@ -370,9 +361,9 @@ fn run_cell(
         };
         groups[g].2.push(i);
     }
-    let segments = spec
+    let trace = spec
         .source
-        .segments(bench, spec.trace_seed, spec.cycles)
+        .trace(bench, spec.trace_seed, spec.cycles)
         .unwrap_or_else(|e| {
             panic!(
                 "trace source {} cannot resolve cell ({}, seed {}, {} cycles): {e}",
@@ -382,31 +373,32 @@ fn run_cell(
                 spec.cycles
             )
         });
-    let mut results: Vec<Vec<(SimResult, u64)>> = vec![Vec::new(); spec.schemes.len()];
-    for segment in &segments {
-        for (_, oracle, members) in groups.iter_mut().filter(|(.., m)| !m.is_empty()) {
-            let static_critical = oracle.static_critical_delay_ps();
-            let mut schemes: Vec<_> = members
-                .iter()
-                .map(|&i| {
-                    let s = &spec.schemes[i];
-                    let scheme_clock = if s.uses_tdc_clock() { tdc_clock } else { clock };
-                    let ctx = ChipContext {
-                        static_critical_delay_ps: static_critical,
-                        clock: scheme_clock,
-                        trace_len: segment.trace.len(),
-                        point,
-                    };
-                    (s.build(&ctx), scheme_clock)
-                })
-                .collect();
-            let runs = run_schemes(&mut schemes, oracle, &segment.trace, Pipeline::core1());
-            for (&i, r) in members.iter().zip(runs) {
-                results[i].push((r, segment.weight));
-            }
+    let mut results: Vec<Option<SimResult>> = vec![None; spec.schemes.len()];
+    for (_, oracle, members) in groups.iter_mut().filter(|(.., m)| !m.is_empty()) {
+        let static_critical = oracle.static_critical_delay_ps();
+        let mut schemes: Vec<_> = members
+            .iter()
+            .map(|&i| {
+                let s = &spec.schemes[i];
+                let scheme_clock = if s.uses_tdc_clock() { tdc_clock } else { clock };
+                let ctx = ChipContext {
+                    static_critical_delay_ps: static_critical,
+                    clock: scheme_clock,
+                    trace_len: trace.len(),
+                    point,
+                };
+                (s.build(&ctx), scheme_clock)
+            })
+            .collect();
+        let runs = run_schemes(&mut schemes, oracle, &trace, Pipeline::core1());
+        for (&i, r) in members.iter().zip(runs) {
+            results[i] = Some(r);
         }
     }
     results
+        .into_iter()
+        .map(|r| r.expect("every scheme belongs to one oracle group"))
+        .collect()
 }
 
 /// Per-voltage cell counters: how many grid cells were *computed* (not
@@ -453,18 +445,8 @@ pub fn run_grid_uncached(spec: &GridSpec) -> GridResult {
         cells,
         || vec![SimAccumulator::default(); spec.schemes.len()],
         |accs, results| {
-            for (acc, segments) in accs.iter_mut().zip(&results) {
-                for (r, w) in segments {
-                    // Weight-1 segments go through the plain fold so
-                    // whole-trace grids stay bit-identical to every
-                    // pre-trace release (`push_weighted(r, 1)` multiplies
-                    // the f64 sums by 1.0, which is not that guarantee).
-                    if *w == 1 {
-                        acc.push(r);
-                    } else {
-                        acc.push_weighted(r, *w);
-                    }
-                }
+            for (acc, r) in accs.iter_mut().zip(&results) {
+                acc.push(r);
             }
         },
     );

@@ -1,9 +1,10 @@
 //! The oracle counters stay exact when a cell's schemes share one delay
-//! stream: every (oracle, segment) resolves each consecutive pair of its
-//! segment exactly once — as a gate-level simulation, a shared-table hit
+//! stream: every oracle resolves each consecutive pair of the cell's
+//! trace exactly once — as a gate-level simulation, a shared-table hit
 //! or a local-table hit — however many schemes read the result, and the
 //! per-chunk flush reaches an installed attribution scope exactly as it
-//! reaches the process-wide drain.
+//! reaches the process-wide drain. The identity holds for every trace
+//! source: generator, record and replay.
 //!
 //! One `#[test]` body: the oracle counters are process-global, so the
 //! runs must drain them sequentially.
@@ -55,7 +56,7 @@ fn lookups_equal_pairs_per_oracle_and_segment_and_scopes_match_the_drain() {
             3,
         ),
         (
-            spec(Regime::Ch4, ch4_mix, TraceSource::Phases(dir.clone())),
+            spec(Regime::Ch4, ch4_mix, TraceSource::Replay(dir.clone())),
             3,
         ),
         (
@@ -92,17 +93,10 @@ fn lookups_equal_pairs_per_oracle_and_segment_and_scopes_match_the_drain() {
             "{}: the scope must see exactly the drained deltas",
             spec.source
         );
-        let pairs: u64 = spec
-            .source
-            .segments(Benchmark::Gzip, TRACE_SEED, CYCLES)
-            .expect("segments resolve")
-            .iter()
-            .map(|s| s.trace.len() as u64 - 1)
-            .sum();
         assert_eq!(
             global.gate_sims + global.local_hits + global.shared_hits,
-            oracles * pairs,
-            "{} with {} schemes: one lookup per pair per (oracle, segment)",
+            oracles * (CYCLES as u64 - 1),
+            "{} with {} schemes: one lookup per pair per oracle",
             spec.source,
             spec.schemes.len()
         );

@@ -194,6 +194,17 @@ fn bad_flag_and_bad_format_exit_2() {
     );
     assert_eq!(run(repro().args(["--jobs", "zero"])).status.code(), Some(2));
     assert_eq!(run(repro().arg("--cache-dir")).status.code(), Some(2));
+    // Trace flags: the retired `--phases`, `--record` with no directory
+    // to record into, and a `--trace-dir` missing its value.
+    let traces = out_dir("bad-trace-flags");
+    let traces = traces.to_str().unwrap();
+    assert_eq!(
+        run(repro().args(["--trace-dir", traces, "--phases"])).status.code(),
+        Some(2)
+    );
+    assert!(!std::path::Path::new(traces).exists(), "nothing ran");
+    assert_eq!(run(repro().arg("--record")).status.code(), Some(2));
+    assert_eq!(run(repro().arg("--trace-dir")).status.code(), Some(2));
 }
 
 #[test]

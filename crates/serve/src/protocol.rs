@@ -25,9 +25,11 @@
 //! ```
 //!
 //! A grid spec may also carry `"trace_dir":"<server-local dir>"` to
-//! replay recorded binary traces instead of the statistical generator,
-//! plus `"phases":true` to replay SimPoint-weighted phases of those
-//! traces; both are optional and absent means the generator.
+//! replay recorded binary traces, whole, instead of the statistical
+//! generator; absent means the generator. A spec key outside these nine
+//! (`benchmarks`, `chips`, `schemes`, `regime`, `vdd`, `chip_seed_base`,
+//! `trace_seed`, `cycles`, `trace_dir`) is a `bad-request` that names
+//! it, so a misspelled or retired field is never silently ignored.
 //!
 //! # Responses
 //!
@@ -147,8 +149,25 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
     }
 }
 
+/// The keys a grid spec object may carry.
+const SPEC_KEYS: [&str; 9] = [
+    "benchmarks",
+    "chips",
+    "schemes",
+    "regime",
+    "vdd",
+    "chip_seed_base",
+    "trace_seed",
+    "cycles",
+    "trace_dir",
+];
+
 /// Decode a [`GridSpec`] from its wire object.
 fn spec_from_json(v: &Json) -> Result<GridSpec, String> {
+    let keys = v.keys().ok_or("grid: \"spec\" must be an object")?;
+    if let Some(unknown) = keys.into_iter().find(|k| !SPEC_KEYS.contains(k)) {
+        return Err(format!("spec: unknown field {unknown:?}"));
+    }
     fn u64_field(v: &Json, key: &str) -> Result<u64, String> {
         v.get(key)
             .and_then(Json::as_u64)
@@ -186,24 +205,10 @@ fn spec_from_json(v: &Json) -> Result<GridSpec, String> {
     // The trace source is optional on the wire: an absent "trace_dir"
     // keeps the statistical generator (every pre-trace client is
     // byte-compatible); present, the server replays recorded traces
-    // from that server-local directory — whole by default, SimPoint
-    // phases with `"phases":true`. Recording is deliberately not
-    // servable: clients must not make the daemon write trace files.
-    let phases = match v.get("phases") {
-        None => false,
-        Some(Json::Bool(b)) => *b,
-        Some(_) => return Err("spec: \"phases\" must be a boolean".into()),
-    };
+    // from that server-local directory, whole. Recording is deliberately
+    // not servable: clients must not make the daemon write trace files.
     let source = match v.get("trace_dir") {
-        None => {
-            if phases {
-                return Err("spec: \"phases\" requires \"trace_dir\"".into());
-            }
-            ntc_workload::TraceSource::Generator
-        }
-        Some(Json::Str(dir)) if phases => {
-            ntc_workload::TraceSource::Phases(std::path::PathBuf::from(dir))
-        }
+        None => ntc_workload::TraceSource::Generator,
         Some(Json::Str(dir)) => ntc_workload::TraceSource::Replay(std::path::PathBuf::from(dir)),
         Some(_) => return Err("spec: \"trace_dir\" must be a string".into()),
     };
@@ -544,19 +549,18 @@ mod tests {
             spec_of(r#","trace_dir":"/tmp/t""#).unwrap().source,
             ntc_workload::TraceSource::Replay("/tmp/t".into())
         );
-        assert_eq!(
-            spec_of(r#","trace_dir":"/tmp/t","phases":true"#).unwrap().source,
-            ntc_workload::TraceSource::Phases("/tmp/t".into())
-        );
-        assert_eq!(
-            spec_of(r#","trace_dir":"/tmp/t","phases":false"#).unwrap().source,
-            ntc_workload::TraceSource::Replay("/tmp/t".into())
-        );
-        // Phases without a directory, or mistyped fields, are bad requests.
-        let err = spec_of(r#","phases":true"#).expect_err("phases needs trace_dir");
-        assert!(err.contains("trace_dir"), "{err}");
+        // Mistyped fields and keys outside the spec are bad requests that
+        // name the key: the retired `phases` flag and a typo'd
+        // `trace-dir` must not be silently ignored.
         assert!(spec_of(r#","trace_dir":7"#).is_err());
-        assert!(spec_of(r#","trace_dir":"/tmp/t","phases":"yes""#).is_err());
+        for (extra, key) in [
+            (r#","trace_dir":"/tmp/t","phases":true"#, "phases"),
+            (r#","phases":true"#, "phases"),
+            (r#","trace-dir":"/tmp/t""#, "trace-dir"),
+        ] {
+            let err = spec_of(extra).expect_err("unknown spec key");
+            assert!(err.contains(&format!("unknown field \"{key}\"")), "{err}");
+        }
     }
 
     #[test]

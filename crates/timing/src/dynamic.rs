@@ -271,11 +271,11 @@ impl SimWorkspace {
                 }
                 let cand = &mut cand[..n];
                 cand.sort_by(f64::total_cmp);
-                // Epsilon-dedup against the last retained candidate — the
-                // exact semantics of `Vec::dedup_by`.
+                // Drop only bit-equal repeats: a toggle one ulp later is a
+                // distinct event, and skipping it can settle the gate wrong.
                 let mut m = 1usize;
                 for k in 1..n {
-                    if (cand[k] - cand[m - 1]).abs() < 1e-9 {
+                    if cand[k].to_bits() == cand[m - 1].to_bits() {
                         continue;
                     }
                     cand[m] = cand[k];

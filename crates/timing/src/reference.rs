@@ -86,7 +86,7 @@ pub(crate) fn simulate_pair_reference(
                 // the kernel. Identical ordering on finite values, so the
                 // equivalence suite's bit-identity contract is unchanged.
                 scratch_times.sort_by(f64::total_cmp);
-                scratch_times.dedup_by(|a, b| (*a - *b).abs() < 1e-9);
+                scratch_times.dedup_by(|a, b| a.to_bits() == b.to_bits());
 
                 let delay = sig.delay_ps(i);
                 let ins = gate.inputs();

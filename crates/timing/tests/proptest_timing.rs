@@ -6,6 +6,7 @@
 //! registry dependencies and every failure reproduces exactly.
 
 use ntc_netlist::generators::alu::{Alu, AluFunc, ALL_ALU_FUNCS};
+use ntc_netlist::{Builder, CellKind, Netlist, Signal};
 use ntc_timing::{k_critical_paths, DynamicSim, StaticTiming};
 use ntc_varmodel::rng::SplitMix64;
 use ntc_varmodel::{ChipSignature, Corner, VariationParams};
@@ -37,6 +38,82 @@ fn dynamic_final_state_matches_eval() {
         let expect = alu.netlist().eval(&sens);
         let got: Vec<bool> = t.outputs.iter().map(|o| o.final_value).collect();
         assert_eq!(got, expect, "case {case} chip {seed} {sens_f:?} a={a2} b={b2}");
+    }
+}
+
+/// A random DAG of at most 35 gates over the two-input library plus
+/// Inv/Buf/Mux2/Maj3. Every gate samples earlier signals only, so paths
+/// reconverge and the same delays add up in different orders; every gate
+/// is an output.
+fn random_small_netlist(rng: &mut SplitMix64) -> Netlist {
+    const KINDS: [CellKind; 10] = [
+        CellKind::Inv,
+        CellKind::Buf,
+        CellKind::And2,
+        CellKind::Or2,
+        CellKind::Nand2,
+        CellKind::Nor2,
+        CellKind::Xor2,
+        CellKind::Xnor2,
+        CellKind::Mux2,
+        CellKind::Maj3,
+    ];
+    let mut b = Builder::new();
+    let n_in = rng.gen_range_inclusive(2, 6);
+    let mut sigs: Vec<Signal> = (0..n_in).map(|i| b.input(&format!("i{i}"))).collect();
+    let n_gates = rng.gen_range_inclusive(1, 35);
+    for g in 0..n_gates {
+        let kind = KINDS[rng.gen_index(KINDS.len())];
+        let mut pin = || sigs[rng.gen_index(sigs.len())];
+        let s = match kind.arity() {
+            1 => b.gate1(kind, pin()),
+            2 => b.gate2(kind, pin(), pin()),
+            _ => b.gate3(kind, pin(), pin(), pin()),
+        };
+        b.output(&format!("o{g}"), s);
+        sigs.push(s);
+    }
+    b.finish()
+}
+
+/// Every output settles at the value combinational evaluation gives the
+/// sensitizing vector, on random netlists, for nominal and fabricated
+/// delays at both corners. Fanin toggles one ulp apart (the same delays
+/// summed along reconvergent paths in a different order) must each be
+/// evaluated; merging them into the earlier time settles gates wrong.
+#[test]
+fn dynamic_final_values_match_eval_on_random_netlists() {
+    let mut rng = SplitMix64::seed_from_u64(0x71AE_0006);
+    for case in 0..3_000 {
+        let nl = random_small_netlist(&mut rng);
+        let width = nl.inputs().len();
+        let pairs: Vec<(Vec<bool>, Vec<bool>)> = (0..4)
+            .map(|_| {
+                let mut vector = || (0..width).map(|_| rng.gen_bool()).collect::<Vec<bool>>();
+                (vector(), vector())
+            })
+            .collect();
+        let chip = rng.gen_u64();
+        for (corner, params) in [
+            (Corner::NTC, VariationParams::ntc()),
+            (Corner::STC, VariationParams::stc()),
+        ] {
+            for sig in [
+                ChipSignature::nominal(&nl, corner),
+                ChipSignature::fabricate(&nl, corner, params, chip),
+            ] {
+                let mut sim = DynamicSim::new(&nl, &sig);
+                for (p, (init, sens)) in pairs.iter().enumerate() {
+                    let t = sim.simulate_pair(init, sens);
+                    let got: Vec<bool> = t.outputs.iter().map(|o| o.final_value).collect();
+                    assert_eq!(
+                        got,
+                        nl.eval(sens),
+                        "netlist {case}, pair {p}, chip {chip}, {corner:?}"
+                    );
+                }
+            }
+        }
     }
 }
 

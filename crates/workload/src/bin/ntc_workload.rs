@@ -1,47 +1,37 @@
-//! `ntc-workload` — record benchmark traces and sample SimPoint phases.
+//! `ntc-workload` — record benchmark traces.
 //!
-//! Subcommands:
+//! One subcommand:
 //!
 //! * `record --dir DIR [--bench NAME] [--seed S] [--cycles N]` —
 //!   generate the seeded statistical trace(s) and write the binary
 //!   `.ntt` file(s) the experiment stack replays with `--trace-dir`.
-//! * `sample --dir DIR [--bench NAME] [--seed S] [--cycles N]
-//!   [--interval L] [--k K]` — slice recorded traces into intervals,
-//!   k-means cluster their opcode mixes, and write the weighted `.ntp`
-//!   phase files the stack replays with `--phases`.
 //!
 //! Exit codes follow the repro contract: 0 success, 1 runtime failure
-//! (missing/corrupt trace, I/O), 2 usage error.
+//! (I/O), 2 usage error — an unknown subcommand or flag, or a missing
+//! `--dir`.
 
-use ntc_workload::simpoint::{self, DEFAULT_K};
 use ntc_workload::{trace_bin, Benchmark, TraceGenerator, TraceSource, ALL_BENCHMARKS};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 const USAGE: &str = "\
-usage: ntc-workload <record|sample> --dir DIR [options]
+usage: ntc-workload record --dir DIR [options]
 
 subcommands:
   record   generate + write binary trace files (.ntt)
-  sample   cluster recorded traces into weighted phase files (.ntp)
 
 options:
   --dir DIR        trace directory (required)
   --bench NAME     one benchmark (default: all six)
   --seed S         trace seed (default: 7)
   --cycles N       instructions per trace (default: 60000)
-  --interval L     sample: interval length (default: cycles/50, min 100)
-  --k K            sample: max clusters (default: 8)
   --help           this text";
 
 struct Args {
-    cmd: String,
     dir: PathBuf,
     benches: Vec<Benchmark>,
     seed: u64,
     cycles: usize,
-    interval: Option<usize>,
-    k: usize,
 }
 
 fn usage_error(msg: &str) -> ExitCode {
@@ -50,16 +40,14 @@ fn usage_error(msg: &str) -> ExitCode {
 }
 
 fn parse_args(argv: &[String]) -> Result<Args, String> {
-    let cmd = argv.first().cloned().ok_or("missing subcommand")?;
-    if !matches!(cmd.as_str(), "record" | "sample") {
+    let cmd = argv.first().ok_or("missing subcommand")?;
+    if cmd != "record" {
         return Err(format!("unknown subcommand `{cmd}`"));
     }
     let mut dir = None;
     let mut benches = ALL_BENCHMARKS.to_vec();
     let mut seed = 7u64;
     let mut cycles = 60_000usize;
-    let mut interval = None;
-    let mut k = DEFAULT_K;
     let mut it = argv[1..].iter();
     while let Some(flag) = it.next() {
         let mut value = |name: &str| -> Result<&String, String> {
@@ -85,38 +73,17 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                     .parse()
                     .map_err(|_| "--cycles wants a positive integer".to_owned())?;
             }
-            "--interval" => {
-                interval = Some(
-                    value("--interval")?
-                        .parse()
-                        .map_err(|_| "--interval wants a positive integer".to_owned())?,
-                );
-            }
-            "--k" => {
-                k = value("--k")?
-                    .parse()
-                    .map_err(|_| "--k wants a positive integer".to_owned())?;
-            }
             other => return Err(format!("unknown flag `{other}`")),
         }
     }
     if cycles == 0 {
         return Err("--cycles must be positive".to_owned());
     }
-    if k == 0 {
-        return Err("--k must be positive".to_owned());
-    }
-    if interval == Some(0) {
-        return Err("--interval must be positive".to_owned());
-    }
     Ok(Args {
-        cmd,
         dir: dir.ok_or("--dir is required")?,
         benches,
         seed,
         cycles,
-        interval,
-        k,
     })
 }
 
@@ -130,11 +97,7 @@ fn main() -> ExitCode {
         Ok(a) => a,
         Err(e) => return usage_error(&e),
     };
-    match args.cmd.as_str() {
-        "record" => record(&args),
-        "sample" => sample(&args),
-        _ => unreachable!("subcommand validated in parse_args"),
-    }
+    record(&args)
 }
 
 fn record(args: &Args) -> ExitCode {
@@ -150,50 +113,6 @@ fn record(args: &Args) -> ExitCode {
             path.display(),
             trace.len(),
             trace_bin::encode_trace(&trace).len()
-        );
-    }
-    ExitCode::SUCCESS
-}
-
-fn sample(args: &Args) -> ExitCode {
-    let interval = args
-        .interval
-        .unwrap_or_else(|| simpoint::interval_len_for(args.cycles));
-    for &bench in &args.benches {
-        let trace_path = TraceSource::trace_path(&args.dir, bench, args.seed, args.cycles);
-        let trace = match trace_bin::read_trace_file(&trace_path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!(
-                    "error: {}: {e} (run `ntc-workload record` first)",
-                    trace_path.display()
-                );
-                return ExitCode::FAILURE;
-            }
-        };
-        if trace.len() < interval {
-            eprintln!(
-                "error: {}: trace of {} instructions is shorter than one interval ({interval})",
-                trace_path.display(),
-                trace.len()
-            );
-            return ExitCode::FAILURE;
-        }
-        let set = simpoint::sample_phases(&trace, interval, args.k, args.seed);
-        let path = TraceSource::phases_path(&args.dir, bench, args.seed, args.cycles);
-        if let Err(e) = simpoint::write_phases_file(&path, &set) {
-            eprintln!("error: writing {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-        println!(
-            "sampled {}: {} phases × {} instructions, weight {} ({}/{} simulated, {:.1}%)",
-            path.display(),
-            set.phases.len(),
-            interval,
-            set.total_weight(),
-            set.simulated_instructions(),
-            trace.len(),
-            100.0 * set.simulated_instructions() as f64 / trace.len() as f64
         );
     }
     ExitCode::SUCCESS

@@ -30,7 +30,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod simpoint;
 pub mod source;
 pub mod trace_bin;
 

@@ -1,36 +1,28 @@
 //! Where a simulation's instruction stream comes from: the statistical
-//! generator, a recorded binary trace, or sampled weighted phases.
+//! generator or a recorded binary trace.
 //!
 //! [`TraceSource`] is the abstraction the scenario engine threads
 //! through its grids. Every variant resolves a `(benchmark, seed,
-//! cycles)` cell to one or more **weighted segments** — `(instructions,
-//! weight)` pairs the simulators run and fold:
+//! cycles)` cell to one whole trace ([`TraceSource::trace`]):
 //!
-//! * [`TraceSource::Generator`] — the statistical generator, one segment
-//!   of weight 1. The legacy path; bit-identical to every pre-trace
-//!   release.
+//! * [`TraceSource::Generator`] — the statistical generator. The legacy
+//!   path; bit-identical to every pre-trace release.
 //! * [`TraceSource::Record`] — generate like `Generator` *and* write the
 //!   binary trace file into the directory (atomically, if not already
 //!   present). Results are identical to `Generator` by construction —
 //!   the generated stream itself is simulated — so recording is free to
 //!   share cache identity with generator runs.
 //! * [`TraceSource::Replay`] — decode the cell's recorded trace file and
-//!   simulate it whole: one segment of weight 1. Byte-identical results
-//!   to the generator when the file was recorded from the same seed
-//!   (pinned by `trace_sampling.rs`).
-//! * [`TraceSource::Phases`] — decode the recorded trace, sample (or
-//!   load previously sampled) SimPoint phases, and return each
-//!   representative slice with its cluster weight. An order of magnitude
-//!   fewer simulated instructions; results land within a pinned
-//!   tolerance, not byte-identity.
+//!   simulate it whole. Byte-identical results to the generator when the
+//!   file was recorded from the same seed (pinned by
+//!   `trace_sampling.rs`).
 //!
-//! Decoded traces and phase sets are memoized process-wide per file path
-//! (an `Arc` per file), so a grid's many (chip × scheme × voltage) cells
-//! decode each trace once. Replay telemetry is counted process-globally
-//! and drained per experiment by the `repro` binary ([`take_stats`]),
-//! mirroring the sweep/oracle/cache counter discipline.
+//! Decoded traces are memoized process-wide per file path (an `Arc` per
+//! file), so a grid's many (chip × scheme × voltage) cells decode each
+//! trace once. Replay telemetry is counted process-globally and drained
+//! per experiment by the `repro` binary ([`take_stats`]), mirroring the
+//! sweep/oracle/cache counter discipline.
 
-use crate::simpoint::{self, PhaseSet, DEFAULT_K};
 use crate::trace_bin;
 use crate::{Benchmark, TraceGenerator};
 use ntc_isa::Instruction;
@@ -39,13 +31,13 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// One weighted segment of a resolved cell: the instructions to
-/// simulate and how many intervals of the full trace they stand for.
+/// A resolved cell's whole trace with fold weight 1. Kept only because
+/// the benchmark's `layer-trace` binary (under `perfbench/`) calls it.
 #[derive(Debug, Clone)]
 pub struct Segment {
     /// The instructions of this segment.
     pub trace: Arc<Vec<Instruction>>,
-    /// Fold weight: 1 for whole traces, the cluster size for phases.
+    /// Fold weight: always 1.
     pub weight: u64,
 }
 
@@ -59,10 +51,6 @@ pub enum TraceSource {
     Record(PathBuf),
     /// Replay recorded binary traces from the directory, whole.
     Replay(PathBuf),
-    /// Replay SimPoint-sampled weighted phases of the recorded traces in
-    /// the directory (sampling and caching the `.ntp` file on first
-    /// use).
-    Phases(PathBuf),
 }
 
 impl TraceSource {
@@ -73,7 +61,6 @@ impl TraceSource {
         match self {
             TraceSource::Generator | TraceSource::Record(_) => "generator",
             TraceSource::Replay(_) => "replay",
-            TraceSource::Phases(_) => "phases",
         }
     }
 
@@ -81,7 +68,7 @@ impl TraceSource {
     pub fn dir(&self) -> Option<&Path> {
         match self {
             TraceSource::Generator => None,
-            TraceSource::Record(d) | TraceSource::Replay(d) | TraceSource::Phases(d) => Some(d),
+            TraceSource::Record(d) | TraceSource::Replay(d) => Some(d),
         }
     }
 
@@ -92,30 +79,21 @@ impl TraceSource {
         dir.join(format!("{}-s{seed}-c{cycles}.ntt", bench.name()))
     }
 
-    /// The canonical phase-set file of a cell (sampled from the trace
-    /// file with the default interval length and cluster count).
-    pub fn phases_path(dir: &Path, bench: Benchmark, seed: u64, cycles: usize) -> PathBuf {
-        dir.join(format!("{}-s{seed}-c{cycles}.ntp", bench.name()))
-    }
-
-    /// Resolve a cell to its weighted segments.
+    /// Resolve a cell to its whole trace.
     ///
     /// # Errors
     ///
     /// Returns a human-readable message when a trace file is missing,
     /// corrupt, or disagrees with the requested cell length (a recorded
     /// trace of the wrong length must never silently stand in).
-    pub fn segments(
+    pub fn trace(
         &self,
         bench: Benchmark,
         seed: u64,
         cycles: usize,
-    ) -> Result<Vec<Segment>, String> {
+    ) -> Result<Arc<Vec<Instruction>>, String> {
         match self {
-            TraceSource::Generator => Ok(vec![Segment {
-                trace: Arc::new(TraceGenerator::new(bench, seed).trace(cycles)),
-                weight: 1,
-            }]),
+            TraceSource::Generator => Ok(Arc::new(TraceGenerator::new(bench, seed).trace(cycles))),
             TraceSource::Record(dir) => {
                 let trace = Arc::new(TraceGenerator::new(bench, seed).trace(cycles));
                 let path = Self::trace_path(dir, bench, seed, cycles);
@@ -125,7 +103,7 @@ impl TraceSource {
                         .map_err(|e| format!("recording {}: {e}", path.display()))?;
                     STAT_TRACES_RECORDED.fetch_add(1, Ordering::Relaxed);
                 }
-                Ok(vec![Segment { trace, weight: 1 }])
+                Ok(trace)
             }
             TraceSource::Replay(dir) => {
                 let path = Self::trace_path(dir, bench, seed, cycles);
@@ -139,23 +117,25 @@ impl TraceSource {
                 }
                 STAT_TRACE_REPLAYS.fetch_add(1, Ordering::Relaxed);
                 STAT_REPLAYED_INSTRUCTIONS.fetch_add(trace.len() as u64, Ordering::Relaxed);
-                Ok(vec![Segment { trace, weight: 1 }])
-            }
-            TraceSource::Phases(dir) => {
-                let set = memo_phases(dir, bench, seed, cycles)?;
-                STAT_PHASE_REPLAYS.fetch_add(1, Ordering::Relaxed);
-                STAT_PHASE_INSTRUCTIONS
-                    .fetch_add(set.simulated_instructions(), Ordering::Relaxed);
-                Ok(set
-                    .phases
-                    .iter()
-                    .map(|p| Segment {
-                        trace: Arc::new(p.slice.clone()),
-                        weight: p.weight,
-                    })
-                    .collect())
+                Ok(trace)
             }
         }
+    }
+
+    /// [`TraceSource::trace`] as one weight-1 [`Segment`]. Kept only
+    /// because the benchmark's `layer-trace` binary calls it.
+    ///
+    /// # Errors
+    ///
+    /// Every error of [`TraceSource::trace`].
+    pub fn segments(
+        &self,
+        bench: Benchmark,
+        seed: u64,
+        cycles: usize,
+    ) -> Result<Vec<Segment>, String> {
+        let trace = self.trace(bench, seed, cycles)?;
+        Ok(vec![Segment { trace, weight: 1 }])
     }
 }
 
@@ -165,7 +145,6 @@ impl std::fmt::Display for TraceSource {
             TraceSource::Generator => f.write_str("generator"),
             TraceSource::Record(d) => write!(f, "record:{}", d.display()),
             TraceSource::Replay(d) => write!(f, "replay:{}", d.display()),
-            TraceSource::Phases(d) => write!(f, "phases:{}", d.display()),
         }
     }
 }
@@ -180,9 +159,6 @@ static RECORD_LOCK: Mutex<()> = Mutex::new(());
 /// handful of distinct files, so an unbounded map is fine. The lock is
 /// held across a load, so concurrent cells of one trace decode it once.
 static TRACE_MEMO: Mutex<Option<HashMap<PathBuf, Arc<Vec<Instruction>>>>> = Mutex::new(None);
-/// Same, for sampled phase sets (which are also written at most once).
-static PHASE_MEMO: Mutex<Option<HashMap<PathBuf, Arc<PhaseSet>>>> = Mutex::new(None);
-
 fn memo_trace(path: &Path) -> Result<Arc<Vec<Instruction>>, String> {
     let mut memo = TRACE_MEMO.lock().expect("trace memo poisoned");
     let memo = memo.get_or_insert_with(HashMap::new);
@@ -196,49 +172,13 @@ fn memo_trace(path: &Path) -> Result<Arc<Vec<Instruction>>, String> {
     Ok(trace)
 }
 
-fn memo_phases(
-    dir: &Path,
-    bench: Benchmark,
-    seed: u64,
-    cycles: usize,
-) -> Result<Arc<PhaseSet>, String> {
-    let path = TraceSource::phases_path(dir, bench, seed, cycles);
-    let mut memo = PHASE_MEMO.lock().expect("phase memo poisoned");
-    let memo = memo.get_or_insert_with(HashMap::new);
-    if let Some(hit) = memo.get(&path) {
-        return Ok(hit.clone());
-    }
-    let set = if path.is_file() {
-        Arc::new(
-            simpoint::read_phases_file(&path).map_err(|e| format!("{}: {e}", path.display()))?,
-        )
-    } else {
-        // Sample from the recorded trace and cache the result on disk —
-        // deterministic, so every process derives the same phases.
-        let trace = memo_trace(&TraceSource::trace_path(dir, bench, seed, cycles))?;
-        let set = Arc::new(simpoint::sample_phases(
-            &trace,
-            simpoint::interval_len_for(cycles),
-            DEFAULT_K,
-            seed,
-        ));
-        simpoint::write_phases_file(&path, &set)
-            .map_err(|e| format!("writing {}: {e}", path.display()))?;
-        set
-    };
-    memo.insert(path, set.clone());
-    Ok(set)
-}
-
 // ---------------------------------------------------------------------
 // Telemetry
 // ---------------------------------------------------------------------
 
 static STAT_TRACES_RECORDED: AtomicU64 = AtomicU64::new(0);
 static STAT_TRACE_REPLAYS: AtomicU64 = AtomicU64::new(0);
-static STAT_PHASE_REPLAYS: AtomicU64 = AtomicU64::new(0);
 static STAT_REPLAYED_INSTRUCTIONS: AtomicU64 = AtomicU64::new(0);
-static STAT_PHASE_INSTRUCTIONS: AtomicU64 = AtomicU64::new(0);
 
 /// Record/replay counters for the cells resolved since the last
 /// [`take_stats`] drain.
@@ -248,26 +188,18 @@ pub struct WorkloadStats {
     pub traces_recorded: u64,
     /// Cells resolved by whole-trace replay.
     pub trace_replays: u64,
-    /// Cells resolved by weighted-phase replay.
-    pub phase_replays: u64,
     /// Instructions fed to simulators from whole-trace replays.
     pub replayed_instructions: u64,
-    /// Instructions fed to simulators from phase replays (unweighted —
-    /// the actual simulated work, the quantity the ≤20% sampling bound
-    /// is about).
-    pub phase_instructions: u64,
 }
 
 impl WorkloadStats {
     /// The counters as stable `(field name, value)` pairs, in
     /// declaration order — the single source of truth for serializers.
-    pub fn fields(&self) -> [(&'static str, u64); 5] {
+    pub fn fields(&self) -> [(&'static str, u64); 3] {
         [
             ("traces_recorded", self.traces_recorded),
             ("trace_replays", self.trace_replays),
-            ("phase_replays", self.phase_replays),
             ("replayed_instructions", self.replayed_instructions),
-            ("phase_instructions", self.phase_instructions),
         ]
     }
 
@@ -282,9 +214,7 @@ impl std::ops::AddAssign for WorkloadStats {
     fn add_assign(&mut self, rhs: WorkloadStats) {
         self.traces_recorded += rhs.traces_recorded;
         self.trace_replays += rhs.trace_replays;
-        self.phase_replays += rhs.phase_replays;
         self.replayed_instructions += rhs.replayed_instructions;
-        self.phase_instructions += rhs.phase_instructions;
     }
 }
 
@@ -294,9 +224,7 @@ pub fn take_stats() -> WorkloadStats {
     WorkloadStats {
         traces_recorded: STAT_TRACES_RECORDED.swap(0, Ordering::SeqCst),
         trace_replays: STAT_TRACE_REPLAYS.swap(0, Ordering::SeqCst),
-        phase_replays: STAT_PHASE_REPLAYS.swap(0, Ordering::SeqCst),
         replayed_instructions: STAT_REPLAYED_INSTRUCTIONS.swap(0, Ordering::SeqCst),
-        phase_instructions: STAT_PHASE_INSTRUCTIONS.swap(0, Ordering::SeqCst),
     }
 }
 
@@ -315,61 +243,36 @@ mod tests {
     fn record_then_replay_reproduces_the_generator_stream() {
         let dir = test_dir("roundtrip");
         let source = TraceSource::Record(dir.clone());
-        let recorded = source.segments(Benchmark::Mcf, 21, 600).expect("record");
-        assert_eq!(recorded.len(), 1);
-        assert_eq!(recorded[0].weight, 1);
+        let recorded = source.trace(Benchmark::Mcf, 21, 600).expect("record");
         let generated = TraceGenerator::new(Benchmark::Mcf, 21).trace(600);
-        assert_eq!(*recorded[0].trace, generated, "record simulates the generated stream");
+        assert_eq!(*recorded, generated, "record simulates the generated stream");
 
         let replayed = TraceSource::Replay(dir.clone())
-            .segments(Benchmark::Mcf, 21, 600)
+            .trace(Benchmark::Mcf, 21, 600)
             .expect("replay");
-        assert_eq!(*replayed[0].trace, generated, "replay decodes the same stream");
+        assert_eq!(*replayed, generated, "replay decodes the same stream");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn replay_refuses_missing_and_wrong_length_traces() {
         let dir = test_dir("refuse");
-        let missing = TraceSource::Replay(dir.clone()).segments(Benchmark::Gap, 1, 500);
+        let missing = TraceSource::Replay(dir.clone()).trace(Benchmark::Gap, 1, 500);
         assert!(missing.is_err(), "missing file is an error");
         // A file whose recorded length disagrees with the cell (here: a
         // 500-instruction trace renamed to the 400-cycle cell's path) is
         // refused, not padded or truncated.
         TraceSource::Record(dir.clone())
-            .segments(Benchmark::Gap, 1, 500)
+            .trace(Benchmark::Gap, 1, 500)
             .expect("record");
         std::fs::rename(
             TraceSource::trace_path(&dir, Benchmark::Gap, 1, 500),
             TraceSource::trace_path(&dir, Benchmark::Gap, 1, 400),
         )
         .expect("rename to mismatched cell");
-        let wrong = TraceSource::Replay(dir.clone()).segments(Benchmark::Gap, 1, 400);
+        let wrong = TraceSource::Replay(dir.clone()).trace(Benchmark::Gap, 1, 400);
         let msg = wrong.expect_err("length mismatch is an error");
         assert!(msg.contains("500") && msg.contains("400"), "{msg}");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn phases_sample_cache_and_reload() {
-        let dir = test_dir("phases");
-        TraceSource::Record(dir.clone())
-            .segments(Benchmark::Vortex, 3, 5_000)
-            .expect("record");
-        let source = TraceSource::Phases(dir.clone());
-        let first = source.segments(Benchmark::Vortex, 3, 5_000).expect("sample");
-        let path = TraceSource::phases_path(&dir, Benchmark::Vortex, 3, 5_000);
-        assert!(path.is_file(), "phase set cached on disk");
-        let total: u64 = first.iter().map(|s| s.weight).sum();
-        assert_eq!(total, 50, "weights cover every interval");
-        let simulated: usize = first.iter().map(|s| s.trace.len()).sum();
-        assert!(
-            simulated * 5 <= 5_000,
-            "phases simulate ≤20% of the trace ({simulated} of 5000)"
-        );
-        // A reload (fresh memo path exercised via the file) agrees.
-        let reloaded = simpoint::read_phases_file(&path).expect("reload");
-        assert_eq!(reloaded.total_weight(), 50);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -378,7 +281,6 @@ mod tests {
         let d = PathBuf::from("/tmp/x");
         assert_eq!(TraceSource::Generator.canon_tag(), "generator");
         assert_eq!(TraceSource::Record(d.clone()).canon_tag(), "generator");
-        assert_eq!(TraceSource::Replay(d.clone()).canon_tag(), "replay");
-        assert_eq!(TraceSource::Phases(d).canon_tag(), "phases");
+        assert_eq!(TraceSource::Replay(d).canon_tag(), "replay");
     }
 }

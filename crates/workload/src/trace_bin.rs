@@ -110,7 +110,7 @@ impl From<io::Error> for TraceBinError {
 }
 
 /// Append one fixed-width record to `out`.
-pub(crate) fn push_record(out: &mut Vec<u8>, i: &Instruction) {
+fn push_record(out: &mut Vec<u8>, i: &Instruction) {
     out.push(i.opcode.encoding());
     out.extend_from_slice(&i.a.to_le_bytes());
     out.extend_from_slice(&i.b.to_le_bytes());
@@ -119,7 +119,7 @@ pub(crate) fn push_record(out: &mut Vec<u8>, i: &Instruction) {
 /// Decode one fixed-width record from `bytes` (must be exactly
 /// [`RECORD_BYTES`] long); `record` is the 0-based index for error
 /// reporting.
-pub(crate) fn read_record(bytes: &[u8], record: usize) -> Result<Instruction, TraceBinError> {
+fn read_record(bytes: &[u8], record: usize) -> Result<Instruction, TraceBinError> {
     debug_assert_eq!(bytes.len(), RECORD_BYTES);
     let opcode = Opcode::from_encoding(bytes[0]).ok_or(TraceBinError::BadOpcode {
         record,
@@ -207,8 +207,8 @@ pub fn write_trace_file(path: &Path, trace: &[Instruction]) -> io::Result<()> {
     write_atomic(path, &encode_trace(trace))
 }
 
-/// Atomic byte write shared by the trace and phase writers.
-pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
+/// Write `bytes` to a process-unique temp name, then `rename` into place.
+fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
     if let Some(dir) = path.parent() {
         std::fs::create_dir_all(dir)?;
     }
