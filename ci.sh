@@ -27,6 +27,13 @@ echo "==> benchmark binaries (grid-op, layer-trace) build against the current cr
 CARGO_TARGET_DIR=target/perfbench-driver cargo build --release --offline --locked \
   --manifest-path perfbench/driver/Cargo.toml --bins
 
+echo "==> benchmark harness unit tests (perfbench/test_*.py)"
+if command -v python3 >/dev/null 2>&1; then
+  PYTHONDONTWRITEBYTECODE=1 python3 -m unittest discover -s perfbench -p 'test_*.py'
+else
+  echo "note: python3 not found; skipping the benchmark harness unit tests"
+fi
+
 echo "==> repro --list covers all three registries (experiments + schemes + vdd)"
 ./target/release/repro --list > target/repro-ci-list.txt
 # Spot-gate the registries: the newest experiment id, the scheme roster,

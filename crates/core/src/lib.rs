@@ -68,7 +68,7 @@ pub use scenario::{ChipContext, ParseSchemeError, SchemeSpec, SimAccumulator};
 pub use scheme::{CycleContext, CycleOutcome, ResilienceScheme};
 pub use sim::{profile_errors, run_scheme, ErrorProfile, SimResult};
 pub use tag_delay::{
-    current_oracle_scope, set_oracle_scope, take_oracle_stats, CycleDelays, OracleConfig,
-    OracleScope, OracleStats, SharedDelayCache, ShardedDelayCache, TagDelayOracle,
+    take_oracle_stats, CycleDelays, OracleConfig, OracleStats, SharedDelayCache,
+    ShardedDelayCache, TagDelayOracle,
 };
 pub use trident::{Eid, Trident, EID_BITS};

@@ -30,10 +30,10 @@ use ntc_isa::{ErrorTag, Instruction};
 use ntc_netlist::generators::alu::Alu;
 use ntc_netlist::Netlist;
 use ntc_timing::SimWorkspace;
+use ntc_varmodel::telemetry::{self, Counts, Metric};
 use ntc_varmodel::{ChipSignature, Corner};
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Key of one entry in a [`SharedDelayCache`]: the tag plus the *full
@@ -119,9 +119,9 @@ impl ShardedDelayCache {
 /// any thread count — only the number of gate-level simulations changes.
 pub type SharedDelayCache = Arc<ShardedDelayCache>;
 
-/// Cumulative oracle efficiency counters since the last
-/// [`take_oracle_stats`] call, aggregated across every oracle in the
-/// process (sweep workers included).
+/// Oracle efficiency counters: a typed view of the oracle's
+/// [`telemetry`] metrics, from a [`take_oracle_stats`] drain or a
+/// [`telemetry::scoped`] run.
 ///
 /// The struct doubles as the serialization contract for run telemetry:
 /// [`OracleStats::fields`] enumerates the counters as stable
@@ -159,77 +159,20 @@ impl OracleStats {
     }
 }
 
-impl std::ops::AddAssign for OracleStats {
-    /// Counter-wise accumulation, e.g. folding per-experiment drains into
-    /// a suite total.
-    fn add_assign(&mut self, rhs: OracleStats) {
-        self.gate_sims += rhs.gate_sims;
-        self.local_hits += rhs.local_hits;
-        self.shared_hits += rhs.shared_hits;
-        self.sta_full += rhs.sta_full;
-    }
-}
-
-static STAT_GATE_SIMS: AtomicU64 = AtomicU64::new(0);
-static STAT_LOCAL_HITS: AtomicU64 = AtomicU64::new(0);
-static STAT_SHARED_HITS: AtomicU64 = AtomicU64::new(0);
-
-/// A per-run attribution scope for the oracle counters. While installed
-/// on a thread (see [`set_oracle_scope`]), every counter flush — one per
-/// resolved chunk or single lookup — additionally lands in the scope, so
-/// a server interleaving jobs can attribute the timing work each job
-/// caused without disturbing the process-wide drain
-/// ([`take_oracle_stats`]) other callers rely on. The scope
-/// carries its own [`ntc_timing::StaScope`] so one install covers the
-/// whole timing stack, mirroring how the global drain folds
-/// [`ntc_timing::take_sta_full`] in.
-#[derive(Debug, Default)]
-pub struct OracleScope {
-    gate_sims: AtomicU64,
-    local_hits: AtomicU64,
-    shared_hits: AtomicU64,
-    sta: std::sync::Arc<ntc_timing::StaScope>,
-}
-
-impl OracleScope {
-    /// The counters accumulated in this scope so far (non-draining),
-    /// with the STA count of the embedded timing scope folded in.
-    pub fn snapshot(&self) -> OracleStats {
+impl From<&Counts> for OracleStats {
+    fn from(c: &Counts) -> Self {
         OracleStats {
-            gate_sims: self.gate_sims.load(Ordering::Relaxed),
-            local_hits: self.local_hits.load(Ordering::Relaxed),
-            shared_hits: self.shared_hits.load(Ordering::Relaxed),
-            sta_full: self.sta.sta_full(),
+            gate_sims: c.get(Metric::GateSims),
+            local_hits: c.get(Metric::LocalHits),
+            shared_hits: c.get(Metric::SharedHits),
+            sta_full: c.get(Metric::StaFull),
         }
     }
 }
 
-thread_local! {
-    static ORACLE_SCOPE: std::cell::RefCell<Option<std::sync::Arc<OracleScope>>> =
-        const { std::cell::RefCell::new(None) };
-}
-
-/// Install (or, with `None`, clear) the calling thread's oracle
-/// attribution scope, returning the previous one so callers can restore
-/// it. Also installs/clears the embedded [`ntc_timing::StaScope`] on the
-/// same thread. Share one `Arc` across a run's worker threads to
-/// aggregate their work.
-pub fn set_oracle_scope(
-    scope: Option<std::sync::Arc<OracleScope>>,
-) -> Option<std::sync::Arc<OracleScope>> {
-    ntc_timing::set_sta_scope(scope.as_ref().map(|s| s.sta.clone()));
-    ORACLE_SCOPE.with(|s| s.replace(scope))
-}
-
-/// The calling thread's installed oracle scope, if any — what the sweep
-/// runner captures before spawning workers so workers inherit it.
-pub fn current_oracle_scope() -> Option<std::sync::Arc<OracleScope>> {
-    ORACLE_SCOPE.with(|s| s.borrow().clone())
-}
-
-/// Oracle counter increments accumulated over a run of lookups, flushed
-/// into the process totals and the thread's installed scope in one go —
-/// once per resolved chunk, not once per hit.
+/// Oracle counter increments accumulated over a run of lookups and
+/// flushed into [`telemetry`] in one go: once per resolved chunk, not
+/// once per hit.
 #[derive(Debug, Default)]
 struct Tally {
     gate_sims: u64,
@@ -239,36 +182,28 @@ struct Tally {
 
 impl Tally {
     fn flush(self) {
-        fn add(counter: &AtomicU64, n: u64) {
+        for (metric, n) in [
+            (Metric::GateSims, self.gate_sims),
+            (Metric::LocalHits, self.local_hits),
+            (Metric::SharedHits, self.shared_hits),
+        ] {
             if n > 0 {
-                counter.fetch_add(n, Ordering::Relaxed);
+                telemetry::add(metric, n);
             }
         }
-        add(&STAT_GATE_SIMS, self.gate_sims);
-        add(&STAT_LOCAL_HITS, self.local_hits);
-        add(&STAT_SHARED_HITS, self.shared_hits);
-        ORACLE_SCOPE.with(|s| {
-            if let Some(scope) = s.borrow().as_ref() {
-                add(&scope.gate_sims, self.gate_sims);
-                add(&scope.local_hits, self.local_hits);
-                add(&scope.shared_hits, self.shared_hits);
-            }
-        });
     }
 }
 
 /// Drain the process-wide [`OracleStats`] counters, resetting them to
-/// zero — call once per run/experiment to report cache effectiveness.
-/// Mirrors the runner's sweep-stats drain. The static-timing count
-/// lives in `ntc-timing` ([`ntc_timing::take_sta_full`]) and is folded
-/// in here, so one drain covers the whole timing stack.
+/// zero. The static-timing count comes from the same telemetry array,
+/// so one drain covers the whole timing stack.
 pub fn take_oracle_stats() -> OracleStats {
-    OracleStats {
-        gate_sims: STAT_GATE_SIMS.swap(0, Ordering::Relaxed),
-        local_hits: STAT_LOCAL_HITS.swap(0, Ordering::Relaxed),
-        shared_hits: STAT_SHARED_HITS.swap(0, Ordering::Relaxed),
-        sta_full: ntc_timing::take_sta_full(),
-    }
+    OracleStats::from(&telemetry::take(&[
+        Metric::GateSims,
+        Metric::LocalHits,
+        Metric::SharedHits,
+        Metric::StaFull,
+    ]))
 }
 
 /// Min/max sensitized delay of one simulated cycle, picoseconds.
@@ -690,25 +625,18 @@ mod tests {
     }
 
     #[test]
-    fn oracle_stats_fields_and_accumulation() {
-        let mut total = OracleStats::default();
-        total += OracleStats {
-            gate_sims: 2,
+    fn oracle_stats_fields() {
+        let stats = OracleStats {
+            gate_sims: 3,
             local_hits: 5,
-            shared_hits: 1,
-            sta_full: 3,
-        };
-        total += OracleStats {
-            gate_sims: 1,
-            local_hits: 0,
-            shared_hits: 4,
-            sta_full: 1,
+            shared_hits: 5,
+            sta_full: 4,
         };
         // Queries = answered lookups: sims + local + shared. The STA
         // count meters the timing stack, not lookups.
-        assert_eq!(total.queries(), 13);
+        assert_eq!(stats.queries(), 13);
         assert_eq!(
-            total.fields(),
+            stats.fields(),
             [
                 ("gate_sims", 3),
                 ("local_hits", 5),

@@ -66,9 +66,11 @@
 //!   experiment (a misspelled ID must never silently shrink the suite).
 
 use ntc_core::scenario::SchemeSpec;
-use ntc_core::tag_delay::take_oracle_stats;
+use ntc_core::tag_delay::OracleStats;
 use ntc_experiments::report::{table_to_json, Manifest, RunRecord};
-use ntc_experiments::{all_experiments, cache, runner, Scale};
+use ntc_experiments::{all_experiments, cache, runner, voltage_cells, Scale};
+use ntc_varmodel::telemetry;
+use ntc_workload::WorkloadStats;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::time::Instant;
@@ -345,40 +347,38 @@ fn run() -> i32 {
             records.push(prev);
             continue;
         }
-        // Drain any leftover counters so this experiment's record only
-        // accounts for its own work.
-        let _ = runner::take_stats();
-        let _ = take_oracle_stats();
-        let _ = cache::take_stats();
-        let _ = ntc_experiments::take_voltage_cells();
-        let _ = ntc_workload::take_stats();
+        // The registry of caught sweep panics is not a counter: drain
+        // leftovers so this record lists only its own.
         let _ = runner::take_sweep_failures();
         let start = Instant::now();
         // Experiment-level fault isolation: a panicking experiment (e.g. a
         // chip failing inside a strict `sweep`) becomes a failed record and
-        // a nonzero exit, not a dead suite.
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            if injected_failure.as_deref() == Some(*id) {
-                panic!("injected failure via NTC_REPRO_FAIL");
-            }
-            run_experiment(scale)
-        }));
+        // a nonzero exit, not a dead suite. The telemetry scope attributes
+        // exactly this experiment's work to its record.
+        let (outcome, counts) = telemetry::scoped(|| {
+            catch_unwind(AssertUnwindSafe(|| {
+                if injected_failure.as_deref() == Some(*id) {
+                    panic!("injected failure via NTC_REPRO_FAIL");
+                }
+                run_experiment(scale)
+            }))
+        });
         let mut record = RunRecord {
             id: (*id).to_owned(),
             title: String::new(),
             scale: scale_label.to_owned(),
             jobs,
             wall_s: start.elapsed().as_secs_f64(),
-            sweep: runner::take_stats(),
-            oracle: take_oracle_stats(),
-            cache: cache::take_stats(),
-            voltages: ntc_experiments::take_voltage_cells()
+            sweep: runner::SweepStats::from(&counts),
+            oracle: OracleStats::from(&counts),
+            cache: cache::CacheStats::from(&counts),
+            voltages: voltage_cells(&counts)
                 .into_iter()
                 .map(|(point, cells)| (point.name().to_owned(), cells))
                 .collect(),
             requested_vdd: requested_vdd.clone(),
             source: source_label.clone(),
-            workload: ntc_workload::take_stats(),
+            workload: WorkloadStats::from(&counts),
             sweep_failures: runner::take_sweep_failures(),
             rows: 0,
             csv: None,

@@ -25,9 +25,9 @@
 //!   so the grid is recomputed and rewritten. A flipped byte or truncated
 //!   file costs one recompute, not the run.
 //! * **Telemetry.** Disk hits/misses, corrupt evictions, and bytes
-//!   written are counted process-globally and drained per experiment by
-//!   the `repro` binary into its `manifest.json` ([`take_stats`]),
-//!   mirroring the sweep and oracle counters.
+//!   written are [`telemetry`] metrics: `repro` reads them per
+//!   experiment from its run's scope into `manifest.json`, and
+//!   [`take_stats`] drains the process totals.
 //!
 //! The bit-identity contract of the scenario engine extends through the
 //! cache: an artifact stores the exact bit patterns of every counter and
@@ -37,12 +37,13 @@
 use crate::scenario::{GridResult, GridSpec};
 use ntc_core::scenario::{SchemeSpec, SimAccumulator, SimAccumulatorParts};
 use ntc_pipeline::RunCost;
+use ntc_varmodel::telemetry::{self, Counts, Metric};
 use ntc_varmodel::OperatingPoint;
 use ntc_workload::{Benchmark, ALL_BENCHMARKS};
 use std::collections::HashSet;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 /// Cache format identifier, folded into every [`cache_key`]; bump on any
@@ -129,11 +130,6 @@ static DISK_DIR: Mutex<Option<PathBuf>> = Mutex::new(None);
 /// `--no-cache`: bypass both cache tiers and always recompute.
 static DISABLED: AtomicBool = AtomicBool::new(false);
 
-static DISK_HITS: AtomicU64 = AtomicU64::new(0);
-static DISK_MISSES: AtomicU64 = AtomicU64::new(0);
-static CORRUPT_EVICTIONS: AtomicU64 = AtomicU64::new(0);
-static BYTES_WRITTEN: AtomicU64 = AtomicU64::new(0);
-
 /// Point the disk tier at `dir` (created lazily on first store), or turn
 /// it off with `None`. The `repro` binary wires `--cache-dir` here.
 pub fn set_disk_dir(dir: Option<PathBuf>) {
@@ -158,7 +154,8 @@ pub fn disabled() -> bool {
     DISABLED.load(Ordering::SeqCst)
 }
 
-/// Disk-cache counters for the grids run since the last [`take_stats`].
+/// Disk-cache counters: a typed view of the cache's [`telemetry`]
+/// metrics, from a [`take_stats`] drain or a [`telemetry::scoped`] run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Artifacts loaded and verified from disk.
@@ -190,84 +187,25 @@ impl CacheStats {
     }
 }
 
-impl std::ops::AddAssign for CacheStats {
-    /// Counter-wise accumulation, e.g. folding per-experiment drains into
-    /// a suite total.
-    fn add_assign(&mut self, rhs: CacheStats) {
-        self.disk_hits += rhs.disk_hits;
-        self.disk_misses += rhs.disk_misses;
-        self.corrupt_evictions += rhs.corrupt_evictions;
-        self.bytes_written += rhs.bytes_written;
-    }
-}
-
-/// Drain and reset the global disk-cache counters. The `repro` binary
-/// calls this per experiment so each manifest record accounts only for
-/// its own cache traffic.
-pub fn take_stats() -> CacheStats {
-    CacheStats {
-        disk_hits: DISK_HITS.swap(0, Ordering::SeqCst),
-        disk_misses: DISK_MISSES.swap(0, Ordering::SeqCst),
-        corrupt_evictions: CORRUPT_EVICTIONS.swap(0, Ordering::SeqCst),
-        bytes_written: BYTES_WRITTEN.swap(0, Ordering::SeqCst),
-    }
-}
-
-/// A per-run attribution scope for the disk-cache counters. While
-/// installed on a thread (see [`set_cache_scope`]), every increment
-/// additionally lands in the scope — how a server attributes cache
-/// traffic to the job that caused it without draining the process-wide
-/// counters other callers rely on. Cache lookups and stores happen on
-/// the thread that calls `run_grid`, so installing the scope there
-/// covers all of a run's traffic.
-#[derive(Debug, Default)]
-pub struct CacheScope {
-    disk_hits: AtomicU64,
-    disk_misses: AtomicU64,
-    corrupt_evictions: AtomicU64,
-    bytes_written: AtomicU64,
-}
-
-impl CacheScope {
-    /// The counters accumulated in this scope so far (non-draining).
-    pub fn snapshot(&self) -> CacheStats {
+impl From<&Counts> for CacheStats {
+    fn from(c: &Counts) -> Self {
         CacheStats {
-            disk_hits: self.disk_hits.load(Ordering::Relaxed),
-            disk_misses: self.disk_misses.load(Ordering::Relaxed),
-            corrupt_evictions: self.corrupt_evictions.load(Ordering::Relaxed),
-            bytes_written: self.bytes_written.load(Ordering::Relaxed),
+            disk_hits: c.get(Metric::DiskHits),
+            disk_misses: c.get(Metric::DiskMisses),
+            corrupt_evictions: c.get(Metric::CorruptEvictions),
+            bytes_written: c.get(Metric::BytesWritten),
         }
     }
 }
 
-thread_local! {
-    static CACHE_SCOPE: std::cell::RefCell<Option<std::sync::Arc<CacheScope>>> =
-        const { std::cell::RefCell::new(None) };
-}
-
-/// Install (or, with `None`, clear) the calling thread's cache
-/// attribution scope, returning the previous one so callers can restore
-/// it.
-pub fn set_cache_scope(
-    scope: Option<std::sync::Arc<CacheScope>>,
-) -> Option<std::sync::Arc<CacheScope>> {
-    CACHE_SCOPE.with(|s| s.replace(scope))
-}
-
-/// The calling thread's installed cache scope, if any.
-pub fn current_cache_scope() -> Option<std::sync::Arc<CacheScope>> {
-    CACHE_SCOPE.with(|s| s.borrow().clone())
-}
-
-/// Bump a global cache counter, mirroring the increment into the
-/// thread's installed scope when one is present.
-fn bump(global: &AtomicU64, pick: fn(&CacheScope) -> &AtomicU64, n: u64) {
-    global.fetch_add(n, Ordering::Relaxed);
-    CACHE_SCOPE.with(|s| {
-        if let Some(scope) = s.borrow().as_ref() {
-            pick(scope).fetch_add(n, Ordering::Relaxed);
-        }
-    });
+/// Drain and reset the process-wide disk-cache counters.
+pub fn take_stats() -> CacheStats {
+    CacheStats::from(&telemetry::take(&[
+        Metric::DiskHits,
+        Metric::DiskMisses,
+        Metric::CorruptEvictions,
+        Metric::BytesWritten,
+    ]))
 }
 
 // ---------------------------------------------------------------------
@@ -604,17 +542,17 @@ pub fn load(dir: &Path, spec: &GridSpec) -> Option<GridResult> {
     let bytes = match std::fs::read(&path) {
         Ok(b) => b,
         Err(_) => {
-            bump(&DISK_MISSES, |s| &s.disk_misses, 1);
+            telemetry::add(Metric::DiskMisses, 1);
             return None;
         }
     };
     match decode(&bytes, spec) {
         Decoded::Hit(grid) => {
-            bump(&DISK_HITS, |s| &s.disk_hits, 1);
+            telemetry::add(Metric::DiskHits, 1);
             Some(*grid)
         }
         Decoded::OtherSpec => {
-            bump(&DISK_MISSES, |s| &s.disk_misses, 1);
+            telemetry::add(Metric::DiskMisses, 1);
             None
         }
         Decoded::Corrupt(why) => {
@@ -623,8 +561,8 @@ pub fn load(dir: &Path, spec: &GridSpec) -> Option<GridResult> {
                 path.display()
             );
             quarantine(&path);
-            bump(&CORRUPT_EVICTIONS, |s| &s.corrupt_evictions, 1);
-            bump(&DISK_MISSES, |s| &s.disk_misses, 1);
+            telemetry::add(Metric::CorruptEvictions, 1);
+            telemetry::add(Metric::DiskMisses, 1);
             None
         }
     }
@@ -652,7 +590,7 @@ pub fn store(dir: &Path, spec: &GridSpec, result: &GridResult) -> io::Result<()>
         std::fs::remove_file(&tmp).ok();
     }
     written?;
-    bump(&BYTES_WRITTEN, |s| &s.bytes_written, bytes.len() as u64);
+    telemetry::add(Metric::BytesWritten, bytes.len() as u64);
     Ok(())
 }
 

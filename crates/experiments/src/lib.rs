@@ -33,7 +33,6 @@
 #![warn(missing_debug_implementations)]
 
 pub mod ablation;
-pub mod attrib;
 pub mod cache;
 pub mod ch3;
 pub mod ch4;
@@ -44,8 +43,7 @@ pub mod runner;
 pub mod scenario;
 pub mod table;
 
-pub use attrib::{with_counter_scope, ScopedCounters};
-pub use cache::{CacheScope, CacheStats, MemoLru};
+pub use cache::{CacheStats, MemoLru};
 pub use config::{
     build_hardened_oracle, build_oracle, normalize_to_first, parse_voltages, set_voltages,
     set_workload_source, voltages, workload_source, ClockRegime, Scale, CH3_REGIME, CH4_REGIME,
@@ -53,10 +51,10 @@ pub use config::{
 pub use report::{Manifest, RunRecord};
 pub use runner::{
     set_jobs, sweep, sweep_catching, sweep_over, take_stats, take_sweep_failures, IndexFailure,
-    SweepScope, SweepStats,
+    SweepStats,
 };
 pub use scenario::{
-    row_label, run_grid, run_grid_traced, run_grid_uncached, take_voltage_cells,
+    row_label, run_grid, run_grid_traced, run_grid_uncached, take_voltage_cells, voltage_cells,
     GridResult, GridSpec, GridTier, Regime,
 };
 pub use table::ResultTable;

@@ -51,11 +51,11 @@ pub struct RunRecord {
     pub jobs: usize,
     /// End-to-end wall time of this experiment, seconds.
     pub wall_s: f64,
-    /// Sweep-engine busy/wall counters drained after this experiment.
+    /// Sweep-engine busy/wall counters of this experiment.
     pub sweep: SweepStats,
-    /// Delay-oracle cache counters drained after this experiment.
+    /// Delay-oracle cache counters of this experiment.
     pub oracle: OracleStats,
-    /// Grid disk-cache counters drained after this experiment.
+    /// Grid disk-cache counters of this experiment.
     pub cache: CacheStats,
     /// Grid cells *computed* per operating point during this experiment
     /// (`(point name, count)`, roster order, zero counts omitted) —
@@ -72,7 +72,7 @@ pub struct RunRecord {
     /// `"record:<dir>"` or `"replay:<dir>"`) — `--resume` recomputes
     /// when it differs, same as the voltage roster.
     pub source: String,
-    /// Trace record/replay counters drained after this experiment.
+    /// Trace record/replay counters of this experiment.
     pub workload: ntc_workload::WorkloadStats,
     /// Per-index panics caught by `runner::sweep_catching` during this
     /// experiment (empty for strict sweeps, which fail the whole record).

@@ -24,12 +24,13 @@
 //! calling thread with zero overhead. A malformed `NTC_JOBS` value is
 //! ignored with a single warning rather than silently.
 //!
-//! The engine keeps global busy/wall counters so callers (the `repro`
-//! binary) can report the effective speedup of each experiment; see
-//! [`take_stats`]. The counters are recorded on **every** exit path,
-//! including unwinding — a panicking sweep still accounts its wall and
-//! busy time, so per-experiment telemetry stays honest even for failing
-//! runs.
+//! The engine counts busy and wall time as [`telemetry`] metrics so
+//! callers (the `repro` binary) can report the effective speedup of each
+//! experiment ([`SweepStats`]). Workers run inside the caller's
+//! telemetry scope, so every counter they bump is attributed to the
+//! caller's run. The time is recorded on **every** exit path, including
+//! unwinding — a panicking sweep still accounts its wall and busy time,
+//! so per-experiment telemetry stays honest even for failing runs.
 //!
 //! Two failure disciplines are offered:
 //!
@@ -43,17 +44,14 @@
 //!   process-global registry ([`take_sweep_failures`]) so the `repro`
 //!   manifest can report them per experiment.
 
+use ntc_varmodel::telemetry::{self, Counts, Metric};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Explicit thread-count override; 0 = unset.
 static JOBS_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-/// Cumulative worker-busy time across sweeps, nanoseconds.
-static BUSY_NANOS: AtomicU64 = AtomicU64::new(0);
-/// Cumulative sweep wall-clock time, nanoseconds.
-static WALL_NANOS: AtomicU64 = AtomicU64::new(0);
 /// `NTC_JOBS`, read and parsed once per process (every sweep consults
 /// [`jobs`], and the variable cannot change meaningfully mid-run). The
 /// one-shot init also gives the malformed-value warning its warn-once
@@ -112,7 +110,9 @@ pub fn jobs() -> usize {
     )
 }
 
-/// Busy/wall accounting for the sweeps run since the last [`take_stats`].
+/// Busy/wall accounting for sweeps: a typed view of the runner's
+/// [`telemetry`] metrics, from a [`take_stats`] drain or a
+/// [`telemetry::scoped`] run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SweepStats {
     /// Total worker-busy time summed over all threads.
@@ -129,66 +129,18 @@ impl SweepStats {
     }
 }
 
-/// Drain and reset the global sweep counters. The `repro` binary calls
-/// this per experiment to report each table's effective speedup.
-pub fn take_stats() -> SweepStats {
-    SweepStats {
-        busy: Duration::from_nanos(BUSY_NANOS.swap(0, Ordering::SeqCst)),
-        wall: Duration::from_nanos(WALL_NANOS.swap(0, Ordering::SeqCst)),
-    }
-}
-
-/// A per-run attribution scope for the sweep busy/wall counters. While
-/// installed on a thread (see [`set_sweep_scope`]), every accounting add
-/// additionally lands in the scope — how a server attributes sweep time
-/// to the job that ran it while concurrent jobs share the process-wide
-/// counters. Both busy and wall time are recorded on the thread that
-/// *calls* [`sweep`] (workers hand their busy time back to the join
-/// loop), so installing the scope on the calling thread is sufficient.
-#[derive(Debug, Default)]
-pub struct SweepScope {
-    busy_nanos: AtomicU64,
-    wall_nanos: AtomicU64,
-}
-
-impl SweepScope {
-    /// The time accumulated in this scope so far (non-draining).
-    pub fn snapshot(&self) -> SweepStats {
+impl From<&Counts> for SweepStats {
+    fn from(c: &Counts) -> Self {
         SweepStats {
-            busy: Duration::from_nanos(self.busy_nanos.load(Ordering::Relaxed)),
-            wall: Duration::from_nanos(self.wall_nanos.load(Ordering::Relaxed)),
+            busy: Duration::from_nanos(c.get(Metric::SweepBusyNanos)),
+            wall: Duration::from_nanos(c.get(Metric::SweepWallNanos)),
         }
     }
 }
 
-thread_local! {
-    static SWEEP_SCOPE: std::cell::RefCell<Option<std::sync::Arc<SweepScope>>> =
-        const { std::cell::RefCell::new(None) };
-}
-
-/// Install (or, with `None`, clear) the calling thread's sweep
-/// attribution scope, returning the previous one so callers can restore
-/// it.
-pub fn set_sweep_scope(
-    scope: Option<std::sync::Arc<SweepScope>>,
-) -> Option<std::sync::Arc<SweepScope>> {
-    SWEEP_SCOPE.with(|s| s.replace(scope))
-}
-
-/// The calling thread's installed sweep scope, if any.
-pub fn current_sweep_scope() -> Option<std::sync::Arc<SweepScope>> {
-    SWEEP_SCOPE.with(|s| s.borrow().clone())
-}
-
-/// Add nanoseconds to a global counter, mirroring into the calling
-/// thread's installed scope when one is present.
-fn account(global: &AtomicU64, pick: fn(&SweepScope) -> &AtomicU64, nanos: u64) {
-    global.fetch_add(nanos, Ordering::Relaxed);
-    SWEEP_SCOPE.with(|s| {
-        if let Some(scope) = s.borrow().as_ref() {
-            pick(scope).fetch_add(nanos, Ordering::Relaxed);
-        }
-    });
+/// Drain and reset the process-wide sweep counters.
+pub fn take_stats() -> SweepStats {
+    SweepStats::from(&telemetry::take(&[Metric::SweepBusyNanos, Metric::SweepWallNanos]))
 }
 
 /// Run `f(0), f(1), …, f(n-1)` across worker threads and return the
@@ -196,8 +148,8 @@ fn account(global: &AtomicU64, pick: fn(&SweepScope) -> &AtomicU64, nanos: u64) 
 /// thread count (see the module docs for why).
 ///
 /// A panic in any task propagates to the caller after the scope joins;
-/// the busy/wall stats counters are recorded before the unwind resumes,
-/// so [`take_stats`] stays accurate across failed sweeps. For per-index
+/// the busy/wall counters are recorded before the unwind resumes, so
+/// [`SweepStats`] stay accurate across failed sweeps. For per-index
 /// fault isolation instead of fail-fast, see [`sweep_catching`].
 pub fn sweep<T, F>(n: usize, f: F) -> Vec<T>
 where
@@ -226,28 +178,23 @@ where
         // Inline fast path: identical semantics, zero thread overhead.
         let busy_start = Instant::now();
         let out = catch_unwind(AssertUnwindSafe(|| (0..n).map(f).collect::<Vec<T>>()));
-        account(
-            &BUSY_NANOS,
-            |s| &s.busy_nanos,
-            busy_start.elapsed().as_nanos() as u64,
-        );
+        telemetry::add(Metric::SweepBusyNanos, busy_start.elapsed().as_nanos() as u64);
         out
     } else {
         let next = AtomicUsize::new(0);
         let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
         let mut first_panic: Option<Payload> = None;
-        // Scoped thread-local state (the oracle attribution scope) does
-        // not cross thread boundaries on its own; hand the caller's
-        // scope to each worker so a server job's oracle counters include
-        // the work its sweep fanned out.
-        let oracle_scope = ntc_core::current_oracle_scope();
+        // The telemetry scope is thread-local and does not cross thread
+        // boundaries on its own; hand the caller's scope to each worker
+        // so a run's counters include the work its sweep fanned out.
+        let scope = telemetry::current_scope();
         std::thread::scope(|s| {
             let handles: Vec<_> = (0..workers)
                 .map(|_| {
                     let next = &next;
-                    let oracle_scope = oracle_scope.clone();
+                    let scope = scope.clone();
                     s.spawn(move || {
-                        ntc_core::set_oracle_scope(oracle_scope);
+                        telemetry::set_scope(scope);
                         let busy_start = Instant::now();
                         let mut local: Vec<(usize, T)> = Vec::new();
                         // Catch inside the worker so a panicking task still
@@ -267,7 +214,7 @@ where
                 .collect();
             for h in handles {
                 let (local, busy, panic) = h.join().expect("worker catches its own panics");
-                account(&BUSY_NANOS, |s| &s.busy_nanos, busy.as_nanos() as u64);
+                telemetry::add(Metric::SweepBusyNanos, busy.as_nanos() as u64);
                 for (i, t) in local {
                     slots[i] = Some(t);
                 }
@@ -284,11 +231,7 @@ where
                 .collect()),
         }
     };
-    account(
-        &WALL_NANOS,
-        |s| &s.wall_nanos,
-        wall_start.elapsed().as_nanos() as u64,
-    );
+    telemetry::add(Metric::SweepWallNanos, wall_start.elapsed().as_nanos() as u64);
     result
 }
 
@@ -492,6 +435,26 @@ mod tests {
                 stats.busy > Duration::ZERO,
                 "jobs={jobs}: busy time recorded on the unwind path"
             );
+        }
+        set_jobs(0);
+    }
+
+    #[test]
+    fn workers_count_into_the_callers_scope() {
+        let _guard = JOBS_LOCK.lock().unwrap();
+        for jobs in [1, 4] {
+            set_jobs(jobs);
+            let (out, counts) = telemetry::scoped(|| {
+                sweep(16, |i| {
+                    telemetry::add(Metric::TraceReplays, 1);
+                    i * 2
+                })
+            });
+            assert_eq!(out, (0..16).map(|i| i * 2).collect::<Vec<_>>());
+            assert_eq!(counts.get(Metric::TraceReplays), 16, "jobs={jobs}");
+            // Wall time is measured with Instant, so even a trivial sweep
+            // records a nonzero duration.
+            assert!(SweepStats::from(&counts).wall > Duration::ZERO, "jobs={jobs}");
         }
         set_jobs(0);
     }

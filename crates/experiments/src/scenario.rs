@@ -36,6 +36,7 @@ use crate::runner::sweep_over;
 use ntc_core::scenario::{ChipContext, SchemeSpec, SimAccumulator};
 use ntc_core::sim::{run_schemes, SimResult};
 use ntc_pipeline::Pipeline;
+use ntc_varmodel::telemetry::{self, Counts, Metric};
 use ntc_varmodel::OperatingPoint;
 use ntc_workload::{Benchmark, TraceSource};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -401,24 +402,21 @@ fn run_cell(
         .collect()
 }
 
-/// Per-voltage cell counters: how many grid cells were *computed* (not
-/// answered from a cache tier) at each roster point since the last
-/// [`take_voltage_cells`] drain. The repro harness folds the drained
-/// counts into each experiment's manifest record.
-static VOLTAGE_CELLS: Mutex<[u64; OperatingPoint::COUNT]> =
-    Mutex::new([0; OperatingPoint::COUNT]);
-
-/// Drain the per-voltage computed-cell counters: the nonzero roster
-/// points (ascending) with their counts, resetting all counters to zero.
-pub fn take_voltage_cells() -> Vec<(OperatingPoint, u64)> {
-    let mut counts = VOLTAGE_CELLS.lock().expect("voltage counters poisoned");
-    let drained: Vec<(OperatingPoint, u64)> = OperatingPoint::roster()
+/// Grid cells *computed* (not answered from a cache tier) per roster
+/// point in `counts`: the nonzero points, ascending, with their counts.
+/// The repro harness folds them into each experiment's manifest record.
+pub fn voltage_cells(counts: &Counts) -> Vec<(OperatingPoint, u64)> {
+    OperatingPoint::roster()
         .into_iter()
-        .zip(counts.iter().copied())
+        .map(|p| (p, counts.get(Metric::CellsAt(p))))
         .filter(|&(_, n)| n > 0)
-        .collect();
-    *counts = [0; OperatingPoint::COUNT];
-    drained
+        .collect()
+}
+
+/// Drain the process-wide per-voltage computed-cell counters (see
+/// [`voltage_cells`]), resetting them to zero.
+pub fn take_voltage_cells() -> Vec<(OperatingPoint, u64)> {
+    voltage_cells(&telemetry::take(&OperatingPoint::roster().map(Metric::CellsAt)))
 }
 
 /// Run a grid without consulting or filling the cache: cells through
@@ -431,14 +429,8 @@ pub fn run_grid_uncached(spec: &GridSpec) -> GridResult {
     let cells = sweep_over(&grid, |_, &((bench, point), chip)| {
         run_cell(spec, bench, point, chip)
     });
-    {
-        let mut counts = VOLTAGE_CELLS.lock().expect("voltage counters poisoned");
-        for &((_, point), _) in &grid {
-            counts[OperatingPoint::roster()
-                .iter()
-                .position(|p| *p == point)
-                .expect("roster point")] += 1;
-        }
+    for &((_, point), _) in &grid {
+        telemetry::add(Metric::CellsAt(point), 1);
     }
     let rows = fold_cells(
         grid.iter().map(|&(g, _)| g),

@@ -245,9 +245,9 @@ fn spec_from_json(v: &Json) -> Result<GridSpec, String> {
 
 /// Telemetry of one compute, attributed to the request in its receipt.
 /// Exact at any compute budget: the server runs each compute inside its
-/// own counter scope (`ntc_experiments::with_counter_scope`), which the
-/// sweep engine forwards into its workers, so concurrent computes never
-/// bill each other's work.
+/// own `ntc_varmodel::telemetry::scoped` call, as `repro` runs each
+/// experiment, and the sweep engine hands that scope to its workers, so
+/// concurrent computes never bill each other's work.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct JobCounters {
     /// Sweep busy/wall time of the compute.

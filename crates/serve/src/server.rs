@@ -4,9 +4,9 @@
 //! One thread per connection (clients are few and long computes
 //! dominate); within a compute, the shared parallel runner spreads the
 //! grid's cells over the worker pool, so the daemon's own threading
-//! stays trivial. Each compute runs inside its own counter scope, so the
-//! telemetry in the request's receipt (sweep busy/wall, oracle, disk
-//! cache) is exactly that compute's work at any compute budget (see
+//! stays trivial. Each compute runs inside its own telemetry scope, so
+//! the counters in the request's receipt (sweep busy/wall, oracle, disk
+//! cache) are exactly that compute's work at any compute budget (see
 //! [`crate::protocol::JobCounters`]).
 
 use crate::admission::Admission;
@@ -16,10 +16,12 @@ use crate::protocol::{
     table_csv, ErrorCode, JobCounters, Receipt, Request,
 };
 use ntc_core::scenario::SchemeSpec;
+use ntc_core::OracleStats;
 use ntc_experiments::scenario::GridTier;
-use ntc_experiments::{all_experiments, cache, runner, scenario, Scale};
+use ntc_experiments::{all_experiments, cache, runner, scenario, CacheStats, Scale, SweepStats};
+use ntc_varmodel::telemetry;
 use ntc_workload::ALL_BENCHMARKS;
-use std::io::{BufRead, BufReader, ErrorKind, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::TcpListener;
 use std::os::unix::net::UnixListener;
 use std::path::PathBuf;
@@ -130,7 +132,7 @@ struct ServerStats {
 /// What one compute publishes to its coalesced joiners.
 #[derive(Debug)]
 enum JobOutput {
-    /// The compute finished: payload bytes plus the drained telemetry
+    /// The compute finished: payload bytes plus the compute's telemetry
     /// (joiners report tier `coalesced`; the answering tier is the
     /// leader's to report).
     Done {
@@ -148,14 +150,26 @@ enum Listener {
     Tcp(TcpListener),
 }
 
+/// How long a connection's read blocks before it checks for shutdown, so
+/// an idle client cannot hold up the drain.
+const IDLE_POLL: Duration = Duration::from_millis(100);
+
+/// Longest request line the daemon buffers, newline excluded. A longer
+/// line gets one `bad-request` and its connection closes.
+const MAX_REQUEST_BYTES: usize = 1 << 20;
+
 /// A connected client stream, unix or TCP.
 trait Conn: std::io::Read + Write + Send {
     fn try_clone_reader(&self) -> std::io::Result<Box<dyn std::io::Read + Send>>;
+    fn set_read_timeout(&self, timeout: Option<Duration>) -> std::io::Result<()>;
 }
 
 impl Conn for std::os::unix::net::UnixStream {
     fn try_clone_reader(&self) -> std::io::Result<Box<dyn std::io::Read + Send>> {
         Ok(Box::new(self.try_clone()?))
+    }
+    fn set_read_timeout(&self, timeout: Option<Duration>) -> std::io::Result<()> {
+        std::os::unix::net::UnixStream::set_read_timeout(self, timeout)
     }
 }
 
@@ -163,6 +177,17 @@ impl Conn for std::net::TcpStream {
     fn try_clone_reader(&self) -> std::io::Result<Box<dyn std::io::Read + Send>> {
         Ok(Box::new(self.try_clone()?))
     }
+    fn set_read_timeout(&self, timeout: Option<Duration>) -> std::io::Result<()> {
+        std::net::TcpStream::set_read_timeout(self, timeout)
+    }
+}
+
+/// Write one response line.
+fn write_line(stream: &mut dyn Conn, response: &str) -> std::io::Result<()> {
+    debug_assert!(!response.contains('\n'), "single-line framing");
+    stream.write_all(response.as_bytes())?;
+    stream.write_all(b"\n")?;
+    stream.flush()
 }
 
 /// The daemon. [`bind`](Server::bind) then [`run`](Server::run); `run`
@@ -270,38 +295,61 @@ impl Server {
     }
 
     /// Serve one connection: JSON-line requests in, JSON-line responses
-    /// out, until EOF or shutdown.
+    /// out, until EOF, an oversized line, or shutdown. Reads wake every
+    /// [`IDLE_POLL`] to check for shutdown; a line split across such a
+    /// wake-up keeps its bytes and still parses.
     fn handle_connection(&self, mut stream: Box<dyn Conn>) {
-        let reader = match stream.try_clone_reader() {
+        let mut reader = match stream.try_clone_reader() {
             Ok(r) => BufReader::new(r),
             Err(_) => return,
         };
-        for line in reader.lines() {
-            let line = match line {
-                Ok(l) => l,
+        if stream.set_read_timeout(Some(IDLE_POLL)).is_err() {
+            return;
+        }
+        let mut buf = Vec::new();
+        loop {
+            // One byte past the cap tells an oversized line from a full one.
+            let room = (MAX_REQUEST_BYTES + 1 - buf.len()) as u64;
+            match reader.by_ref().take(room).read_until(b'\n', &mut buf) {
+                Ok(_) => {}
+                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                    if self.draining() {
+                        return;
+                    }
+                    continue;
+                }
                 Err(_) => return, // client went away mid-line
-            };
-            if line.trim().is_empty() {
-                continue;
             }
-            self.stats.requests.fetch_add(1, Ordering::Relaxed);
-            let response = if self.draining() {
-                render_error(ErrorCode::ShuttingDown, "daemon is draining")
-            } else {
-                self.dispatch(&line)
-            };
-            debug_assert!(!response.contains('\n'), "single-line framing");
-            if stream.write_all(response.as_bytes()).is_err()
-                || stream.write_all(b"\n").is_err()
-                || stream.flush().is_err()
-            {
+            // read_until stops at the newline, at EOF, or at the cap.
+            let complete = buf.last() == Some(&b'\n');
+            if !complete && buf.len() > MAX_REQUEST_BYTES {
+                self.stats.requests.fetch_add(1, Ordering::Relaxed);
+                self.stats.errors.fetch_add(1, Ordering::Relaxed);
+                let msg = format!("request line exceeds {MAX_REQUEST_BYTES} bytes");
+                let _ = write_line(&mut *stream, &render_error(ErrorCode::BadRequest, &msg));
                 return;
             }
-            // The shutdown ack above was the last response of this
-            // connection; close so the drain can finish.
-            if self.draining() {
-                return;
+            let Ok(line) = std::str::from_utf8(&buf) else {
+                return; // not a UTF-8 text line
+            };
+            let line = line.trim_end_matches(['\n', '\r']);
+            if !line.trim().is_empty() {
+                self.stats.requests.fetch_add(1, Ordering::Relaxed);
+                let response = if self.draining() {
+                    render_error(ErrorCode::ShuttingDown, "daemon is draining")
+                } else {
+                    self.dispatch(line)
+                };
+                // After the shutdown ack, the last response of this
+                // connection, close so the drain can finish.
+                if write_line(&mut *stream, &response).is_err() || self.draining() {
+                    return;
+                }
             }
+            if !complete {
+                return; // EOF
+            }
+            buf.clear();
         }
     }
 
@@ -376,7 +424,7 @@ impl Server {
     /// Run one compute job through coalescing and admission, and render
     /// its response. `job` returns the CSV payload plus an exact cache
     /// tier when it knows one (grid requests); experiment requests
-    /// return `None` and the tier is inferred from the drained
+    /// return `None` and the tier is inferred from the compute's
     /// counters.
     fn serve_job(
         &self,
@@ -430,19 +478,18 @@ impl Server {
                 if !self.cfg.hold_before_compute.is_zero() {
                     std::thread::sleep(self.cfg.hold_before_compute);
                 }
-                // Per-job attribution scopes: the engines mirror every
-                // counter increment into the scopes installed here (the
-                // sweep engine forwards them into its workers), so each
-                // concurrent compute bills exactly its own work — no
-                // drain races at budgets above 1. The process-global
-                // counters keep ticking undisturbed.
-                let (outcome, scoped) = ntc_experiments::with_counter_scope(|| {
+                // One telemetry scope per job, the same attribution
+                // `repro` uses per experiment: every counter lands in it
+                // (the sweep engine hands it to its workers), so each
+                // concurrent compute bills exactly its own work at any
+                // budget. The process totals keep ticking undisturbed.
+                let (outcome, counts) = telemetry::scoped(|| {
                     std::panic::catch_unwind(std::panic::AssertUnwindSafe(job))
                 });
                 let counters = JobCounters {
-                    sweep: scoped.sweep,
-                    oracle: scoped.oracle,
-                    cache: scoped.cache,
+                    sweep: SweepStats::from(&counts),
+                    oracle: OracleStats::from(&counts),
+                    cache: CacheStats::from(&counts),
                 };
                 let queue_wait_us = permit.queue_wait.as_micros() as u64;
                 drop(permit);

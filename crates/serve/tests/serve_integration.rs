@@ -327,5 +327,61 @@ fn daemon_serves_coalesced_concurrent_clients_byte_identically() {
     }
     shutdown(&addr, handle);
 
+    // ---- Scenario 7: bounded request lines; idle clients do not block
+    // shutdown -----------------------------------------------------------
+    // The test's own sockets time out their reads, so a daemon that
+    // never answers or never closes fails the test instead of hanging it.
+    use std::io::{BufRead, Write};
+    let (addr, handle) = start_server(&dir, "bounded", |cfg| {
+        cfg.cache_dir = None;
+    });
+    let Addr::Unix(sock) = &addr else {
+        unreachable!("test daemons listen on unix sockets")
+    };
+    let connect = || {
+        let s = std::os::unix::net::UnixStream::connect(sock).expect("connect");
+        s.set_read_timeout(Some(Duration::from_secs(5)))
+            .expect("read timeout");
+        s
+    };
+    let mut oversized = connect();
+    let mut line = vec![b'x'; (1 << 20) + 10];
+    line.push(b'\n');
+    // The daemon closes once it has read past its cap, so the tail of
+    // this write may find the socket closed.
+    let _ = oversized.write_all(&line);
+    let mut reader = std::io::BufReader::new(oversized);
+    let mut response = String::new();
+    reader.read_line(&mut response).expect("a response before the close");
+    assert!(
+        response.contains("\"code\":\"bad-request\"") && response.contains("1048576"),
+        "an oversized line is refused by name of the cap: {response}"
+    );
+    // Closing with the line's unread tail queued resets instead of EOF.
+    match reader.read_line(&mut response) {
+        Ok(0) => {}
+        Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => {}
+        other => panic!("the daemon must close the connection, got {other:?}"),
+    }
+    // The daemon keeps serving, and a line split across its idle poll
+    // still parses.
+    let mut split = connect();
+    split.write_all(br#"{"op":"pi"#).expect("first half");
+    std::thread::sleep(Duration::from_millis(350));
+    split.write_all(b"ng\"}\n").expect("second half");
+    let mut ping = String::new();
+    std::io::BufReader::new(split).read_line(&mut ping).expect("ping answered");
+    assert!(ping.contains("\"ok\":true"), "a fresh, paused ping: {ping}");
+    let idle = connect();
+    let ack = client::roundtrip(&addr, r#"{"op":"shutdown"}"#).expect("shutdown roundtrip");
+    assert!(ack.contains("\"ok\":true"), "clean ack: {ack}");
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    while !handle.is_finished() && std::time::Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    assert!(handle.is_finished(), "an idle client must not block shutdown");
+    handle.join().expect("server thread").expect("clean drain");
+    drop(idle);
+
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -58,4 +58,4 @@ pub use errors::{
     ErrorClass,
 };
 pub use paths::{k_critical_paths, RankedPath, SlackReport};
-pub use sta::{set_sta_scope, take_sta_full, StaScope, StaticTiming, TimingPath};
+pub use sta::{StaticTiming, TimingPath};

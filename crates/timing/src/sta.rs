@@ -7,75 +7,13 @@
 //!
 //! # Counters
 //!
-//! Every [`StaticTiming::analyze`] pass bumps two process-wide counters:
-//! the cumulative [`analysis_count`], which regression tests use to pin
-//! how often the analysis runs, and the draining `sta_full` count
-//! ([`take_sta_full`]), which the delay-oracle stats fold into run
-//! telemetry. A [`StaScope`] installed on a thread (see [`set_sta_scope`])
-//! additionally receives that thread's `sta_full` increments, so a server
-//! running concurrent jobs can bill each one for its own analyses.
+//! Every [`StaticTiming::analyze`] pass counts one
+//! [`Metric::StaFull`] in [`ntc_varmodel::telemetry`], which the
+//! delay-oracle stats report as `sta_full`.
 
+use ntc_varmodel::telemetry::{self, Metric};
 use ntc_varmodel::ChipSignature;
 use ntc_netlist::{Netlist, Signal};
-use std::cell::RefCell;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
-/// Process-wide count of [`StaticTiming::analyze`] runs, for regression
-/// tests that pin how often the (linear but non-free) analysis executes —
-/// e.g. that the chip memo pool builds each chip's tables exactly once.
-static ANALYSIS_COUNT: AtomicU64 = AtomicU64::new(0);
-
-/// Total [`StaticTiming::analyze`] invocations in this process so far.
-pub fn analysis_count() -> u64 {
-    ANALYSIS_COUNT.load(Ordering::Relaxed)
-}
-
-/// Draining count of full analyses, reset by [`take_sta_full`].
-static STA_FULL: AtomicU64 = AtomicU64::new(0);
-
-/// A per-run attribution scope for the `sta_full` counter. While
-/// installed on a thread, every analysis that thread runs lands in the
-/// scope *in addition to* the process-wide drain.
-#[derive(Debug, Default)]
-pub struct StaScope {
-    sta_full: AtomicU64,
-}
-
-impl StaScope {
-    /// Full analyses accumulated in this scope so far (non-draining).
-    pub fn sta_full(&self) -> u64 {
-        self.sta_full.load(Ordering::Relaxed)
-    }
-}
-
-thread_local! {
-    static STA_SCOPE: RefCell<Option<Arc<StaScope>>> = const { RefCell::new(None) };
-}
-
-/// Install (or, with `None`, clear) the calling thread's STA attribution
-/// scope, returning the previously installed one so callers can restore
-/// it. Install the same `Arc` on every worker thread of a run to
-/// aggregate across them.
-pub fn set_sta_scope(scope: Option<Arc<StaScope>>) -> Option<Arc<StaScope>> {
-    STA_SCOPE.with(|s| s.replace(scope))
-}
-
-/// Drain the process-wide `sta_full` count: full analyses since the last
-/// call. The delay oracle's stats drain consumes this.
-pub fn take_sta_full() -> u64 {
-    STA_FULL.swap(0, Ordering::Relaxed)
-}
-
-fn note_full_analysis() {
-    ANALYSIS_COUNT.fetch_add(1, Ordering::Relaxed);
-    STA_FULL.fetch_add(1, Ordering::Relaxed);
-    STA_SCOPE.with(|s| {
-        if let Some(scope) = s.borrow().as_ref() {
-            scope.sta_full.fetch_add(1, Ordering::Relaxed);
-        }
-    });
-}
 
 /// Static arrival times for every signal of a netlist under one chip's
 /// delay signature.
@@ -98,7 +36,7 @@ impl StaticTiming {
             nl.len(),
             "signature/netlist mismatch"
         );
-        note_full_analysis();
+        telemetry::add(Metric::StaFull, 1);
         let n = nl.len();
         let mut max_arrival = vec![0.0; n];
         let mut min_arrival = vec![0.0; n];

@@ -15,6 +15,8 @@
 //!   FinFET parameters.
 //! * [`signature`] — per-chip post-silicon delay assignments, choke-gate
 //!   identification, controlled choke injection, and the chip lottery.
+//! * [`telemetry`] — the one counter array and attribution scope every
+//!   layer above counts its work through.
 //!
 //! # Examples
 //!
@@ -38,6 +40,7 @@ pub mod point;
 pub mod pvta;
 pub mod rng;
 pub mod signature;
+pub mod telemetry;
 pub mod variation;
 
 pub use device::{Corner, ALPHA, MIN_VDD, VTH_NOMINAL};

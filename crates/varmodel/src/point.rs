@@ -37,7 +37,7 @@ const TABLE: [(&str, &str, f64); 8] = [
 /// [`OperatingPoint::parse`] accepts the stable name (`"v0.60"`), the bare
 /// voltage (`"0.60"`), or the `ntc`/`stc` aliases.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct OperatingPoint(u8);
+pub struct OperatingPoint(pub(crate) u8);
 
 impl OperatingPoint {
     /// Number of points in the roster.

@@ -19,16 +19,15 @@
 //!
 //! Decoded traces are memoized process-wide per file path (an `Arc` per
 //! file), so a grid's many (chip × scheme × voltage) cells decode each
-//! trace once. Replay telemetry is counted process-globally and drained
-//! per experiment by the `repro` binary ([`take_stats`]), mirroring the
-//! sweep/oracle/cache counter discipline.
+//! trace once. Record and replay are counted as [`telemetry`] metrics,
+//! which `repro` reads per experiment ([`WorkloadStats`]).
 
 use crate::trace_bin;
 use crate::{Benchmark, TraceGenerator};
 use ntc_isa::Instruction;
+use ntc_varmodel::telemetry::{self, Counts, Metric};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// A resolved cell's whole trace with fold weight 1. Kept only because
@@ -101,7 +100,7 @@ impl TraceSource {
                 if !path.is_file() {
                     trace_bin::write_trace_file(&path, &trace)
                         .map_err(|e| format!("recording {}: {e}", path.display()))?;
-                    STAT_TRACES_RECORDED.fetch_add(1, Ordering::Relaxed);
+                    telemetry::add(Metric::TracesRecorded, 1);
                 }
                 Ok(trace)
             }
@@ -115,8 +114,8 @@ impl TraceSource {
                         trace.len()
                     ));
                 }
-                STAT_TRACE_REPLAYS.fetch_add(1, Ordering::Relaxed);
-                STAT_REPLAYED_INSTRUCTIONS.fetch_add(trace.len() as u64, Ordering::Relaxed);
+                telemetry::add(Metric::TraceReplays, 1);
+                telemetry::add(Metric::ReplayedInstructions, trace.len() as u64);
                 Ok(trace)
             }
         }
@@ -176,12 +175,9 @@ fn memo_trace(path: &Path) -> Result<Arc<Vec<Instruction>>, String> {
 // Telemetry
 // ---------------------------------------------------------------------
 
-static STAT_TRACES_RECORDED: AtomicU64 = AtomicU64::new(0);
-static STAT_TRACE_REPLAYS: AtomicU64 = AtomicU64::new(0);
-static STAT_REPLAYED_INSTRUCTIONS: AtomicU64 = AtomicU64::new(0);
-
-/// Record/replay counters for the cells resolved since the last
-/// [`take_stats`] drain.
+/// Record/replay counters: a typed view of the workload's
+/// [`telemetry`] metrics, from a [`take_stats`] drain or a
+/// [`telemetry::scoped`] run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WorkloadStats {
     /// Binary trace files newly written by [`TraceSource::Record`].
@@ -210,22 +206,23 @@ impl WorkloadStats {
     }
 }
 
-impl std::ops::AddAssign for WorkloadStats {
-    fn add_assign(&mut self, rhs: WorkloadStats) {
-        self.traces_recorded += rhs.traces_recorded;
-        self.trace_replays += rhs.trace_replays;
-        self.replayed_instructions += rhs.replayed_instructions;
+impl From<&Counts> for WorkloadStats {
+    fn from(c: &Counts) -> Self {
+        WorkloadStats {
+            traces_recorded: c.get(Metric::TracesRecorded),
+            trace_replays: c.get(Metric::TraceReplays),
+            replayed_instructions: c.get(Metric::ReplayedInstructions),
+        }
     }
 }
 
-/// Drain and reset the global record/replay counters (the `repro`
-/// binary calls this per experiment for its `manifest.json`).
+/// Drain and reset the process-wide record/replay counters.
 pub fn take_stats() -> WorkloadStats {
-    WorkloadStats {
-        traces_recorded: STAT_TRACES_RECORDED.swap(0, Ordering::SeqCst),
-        trace_replays: STAT_TRACE_REPLAYS.swap(0, Ordering::SeqCst),
-        replayed_instructions: STAT_REPLAYED_INSTRUCTIONS.swap(0, Ordering::SeqCst),
-    }
+    WorkloadStats::from(&telemetry::take(&[
+        Metric::TracesRecorded,
+        Metric::TraceReplays,
+        Metric::ReplayedInstructions,
+    ]))
 }
 
 #[cfg(test)]

@@ -7,18 +7,17 @@ use ntc_choke::varmodel::Corner;
 
 #[test]
 fn manifest_shape_is_golden() {
-    use ntc_choke::core::tag_delay::take_oracle_stats;
+    use ntc_choke::core::tag_delay::OracleStats;
     use ntc_choke::experiments::report::{parse_json, Manifest, RunRecord, MANIFEST_SCHEMA};
-    use ntc_choke::experiments::runner;
+    use ntc_choke::experiments::{runner, voltage_cells, CacheStats, SweepStats};
+    use ntc_choke::varmodel::telemetry;
+    use ntc_choke::workload::WorkloadStats;
 
     // Build one record exactly the way the repro binary does: run a real
-    // experiment, drain the telemetry counters, save the CSV.
-    let _ = runner::take_stats();
-    let _ = take_oracle_stats();
-    let _ = ntc_choke::experiments::cache::take_stats();
+    // experiment inside one telemetry scope, save the CSV.
     let _ = runner::take_sweep_failures();
     let start = std::time::Instant::now();
-    let table = ch3::fig_3_4(Scale::Fast);
+    let (table, counts) = telemetry::scoped(|| ch3::fig_3_4(Scale::Fast));
     let dir = std::env::temp_dir().join(format!("ntc-manifest-shape-{}", std::process::id()));
     let csv = table.save_csv(&dir).expect("CSV written");
     let record = RunRecord {
@@ -27,10 +26,10 @@ fn manifest_shape_is_golden() {
         scale: "fast".to_owned(),
         jobs: runner::jobs(),
         wall_s: start.elapsed().as_secs_f64(),
-        sweep: runner::take_stats(),
-        oracle: take_oracle_stats(),
-        cache: ntc_choke::experiments::cache::take_stats(),
-        voltages: ntc_choke::experiments::take_voltage_cells()
+        sweep: SweepStats::from(&counts),
+        oracle: OracleStats::from(&counts),
+        cache: CacheStats::from(&counts),
+        voltages: voltage_cells(&counts)
             .into_iter()
             .map(|(point, cells)| (point.name().to_owned(), cells))
             .collect(),
@@ -39,7 +38,7 @@ fn manifest_shape_is_golden() {
             .map(|p| p.name().to_owned())
             .collect(),
         source: "generator".to_owned(),
-        workload: ntc_choke::workload::take_stats(),
+        workload: WorkloadStats::from(&counts),
         sweep_failures: runner::take_sweep_failures(),
         rows: table.rows.len(),
         csv: Some(csv),
