@@ -13,6 +13,8 @@ cargo test -q --offline --workspace
 echo "==> kernel reference-equivalence + allocation-free suites"
 cargo test -q --offline -p ntc-timing reference:: --lib
 cargo test -q --offline -p ntc-timing --test alloc_free
+cargo test -q --offline -p ntc-timing --test proptest_timing \
+  lean_minmax_matches_full_path_on_gated_netlists
 
 echo "==> cargo check --offline -p ntc-bench --features bench --benches"
 cargo check --offline -p ntc-bench --features bench --benches
@@ -79,6 +81,15 @@ EOF
 else
   echo "note: neither jq nor python3 found; relying on repro's built-in manifest self-validation"
 fi
+
+echo "==> full-scale fig3.10: byte-identical to its golden, same oracle counts"
+# The paper-scale grid exercises the exact kernel on all 32,800 first
+# pairs; its CSV and oracle counters must not move with kernel changes.
+rm -rf target/repro-ci-full
+./target/release/repro --full --jobs 2 --no-cache --out target/repro-ci-full \
+  fig3.10 >/dev/null
+cmp target/repro-ci-full/fig3_10.csv tests/golden/full/fig3_10.csv
+grep -q '"gate_sims":32800,"local_hits":29967170' target/repro-ci-full/manifest.json
 
 echo "==> grid cache: two runs, one cache dir, byte-identical CSVs + disk hits"
 rm -rf target/repro-ci-cache target/repro-ci-cold target/repro-ci-warm

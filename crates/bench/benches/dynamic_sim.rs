@@ -1,20 +1,29 @@
-//! Bench: the dynamic timing kernel itself — `simulate_pair` on the
-//! 64-bit ALU under nominal and fabricated signatures, across sparse
-//! (short sensitized path) and dense (long sensitized path) vector pairs.
+//! Bench: the dynamic timing kernel itself.
 //!
-//! This is the Phase-A cost every delay-oracle miss pays, so it bounds
-//! every figure and sweep. Sparse pairs (`Buffer`→`Buffer`) exercise the
+//! The `first_pairs_*` cases replay what a delay-oracle miss pays: the
+//! oracle simulates the `ntc_isa::ARCH_WIDTH` (32-bit) ALU once per
+//! (tag, bucket) it first meets. They take the first pair of each distinct
+//! error tag in the first 200,000 instructions of the vortex trace (seed
+//! 7) and simulate all of them per iteration on one fabricated NTC chip,
+//! through the lean `simulate_pair_minmax` sweep the oracle runs and
+//! through the full `simulate_pair_into` sweep.
+//!
+//! The other cases stress shapes on the 64-bit ALU under nominal and
+//! fabricated signatures. Sparse pairs (`Buffer`→`Buffer`) exercise the
 //! event-driven worklist (few gates visited); dense pairs (`Mult` with
 //! wide operands) exercise the per-gate evaluation loop itself.
 use ntc_bench::harness as criterion;
 use ntc_bench::{criterion_group, criterion_main};
 
 use criterion::Criterion;
+use std::collections::HashSet;
 use std::time::Duration;
 
+use ntc_isa::{ErrorTag, Instruction};
 use ntc_netlist::generators::alu::{Alu, AluFunc};
-use ntc_timing::DynamicSim;
+use ntc_timing::{CycleTiming, DynamicSim};
 use ntc_varmodel::{ChipSignature, Corner, VariationParams};
+use ntc_workload::{Benchmark, TraceGenerator};
 
 fn settings(c: &mut Criterion) -> criterion::BenchmarkGroup<'_, criterion::measurement::WallTime> {
     let mut g = c.benchmark_group("dynamic_sim");
@@ -24,7 +33,32 @@ fn settings(c: &mut Criterion) -> criterion::BenchmarkGroup<'_, criterion::measu
     g
 }
 
+/// The encoded first pair of each distinct error tag in the first
+/// 200,000 instructions of the vortex trace (seed 7).
+fn first_pairs(alu: &Alu) -> Vec<(Vec<bool>, Vec<bool>)> {
+    let encode = |i: &Instruction| alu.encode(i.opcode.alu_func(), i.a, i.b);
+    let trace: Vec<Instruction> = TraceGenerator::new(Benchmark::Vortex, 7)
+        .take(200_000)
+        .collect();
+    let mut seen = HashSet::new();
+    trace
+        .windows(2)
+        .filter(|w| seen.insert(ErrorTag::of(&w[0], &w[1])))
+        .map(|w| (encode(&w[0]), encode(&w[1])))
+        .collect()
+}
+
 fn bench(c: &mut Criterion) {
+    let oracle_alu = Alu::new(ntc_isa::ARCH_WIDTH);
+    let chip = ChipSignature::fabricate(
+        oracle_alu.netlist(),
+        Corner::NTC,
+        VariationParams::ntc(),
+        220,
+    );
+    let pairs = first_pairs(&oracle_alu);
+    println!("first_pairs: {} pairs per iteration", pairs.len());
+
     let alu = Alu::new(64);
     let nominal = ChipSignature::nominal(alu.netlist(), Corner::NTC);
     let fabricated =
@@ -42,6 +76,28 @@ fn bench(c: &mut Criterion) {
     let dense_sens = alu.encode(AluFunc::Mult, 0xDEAD_BEEF_1234_5678, 0x1357_9BDF_2468_ACE0);
 
     let mut g = settings(c);
+    g.bench_function("first_pairs_minmax", |b| {
+        let mut sim = DynamicSim::new(oracle_alu.netlist(), &chip);
+        b.iter(|| {
+            pairs
+                .iter()
+                .filter_map(|(init, sens)| sim.simulate_pair_minmax(init, sens).max_ps)
+                .fold(0.0, f64::max)
+        })
+    });
+    g.bench_function("first_pairs_full", |b| {
+        let mut sim = DynamicSim::new(oracle_alu.netlist(), &chip);
+        let mut out = CycleTiming::default();
+        b.iter(|| {
+            pairs
+                .iter()
+                .filter_map(|(init, sens)| {
+                    sim.simulate_pair_into(init, sens, &mut out);
+                    out.max_delay_ps
+                })
+                .fold(0.0, f64::max)
+        })
+    });
     g.bench_function("sparse_buffer_nominal", |b| {
         let mut sim = DynamicSim::new(alu.netlist(), &nominal);
         b.iter(|| sim.simulate_pair(&sparse_init, &sparse_sens))

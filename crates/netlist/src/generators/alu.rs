@@ -433,6 +433,56 @@ mod tests {
     }
 
     #[test]
+    fn the_mult_select_line_guards_the_whole_multiplier_cone() {
+        use crate::{Builder, Guard};
+        let alu = Alu::new(8);
+        let nl = alu.netlist();
+        // `Alu::new` builds its three input buses and then the one-hot
+        // decoder first, so the same steps on a fresh builder give the Mult
+        // select line's index.
+        let mut b = Builder::new();
+        let op = b.input_bus("op", 4);
+        b.input_bus("a", 8);
+        b.input_bus("b", 8);
+        let onehot = logic::decoder(&mut b, &op, ALL_ALU_FUNCS.len());
+        let mult = onehot[AluFunc::Mult.select_code() as usize];
+        assert!(nl.eval_all(&alu.encode(AluFunc::Mult, 3, 5))[mult.index()]);
+        assert!(!nl.eval_all(&alu.encode(AluFunc::Add, 3, 5))[mult.index()]);
+        // The select line gates each multiplier output bit into the result
+        // mux; the multiplier cone is everything those bits depend on.
+        let mut stack: Vec<Signal> = nl
+            .fanout_of(mult)
+            .iter()
+            .flat_map(|&g| nl.gates()[g as usize].inputs().to_vec())
+            .filter(|&s| s != mult)
+            .collect();
+        assert_eq!(stack.len(), 8, "one multiplier bit per result bit");
+        let mut cone = vec![false; nl.len()];
+        while let Some(s) = stack.pop() {
+            if !cone[s.index()] && !nl.gate(s).kind().is_pseudo() {
+                cone[s.index()] = true;
+                stack.extend_from_slice(nl.gate(s).inputs());
+            }
+        }
+        let cone: Vec<usize> = (0..nl.len()).filter(|&i| cone[i]).collect();
+        assert!(
+            cone.len() > 100,
+            "an 8-bit multiplier, got {} gates",
+            cone.len()
+        );
+        for i in cone {
+            assert_eq!(
+                nl.guard_of_index(i),
+                Guard::MaskedBy {
+                    net: mult,
+                    value: false
+                },
+                "multiplier gate n{i}"
+            );
+        }
+    }
+
+    #[test]
     fn width_is_recorded() {
         let alu = Alu::new(8);
         assert_eq!(alu.width(), 8);

@@ -9,6 +9,7 @@
 use crate::cell::CellKind;
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// A signal: the output net of one gate, identified by the gate's index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -56,6 +57,33 @@ pub struct Port {
     pub name: String,
     /// Bus bits, LSB first.
     pub bits: Vec<Signal>,
+}
+
+/// One gate's entry in the netlist's guard index
+/// ([`Netlist::guard_of_index`]): whether the gate's activity can reach a
+/// primary output, and if not, which single steady net masks it.
+///
+/// The lean dynamic-timing sweep skips a gate whose guard holds for the
+/// cycle; `ntc_timing::dynamic` proves the skip leaves every output
+/// waveform unchanged.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Guard {
+    /// The gate may reach a primary output and no single net masks it.
+    /// Every primary output is `Observable`.
+    Observable,
+    /// No path leads from the gate to a primary output.
+    Unobservable,
+    /// While `net` holds `value` for a whole cycle, nothing the gate does
+    /// reaches a primary output. Every fanout edge of the gate goes into an
+    /// `Unobservable` gate, into a gate with this same guard, or into a
+    /// target whose output cannot depend on that pin while every pin `net`
+    /// drives holds `value`.
+    MaskedBy {
+        /// The masking net; its index is below the gate's.
+        net: Signal,
+        /// The value at which `net` masks the gate.
+        value: bool,
+    },
 }
 
 /// Errors raised while building or validating a netlist.
@@ -128,6 +156,10 @@ pub struct Netlist {
     /// gate.
     fanout_offsets: Vec<u32>,
     fanout_targets: Vec<u32>,
+    /// One [`Guard`] per gate, built once in [`Builder::finish`] from the
+    /// fanout index. Shared, not copied, by clones: callers clone one
+    /// netlist per fabricated chip, and the index never changes.
+    guards: Arc<[Guard]>,
 }
 
 impl Netlist {
@@ -279,6 +311,16 @@ impl Netlist {
         &self.fanout_targets[lo..hi]
     }
 
+    /// The guard-index entry of the gate driving signal index `i`: whether
+    /// the gate is [`Observable`](Guard::Observable),
+    /// [`Unobservable`](Guard::Unobservable), or
+    /// [`MaskedBy`](Guard::MaskedBy) a lower-index net at a given value.
+    /// The lean dynamic-timing sweep skips a gate whose guard holds.
+    #[inline]
+    pub fn guard_of_index(&self, i: usize) -> Guard {
+        self.guards[i]
+    }
+
     /// Per-gate fanout counts (number of gate input pins each signal feeds,
     /// plus one for each primary-output use).
     pub fn fanout_counts(&self) -> Vec<u32> {
@@ -410,6 +452,101 @@ fn build_fanout_index(gates: &[Gate]) -> (Vec<u32>, Vec<u32>) {
         }
     }
     (offsets, targets)
+}
+
+/// Build the guard index (see [`Guard`]) in one reverse pass: a gate's
+/// entry depends only on the entries of its fanout gates, which all come
+/// later in topological order.
+fn build_guard_index(
+    gates: &[Gate],
+    outputs: &[Signal],
+    offsets: &[u32],
+    targets: &[u32],
+) -> Vec<Guard> {
+    let mut guards = vec![Guard::Unobservable; gates.len()];
+    for s in outputs {
+        guards[s.index()] = Guard::Observable;
+    }
+    for i in (0..gates.len()).rev() {
+        if guards[i] == Guard::Observable {
+            continue; // a primary output
+        }
+        let input = Signal(i as u32);
+        let fanout = &targets[offsets[i] as usize..offsets[i + 1] as usize];
+        // Edges into unobservable gates constrain nothing; with none left
+        // the gate stays unobservable.
+        let Some(first) = fanout
+            .iter()
+            .map(|&h| h as usize)
+            .find(|&h| guards[h] != Guard::Unobservable)
+        else {
+            continue;
+        };
+        // Candidates come from the first constraining edge: its target's
+        // own guard, then each of its target's fanin nets at either value.
+        let target_guard = match guards[first] {
+            Guard::MaskedBy { net, value } => Some((net, value)),
+            _ => None,
+        };
+        let pins = gates[first]
+            .inputs()
+            .iter()
+            .flat_map(|&net| [(net, false), (net, true)]);
+        guards[i] = target_guard
+            .into_iter()
+            .chain(pins)
+            .filter(|&(net, _)| net < input)
+            .find(|&(net, value)| {
+                let guard = Guard::MaskedBy { net, value };
+                fanout.iter().map(|&h| h as usize).all(|h| {
+                    guards[h] == Guard::Unobservable
+                        || guards[h] == guard
+                        || masks(&gates[h], input, net, value)
+                })
+            })
+            .map_or(Guard::Observable, |(net, value)| Guard::MaskedBy {
+                net,
+                value,
+            });
+    }
+    guards
+}
+
+/// Whether `gate`'s output cannot depend on the pins `input` drives while
+/// every pin `net` drives holds `value` (when `net` drives none, whether it
+/// never depends on them), whatever its other fanin nets carry. Pins one
+/// net drives always carry one value, so the check ranges over nets, not
+/// pins. On the library this means AND/NAND mask at 0, OR/NOR at 1, a MUX2
+/// select masks its deselected data pin, and XOR/XNOR and a MAJ3 with three
+/// distinct fanins never mask.
+fn masks(gate: &Gate, input: Signal, net: Signal, value: bool) -> bool {
+    let ins = gate.inputs();
+    let mut free = [input; 3];
+    let mut n_free = 0;
+    for &s in ins {
+        if s != input && s != net && !free[..n_free].contains(&s) {
+            free[n_free] = s;
+            n_free += 1;
+        }
+    }
+    let eval = |assign: u32, x: bool| {
+        let mut vals = [false; 3];
+        for (v, &s) in vals.iter_mut().zip(ins) {
+            *v = if s == input {
+                x
+            } else if s == net {
+                value
+            } else {
+                let k = free[..n_free]
+                    .iter()
+                    .position(|&f| f == s)
+                    .expect("free net");
+                (assign >> k) & 1 == 1
+            };
+        }
+        gate.kind.eval(&vals[..ins.len()])
+    };
+    (0..1u32 << n_free).all(|assign| eval(assign, false) == eval(assign, true))
 }
 
 /// Incremental netlist builder.
@@ -614,6 +751,8 @@ impl Builder {
     /// the generator).
     pub fn finish(self) -> Netlist {
         let (fanout_offsets, fanout_targets) = build_fanout_index(&self.gates);
+        let guards =
+            build_guard_index(&self.gates, &self.outputs, &fanout_offsets, &fanout_targets);
         let nl = Netlist {
             gates: self.gates,
             inputs: self.inputs,
@@ -622,6 +761,7 @@ impl Builder {
             output_ports: self.output_ports,
             fanout_offsets,
             fanout_targets,
+            guards: guards.into(),
         };
         for ports in [&nl.input_ports, &nl.output_ports] {
             for (i, p) in ports.iter().enumerate() {
@@ -747,6 +887,127 @@ mod tests {
         }
         // a feeds xor(axb) and maj(cout): two fanout pins.
         assert_eq!(nl.fanout_of(nl.inputs()[0]).len(), 2);
+    }
+
+    #[test]
+    fn and_is_masked_at_zero_and_or_at_one() {
+        let mut b = Builder::new();
+        let s = b.input("s");
+        let a = b.input("a");
+        let c = b.input("c");
+        let x = b.xor(a, c);
+        let y = b.gate2(CellKind::Xnor2, a, c);
+        let and = b.and(x, s);
+        let or = b.or(y, s);
+        b.output("and", and);
+        b.output("or", or);
+        let nl = b.finish();
+        assert_eq!(
+            nl.guard_of_index(x.index()),
+            Guard::MaskedBy {
+                net: s,
+                value: false
+            }
+        );
+        assert_eq!(
+            nl.guard_of_index(y.index()),
+            Guard::MaskedBy {
+                net: s,
+                value: true
+            }
+        );
+    }
+
+    #[test]
+    fn mux_select_masks_only_its_deselected_pin() {
+        let mut b = Builder::new();
+        let s = b.input("s");
+        let a = b.input("a");
+        let c = b.input("c");
+        let d0 = b.xor(a, c);
+        let d1 = b.and(a, c);
+        let y = b.mux(d0, d1, s);
+        b.output("y", y);
+        let nl = b.finish();
+        // `sel == 1` picks d1, so d0 is masked while s holds 1, and the
+        // other way round.
+        assert_eq!(
+            nl.guard_of_index(d0.index()),
+            Guard::MaskedBy {
+                net: s,
+                value: true
+            }
+        );
+        assert_eq!(
+            nl.guard_of_index(d1.index()),
+            Guard::MaskedBy {
+                net: s,
+                value: false
+            }
+        );
+    }
+
+    #[test]
+    fn xor_and_distinct_maj3_never_mask() {
+        let mut b = Builder::new();
+        let s = b.input("s");
+        let t = b.input("t");
+        let a = b.input("a");
+        let c = b.input("c");
+        let x = b.and(a, c);
+        let y = b.or(a, c);
+        let xor = b.xor(x, s);
+        let maj = b.maj(y, s, t);
+        b.output("xor", xor);
+        b.output("maj", maj);
+        let nl = b.finish();
+        assert_eq!(nl.guard_of_index(x.index()), Guard::Observable);
+        assert_eq!(nl.guard_of_index(y.index()), Guard::Observable);
+    }
+
+    #[test]
+    fn a_later_net_never_guards_an_earlier_gate() {
+        let mut b = Builder::new();
+        let a = b.input("a");
+        let c = b.input("c");
+        let x = b.xor(a, c);
+        let late = b.nand(a, c);
+        let y = b.and(x, late);
+        b.output("y", y);
+        let nl = b.finish();
+        // `late` would mask x at 0, but it comes after x.
+        assert!(late > x);
+        assert_eq!(nl.guard_of_index(x.index()), Guard::Observable);
+    }
+
+    #[test]
+    fn gates_without_a_path_to_an_output_are_unobservable() {
+        let mut b = Builder::new();
+        let a = b.input("a");
+        let c = b.input("c");
+        let dead = b.and(a, c);
+        let dead_too = b.not(dead);
+        let y = b.xor(a, c);
+        b.output("y", y);
+        let nl = b.finish();
+        assert_eq!(nl.guard_of_index(dead.index()), Guard::Unobservable);
+        assert_eq!(nl.guard_of_index(dead_too.index()), Guard::Unobservable);
+        assert_eq!(nl.guard_of_index(y.index()), Guard::Observable);
+    }
+
+    #[test]
+    fn a_primary_output_with_fanout_is_observable() {
+        let mut b = Builder::new();
+        let s = b.input("s");
+        let a = b.input("a");
+        let c = b.input("c");
+        let x = b.xor(a, c);
+        let y = b.and(x, s);
+        b.output("x", x);
+        b.output("y", y);
+        let nl = b.finish();
+        // Its only gate fanout is masked by s, but x is captured itself.
+        assert_eq!(nl.guard_of_index(x.index()), Guard::Observable);
     }
 
     #[test]

@@ -1,13 +1,13 @@
 //! The daemon: socket loop, request dispatch, and the compute path
 //! behind admission control and in-flight coalescing.
 //!
-//! One thread per connection (clients are few and long computes
-//! dominate); within a compute, the shared parallel runner spreads the
-//! grid's cells over the worker pool, so the daemon's own threading
-//! stays trivial. Each compute runs inside its own telemetry scope, so
-//! the counters in the request's receipt (sweep busy/wall, oracle, disk
-//! cache) are exactly that compute's work at any compute budget (see
-//! [`crate::protocol::JobCounters`]).
+//! One thread per connection, at most 64 of them (clients are few and
+//! long computes dominate; one more gets `busy`); within a compute, the
+//! shared parallel runner spreads the grid's cells over the worker pool,
+//! so the daemon's own threading stays trivial. Each compute runs inside
+//! its own telemetry scope, so the counters in the request's receipt
+//! (sweep busy/wall, oracle, disk cache) are exactly that compute's work
+//! at any compute budget (see [`crate::protocol::JobCounters`]).
 
 use crate::admission::Admission;
 use crate::coalesce::{FlightMap, Role};
@@ -25,7 +25,7 @@ use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::TcpListener;
 use std::os::unix::net::UnixListener;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -158,6 +158,27 @@ const IDLE_POLL: Duration = Duration::from_millis(100);
 /// line gets one `bad-request` and its connection closes.
 const MAX_REQUEST_BYTES: usize = 1 << 20;
 
+/// Most connections served at once. A connection accepted past the cap
+/// gets one `busy` line naming the cap and is closed.
+const MAX_CONNECTIONS: usize = 64;
+
+/// One live connection's claim on [`MAX_CONNECTIONS`]. Dropping it frees
+/// the slot, also while a panicking handler unwinds.
+struct ConnectionSlot<'a>(&'a AtomicUsize);
+
+impl<'a> ConnectionSlot<'a> {
+    fn take(live: &'a AtomicUsize) -> Self {
+        live.fetch_add(1, Ordering::SeqCst);
+        ConnectionSlot(live)
+    }
+}
+
+impl Drop for ConnectionSlot<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
 /// A connected client stream, unix or TCP.
 trait Conn: std::io::Read + Write + Send {
     fn try_clone_reader(&self) -> std::io::Result<Box<dyn std::io::Read + Send>>;
@@ -203,6 +224,8 @@ pub struct Server {
     /// Per-instance drain latch (the `shutdown` op). The process-wide
     /// [`SHUTDOWN`] latch (signals) also drains every instance.
     shutdown: AtomicBool,
+    /// Connection threads alive now, capped at [`MAX_CONNECTIONS`].
+    live_connections: AtomicUsize,
 }
 
 impl std::fmt::Debug for Server {
@@ -243,6 +266,7 @@ impl Server {
             flights: FlightMap::new(),
             stats: ServerStats::default(),
             shutdown: AtomicBool::new(false),
+            live_connections: AtomicUsize::new(0),
             cfg,
             listener,
         })
@@ -272,8 +296,21 @@ impl Server {
                     },
                 };
                 match conn {
+                    // Only this thread takes slots, so the check cannot
+                    // race past the cap.
+                    Some(mut stream)
+                        if self.live_connections.load(Ordering::SeqCst) >= MAX_CONNECTIONS =>
+                    {
+                        self.stats.busy_rejections.fetch_add(1, Ordering::Relaxed);
+                        let msg = format!("connection limit reached ({MAX_CONNECTIONS} open)");
+                        let _ = write_line(&mut *stream, &render_error(ErrorCode::Busy, &msg));
+                    }
                     Some(stream) => {
-                        scope.spawn(move || self.handle_connection(stream));
+                        let slot = ConnectionSlot::take(&self.live_connections);
+                        scope.spawn(move || {
+                            let _slot = slot;
+                            self.handle_connection(stream);
+                        });
                     }
                     None => std::thread::sleep(poll),
                 }

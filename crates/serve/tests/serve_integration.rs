@@ -383,5 +383,92 @@ fn daemon_serves_coalesced_concurrent_clients_byte_identically() {
     handle.join().expect("server thread").expect("clean drain");
     drop(idle);
 
+    // ---- Scenario 8: connections past the cap get busy, then EOF -------
+    let (addr, handle) = start_server(&dir, "capped", |cfg| {
+        cfg.cache_dir = None;
+    });
+    let Addr::Unix(sock) = &addr else {
+        unreachable!("test daemons listen on unix sockets")
+    };
+    type Client = std::io::BufReader<std::os::unix::net::UnixStream>;
+    let ping = || -> std::io::Result<(String, Client)> {
+        let s = std::os::unix::net::UnixStream::connect(sock)?;
+        s.set_read_timeout(Some(Duration::from_secs(5)))?;
+        let mut reader = std::io::BufReader::new(s);
+        // A refused connection may close before the write lands.
+        let _ = reader.get_mut().write_all(b"{\"op\":\"ping\"}\n");
+        let mut line = String::new();
+        reader.read_line(&mut line)?;
+        Ok((line, reader))
+    };
+    // Each idle client is answered once, so its handler is running.
+    let mut idle: Vec<_> = (0..64)
+        .map(|k| {
+            let (line, reader) = ping().expect("idle client ping");
+            assert!(line.contains("\"ok\":true"), "idle client {k}: {line}");
+            reader
+        })
+        .collect();
+    let over = std::os::unix::net::UnixStream::connect(sock).expect("connect");
+    over.set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("read timeout");
+    let mut over = std::io::BufReader::new(over);
+    let mut line = String::new();
+    over.read_line(&mut line)
+        .expect("a busy line before the close");
+    assert!(
+        line.contains("\"code\":\"busy\"") && line.contains("64"),
+        "the 65th connection is refused by name of the cap: {line}"
+    );
+    line.clear();
+    assert_eq!(
+        over.read_line(&mut line).expect("EOF after busy"),
+        0,
+        "{line}"
+    );
+    // Closing one idle client frees its slot for a fresh ping.
+    drop(idle.pop());
+    let deadline = std::time::Instant::now() + Duration::from_secs(1);
+    let mut fresh = loop {
+        match ping() {
+            Ok((line, reader)) if line.contains("\"ok\":true") => break reader,
+            Ok((line, _)) => assert!(line.contains("\"code\":\"busy\""), "{line}"),
+            // A refused connection may also reset before its read.
+            Err(_) => {}
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "a freed slot serves a fresh ping within 1 s"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    };
+    // The fresh client holds the last slot; ask it for the counters and
+    // the shutdown, with 63 idle clients still connected.
+    let mut request = |line: &str| {
+        fresh.get_mut().write_all(line.as_bytes()).expect("request");
+        let mut response = String::new();
+        fresh.read_line(&mut response).expect("response");
+        response
+    };
+    let stats = request("{\"op\":\"stats\"}\n");
+    let busy = parse_json(&stats)
+        .expect("stats json")
+        .get("busy_rejections")
+        .and_then(Json::as_u64)
+        .expect("busy_rejections");
+    assert!(busy >= 1, "the refused connection is counted: {stats}");
+    let ack = request("{\"op\":\"shutdown\"}\n");
+    assert!(ack.contains("\"ok\":true"), "clean ack: {ack}");
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    while !handle.is_finished() && std::time::Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    assert!(
+        handle.is_finished(),
+        "idle clients at the cap must not block shutdown"
+    );
+    handle.join().expect("server thread").expect("clean drain");
+    drop(idle);
+
     let _ = std::fs::remove_dir_all(&dir);
 }

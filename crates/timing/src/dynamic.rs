@@ -23,6 +23,48 @@
 //! only the cost of skipping them changes (O(gates) scan → O(words)
 //! bitset sweep plus work proportional to actual switching activity).
 //!
+//! # The guarded lean sweep
+//!
+//! The sweep runs in one of two modes. The full sweep, behind
+//! [`SimWorkspace::simulate_pair_into`] and [`DynamicSim::simulate_pair`],
+//! evaluates every reachable gate. The lean sweep, behind
+//! [`SimWorkspace::simulate_pair_minmax`], also skips a popped gate when
+//! its entry in the netlist's guard index
+//! ([`Netlist::guard_of_index`]) holds this cycle: the gate is
+//! [`Unobservable`](Guard::Unobservable), or it is
+//! [`MaskedBy { net, value }`](Guard::MaskedBy), `net`'s wave is empty
+//! and `net`'s settled value is `value`. A skipped gate keeps an empty
+//! wave and marks no fanout. On the 32-bit ALU the one-hot Mult select
+//! line guards the 2,337-gate multiplier cone, so every pair whose
+//! operations both leave that line at 0 skips it.
+//!
+//! The skip never changes an output wave. The proof is an induction over
+//! gate order: every gate whose guard does not hold on the lean sweep
+//! gets the same wave as on the full sweep. A guard net precedes its
+//! gate, so its wave is final when the gate is popped. Take a gate `h`
+//! whose guard does not hold, and assume the claim for every gate before
+//! it. Its fanins whose guards do not hold, and its primary inputs and
+//! constants, carry the same waves in both sweeps. Now take a skipped
+//! fanin `x`. It cannot be unobservable, since then `h` would be too.
+//! Nor can `h` share `x`'s guard, since then `h` would be skipped as
+//! well. So the guard index promises that `h`'s output does not depend on
+//! `x`'s pins while `x`'s guard net `n` holds its value, whatever `h`'s
+//! other pins carry. Take the skipped fanins in ascending order. The
+//! first one's `n` is not a skipped fanin of `h`. Either `n` drives no
+//! pin of `h`, or its wave is the same empty wave in both sweeps, so `n`
+//! holds its value all cycle in both. A later one's `n` may be an earlier
+//! skipped fanin. This is the case where the guard net was itself
+//! skipped. `h` already ignores that fanin, so `h`'s output equals its
+//! output with `n` at its value, which in turn ignores the later fanin.
+//! So `h`'s output is a function of its other fanins alone, and those
+//! carry the same waves in both sweeps. The full sweep's extra candidate
+//! times come only from skipped fanins. At each such time `h` evaluates
+//! to the value it already holds, so it emits nothing there. Both sweeps
+//! therefore push the same toggles in the same order, and the event cap
+//! truncates them alike. Primary outputs are never guarded, so every
+//! output wave, and with it `min_ps`/`max_ps`, is bit-identical to the
+//! full sweep's.
+//!
 //! # Allocation discipline
 //!
 //! All per-net state is inline: a `Wave` holds a fixed-capacity
@@ -32,7 +74,7 @@
 //! `simulate_pair_minmax` and `simulate_pair_into` entry points perform
 //! zero heap allocations per call.
 
-use ntc_netlist::Netlist;
+use ntc_netlist::{Guard, Netlist};
 use ntc_varmodel::ChipSignature;
 
 /// Maximum transitions tracked per net within one cycle. Nets that glitch
@@ -192,13 +234,16 @@ impl SimWorkspace {
 
     /// Settle `initializing`, apply `sensitizing` at t = 0 and propagate
     /// transition waveforms through every gate reachable from a toggled
-    /// net. Returns the total internal toggle count.
+    /// net — on the `lean` sweep, except gates whose guard holds this
+    /// cycle (see the module docs). Returns the total internal toggle
+    /// count of the gates evaluated.
     fn propagate(
         &mut self,
         nl: &Netlist,
         sig: &ChipSignature,
         initializing: &[bool],
         sensitizing: &[bool],
+        lean: bool,
     ) -> usize {
         assert_eq!(sig.delays_ps().len(), nl.len(), "signature/netlist mismatch");
         assert_eq!(sensitizing.len(), nl.inputs().len(), "sens vector width");
@@ -246,6 +291,19 @@ impl SimWorkspace {
                 let bit = bits.trailing_zeros() as usize;
                 self.dirty[word] &= !(1u64 << bit);
                 let i = word * 64 + bit;
+
+                if lean {
+                    match nl.guard_of_index(i) {
+                        Guard::Observable => {}
+                        Guard::Unobservable => continue,
+                        Guard::MaskedBy { net, value } => {
+                            let n = net.index();
+                            if self.waves[n].len == 0 && self.settle[n] == value {
+                                continue;
+                            }
+                        }
+                    }
+                }
 
                 let gate = &nl.gates()[i];
                 let kind = gate.kind();
@@ -331,7 +389,9 @@ impl SimWorkspace {
     }
 
     /// Simulate one cycle and return only the min/max output arrivals —
-    /// the Phase-A oracle's entry point. Performs no heap allocation in
+    /// the Phase-A oracle's entry point. Runs the lean sweep, which skips
+    /// gates whose guard holds (see the module docs); the arrivals are
+    /// bit-identical to the full sweep's. Performs no heap allocation in
     /// steady state.
     ///
     /// # Panics
@@ -344,7 +404,7 @@ impl SimWorkspace {
         initializing: &[bool],
         sensitizing: &[bool],
     ) -> MinMaxDelays {
-        self.propagate(nl, sig, initializing, sensitizing);
+        self.propagate(nl, sig, initializing, sensitizing, true);
         self.min_max(nl)
     }
 
@@ -364,7 +424,7 @@ impl SimWorkspace {
         sensitizing: &[bool],
         out: &mut CycleTiming,
     ) {
-        let internal_toggles = self.propagate(nl, sig, initializing, sensitizing);
+        let internal_toggles = self.propagate(nl, sig, initializing, sensitizing, false);
 
         let outs = nl.outputs();
         out.outputs.resize_with(outs.len(), OutputActivity::default);
@@ -461,8 +521,9 @@ impl<'a> DynamicSim<'a> {
     }
 
     /// Simulate one cycle and return only the min/max output arrivals —
-    /// skips building the per-output activity entirely. Allocation-free in
-    /// steady state.
+    /// skips building the per-output activity entirely, and runs the lean
+    /// sweep, so [`sensitized_gates`](Self::sensitized_gates) afterwards
+    /// misses the gates it skipped. Allocation-free in steady state.
     ///
     /// # Panics
     ///
@@ -476,9 +537,15 @@ impl<'a> DynamicSim<'a> {
             .simulate_pair_minmax(self.nl, self.sig, initializing, sensitizing)
     }
 
-    /// Indices of gates that toggled during the most recent
-    /// [`simulate_pair`](Self::simulate_pair) call — i.e. the *sensitized*
-    /// gates of that cycle. Pseudo-cells (inputs) are excluded.
+    /// Indices of gates that toggled during the most recent simulation —
+    /// i.e. the *sensitized* gates of that cycle. Pseudo-cells (inputs)
+    /// are excluded.
+    ///
+    /// After [`simulate_pair`](Self::simulate_pair) or
+    /// [`simulate_pair_into`](Self::simulate_pair_into) this is every gate
+    /// that toggled. After [`simulate_pair_minmax`](Self::simulate_pair_minmax)
+    /// it lists only the gates the lean sweep evaluated: a gate whose guard
+    /// held (see the module docs) is missing even if it would have toggled.
     pub fn sensitized_gates(&self) -> Vec<usize> {
         self.nl
             .gates()
@@ -673,6 +740,36 @@ mod tests {
             assert_eq!(lean.min_ps.map(f64::to_bits), full.min_delay_ps.map(f64::to_bits));
             assert_eq!(lean.max_ps.map(f64::to_bits), full.max_delay_ps.map(f64::to_bits));
         }
+    }
+
+    #[test]
+    fn lean_sweep_skips_the_masked_multiplier() {
+        let alu = Alu::new(8);
+        let nl = alu.netlist();
+        // The Mult select line guards more gates than any other net.
+        let mut guarded: std::collections::HashMap<usize, Vec<usize>> = Default::default();
+        for i in 0..nl.len() {
+            if let Guard::MaskedBy { net, value: false } = nl.guard_of_index(i) {
+                guarded.entry(net.index()).or_default().push(i);
+            }
+        }
+        let (mult, mult_cone) = guarded
+            .into_iter()
+            .max_by_key(|(_, gates)| gates.len())
+            .expect("guarded gates");
+        assert!(nl.eval_all(&alu.encode(AluFunc::Mult, 3, 5))[mult]);
+        assert!(!nl.eval_all(&alu.encode(AluFunc::Add, 3, 5))[mult]);
+
+        let sig = ChipSignature::fabricate(nl, Corner::NTC, VariationParams::ntc(), 5);
+        let mut sim = DynamicSim::new(nl, &sig);
+        let init = alu.encode(AluFunc::Add, 0x5A, 0x3C);
+        let sens = alu.encode(AluFunc::Add, 0xA7, 0xC9);
+        sim.simulate_pair_minmax(&init, &sens);
+        let lean_gates = sim.sensitized_gates();
+        assert!(mult_cone.iter().all(|g| !lean_gates.contains(g)));
+        sim.simulate_pair(&init, &sens);
+        let full_gates = sim.sensitized_gates();
+        assert!(mult_cone.iter().any(|g| full_gates.contains(g)));
     }
 
     #[test]

@@ -117,6 +117,149 @@ fn dynamic_final_values_match_eval_on_random_netlists() {
     }
 }
 
+/// A random DAG of 10–200 gates built to have many guards: half the gates
+/// are AND2/OR2/NAND2/NOR2/MUX2, and half of all pins sample the first
+/// `inputs + 4` nets, so steady masking nets are common. Constants,
+/// repeated pins and dangling nets all occur; about a quarter of the gates
+/// are outputs.
+fn random_gated_netlist(rng: &mut SplitMix64) -> Netlist {
+    const GATING: [CellKind; 5] = [
+        CellKind::And2,
+        CellKind::Or2,
+        CellKind::Nand2,
+        CellKind::Nor2,
+        CellKind::Mux2,
+    ];
+    const ANY: [CellKind; 10] = [
+        CellKind::Inv,
+        CellKind::Buf,
+        CellKind::And2,
+        CellKind::Or2,
+        CellKind::Nand2,
+        CellKind::Nor2,
+        CellKind::Xor2,
+        CellKind::Xnor2,
+        CellKind::Mux2,
+        CellKind::Maj3,
+    ];
+    let mut b = Builder::new();
+    let n_in = rng.gen_range_inclusive(2, 8);
+    let mut sigs: Vec<Signal> = (0..n_in).map(|i| b.input(&format!("i{i}"))).collect();
+    if rng.gen_bool() {
+        sigs.push(b.const0());
+    }
+    if rng.gen_bool() {
+        sigs.push(b.const1());
+    }
+    let near = n_in + 4;
+    let n_gates = rng.gen_range_inclusive(10, 200);
+    for g in 0..n_gates {
+        let kind = if rng.gen_bool() {
+            GATING[rng.gen_index(GATING.len())]
+        } else {
+            ANY[rng.gen_index(ANY.len())]
+        };
+        let mut pin = || {
+            let span = if rng.gen_bool() {
+                near.min(sigs.len())
+            } else {
+                sigs.len()
+            };
+            sigs[rng.gen_index(span)]
+        };
+        let s = match kind.arity() {
+            1 => b.gate1(kind, pin()),
+            2 => b.gate2(kind, pin(), pin()),
+            _ => b.gate3(kind, pin(), pin(), pin()),
+        };
+        if g + 1 == n_gates || rng.gen_index(4) == 0 {
+            b.output(&format!("o{g}"), s);
+        }
+        sigs.push(s);
+    }
+    b.finish()
+}
+
+/// The lean sweep behind `simulate_pair_minmax` skips gates whose guard
+/// holds; its min/max arrivals must still equal the full sweep's bit for
+/// bit. Random gated netlists at nominal and fabricated delays at both
+/// corners, each pair flipping each input with probability 1/4, then the
+/// 8-bit ALU over all 169 function pairs on three chips.
+#[test]
+fn lean_minmax_matches_full_path_on_gated_netlists() {
+    fn check(sim: &mut DynamicSim<'_>, init: &[bool], sens: &[bool], what: &dyn Fn() -> String) {
+        let full = sim.simulate_pair(init, sens);
+        let lean = sim.simulate_pair_minmax(init, sens);
+        assert_eq!(
+            lean.min_ps.map(f64::to_bits),
+            full.min_delay_ps.map(f64::to_bits),
+            "min, {}",
+            what()
+        );
+        assert_eq!(
+            lean.max_ps.map(f64::to_bits),
+            full.max_delay_ps.map(f64::to_bits),
+            "max, {}",
+            what()
+        );
+    }
+
+    let mut rng = SplitMix64::seed_from_u64(0x71AE_0007);
+    for case in 0..1_500 {
+        let nl = random_gated_netlist(&mut rng);
+        let width = nl.inputs().len();
+        let pairs: Vec<(Vec<bool>, Vec<bool>)> = (0..4)
+            .map(|_| {
+                let init: Vec<bool> = (0..width).map(|_| rng.gen_bool()).collect();
+                let sens = init.iter().map(|&v| v ^ (rng.gen_index(4) == 0)).collect();
+                (init, sens)
+            })
+            .collect();
+        let chip = rng.gen_u64();
+        for (corner, params) in [
+            (Corner::NTC, VariationParams::ntc()),
+            (Corner::STC, VariationParams::stc()),
+        ] {
+            for sig in [
+                ChipSignature::nominal(&nl, corner),
+                ChipSignature::fabricate(&nl, corner, params, chip),
+            ] {
+                let mut sim = DynamicSim::new(&nl, &sig);
+                for (p, (init, sens)) in pairs.iter().enumerate() {
+                    check(&mut sim, init, sens, &|| {
+                        format!("netlist {case}, pair {p}, chip {chip}, {corner:?}")
+                    });
+                }
+            }
+        }
+    }
+
+    let alu = alu8();
+    for chip in 0..3u64 {
+        let sig =
+            ChipSignature::fabricate(alu.netlist(), Corner::NTC, VariationParams::ntc(), chip);
+        let mut sim = DynamicSim::new(alu.netlist(), &sig);
+        for f1 in ALL_ALU_FUNCS {
+            for f2 in ALL_ALU_FUNCS {
+                for _ in 0..4 {
+                    let (a1, b1, a2, b2) = (
+                        rng.gen_u64() & 0xFF,
+                        rng.gen_u64() & 0xFF,
+                        rng.gen_u64() & 0xFF,
+                        rng.gen_u64() & 0xFF,
+                    );
+                    check(
+                        &mut sim,
+                        &alu.encode(f1, a1, b1),
+                        &alu.encode(f2, a2, b2),
+                        &|| format!("chip {chip}, {f1} {a1:#x},{b1:#x} -> {f2} {a2:#x},{b2:#x}"),
+                    );
+                }
+            }
+        }
+    }
+}
+
 /// Dynamic sensitized delays never exceed the static critical delay
 /// (static analysis assumes every path sensitizable).
 #[test]
