@@ -180,7 +180,7 @@ grep -Eq '"traces_recorded":[1-9][0-9]*,' target/repro-ci-trace-rec/manifest.jso
 grep -q '"source":"replay:' target/repro-ci-trace-rep/manifest.json
 grep -Eq '"trace_replays":[1-9][0-9]*,' target/repro-ci-trace-rep/manifest.json
 
-echo "==> ntc-serve: concurrent clients, batch-identical CSVs, disk hit, clean SIGTERM"
+echo "==> ntc-serve: concurrent clients, batch-identical CSVs, disk hit, bad-request, memo stats, clean SIGTERM"
 # Daemon on a temp unix socket, sharing a fresh cache dir. Two concurrent
 # scripted clients request the same experiment the grid-cache gate ran
 # above; both CSVs must be byte-identical to the batch golden, and the
@@ -223,11 +223,26 @@ test ! -e "$serve_sock"
   2>> target/serve-ci/daemon.log &
 serve_pid=$!
 for _ in $(seq 1 100); do [ -S "$serve_sock" ] && break; sleep 0.1; done
+# A spec past the wire's bounds (a one-cycle trace has no pair) is a
+# bad-request naming the field, and the daemon keeps serving.
+if ./target/release/ntc-serve request --socket "$serve_sock" \
+  --grid '{"benchmarks":["mcf"],"chips":1,"schemes":["razor"],"regime":"ch3","chip_seed_base":0,"trace_seed":0,"cycles":1}' \
+  > /dev/null 2> target/serve-ci/bad.txt; then
+  echo "FAIL: a one-cycle grid must be refused"; exit 1
+fi
+grep -q '"code":"bad-request"' target/serve-ci/bad.txt
+grep -q 'cycles' target/serve-ci/bad.txt
 ./target/release/ntc-serve request --socket "$serve_sock" \
   --experiment fig3.8 --out target/serve-ci/c3.csv \
   > target/serve-ci/r3.json
 cmp target/repro-ci-cold/fig3_8.csv target/serve-ci/c3.csv
 grep -q '"tier":"disk"' target/serve-ci/r3.json
+# Every process memo reports its entry count.
+./target/release/ntc-serve request --socket "$serve_sock" \
+  --line '{"op":"stats"}' > target/serve-ci/stats.json
+for memo in chip_blanks topologies nominal_anchors grids traces; do
+  grep -Eq "\"memo_$memo\":[0-9]+" target/serve-ci/stats.json
+done
 # Clean SIGTERM shutdown: exit 0, socket unlinked, no quarantine files.
 kill -TERM "$serve_pid"
 wait "$serve_pid"

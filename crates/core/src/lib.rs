@@ -30,14 +30,13 @@
 //! use ntc_core::baselines::Razor;
 //! use ntc_core::dcs::Dcs;
 //! use ntc_core::sim::run_scheme;
-//! use ntc_core::tag_delay::{OracleConfig, TagDelayOracle};
+//! use ntc_core::tag_delay::TagDelayOracle;
 //! use ntc_pipeline::Pipeline;
 //! use ntc_timing::ClockSpec;
 //! use ntc_varmodel::{Corner, VariationParams};
 //! use ntc_workload::{Benchmark, TraceGenerator};
 //!
-//! let mut oracle = TagDelayOracle::for_chip(
-//!     Corner::NTC, VariationParams::ntc(), 7, OracleConfig::default());
+//! let mut oracle = TagDelayOracle::for_chip(Corner::NTC, VariationParams::ntc(), 7);
 //! let trace = TraceGenerator::new(Benchmark::Mcf, 1).trace(2_000);
 //! let nominal = oracle.nominal_critical_delay_ps();
 //! let clock = ClockSpec { period_ps: nominal * 0.75, hold_ps: nominal * 0.06 };
@@ -68,7 +67,7 @@ pub use scenario::{ChipContext, ParseSchemeError, SchemeSpec, SimAccumulator};
 pub use scheme::{CycleContext, CycleOutcome, ResilienceScheme};
 pub use sim::{profile_errors, run_scheme, ErrorProfile, SimResult};
 pub use tag_delay::{
-    take_oracle_stats, CycleDelays, OracleConfig, OracleStats, SharedDelayCache,
-    ShardedDelayCache, TagDelayOracle,
+    take_oracle_stats, CycleDelays, OracleStats, ShardedDelayCache, SharedDelayCache,
+    TagDelayOracle,
 };
 pub use trident::{Eid, Trident, EID_BITS};

@@ -347,17 +347,12 @@ mod tests {
     use super::*;
     use crate::baselines::Razor;
     use crate::dcs::Dcs;
-    use crate::tag_delay::{OracleConfig, TagDelayOracle};
+    use crate::tag_delay::TagDelayOracle;
     use ntc_varmodel::{Corner, VariationParams};
     use ntc_workload::{Benchmark, TraceGenerator};
 
     fn setup() -> (TagDelayOracle, Vec<Instruction>, ClockSpec) {
-        let oracle = TagDelayOracle::for_chip(
-            Corner::NTC,
-            VariationParams::ntc(),
-            5,
-            OracleConfig::default(),
-        );
+        let oracle = TagDelayOracle::for_chip(Corner::NTC, VariationParams::ntc(), 5);
         let trace = TraceGenerator::new(Benchmark::Mcf, 1).trace(3_000);
         let nominal = oracle.nominal_critical_delay_ps();
         // Aggressive timing-speculative clock: errors will occur.

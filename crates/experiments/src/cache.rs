@@ -40,11 +40,11 @@ use ntc_pipeline::RunCost;
 use ntc_varmodel::telemetry::{self, Counts, Metric};
 use ntc_varmodel::OperatingPoint;
 use ntc_workload::{Benchmark, ALL_BENCHMARKS};
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::Mutex;
 
 /// Cache format identifier, folded into every [`cache_key`]; bump on any
 /// breaking change to the artifact encoding or to the meaning of a spec
@@ -209,72 +209,6 @@ pub fn take_stats() -> CacheStats {
 }
 
 // ---------------------------------------------------------------------
-// Bounded in-memory memo
-// ---------------------------------------------------------------------
-
-/// A tiny bounded least-recently-used map over a linear entry list —
-/// exactly right for the handful of grids a suite touches, and trivially
-/// auditable. Replaces the unbounded `HashMap` memo that held every
-/// `Arc<GridResult>` for the life of the process.
-#[derive(Debug)]
-pub struct MemoLru<K, V> {
-    cap: usize,
-    /// Entries ordered least→most recently used.
-    entries: Vec<(K, V)>,
-}
-
-impl<K: PartialEq, V: Clone> MemoLru<K, V> {
-    /// An empty LRU holding at most `cap` entries.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cap` is zero.
-    pub fn new(cap: usize) -> Self {
-        assert!(cap > 0, "an LRU needs room for at least one entry");
-        MemoLru {
-            cap,
-            entries: Vec::new(),
-        }
-    }
-
-    /// Look up `key`, marking it most recently used on a hit.
-    pub fn get(&mut self, key: &K) -> Option<V> {
-        let idx = self.entries.iter().position(|(k, _)| k == key)?;
-        let entry = self.entries.remove(idx);
-        let value = entry.1.clone();
-        self.entries.push(entry);
-        Some(value)
-    }
-
-    /// Insert (or refresh) `key`, evicting the least recently used entry
-    /// when the cap is exceeded.
-    pub fn insert(&mut self, key: K, value: V) {
-        if let Some(idx) = self.entries.iter().position(|(k, _)| *k == key) {
-            self.entries.remove(idx);
-        }
-        self.entries.push((key, value));
-        if self.entries.len() > self.cap {
-            self.entries.remove(0);
-        }
-    }
-
-    /// Whether `key` is cached, without touching recency.
-    pub fn contains(&self, key: &K) -> bool {
-        self.entries.iter().any(|(k, _)| k == key)
-    }
-
-    /// Number of cached entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the LRU is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-}
-
-// ---------------------------------------------------------------------
 // Artifact encoding
 // ---------------------------------------------------------------------
 
@@ -382,11 +316,8 @@ impl<'a> Reader<'a> {
 /// so decoded names are leaked exactly once per distinct string (a
 /// handful of short names per process, by construction of the roster).
 fn intern(s: &str) -> &'static str {
-    static INTERNED: OnceLock<Mutex<HashSet<&'static str>>> = OnceLock::new();
-    let mut set = INTERNED
-        .get_or_init(Default::default)
-        .lock()
-        .expect("intern table poisoned");
+    static INTERNED: Mutex<BTreeSet<&'static str>> = Mutex::new(BTreeSet::new());
+    let mut set = INTERNED.lock().expect("intern table poisoned");
     if let Some(&hit) = set.get(s) {
         return hit;
     }
@@ -577,19 +508,8 @@ pub fn load(dir: &Path, spec: &GridSpec) -> Option<GridResult> {
 /// Propagates I/O errors (directory creation, write, rename); the temp
 /// file is cleaned up on failure.
 pub fn store(dir: &Path, spec: &GridSpec, result: &GridResult) -> io::Result<()> {
-    std::fs::create_dir_all(dir)?;
     let bytes = encode(spec, result);
-    let path = artifact_path(dir, spec);
-    let tmp = dir.join(format!(
-        ".{}.tmp-{}",
-        cache_key(spec),
-        std::process::id()
-    ));
-    let written = std::fs::write(&tmp, &bytes).and_then(|()| std::fs::rename(&tmp, &path));
-    if written.is_err() {
-        std::fs::remove_file(&tmp).ok();
-    }
-    written?;
+    ntc_workload::write_atomic(&artifact_path(dir, spec), &bytes)?;
     telemetry::add(Metric::BytesWritten, bytes.len() as u64);
     Ok(())
 }
@@ -634,31 +554,6 @@ mod tests {
         assert_eq!(fnv1a64(b""), 0xcbf29ce484222325);
         assert_eq!(fnv1a64(b"a"), 0xaf63dc4c8601ec8c);
         assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
-    }
-
-    #[test]
-    fn memo_lru_caps_and_tracks_recency() {
-        let mut lru: MemoLru<u32, u32> = MemoLru::new(2);
-        assert!(lru.is_empty());
-        lru.insert(1, 10);
-        lru.insert(2, 20);
-        // Touch 1 so 2 becomes the LRU victim.
-        assert_eq!(lru.get(&1), Some(10));
-        lru.insert(3, 30);
-        assert_eq!(lru.len(), 2);
-        assert!(lru.contains(&1) && lru.contains(&3));
-        assert!(!lru.contains(&2), "least recently used entry evicted");
-        assert_eq!(lru.get(&2), None);
-        // Re-inserting an existing key refreshes, not grows.
-        lru.insert(1, 11);
-        assert_eq!(lru.len(), 2);
-        assert_eq!(lru.get(&1), Some(11));
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one entry")]
-    fn memo_lru_rejects_zero_cap() {
-        let _ = MemoLru::<u32, u32>::new(0);
     }
 
     #[test]

@@ -10,14 +10,13 @@
 //!   choke-induced minimum violations (choke buffers) appear alongside the
 //!   maximum violations.
 
-use ntc_core::tag_delay::{OracleConfig, SharedDelayCache, TagDelayOracle};
+use ntc_core::tag_delay::{SharedDelayCache, TagDelayOracle};
 use ntc_netlist::buffer_insertion::insert_hold_buffers;
 use ntc_netlist::generators::alu::Alu;
 use ntc_netlist::Netlist;
 use ntc_timing::{ClockSpec, StaticTiming};
-use ntc_varmodel::{ChipSignature, Corner, OperatingPoint, VariationParams};
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use ntc_varmodel::{ChipSignature, Corner, Memo, OperatingPoint, VariationParams};
+use std::sync::{Arc, Mutex};
 
 /// Process-wide voltage roster for the grid-backed experiments: which
 /// operating points the benchmark grids sweep. Empty means "unset" —
@@ -235,7 +234,7 @@ impl ClockRegime {
 /// each other's Phase-A gate simulations, nor re-run static analysis per
 /// call site.
 struct ChipBlank {
-    netlist: Netlist,
+    netlist: Arc<Netlist>,
     signature: ChipSignature,
     delays: SharedDelayCache,
     /// Nominal (PV-free) critical delay of this netlist variant.
@@ -244,44 +243,49 @@ struct ChipBlank {
     static_critical_ps: f64,
 }
 
-/// Memo key: everything [`build_oracle`] folds into the chip. `vdd` and
-/// `hold_frac` enter as bit patterns so custom corners (the voltage
-/// sweep) and regimes hash exactly; the hold fraction shapes the buffered
-/// netlist variant. The final component is the selective-hardening
-/// count (0 = the stock chip).
-type ChipKey = (u64, &'static str, u64, bool, u64, u64);
+/// Memo key: everything [`build_oracle`] folds into the chip — the
+/// corner (`vdd` as a bit pattern, so custom corners of the voltage
+/// sweep compare exactly), the seed, the topology, and the
+/// selective-hardening count (0 = the stock chip).
+type ChipKey = (u64, &'static str, u64, TopoKey, usize);
 
-/// Two-level memo: the outer mutex only guards the key→cell map, while
-/// each chip builds inside its own `OnceLock` — so two workers asking for
-/// the *same* chip serialize on its cell, but *different* chips fabricate
-/// concurrently.
-type ChipCell = Arc<OnceLock<Arc<ChipBlank>>>;
+/// Chip blanks. Measured working sets with `--no-cache`: the fast suite
+/// builds 36 (66 under a 4-point `--vdd`, 106 under all 8 roster
+/// points), the full fig3.10 grid 5. A blank holds a shared netlist, a
+/// signature and a delay table capped at 16,384 entries, so the cap
+/// bounds the bytes too.
+static CHIP_BLANKS: Memo<ChipKey, Arc<ChipBlank>> = Memo::new(128);
 
-static CHIP_BLANKS: OnceLock<Mutex<HashMap<ChipKey, ChipCell>>> = OnceLock::new();
-
-/// Everything that is a pure function of one netlist *topology* — the
-/// per-chip memo key minus the fabrication seed and the supply. All
-/// chips of a sweep share the topology, so the netlist variant and its
-/// per-corner nominal critical delays (the clock anchors) are hoisted
-/// here.
-struct TopoState {
-    netlist: Netlist,
-    /// Nominal (PV-free) critical delay of this netlist variant, per
-    /// supply voltage (keyed by the corner's vdd bit pattern). Filled
-    /// lazily as operating points first appear on the sweep axis.
-    nominal: Mutex<HashMap<u64, f64>>,
-}
-
-/// Topology memo key: the netlist variant is corner-free (see
+/// Topology key: the netlist variant is corner-free (see
 /// [`build_topology`]), so only the variant selector and the hold
-/// fraction that shapes buffer insertion remain.
+/// fraction (as a bit pattern) that shapes buffer insertion remain.
 type TopoKey = (bool, u64);
 
-type TopoCell = Arc<OnceLock<Arc<TopoState>>>;
+/// Netlist variants shared by every chip of a topology. The fast suite
+/// builds 3.
+static TOPOLOGIES: Memo<TopoKey, Arc<Netlist>> = Memo::new(8);
 
-static TOPOLOGIES: OnceLock<Mutex<HashMap<TopoKey, TopoCell>>> = OnceLock::new();
+/// Nominal (PV-free) critical delay per topology and supply (the
+/// corner's vdd bit pattern): the anchor every clock of a study hangs
+/// off. The fast suite builds 3, 24 under all 8 roster points.
+static NOMINAL_ANCHORS: Memo<(TopoKey, u64), f64> = Memo::new(32);
 
-/// Build (once) the netlist variant shared by every chip of a topology.
+/// `(name, (entries held now, cap))` of every process memo: the chip
+/// blanks, topologies and nominal anchors here, the grids of
+/// [`crate::scenario::run_grid`] and the traces of
+/// [`ntc_workload::TraceSource`]. The serve daemon's `stats` op reports
+/// the entries under these names.
+pub fn memo_occupancy() -> [(&'static str, (usize, usize)); 5] {
+    [
+        ("memo_chip_blanks", CHIP_BLANKS.occupancy()),
+        ("memo_topologies", TOPOLOGIES.occupancy()),
+        ("memo_nominal_anchors", NOMINAL_ANCHORS.occupancy()),
+        ("memo_grids", crate::scenario::grid_memo_occupancy()),
+        ("memo_traces", ntc_workload::trace_memo_occupancy()),
+    ]
+}
+
+/// Build the netlist variant shared by every chip of a topology.
 ///
 /// The netlist is **corner-free**: design-time hold fixing sees the cell
 /// library's nominal delays, so the padding targets live in the nominal
@@ -309,32 +313,23 @@ fn build_topology(buffered: bool, regime: ClockRegime) -> Netlist {
     padded
 }
 
-fn topo_state(buffered: bool, regime: ClockRegime) -> Arc<TopoState> {
-    let key: TopoKey = (buffered, regime.hold_frac.to_bits());
-    let cell = {
-        let mut map = TOPOLOGIES
-            .get_or_init(|| Mutex::new(HashMap::new()))
-            .lock()
-            .expect("topology memo poisoned");
-        map.entry(key).or_default().clone()
-    };
-    cell.get_or_init(|| {
-        Arc::new(TopoState {
-            netlist: build_topology(buffered, regime),
-            nominal: Mutex::new(HashMap::new()),
-        })
-    })
-    .clone()
+fn topo_key(buffered: bool, regime: ClockRegime) -> TopoKey {
+    (buffered, regime.hold_frac.to_bits())
 }
 
-/// The nominal (PV-free) critical delay of a topology at one supply,
-/// computed on first request per corner and memoized — the anchor every
-/// clock of a study hangs off.
-fn topo_nominal(topo: &TopoState, corner: Corner) -> f64 {
-    let mut map = topo.nominal.lock().expect("nominal memo poisoned");
-    *map.entry(corner.vdd.to_bits()).or_insert_with(|| {
-        let nominal = ChipSignature::nominal(&topo.netlist, corner);
-        StaticTiming::analyze(&topo.netlist, &nominal).critical_delay_ps(&topo.netlist)
+fn topology(buffered: bool, regime: ClockRegime) -> Arc<Netlist> {
+    TOPOLOGIES.get_or_init(&topo_key(buffered, regime), || {
+        Arc::new(build_topology(buffered, regime))
+    })
+}
+
+/// The nominal (PV-free) critical delay of a topology at one supply.
+fn nominal_critical_ps(buffered: bool, regime: ClockRegime, corner: Corner) -> f64 {
+    let key = (topo_key(buffered, regime), corner.vdd.to_bits());
+    NOMINAL_ANCHORS.get_or_init(&key, || {
+        let netlist = topology(buffered, regime);
+        let nominal = ChipSignature::nominal(&netlist, corner);
+        StaticTiming::analyze(&netlist, &nominal).critical_delay_ps(&netlist)
     })
 }
 
@@ -357,26 +352,13 @@ fn chip_blank(
     regime: ClockRegime,
     hardened: usize,
 ) -> Arc<ChipBlank> {
-    let key: ChipKey = (
-        corner.vdd.to_bits(),
-        corner.name,
-        seed,
-        buffered,
-        regime.hold_frac.to_bits(),
-        hardened as u64,
-    );
-    let cell = {
-        let mut map = CHIP_BLANKS
-            .get_or_init(|| Mutex::new(HashMap::new()))
-            .lock()
-            .expect("chip memo poisoned");
-        map.entry(key).or_default().clone()
-    };
-    cell.get_or_init(|| {
-        let topo = topo_state(buffered, regime);
-        let nominal_critical_ps = topo_nominal(&topo, corner);
+    let topo = topo_key(buffered, regime);
+    let key: ChipKey = (corner.vdd.to_bits(), corner.name, seed, topo, hardened);
+    CHIP_BLANKS.get_or_init(&key, || {
+        let netlist = topology(buffered, regime);
+        let nominal_critical_ps = nominal_critical_ps(buffered, regime, corner);
         let mut signature =
-            ChipSignature::fabricate(&topo.netlist, corner, variation_params(corner), seed);
+            ChipSignature::fabricate(&netlist, corner, variation_params(corner), seed);
         if hardened > 0 {
             // Selective hardening: the top-k slowest choke gates (by
             // delay multiplier, slowest first; stable on index for ties)
@@ -395,16 +377,15 @@ fn chip_blank(
         // One static analysis per chip, hoisted here from the per-call
         // accessors.
         let static_critical_ps =
-            StaticTiming::analyze(&topo.netlist, &signature).critical_delay_ps(&topo.netlist);
+            StaticTiming::analyze(&netlist, &signature).critical_delay_ps(&netlist);
         Arc::new(ChipBlank {
-            netlist: topo.netlist.clone(),
+            netlist,
             signature,
             delays: SharedDelayCache::default(),
             nominal_critical_ps,
             static_critical_ps,
         })
     })
-    .clone()
 }
 
 /// Build a delay oracle for one chip of the study.
@@ -416,15 +397,12 @@ fn chip_blank(
 /// nominal delays, which is exactly why post-silicon choke buffers defeat
 /// the fix.
 ///
-/// Chips are memoized per `(corner, seed, buffered, hold_frac)`: repeat
-/// calls clone the fabricated netlist/signature instead of re-running
-/// buffer insertion and fabrication, and every oracle for the same chip
-/// shares one [`SharedDelayCache`], so experiments reuse each other's
-/// Phase-A gate simulations. Results are bit-identical either way — the
-/// delay table is a pure function of the chip (see
-/// [`ntc_core::tag_delay::SharedDelayCache`]).
-/// Oracles also carry the chip's memoized critical delays, so the
-/// accessors stop re-running static analysis.
+/// Chips are memoized: repeat calls clone the fabricated netlist and
+/// signature, and every oracle for the same chip shares one
+/// [`SharedDelayCache`] and the chip's critical delays, so experiments
+/// reuse each other's Phase-A gate simulations and static analyses.
+/// Results are bit-identical either way: the delay table is a pure
+/// function of the chip.
 pub fn build_oracle(corner: Corner, seed: u64, buffered: bool, regime: ClockRegime) -> TagDelayOracle {
     oracle_from_blank(chip_blank(corner, seed, buffered, regime, 0))
 }
@@ -448,13 +426,9 @@ pub fn build_hardened_oracle(
 }
 
 fn oracle_from_blank(blank: Arc<ChipBlank>) -> TagDelayOracle {
-    TagDelayOracle::new(
-        blank.netlist.clone(),
-        blank.signature.clone(),
-        OracleConfig::default(),
-    )
-    .with_shared_cache(blank.delays.clone())
-    .with_critical_delays(blank.nominal_critical_ps, blank.static_critical_ps)
+    TagDelayOracle::new((*blank.netlist).clone(), blank.signature.clone())
+        .with_shared_cache(blank.delays.clone())
+        .with_critical_delays(blank.nominal_critical_ps, blank.static_critical_ps)
 }
 
 /// Normalize a series against its first element (the figures normalize
@@ -528,13 +502,13 @@ mod tests {
     fn nominal_critical_delay_shrinks_with_supply() {
         // The per-corner nominal memo must order the roster the way the
         // alpha-power law does: higher supply, faster logic.
-        let topo = topo_state(false, CH3_REGIME);
-        let ntc = topo_nominal(&topo, OperatingPoint::NTC.corner());
-        let mid = topo_nominal(&topo, OperatingPoint::parse("v0.60").unwrap().corner());
-        let stc = topo_nominal(&topo, OperatingPoint::STC.corner());
+        let at = |corner| nominal_critical_ps(false, CH3_REGIME, corner);
+        let ntc = at(OperatingPoint::NTC.corner());
+        let mid = at(OperatingPoint::parse("v0.60").unwrap().corner());
+        let stc = at(OperatingPoint::STC.corner());
         assert!(ntc > mid && mid > stc, "{ntc} > {mid} > {stc}");
         // Memoized: the second read is the same f64 to the bit.
-        assert_eq!(ntc.to_bits(), topo_nominal(&topo, Corner::NTC).to_bits());
+        assert_eq!(ntc.to_bits(), at(Corner::NTC).to_bits());
     }
 
     #[test]

@@ -19,7 +19,7 @@ use crate::table::ResultTable;
 use ntc_core::baselines::Razor;
 use ntc_core::dcs::Dcs;
 use ntc_core::sim::run_scheme;
-use ntc_core::tag_delay::{OracleConfig, TagDelayOracle};
+use ntc_core::tag_delay::TagDelayOracle;
 use ntc_netlist::generators::alu::Alu;
 use ntc_pipeline::Pipeline;
 use ntc_timing::{ClockSpec, StaticTiming};
@@ -51,8 +51,7 @@ pub fn voltage_sweep(scale: Scale) -> ResultTable {
         let nominal = ChipSignature::nominal(alu.netlist(), corner);
         let crit = StaticTiming::analyze(alu.netlist(), &nominal).critical_delay_ps(alu.netlist());
         let sig = ChipSignature::fabricate(alu.netlist(), corner, params, 5);
-        let mut oracle =
-            TagDelayOracle::new(alu.netlist().clone(), sig, OracleConfig::default());
+        let mut oracle = TagDelayOracle::new(alu.netlist().clone(), sig);
         let clock = ClockSpec {
             period_ps: crit * 1.10,
             hold_ps: crit * 0.10,
@@ -97,7 +96,7 @@ pub fn aging_adaptation(scale: Scale) -> ResultTable {
 
     // Phase 1: fresh silicon, cold DCS.
     let mut dcs = Dcs::icslt_default();
-    let mut oracle = TagDelayOracle::new(alu.netlist().clone(), fresh_sig.clone(), OracleConfig::default());
+    let mut oracle = TagDelayOracle::new(alu.netlist().clone(), fresh_sig.clone());
     let fresh = run_scheme(&mut dcs, &mut oracle, &trace, clock, pipe);
     t.push_row(
         "fresh, cold DCS",
@@ -119,8 +118,7 @@ pub fn aging_adaptation(scale: Scale) -> ResultTable {
             ..OperatingCondition::nominal()
         },
     );
-    let mut aged_oracle =
-        TagDelayOracle::new(alu.netlist().clone(), aged_sig.clone(), OracleConfig::default());
+    let mut aged_oracle = TagDelayOracle::new(alu.netlist().clone(), aged_sig.clone());
     let warm = run_scheme(&mut dcs, &mut aged_oracle, &trace, clock, pipe);
     t.push_row(
         "aged, warm DCS",
@@ -133,8 +131,7 @@ pub fn aging_adaptation(scale: Scale) -> ResultTable {
 
     // Phase 3: the same aged silicon with a cold DCS, for contrast.
     let mut cold = Dcs::icslt_default();
-    let mut aged_oracle2 =
-        TagDelayOracle::new(alu.netlist().clone(), aged_sig, OracleConfig::default());
+    let mut aged_oracle2 = TagDelayOracle::new(alu.netlist().clone(), aged_sig);
     let cold_r = run_scheme(&mut cold, &mut aged_oracle2, &trace, clock, pipe);
     t.push_row(
         "aged, cold DCS",

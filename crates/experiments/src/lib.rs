@@ -43,10 +43,11 @@ pub mod runner;
 pub mod scenario;
 pub mod table;
 
-pub use cache::{CacheStats, MemoLru};
+pub use cache::CacheStats;
 pub use config::{
-    build_hardened_oracle, build_oracle, normalize_to_first, parse_voltages, set_voltages,
-    set_workload_source, voltages, workload_source, ClockRegime, Scale, CH3_REGIME, CH4_REGIME,
+    build_hardened_oracle, build_oracle, memo_occupancy, normalize_to_first, parse_voltages,
+    set_voltages, set_workload_source, voltages, workload_source, ClockRegime, Scale, CH3_REGIME,
+    CH4_REGIME,
 };
 pub use report::{Manifest, RunRecord};
 pub use runner::{

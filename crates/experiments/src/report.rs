@@ -405,8 +405,9 @@ impl Manifest {
     }
 
     /// Write the manifest as `<dir>/manifest.json`, validating that the
-    /// emitted bytes parse back before they are persisted — the file that
-    /// certifies a run must never itself be malformed.
+    /// emitted bytes parse back before they are persisted, and replacing
+    /// any previous manifest atomically — the file that certifies a run
+    /// must never itself be malformed, not even after a kill mid-write.
     ///
     /// # Errors
     ///
@@ -420,9 +421,8 @@ impl Manifest {
                 format!("manifest encoder produced invalid JSON: {e}"),
             )
         })?;
-        std::fs::create_dir_all(dir)?;
         let path = dir.join("manifest.json");
-        std::fs::write(&path, json)?;
+        ntc_workload::write_atomic(&path, json.as_bytes())?;
         Ok(path)
     }
 
@@ -1094,6 +1094,21 @@ mod tests {
             parsed.get("schema").unwrap().as_str(),
             Some(MANIFEST_SCHEMA)
         );
+        // Saving over it replaces it whole and leaves no temp file.
+        let longer = Manifest::new(
+            "fast",
+            1,
+            vec![record("fig3.4", None), record("fig4.3", None)],
+        );
+        longer.save(&dir).expect("manifest rewritten");
+        let names: Vec<_> = std::fs::read_dir(&dir)
+            .expect("manifest dir")
+            .map(|e| e.expect("entry").file_name())
+            .collect();
+        assert_eq!(names, ["manifest.json"], "only the manifest remains");
+        let body = std::fs::read_to_string(&path).expect("readable");
+        let reread = Manifest::from_json_str(&body).expect("the new manifest parses");
+        assert_eq!(reread.records.len(), 2);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

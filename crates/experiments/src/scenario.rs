@@ -30,16 +30,16 @@
 //! any `--jobs` count (pinned by the determinism test in
 //! `tests/scenario_grid.rs`).
 
-use crate::cache::{self, MemoLru};
+use crate::cache;
 use crate::config::{build_hardened_oracle, build_oracle, ClockRegime, CH3_REGIME, CH4_REGIME};
 use crate::runner::sweep_over;
 use ntc_core::scenario::{ChipContext, SchemeSpec, SimAccumulator};
 use ntc_core::sim::{run_schemes, SimResult};
 use ntc_pipeline::Pipeline;
 use ntc_varmodel::telemetry::{self, Counts, Metric};
-use ntc_varmodel::OperatingPoint;
+use ntc_varmodel::{Memo, OperatingPoint};
 use ntc_workload::{Benchmark, TraceSource};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Arc;
 
 /// The two evaluation regimes of the study, as grid-spec data (the
 /// hashable face of [`CH3_REGIME`] / [`CH4_REGIME`]).
@@ -451,17 +451,24 @@ pub fn run_grid_uncached(spec: &GridSpec) -> GridResult {
     }
 }
 
-/// Capacity of the in-memory grid memo. A suite touches a handful of
-/// distinct grids (the ch3 and ch4 comparison grids plus the
-/// accuracy-sweep variants), so a small bound keeps every live grid warm
-/// while the memo can no longer grow without limit across a long run.
+/// Capacity of the in-memory grid memo: above the 5 grids the fast suite
+/// touches (the ch3 and ch4 comparison grids plus the accuracy-sweep
+/// variants) and the 1 of full fig3.10.
 pub const GRID_MEMO_CAP: usize = 8;
+
+/// Folded grids by spec.
+static GRIDS: Memo<GridSpec, Arc<GridResult>> = Memo::new(GRID_MEMO_CAP);
+
+/// Grids the in-memory memo holds now, and its cap.
+pub(crate) fn grid_memo_occupancy() -> (usize, usize) {
+    GRIDS.occupancy()
+}
 
 /// Which tier answered a [`run_grid_traced`] call — the provenance a
 /// serving layer reports back to its client in the per-request receipt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GridTier {
-    /// In-memory LRU hit (same process already folded this grid).
+    /// In-memory memo hit (this process folded, or was folding, it).
     Memo,
     /// On-disk artifact hit (a previous process folded it).
     Disk,
@@ -484,12 +491,13 @@ impl GridTier {
     }
 }
 
-/// Run a grid through the cache tiers: bounded in-memory LRU first (same
-/// process — figures charting different columns of one grid share one
-/// sweep and one `Arc`), then the on-disk artifact cache when a
-/// `--cache-dir` is configured (previous processes), then
-/// [`run_grid_uncached`]. Fresh results are written through to both
-/// tiers; `--no-cache` ([`cache::set_disabled`]) bypasses everything.
+/// Run a grid through the cache tiers: the bounded in-memory memo first
+/// (same process — figures charting different columns of one grid share
+/// one sweep and one `Arc`, and concurrent callers of one spec share one
+/// compute), then the on-disk artifact cache when a `--cache-dir` is
+/// configured (previous processes), then [`run_grid_uncached`]. Fresh
+/// results are written through to both tiers; `--no-cache`
+/// ([`cache::set_disabled`]) bypasses everything.
 ///
 /// Disk artifacts store exact bit patterns, so a hit from either tier is
 /// bit-identical to a cold run at any `--jobs` count.
@@ -500,38 +508,29 @@ pub fn run_grid(spec: &GridSpec) -> Arc<GridResult> {
 /// [`run_grid`], also reporting which tier answered. The batch drivers
 /// ignore the tier; the serve daemon threads it into request receipts.
 pub fn run_grid_traced(spec: &GridSpec) -> (Arc<GridResult>, GridTier) {
-    type Memo = Mutex<MemoLru<GridSpec, Arc<GridResult>>>;
-    static MEMO: OnceLock<Memo> = OnceLock::new();
     if cache::disabled() {
         return (Arc::new(run_grid_uncached(spec)), GridTier::Uncached);
     }
-    let memo = MEMO.get_or_init(|| Mutex::new(MemoLru::new(GRID_MEMO_CAP)));
-    if let Some(hit) = memo.lock().expect("grid memo poisoned").get(spec) {
-        return (hit, GridTier::Memo);
-    }
-    let disk = cache::disk_dir();
-    if let Some(dir) = &disk {
-        if let Some(loaded) = cache::load(dir, spec) {
-            let result = Arc::new(loaded);
-            memo.lock()
-                .expect("grid memo poisoned")
-                .insert(spec.clone(), result.clone());
-            return (result, GridTier::Disk);
+    let mut tier = GridTier::Memo;
+    let result = GRIDS.get_or_init(spec, || {
+        let disk = cache::disk_dir();
+        if let Some(loaded) = disk.as_deref().and_then(|dir| cache::load(dir, spec)) {
+            tier = GridTier::Disk;
+            return Arc::new(loaded);
         }
-    }
-    let result = Arc::new(run_grid_uncached(spec));
-    if let Some(dir) = &disk {
-        if let Err(e) = cache::store(dir, spec, &result) {
-            eprintln!(
-                "warning: could not persist grid-cache artifact under {}: {e}",
-                dir.display()
-            );
+        let result = Arc::new(run_grid_uncached(spec));
+        if let Some(dir) = &disk {
+            if let Err(e) = cache::store(dir, spec, &result) {
+                eprintln!(
+                    "warning: could not persist grid-cache artifact under {}: {e}",
+                    dir.display()
+                );
+            }
         }
-    }
-    memo.lock()
-        .expect("grid memo poisoned")
-        .insert(spec.clone(), result.clone());
-    (result, GridTier::Computed)
+        tier = GridTier::Computed;
+        result
+    });
+    (result, tier)
 }
 
 #[cfg(test)]

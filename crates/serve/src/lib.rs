@@ -12,9 +12,11 @@
 //! Three mechanisms make many clients cheaper than many batch runs:
 //!
 //! * **Shared cache tiers** — every request funnels through the same
-//!   process-wide `MemoLru` and `--cache-dir` artifacts the batch
+//!   process-wide grid memo and `--cache-dir` artifacts the batch
 //!   binaries use, so results computed once (by anyone, in any process)
-//!   are served warm.
+//!   are served warm. Every process memo is a capped
+//!   [`Memo`](ntc_varmodel::Memo), so memory stays bounded however many
+//!   distinct specs the daemon serves.
 //! * **In-flight coalescing** ([`coalesce`]) — N concurrent requests
 //!   for the same job run ONE compute; the other N−1 block on the open
 //!   flight and share its result, each receipt reporting

@@ -29,7 +29,10 @@
 //! generator; absent means the generator. A spec key outside these nine
 //! (`benchmarks`, `chips`, `schemes`, `regime`, `vdd`, `chip_seed_base`,
 //! `trace_seed`, `cycles`, `trace_dir`) is a `bad-request` that names
-//! it, so a misspelled or retired field is never silently ignored.
+//! it, so a misspelled or retired field is never silently ignored. So is
+//! a size outside the paper-scale run's: `chips` must be 1 to 24,
+//! `cycles` 2 to 1,000,000, and the last chip seed,
+//! `chip_seed_base + chips - 1`, must fit a `u64`.
 //!
 //! # Responses
 //!
@@ -230,15 +233,29 @@ fn spec_from_json(v: &Json) -> Result<GridSpec, String> {
     if benchmarks.is_empty() || schemes.is_empty() || voltages.is_empty() {
         return Err("spec: benchmarks, schemes and vdd must be non-empty".into());
     }
+    // Sizes are bounded by the paper-scale run, so one request cannot
+    // make the daemon allocate without limit; a trace needs a pair.
+    let bounded = |key: &str, lo: u64, hi: usize| match u64_field(v, key)? {
+        n if (lo..=hi as u64).contains(&n) => Ok(n),
+        n => Err(format!("spec: {key:?} must be {lo} to {hi}, got {n}")),
+    };
+    let chips = bounded("chips", 1, Scale::Full.circuit_chips())?;
+    let cycles = bounded("cycles", 2, Scale::Full.cycles())?;
+    let chip_seed_base = u64_field(v, "chip_seed_base")?;
+    if chip_seed_base.checked_add(chips - 1).is_none() {
+        return Err(format!(
+            "spec: \"chip_seed_base\" {chip_seed_base} puts chip seeds past 2^64 - 1"
+        ));
+    }
     Ok(GridSpec {
         benchmarks,
-        chips: u64_field(v, "chips")? as usize,
+        chips: chips as usize,
         schemes,
         voltages,
         regime,
-        chip_seed_base: u64_field(v, "chip_seed_base")?,
+        chip_seed_base,
         trace_seed: u64_field(v, "trace_seed")?,
-        cycles: u64_field(v, "cycles")? as usize,
+        cycles: cycles as usize,
         source,
     })
 }
@@ -369,7 +386,7 @@ pub fn render_list(
 }
 
 /// Render the `stats` response from `(name, value)` counter pairs.
-pub fn render_stats(counters: &[(&str, u64)]) -> String {
+pub fn render_stats<'a>(counters: impl IntoIterator<Item = (&'a str, u64)>) -> String {
     let mut out = String::from("{\"ok\":true,");
     push_key_str(&mut out, "op", "stats");
     for (k, v) in counters {
@@ -560,6 +577,40 @@ mod tests {
         ] {
             let err = spec_of(extra).expect_err("unknown spec key");
             assert!(err.contains(&format!("unknown field \"{key}\"")), "{err}");
+        }
+    }
+
+    #[test]
+    fn out_of_range_sizes_are_rejected_by_field() {
+        let spec_of = |chips: &str, seed: &str, cycles: &str| {
+            parse_request(&format!(
+                r#"{{"op":"grid","spec":{{"benchmarks":["mcf"],"chips":{chips},
+                    "schemes":["razor"],"regime":"ch3","chip_seed_base":{seed},
+                    "trace_seed":0,"cycles":{cycles}}}}}"#
+            ))
+        };
+        for (chips, seed, cycles, field) in [
+            ("1", "0", "1", "cycles"),
+            ("1", "0", "0", "cycles"),
+            ("1", "0", "1000001", "cycles"),
+            ("0", "0", "100", "chips"),
+            ("25", "0", "100", "chips"),
+            ("2", "18446744073709551615", "100", "chip_seed_base"),
+        ] {
+            let err = spec_of(chips, seed, cycles).expect_err("out of range");
+            assert!(err.contains(&format!("\"{field}\"")), "{field}: {err}");
+        }
+        // The edges themselves are servable.
+        for (chips, seed, cycles) in [
+            ("1", "0", "2"),
+            ("24", "0", "1000000"),
+            ("1", "18446744073709551615", "100"),
+            ("2", "18446744073709551614", "100"),
+        ] {
+            assert!(
+                spec_of(chips, seed, cycles).is_ok(),
+                "{chips} {seed} {cycles}"
+            );
         }
     }
 

@@ -18,7 +18,9 @@ use crate::protocol::{
 use ntc_core::scenario::SchemeSpec;
 use ntc_core::OracleStats;
 use ntc_experiments::scenario::GridTier;
-use ntc_experiments::{all_experiments, cache, runner, scenario, CacheStats, Scale, SweepStats};
+use ntc_experiments::{
+    all_experiments, cache, memo_occupancy, runner, scenario, CacheStats, Scale, SweepStats,
+};
 use ntc_varmodel::telemetry;
 use ntc_workload::ALL_BENCHMARKS;
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
@@ -417,18 +419,22 @@ impl Server {
                     .collect();
                 render_list(&experiments, &benchmarks, &schemes, &vdd)
             }
-            Request::Stats => render_stats(&[
-                ("requests", self.stats.requests.load(Ordering::Relaxed)),
-                ("computed", self.stats.computed.load(Ordering::Relaxed)),
-                ("memo_hits", self.stats.memo_hits.load(Ordering::Relaxed)),
-                ("disk_hits", self.stats.disk_hits.load(Ordering::Relaxed)),
-                ("coalesced", self.stats.coalesced.load(Ordering::Relaxed)),
-                (
-                    "busy_rejections",
-                    self.stats.busy_rejections.load(Ordering::Relaxed),
-                ),
-                ("errors", self.stats.errors.load(Ordering::Relaxed)),
-            ]),
+            Request::Stats => render_stats(
+                [
+                    ("requests", self.stats.requests.load(Ordering::Relaxed)),
+                    ("computed", self.stats.computed.load(Ordering::Relaxed)),
+                    ("memo_hits", self.stats.memo_hits.load(Ordering::Relaxed)),
+                    ("disk_hits", self.stats.disk_hits.load(Ordering::Relaxed)),
+                    ("coalesced", self.stats.coalesced.load(Ordering::Relaxed)),
+                    (
+                        "busy_rejections",
+                        self.stats.busy_rejections.load(Ordering::Relaxed),
+                    ),
+                    ("errors", self.stats.errors.load(Ordering::Relaxed)),
+                ]
+                .into_iter()
+                .chain(memo_occupancy().map(|(name, (entries, _))| (name, entries as u64))),
+            ),
             Request::Experiment { id, scale } => {
                 let Some((_, run)) = all_experiments().into_iter().find(|(eid, _)| *eid == id)
                 else {

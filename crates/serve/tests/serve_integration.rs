@@ -1,7 +1,8 @@
 //! End-to-end daemon tests: concurrent clients over a real Unix socket
 //! against a live [`Server`], pinning the acceptance contract —
 //! byte-identical payloads to batch runs at any jobs count, exactly one
-//! compute across coalesced clients, and busy backpressure.
+//! compute across coalesced clients, busy backpressure, and memos that
+//! stay within their caps.
 //!
 //! One `#[test]` body: the runner's jobs count, the grid memo, and the
 //! telemetry counters are process-global, so scenarios must run
@@ -469,6 +470,66 @@ fn daemon_serves_coalesced_concurrent_clients_byte_identically() {
     );
     handle.join().expect("server thread").expect("clean drain");
     drop(idle);
+
+    // ---- Scenario 9: a soak of distinct specs keeps every memo under
+    // its cap and stays byte-identical to batch ---------------------------
+    // Each one-chip spec fabricates its own chip, so more specs than the
+    // chip-blank memo holds must evict. The memos are process-wide, so the
+    // caps read here are the daemon's.
+    let (addr, handle) = start_server(&dir, "soak", |cfg| {
+        cfg.cache_dir = None;
+        cfg.jobs = Some(2);
+    });
+    let (_, (_, blank_cap)) = ntc_experiments::memo_occupancy()
+        .into_iter()
+        .find(|(name, _)| *name == "memo_chip_blanks")
+        .expect("a chip-blank memo");
+    let soak_seed = |i: usize| 50_000 + i as u64;
+    let lines: Vec<String> = (0..blank_cap + 8)
+        .map(|i| {
+            GRID_LINE
+                .replace("\"chips\":2", "\"chips\":1")
+                .replace("\"razor\",\"dcs-icslt:32\"", "\"razor\"")
+                .replace(
+                    "\"chip_seed_base\":940",
+                    &format!("\"chip_seed_base\":{}", soak_seed(i)),
+                )
+                .replace("\"cycles\":2000", "\"cycles\":64")
+        })
+        .collect();
+    let answers = client::roundtrip_many(&addr, &lines).expect("soak roundtrips");
+    let stats = parse_json(&client::roundtrip(&addr, r#"{"op":"stats"}"#).expect("stats"))
+        .expect("stats json");
+    for (name, (_, cap)) in ntc_experiments::memo_occupancy() {
+        let held = stats
+            .get(name)
+            .and_then(Json::as_u64)
+            .unwrap_or_else(|| panic!("stats reports {name}: {stats:?}"));
+        assert!(
+            held as usize <= cap,
+            "{name} holds {held} entries, cap {cap}"
+        );
+        if name == "memo_chip_blanks" {
+            assert_eq!(held as usize, cap, "the soak filled the chip-blank memo");
+        }
+    }
+    // The first specs' chips were evicted long ago; their answers, and a
+    // sample of the rest, match a batch run that fabricates them again.
+    for i in (0..lines.len()).step_by(25).chain([lines.len() - 1]) {
+        let mut spec = grid_spec();
+        spec.chips = 1;
+        spec.schemes.truncate(1);
+        spec.chip_seed_base = soak_seed(i);
+        spec.cycles = 64;
+        let batch = ntc_experiments::run_grid_uncached(&spec);
+        let answer = parse_json(&answers[i]).expect("soak answer json");
+        assert_eq!(
+            response_csv(&answer),
+            ntc_serve::protocol::table_csv(&ntc_serve::protocol::grid_table(&spec, &batch)),
+            "soak spec {i} == batch bytes"
+        );
+    }
+    shutdown(&addr, handle);
 
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -17,6 +17,8 @@
 //!   identification, controlled choke injection, and the chip lottery.
 //! * [`telemetry`] — the one counter array and attribution scope every
 //!   layer above counts its work through.
+//! * [`memo`] — the one bounded, build-once memo behind every process
+//!   cache of the layers above.
 //!
 //! # Examples
 //!
@@ -36,6 +38,7 @@
 #![warn(missing_debug_implementations)]
 
 pub mod device;
+pub mod memo;
 pub mod point;
 pub mod pvta;
 pub mod rng;
@@ -44,6 +47,7 @@ pub mod telemetry;
 pub mod variation;
 
 pub use device::{Corner, ALPHA, MIN_VDD, VTH_NOMINAL};
+pub use memo::Memo;
 pub use point::{OperatingPoint, ParsePointError, VDD_STEP};
 pub use pvta::{at_condition, OperatingCondition};
 pub use rng::SplitMix64;

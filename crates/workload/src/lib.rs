@@ -33,7 +33,8 @@
 pub mod source;
 pub mod trace_bin;
 
-pub use source::{take_stats, Segment, TraceSource, WorkloadStats};
+pub use source::{take_stats, trace_memo_occupancy, Segment, TraceSource, WorkloadStats};
+pub use trace_bin::write_atomic;
 
 use ntc_isa::{arch_mask, Instruction, Opcode};
 use ntc_varmodel::rng::SplitMix64;

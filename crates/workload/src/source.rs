@@ -17,18 +17,19 @@
 //!   file was recorded from the same seed (pinned by
 //!   `trace_sampling.rs`).
 //!
-//! Decoded traces are memoized process-wide per file path (an `Arc` per
-//! file), so a grid's many (chip × scheme × voltage) cells decode each
-//! trace once. Record and replay are counted as [`telemetry`] metrics,
-//! which `repro` reads per experiment ([`WorkloadStats`]).
+//! Recorded and replayed traces are memoized process-wide per file (an
+//! `Arc` per file, in a bounded [`Memo`]), so a grid's many (chip ×
+//! scheme × voltage) cells generate or decode each trace once. Record
+//! and replay are counted as [`telemetry`] metrics, which `repro` reads
+//! per experiment ([`WorkloadStats`]).
 
 use crate::trace_bin;
 use crate::{Benchmark, TraceGenerator};
 use ntc_isa::Instruction;
 use ntc_varmodel::telemetry::{self, Counts, Metric};
-use std::collections::HashMap;
+use ntc_varmodel::Memo;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// A resolved cell's whole trace with fold weight 1. Kept only because
 /// the benchmark's `layer-trace` binary (under `perfbench/`) calls it.
@@ -94,19 +95,24 @@ impl TraceSource {
         match self {
             TraceSource::Generator => Ok(Arc::new(TraceGenerator::new(bench, seed).trace(cycles))),
             TraceSource::Record(dir) => {
-                let trace = Arc::new(TraceGenerator::new(bench, seed).trace(cycles));
                 let path = Self::trace_path(dir, bench, seed, cycles);
-                let _guard = RECORD_LOCK.lock().expect("record lock poisoned");
-                if !path.is_file() {
-                    trace_bin::write_trace_file(&path, &trace)
-                        .map_err(|e| format!("recording {}: {e}", path.display()))?;
-                    telemetry::add(Metric::TracesRecorded, 1);
-                }
-                Ok(trace)
+                TRACES.get_or_try_init(&(path.clone(), false), || {
+                    let trace = TraceGenerator::new(bench, seed).trace(cycles);
+                    if !path.is_file() {
+                        trace_bin::write_trace_file(&path, &trace)
+                            .map_err(|e| format!("recording {}: {e}", path.display()))?;
+                        telemetry::add(Metric::TracesRecorded, 1);
+                    }
+                    Ok(Arc::new(trace))
+                })
             }
             TraceSource::Replay(dir) => {
                 let path = Self::trace_path(dir, bench, seed, cycles);
-                let trace = memo_trace(&path)?;
+                let trace = TRACES.get_or_try_init(&(path.clone(), true), || {
+                    trace_bin::read_trace_file(&path)
+                        .map(Arc::new)
+                        .map_err(|e| format!("{}: {e}", path.display()))
+                })?;
                 if trace.len() != cycles {
                     return Err(format!(
                         "{}: recorded trace has {} instructions, cell wants {cycles}",
@@ -148,27 +154,17 @@ impl std::fmt::Display for TraceSource {
     }
 }
 
-/// Serializes the record path's check-then-write: the chips of a grid
-/// resolve the same trace concurrently, and only one of them may write
-/// (and count) the file.
-static RECORD_LOCK: Mutex<()> = Mutex::new(());
+/// Recorded and replayed traces by (file, replayed): one entry per file
+/// a process records or replays, so a grid's many (chip × scheme ×
+/// voltage) cells generate or decode each trace once, and a recording
+/// writes each file once. Measured: a grid reads at most 6 files (one per
+/// benchmark); full fig3.10 replays 6 of 24 MB, and the fast suite
+/// records or replays 18 of 1.4 MB (3 trace seeds), each decoded once.
+static TRACES: Memo<(PathBuf, bool), Arc<Vec<Instruction>>> = Memo::new(8);
 
-/// Process-wide decoded-trace memo: a grid touches each trace file once
-/// per (chip × scheme × voltage) cell, and a process touches only a
-/// handful of distinct files, so an unbounded map is fine. The lock is
-/// held across a load, so concurrent cells of one trace decode it once.
-static TRACE_MEMO: Mutex<Option<HashMap<PathBuf, Arc<Vec<Instruction>>>>> = Mutex::new(None);
-fn memo_trace(path: &Path) -> Result<Arc<Vec<Instruction>>, String> {
-    let mut memo = TRACE_MEMO.lock().expect("trace memo poisoned");
-    let memo = memo.get_or_insert_with(HashMap::new);
-    if let Some(hit) = memo.get(path) {
-        return Ok(hit.clone());
-    }
-    let trace = Arc::new(
-        trace_bin::read_trace_file(path).map_err(|e| format!("{}: {e}", path.display()))?,
-    );
-    memo.insert(path.to_path_buf(), trace.clone());
-    Ok(trace)
+/// Traces the memo holds now, and its cap.
+pub fn trace_memo_occupancy() -> (usize, usize) {
+    TRACES.occupancy()
 }
 
 // ---------------------------------------------------------------------

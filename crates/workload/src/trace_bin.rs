@@ -25,6 +25,7 @@ use ntc_isa::{Instruction, Opcode};
 use std::fmt;
 use std::io;
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Leading magic of every binary trace file.
 pub const MAGIC: &[u8; 8] = b"NTCTRAC1";
@@ -207,13 +208,23 @@ pub fn write_trace_file(path: &Path, trace: &[Instruction]) -> io::Result<()> {
     write_atomic(path, &encode_trace(trace))
 }
 
-/// Write `bytes` to a process-unique temp name, then `rename` into place.
-fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
+/// Write `bytes` to `path` (creating its directory) under a temp name
+/// unique to this process and call, then `rename` into place, so a
+/// reader never sees, and a killed writer never leaves, a partial file
+/// at `path`. Trace files, grid-cache artifacts and run manifests all
+/// go through here.
+///
+/// # Errors
+///
+/// Propagates I/O failures (the temp file is cleaned up on error).
+pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
     if let Some(dir) = path.parent() {
         std::fs::create_dir_all(dir)?;
     }
     let mut tmp = path.as_os_str().to_owned();
-    tmp.push(format!(".tmp-{}", std::process::id()));
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    tmp.push(format!(".tmp-{}-{n}", std::process::id()));
     let tmp = std::path::PathBuf::from(tmp);
     let written = std::fs::write(&tmp, bytes).and_then(|()| std::fs::rename(&tmp, path));
     if written.is_err() {

@@ -6,7 +6,7 @@
 use ntc_choke::core::baselines::Razor;
 use ntc_choke::core::dcs::Dcs;
 use ntc_choke::core::sim::run_scheme;
-use ntc_choke::core::tag_delay::{OracleConfig, TagDelayOracle};
+use ntc_choke::core::tag_delay::TagDelayOracle;
 use ntc_choke::pipeline::Pipeline;
 use ntc_choke::timing::ClockSpec;
 use ntc_choke::varmodel::{Corner, VariationParams};
@@ -16,8 +16,7 @@ fn main() {
     // 1. Fabricate one near-threshold chip: a 32-bit ALU with
     //    VARIUS-NTV-style process variation (seed = the fabrication
     //    lottery ticket).
-    let mut oracle =
-        TagDelayOracle::for_chip(Corner::NTC, VariationParams::ntc(), 33, OracleConfig::default());
+    let mut oracle = TagDelayOracle::for_chip(Corner::NTC, VariationParams::ntc(), 33);
     let nominal = oracle.nominal_critical_delay_ps();
     println!("nominal critical delay      : {nominal:.0} ps");
     println!(

@@ -4,7 +4,7 @@
 use ntc_choke::core::baselines::{Hfg, Ocst, Razor};
 use ntc_choke::core::dcs::Dcs;
 use ntc_choke::core::sim::{profile_errors, run_scheme};
-use ntc_choke::core::tag_delay::{OracleConfig, TagDelayOracle};
+use ntc_choke::core::tag_delay::TagDelayOracle;
 use ntc_choke::core::trident::Trident;
 use ntc_choke::isa::{Instruction, Opcode, ALL_OPCODES};
 use ntc_choke::netlist::generators::alu::Alu;
@@ -14,7 +14,7 @@ use ntc_choke::varmodel::{ChipSignature, Corner, VariationParams};
 use ntc_choke::workload::{Benchmark, TraceGenerator};
 
 fn oracle(seed: u64) -> TagDelayOracle {
-    TagDelayOracle::for_chip(Corner::NTC, VariationParams::ntc(), seed, OracleConfig::default())
+    TagDelayOracle::for_chip(Corner::NTC, VariationParams::ntc(), seed)
 }
 
 fn clock(oracle: &TagDelayOracle) -> ClockSpec {

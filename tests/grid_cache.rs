@@ -166,7 +166,7 @@ fn old_schema_artifacts_are_ignored_not_quarantined() {
 #[test]
 fn memo_eviction_recomputes_bit_identically() {
     let _guard = lock();
-    // No disk tier: this exercises the bounded in-memory LRU only.
+    // No disk tier: this exercises the bounded in-memory memo only.
     cache::set_disk_dir(None);
     let first = run_grid(&tiny_spec(100));
     // Insert GRID_MEMO_CAP newer grids; whatever the memo held before,

@@ -6,7 +6,7 @@
 //! Everything lives in a single `#[test]` because `runner::set_jobs` is
 //! process-global: parallel test functions would race on it.
 
-use ntc_choke::core::tag_delay::{OracleConfig, TagDelayOracle};
+use ntc_choke::core::tag_delay::TagDelayOracle;
 use ntc_choke::experiments::{all_experiments, runner, Scale};
 use ntc_choke::varmodel::{Corner, VariationParams};
 use ntc_choke::workload::{Benchmark, TraceGenerator};
@@ -55,12 +55,7 @@ fn experiment_csvs_are_identical_at_any_thread_count() {
         false,
         ntc_choke::experiments::config::CH3_REGIME,
     );
-    let mut fresh = TagDelayOracle::for_chip(
-        Corner::NTC,
-        VariationParams::ntc(),
-        900,
-        OracleConfig::default(),
-    );
+    let mut fresh = TagDelayOracle::for_chip(Corner::NTC, VariationParams::ntc(), 900);
     let probe = TraceGenerator::new(Benchmark::Gap, 0xD15C).trace(500);
     for pair in probe.windows(2) {
         assert_eq!(
@@ -79,12 +74,8 @@ fn experiment_csvs_are_identical_at_any_thread_count() {
         if i == 3 || i == 11 {
             panic!("injected: chip {i} failed fabrication");
         }
-        let mut oracle = TagDelayOracle::for_chip(
-            Corner::NTC,
-            VariationParams::ntc(),
-            7000 + i as u64,
-            OracleConfig::default(),
-        );
+        let mut oracle =
+            TagDelayOracle::for_chip(Corner::NTC, VariationParams::ntc(), 7000 + i as u64);
         let probe = TraceGenerator::new(Benchmark::Mcf, 0xBEEF ^ i as u64).trace(8);
         probe
             .windows(2)

@@ -29,7 +29,7 @@ use ntc_choke::core::dcs::Dcs;
 use ntc_choke::core::scenario::{ChipContext, SchemeSpec};
 use ntc_choke::core::scheme::{CycleContext, CycleOutcome, ResilienceScheme};
 use ntc_choke::core::sim::{profile_errors, run_scheme, run_schemes, SimResult};
-use ntc_choke::core::tag_delay::{CycleDelays, OracleConfig, TagDelayOracle, STREAM_CHUNK};
+use ntc_choke::core::tag_delay::{CycleDelays, TagDelayOracle, STREAM_CHUNK};
 use ntc_choke::core::trident::Trident;
 use ntc_choke::experiments::{run_grid_uncached, GridSpec, Regime};
 use ntc_choke::isa::Instruction;
@@ -42,12 +42,7 @@ const CHIP_SEED: u64 = 21;
 const TRACE_LEN: usize = 6_000;
 
 fn oracle() -> TagDelayOracle {
-    TagDelayOracle::for_chip(
-        Corner::NTC,
-        VariationParams::ntc(),
-        CHIP_SEED,
-        OracleConfig::default(),
-    )
+    TagDelayOracle::for_chip(Corner::NTC, VariationParams::ntc(), CHIP_SEED)
 }
 
 fn trace() -> Vec<Instruction> {
@@ -304,9 +299,7 @@ fn razor_ch4_double_counts_consecutive_errors() {
     use ntc_choke::timing::ErrorClass;
     // Chip 21 happens to produce no CEs on this trace; chip 11 produces
     // hundreds at the same operating point.
-    let ce_chip = || {
-        TagDelayOracle::for_chip(Corner::NTC, VariationParams::ntc(), 11, OracleConfig::default())
-    };
+    let ce_chip = || TagDelayOracle::for_chip(Corner::NTC, VariationParams::ntc(), 11);
     let trace = trace();
     let mut chip = ce_chip();
     let c4 = ch4_clock(&chip);
