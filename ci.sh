@@ -11,6 +11,7 @@ echo "==> cargo test -q --offline --workspace"
 cargo test -q --offline --workspace
 
 echo "==> kernel reference-equivalence + allocation-free suites"
+cargo test -q --offline -p ntc-netlist --lib truth_table_agrees_with_eval
 cargo test -q --offline -p ntc-timing reference:: --lib
 cargo test -q --offline -p ntc-timing --test alloc_free
 cargo test -q --offline -p ntc-timing --test proptest_timing \

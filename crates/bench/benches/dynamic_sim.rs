@@ -6,7 +6,9 @@
 //! error tag in the first 200,000 instructions of the vortex trace (seed
 //! 7) and simulate all of them per iteration on one fabricated NTC chip,
 //! through the lean `simulate_pair_minmax` sweep the oracle runs and
-//! through the full `simulate_pair_into` sweep.
+//! through the full `simulate_pair_into` sweep; `first_pairs_settle`
+//! times the settle pass (`Netlist::eval_all_into` of each initializing
+//! vector) that both sweeps start with.
 //!
 //! The other cases stress shapes on the 64-bit ALU under nominal and
 //! fabricated signatures. Sparse pairs (`Buffer`→`Buffer`) exercise the
@@ -83,6 +85,20 @@ fn bench(c: &mut Criterion) {
                 .iter()
                 .filter_map(|(init, sens)| sim.simulate_pair_minmax(init, sens).max_ps)
                 .fold(0.0, f64::max)
+        })
+    });
+    // The settle pass alone: both sweeps start by settling the
+    // initializing vector over the whole netlist.
+    g.bench_function("first_pairs_settle", |b| {
+        let mut settled = Vec::new();
+        b.iter(|| {
+            pairs
+                .iter()
+                .filter(|(init, _)| {
+                    oracle_alu.netlist().eval_all_into(init, &mut settled);
+                    settled[settled.len() - 1]
+                })
+                .count()
         })
     });
     g.bench_function("first_pairs_full", |b| {

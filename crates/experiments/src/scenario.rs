@@ -508,19 +508,37 @@ pub fn run_grid(spec: &GridSpec) -> Arc<GridResult> {
 /// [`run_grid`], also reporting which tier answered. The batch drivers
 /// ignore the tier; the serve daemon threads it into request receipts.
 pub fn run_grid_traced(spec: &GridSpec) -> (Arc<GridResult>, GridTier) {
+    cached_grid(spec).unwrap_or_else(|| compute_grid(spec))
+}
+
+/// The grid if a cache tier already holds it, without computing: the
+/// memo's value if its build has finished, else the disk artifact, which
+/// is memoized on the way. Never waits on a memo build in progress.
+/// `None` when caching is disabled.
+pub fn cached_grid(spec: &GridSpec) -> Option<(Arc<GridResult>, GridTier)> {
+    if cache::disabled() {
+        return None;
+    }
+    if let Some(result) = GRIDS.get_built(spec) {
+        return Some((result, GridTier::Memo));
+    }
+    let loaded = Arc::new(cache::load(&cache::disk_dir()?, spec)?);
+    Some((GRIDS.get_or_init(spec, || loaded), GridTier::Disk))
+}
+
+/// The second half of [`run_grid_traced`], for a spec [`cached_grid`]
+/// missed: sweep the grid through the memo, so concurrent callers of one
+/// spec share one compute (the later ones report [`GridTier::Memo`]),
+/// and write it through to the disk tier.
+pub fn compute_grid(spec: &GridSpec) -> (Arc<GridResult>, GridTier) {
     if cache::disabled() {
         return (Arc::new(run_grid_uncached(spec)), GridTier::Uncached);
     }
     let mut tier = GridTier::Memo;
     let result = GRIDS.get_or_init(spec, || {
-        let disk = cache::disk_dir();
-        if let Some(loaded) = disk.as_deref().and_then(|dir| cache::load(dir, spec)) {
-            tier = GridTier::Disk;
-            return Arc::new(loaded);
-        }
         let result = Arc::new(run_grid_uncached(spec));
-        if let Some(dir) = &disk {
-            if let Err(e) = cache::store(dir, spec, &result) {
+        if let Some(dir) = cache::disk_dir() {
+            if let Err(e) = cache::store(&dir, spec, &result) {
                 eprintln!(
                     "warning: could not persist grid-cache artifact under {}: {e}",
                     dir.display()

@@ -172,6 +172,33 @@ impl CellKind {
         }
     }
 
+    /// The cell's logic function as an 8-entry truth table: bit `s` is the
+    /// output when pin `j` carries bit `j` of `s`. Pins past the
+    /// [`arity`](Self::arity) are ignored, so a caller may read all three
+    /// pins of any gate (1- and 2-input gates repeat a real input there).
+    /// `Const0` and `Const1` read as constants; `Input` reads as 0, since an
+    /// input's value comes from the stimulus.
+    pub const fn truth_table(self) -> u8 {
+        // Pin `j`'s column: bit `s` set when bit `j` of `s` is.
+        const A: u8 = 0xAA;
+        const B: u8 = 0xCC;
+        const C: u8 = 0xF0;
+        match self {
+            CellKind::Input | CellKind::Const0 => 0,
+            CellKind::Const1 => !0,
+            CellKind::Inv => !A,
+            CellKind::Buf => A,
+            CellKind::And2 => A & B,
+            CellKind::Or2 => A | B,
+            CellKind::Nand2 => !(A & B),
+            CellKind::Nor2 => !(A | B),
+            CellKind::Xor2 => A ^ B,
+            CellKind::Xnor2 => !(A ^ B),
+            CellKind::Mux2 => (A & !C) | (B & C),
+            CellKind::Maj3 => (A & B) | (C & (A ^ B)),
+        }
+    }
+
     /// Short library-style cell name (e.g. `NAND2_X1`).
     pub fn lib_name(self) -> &'static str {
         match self {
@@ -237,6 +264,23 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn truth_table_agrees_with_eval() {
+        for kind in ALL_CELL_KINDS.into_iter().filter(|k| !k.is_pseudo()) {
+            let table = kind.truth_table();
+            for s in 0..8u8 {
+                let pins = [s & 1 == 1, s & 2 == 2, s & 4 == 4];
+                assert_eq!(
+                    table >> s & 1 == 1,
+                    kind.eval(&pins[..kind.arity()]),
+                    "{kind} at pin state {s:03b}"
+                );
+            }
+        }
+        assert_eq!(CellKind::Const0.truth_table(), 0);
+        assert_eq!(CellKind::Const1.truth_table(), 0xFF);
     }
 
     #[test]

@@ -279,17 +279,14 @@ impl Netlist {
         values.clear();
         values.resize(self.gates.len(), false);
         let mut pi_iter = pi_values.iter();
-        let mut scratch = [false; 3];
         for (i, g) in self.gates.iter().enumerate() {
-            values[i] = match g.kind {
-                CellKind::Input => *pi_iter.next().expect("input count checked above"),
-                kind => {
-                    let arity = kind.arity();
-                    for (j, s) in g.ins[..arity].iter().enumerate() {
-                        scratch[j] = values[s.index()];
-                    }
-                    kind.eval(&scratch[..arity])
-                }
+            values[i] = if g.kind == CellKind::Input {
+                *pi_iter.next().expect("input count checked above")
+            } else {
+                // Every pin names an existing net, and the table ignores
+                // the pins past the arity.
+                let [a, b, c] = g.ins.map(|s| usize::from(values[s.index()]));
+                g.kind.truth_table() >> (a | b << 1 | c << 2) & 1 == 1
             };
         }
     }

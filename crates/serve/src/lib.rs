@@ -24,7 +24,8 @@
 //! * **Admission control** ([`admission`]) — a bounded compute budget
 //!   plus a bounded wait queue; requests past both get an immediate
 //!   `busy` error, the backpressure signal a closed-loop client needs
-//!   to shed load instead of stacking timeouts.
+//!   to shed load instead of stacking timeouts. A grid the memo or disk
+//!   tier already holds answers without taking a slot.
 //!
 //! Determinism carries over unchanged: a served CSV is byte-identical
 //! to what a batch `repro` run writes for the same work at any

@@ -9,7 +9,7 @@
 //! (sweep busy/wall, oracle, disk cache) are exactly that compute's work
 //! at any compute budget (see [`crate::protocol::JobCounters`]).
 
-use crate::admission::Admission;
+use crate::admission::{Admission, Busy};
 use crate::coalesce::{FlightMap, Role};
 use crate::protocol::{
     grid_table, parse_request, render_error, render_list, render_ok, render_ok_csv, render_stats,
@@ -17,7 +17,7 @@ use crate::protocol::{
 };
 use ntc_core::scenario::SchemeSpec;
 use ntc_core::OracleStats;
-use ntc_experiments::scenario::GridTier;
+use ntc_experiments::scenario::{GridResult, GridTier};
 use ntc_experiments::{
     all_experiments, cache, memo_occupancy, runner, scenario, CacheStats, Scale, SweepStats,
 };
@@ -449,31 +449,46 @@ impl Server {
                     Scale::Full => "full",
                 };
                 let key = format!("exp:{id}:{scale_name}");
-                self.serve_job(&key, "experiment", &id, move || {
-                    let table = run(scale);
-                    (table_csv(&table), None)
-                })
+                // An experiment runner may compute, so it always takes a
+                // slot.
+                self.serve_job(
+                    &key,
+                    "experiment",
+                    &id,
+                    || None,
+                    || (table_csv(&run(scale)), None),
+                )
             }
             Request::Grid { spec } => {
                 let key = format!("grid:{}", cache::cache_key(&spec));
-                self.serve_job(&key, "grid", "grid", move || {
-                    let (result, tier) = scenario::run_grid_traced(&spec);
-                    (table_csv(&grid_table(&spec, &result)), Some(tier))
-                })
+                let csv = |result: &GridResult| table_csv(&grid_table(&spec, result));
+                self.serve_job(
+                    &key,
+                    "grid",
+                    "grid",
+                    || scenario::cached_grid(&spec).map(|(result, tier)| (csv(&result), tier)),
+                    || {
+                        let (result, tier) = scenario::compute_grid(&spec);
+                        (csv(&result), Some(tier))
+                    },
+                )
             }
         }
     }
 
-    /// Run one compute job through coalescing and admission, and render
-    /// its response. `job` returns the CSV payload plus an exact cache
-    /// tier when it knows one (grid requests); experiment requests
-    /// return `None` and the tier is inferred from the compute's
+    /// Run one job through coalescing and admission, and render its
+    /// response. The flight leader first asks `cached` for an answer a
+    /// cache tier already holds, which takes no admission slot; on a miss
+    /// it takes a slot and runs `job`. `job` returns the CSV payload plus
+    /// an exact cache tier when it knows one (grid requests); experiment
+    /// requests return `None` and the tier is inferred from the compute's
     /// counters.
     fn serve_job(
         &self,
         key: &str,
         op: &str,
         id: &str,
+        cached: impl FnOnce() -> Option<(String, GridTier)>,
         job: impl FnOnce() -> (String, Option<GridTier>),
     ) -> String {
         match self.flights.join_or_lead(key) {
@@ -504,40 +519,43 @@ impl Server {
                 }
             }
             Role::Leader(token) => {
-                let permit = match self.admission.acquire() {
-                    Ok(p) => p,
-                    Err(busy) => {
-                        self.stats.busy_rejections.fetch_add(1, Ordering::Relaxed);
-                        token.publish(Arc::new(JobOutput::Busy));
-                        return render_error(
-                            ErrorCode::Busy,
-                            &format!(
-                                "admission queue full ({} already waiting)",
-                                busy.queue_depth
-                            ),
-                        );
-                    }
-                };
-                if !self.cfg.hold_before_compute.is_zero() {
-                    std::thread::sleep(self.cfg.hold_before_compute);
-                }
                 // One telemetry scope per job, the same attribution
                 // `repro` uses per experiment: every counter lands in it
                 // (the sweep engine hands it to its workers), so each
                 // concurrent compute bills exactly its own work at any
                 // budget. The process totals keep ticking undisturbed.
                 let (outcome, counts) = telemetry::scoped(|| {
-                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(job))
+                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        // An answer a cache tier holds takes no slot.
+                        if let Some((csv, tier)) = cached() {
+                            return Ok::<_, Busy>((csv, Some(tier), Duration::ZERO));
+                        }
+                        let permit = self.admission.acquire()?;
+                        if !self.cfg.hold_before_compute.is_zero() {
+                            std::thread::sleep(self.cfg.hold_before_compute);
+                        }
+                        let (csv, tier) = job();
+                        Ok((csv, tier, permit.queue_wait))
+                    }))
                 });
                 let counters = JobCounters {
                     sweep: SweepStats::from(&counts),
                     oracle: OracleStats::from(&counts),
                     cache: CacheStats::from(&counts),
                 };
-                let queue_wait_us = permit.queue_wait.as_micros() as u64;
-                drop(permit);
                 match outcome {
-                    Ok((csv, tier)) => {
+                    Ok(Err(busy)) => {
+                        self.stats.busy_rejections.fetch_add(1, Ordering::Relaxed);
+                        token.publish(Arc::new(JobOutput::Busy));
+                        render_error(
+                            ErrorCode::Busy,
+                            &format!(
+                                "admission queue full ({} already waiting)",
+                                busy.queue_depth
+                            ),
+                        )
+                    }
+                    Ok(Ok((csv, tier, queue_wait))) => {
                         let tier = tier.map(GridTier::name).unwrap_or_else(|| {
                             // Experiment runners consult the grid cache
                             // internally; infer the tier from what the
@@ -566,7 +584,7 @@ impl Server {
                         let receipt = Receipt {
                             tier: tier.into(),
                             coalesced_with: joiners,
-                            queue_wait_us,
+                            queue_wait_us: queue_wait.as_micros() as u64,
                             counters,
                         };
                         render_ok_csv(op, id, &csv, &receipt)

@@ -232,9 +232,10 @@ fn daemon_serves_coalesced_concurrent_clients_byte_identically() {
         "compute wrote the shared disk artifact"
     );
 
-    // ---- Scenario 4: busy backpressure -------------------------------
+    // ---- Scenario 4: busy backpressure; cache hits take no slot ------
     // Budget 1, queue 0: while a slow compute holds the slot, a request
-    // for a *different* grid is refused with `busy` instead of queuing.
+    // for a *different* cold grid is refused with `busy` instead of
+    // queuing, but the grid scenario 1 left in the memo answers at once.
     let (addr, handle) = start_server(&dir, "busy", |cfg| {
         cfg.cache_dir = None;
         cfg.jobs = Some(2);
@@ -242,15 +243,20 @@ fn daemon_serves_coalesced_concurrent_clients_byte_identically() {
         cfg.queue_cap = 0;
         cfg.hold_before_compute = Duration::from_millis(1500);
     });
-    let other_grid = GRID_LINE.replace("\"trace_seed\":11", "\"trace_seed\":12");
-    let busy_outcome = std::thread::scope(|s| {
+    let slow_grid = GRID_LINE.replace("\"trace_seed\":11", "\"trace_seed\":12");
+    let other_grid = GRID_LINE.replace("\"trace_seed\":11", "\"trace_seed\":15");
+    let (busy_outcome, memo_outcome) = std::thread::scope(|s| {
         let addr = &addr;
-        let slow = s.spawn(move || client::roundtrip(addr, GRID_LINE).expect("slow roundtrip"));
+        let slow_grid = &slow_grid;
+        let slow = s.spawn(move || client::roundtrip(addr, slow_grid).expect("slow roundtrip"));
         // Give the slow request time to take the slot, then collide.
         std::thread::sleep(Duration::from_millis(400));
         let fast = client::roundtrip(addr, &other_grid).expect("busy roundtrip");
-        let _ = slow.join().expect("slow client");
-        fast
+        let memo = client::roundtrip(addr, GRID_LINE).expect("memo roundtrip");
+        assert!(!slow.is_finished(), "the slow compute still holds the slot");
+        let slow = parse_json(&slow.join().expect("slow client")).expect("slow JSON");
+        assert_eq!(receipt_tier(&slow), "computed");
+        (fast, memo)
     });
     let v = parse_json(&busy_outcome).expect("busy response JSON");
     assert_eq!(v.get("ok"), Some(&Json::Bool(false)));
@@ -260,6 +266,21 @@ fn daemon_serves_coalesced_concurrent_clients_byte_identically() {
             .and_then(Json::as_str),
         Some("busy"),
         "backpressure is an immediate machine-readable refusal: {busy_outcome}"
+    );
+    let v = parse_json(&memo_outcome).expect("memo response JSON");
+    assert_eq!(
+        v.get("ok"),
+        Some(&Json::Bool(true)),
+        "a memo hit needs no compute slot: {memo_outcome}"
+    );
+    assert_eq!(receipt_tier(&v), "memo");
+    assert_eq!(response_csv(&v), csv0);
+    assert_eq!(
+        v.get("receipt")
+            .and_then(|r| r.get("queue_wait_us"))
+            .and_then(Json::as_u64),
+        Some(0),
+        "a memo hit never queues"
     );
     shutdown(&addr, handle);
 

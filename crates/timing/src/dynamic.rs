@@ -16,12 +16,30 @@
 //! only gates reachable from a toggled net through the netlist's
 //! precomputed fanout index are ever evaluated. The worklist is a bitset
 //! scanned in ascending gate order, which *is* topological order, so every
-//! visited gate sees exactly the same final input waveforms — and computes
-//! exactly the same candidate times, in the same order, with the same
-//! sort and dedup — as the original scan over all gates. Quiet gates
-//! contribute nothing in either formulation, so results are bit-identical;
-//! only the cost of skipping them changes (O(gates) scan → O(words)
-//! bitset sweep plus work proportional to actual switching activity).
+//! visited gate sees exactly the same final input waveforms as the
+//! original scan over all gates. Quiet gates contribute nothing in either
+//! formulation, so results are bit-identical; only the cost of skipping
+//! them changes (O(gates) scan → O(words) bitset sweep plus work
+//! proportional to actual switching activity).
+//!
+//! A visited gate is evaluated at each distinct time one of its fanins
+//! toggles, in ascending order, and emits a toggle `delay` later whenever
+//! its output changes. Each fanin wave is ascending, so the gate merges
+//! them with one cursor per pin: it takes the earliest toggle not yet
+//! applied, `t`, applies every toggle at or before `t` on every pin by
+//! flipping that pin's bit of a 3-bit state, and reads the output from
+//! the cell's [`truth_table`](ntc_netlist::CellKind::truth_table). A
+//! pin's cursor then sits past exactly the toggles `x <= t`, so the pin
+//! carries its value at `t`. Times are finite and non-negative, so
+//! grouping equal values groups exactly the bit-equal times; distinct
+//! times a ulp apart are evaluated separately, since skipping one can
+//! settle the gate at the wrong value. The gate is thus evaluated at the
+//! same times, on the same pin values, as the reference kernel's sorted,
+//! deduplicated candidate list, and emits the same toggles in the same
+//! order: every wave, every event-cap truncation and every
+//! `internal_toggles` count is unchanged. A NaN time (from a corrupted
+//! delay) never wins the minimum but is applied in the same pass, so the
+//! merge still ends.
 //!
 //! # The guarded lean sweep
 //!
@@ -57,7 +75,7 @@
 //! skipped. `h` already ignores that fanin, so `h`'s output equals its
 //! output with `n` at its value, which in turn ignores the later fanin.
 //! So `h`'s output is a function of its other fanins alone, and those
-//! carry the same waves in both sweeps. The full sweep's extra candidate
+//! carry the same waves in both sweeps. The full sweep's extra evaluation
 //! times come only from skipped fanins. At each such time `h` evaluates
 //! to the value it already holds, so it emits nothing there. Both sweeps
 //! therefore push the same toggles in the same order, and the event cap
@@ -68,11 +86,12 @@
 //! # Allocation discipline
 //!
 //! All per-net state is inline: a `Wave` holds a fixed-capacity
-//! `[f64; MAX_EVENTS_PER_NET]` instead of a heap `Vec`, candidate times
-//! live in a fixed stack array, and the settle/dirty buffers belong to a
-//! reusable [`SimWorkspace`]. After warm-up, [`SimWorkspace`]'s
-//! `simulate_pair_minmax` and `simulate_pair_into` entry points perform
-//! zero heap allocations per call.
+//! `[f64; MAX_EVENTS_PER_NET]` instead of a heap `Vec`, a gate's merge
+//! state is three cursors and a 3-bit pin state on the stack, and the
+//! settle/dirty buffers belong to a reusable [`SimWorkspace`]. After
+//! warm-up, [`SimWorkspace`]'s `simulate_pair_minmax` and
+//! `simulate_pair_into` entry points perform zero heap allocations per
+//! call.
 
 use ntc_netlist::{Guard, Netlist};
 use ntc_varmodel::ChipSignature;
@@ -82,34 +101,18 @@ use ntc_varmodel::ChipSignature;
 /// min/max violation analysis) and drop interior ones.
 pub const MAX_EVENTS_PER_NET: usize = 8;
 
-/// Upper bound on candidate evaluation times per gate: three input pins,
-/// each contributing at most [`MAX_EVENTS_PER_NET`] toggles.
-const MAX_CANDIDATES: usize = 3 * MAX_EVENTS_PER_NET;
-
 /// One net's transition times during a cycle, stored inline — no heap
 /// allocation per net. The net's settled initial value lives in the
 /// workspace's settle buffer (keeping this struct out of the per-call
 /// reset path: only waves that actually toggled are reset, via the
 /// active list).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct Wave {
-    /// True if interior events were dropped due to the cap.
-    truncated: bool,
     /// Number of valid entries in `toggles`.
     len: u8,
-    /// Times at which the net toggles; the value after event `k` is
-    /// `init ^ ((k+1) & 1 == 1)`... i.e. it alternates starting from init.
+    /// Ascending times at which the net toggles; its value alternates
+    /// from the settled one at each.
     toggles: [f64; MAX_EVENTS_PER_NET],
-}
-
-impl Default for Wave {
-    fn default() -> Self {
-        Wave {
-            truncated: false,
-            len: 0,
-            toggles: [0.0; MAX_EVENTS_PER_NET],
-        }
-    }
 }
 
 impl Wave {
@@ -123,13 +126,6 @@ impl Wave {
         init ^ (self.len % 2 == 1)
     }
 
-    #[inline]
-    fn value_at(&self, init: bool, t: f64) -> bool {
-        // Number of toggles at or before t.
-        let k = self.toggles().partition_point(|&x| x <= t);
-        init ^ (k % 2 == 1)
-    }
-
     fn push_toggle(&mut self, t: f64) {
         let len = self.len as usize;
         if len >= MAX_EVENTS_PER_NET {
@@ -138,7 +134,6 @@ impl Wave {
             // two interior toggles (a glitch) nearest the end.
             self.toggles[len - 3] = self.toggles[len - 1];
             self.len -= 2;
-            self.truncated = true;
         }
         self.toggles[self.len as usize] = t;
         self.len += 1;
@@ -255,9 +250,7 @@ impl SimWorkspace {
         // Reset only the waves the previous call toggled; everything else
         // is already quiet.
         for &i in &self.active {
-            let w = &mut self.waves[i as usize];
-            w.len = 0;
-            w.truncated = false;
+            self.waves[i as usize].len = 0;
         }
         self.active.clear();
         debug_assert!(self.waves.iter().all(|w| w.len == 0));
@@ -281,7 +274,6 @@ impl SimWorkspace {
         // Fanout marks always land ahead of the cursor (targets have larger
         // indices), so each dirty gate is processed exactly once.
         let mut internal_toggles = 0usize;
-        let mut cand = [0.0f64; MAX_CANDIDATES];
         for word in 0..self.dirty.len() {
             loop {
                 let bits = self.dirty[word];
@@ -306,9 +298,8 @@ impl SimWorkspace {
                 }
 
                 let gate = &nl.gates()[i];
-                let kind = gate.kind();
-                debug_assert!(!kind.is_pseudo(), "pseudo-cells have no fanins");
-                let ins = gate.inputs();
+                debug_assert!(!gate.kind().is_pseudo(), "pseudo-cells have no fanins");
+                let table = gate.kind().truth_table();
 
                 // Inputs precede gate i topologically, so splitting at i
                 // separates the read-only fanin waves from this gate's
@@ -316,42 +307,53 @@ impl SimWorkspace {
                 let (fanin_waves, rest) = self.waves.split_at_mut(i);
                 let out_wave = &mut rest[0];
 
-                // Gather candidate evaluation times from input toggles.
-                let mut n = 0usize;
-                for s in ins {
-                    for &t in fanin_waves[s.index()].toggles() {
-                        cand[n] = t;
-                        n += 1;
-                    }
+                // Bit j of `pins` is pin j's value, starting from its
+                // settled one; its wave is `waves[j]`, of which `seen[j]`
+                // toggles are applied. Pins past the arity stay 0 with
+                // empty waves.
+                let mut pins = 0usize;
+                let mut waves: [&[f64]; 3] = [&[]; 3];
+                for (j, s) in gate.inputs().iter().enumerate() {
+                    let si = s.index();
+                    pins |= usize::from(self.settle[si]) << j;
+                    waves[j] = fanin_waves[si].toggles();
                 }
-                if n == 0 {
-                    continue;
-                }
-                let cand = &mut cand[..n];
-                cand.sort_by(f64::total_cmp);
-                // Drop only bit-equal repeats: a toggle one ulp later is a
-                // distinct event, and skipping it can settle the gate wrong.
-                let mut m = 1usize;
-                for k in 1..n {
-                    if cand[k].to_bits() == cand[m - 1].to_bits() {
-                        continue;
-                    }
-                    cand[m] = cand[k];
-                    m += 1;
-                }
+                let mut seen = [0usize; 3];
 
                 let delay = sig.delay_ps(i);
                 let mut last_val = self.settle[i];
-                // Evaluate the gate at each candidate time; emit output
-                // toggles (delayed) whenever the value changes.
                 let mut emitted = false;
-                for &t in &cand[..m] {
-                    let mut vals = [false; 3];
-                    for (j, s) in ins.iter().enumerate() {
-                        let si = s.index();
-                        vals[j] = fanin_waves[si].value_at(self.settle[si], t);
+                loop {
+                    // The earliest toggle not yet applied on any pin. A NaN
+                    // time never wins the minimum, but is applied below, so
+                    // every pass applies at least one toggle.
+                    let mut t = f64::INFINITY;
+                    let mut pending = false;
+                    for (w, &k) in waves.iter().zip(&seen) {
+                        if let Some(&x) = w.get(k) {
+                            pending = true;
+                            if x < t {
+                                t = x;
+                            }
+                        }
                     }
-                    let v = kind.eval(&vals[..ins.len()]);
+                    if !pending {
+                        break;
+                    }
+                    // Apply every toggle at or before t: the waves ascend,
+                    // so each pin's value is now its value at t. Equal
+                    // times on several pins (or twice on one) land in one
+                    // evaluation.
+                    for (j, (w, k)) in waves.iter().zip(&mut seen).enumerate() {
+                        while let Some(&x) = w.get(*k) {
+                            if x > t {
+                                break;
+                            }
+                            pins ^= 1 << j;
+                            *k += 1;
+                        }
+                    }
+                    let v = table >> pins & 1 == 1;
                     if v != last_val {
                         out_wave.push_toggle(t + delay);
                         internal_toggles += 1;
@@ -712,8 +714,7 @@ mod tests {
         for i in 0..40 {
             w.push_toggle(i as f64);
         }
-        assert!(w.toggles().len() <= MAX_EVENTS_PER_NET);
-        assert!(w.truncated);
+        assert_eq!(w.toggles().len(), MAX_EVENTS_PER_NET);
         // 40 toggles => even => final value equals init.
         assert!(!w.final_value(false));
         assert!(w.final_value(true));

@@ -247,38 +247,50 @@ mod tests {
 
     #[test]
     fn randomized_netlists_match_reference_bit_for_bit() {
-        for seed in 0..12u64 {
+        for seed in 0..48u64 {
             let nl = random_netlist(seed);
-            let sig = ChipSignature::fabricate(&nl, Corner::NTC, VariationParams::ntc(), seed);
-            let mut sim = DynamicSim::new(&nl, &sig);
-            let mut rng = SplitMix64::seed_from_u64(seed ^ 0xD1CE);
-            let width = nl.inputs().len();
-            for pair in 0..10 {
-                let init = random_vector(&mut rng, width);
-                let sens = random_vector(&mut rng, width);
-                let want = simulate_pair_reference(&nl, &sig, &init, &sens);
-                let got = sim.simulate_pair(&init, &sens);
-                assert_bit_identical(&got, &want, &format!("netlist {seed}, pair {pair}"));
-                // The lean path must agree with the full path exactly.
-                let lean = sim.simulate_pair_minmax(&init, &sens);
-                assert_eq!(
-                    lean.min_ps.map(f64::to_bits),
-                    want.min_delay_ps.map(f64::to_bits),
-                    "netlist {seed}, pair {pair}: lean min"
-                );
-                assert_eq!(
-                    lean.max_ps.map(f64::to_bits),
-                    want.max_delay_ps.map(f64::to_bits),
-                    "netlist {seed}, pair {pair}: lean max"
-                );
+            // Nominal delays put bit-equal toggle times on different pins
+            // of one gate wherever equal paths reconverge, which
+            // fabricated delays almost never do.
+            let signatures = [
+                (
+                    "fabricated",
+                    ChipSignature::fabricate(&nl, Corner::NTC, VariationParams::ntc(), seed),
+                ),
+                ("nominal", ChipSignature::nominal(&nl, Corner::NTC)),
+            ];
+            for (label, sig) in &signatures {
+                let mut sim = DynamicSim::new(&nl, sig);
+                let mut rng = SplitMix64::seed_from_u64(seed ^ 0xD1CE);
+                let width = nl.inputs().len();
+                for pair in 0..10 {
+                    let ctx = format!("{label} netlist {seed}, pair {pair}");
+                    let init = random_vector(&mut rng, width);
+                    let sens = random_vector(&mut rng, width);
+                    let want = simulate_pair_reference(&nl, sig, &init, &sens);
+                    let got = sim.simulate_pair(&init, &sens);
+                    assert_bit_identical(&got, &want, &ctx);
+                    // The lean path must agree with the full path exactly.
+                    let lean = sim.simulate_pair_minmax(&init, &sens);
+                    assert_eq!(
+                        lean.min_ps.map(f64::to_bits),
+                        want.min_delay_ps.map(f64::to_bits),
+                        "{ctx}: lean min"
+                    );
+                    assert_eq!(
+                        lean.max_ps.map(f64::to_bits),
+                        want.max_delay_ps.map(f64::to_bits),
+                        "{ctx}: lean max"
+                    );
+                }
+                // Quiet pair: identical vectors must produce zero activity
+                // in both kernels.
+                let v = random_vector(&mut rng, width);
+                let want = simulate_pair_reference(&nl, sig, &v, &v);
+                let got = sim.simulate_pair(&v, &v);
+                assert_bit_identical(&got, &want, &format!("{label} netlist {seed}, quiet pair"));
+                assert_eq!(want.total_output_transitions, 0);
             }
-            // Quiet pair: identical vectors must produce zero activity in
-            // both kernels.
-            let v = random_vector(&mut rng, width);
-            let want = simulate_pair_reference(&nl, &sig, &v, &v);
-            let got = sim.simulate_pair(&v, &v);
-            assert_bit_identical(&got, &want, &format!("netlist {seed}, quiet pair"));
-            assert_eq!(want.total_output_transitions, 0);
         }
     }
 

@@ -5,7 +5,7 @@
 //! it again rebuilds it bit-identically.
 
 use std::convert::Infallible;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError, TryLockError};
 
 /// A key's cell, empty until a build succeeds: callers of one key
 /// serialize on its lock.
@@ -44,7 +44,7 @@ impl<K: PartialEq + Clone, V: Clone> Memo<K, V> {
         key: &K,
         build: impl FnOnce() -> Result<V, E>,
     ) -> Result<V, E> {
-        let cell = self.cell(key);
+        let cell = self.cell(key, true).expect("a created cell");
         // The slot is written only with a built value, so a build that
         // panicked left it valid (empty) behind the poison.
         let mut slot = cell.lock().unwrap_or_else(PoisonError::into_inner);
@@ -63,28 +63,43 @@ impl<K: PartialEq + Clone, V: Clone> Memo<K, V> {
             .unwrap_or_else(|never| match never {})
     }
 
+    /// The value of `key` if a build of it has finished, marking the key
+    /// most recently used. Never creates a cell and never waits: a key
+    /// absent, being built, or left empty by a failed build reads `None`.
+    pub fn get_built(&self, key: &K) -> Option<V> {
+        let cell = self.cell(key, false)?;
+        let slot = match cell.try_lock() {
+            Ok(slot) => slot,
+            Err(TryLockError::Poisoned(poisoned)) => poisoned.into_inner(),
+            Err(TryLockError::WouldBlock) => return None,
+        };
+        slot.clone()
+    }
+
     /// Keys held now (built, being built, or left empty by a failed
     /// build), and the cap.
     pub fn occupancy(&self) -> (usize, usize) {
         (self.cells.lock().expect("memo poisoned").len(), self.cap)
     }
 
-    /// `key`'s cell, marked most recently used; a new cell evicts the
-    /// least recently used one when the memo is full.
-    fn cell(&self, key: &K) -> Cell<V> {
+    /// `key`'s cell, marked most recently used. A key without one gets a
+    /// new cell if `create` is set, evicting the least recently used one
+    /// when the memo is full.
+    fn cell(&self, key: &K, create: bool) -> Option<Cell<V>> {
         let mut cells = self.cells.lock().expect("memo poisoned");
         let entry = match cells.iter().position(|(k, _)| k == key) {
             Some(i) => cells.remove(i),
-            None => {
+            None if create => {
                 if cells.len() == self.cap {
                     cells.remove(0);
                 }
                 (key.clone(), Cell::default())
             }
+            None => return None,
         };
         let cell = Arc::clone(&entry.1);
         cells.push(entry);
-        cell
+        Some(cell)
     }
 }
 
@@ -203,6 +218,35 @@ mod tests {
         });
         assert_eq!(value, Ok(9));
         assert_eq!(memo.get_or_init(&3, || 0), 9, "the retry's value is held");
+    }
+
+    #[test]
+    fn get_built_reads_only_finished_builds() {
+        let memo: Memo<u32, u32> = Memo::new(4);
+        assert_eq!(memo.get_built(&1), None);
+        assert_eq!(memo.occupancy(), (0, 4), "a miss creates no cell");
+        assert_eq!(memo.get_or_init(&1, || 10), 10);
+        assert_eq!(memo.get_built(&1), Some(10));
+        let _ = memo.get_or_try_init(&2, || Err(()));
+        assert_eq!(memo.get_built(&2), None, "a failed build left no value");
+        // A build in progress reads as absent at once.
+        let (started, wait_started) = mpsc::channel();
+        let (finish, wait_finish) = mpsc::channel::<()>();
+        std::thread::scope(|s| {
+            let memo = &memo;
+            let building = s.spawn(move || {
+                memo.get_or_init(&3, || {
+                    started.send(()).expect("reader alive");
+                    wait_finish.recv().expect("reader alive");
+                    30
+                })
+            });
+            wait_started.recv().expect("the build started");
+            assert_eq!(memo.get_built(&3), None);
+            finish.send(()).expect("building thread alive");
+            assert_eq!(building.join().expect("building thread"), 30);
+        });
+        assert_eq!(memo.get_built(&3), Some(30));
     }
 
     #[test]

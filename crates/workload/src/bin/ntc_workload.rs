@@ -104,7 +104,8 @@ fn record(args: &Args) -> ExitCode {
     for &bench in &args.benches {
         let trace = TraceGenerator::new(bench, args.seed).trace(args.cycles);
         let path = TraceSource::trace_path(&args.dir, bench, args.seed, args.cycles);
-        if let Err(e) = trace_bin::write_trace_file(&path, &trace) {
+        let bytes = trace_bin::encode_trace(&trace);
+        if let Err(e) = trace_bin::write_atomic(&path, &bytes) {
             eprintln!("error: recording {}: {e}", path.display());
             return ExitCode::FAILURE;
         }
@@ -112,7 +113,7 @@ fn record(args: &Args) -> ExitCode {
             "recorded {} ({} instructions, {} bytes)",
             path.display(),
             trace.len(),
-            trace_bin::encode_trace(&trace).len()
+            bytes.len()
         );
     }
     ExitCode::SUCCESS

@@ -20,16 +20,27 @@ fn test_dir(tag: &str) -> PathBuf {
 fn record_writes_one_generator_trace_per_benchmark() {
     let dir = test_dir("record");
     let (seed, cycles) = (5u64, 1_500usize);
-    let status = ntc_workload()
+    let out = ntc_workload()
         .args(["record", "--dir", dir.to_str().unwrap()])
         .args(["--seed", &seed.to_string(), "--cycles", &cycles.to_string()])
-        .status()
+        .output()
         .expect("spawn ntc-workload");
-    assert_eq!(status.code(), Some(0));
+    assert_eq!(out.status.code(), Some(0));
     let files = std::fs::read_dir(&dir).expect("trace dir").count();
     assert_eq!(files, ALL_BENCHMARKS.len(), "one .ntt per benchmark, nothing else");
-    for bench in ALL_BENCHMARKS {
+    let stdout = String::from_utf8(out.stdout).expect("utf-8 report");
+    let lines: Vec<&str> = stdout.lines().collect();
+    assert_eq!(lines.len(), ALL_BENCHMARKS.len(), "one report line per trace");
+    for (bench, line) in ALL_BENCHMARKS.into_iter().zip(lines) {
         let path = TraceSource::trace_path(&dir, bench, seed, cycles);
+        // Header, one 17-byte record per instruction, trailing checksum.
+        let len = std::fs::metadata(&path).expect("trace file").len();
+        assert_eq!(len, 24 + 17 * cycles as u64 + 8, "{bench}: file length");
+        assert_eq!(
+            line,
+            format!("recorded {} ({cycles} instructions, {len} bytes)", path.display()),
+            "{bench}: the printed byte count is the file's length"
+        );
         let decoded = trace_bin::read_trace_file(&path).expect("decodes");
         assert_eq!(
             decoded,
