@@ -92,6 +92,32 @@ rm -rf target/repro-ci-full
 cmp target/repro-ci-full/fig3_10.csv tests/golden/full/fig3_10.csv
 grep -q '"gate_sims":32800,"local_hits":29967170' target/repro-ci-full/manifest.json
 
+echo "==> shared delay table: --jobs 2 reports the --jobs 1 oracle counters"
+# Each distinct key of a chip's shared table is simulated once however
+# many sweep workers miss it together, so every record's oracle object
+# is the same at any thread count. These four experiments share chips
+# across grid cells, so parallel workers do meet on the same keys.
+rm -rf target/repro-ci-j1 target/repro-ci-j2
+for j in 1 2; do
+  ./target/release/repro --fast --no-cache --jobs "$j" --out "target/repro-ci-j$j" \
+    fig4.8 abl.tags abl.replacement abl.window >/dev/null
+done
+if command -v jq >/dev/null 2>&1; then
+  oracles() { jq -c '[.records[] | {id, oracle}]' "$1"; }
+  test "$(oracles target/repro-ci-j1/manifest.json)" = \
+    "$(oracles target/repro-ci-j2/manifest.json)"
+elif command -v python3 >/dev/null 2>&1; then
+  python3 - <<'EOF'
+import json
+def oracles(j):
+    m = json.load(open(f"target/repro-ci-j{j}/manifest.json"))
+    return [(r["id"], r["oracle"]) for r in m["records"]]
+assert oracles(1) == oracles(2), (oracles(1), oracles(2))
+EOF
+else
+  echo "note: neither jq nor python3 found; skipping the oracle counter comparison"
+fi
+
 echo "==> grid cache: two runs, one cache dir, byte-identical CSVs + disk hits"
 rm -rf target/repro-ci-cache target/repro-ci-cold target/repro-ci-warm
 ./target/release/repro --fast --cache-dir target/repro-ci-cache \

@@ -3,11 +3,12 @@
 //! The build environment is hermetic (no crates.io access), so the bench
 //! targets cannot link the real `criterion` crate. This module implements
 //! the tiny slice of its API the benches use — `Criterion`,
-//! `benchmark_group`, `sample_size` / `measurement_time` / `warm_up_time`,
-//! `bench_function`, `Bencher::iter` and the `criterion_group!` /
-//! `criterion_main!` macros — with plain wall-clock timing, so `cargo
-//! bench --features bench` runs offline and prints median/min/max
-//! per-iteration times.
+//! `benchmark_group`, `sample_size` / `measurement_time` / `warm_up_time`
+//! / `throughput`, `bench_function`, `Bencher::iter` and the
+//! `criterion_group!` / `criterion_main!` macros — with plain wall-clock
+//! timing, so `cargo bench --features bench` runs offline and prints
+//! median/min/max per-iteration times (and the median per element when
+//! the group declares a throughput).
 //!
 //! The numbers are honest but unsophisticated: no outlier rejection, no
 //! bootstrap confidence intervals. For cross-run comparisons on a quiet
@@ -25,6 +26,14 @@ pub mod measurement {
     pub struct WallTime;
 }
 
+/// Work one iteration does (API compatibility with Criterion): a group
+/// that declares it also prints its median per unit of work.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Throughput {
+    /// Elements (cycles, pairs, …) processed per iteration.
+    Elements(u64),
+}
+
 /// Entry point handed to every benchmark function.
 #[derive(Debug, Default)]
 pub struct Criterion {
@@ -39,6 +48,7 @@ impl Criterion {
             sample_size: 10,
             measurement: Duration::from_secs(1),
             warm_up: Duration::from_millis(300),
+            throughput: None,
             _criterion: PhantomData,
         }
     }
@@ -51,6 +61,7 @@ pub struct BenchmarkGroup<'a, M = measurement::WallTime> {
     sample_size: usize,
     measurement: Duration,
     warm_up: Duration,
+    throughput: Option<Throughput>,
     _criterion: PhantomData<(&'a mut Criterion, M)>,
 }
 
@@ -70,6 +81,12 @@ impl<M> BenchmarkGroup<'_, M> {
     /// Untimed warm-up budget before sampling starts.
     pub fn warm_up_time(&mut self, d: Duration) -> &mut Self {
         self.warm_up = d;
+        self
+    }
+
+    /// Work per iteration of the benchmarks that follow.
+    pub fn throughput(&mut self, t: Throughput) -> &mut Self {
+        self.throughput = Some(t);
         self
     }
 
@@ -118,8 +135,12 @@ impl<M> BenchmarkGroup<'_, M> {
                 format!("{:.1} ns", s * 1e9)
             }
         };
+        let per_element = match self.throughput {
+            Some(Throughput::Elements(n)) => format!("  {} per element", fmt(median / n as f64)),
+            None => String::new(),
+        };
         println!(
-            "{}/{:<28} median {:>12}   [{} .. {}]  ({} samples × {} iters)",
+            "{}/{:<28} median {:>12}   [{} .. {}]  ({} samples × {} iters){}",
             self.name,
             id,
             fmt(median),
@@ -127,6 +148,7 @@ impl<M> BenchmarkGroup<'_, M> {
             fmt(*samples.last().expect("nonempty samples")),
             samples.len(),
             iters,
+            per_element,
         );
         self
     }
@@ -186,6 +208,7 @@ mod tests {
             .measurement_time(Duration::from_millis(5))
             .warm_up_time(Duration::from_millis(1));
         let mut calls = 0u64;
+        g.throughput(Throughput::Elements(4));
         g.bench_function("noop", |b| b.iter(|| calls += 1));
         g.finish();
         assert!(calls > 0, "the closure must actually run");

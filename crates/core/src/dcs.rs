@@ -17,6 +17,12 @@
 //! * **ACSLT** — one tuple per errant opcode+OWM pair holding up to
 //!   `associativity` previous-cycle pairs, removing the redundant errant
 //!   pair storage.
+//!
+//! The hardware hashes each tag beside the pipestage, so the screen costs
+//! no cycles. The model does not hash per cycle either: each [`Dcs`]
+//! hashes all [`ErrorTag::COUNT`] tags once, when it is built, and the
+//! per-cycle screen and every filter update read that table at
+//! [`ErrorTag::index`].
 
 use crate::scheme::{CycleContext, CycleOutcome, ResilienceScheme};
 use crate::tables::{AssociativeTable, CountingBloom, SetAssociativeTable, TableStats};
@@ -52,6 +58,8 @@ pub struct Dcs {
     kind: CsltKind,
     table: Cslt,
     bloom: CountingBloom,
+    /// `bloom.indexes(&tag)` of every tag, at [`ErrorTag::index`].
+    bloom_slots: Box<[(usize, usize)]>,
     power_overhead: f64,
     /// Like Razor, DCS's detector is the double-sampling flip-flop and its
     /// design relies on hold buffers; min-side violations (when the
@@ -83,10 +91,12 @@ impl Dcs {
                 0.012,
             ),
         };
+        let bloom = CountingBloom::new(bloom_bits.max(64));
         Dcs {
             kind,
             table,
-            bloom: CountingBloom::new(bloom_bits.max(64)),
+            bloom_slots: ErrorTag::all().map(|tag| bloom.indexes(&tag)).collect(),
+            bloom,
             power_overhead: power,
             min_is_corruption: false,
         }
@@ -133,7 +143,7 @@ impl Dcs {
         // a table miss is still treated as a hit by the controller — the
         // stall is inserted on the filter's word. That is the false-
         // positive stall penalty §3.3.5 describes.
-        if !self.bloom.contains(tag) {
+        if !self.bloom.contains(self.bloom_slots[tag.index()]) {
             return false;
         }
         match &mut self.table {
@@ -151,7 +161,7 @@ impl Dcs {
         match &mut self.table {
             Cslt::Independent(t) => {
                 if let Some((evicted, ())) = t.insert(tag, ()) {
-                    self.bloom.remove(&evicted);
+                    self.bloom.remove(self.bloom_slots[evicted.index()]);
                 }
             }
             Cslt::Associative(t) => {
@@ -161,16 +171,17 @@ impl Dcs {
                 for ((opcode, owm), (prev_opcode, prev_owm)) in
                     t.insert(tag.errant_pair(), tag.previous_pair())
                 {
-                    self.bloom.remove(&ErrorTag {
+                    let evicted = ErrorTag {
                         opcode,
                         owm,
                         prev_opcode,
                         prev_owm,
-                    });
+                    };
+                    self.bloom.remove(self.bloom_slots[evicted.index()]);
                 }
             }
         }
-        self.bloom.insert(&tag);
+        self.bloom.insert(self.bloom_slots[tag.index()]);
     }
 }
 
@@ -346,6 +357,26 @@ mod tests {
                 ),
                 "all ways retained under one set"
             );
+        }
+    }
+
+    #[test]
+    fn bloom_slots_are_the_filters_own_hash_of_every_tag() {
+        // Both default filter sizes and the 64-counter minimum.
+        for (dcs, counters) in [
+            (Dcs::icslt_default(), 1_024),
+            (Dcs::acslt_default(), 2_048),
+            (Dcs::new(CsltKind::Independent { entries: 2 }), 64),
+        ] {
+            let reference = CountingBloom::new(counters);
+            assert_eq!(dcs.bloom_slots.len(), ErrorTag::COUNT);
+            for tag in ErrorTag::all() {
+                assert_eq!(
+                    dcs.bloom_slots[tag.index()],
+                    reference.indexes(&tag),
+                    "{tag:?}, {counters} counters"
+                );
+            }
         }
     }
 

@@ -68,13 +68,14 @@ impl SimResult {
     }
 }
 
-/// Stream the cyclewise delays of `trace` through `visit` as
-/// `(i, delays, next_delays)`: cycle `i` executes `trace[i]` after
-/// `trace[i - 1]`, and its lookahead is cycle `i + 1`'s delays (`None` at
-/// the end of the stream). The oracle resolves the pairs one window of
-/// [`STREAM_CHUNK`] at a time; the last cycle of a window waits for its
-/// lookahead in the next one. This is the one lookahead loop behind
-/// [`run_schemes`] and [`profile_errors`].
+/// Stream the cyclewise tags and delays of `trace` through `visit` as
+/// `(i, tag, delays, next_delays)`: cycle `i` executes `trace[i]` after
+/// `trace[i - 1]`, `tag` is that pair's [`ErrorTag`], and the lookahead
+/// is cycle `i + 1`'s delays (`None` at the end of the stream). The
+/// oracle resolves the pairs one window of [`STREAM_CHUNK`] at a time;
+/// the last cycle of a window waits for its lookahead in the next one.
+/// This is the one lookahead loop behind [`run_schemes`] and
+/// [`profile_errors`].
 ///
 /// # Panics
 ///
@@ -82,24 +83,25 @@ impl SimResult {
 fn stream(
     oracle: &mut TagDelayOracle,
     trace: &[Instruction],
-    mut visit: impl FnMut(usize, CycleDelays, Option<CycleDelays>),
+    mut visit: impl FnMut(usize, ErrorTag, CycleDelays, Option<CycleDelays>),
 ) {
     assert!(trace.len() >= 2, "need at least two instructions");
     let pairs = trace.len() - 1;
-    // Delays of the cycle waiting for its lookahead.
-    let mut carried: Option<CycleDelays> = None;
+    // Tag and delays of the cycle waiting for its lookahead.
+    let mut carried: Option<(ErrorTag, CycleDelays)> = None;
     let mut first = 0;
     while first < pairs {
         let end = (first + STREAM_CHUNK).min(pairs);
-        for (j, d) in oracle.resolve_pairs(&trace[first..=end]).enumerate() {
-            if let Some(c) = carried {
-                visit(first + j, c, Some(d));
+        for (j, (tag, d)) in oracle.resolve_pairs(&trace[first..=end]).enumerate() {
+            if let Some((ct, cd)) = carried {
+                visit(first + j, ct, cd, Some(d));
             }
-            carried = Some(d);
+            carried = Some((tag, d));
         }
         first = end;
     }
-    visit(pairs, carried.expect("at least one pair"), None);
+    let (tag, d) = carried.expect("at least one pair");
+    visit(pairs, tag, d, None);
 }
 
 /// One scheme's seat in a stream: the scheme, its clock, the
@@ -139,6 +141,7 @@ impl<'s> Lane<'s> {
         &mut self,
         prev: &Instruction,
         cur: &Instruction,
+        tag: ErrorTag,
         delays: CycleDelays,
         next_delays: Option<CycleDelays>,
         pipe: &Pipeline,
@@ -146,7 +149,7 @@ impl<'s> Lane<'s> {
         let ctx = CycleContext {
             prev,
             cur,
-            tag: ErrorTag::of(prev, cur),
+            tag,
             delays,
             next_delays,
             base_clock: self.clock,
@@ -195,23 +198,24 @@ impl<'s> Lane<'s> {
 }
 
 /// Advance every lane over the delay stream of `trace`, each cycle's
-/// delays resolved once for all of them.
+/// tag and delays resolved once for all of them.
 fn run_lanes(
     lanes: &mut [Lane<'_>],
     oracle: &mut TagDelayOracle,
     trace: &[Instruction],
     pipe: Pipeline,
 ) {
-    stream(oracle, trace, |i, delays, next| {
+    stream(oracle, trace, |i, tag, delays, next| {
         for lane in lanes.iter_mut() {
-            lane.step(&trace[i - 1], &trace[i], delays, next, &pipe);
+            lane.step(&trace[i - 1], &trace[i], tag, delays, next, &pipe);
         }
     });
 }
 
 /// Run several schemes, each at its own clock, over `trace` on one chip:
-/// the cyclewise delays are resolved once per [`STREAM_CHUNK`]-pair window
-/// and read by every scheme, instead of once per scheme. Results come back
+/// the cyclewise tags and delays are resolved once per
+/// [`STREAM_CHUNK`]-pair window and read by every scheme, instead of once
+/// per scheme. Results come back
 /// in `schemes` order and equal, bit for bit, one [`run_scheme`] per
 /// scheme on a fresh oracle of the same chip — a cycle's delays depend on
 /// the operand state and the chip, not on the consumer.
@@ -302,7 +306,7 @@ pub fn profile_errors(
     // A min violation absorbed into the previous cycle's consecutive error
     // must not be re-counted as an SE(Min) of its own cycle.
     let mut min_consumed_by_ce = false;
-    stream(oracle, trace, |i, delays, next_delays| {
+    stream(oracle, trace, |i, _, delays, next_delays| {
         let mut v = violation_of(delays, &clock);
         if min_consumed_by_ce {
             v.min = false;

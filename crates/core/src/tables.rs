@@ -88,6 +88,12 @@ impl PseudoLru {
 /// the filter tracks the table contents exactly up to hash collisions.
 /// Collisions surface as *false-positive* lookups — in DCS terms, an
 /// unnecessary stall cycle (§3.3.5).
+///
+/// An item is addressed by its two counter indexes, from
+/// [`indexes`](Self::indexes). A caller over a small, fixed key space
+/// (DCS's error tags) computes them once per key and skips the hash on
+/// every later access, as the hardware's hash logic works beside the
+/// pipestage at no cost in cycles.
 #[derive(Debug, Clone)]
 pub struct CountingBloom {
     counters: Vec<u8>,
@@ -108,7 +114,8 @@ impl CountingBloom {
         }
     }
 
-    fn indexes<T: Hash>(&self, item: &T) -> (usize, usize) {
+    /// The two counters `item` occupies: the filter's one hash definition.
+    pub fn indexes<T: Hash>(&self, item: &T) -> (usize, usize) {
         let mut h1 = std::collections::hash_map::DefaultHasher::new();
         item.hash(&mut h1);
         let a = h1.finish();
@@ -120,24 +127,34 @@ impl CountingBloom {
         ((a & self.mask) as usize, (b & self.mask) as usize)
     }
 
-    /// Insert an item (increments both counters, saturating).
-    pub fn insert<T: Hash>(&mut self, item: &T) {
-        let (i, j) = self.indexes(item);
+    /// Insert the item at `(i, j)` (increments both counters,
+    /// saturating).
+    ///
+    /// # Panics
+    ///
+    /// Panics if an index is not one [`indexes`](Self::indexes) returns.
+    pub fn insert(&mut self, (i, j): (usize, usize)) {
         self.counters[i] = self.counters[i].saturating_add(1);
         self.counters[j] = self.counters[j].saturating_add(1);
     }
 
-    /// Remove an item previously inserted.
-    pub fn remove<T: Hash>(&mut self, item: &T) {
-        let (i, j) = self.indexes(item);
+    /// Remove the item at `(i, j)`, previously inserted.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an index is not one [`indexes`](Self::indexes) returns.
+    pub fn remove(&mut self, (i, j): (usize, usize)) {
         self.counters[i] = self.counters[i].saturating_sub(1);
         self.counters[j] = self.counters[j].saturating_sub(1);
     }
 
-    /// Membership test (may return false positives, never false negatives
-    /// for items still present).
-    pub fn contains<T: Hash>(&self, item: &T) -> bool {
-        let (i, j) = self.indexes(item);
+    /// Membership test of the item at `(i, j)` (may return false
+    /// positives, never false negatives for items still present).
+    ///
+    /// # Panics
+    ///
+    /// Panics if an index is not one [`indexes`](Self::indexes) returns.
+    pub fn contains(&self, (i, j): (usize, usize)) -> bool {
         self.counters[i] > 0 && self.counters[j] > 0
     }
 }
@@ -403,20 +420,21 @@ mod tests {
     #[test]
     fn bloom_tracks_membership() {
         let mut b = CountingBloom::new(256);
-        assert!(!b.contains(&"x"));
-        b.insert(&"x");
-        assert!(b.contains(&"x"));
-        b.remove(&"x");
-        assert!(!b.contains(&"x"));
+        let x = b.indexes(&"x");
+        assert!(!b.contains(x));
+        b.insert(x);
+        assert!(b.contains(x));
+        b.remove(x);
+        assert!(!b.contains(x));
     }
 
     #[test]
     fn bloom_false_positive_rate_is_low() {
         let mut b = CountingBloom::new(1024);
         for i in 0..64u32 {
-            b.insert(&i);
+            b.insert(b.indexes(&i));
         }
-        let fp = (1000..3000u32).filter(|i| b.contains(i)).count();
+        let fp = (1000..3000u32).filter(|i| b.contains(b.indexes(i))).count();
         assert!(fp < 80, "false positives {fp} out of 2000");
     }
 

@@ -24,7 +24,9 @@
 //! delays depend only on the operand state and the chip, never on the
 //! scheme consuming them, so the simulator resolves each window of a
 //! trace once into an oracle-owned chunk buffer and lets every scheme
-//! read the same chunk (see [`crate::sim::run_schemes`]).
+//! read the same chunk (see [`crate::sim::run_schemes`]). The chunk keeps
+//! each pair's [`ErrorTag`] beside its delays, so the tag is built once
+//! per cycle, not once per scheme.
 
 use ntc_isa::{ErrorTag, Instruction};
 use ntc_netlist::generators::alu::Alu;
@@ -34,7 +36,7 @@ use ntc_varmodel::telemetry::{self, Counts, Metric};
 use ntc_varmodel::{ChipSignature, Corner};
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Key of one entry in a [`SharedDelayCache`]: the tag plus the *full
 /// operand words* of both instructions.
@@ -65,9 +67,10 @@ const SHARD_CAP: usize = 1_024;
 /// from parallel sweep workers no longer serialize on a single mutex.
 ///
 /// Shard choice cannot affect simulation results: every entry is a pure
-/// function of the chip, each key always hashes to the same shard, and a
-/// racing insert keeps the first writer's (identical) value — so the table
-/// behaves observably like one big map, just with cheaper locks.
+/// function of the chip and each key always hashes to the same shard. A
+/// missing key is simulated under its shard's lock, so each key is
+/// simulated once per table however many workers miss it together, and
+/// the simulation count does not depend on the thread count.
 #[derive(Debug, Default)]
 pub struct ShardedDelayCache {
     shards: [Mutex<HashMap<SharedDelayKey, CycleDelays>>; CACHE_SHARDS],
@@ -83,19 +86,29 @@ impl ShardedDelayCache {
         &self.shards[(h.finish() as usize) & (CACHE_SHARDS - 1)]
     }
 
-    /// Look up a cached delay pair.
-    pub fn get(&self, key: &SharedDelayKey) -> Option<CycleDelays> {
-        self.shard(key).lock().expect("delay cache poisoned").get(key).copied()
-    }
-
-    /// Insert unless present or the key's shard is full, keeping the
-    /// first writer's entry on a race — the values are identical anyway
-    /// (pure function of the chip).
-    pub fn insert_if_absent(&self, key: SharedDelayKey, d: CycleDelays) {
-        let mut shard = self.shard(&key).lock().expect("delay cache poisoned");
-        if shard.len() < SHARD_CAP {
-            shard.entry(key).or_insert(d);
+    /// The delays of `key`, and whether `simulate` ran to produce them.
+    /// A missing key is simulated while its shard is locked, then kept
+    /// unless the shard is full.
+    pub fn get_or_simulate(
+        &self,
+        key: SharedDelayKey,
+        simulate: impl FnOnce() -> CycleDelays,
+    ) -> (CycleDelays, bool) {
+        // Nothing is inserted before `simulate` returns, so a panic inside
+        // it leaves the shard as it was: take the guard back instead of
+        // failing every later request on this chip.
+        let mut shard = self
+            .shard(&key)
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        if let Some(&d) = shard.get(&key) {
+            return (d, false);
         }
+        let d = simulate();
+        if shard.len() < SHARD_CAP {
+            shard.insert(key, d);
+        }
+        (d, true)
     }
 }
 
@@ -212,15 +225,12 @@ pub struct CycleDelays {
 /// diversity at more Phase-A cost.
 pub const BUCKETS_PER_TAG: usize = 2;
 
-/// Distinct `(opcode, OWM, prev opcode, prev OWM)` error tags.
-const TAGS: usize = ntc_isa::ALL_OPCODES.len() * 2 * ntc_isa::ALL_OPCODES.len() * 2;
-
 /// Marks an unresolved slot of the dense local table.
 const EMPTY_SLOT: u16 = u16::MAX;
 
 /// Most buckets per tag the dense local table indexes (33): every
 /// `(tag, bucket)` slot id must fit a `u16` below the empty marker.
-const MAX_BUCKETS: usize = (EMPTY_SLOT as usize) / TAGS;
+const MAX_BUCKETS: usize = (EMPTY_SLOT as usize) / ErrorTag::COUNT;
 
 const _: () = assert!(
     BUCKETS_PER_TAG >= 1 && BUCKETS_PER_TAG <= MAX_BUCKETS,
@@ -230,7 +240,7 @@ const _: () = assert!(
 /// Consecutive pairs the simulator's delay stream resolves at a time
 /// (see [`crate::sim::run_schemes`]): large enough that the
 /// per-chunk counter flush is noise, small enough that the chunk buffer
-/// (2 B a pair) stays cache-resident.
+/// (6 B a pair: the tag and a `values` id) stays cache-resident.
 pub const STREAM_CHUNK: usize = 4_096;
 
 /// The per-chip tag→delay oracle.
@@ -246,8 +256,8 @@ pub struct TagDelayOracle {
     slots: Vec<u16>,
     values: Vec<CycleDelays>,
     /// The chunk buffer [`resolve_pairs`](Self::resolve_pairs) fills:
-    /// one `values` id per pair.
-    chunk: Vec<u16>,
+    /// each pair's tag and the id of its delays in `values`.
+    chunk: Vec<(ErrorTag, u16)>,
     shared: Option<SharedDelayCache>,
     /// Precomputed critical delays (from the chip memo pool); computed on
     /// demand when absent.
@@ -301,7 +311,7 @@ impl TagDelayOracle {
             netlist,
             signature,
             width,
-            slots: vec![EMPTY_SLOT; TAGS * BUCKETS_PER_TAG],
+            slots: vec![EMPTY_SLOT; ErrorTag::COUNT * BUCKETS_PER_TAG],
             values: Vec::new(),
             chunk: Vec::new(),
             shared: None,
@@ -361,76 +371,92 @@ impl TagDelayOracle {
     /// full-operand table, then the exact kernel.
     pub fn delays(&mut self, prev: &Instruction, cur: &Instruction) -> CycleDelays {
         let mut tally = Tally::default();
-        let id = self.resolve(prev, cur, &mut tally);
+        let id = self.resolve(ErrorTag::of(prev, cur), prev, cur, &mut tally);
         tally.flush();
         self.values[usize::from(id)]
     }
 
     /// Resolve every consecutive pair of `instrs`, in order, and return
-    /// their delays: item `j` is what
-    /// [`delays`](Self::delays)`(&instrs[j], &instrs[j + 1])` answers. The
-    /// window lives in the oracle's chunk buffer as two-byte ids into the
-    /// local table, overwritten by the next call, and the counters are
-    /// flushed once for the whole window. Allocation-free once the buffer
-    /// has grown to the window size ([`STREAM_CHUNK`] pairs for the
-    /// simulator's stream).
+    /// their tags and delays: item `j` is the pair's [`ErrorTag::of`] and
+    /// what [`delays`](Self::delays)`(&instrs[j], &instrs[j + 1])`
+    /// answers. The window lives in the oracle's chunk buffer as tags and
+    /// two-byte ids into the local table, overwritten by the next call,
+    /// and the counters are flushed once for the whole window.
+    /// Allocation-free once the buffer has grown to the window size
+    /// ([`STREAM_CHUNK`] pairs for the simulator's stream).
     pub(crate) fn resolve_pairs(
         &mut self,
         instrs: &[Instruction],
-    ) -> impl Iterator<Item = CycleDelays> + '_ {
+    ) -> impl Iterator<Item = (ErrorTag, CycleDelays)> + '_ {
         let mut chunk = std::mem::take(&mut self.chunk);
         chunk.clear();
         let mut tally = Tally::default();
+        // Each instruction is the current one of a pair and the previous
+        // one of the next, so its OWM (two popcounts) is computed once.
+        let mut prev_owm = instrs.first().is_some_and(Instruction::owm);
         for w in instrs.windows(2) {
-            chunk.push(self.resolve(&w[0], &w[1], &mut tally));
+            let (prev, cur) = (&w[0], &w[1]);
+            let owm = cur.owm();
+            let tag = ErrorTag {
+                opcode: cur.opcode.encoding(),
+                owm,
+                prev_opcode: prev.opcode.encoding(),
+                prev_owm,
+            };
+            chunk.push((tag, self.resolve(tag, prev, cur, &mut tally)));
+            prev_owm = owm;
         }
         tally.flush();
         self.chunk = chunk;
-        self.chunk.iter().map(|&id| self.values[usize::from(id)])
+        self.chunk
+            .iter()
+            .map(|&(tag, id)| (tag, self.values[usize::from(id)]))
     }
 
-    /// Resolve one pair through the three tiers, counted into `tally`,
-    /// and return the id of its delays in `values`.
-    fn resolve(&mut self, prev: &Instruction, cur: &Instruction, tally: &mut Tally) -> u16 {
-        let tag = ErrorTag::of(prev, cur);
+    /// Resolve one pair, whose tag is `tag`, through the three tiers,
+    /// counted into `tally`, and return the id of its delays in `values`.
+    fn resolve(
+        &mut self,
+        tag: ErrorTag,
+        prev: &Instruction,
+        cur: &Instruction,
+        tally: &mut Tally,
+    ) -> u16 {
         let slot = slot_of(tag, operand_bucket(prev, cur), BUCKETS_PER_TAG);
         if self.slots[slot] != EMPTY_SLOT {
             tally.local_hits += 1;
             return self.slots[slot];
         }
+        let mut simulate = || {
+            encode_into(self.width, prev, &mut self.pi_init);
+            encode_into(self.width, cur, &mut self.pi_sens);
+            // Lean min/max entry point on the owned workspace: no
+            // per-miss simulator construction, no per-output activity
+            // vectors.
+            let t = self.workspace.simulate_pair_minmax(
+                &self.netlist,
+                &self.signature,
+                &self.pi_init,
+                &self.pi_sens,
+            );
+            CycleDelays {
+                min_ps: t.min_ps,
+                max_ps: t.max_ps,
+            }
+        };
         // A shared hit under the full-operand key is exactly the result
         // simulating (prev, cur) here would produce, so sharing changes
         // only the number of simulations, never a delay.
-        let full: SharedDelayKey = (tag, prev.a, prev.b, cur.a, cur.b);
-        let d = match self.shared.as_ref().and_then(|shared| shared.get(&full)) {
-            Some(d) => {
-                tally.shared_hits += 1;
-                d
-            }
-            None => {
-                encode_into(self.width, prev, &mut self.pi_init);
-                encode_into(self.width, cur, &mut self.pi_sens);
-                // Lean min/max entry point on the owned workspace: no
-                // per-miss simulator construction, no per-output activity
-                // vectors.
-                let t = self.workspace.simulate_pair_minmax(
-                    &self.netlist,
-                    &self.signature,
-                    &self.pi_init,
-                    &self.pi_sens,
-                );
-                self.gate_sims += 1;
-                tally.gate_sims += 1;
-                let d = CycleDelays {
-                    min_ps: t.min_ps,
-                    max_ps: t.max_ps,
-                };
-                if let Some(shared) = &self.shared {
-                    shared.insert_if_absent(full, d);
-                }
-                d
-            }
+        let (d, simulated) = match &self.shared {
+            Some(shared) => shared.get_or_simulate((tag, prev.a, prev.b, cur.a, cur.b), simulate),
+            None => (simulate(), true),
         };
+        if simulated {
+            self.gate_sims += 1;
+            tally.gate_sims += 1;
+        } else {
+            tally.shared_hits += 1;
+        }
         // At most one entry per slot, and the slot count stays below
         // EMPTY_SLOT (a compile-time bound on BUCKETS_PER_TAG), so the id
         // fits and is never the marker.
@@ -466,16 +492,11 @@ fn operand_bucket(prev: &Instruction, cur: &Instruction) -> usize {
     (h % BUCKETS_PER_TAG as u64) as usize
 }
 
-/// Index of `(tag, bucket)` in the dense local table: opcode, OWM, prev
-/// opcode, prev OWM and bucket as the digits of one mixed-radix number.
+/// Index of `(tag, bucket)` in the dense local table: the bucket is the
+/// last digit after [`ErrorTag::index`]'s four.
 #[inline]
 fn slot_of(tag: ErrorTag, bucket: usize, buckets: usize) -> usize {
-    let ops = ntc_isa::ALL_OPCODES.len();
-    let tag_index = ((usize::from(tag.opcode) * 2 + usize::from(tag.owm)) * ops
-        + usize::from(tag.prev_opcode))
-        * 2
-        + usize::from(tag.prev_owm);
-    tag_index * buckets + bucket
+    tag.index() * buckets + bucket
 }
 
 /// Encode an instruction as the ALU-shaped netlist's primary inputs,
@@ -588,15 +609,41 @@ mod tests {
         };
         let keys = (0..2 * (CACHE_SHARDS * SHARD_CAP) as u64).map(|a| (tag, a, 0, 0, 0));
         for key in keys.clone() {
-            table.insert_if_absent(key, d);
+            assert_eq!(
+                table.get_or_simulate(key, || d),
+                (d, true),
+                "first ask simulates"
+            );
         }
-        let held = keys.filter(|key| table.get(key).is_some()).count();
+        let held = keys
+            .filter(|&key| !table.get_or_simulate(key, || d).1)
+            .count();
         assert_eq!(
             held,
             CACHE_SHARDS * SHARD_CAP,
             "every shard filled to its cap"
         );
-        assert_eq!(table.get(&(tag, 0, 0, 0, 0)), Some(d), "early entries stay");
+        assert_eq!(
+            table.get_or_simulate((tag, 0, 0, 0, 0), || panic!("early entries stay")),
+            (d, false)
+        );
+    }
+
+    #[test]
+    fn a_panicking_simulation_leaves_its_shard_usable() {
+        let table = ShardedDelayCache::default();
+        let key = (ErrorTag::all().next().expect("a tag"), 1, 2, 3, 4);
+        let d = CycleDelays {
+            min_ps: Some(1.0),
+            max_ps: Some(2.0),
+        };
+        let failed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            table.get_or_simulate(key, || panic!("kernel failure"))
+        }));
+        assert!(failed.is_err());
+        // The shard still locks, and the failed simulation kept nothing.
+        assert_eq!(table.get_or_simulate(key, || d), (d, true));
+        assert_eq!(table.get_or_simulate(key, || panic!("kept")), (d, false));
     }
 
     #[test]
@@ -623,26 +670,16 @@ mod tests {
 
     #[test]
     fn slot_of_numbers_every_tag_and_bucket_once() {
-        let ops = ntc_isa::ALL_OPCODES.len() as u8;
+        // Tags are numbered by `ErrorTag::index` (tested in ntc-isa); the
+        // bucket digit must keep the numbering a bijection onto the table,
+        // whose ids all stay below the marker.
         let buckets = MAX_BUCKETS;
-        let mut slots = Vec::new();
-        for opcode in 0..ops {
-            for prev_opcode in 0..ops {
-                for owm_bits in 0..4u8 {
-                    let tag = ErrorTag {
-                        opcode,
-                        owm: owm_bits & 1 == 1,
-                        prev_opcode,
-                        prev_owm: owm_bits & 2 == 2,
-                    };
-                    slots.extend((0..buckets).map(|b| slot_of(tag, b, buckets)));
-                }
-            }
-        }
-        // A bijection onto the table, whose ids all stay below the marker.
+        let mut slots: Vec<usize> = ErrorTag::all()
+            .flat_map(|tag| (0..buckets).map(move |b| slot_of(tag, b, buckets)))
+            .collect();
         slots.sort_unstable();
-        assert!(slots.into_iter().eq(0..TAGS * buckets));
-        assert!(TAGS * buckets < usize::from(EMPTY_SLOT));
+        assert!(slots.into_iter().eq(0..ErrorTag::COUNT * buckets));
+        assert!(ErrorTag::COUNT * buckets < usize::from(EMPTY_SLOT));
     }
 
     #[test]

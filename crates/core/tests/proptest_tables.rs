@@ -44,16 +44,19 @@ fn bloom_mirrors_table_without_false_negatives() {
         for &k in &keys {
             if t.peek(&k).is_none() {
                 if let Some((evicted, ())) = t.insert(k, ()) {
-                    bloom.remove(&evicted);
+                    bloom.remove(bloom.indexes(&evicted));
                 }
-                bloom.insert(&k);
+                bloom.insert(bloom.indexes(&k));
             } else {
                 let _ = t.lookup(&k);
             }
             // Every resident key must be bloom-positive.
             for probe in 0u32..48 {
                 if t.peek(&probe).is_some() {
-                    assert!(bloom.contains(&probe), "case {case}: resident key {probe} lost");
+                    assert!(
+                        bloom.contains(bloom.indexes(&probe)),
+                        "case {case}: resident key {probe} lost"
+                    );
                 }
             }
         }
@@ -118,13 +121,16 @@ fn bloom_removal_is_complete() {
         let keys: Vec<u64> = (0..n_keys).map(|_| rng.gen_u64() % 1000).collect();
         let mut bloom = CountingBloom::new(512);
         for k in &keys {
-            bloom.insert(k);
+            bloom.insert(bloom.indexes(k));
         }
         for k in &keys {
-            bloom.remove(k);
+            bloom.remove(bloom.indexes(k));
         }
         for k in &keys {
-            assert!(!bloom.contains(k), "case {case}: key {k} should be fully removed");
+            assert!(
+                !bloom.contains(bloom.indexes(k)),
+                "case {case}: key {k} should be fully removed"
+            );
         }
     }
 }

@@ -276,6 +276,10 @@ impl ErrorTag {
     /// opcodes + two OWM bits.
     pub const BITS: usize = 18;
 
+    /// Distinct tags of the modelled ISA: 22 opcodes × 2 OWM values, for
+    /// the errant and the previous instruction (1,936).
+    pub const COUNT: usize = ALL_OPCODES.len() * 2 * ALL_OPCODES.len() * 2;
+
     /// Build the tag for a consecutive instruction pair.
     pub fn of(prev: &Instruction, cur: &Instruction) -> Self {
         ErrorTag {
@@ -284,6 +288,35 @@ impl ErrorTag {
             prev_opcode: prev.opcode.encoding(),
             prev_owm: prev.owm(),
         }
+    }
+
+    /// The tag's number in `0..ErrorTag::COUNT`: opcode, OWM, previous
+    /// opcode and previous OWM as the digits of one mixed-radix number,
+    /// so tables keyed by tag can be plain arrays.
+    #[inline]
+    pub fn index(&self) -> usize {
+        let ops = ALL_OPCODES.len();
+        ((usize::from(self.opcode) * 2 + usize::from(self.owm)) * ops
+            + usize::from(self.prev_opcode))
+            * 2
+            + usize::from(self.prev_owm)
+    }
+
+    /// Every tag, in [`index`](Self::index) order.
+    pub fn all() -> impl Iterator<Item = ErrorTag> {
+        let ops = ALL_OPCODES.len() as u8;
+        (0..ops).flat_map(move |opcode| {
+            [false, true].into_iter().flat_map(move |owm| {
+                (0..ops).flat_map(move |prev_opcode| {
+                    [false, true].map(move |prev_owm| ErrorTag {
+                        opcode,
+                        owm,
+                        prev_opcode,
+                        prev_owm,
+                    })
+                })
+            })
+        })
     }
 
     /// The errant half of the tag (used as the ACSLT set key).
@@ -387,6 +420,31 @@ mod tests {
         assert!(tag.owm, "NOR of an all-ones operand has high significant width");
         assert_eq!(tag.errant_pair(), (Opcode::Nor.encoding(), true));
         assert_eq!(ErrorTag::BITS, 18);
+    }
+
+    #[test]
+    fn tag_index_numbers_every_tag_once() {
+        let ops = ALL_OPCODES.len() as u8;
+        let mut indexes = Vec::new();
+        for opcode in 0..ops {
+            for prev_opcode in 0..ops {
+                for owm_bits in 0..4u8 {
+                    let tag = ErrorTag {
+                        opcode,
+                        owm: owm_bits & 1 == 1,
+                        prev_opcode,
+                        prev_owm: owm_bits & 2 == 2,
+                    };
+                    indexes.push(tag.index());
+                }
+            }
+        }
+        // A bijection onto 0..COUNT ...
+        assert_eq!(ErrorTag::COUNT, 1_936);
+        indexes.sort_unstable();
+        assert!(indexes.into_iter().eq(0..ErrorTag::COUNT));
+        // ... which `all` walks in order.
+        assert!(ErrorTag::all().map(|t| t.index()).eq(0..ErrorTag::COUNT));
     }
 
     #[test]

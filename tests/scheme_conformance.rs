@@ -19,8 +19,9 @@
 //!   lengths on both sides of every delay-stream chunk edge — `dvs`
 //!   included: it scales its clock, not the delays, so it reads the
 //!   bare stream like everyone else. At the same lengths the stream
-//!   hands every cycle its own pair's delays and the next pair's as
-//!   lookahead, exactly as one `delays` lookup per pair would;
+//!   hands every cycle its own pair's tag and delays and the next pair's
+//!   delays as lookahead, exactly as `ErrorTag::of` and one `delays`
+//!   lookup per pair would;
 //! * a grid cell grouping bare, buffered and hardened oracles equals
 //!   its one-scheme grids.
 
@@ -32,7 +33,7 @@ use ntc_choke::core::sim::{profile_errors, run_scheme, run_schemes, SimResult};
 use ntc_choke::core::tag_delay::{CycleDelays, TagDelayOracle, STREAM_CHUNK};
 use ntc_choke::core::trident::Trident;
 use ntc_choke::experiments::{run_grid_uncached, GridSpec, Regime};
-use ntc_choke::isa::Instruction;
+use ntc_choke::isa::{ErrorTag, Instruction};
 use ntc_choke::pipeline::Pipeline;
 use ntc_choke::timing::ClockSpec;
 use ntc_choke::varmodel::{Corner, OperatingPoint, VariationParams};
@@ -374,7 +375,8 @@ fn run_schemes_equals_one_run_scheme_per_scheme_across_chunk_edges() {
 
         // Both sides above read the same chunked stream, so check the
         // stream itself against one `delays` lookup per pair: every cycle
-        // sees its own pair's delays and, as lookahead, the next pair's.
+        // sees its own pair's tag and delays and, as lookahead, the next
+        // pair's delays.
         let mut probe = Probe(Vec::new());
         run_scheme(&mut probe, &mut oracle(), trace, ch3_clock(&o), pipe);
         let mut chip = oracle();
@@ -383,15 +385,32 @@ fn run_schemes_equals_one_run_scheme_per_scheme_across_chunk_edges() {
             .windows(2)
             .zip(&pairs)
             .enumerate()
-            .map(|(p, (w, &d))| (w[0], w[1], d, pairs.get(p + 1).copied()))
+            .map(|(p, (w, &d))| {
+                (
+                    w[0],
+                    w[1],
+                    ErrorTag::of(&w[0], &w[1]),
+                    d,
+                    pairs.get(p + 1).copied(),
+                )
+            })
             .collect();
         assert_eq!(probe.0, expected, "{len}-instruction trace: delay stream");
     }
 }
 
-/// A scheme that logs what the simulator hands it each cycle: the pair,
+/// What the simulator hands a scheme in one cycle: the pair, its tag,
 /// its delays and the lookahead.
-struct Probe(Vec<(Instruction, Instruction, CycleDelays, Option<CycleDelays>)>);
+type Seen = (
+    Instruction,
+    Instruction,
+    ErrorTag,
+    CycleDelays,
+    Option<CycleDelays>,
+);
+
+/// A scheme that logs what the simulator hands it each cycle.
+struct Probe(Vec<Seen>);
 
 impl ResilienceScheme for Probe {
     fn name(&self) -> &'static str {
@@ -399,7 +418,8 @@ impl ResilienceScheme for Probe {
     }
 
     fn on_cycle(&mut self, ctx: &CycleContext<'_>) -> CycleOutcome {
-        self.0.push((*ctx.prev, *ctx.cur, ctx.delays, ctx.next_delays));
+        self.0
+            .push((*ctx.prev, *ctx.cur, ctx.tag, ctx.delays, ctx.next_delays));
         CycleOutcome::Clean
     }
 }
