@@ -264,6 +264,23 @@ grep -q 'cycles' target/serve-ci/bad.txt
   > target/serve-ci/r3.json
 cmp target/repro-ci-cold/fig3_8.csv target/serve-ci/c3.csv
 grep -q '"tier":"disk"' target/serve-ci/r3.json
+# Each printed receipt is one JSON document with the receipt schema and
+# a string tier, so a receipt printed wrong fails here, not in a client.
+if command -v jq >/dev/null 2>&1; then
+  for r in r1 r2 r3; do
+    jq -e '.schema == "ntc-serve-receipt/2" and (.tier | type) == "string"' \
+      "target/serve-ci/$r.json" >/dev/null
+  done
+elif command -v python3 >/dev/null 2>&1; then
+  python3 - <<'EOF'
+import json
+for r in ("r1", "r2", "r3"):
+    v = json.load(open(f"target/serve-ci/{r}.json"))
+    assert v["schema"] == "ntc-serve-receipt/2" and isinstance(v["tier"], str), (r, v)
+EOF
+else
+  echo "note: neither jq nor python3 found; relying on the receipt greps above"
+fi
 # Every process memo reports its entry count.
 ./target/release/ntc-serve request --socket "$serve_sock" \
   --line '{"op":"stats"}' > target/serve-ci/stats.json

@@ -37,8 +37,10 @@
 use crate::scenario::{GridResult, GridSpec};
 use ntc_core::scenario::{SchemeSpec, SimAccumulator, SimAccumulatorParts};
 use ntc_pipeline::RunCost;
+use ntc_varmodel::rng::SplitMix64;
 use ntc_varmodel::telemetry::{self, Counts, Metric};
 use ntc_varmodel::OperatingPoint;
+use ntc_workload::trace_bin::{fnv1a64, fnv1a64_seeded, FNV_OFFSET};
 use ntc_workload::{Benchmark, ALL_BENCHMARKS};
 use std::collections::BTreeSet;
 use std::io;
@@ -58,42 +60,13 @@ pub const GRID_CACHE_SCHEMA: &str = "ntc-grid-cache/3";
 /// Leading magic of every artifact file.
 const MAGIC: &[u8; 8] = b"NTCGRID1";
 
-/// FNV-1a 64-bit offset basis.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a 64-bit prime.
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-/// SplitMix64 golden-ratio increment, reused to derive the second key
-/// lane's seed from the first's.
+/// The SplitMix64 golden-ratio increment: XORed into the FNV basis, it
+/// seeds the second key lane.
 const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
 
 // ---------------------------------------------------------------------
 // Hashing
 // ---------------------------------------------------------------------
-
-/// FNV-1a over `bytes` from an explicit seed (the second key lane uses a
-/// perturbed basis so the two lanes are independent).
-fn fnv1a64_seeded(bytes: &[u8], seed: u64) -> u64 {
-    let mut h = seed;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
-/// Standard FNV-1a 64-bit hash — also the artifact trailing checksum.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    fnv1a64_seeded(bytes, FNV_OFFSET)
-}
-
-/// SplitMix64 finalizer: avalanche the FNV output so nearby specs (the
-/// common case — seed bases differing by one) spread over the key space.
-fn mix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(GAMMA);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// The full key preimage of a spec: schema tag, crate version, then the
 /// spec's canonical bytes. This exact byte string is hashed into the
@@ -107,12 +80,14 @@ pub fn key_preimage(spec: &GridSpec) -> Vec<u8> {
     out
 }
 
-/// The content-addressed key of a spec: 32 lowercase hex digits (two
-/// independent FNV-1a lanes through the SplitMix64 finalizer).
+/// The content-addressed key of a spec: 32 lowercase hex digits. Each of
+/// two FNV-1a lanes (differently seeded, so independent) seeds a
+/// SplitMix64 step, whose avalanche spreads nearby specs (the common
+/// case — seed bases differing by one) over the key space.
 pub fn cache_key(spec: &GridSpec) -> String {
     let pre = key_preimage(spec);
-    let lane1 = mix64(fnv1a64_seeded(&pre, FNV_OFFSET));
-    let lane2 = mix64(fnv1a64_seeded(&pre, FNV_OFFSET ^ GAMMA));
+    let [lane1, lane2] = [FNV_OFFSET, FNV_OFFSET ^ GAMMA]
+        .map(|seed| SplitMix64::seed_from_u64(fnv1a64_seeded(&pre, seed)).next_u64());
     format!("{lane1:016x}{lane2:016x}")
 }
 
@@ -536,7 +511,9 @@ mod tests {
     #[test]
     fn keys_are_stable_and_spec_sensitive() {
         let a = cache_key(&spec(7));
-        assert_eq!(a.len(), 32, "128-bit hex key");
+        // Pinned: existing cache directories keep hitting. The preimage
+        // embeds the crate version, so a version bump moves this value.
+        assert_eq!(a, "9344859dede819036bec8be213576a3f");
         assert_eq!(a, cache_key(&spec(7)), "same spec, same key");
         assert_ne!(a, cache_key(&spec(8)), "any field change moves the key");
         let mut other = spec(7);
@@ -546,14 +523,6 @@ mod tests {
         let mut volts = spec(7);
         volts.voltages = vec![OperatingPoint::NTC, OperatingPoint::STC];
         assert_ne!(a, cache_key(&volts));
-    }
-
-    #[test]
-    fn fnv_reference_vectors() {
-        // Published FNV-1a 64 test vectors.
-        assert_eq!(fnv1a64(b""), 0xcbf29ce484222325);
-        assert_eq!(fnv1a64(b"a"), 0xaf63dc4c8601ec8c);
-        assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
     }
 
     #[test]

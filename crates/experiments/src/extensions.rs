@@ -118,7 +118,7 @@ pub fn aging_adaptation(scale: Scale) -> ResultTable {
             ..OperatingCondition::nominal()
         },
     );
-    let mut aged_oracle = TagDelayOracle::new(alu.netlist().clone(), aged_sig.clone());
+    let mut aged_oracle = TagDelayOracle::new(alu.netlist().clone(), aged_sig);
     let warm = run_scheme(&mut dcs, &mut aged_oracle, &trace, clock, pipe);
     t.push_row(
         "aged, warm DCS",
@@ -129,10 +129,12 @@ pub fn aging_adaptation(scale: Scale) -> ResultTable {
         ],
     );
 
-    // Phase 3: the same aged silicon with a cold DCS, for contrast.
+    // Phase 3: the same aged silicon with a cold DCS, for contrast. It
+    // replays phase 2's trace on phase 2's oracle, whose table already
+    // holds every first pair this replay resolves: the same pairs, filled
+    // in the same order, that a fresh oracle would simulate.
     let mut cold = Dcs::icslt_default();
-    let mut aged_oracle2 = TagDelayOracle::new(alu.netlist().clone(), aged_sig);
-    let cold_r = run_scheme(&mut cold, &mut aged_oracle2, &trace, clock, pipe);
+    let cold_r = run_scheme(&mut cold, &mut aged_oracle, &trace, clock, pipe);
     t.push_row(
         "aged, cold DCS",
         vec![

@@ -55,8 +55,8 @@ pub use runner::{
     SweepStats,
 };
 pub use scenario::{
-    row_label, run_grid, run_grid_traced, run_grid_uncached, take_voltage_cells, voltage_cells,
-    GridResult, GridSpec, GridTier, Regime,
+    row_label, run_grid, run_grid_uncached, take_voltage_cells, voltage_cells, GridResult,
+    GridSpec, Regime,
 };
 pub use table::ResultTable;
 

@@ -11,16 +11,19 @@
 //! per-index sweep panic, CSV write error) that made the exit code
 //! nonzero.
 //!
-//! The JSON encoder **and** the matching validator/parser are hand-rolled
-//! here: the build stays offline and dependency-free, and the harness can
-//! re-read its own manifest (`tests/figure_shapes.rs` golden-shape check,
-//! `ci.sh` smoke step) without trusting external tooling to be present.
+//! Every JSON document the harness and the daemon write — manifests,
+//! `--format json` tables, serve responses and their receipts — is a
+//! [`Json`] value printed by its one `Display` encoder, and every one
+//! they read goes through [`parse_json`]. Both live here so the build
+//! stays offline and dependency-free, and the harness can re-read its
+//! own manifest (`tests/figure_shapes.rs` golden-shape check, `ci.sh`
+//! smoke step) without trusting external tooling to be present.
 
 use crate::cache::CacheStats;
 use crate::runner::{IndexFailure, SweepStats};
 use crate::table::ResultTable;
 use ntc_core::tag_delay::OracleStats;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 use std::io;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
@@ -95,103 +98,40 @@ impl RunRecord {
         self.error.is_none() && self.sweep_failures.is_empty()
     }
 
-    /// Encode this record as one JSON object.
-    pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push('{');
-        push_key_str(&mut s, "id", &self.id);
-        s.push(',');
-        push_key_str(&mut s, "title", &self.title);
-        s.push(',');
-        push_key_str(&mut s, "scale", &self.scale);
-        s.push(',');
-        let _ = write!(s, "\"jobs\":{}", self.jobs);
-        s.push(',');
-        let _ = write!(s, "\"wall_s\":{}", json_f64(self.wall_s));
-        s.push(',');
-        let _ = write!(s, "\"sweep_busy_ns\":{}", self.sweep.busy.as_nanos());
-        s.push(',');
-        let _ = write!(s, "\"sweep_wall_ns\":{}", self.sweep.wall.as_nanos());
-        s.push(',');
-        s.push_str("\"oracle\":{");
-        for (i, (name, value)) in self.oracle.fields().iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(s, "\"{name}\":{value}");
-        }
-        s.push('}');
-        s.push(',');
-        s.push_str("\"cache\":{");
-        for (i, (name, value)) in self.cache.fields().iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(s, "\"{name}\":{value}");
-        }
-        s.push('}');
-        s.push(',');
-        s.push_str("\"voltages\":{");
-        for (i, (name, count)) in self.voltages.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(s, "\"{name}\":{count}");
-        }
-        s.push('}');
-        s.push(',');
-        s.push_str("\"requested_vdd\":[");
-        for (i, name) in self.requested_vdd.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            push_json_str(&mut s, name);
-        }
-        s.push(']');
-        s.push(',');
-        push_key_str(&mut s, "source", &self.source);
-        s.push(',');
-        s.push_str("\"workload\":{");
-        for (i, (name, value)) in self.workload.fields().iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(s, "\"{name}\":{value}");
-        }
-        s.push('}');
-        s.push(',');
-        s.push_str("\"sweep_failures\":[");
-        for (i, f) in self.sweep_failures.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(s, "{{\"index\":{},", f.index);
-            push_key_str(&mut s, "message", &f.message);
-            s.push('}');
-        }
-        s.push(']');
-        s.push(',');
-        let _ = write!(s, "\"rows\":{}", self.rows);
-        s.push(',');
-        match &self.csv {
-            Some(p) => push_key_str(&mut s, "csv", &p.display().to_string()),
-            None => s.push_str("\"csv\":null"),
-        }
-        s.push(',');
-        push_key_str(
-            &mut s,
-            "status",
-            if self.passed() { "pass" } else { "fail" },
-        );
-        s.push(',');
-        let _ = write!(s, "\"resumed\":{}", self.resumed);
-        s.push(',');
-        match &self.error {
-            Some(e) => push_key_str(&mut s, "error", e),
-            None => s.push_str("\"error\":null"),
-        }
-        s.push('}');
-        s
+    /// This record as one JSON object, members in manifest order.
+    pub fn to_json(&self) -> Json {
+        Json::obj([
+            ("id", self.id.as_str().into()),
+            ("title", self.title.as_str().into()),
+            ("scale", self.scale.as_str().into()),
+            ("jobs", self.jobs.into()),
+            ("wall_s", self.wall_s.into()),
+            ("sweep_busy_ns", self.sweep.busy.as_nanos().into()),
+            ("sweep_wall_ns", self.sweep.wall.as_nanos().into()),
+            ("oracle", Json::obj(self.oracle.fields())),
+            ("cache", Json::obj(self.cache.fields())),
+            ("voltages", Json::obj(self.voltages.clone())),
+            ("requested_vdd", Json::arr(self.requested_vdd.clone())),
+            ("source", self.source.as_str().into()),
+            ("workload", Json::obj(self.workload.fields())),
+            (
+                "sweep_failures",
+                Json::arr(self.sweep_failures.iter().map(|f| {
+                    Json::obj([
+                        ("index", Json::from(f.index)),
+                        ("message", f.message.as_str().into()),
+                    ])
+                })),
+            ),
+            ("rows", self.rows.into()),
+            (
+                "csv",
+                self.csv.as_ref().map(|p| p.display().to_string()).into(),
+            ),
+            ("status", if self.passed() { "pass" } else { "fail" }.into()),
+            ("resumed", self.resumed.into()),
+            ("error", self.error.as_deref().into()),
+        ])
     }
 
     /// Decode a record from a parsed manifest object — the read half of
@@ -377,31 +317,22 @@ impl Manifest {
         )
     }
 
-    /// Encode the manifest as a pretty-printed JSON document.
+    /// Encode the manifest as a JSON document: one top-level member per
+    /// line, one record per line (the `{:#}` layout of [`Json`]).
     pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n  ");
-        push_key_str(&mut s, "schema", MANIFEST_SCHEMA);
-        s.push_str(",\n  ");
-        push_key_str(&mut s, "scale", &self.scale);
-        s.push_str(",\n  ");
-        let _ = write!(s, "\"jobs\":{}", self.jobs);
-        s.push_str(",\n  ");
-        let _ = write!(s, "\"passed\":{}", self.passed());
-        s.push_str(",\n  ");
-        let _ = write!(s, "\"failed\":{}", self.failed());
-        s.push_str(",\n  ");
-        let _ = write!(s, "\"wall_s\":{}", json_f64(self.wall_s()));
-        s.push_str(",\n  \"records\":[");
-        for (i, r) in self.records.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str("\n    ");
-            s.push_str(&r.to_json());
-        }
-        s.push_str("\n  ]\n}\n");
-        s
+        let doc = Json::obj([
+            ("schema", MANIFEST_SCHEMA.into()),
+            ("scale", self.scale.as_str().into()),
+            ("jobs", self.jobs.into()),
+            ("passed", self.passed().into()),
+            ("failed", self.failed().into()),
+            ("wall_s", self.wall_s().into()),
+            (
+                "records",
+                Json::arr(self.records.iter().map(RunRecord::to_json)),
+            ),
+        ]);
+        format!("{doc:#}\n")
     }
 
     /// Write the manifest as `<dir>/manifest.json`, validating that the
@@ -474,81 +405,34 @@ impl Manifest {
 /// id, title, column names, and rows as `{"label", "values"}` pairs with
 /// non-finite cells as `null`.
 pub fn table_to_json(t: &ResultTable) -> String {
-    let mut s = String::new();
-    s.push('{');
-    push_key_str(&mut s, "id", &t.id);
-    s.push(',');
-    push_key_str(&mut s, "title", &t.title);
-    s.push(',');
-    s.push_str("\"columns\":[");
-    for (i, c) in t.columns.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        push_json_str(&mut s, c);
-    }
-    s.push_str("],\"rows\":[");
-    for (i, (label, values)) in t.rows.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push('{');
-        push_key_str(&mut s, "label", label);
-        s.push_str(",\"values\":[");
-        for (j, v) in values.iter().enumerate() {
-            if j > 0 {
-                s.push(',');
-            }
-            s.push_str(&json_f64(*v));
-        }
-        s.push_str("]}");
-    }
-    s.push_str("]}");
-    s
+    Json::obj([
+        ("id", t.id.as_str().into()),
+        ("title", t.title.as_str().into()),
+        ("columns", Json::arr(t.columns.iter().map(String::as_str))),
+        (
+            "rows",
+            Json::arr(t.rows.iter().map(|(label, values)| {
+                Json::obj([
+                    ("label", label.as_str().into()),
+                    ("values", Json::arr(values.iter().copied())),
+                ])
+            })),
+        ),
+    ])
+    .to_string()
 }
 
-/// Render an `f64` as a JSON number (`null` for NaN/±∞, which JSON cannot
-/// represent). Rust's `Display` for finite `f64` is shortest-round-trip
-/// decimal without exponents — always a valid JSON number.
+/// A JSON value: the document model every writer builds and
+/// [`parse_json`] returns.
 ///
-/// Public: the serve protocol emits its receipts with the same encoder
-/// the manifests use, so the two stay byte-compatible.
-pub fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_owned()
-    }
-}
-
-/// Append `"key":"escaped value"`.
-pub fn push_key_str(out: &mut String, key: &str, value: &str) {
-    push_json_str(out, key);
-    out.push(':');
-    push_json_str(out, value);
-}
-
-/// Append a JSON string literal with RFC 8259 escaping.
-pub fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-/// A parsed JSON value — the minimal document model the harness needs to
-/// validate and inspect its own manifests.
+/// `Display` is the one encoder. It writes members in insertion order
+/// with no whitespace, escapes `"`, `\`, `\n`, `\r` and `\t` by name and
+/// every other control character as lowercase `\u00xx`, writes numbers
+/// in decimal (a finite `f64` through its shortest round-trip `Display`,
+/// which has no exponent) and NaN or ±∞, which JSON cannot represent, as
+/// `null`. The alternate form `{:#}` puts each element of the outer two
+/// levels of containers on its own line, indented two spaces a level —
+/// the manifest's layout.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
     /// `null`.
@@ -621,6 +505,143 @@ impl Json {
             Json::Obj(members) => Some(members.iter().map(|(k, _)| k.as_str()).collect()),
             _ => None,
         }
+    }
+
+    /// An object of `members`, in iteration order.
+    pub fn obj<K: Into<String>, V: Into<Json>>(members: impl IntoIterator<Item = (K, V)>) -> Json {
+        Json::Obj(
+            members
+                .into_iter()
+                .map(|(k, v)| (k.into(), v.into()))
+                .collect(),
+        )
+    }
+
+    /// An array of `items`, in iteration order.
+    pub fn arr<V: Into<Json>>(items: impl IntoIterator<Item = V>) -> Json {
+        Json::Arr(items.into_iter().map(Into::into).collect())
+    }
+
+    /// Write `self` nested `level` containers deep (see the type docs for
+    /// the layout).
+    fn write(&self, f: &mut fmt::Formatter<'_>, level: usize) -> fmt::Result {
+        match self {
+            Json::Null => f.write_str("null"),
+            Json::Bool(b) => write!(f, "{b}"),
+            Json::Int(v) => write!(f, "{v}"),
+            Json::Num(v) if v.is_finite() => write!(f, "{v}"),
+            Json::Num(_) => f.write_str("null"),
+            Json::Str(s) => write_str_literal(f, s),
+            Json::Arr(items) => {
+                write_seq(f, level, ['[', ']'], items, |f, v| v.write(f, level + 1))
+            }
+            Json::Obj(members) => write_seq(f, level, ['{', '}'], members, |f, (k, v)| {
+                write_str_literal(f, k)?;
+                f.write_char(':')?;
+                v.write(f, level + 1)
+            }),
+        }
+    }
+}
+
+impl fmt::Display for Json {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.write(f, 0)
+    }
+}
+
+/// Write a container's `items` between `open` and `close`,
+/// comma-separated; under `{:#}` the outer two levels put each item on
+/// its own line.
+fn write_seq<T>(
+    f: &mut fmt::Formatter<'_>,
+    level: usize,
+    [open, close]: [char; 2],
+    items: &[T],
+    mut write_item: impl FnMut(&mut fmt::Formatter<'_>, &T) -> fmt::Result,
+) -> fmt::Result {
+    let lines = f.alternate() && level < 2;
+    f.write_char(open)?;
+    for (i, item) in items.iter().enumerate() {
+        if i > 0 {
+            f.write_char(',')?;
+        }
+        if lines {
+            write!(f, "\n{:1$}", "", 2 * (level + 1))?;
+        }
+        write_item(f, item)?;
+    }
+    if lines {
+        write!(f, "\n{:1$}", "", 2 * level)?;
+    }
+    f.write_char(close)
+}
+
+/// Write `s` as a JSON string literal (RFC 8259 escaping).
+fn write_str_literal(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
+    f.write_char('"')?;
+    for c in s.chars() {
+        match c {
+            '"' => f.write_str("\\\"")?,
+            '\\' => f.write_str("\\\\")?,
+            '\n' => f.write_str("\\n")?,
+            '\r' => f.write_str("\\r")?,
+            '\t' => f.write_str("\\t")?,
+            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
+            c => f.write_char(c)?,
+        }
+    }
+    f.write_char('"')
+}
+
+impl From<&str> for Json {
+    fn from(s: &str) -> Json {
+        Json::Str(s.to_owned())
+    }
+}
+
+impl From<String> for Json {
+    fn from(s: String) -> Json {
+        Json::Str(s)
+    }
+}
+
+impl From<bool> for Json {
+    fn from(b: bool) -> Json {
+        Json::Bool(b)
+    }
+}
+
+impl From<f64> for Json {
+    fn from(v: f64) -> Json {
+        Json::Num(v)
+    }
+}
+
+impl From<u64> for Json {
+    fn from(v: u64) -> Json {
+        Json::Int(v.into())
+    }
+}
+
+impl From<usize> for Json {
+    fn from(v: usize) -> Json {
+        Json::Int(v as i128)
+    }
+}
+
+/// Durations in nanoseconds or microseconds. Past `i128::MAX` (over
+/// 10^21 years of nanoseconds) the value saturates.
+impl From<u128> for Json {
+    fn from(v: u128) -> Json {
+        Json::Int(i128::try_from(v).unwrap_or(i128::MAX))
+    }
+}
+
+/// `None` is `null`.
+impl<T: Into<Json>> From<Option<T>> for Json {
+    fn from(v: Option<T>) -> Json {
+        v.map_or(Json::Null, Into::into)
     }
 }
 
@@ -915,7 +936,7 @@ mod tests {
     #[test]
     fn record_json_roundtrips_through_own_parser() {
         let r = record("fig3.4", None);
-        let parsed = parse_json(&r.to_json()).expect("valid JSON");
+        let parsed = parse_json(&r.to_json().to_string()).expect("valid JSON");
         assert_eq!(parsed.get("id").unwrap().as_str(), Some("fig3.4"));
         assert_eq!(parsed.get("status").unwrap().as_str(), Some("pass"));
         assert_eq!(parsed.get("rows").unwrap().as_f64(), Some(6.0));
@@ -975,9 +996,7 @@ mod tests {
     #[test]
     fn string_escaping_roundtrips() {
         let nasty = "he said \"hi\",\n\tback\\slash \u{1} é";
-        let mut s = String::new();
-        push_json_str(&mut s, nasty);
-        let parsed = parse_json(&s).expect("valid JSON string literal");
+        let parsed = parse_json(&Json::from(nasty).to_string()).expect("valid JSON string literal");
         assert_eq!(parsed.as_str(), Some(nasty));
     }
 
@@ -1038,7 +1057,10 @@ mod tests {
     #[test]
     fn from_json_rejects_status_contradicting_failure_fields() {
         let r = record("fig3.4", None);
-        let doctored = r.to_json().replace("\"status\":\"pass\"", "\"status\":\"fail\"");
+        let doctored = r
+            .to_json()
+            .to_string()
+            .replace("\"status\":\"pass\"", "\"status\":\"fail\"");
         let parsed = parse_json(&doctored).expect("still valid JSON");
         let err = RunRecord::from_json(&parsed).expect_err("contradiction must be rejected");
         assert!(err.contains("status"), "{err}");
@@ -1064,6 +1086,68 @@ mod tests {
         assert_eq!(values[1], Json::Null);
         let cols = parsed.get("columns").unwrap().as_arr().unwrap();
         assert_eq!(cols[0].as_str(), Some("a,b"));
+    }
+
+    /// The manifest's exact bytes: one member per line, one record per
+    /// line, RFC 8259 escapes (lowercase `\u00xx` for other control
+    /// characters), shortest round-trip floats, `null` for a missing CSV
+    /// or error, and the empty-suite layout.
+    #[test]
+    fn manifest_bytes_are_pinned() {
+        let mut failed = record("fig4.2", Some("disk full\r\n"));
+        failed.title = "say \"hi\" \\ \tthen \u{1}".to_owned();
+        failed.csv = None;
+        failed.wall_s = 0.1 + 0.2;
+        let mut isolated = record("fig3.9", None);
+        isolated.sweep_failures.push(IndexFailure {
+            index: 3,
+            message: "chip 3 exploded".to_owned(),
+        });
+        isolated.resumed = true;
+        let m = Manifest::new("fast", 2, vec![failed, isolated]);
+        assert_eq!(
+            m.to_json(),
+            r#"{
+  "schema":"ntc-repro-manifest/8",
+  "scale":"fast",
+  "jobs":2,
+  "passed":0,
+  "failed":2,
+  "wall_s":1.55,
+  "records":[
+    {"id":"fig4.2","title":"say \"hi\" \\ \tthen \u0001","scale":"fast","jobs":2,"wall_s":0.30000000000000004,"sweep_busy_ns":300,"sweep_wall_ns":200,"oracle":{"gate_sims":7,"local_hits":40,"shared_hits":3,"sta_full":3},"cache":{"disk_hits":1,"disk_misses":2,"corrupt_evictions":0,"bytes_written":4096},"voltages":{"v0.45":30,"v0.60":30},"requested_vdd":["v0.45","v0.60"],"source":"generator","workload":{"traces_recorded":2,"trace_replays":4,"replayed_instructions":120000},"sweep_failures":[],"rows":6,"csv":null,"status":"fail","resumed":false,"error":"disk full\r\n"},
+    {"id":"fig3.9","title":"Title of fig3.9","scale":"fast","jobs":2,"wall_s":1.25,"sweep_busy_ns":300,"sweep_wall_ns":200,"oracle":{"gate_sims":7,"local_hits":40,"shared_hits":3,"sta_full":3},"cache":{"disk_hits":1,"disk_misses":2,"corrupt_evictions":0,"bytes_written":4096},"voltages":{"v0.45":30,"v0.60":30},"requested_vdd":["v0.45","v0.60"],"source":"generator","workload":{"traces_recorded":2,"trace_replays":4,"replayed_instructions":120000},"sweep_failures":[{"index":3,"message":"chip 3 exploded"}],"rows":6,"csv":"target/repro/x.csv","status":"fail","resumed":true,"error":null}
+  ]
+}
+"#
+        );
+        assert_eq!(
+            Manifest::new("full", 1, Vec::new()).to_json(),
+            r#"{
+  "schema":"ntc-repro-manifest/8",
+  "scale":"full",
+  "jobs":1,
+  "passed":0,
+  "failed":0,
+  "wall_s":-0,
+  "records":[
+  ]
+}
+"#
+        );
+    }
+
+    /// `--format json` bytes: non-finite cells are `null`, finite ones
+    /// print without an exponent.
+    #[test]
+    fn table_json_bytes_are_pinned() {
+        let mut t = ResultTable::new("fig0.0", "Json \"t\"", ["a,b", "c", "d"]);
+        t.push_row("row \"1\"", vec![1.5, f64::NAN, -0.25]);
+        t.push_row("r2", vec![f64::INFINITY, 1e21, 1e-7]);
+        assert_eq!(
+            table_to_json(&t),
+            r#"{"id":"fig0.0","title":"Json \"t\"","columns":["a,b","c","d"],"rows":[{"label":"row \"1\"","values":[1.5,null,-0.25]},{"label":"r2","values":[null,1000000000000000000000,0.0000001]}]}"#
+        );
     }
 
     #[test]

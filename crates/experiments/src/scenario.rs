@@ -464,33 +464,6 @@ pub(crate) fn grid_memo_occupancy() -> (usize, usize) {
     GRIDS.occupancy()
 }
 
-/// Which tier answered a [`run_grid_traced`] call — the provenance a
-/// serving layer reports back to its client in the per-request receipt.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GridTier {
-    /// In-memory memo hit (this process folded, or was folding, it).
-    Memo,
-    /// On-disk artifact hit (a previous process folded it).
-    Disk,
-    /// Cold: the cells were swept and folded by this call.
-    Computed,
-    /// Caching disabled ([`cache::set_disabled`]): computed, nothing
-    /// consulted or written.
-    Uncached,
-}
-
-impl GridTier {
-    /// Stable wire name (receipt JSON).
-    pub fn name(self) -> &'static str {
-        match self {
-            GridTier::Memo => "memo",
-            GridTier::Disk => "disk",
-            GridTier::Computed => "computed",
-            GridTier::Uncached => "uncached",
-        }
-    }
-}
-
 /// Run a grid through the cache tiers: the bounded in-memory memo first
 /// (same process — figures charting different columns of one grid share
 /// one sweep and one `Arc`, and concurrent callers of one spec share one
@@ -502,12 +475,6 @@ impl GridTier {
 /// Disk artifacts store exact bit patterns, so a hit from either tier is
 /// bit-identical to a cold run at any `--jobs` count.
 pub fn run_grid(spec: &GridSpec) -> Arc<GridResult> {
-    run_grid_traced(spec).0
-}
-
-/// [`run_grid`], also reporting which tier answered. The batch drivers
-/// ignore the tier; the serve daemon threads it into request receipts.
-pub fn run_grid_traced(spec: &GridSpec) -> (Arc<GridResult>, GridTier) {
     cached_grid(spec).unwrap_or_else(|| compute_grid(spec))
 }
 
@@ -515,27 +482,25 @@ pub fn run_grid_traced(spec: &GridSpec) -> (Arc<GridResult>, GridTier) {
 /// memo's value if its build has finished, else the disk artifact, which
 /// is memoized on the way. Never waits on a memo build in progress.
 /// `None` when caching is disabled.
-pub fn cached_grid(spec: &GridSpec) -> Option<(Arc<GridResult>, GridTier)> {
+pub fn cached_grid(spec: &GridSpec) -> Option<Arc<GridResult>> {
     if cache::disabled() {
         return None;
     }
     if let Some(result) = GRIDS.get_built(spec) {
-        return Some((result, GridTier::Memo));
+        return Some(result);
     }
     let loaded = Arc::new(cache::load(&cache::disk_dir()?, spec)?);
-    Some((GRIDS.get_or_init(spec, || loaded), GridTier::Disk))
+    Some(GRIDS.get_or_init(spec, || loaded))
 }
 
-/// The second half of [`run_grid_traced`], for a spec [`cached_grid`]
-/// missed: sweep the grid through the memo, so concurrent callers of one
-/// spec share one compute (the later ones report [`GridTier::Memo`]),
-/// and write it through to the disk tier.
-pub fn compute_grid(spec: &GridSpec) -> (Arc<GridResult>, GridTier) {
+/// The second half of [`run_grid`], for a spec [`cached_grid`] missed:
+/// sweep the grid through the memo, so concurrent callers of one spec
+/// share one compute, and write it through to the disk tier.
+pub fn compute_grid(spec: &GridSpec) -> Arc<GridResult> {
     if cache::disabled() {
-        return (Arc::new(run_grid_uncached(spec)), GridTier::Uncached);
+        return Arc::new(run_grid_uncached(spec));
     }
-    let mut tier = GridTier::Memo;
-    let result = GRIDS.get_or_init(spec, || {
+    GRIDS.get_or_init(spec, || {
         let result = Arc::new(run_grid_uncached(spec));
         if let Some(dir) = cache::disk_dir() {
             if let Err(e) = cache::store(&dir, spec, &result) {
@@ -545,10 +510,8 @@ pub fn compute_grid(spec: &GridSpec) -> (Arc<GridResult>, GridTier) {
                 );
             }
         }
-        tier = GridTier::Computed;
         result
-    });
-    (result, tier)
+    })
 }
 
 #[cfg(test)]

@@ -45,7 +45,7 @@
 use ntc_core::scenario::SchemeSpec;
 use ntc_core::tag_delay::OracleStats;
 use ntc_experiments::cache::CacheStats;
-use ntc_experiments::report::{parse_json, push_key_str, push_json_str, Json};
+use ntc_experiments::report::{parse_json, Json};
 use ntc_experiments::runner::SweepStats;
 use ntc_experiments::scenario::{row_label, GridResult, GridSpec, Regime};
 use ntc_experiments::table::ResultTable;
@@ -279,9 +279,9 @@ pub struct JobCounters {
 /// `RunRecord`'s telemetry, but scoped to one request.
 #[derive(Debug, Clone)]
 pub struct Receipt {
-    /// Which tier answered: `memo` / `disk` / `computed` / `uncached`,
-    /// or `coalesced` when this request shared another request's
-    /// in-flight compute.
+    /// Which tier answered: `memo` / `disk` / `computed`, or
+    /// `coalesced` when this request shared another request's in-flight
+    /// compute.
     pub tier: String,
     /// How many *other* requests shared the same compute (0 when the
     /// request flew alone).
@@ -293,61 +293,42 @@ pub struct Receipt {
 }
 
 impl Receipt {
-    /// Render as a JSON object (one line, schema-tagged).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        push_key_str(&mut out, "schema", RECEIPT_SCHEMA);
-        out.push(',');
-        push_key_str(&mut out, "tier", &self.tier);
-        out.push_str(&format!(",\"coalesced_with\":{}", self.coalesced_with));
-        out.push_str(&format!(",\"queue_wait_us\":{}", self.queue_wait_us));
-        out.push_str(&format!(
-            ",\"sweep_busy_us\":{}",
-            self.counters.sweep.busy.as_micros()
-        ));
-        out.push_str(&format!(
-            ",\"sweep_wall_us\":{}",
-            self.counters.sweep.wall.as_micros()
-        ));
-        out.push_str(",\"oracle\":{");
-        for (i, (k, v)) in self.counters.oracle.fields().into_iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{k}\":{v}"));
-        }
-        out.push_str("},\"cache\":{");
-        for (i, (k, v)) in self.counters.cache.fields().into_iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{k}\":{v}"));
-        }
-        out.push_str("}}");
-        out
+    /// This receipt as one schema-tagged JSON object.
+    pub fn to_json(&self) -> Json {
+        Json::obj([
+            ("schema", RECEIPT_SCHEMA.into()),
+            ("tier", self.tier.as_str().into()),
+            ("coalesced_with", self.coalesced_with.into()),
+            ("queue_wait_us", self.queue_wait_us.into()),
+            ("sweep_busy_us", self.counters.sweep.busy.as_micros().into()),
+            ("sweep_wall_us", self.counters.sweep.wall.as_micros().into()),
+            ("oracle", Json::obj(self.counters.oracle.fields())),
+            ("cache", Json::obj(self.counters.cache.fields())),
+        ])
     }
+}
+
+/// A success response line: `"ok":true`, the `op`, then `members`.
+fn ok_line<'a>(op: &str, members: impl IntoIterator<Item = (&'a str, Json)>) -> String {
+    let head = [("ok", true.into()), ("op", op.into())];
+    Json::obj(head.into_iter().chain(members)).to_string()
 }
 
 /// Render a success response carrying a CSV payload and its receipt.
 pub fn render_ok_csv(op: &str, id: &str, csv: &str, receipt: &Receipt) -> String {
-    let mut out = String::from("{\"ok\":true,");
-    push_key_str(&mut out, "op", op);
-    out.push(',');
-    push_key_str(&mut out, "id", id);
-    out.push(',');
-    push_key_str(&mut out, "csv", csv);
-    out.push_str(",\"receipt\":");
-    out.push_str(&receipt.to_json());
-    out.push('}');
-    out
+    ok_line(
+        op,
+        [
+            ("id", id.into()),
+            ("csv", csv.into()),
+            ("receipt", receipt.to_json()),
+        ],
+    )
 }
 
 /// Render a plain success response (`ping`, `shutdown`).
 pub fn render_ok(op: &str) -> String {
-    let mut out = String::from("{\"ok\":true,");
-    push_key_str(&mut out, "op", op);
-    out.push('}');
-    out
+    ok_line(op, [])
 }
 
 /// Render the `list` response: servable experiment ids and the
@@ -359,51 +340,26 @@ pub fn render_list(
     schemes: &[String],
     vdd: &[&str],
 ) -> String {
-    fn push_str_arr<S: AsRef<str>>(out: &mut String, key: &str, items: &[S]) {
-        out.push('"');
-        out.push_str(key);
-        out.push_str("\":[");
-        for (i, s) in items.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            push_json_str(out, s.as_ref());
-        }
-        out.push(']');
-    }
-    let mut out = String::from("{\"ok\":true,");
-    push_key_str(&mut out, "op", "list");
-    out.push(',');
-    push_str_arr(&mut out, "experiments", experiments);
-    out.push(',');
-    push_str_arr(&mut out, "benchmarks", benchmarks);
-    out.push(',');
-    push_str_arr(&mut out, "schemes", schemes);
-    out.push(',');
-    push_str_arr(&mut out, "vdd", vdd);
-    out.push('}');
-    out
+    ok_line(
+        "list",
+        [
+            ("experiments", Json::arr(experiments.iter().copied())),
+            ("benchmarks", Json::arr(benchmarks.iter().copied())),
+            ("schemes", Json::arr(schemes.iter().map(String::as_str))),
+            ("vdd", Json::arr(vdd.iter().copied())),
+        ],
+    )
 }
 
 /// Render the `stats` response from `(name, value)` counter pairs.
 pub fn render_stats<'a>(counters: impl IntoIterator<Item = (&'a str, u64)>) -> String {
-    let mut out = String::from("{\"ok\":true,");
-    push_key_str(&mut out, "op", "stats");
-    for (k, v) in counters {
-        out.push_str(&format!(",\"{k}\":{v}"));
-    }
-    out.push('}');
-    out
+    ok_line("stats", counters.into_iter().map(|(k, v)| (k, v.into())))
 }
 
 /// Render an error response.
 pub fn render_error(code: ErrorCode, message: &str) -> String {
-    let mut out = String::from("{\"ok\":false,\"error\":{");
-    push_key_str(&mut out, "code", code.name());
-    out.push(',');
-    push_key_str(&mut out, "message", message);
-    out.push_str("}}");
-    out
+    let error = Json::obj([("code", code.name()), ("message", message)]);
+    Json::obj([("ok", false.into()), ("error", error)]).to_string()
 }
 
 /// The canonical table of a grid result: one row per (benchmark,
@@ -635,7 +591,7 @@ mod tests {
             queue_wait_us: 15,
             counters: JobCounters::default(),
         };
-        let line = r.to_json();
+        let line = r.to_json().to_string();
         assert!(!line.contains('\n'), "single-line framing");
         let v = parse_json(&line).expect("receipt is valid JSON");
         assert_eq!(v.get("schema").and_then(Json::as_str), Some(RECEIPT_SCHEMA));
@@ -645,6 +601,73 @@ mod tests {
         assert_eq!(oracle.get("gate_sims").and_then(Json::as_u64), Some(0));
         let cache = v.get("cache").expect("cache object");
         assert_eq!(cache.get("disk_hits").and_then(Json::as_u64), Some(0));
+    }
+
+    /// The exact bytes of a receipt and of every response kind.
+    #[test]
+    fn response_bytes_are_pinned() {
+        let receipt = Receipt {
+            tier: "computed".into(),
+            coalesced_with: 2,
+            queue_wait_us: 15,
+            counters: JobCounters {
+                sweep: SweepStats {
+                    busy: std::time::Duration::from_nanos(2_500_999),
+                    wall: std::time::Duration::from_micros(1_250),
+                },
+                oracle: OracleStats {
+                    gate_sims: 7,
+                    local_hits: 40,
+                    shared_hits: 3,
+                    sta_full: 1,
+                },
+                cache: CacheStats {
+                    disk_hits: 0,
+                    disk_misses: 1,
+                    corrupt_evictions: 0,
+                    bytes_written: 4096,
+                },
+            },
+        };
+        let receipt_bytes = r#"{"schema":"ntc-serve-receipt/2","tier":"computed","coalesced_with":2,"queue_wait_us":15,"sweep_busy_us":2500,"sweep_wall_us":1250,"oracle":{"gate_sims":7,"local_hits":40,"shared_hits":3,"sta_full":1},"cache":{"disk_hits":0,"disk_misses":1,"corrupt_evictions":0,"bytes_written":4096}}"#;
+        assert_eq!(receipt.to_json().to_string(), receipt_bytes);
+        let response = render_ok_csv("experiment", "fig3.8", "bench,\"a\"\nmcf,1.5\n", &receipt);
+        assert_eq!(
+            response,
+            format!(
+                r#"{{"ok":true,"op":"experiment","id":"fig3.8","csv":"bench,\"a\"\nmcf,1.5\n","receipt":{receipt_bytes}}}"#
+            )
+        );
+        // `ntc-serve request` prints the parsed `receipt` member: the
+        // receipt's own bytes.
+        let parsed = parse_json(&response).expect("response is JSON");
+        assert_eq!(parsed.get("receipt").unwrap().to_string(), receipt_bytes);
+        assert_eq!(render_ok("ping"), r#"{"ok":true,"op":"ping"}"#);
+        assert_eq!(
+            render_list(
+                &["fig3.4", "fig3.8"],
+                &["mcf", "gzip"],
+                &["razor".to_owned(), "dcs-icslt:32".to_owned()],
+                &["v0.45", "v0.60"],
+            ),
+            r#"{"ok":true,"op":"list","experiments":["fig3.4","fig3.8"],"benchmarks":["mcf","gzip"],"schemes":["razor","dcs-icslt:32"],"vdd":["v0.45","v0.60"]}"#
+        );
+        assert_eq!(
+            render_list(&[], &[], &[], &[]),
+            r#"{"ok":true,"op":"list","experiments":[],"benchmarks":[],"schemes":[],"vdd":[]}"#
+        );
+        assert_eq!(
+            render_stats([("requests", 3), ("memo_grids", 1)]),
+            r#"{"ok":true,"op":"stats","requests":3,"memo_grids":1}"#
+        );
+        assert_eq!(render_stats([]), r#"{"ok":true,"op":"stats"}"#);
+        assert_eq!(
+            render_error(
+                ErrorCode::BadRequest,
+                "spec: unknown field \"phases\"\t\u{1b}"
+            ),
+            r#"{"ok":false,"error":{"code":"bad-request","message":"spec: unknown field \"phases\"\t\u001b"}}"#
+        );
     }
 
     #[test]

@@ -17,7 +17,7 @@ use crate::protocol::{
 };
 use ntc_core::scenario::SchemeSpec;
 use ntc_core::OracleStats;
-use ntc_experiments::scenario::{GridResult, GridTier};
+use ntc_experiments::scenario::GridResult;
 use ntc_experiments::{
     all_experiments, cache, memo_occupancy, runner, scenario, CacheStats, Scale, SweepStats,
 };
@@ -451,13 +451,7 @@ impl Server {
                 let key = format!("exp:{id}:{scale_name}");
                 // An experiment runner may compute, so it always takes a
                 // slot.
-                self.serve_job(
-                    &key,
-                    "experiment",
-                    &id,
-                    || None,
-                    || (table_csv(&run(scale)), None),
-                )
+                self.serve_job(&key, "experiment", &id, || None, || table_csv(&run(scale)))
             }
             Request::Grid { spec } => {
                 let key = format!("grid:{}", cache::cache_key(&spec));
@@ -466,30 +460,29 @@ impl Server {
                     &key,
                     "grid",
                     "grid",
-                    || scenario::cached_grid(&spec).map(|(result, tier)| (csv(&result), tier)),
-                    || {
-                        let (result, tier) = scenario::compute_grid(&spec);
-                        (csv(&result), Some(tier))
-                    },
+                    || scenario::cached_grid(&spec).map(|result| csv(&result)),
+                    || csv(&scenario::compute_grid(&spec)),
                 )
             }
         }
     }
 
     /// Run one job through coalescing and admission, and render its
-    /// response. The flight leader first asks `cached` for an answer a
-    /// cache tier already holds, which takes no admission slot; on a miss
-    /// it takes a slot and runs `job`. `job` returns the CSV payload plus
-    /// an exact cache tier when it knows one (grid requests); experiment
-    /// requests return `None` and the tier is inferred from the compute's
-    /// counters.
+    /// response. The flight leader first asks `cached` for the CSV payload
+    /// of an answer a cache tier already holds, which takes no admission
+    /// slot; on a miss it takes a slot and runs `job` for the payload.
+    ///
+    /// The receipt's tier comes from the job's own counters, for grid and
+    /// experiment requests alike: a sweep or an exact sim means
+    /// `computed`, else a disk hit means `disk`, else `memo` (a memo hit,
+    /// or a wait on another request's build of the same grid).
     fn serve_job(
         &self,
         key: &str,
         op: &str,
         id: &str,
-        cached: impl FnOnce() -> Option<(String, GridTier)>,
-        job: impl FnOnce() -> (String, Option<GridTier>),
+        cached: impl FnOnce() -> Option<String>,
+        job: impl FnOnce() -> String,
     ) -> String {
         match self.flights.join_or_lead(key) {
             Role::Joiner(flight) => {
@@ -527,15 +520,14 @@ impl Server {
                 let (outcome, counts) = telemetry::scoped(|| {
                     std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                         // An answer a cache tier holds takes no slot.
-                        if let Some((csv, tier)) = cached() {
-                            return Ok::<_, Busy>((csv, Some(tier), Duration::ZERO));
+                        if let Some(csv) = cached() {
+                            return Ok::<_, Busy>((csv, Duration::ZERO));
                         }
                         let permit = self.admission.acquire()?;
                         if !self.cfg.hold_before_compute.is_zero() {
                             std::thread::sleep(self.cfg.hold_before_compute);
                         }
-                        let (csv, tier) = job();
-                        Ok((csv, tier, permit.queue_wait))
+                        Ok((job(), permit.queue_wait))
                     }))
                 });
                 let counters = JobCounters {
@@ -555,28 +547,17 @@ impl Server {
                             ),
                         )
                     }
-                    Ok(Ok((csv, tier, queue_wait))) => {
-                        let tier = tier.map(GridTier::name).unwrap_or_else(|| {
-                            // Experiment runners consult the grid cache
-                            // internally; infer the tier from what the
-                            // compute actually did.
-                            if counters.sweep.wall > Duration::ZERO
-                                || counters.oracle.gate_sims > 0
-                            {
-                                "computed"
-                            } else if counters.cache.disk_hits > 0 {
-                                "disk"
-                            } else {
-                                "memo"
-                            }
-                        });
-                        match tier {
-                            "computed" | "uncached" => {
-                                self.stats.computed.fetch_add(1, Ordering::Relaxed)
-                            }
-                            "disk" => self.stats.disk_hits.fetch_add(1, Ordering::Relaxed),
-                            _ => self.stats.memo_hits.fetch_add(1, Ordering::Relaxed),
+                    Ok(Ok((csv, queue_wait))) => {
+                        let (tier, tally) = if counters.sweep.wall > Duration::ZERO
+                            || counters.oracle.gate_sims > 0
+                        {
+                            ("computed", &self.stats.computed)
+                        } else if counters.cache.disk_hits > 0 {
+                            ("disk", &self.stats.disk_hits)
+                        } else {
+                            ("memo", &self.stats.memo_hits)
                         };
+                        tally.fetch_add(1, Ordering::Relaxed);
                         let joiners = token.publish(Arc::new(JobOutput::Done {
                             csv: csv.clone(),
                             counters,

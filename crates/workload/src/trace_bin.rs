@@ -36,16 +36,24 @@ pub const VERSION: u64 = 1;
 /// Bytes per fixed-width instruction record.
 pub const RECORD_BYTES: usize = 1 + 8 + 8;
 
-/// FNV-1a 64-bit hash — the trailing checksum (same function the grid
-/// cache uses, reimplemented locally so `ntc-workload` stays a leaf
-/// crate).
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+/// FNV-1a 64-bit offset basis: the seed of the standard hash.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// FNV-1a 64 over `bytes` from an explicit `seed` (the grid cache's
+/// second key lane starts from a perturbed basis).
+pub fn fnv1a64_seeded(bytes: &[u8], seed: u64) -> u64 {
+    let mut h = seed;
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
+}
+
+/// Standard FNV-1a 64-bit hash: the trailing checksum of traces and of
+/// grid-cache artifacts.
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    fnv1a64_seeded(bytes, FNV_OFFSET)
 }
 
 /// Errors raised while decoding a binary trace.
@@ -286,6 +294,14 @@ mod tests {
             decode_trace(&extended),
             Err(TraceBinError::TrailingBytes)
         ));
+    }
+
+    #[test]
+    fn fnv_reference_vectors() {
+        // Published FNV-1a 64 test vectors.
+        assert_eq!(fnv1a64(b""), 0xcbf29ce484222325);
+        assert_eq!(fnv1a64(b"a"), 0xaf63dc4c8601ec8c);
+        assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
     }
 
     #[test]

@@ -142,9 +142,12 @@ fn run_request(args: Vec<String>) {
     let addr = parse_addr(socket, tcp);
     let line = match (line, experiment) {
         (Some(l), None) => l,
-        (None, Some(id)) => {
-            format!("{{\"op\":\"experiment\",\"id\":\"{id}\",\"scale\":\"{scale}\"}}")
-        }
+        (None, Some(id)) => Json::obj([
+            ("op", "experiment"),
+            ("id", id.as_str()),
+            ("scale", scale.as_str()),
+        ])
+        .to_string(),
         _ => usage(),
     };
     let response = match serve::roundtrip(&addr, &line) {
@@ -178,11 +181,7 @@ fn run_request(args: Vec<String>) {
     // The receipt is the scriptable part of a compute response; plain
     // ops (ping/list/stats) print whole.
     match v.get("receipt") {
-        Some(_) => {
-            let start = response.find("\"receipt\":").expect("just found the key");
-            let receipt = &response[start + "\"receipt\":".len()..response.len() - 1];
-            println!("{receipt}");
-        }
+        Some(receipt) => println!("{receipt}"),
         None => println!("{response}"),
     }
 }
