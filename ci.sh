@@ -210,9 +210,10 @@ grep -Eq '"trace_replays":[1-9][0-9]*,' target/repro-ci-trace-rep/manifest.json
 echo "==> ntc-serve: concurrent clients, batch-identical CSVs, disk hit, bad-request, memo stats, clean SIGTERM"
 # Daemon on a temp unix socket, sharing a fresh cache dir. Two concurrent
 # scripted clients request the same experiment the grid-cache gate ran
-# above; both CSVs must be byte-identical to the batch golden, and the
-# --hold-ms window makes the second request coalesce onto (or memo-hit
-# behind) the first — never a second compute.
+# above; both CSVs must be byte-identical to the batch golden. --hold-ms
+# keeps the one compute slot busy, so the second request overlaps the
+# first: it queues for the slot, then answers from the experiment memo —
+# never a second compute, and its receipt counts no work.
 rm -rf target/serve-ci
 mkdir -p target/serve-ci
 serve_sock=target/serve-ci/daemon.sock
@@ -232,14 +233,21 @@ c1_pid=$!
 wait "$c1_pid"
 cmp target/repro-ci-cold/fig3_8.csv target/serve-ci/c1.csv
 cmp target/repro-ci-cold/fig3_8.csv target/serve-ci/c2.csv
-# Exactly one compute across the pair; the other receipt shows a
-# coalesced or cache hit (receipts are schema-tagged, fixed key order).
-grep -q '"schema":"ntc-serve-receipt/2"' target/serve-ci/r1.json
-grep -q '"schema":"ntc-serve-receipt/2"' target/serve-ci/r2.json
+# Exactly one compute across the pair; the other receipt shows a cache
+# hit (receipts are schema-tagged, fixed key order) and counts no work,
+# so the two receipts sum to the one compute.
+grep -q '"schema":"ntc-serve-receipt/3"' target/serve-ci/r1.json
+grep -q '"schema":"ntc-serve-receipt/3"' target/serve-ci/r2.json
 test "$(cat target/serve-ci/r1.json target/serve-ci/r2.json \
   | grep -c '"tier":"computed"')" = 1
 cat target/serve-ci/r1.json target/serve-ci/r2.json \
-  | grep -Eq '"tier":"(coalesced|memo|disk)"'
+  | grep -Eq '"tier":"(memo|disk)"'
+for r in r1 r2; do
+  if ! grep -q '"tier":"computed"' "target/serve-ci/$r.json"; then
+    grep -q '"sweep_busy_us":0,' "target/serve-ci/$r.json"
+    grep -q '"gate_sims":0,' "target/serve-ci/$r.json"
+  fi
+done
 # Restart on the same cache dir: a fresh process must answer the same
 # request from the disk tier.
 kill -TERM "$serve_pid"
@@ -268,7 +276,7 @@ grep -q '"tier":"disk"' target/serve-ci/r3.json
 # a string tier, so a receipt printed wrong fails here, not in a client.
 if command -v jq >/dev/null 2>&1; then
   for r in r1 r2 r3; do
-    jq -e '.schema == "ntc-serve-receipt/2" and (.tier | type) == "string"' \
+    jq -e '.schema == "ntc-serve-receipt/3" and (.tier | type) == "string"' \
       "target/serve-ci/$r.json" >/dev/null
   done
 elif command -v python3 >/dev/null 2>&1; then
@@ -276,7 +284,7 @@ elif command -v python3 >/dev/null 2>&1; then
 import json
 for r in ("r1", "r2", "r3"):
     v = json.load(open(f"target/serve-ci/{r}.json"))
-    assert v["schema"] == "ntc-serve-receipt/2" and isinstance(v["tier"], str), (r, v)
+    assert v["schema"] == "ntc-serve-receipt/3" and isinstance(v["tier"], str), (r, v)
 EOF
 else
   echo "note: neither jq nor python3 found; relying on the receipt greps above"
@@ -284,7 +292,7 @@ fi
 # Every process memo reports its entry count.
 ./target/release/ntc-serve request --socket "$serve_sock" \
   --line '{"op":"stats"}' > target/serve-ci/stats.json
-for memo in chip_blanks topologies nominal_anchors grids traces; do
+for memo in chip_blanks topologies nominal_anchors grids traces tables; do
   grep -Eq "\"memo_$memo\":[0-9]+" target/serve-ci/stats.json
 done
 # Clean SIGTERM shutdown: exit 0, socket unlinked, no quarantine files.

@@ -478,15 +478,15 @@ pub fn run_grid(spec: &GridSpec) -> Arc<GridResult> {
     cached_grid(spec).unwrap_or_else(|| compute_grid(spec))
 }
 
-/// The grid if a cache tier already holds it, without computing: the
-/// memo's value if its build has finished, else the disk artifact, which
-/// is memoized on the way. Never waits on a memo build in progress.
-/// `None` when caching is disabled.
+/// The grid if a cache tier holds it, without computing: the memo's
+/// value, waiting for a build another caller has in progress, else the
+/// disk artifact, which is memoized on the way. `None` when caching is
+/// disabled.
 pub fn cached_grid(spec: &GridSpec) -> Option<Arc<GridResult>> {
     if cache::disabled() {
         return None;
     }
-    if let Some(result) = GRIDS.get_built(spec) {
+    if let Some(result) = GRIDS.wait_built(spec) {
         return Some(result);
     }
     let loaded = Arc::new(cache::load(&cache::disk_dir()?, spec)?);

@@ -17,15 +17,18 @@
 //!   are served warm. Every process memo is a capped
 //!   [`Memo`](ntc_varmodel::Memo), so memory stays bounded however many
 //!   distinct specs the daemon serves.
-//! * **In-flight coalescing** ([`coalesce`]) — N concurrent requests
-//!   for the same job run ONE compute; the other N−1 block on the open
-//!   flight and share its result, each receipt reporting
-//!   `coalesced_with > 0`.
+//! * **One dedup** — concurrent requests for the same work share one
+//!   compute through the build-once cells of a `Memo`: the grid memo,
+//!   and each server's memo of experiment CSVs. A request that finds a
+//!   build of its key in progress waits on it, and its receipt reads
+//!   tier `memo` with zero counters, so the receipts of concurrent
+//!   requests sum to the work the daemon did.
 //! * **Admission control** ([`admission`]) — a bounded compute budget
 //!   plus a bounded wait queue; requests past both get an immediate
 //!   `busy` error, the backpressure signal a closed-loop client needs
-//!   to shed load instead of stacking timeouts. A grid the memo or disk
-//!   tier already holds answers without taking a slot.
+//!   to shed load instead of stacking timeouts. A grid or experiment
+//!   that a memo or the disk tier holds, or that another request is
+//!   building, answers without taking a slot.
 //!
 //! Determinism carries over unchanged: a served CSV is byte-identical
 //! to what a batch `repro` run writes for the same work at any
@@ -37,12 +40,10 @@
 
 pub mod admission;
 pub mod client;
-pub mod coalesce;
 pub mod protocol;
 pub mod server;
 
 pub use admission::{Admission, Busy};
 pub use client::{roundtrip, roundtrip_many};
-pub use coalesce::{Flight, FlightMap, Role};
 pub use protocol::{ErrorCode, Receipt, Request, RECEIPT_SCHEMA};
 pub use server::{install_signal_handlers, request_shutdown, Addr, ServeConfig, Server};

@@ -56,8 +56,11 @@ use ntc_workload::ALL_BENCHMARKS;
 /// Schema tag of the per-request receipt, bumped on any
 /// field/semantics change (mirrors the manifest's
 /// `ntc-repro-manifest/N` convention). `/2` dropped the screen and
-/// incremental-STA oracle counters.
-pub const RECEIPT_SCHEMA: &str = "ntc-serve-receipt/2";
+/// incremental-STA oracle counters. In `/3` a request that waits on
+/// another request's build reads tier `memo` with zero counters; `/2`
+/// gave it a tier and a joiner count of its own, and the builder's
+/// counters.
+pub const RECEIPT_SCHEMA: &str = "ntc-serve-receipt/3";
 
 /// Machine-readable failure classes of the protocol.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -276,19 +279,18 @@ pub struct JobCounters {
 }
 
 /// The per-request receipt: schema-versioned provenance mirroring
-/// `RunRecord`'s telemetry, but scoped to one request.
+/// `RunRecord`'s telemetry, but scoped to one request. The receipts of
+/// concurrent requests sum to the work the daemon did: each counts only
+/// its own.
 #[derive(Debug, Clone)]
 pub struct Receipt {
-    /// Which tier answered: `memo` / `disk` / `computed`, or
-    /// `coalesced` when this request shared another request's in-flight
-    /// compute.
+    /// Which tier answered: `memo` (a memo hit, or a wait on another
+    /// request's build of the same grid or experiment), `disk` or
+    /// `computed`.
     pub tier: String,
-    /// How many *other* requests shared the same compute (0 when the
-    /// request flew alone).
-    pub coalesced_with: u64,
     /// Time spent queued behind the admission gate, microseconds.
     pub queue_wait_us: u64,
-    /// Compute telemetry (zeroed for pure cache hits).
+    /// This request's own telemetry (zero for a `memo` answer).
     pub counters: JobCounters,
 }
 
@@ -298,7 +300,6 @@ impl Receipt {
         Json::obj([
             ("schema", RECEIPT_SCHEMA.into()),
             ("tier", self.tier.as_str().into()),
-            ("coalesced_with", self.coalesced_with.into()),
             ("queue_wait_us", self.queue_wait_us.into()),
             ("sweep_busy_us", self.counters.sweep.busy.as_micros().into()),
             ("sweep_wall_us", self.counters.sweep.wall.as_micros().into()),
@@ -587,7 +588,6 @@ mod tests {
     fn receipt_renders_one_schema_tagged_line() {
         let r = Receipt {
             tier: "computed".into(),
-            coalesced_with: 2,
             queue_wait_us: 15,
             counters: JobCounters::default(),
         };
@@ -596,7 +596,7 @@ mod tests {
         let v = parse_json(&line).expect("receipt is valid JSON");
         assert_eq!(v.get("schema").and_then(Json::as_str), Some(RECEIPT_SCHEMA));
         assert_eq!(v.get("tier").and_then(Json::as_str), Some("computed"));
-        assert_eq!(v.get("coalesced_with").and_then(Json::as_u64), Some(2));
+        assert_eq!(v.get("queue_wait_us").and_then(Json::as_u64), Some(15));
         let oracle = v.get("oracle").expect("oracle object");
         assert_eq!(oracle.get("gate_sims").and_then(Json::as_u64), Some(0));
         let cache = v.get("cache").expect("cache object");
@@ -608,7 +608,6 @@ mod tests {
     fn response_bytes_are_pinned() {
         let receipt = Receipt {
             tier: "computed".into(),
-            coalesced_with: 2,
             queue_wait_us: 15,
             counters: JobCounters {
                 sweep: SweepStats {
@@ -629,7 +628,7 @@ mod tests {
                 },
             },
         };
-        let receipt_bytes = r#"{"schema":"ntc-serve-receipt/2","tier":"computed","coalesced_with":2,"queue_wait_us":15,"sweep_busy_us":2500,"sweep_wall_us":1250,"oracle":{"gate_sims":7,"local_hits":40,"shared_hits":3,"sta_full":1},"cache":{"disk_hits":0,"disk_misses":1,"corrupt_evictions":0,"bytes_written":4096}}"#;
+        let receipt_bytes = r#"{"schema":"ntc-serve-receipt/3","tier":"computed","queue_wait_us":15,"sweep_busy_us":2500,"sweep_wall_us":1250,"oracle":{"gate_sims":7,"local_hits":40,"shared_hits":3,"sta_full":1},"cache":{"disk_hits":0,"disk_misses":1,"corrupt_evictions":0,"bytes_written":4096}}"#;
         assert_eq!(receipt.to_json().to_string(), receipt_bytes);
         let response = render_ok_csv("experiment", "fig3.8", "bench,\"a\"\nmcf,1.5\n", &receipt);
         assert_eq!(
@@ -678,7 +677,6 @@ mod tests {
         assert!(csv.contains('\n'));
         let receipt = Receipt {
             tier: "memo".into(),
-            coalesced_with: 0,
             queue_wait_us: 0,
             counters: JobCounters::default(),
         };

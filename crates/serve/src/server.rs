@@ -1,16 +1,17 @@
 //! The daemon: socket loop, request dispatch, and the compute path
-//! behind admission control and in-flight coalescing.
+//! behind the memos and admission control.
 //!
 //! One thread per connection, at most 64 of them (clients are few and
 //! long computes dominate; one more gets `busy`); within a compute, the
 //! shared parallel runner spreads the grid's cells over the worker pool,
-//! so the daemon's own threading stays trivial. Each compute runs inside
-//! its own telemetry scope, so the counters in the request's receipt
-//! (sweep busy/wall, oracle, disk cache) are exactly that compute's work
-//! at any compute budget (see [`crate::protocol::JobCounters`]).
+//! so the daemon's own threading stays trivial. Each job runs inside its
+//! own telemetry scope, so the counters in the request's receipt (sweep
+//! busy/wall, oracle, disk cache) are exactly that job's work at any
+//! compute budget (see [`crate::protocol::JobCounters`]). A job that
+//! waits on another request's build of the same grid or experiment does
+//! no work, so its receipt counts none.
 
 use crate::admission::{Admission, Busy};
-use crate::coalesce::{FlightMap, Role};
 use crate::protocol::{
     grid_table, parse_request, render_error, render_list, render_ok, render_ok_csv, render_stats,
     table_csv, ErrorCode, JobCounters, Receipt, Request,
@@ -19,10 +20,10 @@ use ntc_core::scenario::SchemeSpec;
 use ntc_core::OracleStats;
 use ntc_experiments::scenario::GridResult;
 use ntc_experiments::{
-    all_experiments, cache, memo_occupancy, runner, scenario, CacheStats, Scale, SweepStats,
+    all_experiments, cache, config, memo_occupancy, runner, scenario, CacheStats, Scale, SweepStats,
 };
-use ntc_varmodel::telemetry;
-use ntc_workload::ALL_BENCHMARKS;
+use ntc_varmodel::{telemetry, Memo, OperatingPoint};
+use ntc_workload::{TraceSource, ALL_BENCHMARKS};
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::TcpListener;
 use std::os::unix::net::UnixListener;
@@ -58,8 +59,8 @@ pub struct ServeConfig {
     /// Requests allowed to queue for a slot before `busy` is returned.
     pub queue_cap: usize,
     /// Artificial delay between taking a compute slot and computing —
-    /// widens the coalescing window deterministically for tests/CI.
-    /// Zero in production.
+    /// keeps the slot busy for a fixed time, so tests and CI can overlap
+    /// requests deterministically. Zero in production.
     pub hold_before_compute: Duration,
 }
 
@@ -126,26 +127,18 @@ struct ServerStats {
     computed: AtomicU64,
     memo_hits: AtomicU64,
     disk_hits: AtomicU64,
-    coalesced: AtomicU64,
     busy_rejections: AtomicU64,
     errors: AtomicU64,
 }
 
-/// What one compute publishes to its coalesced joiners.
-#[derive(Debug)]
-enum JobOutput {
-    /// The compute finished: payload bytes plus the compute's telemetry
-    /// (joiners report tier `coalesced`; the answering tier is the
-    /// leader's to report).
-    Done {
-        csv: String,
-        counters: JobCounters,
-    },
-    /// The leader was refused admission; joiners are busy too.
-    Busy,
-    /// The compute panicked (contained server-side).
-    Failed(String),
-}
+/// What an experiment's CSV depends on: its id and scale, and the two
+/// process globals its runner reads, the voltage roster and the trace
+/// source.
+type TableKey = (String, Scale, Vec<OperatingPoint>, TraceSource);
+
+/// Experiment CSVs a server holds: room for the suite's 27 ids at both
+/// scales.
+const TABLE_MEMO_CAP: usize = 64;
 
 enum Listener {
     Unix(UnixListener),
@@ -221,7 +214,8 @@ pub struct Server {
     cfg: ServeConfig,
     listener: Listener,
     admission: Admission,
-    flights: FlightMap<JobOutput>,
+    /// Experiment CSVs by [`TableKey`].
+    tables: Memo<TableKey, Arc<str>>,
     stats: ServerStats,
     /// Per-instance drain latch (the `shutdown` op). The process-wide
     /// [`SHUTDOWN`] latch (signals) also drains every instance.
@@ -265,7 +259,7 @@ impl Server {
         };
         Ok(Server {
             admission: Admission::new(cfg.budget, cfg.queue_cap),
-            flights: FlightMap::new(),
+            tables: Memo::new(TABLE_MEMO_CAP),
             stats: ServerStats::default(),
             shutdown: AtomicBool::new(false),
             live_connections: AtomicUsize::new(0),
@@ -368,16 +362,19 @@ impl Server {
                 let _ = write_line(&mut *stream, &render_error(ErrorCode::BadRequest, &msg));
                 return;
             }
-            let Ok(line) = std::str::from_utf8(&buf) else {
-                return; // not a UTF-8 text line
-            };
-            let line = line.trim_end_matches(['\n', '\r']);
-            if !line.trim().is_empty() {
+            let text = std::str::from_utf8(&buf).map(|line| line.trim_end_matches(['\n', '\r']));
+            let blank = matches!(text, Ok(line) if line.trim().is_empty());
+            if !blank {
                 self.stats.requests.fetch_add(1, Ordering::Relaxed);
-                let response = if self.draining() {
-                    render_error(ErrorCode::ShuttingDown, "daemon is draining")
-                } else {
-                    self.dispatch(line)
+                let response = match text {
+                    _ if self.draining() => {
+                        render_error(ErrorCode::ShuttingDown, "daemon is draining")
+                    }
+                    Ok(line) => self.dispatch(line),
+                    Err(_) => {
+                        self.stats.errors.fetch_add(1, Ordering::Relaxed);
+                        render_error(ErrorCode::BadRequest, "request line is not UTF-8")
+                    }
                 };
                 // After the shutdown ack, the last response of this
                 // connection, close so the drain can finish.
@@ -413,10 +410,7 @@ impl Server {
                     ALL_BENCHMARKS.iter().map(|b| b.name()).collect();
                 let schemes: Vec<String> =
                     SchemeSpec::roster().iter().map(SchemeSpec::name).collect();
-                let vdd: Vec<&str> = ntc_varmodel::OperatingPoint::roster()
-                    .iter()
-                    .map(|p| p.name())
-                    .collect();
+                let vdd: Vec<&str> = OperatingPoint::roster().iter().map(|p| p.name()).collect();
                 render_list(&experiments, &benchmarks, &schemes, &vdd)
             }
             Request::Stats => render_stats(
@@ -425,7 +419,6 @@ impl Server {
                     ("computed", self.stats.computed.load(Ordering::Relaxed)),
                     ("memo_hits", self.stats.memo_hits.load(Ordering::Relaxed)),
                     ("disk_hits", self.stats.disk_hits.load(Ordering::Relaxed)),
-                    ("coalesced", self.stats.coalesced.load(Ordering::Relaxed)),
                     (
                         "busy_rejections",
                         self.stats.busy_rejections.load(Ordering::Relaxed),
@@ -433,7 +426,8 @@ impl Server {
                     ("errors", self.stats.errors.load(Ordering::Relaxed)),
                 ]
                 .into_iter()
-                .chain(memo_occupancy().map(|(name, (entries, _))| (name, entries as u64))),
+                .chain(memo_occupancy().map(|(name, (entries, _))| (name, entries as u64)))
+                .chain([("memo_tables", self.tables.occupancy().0 as u64)]),
             ),
             Request::Experiment { id, scale } => {
                 let Some((_, run)) = all_experiments().into_iter().find(|(eid, _)| *eid == id)
@@ -444,20 +438,17 @@ impl Server {
                         &format!("no experiment {id:?} in the suite"),
                     );
                 };
-                let scale_name = match scale {
-                    Scale::Fast => "fast",
-                    Scale::Full => "full",
-                };
-                let key = format!("exp:{id}:{scale_name}");
-                // An experiment runner may compute, so it always takes a
-                // slot.
-                self.serve_job(&key, "experiment", &id, || None, || table_csv(&run(scale)))
+                let key = (id, scale, config::voltages(), config::workload_source());
+                self.serve_job(
+                    "experiment",
+                    &key.0,
+                    || self.tables.wait_built(&key),
+                    || self.tables.get_or_init(&key, || table_csv(&run(scale)).into()),
+                )
             }
             Request::Grid { spec } => {
-                let key = format!("grid:{}", cache::cache_key(&spec));
                 let csv = |result: &GridResult| table_csv(&grid_table(&spec, result));
                 self.serve_job(
-                    &key,
                     "grid",
                     "grid",
                     || scenario::cached_grid(&spec).map(|result| csv(&result)),
@@ -467,120 +458,81 @@ impl Server {
         }
     }
 
-    /// Run one job through coalescing and admission, and render its
-    /// response. The flight leader first asks `cached` for the CSV payload
-    /// of an answer a cache tier already holds, which takes no admission
-    /// slot; on a miss it takes a slot and runs `job` for the payload.
+    /// Run one job through its memo and admission, and render its
+    /// response. `cached` first returns the CSV payload of an answer a
+    /// memo or the disk tier holds, waiting for a build of it another
+    /// request has in progress, which takes no admission slot; on a miss
+    /// the job takes a slot and runs `job` for the payload.
     ///
     /// The receipt's tier comes from the job's own counters, for grid and
     /// experiment requests alike: a sweep or an exact sim means
     /// `computed`, else a disk hit means `disk`, else `memo` (a memo hit,
-    /// or a wait on another request's build of the same grid).
-    fn serve_job(
+    /// or a wait on another request's build).
+    fn serve_job<C: AsRef<str>>(
         &self,
-        key: &str,
         op: &str,
         id: &str,
-        cached: impl FnOnce() -> Option<String>,
-        job: impl FnOnce() -> String,
+        cached: impl FnOnce() -> Option<C>,
+        job: impl FnOnce() -> C,
     ) -> String {
-        match self.flights.join_or_lead(key) {
-            Role::Joiner(flight) => {
-                let (outcome, joiners) = flight.wait();
-                self.stats.coalesced.fetch_add(1, Ordering::Relaxed);
-                match outcome.as_deref() {
-                    Some(JobOutput::Done { csv, counters, .. }) => {
-                        let receipt = Receipt {
-                            tier: "coalesced".into(),
-                            coalesced_with: joiners,
-                            queue_wait_us: 0,
-                            counters: *counters,
-                        };
-                        render_ok_csv(op, id, csv, &receipt)
-                    }
-                    Some(JobOutput::Busy) | None => {
-                        self.stats.busy_rejections.fetch_add(1, Ordering::Relaxed);
-                        render_error(
-                            ErrorCode::Busy,
-                            "the compute this request coalesced onto was refused admission",
-                        )
-                    }
-                    Some(JobOutput::Failed(msg)) => {
-                        self.stats.errors.fetch_add(1, Ordering::Relaxed);
-                        render_error(ErrorCode::Internal, msg)
-                    }
+        // One telemetry scope per job, the same attribution `repro` uses
+        // per experiment: every counter lands in it (the sweep engine
+        // hands it to its workers), so each concurrent job bills exactly
+        // its own work at any budget. The process totals keep ticking
+        // undisturbed.
+        let (outcome, counts) = telemetry::scoped(|| {
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                if let Some(csv) = cached() {
+                    return Ok::<_, Busy>((csv, Duration::ZERO));
                 }
+                let permit = self.admission.acquire()?;
+                if !self.cfg.hold_before_compute.is_zero() {
+                    std::thread::sleep(self.cfg.hold_before_compute);
+                }
+                Ok((job(), permit.queue_wait))
+            }))
+        });
+        let counters = JobCounters {
+            sweep: SweepStats::from(&counts),
+            oracle: OracleStats::from(&counts),
+            cache: CacheStats::from(&counts),
+        };
+        match outcome {
+            Ok(Err(busy)) => {
+                self.stats.busy_rejections.fetch_add(1, Ordering::Relaxed);
+                render_error(
+                    ErrorCode::Busy,
+                    &format!(
+                        "admission queue full ({} already waiting)",
+                        busy.queue_depth
+                    ),
+                )
             }
-            Role::Leader(token) => {
-                // One telemetry scope per job, the same attribution
-                // `repro` uses per experiment: every counter lands in it
-                // (the sweep engine hands it to its workers), so each
-                // concurrent compute bills exactly its own work at any
-                // budget. The process totals keep ticking undisturbed.
-                let (outcome, counts) = telemetry::scoped(|| {
-                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        // An answer a cache tier holds takes no slot.
-                        if let Some(csv) = cached() {
-                            return Ok::<_, Busy>((csv, Duration::ZERO));
-                        }
-                        let permit = self.admission.acquire()?;
-                        if !self.cfg.hold_before_compute.is_zero() {
-                            std::thread::sleep(self.cfg.hold_before_compute);
-                        }
-                        Ok((job(), permit.queue_wait))
-                    }))
-                });
-                let counters = JobCounters {
-                    sweep: SweepStats::from(&counts),
-                    oracle: OracleStats::from(&counts),
-                    cache: CacheStats::from(&counts),
+            Ok(Ok((csv, queue_wait))) => {
+                let (tier, tally) =
+                    if counters.sweep.wall > Duration::ZERO || counters.oracle.gate_sims > 0 {
+                        ("computed", &self.stats.computed)
+                    } else if counters.cache.disk_hits > 0 {
+                        ("disk", &self.stats.disk_hits)
+                    } else {
+                        ("memo", &self.stats.memo_hits)
+                    };
+                tally.fetch_add(1, Ordering::Relaxed);
+                let receipt = Receipt {
+                    tier: tier.into(),
+                    queue_wait_us: queue_wait.as_micros() as u64,
+                    counters,
                 };
-                match outcome {
-                    Ok(Err(busy)) => {
-                        self.stats.busy_rejections.fetch_add(1, Ordering::Relaxed);
-                        token.publish(Arc::new(JobOutput::Busy));
-                        render_error(
-                            ErrorCode::Busy,
-                            &format!(
-                                "admission queue full ({} already waiting)",
-                                busy.queue_depth
-                            ),
-                        )
-                    }
-                    Ok(Ok((csv, queue_wait))) => {
-                        let (tier, tally) = if counters.sweep.wall > Duration::ZERO
-                            || counters.oracle.gate_sims > 0
-                        {
-                            ("computed", &self.stats.computed)
-                        } else if counters.cache.disk_hits > 0 {
-                            ("disk", &self.stats.disk_hits)
-                        } else {
-                            ("memo", &self.stats.memo_hits)
-                        };
-                        tally.fetch_add(1, Ordering::Relaxed);
-                        let joiners = token.publish(Arc::new(JobOutput::Done {
-                            csv: csv.clone(),
-                            counters,
-                        }));
-                        let receipt = Receipt {
-                            tier: tier.into(),
-                            coalesced_with: joiners,
-                            queue_wait_us: queue_wait.as_micros() as u64,
-                            counters,
-                        };
-                        render_ok_csv(op, id, &csv, &receipt)
-                    }
-                    Err(panic) => {
-                        self.stats.errors.fetch_add(1, Ordering::Relaxed);
-                        let msg = panic
-                            .downcast_ref::<&str>()
-                            .map(|s| s.to_string())
-                            .or_else(|| panic.downcast_ref::<String>().cloned())
-                            .unwrap_or_else(|| "compute panicked".into());
-                        token.publish(Arc::new(JobOutput::Failed(msg.clone())));
-                        render_error(ErrorCode::Internal, &msg)
-                    }
-                }
+                render_ok_csv(op, id, csv.as_ref(), &receipt)
+            }
+            Err(panic) => {
+                self.stats.errors.fetch_add(1, Ordering::Relaxed);
+                let msg = panic
+                    .downcast_ref::<&str>()
+                    .map(|s| s.to_string())
+                    .or_else(|| panic.downcast_ref::<String>().cloned())
+                    .unwrap_or_else(|| "compute panicked".into());
+                render_error(ErrorCode::Internal, &msg)
             }
         }
     }

@@ -1,8 +1,8 @@
 //! End-to-end daemon tests: concurrent clients over a real Unix socket
 //! against a live [`Server`], pinning the acceptance contract —
 //! byte-identical payloads to batch runs at any jobs count, exactly one
-//! compute across coalesced clients, busy backpressure, and memos that
-//! stay within their caps.
+//! compute across concurrent clients with receipts that sum to it, busy
+//! backpressure, and memos that stay within their caps.
 //!
 //! One `#[test]` body: the runner's jobs count, the grid memo, and the
 //! telemetry counters are process-global, so scenarios must run
@@ -100,11 +100,11 @@ mod ntc_choke_serve_tests {
             .to_string()
     }
 
-    pub fn receipt_coalesced_with(v: &Json) -> u64 {
+    pub fn receipt_u64(v: &Json, key: &str) -> u64 {
         v.get("receipt")
-            .and_then(|r| r.get("coalesced_with"))
+            .and_then(|r| r.get(key))
             .and_then(Json::as_u64)
-            .expect("receipt carries coalesced_with")
+            .unwrap_or_else(|| panic!("receipt carries {key:?}"))
     }
 
     pub fn receipt_oracle(v: &Json, key: &str) -> u64 {
@@ -117,24 +117,25 @@ mod ntc_choke_serve_tests {
 }
 
 #[test]
-fn daemon_serves_coalesced_concurrent_clients_byte_identically() {
+fn daemon_serves_concurrent_clients_one_compute_byte_identically() {
     let dir = std::env::temp_dir().join(format!("ntc-serve-test-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("test dir");
     let cache_dir = dir.join("cache");
 
     // ---- Scenario 1: N concurrent clients, same cold grid ------------
-    // hold_before_compute widens the coalescing window so the late
-    // clients reliably join the leader's flight; correctness does not
-    // depend on it (any straggler would land a memo hit instead, which
-    // the assertions below also accept as "not a second compute").
-    let (addr, handle) = start_server(&dir, "coalesce", |cfg| {
+    // hold_before_compute keeps the one compute slot busy, so the late
+    // clients overlap the first: each queues for the slot, or waits on
+    // the build in the grid memo, and then answers from the memo. They
+    // do no work of their own, so their receipts count none.
+    let (addr, handle) = start_server(&dir, "dedup", |cfg| {
         cfg.cache_dir = Some(cache_dir.clone());
         cfg.jobs = Some(2);
         cfg.hold_before_compute = Duration::from_millis(400);
     });
 
     const CLIENTS: usize = 3;
+    let _ = ntc_core::tag_delay::take_oracle_stats();
     let responses: Vec<Json> = std::thread::scope(|s| {
         let addr = &addr;
         let handles: Vec<_> = (0..CLIENTS)
@@ -145,6 +146,7 @@ fn daemon_serves_coalesced_concurrent_clients_byte_identically() {
             .map(|h| parse_json(&h.join().expect("client thread")).expect("valid response JSON"))
             .collect()
     });
+    let global = ntc_core::tag_delay::take_oracle_stats();
 
     // All payloads byte-identical.
     let csv0 = response_csv(&responses[0]);
@@ -152,32 +154,37 @@ fn daemon_serves_coalesced_concurrent_clients_byte_identically() {
         assert!(r.get("ok") == Some(&Json::Bool(true)), "ok response");
         assert_eq!(response_csv(r), csv0, "identical payload bytes");
     }
-    // Exactly one compute; everyone else coalesced onto it (or, for a
-    // straggler, hit the memo the compute filled).
+    // Exactly one compute; every other client answered from the memo,
+    // with zero counters, so the receipts sum to the one compute.
     let tiers: Vec<String> = responses.iter().map(receipt_tier).collect();
     assert_eq!(
         tiers.iter().filter(|t| *t == "computed").count(),
         1,
         "exactly one compute recorded: {tiers:?}"
     );
-    assert!(
-        tiers.iter().all(|t| t == "computed" || t == "coalesced" || t == "memo"),
-        "no second compute or disk round-trip: {tiers:?}"
+    assert_eq!(
+        tiers.iter().filter(|t| *t == "memo").count(),
+        CLIENTS - 1,
+        "every other client answered from the memo: {tiers:?}"
     );
-    let coalesced = tiers.iter().filter(|t| *t == "coalesced").count();
-    assert!(coalesced >= 1, "clients coalesced within the hold window");
-    for r in &responses {
-        let tier = receipt_tier(r);
-        if tier == "coalesced" {
-            assert!(receipt_coalesced_with(r) > 0, "joiners report the group");
+    for r in responses.iter().filter(|r| receipt_tier(r) == "memo") {
+        for (key, _) in global.fields() {
+            assert_eq!(receipt_oracle(r, key), 0, "a memo answer counts no {key}");
         }
-        if tier == "computed" {
-            assert_eq!(
-                receipt_coalesced_with(r) as usize,
-                coalesced,
-                "the leader counted its joiners"
-            );
+        for key in ["sweep_busy_us", "sweep_wall_us"] {
+            assert_eq!(receipt_u64(r, key), 0, "a memo answer sweeps nothing");
         }
+    }
+    assert!(global.gate_sims > 0, "the compute simulated");
+    for (key, total) in global.fields() {
+        assert_eq!(
+            responses
+                .iter()
+                .map(|r| receipt_oracle(r, key))
+                .sum::<u64>(),
+            total,
+            "receipts' {key} sum to the global delta"
+        );
     }
 
     // A follow-up request is a pure memo hit with zeroed compute
@@ -235,7 +242,8 @@ fn daemon_serves_coalesced_concurrent_clients_byte_identically() {
     // ---- Scenario 4: busy backpressure; cache hits take no slot ------
     // Budget 1, queue 0: while a slow compute holds the slot, a request
     // for a *different* cold grid is refused with `busy` instead of
-    // queuing, but the grid scenario 1 left in the memo answers at once.
+    // queuing, but the grid scenario 1 left in the memo, and an
+    // experiment this daemon already answered, answer at once.
     let (addr, handle) = start_server(&dir, "busy", |cfg| {
         cfg.cache_dir = None;
         cfg.jobs = Some(2);
@@ -245,7 +253,11 @@ fn daemon_serves_coalesced_concurrent_clients_byte_identically() {
     });
     let slow_grid = GRID_LINE.replace("\"trace_seed\":11", "\"trace_seed\":12");
     let other_grid = GRID_LINE.replace("\"trace_seed\":11", "\"trace_seed\":15");
-    let (busy_outcome, memo_outcome) = std::thread::scope(|s| {
+    const TABLE_LINE: &str = r#"{"op":"experiment","id":"tab3.overheads"}"#;
+    let first_table =
+        parse_json(&client::roundtrip(&addr, TABLE_LINE).expect("table roundtrip")).expect("json");
+    assert_eq!(first_table.get("ok"), Some(&Json::Bool(true)));
+    let (busy_outcome, memo_outcome, table_outcome) = std::thread::scope(|s| {
         let addr = &addr;
         let slow_grid = &slow_grid;
         let slow = s.spawn(move || client::roundtrip(addr, slow_grid).expect("slow roundtrip"));
@@ -253,10 +265,11 @@ fn daemon_serves_coalesced_concurrent_clients_byte_identically() {
         std::thread::sleep(Duration::from_millis(400));
         let fast = client::roundtrip(addr, &other_grid).expect("busy roundtrip");
         let memo = client::roundtrip(addr, GRID_LINE).expect("memo roundtrip");
+        let table = client::roundtrip(addr, TABLE_LINE).expect("table memo roundtrip");
         assert!(!slow.is_finished(), "the slow compute still holds the slot");
         let slow = parse_json(&slow.join().expect("slow client")).expect("slow JSON");
         assert_eq!(receipt_tier(&slow), "computed");
-        (fast, memo)
+        (fast, memo, table)
     });
     let v = parse_json(&busy_outcome).expect("busy response JSON");
     assert_eq!(v.get("ok"), Some(&Json::Bool(false)));
@@ -282,6 +295,15 @@ fn daemon_serves_coalesced_concurrent_clients_byte_identically() {
         Some(0),
         "a memo hit never queues"
     );
+    let v = parse_json(&table_outcome).expect("table response JSON");
+    assert_eq!(
+        v.get("ok"),
+        Some(&Json::Bool(true)),
+        "an experiment already answered needs no compute slot: {table_outcome}"
+    );
+    assert_eq!(receipt_tier(&v), "memo");
+    assert_eq!(response_csv(&v), response_csv(&first_table));
+    assert_eq!(receipt_u64(&v, "queue_wait_us"), 0, "a table hit never queues");
     shutdown(&addr, handle);
 
     // ---- Scenario 5: protocol errors don't kill the connection -------
@@ -305,6 +327,39 @@ fn daemon_serves_coalesced_concurrent_clients_byte_identically() {
         responses[2]
     );
     assert!(responses[3].contains("\"ok\":true"), "connection survived");
+    // A line that is not UTF-8 is a bad request too, and the ping after
+    // it on the same connection is answered.
+    use std::io::{BufRead, Write};
+    let Addr::Unix(sock) = &addr else {
+        unreachable!("test daemons listen on unix sockets")
+    };
+    let raw = std::os::unix::net::UnixStream::connect(sock).expect("connect");
+    raw.set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("read timeout");
+    let mut raw = std::io::BufReader::new(raw);
+    raw.get_mut()
+        .write_all(b"\xff\xfe\n{\"op\":\"ping\"}\n")
+        .expect("write");
+    let mut line = String::new();
+    raw.read_line(&mut line).expect("an answer to the non-UTF-8 line");
+    assert!(
+        line.contains("\"code\":\"bad-request\"") && line.contains("UTF-8"),
+        "a non-UTF-8 line is refused by name: {line}"
+    );
+    line.clear();
+    raw.read_line(&mut line).expect("the ping after it");
+    assert!(line.contains("\"ok\":true"), "connection survived: {line}");
+    drop(raw);
+    let stats = parse_json(&client::roundtrip(&addr, r#"{"op":"stats"}"#).expect("stats"))
+        .expect("stats json");
+    assert_eq!(
+        (
+            stats.get("requests").and_then(Json::as_u64),
+            stats.get("errors").and_then(Json::as_u64)
+        ),
+        (Some(7), Some(4)),
+        "six lines and the stats request; four errors: {stats:?}"
+    );
     shutdown(&addr, handle);
 
     // ---- Scenario 6: per-request counters are disjoint at budget 2 ---
@@ -353,7 +408,6 @@ fn daemon_serves_coalesced_concurrent_clients_byte_identically() {
     // shutdown -----------------------------------------------------------
     // The test's own sockets time out their reads, so a daemon that
     // never answers or never closes fails the test instead of hanging it.
-    use std::io::{BufRead, Write};
     let (addr, handle) = start_server(&dir, "bounded", |cfg| {
         cfg.cache_dir = None;
     });

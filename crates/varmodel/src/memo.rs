@@ -1,11 +1,12 @@
 //! A bounded, build-once memo for values that are pure functions of
 //! their key: every process memo of the stack (grids, chip blanks,
-//! topologies, nominal clock anchors, traces) is a `static` [`Memo`].
+//! topologies, nominal clock anchors, traces) is a `static` [`Memo`],
+//! and each serve daemon keeps one of experiment tables.
 //! Past its cap the least recently used key is dropped, and asking for
 //! it again rebuilds it bit-identically.
 
 use std::convert::Infallible;
-use std::sync::{Arc, Mutex, PoisonError, TryLockError};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// A key's cell, empty until a build succeeds: callers of one key
 /// serialize on its lock.
@@ -63,16 +64,13 @@ impl<K: PartialEq + Clone, V: Clone> Memo<K, V> {
             .unwrap_or_else(|never| match never {})
     }
 
-    /// The value of `key` if a build of it has finished, marking the key
-    /// most recently used. Never creates a cell and never waits: a key
-    /// absent, being built, or left empty by a failed build reads `None`.
-    pub fn get_built(&self, key: &K) -> Option<V> {
+    /// The value of `key` once its build returns, marking the key most
+    /// recently used: a caller arriving during a build waits for it.
+    /// Never creates a cell and never starts a build, so a key absent,
+    /// or left empty by a failed or panicked build, reads `None`.
+    pub fn wait_built(&self, key: &K) -> Option<V> {
         let cell = self.cell(key, false)?;
-        let slot = match cell.try_lock() {
-            Ok(slot) => slot,
-            Err(TryLockError::Poisoned(poisoned)) => poisoned.into_inner(),
-            Err(TryLockError::WouldBlock) => return None,
-        };
+        let slot = cell.lock().unwrap_or_else(PoisonError::into_inner);
         slot.clone()
     }
 
@@ -221,32 +219,41 @@ mod tests {
     }
 
     #[test]
-    fn get_built_reads_only_finished_builds() {
+    fn wait_built_waits_on_a_build_and_never_starts_one() {
         let memo: Memo<u32, u32> = Memo::new(4);
-        assert_eq!(memo.get_built(&1), None);
+        assert_eq!(memo.wait_built(&1), None);
         assert_eq!(memo.occupancy(), (0, 4), "a miss creates no cell");
-        assert_eq!(memo.get_or_init(&1, || 10), 10);
-        assert_eq!(memo.get_built(&1), Some(10));
-        let _ = memo.get_or_try_init(&2, || Err(()));
-        assert_eq!(memo.get_built(&2), None, "a failed build left no value");
-        // A build in progress reads as absent at once.
+        // A caller arriving during a build blocks until the build returns.
         let (started, wait_started) = mpsc::channel();
         let (finish, wait_finish) = mpsc::channel::<()>();
+        let (read, wait_read) = mpsc::channel();
         std::thread::scope(|s| {
             let memo = &memo;
-            let building = s.spawn(move || {
+            s.spawn(move || {
                 memo.get_or_init(&3, || {
-                    started.send(()).expect("reader alive");
-                    wait_finish.recv().expect("reader alive");
+                    started.send(()).expect("test alive");
+                    wait_finish.recv().expect("test alive");
                     30
                 })
             });
             wait_started.recv().expect("the build started");
-            assert_eq!(memo.get_built(&3), None);
+            s.spawn(move || read.send(memo.wait_built(&3)).expect("test alive"));
+            let early = wait_read.recv_timeout(Duration::from_millis(200));
             finish.send(()).expect("building thread alive");
-            assert_eq!(building.join().expect("building thread"), 30);
+            assert!(early.is_err(), "the waiter blocks while the build runs");
+            assert_eq!(wait_read.recv().expect("waiter"), Some(30));
         });
-        assert_eq!(memo.get_built(&3), Some(30));
+        assert_eq!(
+            memo.wait_built(&3),
+            Some(30),
+            "a finished build reads at once"
+        );
+        let _ = memo.get_or_try_init(&2, || Err(()));
+        assert_eq!(memo.wait_built(&2), None, "a failed build left no value");
+        let panicked =
+            std::panic::catch_unwind(|| memo.get_or_init(&4, || panic!("injected build failure")));
+        assert!(panicked.is_err(), "the panic reaches the builder");
+        assert_eq!(memo.wait_built(&4), None, "a panicked build left no value");
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! * [`core`] — the resilience schemes and the cross-layer simulator
 //! * [`experiments`] — per-figure reproduction runners
 //! * [`serve`] — the grid-compute daemon (JSON-lines protocol,
-//!   coalescing, admission control)
+//!   build-once memos, admission control)
 
 pub use ntc_core as core;
 pub use ntc_experiments as experiments;
