@@ -313,4 +313,15 @@ if ./target/release/repro --fast --out target/repro-ci-blocker fig3.4 >/dev/null
 fi
 rm -f target/repro-ci-blocker
 
+echo "==> ntc-serve exit-code semantics (bad NTC_VDD => 2 before binding)"
+# `timeout` turns a daemon that starts anyway into exit 124, not a hang.
+rm -f target/serve-ci/bad-vdd.sock
+bad_vdd_code=0
+NTC_VDD=garbage timeout 20 ./target/release/ntc-serve serve \
+  --socket target/serve-ci/bad-vdd.sock 2>/dev/null || bad_vdd_code=$?
+if [ "$bad_vdd_code" != 2 ]; then
+  echo "FAIL: ntc-serve with NTC_VDD=garbage must exit 2, got $bad_vdd_code"; exit 1
+fi
+test ! -e target/serve-ci/bad-vdd.sock
+
 echo "==> CI OK"

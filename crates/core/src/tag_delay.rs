@@ -48,8 +48,9 @@ use std::sync::{Arc, Mutex, PoisonError};
 /// of the modeled within-tag diversity and must stay private to each
 /// oracle. The full-operand key, by contrast, pins down the gate-level
 /// simulation inputs exactly, making the entry a pure function of the
-/// chip: safe to share across experiments and threads.
-pub type SharedDelayKey = (ErrorTag, u64, u64, u64, u64);
+/// chip: safe to share across experiments and threads. The words are the
+/// instructions' own `u32` operands, so a key is 20 bytes.
+pub type SharedDelayKey = (ErrorTag, u32, u32, u32, u32);
 
 /// Number of independently locked shards in a [`ShardedDelayCache`]. A
 /// power of two so the shard index is a mask of the key hash.
@@ -486,7 +487,7 @@ impl TagDelayOracle {
 fn operand_bucket(prev: &Instruction, cur: &Instruction) -> usize {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for v in [prev.a, prev.b, cur.a, cur.b] {
-        h ^= v;
+        h ^= u64::from(v);
         h = h.wrapping_mul(0x1000_0000_01b3);
     }
     (h % BUCKETS_PER_TAG as u64) as usize
@@ -500,14 +501,17 @@ fn slot_of(tag: ErrorTag, bucket: usize, buckets: usize) -> usize {
 }
 
 /// Encode an instruction as the ALU-shaped netlist's primary inputs,
-/// reusing the caller's buffer (allocation-free once warm).
+/// reusing the caller's buffer (allocation-free once warm). The operands
+/// are widened first, so a netlist wider than 32 bits reads zeros above
+/// bit 31 instead of shifting a `u32` out of range.
 fn encode_into(width: usize, instr: &Instruction, pis: &mut Vec<bool>) {
     let func = instr.opcode.alu_func();
     let code = func.select_code();
+    let (a, b) = (u64::from(instr.a), u64::from(instr.b));
     pis.clear();
     pis.extend((0..4).map(|i| (code >> i) & 1 == 1));
-    pis.extend((0..width).map(|i| (instr.a >> i) & 1 == 1));
-    pis.extend((0..width).map(|i| (instr.b >> i) & 1 == 1));
+    pis.extend((0..width).map(|i| (a >> i) & 1 == 1));
+    pis.extend((0..width).map(|i| (b >> i) & 1 == 1));
 }
 
 #[cfg(test)]
@@ -607,7 +611,7 @@ mod tests {
             min_ps: None,
             max_ps: Some(1.0),
         };
-        let keys = (0..2 * (CACHE_SHARDS * SHARD_CAP) as u64).map(|a| (tag, a, 0, 0, 0));
+        let keys = (0..2 * (CACHE_SHARDS * SHARD_CAP) as u32).map(|a| (tag, a, 0, 0, 0));
         for key in keys.clone() {
             assert_eq!(
                 table.get_or_simulate(key, || d),

@@ -193,31 +193,43 @@ impl fmt::Display for OperandSize {
 
 /// A dynamic instruction as seen by the EX stage: opcode plus resolved
 /// operand values.
+///
+/// The operands are `ARCH_WIDTH` = 32-bit words, stored as `u32`, so an
+/// instruction is 12 bytes and a 1M-instruction trace 12 MB. Code that
+/// feeds them to a netlist or the golden model widens them with
+/// `u64::from`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Instruction {
     /// The architectural opcode.
     pub opcode: Opcode,
-    /// First (register) operand value, `ARCH_WIDTH` bits, LSB-aligned.
-    pub a: u64,
+    /// First (register) operand value, LSB-aligned.
+    pub a: u32,
     /// Second operand value (register or resolved immediate).
-    pub b: u64,
+    pub b: u32,
 }
+
+const _: () = assert!(ARCH_WIDTH <= 32, "operands are stored as u32");
+const _: () = assert!(std::mem::size_of::<Instruction>() == 12);
 
 impl Instruction {
     /// Create an instruction, masking the operands to the architectural
     /// width.
     pub fn new(opcode: Opcode, a: u64, b: u64) -> Self {
         let mask = arch_mask();
+        // The mask keeps at most 32 bits (asserted above), so the
+        // narrowing casts drop nothing.
         Instruction {
             opcode,
-            a: a & mask,
-            b: b & mask,
+            a: (a & mask) as u32,
+            b: (b & mask) as u32,
         }
     }
 
     /// Behavioural result of the instruction (the golden model).
     pub fn execute(&self) -> u64 {
-        self.opcode.alu_func().golden(self.a, self.b, ARCH_WIDTH)
+        self.opcode
+            .alu_func()
+            .golden(u64::from(self.a), u64::from(self.b), ARCH_WIDTH)
     }
 
     /// The Operand Width Marker (Ch. 3): set when either operand's
@@ -233,7 +245,7 @@ impl Instruction {
     pub fn operand_size(&self) -> OperandSize {
         let half = ARCH_WIDTH as u32 / 2;
         let large = |v: u64| v != 0 && (63 - v.leading_zeros()) >= half;
-        if large(self.a) || large(self.b) {
+        if large(u64::from(self.a)) || large(u64::from(self.b)) {
             OperandSize::Large
         } else {
             OperandSize::Small
@@ -374,8 +386,8 @@ mod tests {
     #[test]
     fn operands_are_masked() {
         let i = Instruction::new(Opcode::Addu, u64::MAX, u64::MAX);
-        assert_eq!(i.a, arch_mask());
-        assert_eq!(i.b, arch_mask());
+        assert_eq!(u64::from(i.a), arch_mask());
+        assert_eq!(u64::from(i.b), arch_mask());
     }
 
     #[test]

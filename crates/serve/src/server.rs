@@ -443,7 +443,16 @@ impl Server {
                     "experiment",
                     &key.0,
                     || self.tables.wait_built(&key),
-                    || self.tables.get_or_init(&key, || table_csv(&run(scale)).into()),
+                    || {
+                        // Another request may have built the table while
+                        // this one waited for its slot.
+                        let mut built = false;
+                        let csv = self.tables.get_or_init(&key, || {
+                            built = true;
+                            table_csv(&run(scale)).into()
+                        });
+                        (csv, built)
+                    },
                 )
             }
             Request::Grid { spec } => {
@@ -452,7 +461,8 @@ impl Server {
                     "grid",
                     "grid",
                     || scenario::cached_grid(&spec).map(|result| csv(&result)),
-                    || csv(&scenario::compute_grid(&spec)),
+                    // A grid build sweeps, which its counters show.
+                    || (csv(&scenario::compute_grid(&spec)), false),
                 )
             }
         }
@@ -462,18 +472,20 @@ impl Server {
     /// response. `cached` first returns the CSV payload of an answer a
     /// memo or the disk tier holds, waiting for a build of it another
     /// request has in progress, which takes no admission slot; on a miss
-    /// the job takes a slot and runs `job` for the payload.
+    /// the job takes a slot and runs `job` for the payload and whether
+    /// it built an experiment table.
     ///
     /// The receipt's tier comes from the job's own counters, for grid and
     /// experiment requests alike: a sweep or an exact sim means
-    /// `computed`, else a disk hit means `disk`, else `memo` (a memo hit,
-    /// or a wait on another request's build).
+    /// `computed`, else a disk hit means `disk`, else a table this
+    /// request built means `computed` (an analytic table sweeps nothing),
+    /// else `memo` (a memo hit, or a wait on another request's build).
     fn serve_job<C: AsRef<str>>(
         &self,
         op: &str,
         id: &str,
         cached: impl FnOnce() -> Option<C>,
-        job: impl FnOnce() -> C,
+        job: impl FnOnce() -> (C, bool),
     ) -> String {
         // One telemetry scope per job, the same attribution `repro` uses
         // per experiment: every counter lands in it (the sweep engine
@@ -483,13 +495,14 @@ impl Server {
         let (outcome, counts) = telemetry::scoped(|| {
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 if let Some(csv) = cached() {
-                    return Ok::<_, Busy>((csv, Duration::ZERO));
+                    return Ok::<_, Busy>((csv, false, Duration::ZERO));
                 }
                 let permit = self.admission.acquire()?;
                 if !self.cfg.hold_before_compute.is_zero() {
                     std::thread::sleep(self.cfg.hold_before_compute);
                 }
-                Ok((job(), permit.queue_wait))
+                let (csv, built) = job();
+                Ok((csv, built, permit.queue_wait))
             }))
         });
         let counters = JobCounters {
@@ -508,12 +521,14 @@ impl Server {
                     ),
                 )
             }
-            Ok(Ok((csv, queue_wait))) => {
+            Ok(Ok((csv, built, queue_wait))) => {
                 let (tier, tally) =
                     if counters.sweep.wall > Duration::ZERO || counters.oracle.gate_sims > 0 {
                         ("computed", &self.stats.computed)
                     } else if counters.cache.disk_hits > 0 {
                         ("disk", &self.stats.disk_hits)
+                    } else if built {
+                        ("computed", &self.stats.computed)
                     } else {
                         ("memo", &self.stats.memo_hits)
                     };

@@ -257,6 +257,16 @@ fn daemon_serves_concurrent_clients_one_compute_byte_identically() {
     let first_table =
         parse_json(&client::roundtrip(&addr, TABLE_LINE).expect("table roundtrip")).expect("json");
     assert_eq!(first_table.get("ok"), Some(&Json::Bool(true)));
+    // An analytic table sweeps nothing and reads no disk, but its first
+    // request ran the build: `computed`, and counted so.
+    assert_eq!(receipt_tier(&first_table), "computed");
+    let stats = parse_json(&client::roundtrip(&addr, r#"{"op":"stats"}"#).expect("stats"))
+        .expect("stats JSON");
+    assert_eq!(
+        stats.get("computed").and_then(Json::as_u64),
+        Some(1),
+        "the table build counts as a compute: {stats:?}"
+    );
     let (busy_outcome, memo_outcome, table_outcome) = std::thread::scope(|s| {
         let addr = &addr;
         let slow_grid = &slow_grid;

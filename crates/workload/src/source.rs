@@ -157,9 +157,11 @@ impl std::fmt::Display for TraceSource {
 /// Recorded and replayed traces by (file, replayed): one entry per file
 /// a process records or replays, so a grid's many (chip × scheme ×
 /// voltage) cells generate or decode each trace once, and a recording
-/// writes each file once. Measured: a grid reads at most 6 files (one per
-/// benchmark); full fig3.10 replays 6 of 24 MB, and the fast suite
-/// records or replays 18 of 1.4 MB (3 trace seeds), each decoded once.
+/// writes each file once. An instruction is 12 bytes, so a trace of N
+/// instructions holds 12·N bytes. Measured: a grid reads at most 6 files
+/// (one per benchmark); full fig3.10 replays 6 traces of 12 MB, and the
+/// fast suite records or replays 18 of 0.72 MB (60,000 instructions, 3
+/// trace seeds), each decoded once.
 static TRACES: Memo<(PathBuf, bool), Arc<Vec<Instruction>>> = Memo::new(8);
 
 /// Traces the memo holds now, and its cap.

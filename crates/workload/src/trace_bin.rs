@@ -17,13 +17,24 @@
 //! [8]  FNV-1a 64 checksum of every preceding byte
 //! ```
 //!
+//! Operands are 32-bit words, so the high four bytes of each operand
+//! field are zero; the field width is kept so recorded files, their
+//! checksums and every cache key built on them stay as they are.
+//!
+//! One decoder reads both byte slices and files. It checks the header
+//! against the known length first, then decodes the records in chunks of
+//! 4,096 straight into the trace, folding each chunk into the running
+//! checksum. A file is therefore never held in memory beside the
+//! 12-byte-per-instruction trace it decodes to; the decoder's only
+//! buffer is one chunk (about 70 KB).
+//!
 //! Files are written atomically (process-unique temp name + `rename`),
 //! so a crashed recorder can never leave a half-written trace under the
 //! final name.
 
 use ntc_isa::{Instruction, Opcode};
 use std::fmt;
-use std::io;
+use std::io::{self, Read};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -35,6 +46,12 @@ pub const VERSION: u64 = 1;
 
 /// Bytes per fixed-width instruction record.
 pub const RECORD_BYTES: usize = 1 + 8 + 8;
+
+/// Bytes before the first record: magic, version and count.
+const HEADER_BYTES: usize = 8 + 8 + 8;
+
+/// Records the decoder reads, checksums and decodes at a time.
+const CHUNK_RECORDS: usize = 4_096;
 
 /// FNV-1a 64-bit offset basis: the seed of the standard hash.
 pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -121,8 +138,8 @@ impl From<io::Error> for TraceBinError {
 /// Append one fixed-width record to `out`.
 fn push_record(out: &mut Vec<u8>, i: &Instruction) {
     out.push(i.opcode.encoding());
-    out.extend_from_slice(&i.a.to_le_bytes());
-    out.extend_from_slice(&i.b.to_le_bytes());
+    out.extend_from_slice(&u64::from(i.a).to_le_bytes());
+    out.extend_from_slice(&u64::from(i.b).to_le_bytes());
 }
 
 /// Decode one fixed-width record from `bytes` (must be exactly
@@ -141,7 +158,7 @@ fn read_record(bytes: &[u8], record: usize) -> Result<Instruction, TraceBinError
 
 /// Encode a trace into the binary format.
 pub fn encode_trace(trace: &[Instruction]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(8 + 8 + 8 + trace.len() * RECORD_BYTES + 8);
+    let mut out = Vec::with_capacity(HEADER_BYTES + trace.len() * RECORD_BYTES + 8);
     out.extend_from_slice(MAGIC);
     out.extend_from_slice(&VERSION.to_le_bytes());
     out.extend_from_slice(&(trace.len() as u64).to_le_bytes());
@@ -161,48 +178,87 @@ pub fn encode_trace(trace: &[Instruction]) -> Vec<u8> {
 ///
 /// Any structural violation yields the corresponding [`TraceBinError`].
 pub fn decode_trace(bytes: &[u8]) -> Result<Vec<Instruction>, TraceBinError> {
-    let header = 8 + 8 + 8;
-    if bytes.len() < header {
+    decode_from(bytes, bytes.len())
+}
+
+/// The one decoder behind [`decode_trace`] and [`read_trace_file`]: read
+/// a trace of `len` bytes from `r`. The checks run in a fixed order, so
+/// the same bytes give the same error from a slice or a file: the length
+/// against the header (`Truncated`), magic, version, the count, the
+/// length against the count (`Truncated`, then `TrailingBytes`), then,
+/// once every byte is read, the checksum before any bad opcode.
+fn decode_from(mut r: impl Read, len: usize) -> Result<Vec<Instruction>, TraceBinError> {
+    if len < HEADER_BYTES {
         return Err(TraceBinError::Truncated {
-            expected: header + 8,
-            actual: bytes.len(),
+            expected: HEADER_BYTES + 8,
+            actual: len,
         });
     }
-    if &bytes[0..8] != MAGIC {
+    let mut header = [0u8; HEADER_BYTES];
+    r.read_exact(&mut header)?;
+    let word = |at: usize| u64::from_le_bytes(header[at..at + 8].try_into().expect("8 bytes"));
+    if &header[0..8] != MAGIC {
         return Err(TraceBinError::BadMagic);
     }
-    let version = u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes"));
+    let version = word(8);
     if version != VERSION {
         return Err(TraceBinError::BadVersion(version));
     }
-    let count = u64::from_le_bytes(bytes[16..24].try_into().expect("8 bytes"));
-    let count = usize::try_from(count).map_err(|_| TraceBinError::Truncated {
+    let count = usize::try_from(word(16)).map_err(|_| TraceBinError::Truncated {
         expected: usize::MAX,
-        actual: bytes.len(),
+        actual: len,
     })?;
-    let expected = header
+    let expected = HEADER_BYTES
         .saturating_add(count.saturating_mul(RECORD_BYTES))
         .saturating_add(8);
-    if bytes.len() < expected {
+    if len < expected {
         return Err(TraceBinError::Truncated {
             expected,
-            actual: bytes.len(),
+            actual: len,
         });
     }
-    if bytes.len() > expected {
+    if len > expected {
         return Err(TraceBinError::TrailingBytes);
     }
-    let (body, trailer) = bytes.split_at(bytes.len() - 8);
-    let stored = u64::from_le_bytes(trailer.try_into().expect("8 trailer bytes"));
-    if fnv1a64(body) != stored {
+    // The length check bounds `count` by the bytes really present, so
+    // the reservation is never larger than the file warrants.
+    let mut out = Vec::with_capacity(count);
+    let mut sum = fnv1a64(&header);
+    // A bad opcode is reported only once the checksum has passed: the
+    // first one is kept while the rest of the body is still summed.
+    let mut bad_opcode = None;
+    let mut chunk = vec![0u8; count.min(CHUNK_RECORDS) * RECORD_BYTES];
+    let mut first = 0;
+    while first < count {
+        let n = (count - first).min(CHUNK_RECORDS);
+        let bytes = &mut chunk[..n * RECORD_BYTES];
+        r.read_exact(bytes)?;
+        sum = fnv1a64_seeded(bytes, sum);
+        if bad_opcode.is_none() {
+            for (k, record) in bytes.chunks_exact(RECORD_BYTES).enumerate() {
+                match read_record(record, first + k) {
+                    Ok(i) => out.push(i),
+                    Err(e) => {
+                        bad_opcode = Some(e);
+                        break;
+                    }
+                }
+            }
+        }
+        first += n;
+    }
+    let mut trailer = [0u8; 8];
+    r.read_exact(&mut trailer)?;
+    if r.read(&mut [0u8; 1])? != 0 {
+        return Err(TraceBinError::TrailingBytes);
+    }
+    if u64::from_le_bytes(trailer) != sum {
         return Err(TraceBinError::ChecksumMismatch);
     }
-    let mut out = Vec::with_capacity(count);
-    for r in 0..count {
-        let at = header + r * RECORD_BYTES;
-        out.push(read_record(&body[at..at + RECORD_BYTES], r)?);
+    match bad_opcode {
+        Some(e) => Err(e),
+        None => Ok(out),
     }
-    Ok(out)
 }
 
 /// Write a binary trace file atomically: the bytes land under a
@@ -241,13 +297,17 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
     written
 }
 
-/// Read and decode a binary trace file.
+/// Read and decode a binary trace file, chunk by chunk from the open
+/// file: the same checks and errors as [`decode_trace`] on its bytes,
+/// without ever holding those bytes whole.
 ///
 /// # Errors
 ///
 /// Propagates I/O failures and every decode error of [`decode_trace`].
 pub fn read_trace_file(path: &Path) -> Result<Vec<Instruction>, TraceBinError> {
-    decode_trace(&std::fs::read(path)?)
+    let file = std::fs::File::open(path)?;
+    let len = usize::try_from(file.metadata()?.len()).unwrap_or(usize::MAX);
+    decode_from(file, len)
 }
 
 #[cfg(test)]
@@ -255,15 +315,54 @@ mod tests {
     use super::*;
     use crate::{Benchmark, TraceGenerator};
 
+    type Decoded = Result<Vec<Instruction>, TraceBinError>;
+
+    /// A decode result with its error as text, which names the variant
+    /// and its fields.
+    fn outcome(r: &Decoded) -> Result<&[Instruction], String> {
+        r.as_ref().map(Vec::as_slice).map_err(ToString::to_string)
+    }
+
+    /// Decode `bytes` from the slice and, through [`read_trace_file`],
+    /// from a temp file named by `tag`; both must give the same result,
+    /// which is returned.
+    fn decode_both(bytes: &[u8], tag: &str) -> Decoded {
+        let path = std::env::temp_dir().join(format!("ntc-trace-{tag}-{}.ntt", std::process::id()));
+        std::fs::write(&path, bytes).expect("write temp trace");
+        let from_file = read_trace_file(&path);
+        std::fs::remove_file(&path).ok();
+        let from_slice = decode_trace(bytes);
+        assert_eq!(outcome(&from_file), outcome(&from_slice), "file and slice decode alike");
+        from_slice
+    }
+
+    /// Recompute the trailing checksum after a deliberate body edit, so
+    /// a later check is the one under test.
+    fn reseal(bytes: &mut [u8]) {
+        let body_len = bytes.len() - 8;
+        let sum = fnv1a64(&bytes[..body_len]);
+        bytes[body_len..].copy_from_slice(&sum.to_le_bytes());
+    }
+
     #[test]
     fn roundtrip_is_exact() {
         let trace = TraceGenerator::new(Benchmark::Mcf, 9).trace(1_000);
         let bytes = encode_trace(&trace);
-        assert_eq!(bytes.len(), 8 + 8 + 8 + 1_000 * RECORD_BYTES + 8);
-        assert_eq!(decode_trace(&bytes).expect("decode"), trace);
+        assert_eq!(bytes.len(), HEADER_BYTES + 1_000 * RECORD_BYTES + 8);
+        assert_eq!(decode_both(&bytes, "roundtrip").expect("decode"), trace);
         // The empty trace is a valid (if useless) artifact too.
         let empty = encode_trace(&[]);
-        assert_eq!(decode_trace(&empty).expect("decode empty"), Vec::new());
+        assert_eq!(decode_both(&empty, "roundtrip").expect("decode empty"), Vec::new());
+    }
+
+    #[test]
+    fn chunk_edges_decode_exactly() {
+        // One record short of, exactly at and one past a chunk, and
+        // several chunks with a partial one at the end.
+        for n in [CHUNK_RECORDS - 1, CHUNK_RECORDS, CHUNK_RECORDS + 1, 3 * CHUNK_RECORDS + 7] {
+            let trace = TraceGenerator::new(Benchmark::Parser, 6).trace(n);
+            assert_eq!(decode_both(&encode_trace(&trace), "chunks").expect("decode"), trace);
+        }
     }
 
     #[test]
@@ -272,7 +371,7 @@ mod tests {
         let bytes = encode_trace(&trace);
         // Every proper prefix must fail — never parse as a shorter trace.
         for len in 0..bytes.len() {
-            let e = decode_trace(&bytes[..len]).expect_err("prefix rejected");
+            let e = decode_both(&bytes[..len], "truncated").expect_err("prefix rejected");
             assert!(
                 matches!(e, TraceBinError::Truncated { .. }),
                 "prefix of {len} bytes: {e}"
@@ -286,12 +385,20 @@ mod tests {
         let mut bytes = encode_trace(&trace);
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x40;
-        assert!(decode_trace(&bytes).is_err(), "flipped byte caught");
+        assert!(
+            matches!(decode_both(&bytes, "flipped"), Err(TraceBinError::ChecksumMismatch)),
+            "flipped byte caught"
+        );
         // Appending a byte is trailing garbage.
         let mut extended = encode_trace(&trace);
         extended.push(0);
         assert!(matches!(
-            decode_trace(&extended),
+            decode_both(&extended, "trailing"),
+            Err(TraceBinError::TrailingBytes)
+        ));
+        // So is a reader that runs on past the length it was given.
+        assert!(matches!(
+            decode_from(&extended[..], extended.len() - 1),
             Err(TraceBinError::TrailingBytes)
         ));
     }
@@ -309,16 +416,14 @@ mod tests {
         let trace = TraceGenerator::new(Benchmark::Mcf, 1).trace(4);
         let mut bytes = encode_trace(&trace);
         bytes[0] = b'X';
-        assert!(matches!(decode_trace(&bytes), Err(TraceBinError::BadMagic)));
+        assert!(matches!(decode_both(&bytes, "magic"), Err(TraceBinError::BadMagic)));
         let mut bytes = encode_trace(&trace);
         bytes[8] = 99;
         // The checksum is over the (now mutated) body, so recompute it to
         // isolate the version check.
-        let body_len = bytes.len() - 8;
-        let sum = fnv1a64(&bytes[..body_len]);
-        bytes[body_len..].copy_from_slice(&sum.to_le_bytes());
+        reseal(&mut bytes);
         assert!(matches!(
-            decode_trace(&bytes),
+            decode_both(&bytes, "version"),
             Err(TraceBinError::BadVersion(99))
         ));
     }
@@ -327,14 +432,27 @@ mod tests {
     fn bad_opcode_encoding_is_rejected() {
         let trace = TraceGenerator::new(Benchmark::Mcf, 1).trace(4);
         let mut bytes = encode_trace(&trace);
-        bytes[24] = 0xFF; // first record's opcode byte
-        let body_len = bytes.len() - 8;
-        let sum = fnv1a64(&bytes[..body_len]);
-        bytes[body_len..].copy_from_slice(&sum.to_le_bytes());
+        bytes[HEADER_BYTES] = 0xFF; // first record's opcode byte
+        reseal(&mut bytes);
         assert!(matches!(
-            decode_trace(&bytes),
+            decode_both(&bytes, "opcode"),
             Err(TraceBinError::BadOpcode { record: 0, code: 0xFF })
         ));
+    }
+
+    #[test]
+    fn a_checksum_mismatch_outranks_a_bad_opcode() {
+        // A corrupted opcode byte under the old checksum is corruption
+        // first: the opcode is never trusted before the sum is.
+        let trace = TraceGenerator::new(Benchmark::Bzip2, 8).trace(3 * CHUNK_RECORDS);
+        for record in [0, CHUNK_RECORDS + 5] {
+            let mut bytes = encode_trace(&trace);
+            bytes[HEADER_BYTES + record * RECORD_BYTES] = 0xFF;
+            assert!(
+                matches!(decode_both(&bytes, "unsealed"), Err(TraceBinError::ChecksumMismatch)),
+                "record {record}"
+            );
+        }
     }
 
     #[test]

@@ -16,6 +16,18 @@ fn test_dir(tag: &str) -> PathBuf {
     dir
 }
 
+/// Each seed-5, 1,500-cycle file's trailing FNV-1a checksum, by
+/// benchmark: pins the `.ntt` bytes, which the grid cache's replay keys
+/// build on, against any change to the record layout.
+const PINNED_CHECKSUMS: [(&str, u64); 6] = [
+    ("bzip", 0x3e49_d2f4_e307_9e48),
+    ("gap", 0x8074_5afb_79ae_ccab),
+    ("gzip", 0x714c_fe65_6d49_a719),
+    ("mcf", 0x3169_08db_64de_5a36),
+    ("parser", 0x2b65_4415_293f_4ead),
+    ("vortex", 0x2521_16e0_80bf_476f),
+];
+
 #[test]
 fn record_writes_one_generator_trace_per_benchmark() {
     let dir = test_dir("record");
@@ -40,6 +52,17 @@ fn record_writes_one_generator_trace_per_benchmark() {
             line,
             format!("recorded {} ({cycles} instructions, {len} bytes)", path.display()),
             "{bench}: the printed byte count is the file's length"
+        );
+        let bytes = std::fs::read(&path).expect("trace bytes");
+        let trailer: [u8; 8] = bytes[bytes.len() - 8..].try_into().expect("8 bytes");
+        let pinned = PINNED_CHECKSUMS
+            .iter()
+            .find(|(name, _)| *name == bench.name())
+            .map(|&(_, sum)| sum);
+        assert_eq!(
+            Some(u64::from_le_bytes(trailer)),
+            pinned,
+            "{bench}: the file's checksum is the pinned one"
         );
         let decoded = trace_bin::read_trace_file(&path).expect("decodes");
         assert_eq!(

@@ -15,9 +15,10 @@ use ntc_choke::varmodel::{ChipSignature, Corner, VariationParams};
 fn encode(width: usize, instr: &Instruction) -> Vec<bool> {
     let code = instr.opcode.alu_func().select_code();
     let mut pis = Vec::with_capacity(4 + 2 * width);
+    let (a, b) = (u64::from(instr.a), u64::from(instr.b));
     pis.extend((0..4).map(|i| (code >> i) & 1 == 1));
-    pis.extend((0..width).map(|i| (instr.a >> i) & 1 == 1));
-    pis.extend((0..width).map(|i| (instr.b >> i) & 1 == 1));
+    pis.extend((0..width).map(|i| (a >> i) & 1 == 1));
+    pis.extend((0..width).map(|i| (b >> i) & 1 == 1));
     pis
 }
 

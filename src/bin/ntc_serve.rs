@@ -12,8 +12,10 @@
 //! sends one request, prints the receipt (or the full response for
 //! non-compute ops) to stdout, and with `--out` writes the CSV payload
 //! bytes to a file — which `cmp`s clean against the batch `repro` CSVs.
-//! Exit codes: 0 success, 1 server-side error response, 2 usage/I/O.
+//! Exit codes: 0 success, 1 server-side error response, 2 usage/I/O
+//! (an invalid `NTC_VDD` included: `serve` checks it before it binds).
 
+use ntc_choke::experiments::config;
 use ntc_choke::experiments::report::{parse_json, Json};
 use ntc_choke::serve::{self, Addr, ServeConfig, Server};
 use std::path::PathBuf;
@@ -88,6 +90,13 @@ fn run_serve(args: Vec<String>) {
         }
     }
     cfg.addr = parse_addr(socket, tcp);
+    // A malformed NTC_VDD is a usage error at startup, as in `repro`:
+    // the daemon exits before it creates its socket, instead of warning
+    // on every experiment request and sweeping the NTC corner only.
+    if let Err(e) = config::env_voltages() {
+        eprintln!("ntc-serve: {e}");
+        std::process::exit(2);
+    }
     serve::install_signal_handlers();
     let server = match Server::bind(cfg.clone()) {
         Ok(s) => s,

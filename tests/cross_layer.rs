@@ -39,7 +39,7 @@ fn netlist_alu_matches_isa_golden_model_at_arch_width() {
             (1, 31),
         ] {
             let instr = Instruction::new(op, a, b);
-            let hw = alu.execute(op.alu_func(), instr.a, instr.b);
+            let hw = alu.execute(op.alu_func(), u64::from(instr.a), u64::from(instr.b));
             assert_eq!(hw, instr.execute(), "{op} a={a:#x} b={b:#x}");
         }
     }
@@ -156,7 +156,7 @@ fn buffered_and_bare_netlists_share_function_not_timing() {
     // Same function...
     for op in [Opcode::Addu, Opcode::Nor, Opcode::Sllv] {
         let i = Instruction::new(op, 0xBEEF, 0x13);
-        let pis = alu.encode(op.alu_func(), i.a & 0xFFFF, i.b & 0xFFFF);
+        let pis = alu.encode(op.alu_func(), u64::from(i.a & 0xFFFF), u64::from(i.b & 0xFFFF));
         assert_eq!(alu.netlist().eval(&pis), padded.eval(&pis));
     }
     // ...different min-path timing.
