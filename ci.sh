@@ -20,6 +20,14 @@ cargo test -q --offline -p ntc-timing --test proptest_timing \
 echo "==> cargo check --offline -p ntc-bench --features bench --benches"
 cargo check --offline -p ntc-bench --features bench --benches
 
+echo "==> examples: each runs to exit 0; choke_buffers prints its golden"
+# `cargo test` compiles the examples but runs none of them.
+cargo build --release --offline --examples
+for example in chip_lottery choke_buffers quickstart scheme_shootout; do
+  "./target/release/examples/$example" > "target/example-$example.txt"
+done
+cmp target/example-choke_buffers.txt tests/golden/examples/choke_buffers.txt
+
 echo "==> cargo clippy --offline --workspace --all-targets -- -D warnings"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 

@@ -23,7 +23,7 @@ use std::time::Duration;
 
 use ntc_isa::{ErrorTag, Instruction};
 use ntc_netlist::generators::alu::{Alu, AluFunc};
-use ntc_timing::{CycleTiming, DynamicSim};
+use ntc_timing::{CycleTiming, SimWorkspace};
 use ntc_varmodel::{ChipSignature, Corner, VariationParams};
 use ntc_workload::{Benchmark, TraceGenerator};
 
@@ -69,22 +69,31 @@ fn bench(c: &mut Criterion) {
 
     // Sparse activity: a Buffer op whose single toggling operand bit
     // sensitizes a short path — the common case in real traces.
-    let sparse_init = alu.encode(AluFunc::Buffer, 0x01, 0x00);
-    let sparse_sens = alu.encode(AluFunc::Buffer, 0x03, 0x00);
+    let sparse = (
+        alu.encode(AluFunc::Buffer, 0x01, 0x00),
+        alu.encode(AluFunc::Buffer, 0x03, 0x00),
+    );
     // Long sensitized path: a full-width carry ripple.
-    let carry_init = alu.encode(AluFunc::Add, 0, 0);
-    let carry_sens = alu.encode(AluFunc::Add, u64::MAX, 1);
+    let carry = (
+        alu.encode(AluFunc::Add, 0, 0),
+        alu.encode(AluFunc::Add, u64::MAX, 1),
+    );
     // Dense activity: wide-operand multiply toggling most of the array.
-    let dense_init = alu.encode(AluFunc::Mult, 0, 0);
-    let dense_sens = alu.encode(AluFunc::Mult, 0xDEAD_BEEF_1234_5678, 0x1357_9BDF_2468_ACE0);
+    let dense = (
+        alu.encode(AluFunc::Mult, 0, 0),
+        alu.encode(AluFunc::Mult, 0xDEAD_BEEF_1234_5678, 0x1357_9BDF_2468_ACE0),
+    );
 
+    let oracle_nl = oracle_alu.netlist();
     let mut g = settings(c);
     g.bench_function("first_pairs_minmax", |b| {
-        let mut sim = DynamicSim::new(oracle_alu.netlist(), &chip);
+        let mut ws = SimWorkspace::new();
         b.iter(|| {
             pairs
                 .iter()
-                .filter_map(|(init, sens)| sim.simulate_pair_minmax(init, sens).max_ps)
+                .filter_map(|(init, sens)| {
+                    ws.simulate_pair_minmax(oracle_nl, &chip, init, sens).max_ps
+                })
                 .fold(0.0, f64::max)
         })
     });
@@ -96,51 +105,53 @@ fn bench(c: &mut Criterion) {
             pairs
                 .iter()
                 .filter(|(init, _)| {
-                    oracle_alu.netlist().eval_all_into(init, &mut settled);
+                    oracle_nl.eval_all_into(init, &mut settled);
                     settled[settled.len() - 1]
                 })
                 .count()
         })
     });
     g.bench_function("first_pairs_full", |b| {
-        let mut sim = DynamicSim::new(oracle_alu.netlist(), &chip);
+        let mut ws = SimWorkspace::new();
         let mut out = CycleTiming::default();
         b.iter(|| {
             pairs
                 .iter()
                 .filter_map(|(init, sens)| {
-                    sim.simulate_pair_into(init, sens, &mut out);
+                    ws.simulate_pair_into(oracle_nl, &chip, init, sens, &mut out);
                     out.max_delay_ps
                 })
                 .fold(0.0, f64::max)
         })
     });
-    g.bench_function("sparse_buffer_nominal", |b| {
-        let mut sim = DynamicSim::new(alu.netlist(), &nominal);
-        b.iter(|| sim.simulate_pair(&sparse_init, &sparse_sens))
-    });
-    g.bench_function("sparse_buffer_fabricated", |b| {
-        let mut sim = DynamicSim::new(alu.netlist(), &fabricated);
-        b.iter(|| sim.simulate_pair(&sparse_init, &sparse_sens))
-    });
-    g.bench_function("carry_ripple_nominal", |b| {
-        let mut sim = DynamicSim::new(alu.netlist(), &nominal);
-        b.iter(|| sim.simulate_pair(&carry_init, &carry_sens))
-    });
-    g.bench_function("dense_mult_fabricated", |b| {
-        let mut sim = DynamicSim::new(alu.netlist(), &fabricated);
-        b.iter(|| sim.simulate_pair(&dense_init, &dense_sens))
-    });
+    // The full sweep, into one reused result.
+    let nl = alu.netlist();
+    for (name, sig, (init, sens)) in [
+        ("sparse_buffer_nominal", &nominal, &sparse),
+        ("sparse_buffer_fabricated", &fabricated, &sparse),
+        ("carry_ripple_nominal", &nominal, &carry),
+        ("dense_mult_fabricated", &fabricated, &dense),
+    ] {
+        g.bench_function(name, |b| {
+            let mut ws = SimWorkspace::new();
+            let mut out = CycleTiming::default();
+            b.iter(|| {
+                ws.simulate_pair_into(nl, sig, init, sens, &mut out);
+                out.max_delay_ps
+            })
+        });
+    }
     // The oracle's Phase-A entry point: min/max only, no per-output
     // activity vectors.
-    g.bench_function("sparse_buffer_minmax", |b| {
-        let mut sim = DynamicSim::new(alu.netlist(), &fabricated);
-        b.iter(|| sim.simulate_pair_minmax(&sparse_init, &sparse_sens))
-    });
-    g.bench_function("carry_ripple_minmax", |b| {
-        let mut sim = DynamicSim::new(alu.netlist(), &nominal);
-        b.iter(|| sim.simulate_pair_minmax(&carry_init, &carry_sens))
-    });
+    for (name, sig, (init, sens)) in [
+        ("sparse_buffer_minmax", &fabricated, &sparse),
+        ("carry_ripple_minmax", &nominal, &carry),
+    ] {
+        g.bench_function(name, |b| {
+            let mut ws = SimWorkspace::new();
+            b.iter(|| ws.simulate_pair_minmax(nl, sig, init, sens))
+        });
+    }
     g.finish();
 }
 criterion_group!(benches, bench);

@@ -1,9 +1,8 @@
 //! The common interface every timing-error resilience scheme implements,
 //! plus the per-cycle context/outcome vocabulary the simulator speaks.
 
-use crate::tag_delay::CycleDelays;
 use ntc_isa::{ErrorTag, Instruction};
-use ntc_timing::{ClockSpec, CycleViolation, ErrorClass};
+use ntc_timing::{classify_cycle, ClockSpec, CycleDelays, CycleViolation, ErrorClass};
 
 /// Everything a scheme may inspect about the cycle being executed.
 #[derive(Debug, Clone, Copy)]
@@ -31,7 +30,7 @@ impl CycleContext<'_> {
     /// Violation this cycle would suffer at a given clock, with a
     /// CE-consumed min violation masked out.
     pub fn violation_at(&self, clock: &ClockSpec) -> CycleViolation {
-        let mut v = violation_of(self.delays, clock);
+        let mut v = classify_cycle(self.delays, clock);
         if self.min_consumed {
             v.min = false;
         }
@@ -42,20 +41,12 @@ impl CycleContext<'_> {
     /// (the second half of a consecutive error).
     pub fn next_min_at(&self, clock: &ClockSpec) -> bool {
         self.next_delays
-            .is_some_and(|d| violation_of(d, clock).min)
+            .is_some_and(|d| classify_cycle(d, clock).min)
     }
 
     /// The Trident error class of this cycle at a clock, if any.
     pub fn error_class_at(&self, clock: &ClockSpec) -> Option<ErrorClass> {
         ntc_timing::classify_stream(self.violation_at(clock), self.next_min_at(clock))
-    }
-}
-
-/// Classify raw delays against a clock.
-pub fn violation_of(delays: CycleDelays, clock: &ClockSpec) -> CycleViolation {
-    CycleViolation {
-        min: delays.min_ps.is_some_and(|d| d < clock.hold_ps),
-        max: delays.max_ps.is_some_and(|d| d > clock.period_ps),
     }
 }
 
@@ -103,41 +94,5 @@ pub trait ResilienceScheme {
     /// power (fed by the overhead tables).
     fn power_overhead_frac(&self) -> f64 {
         0.0
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn clock() -> ClockSpec {
-        ClockSpec {
-            period_ps: 100.0,
-            hold_ps: 12.0,
-        }
-    }
-
-    #[test]
-    fn violation_of_handles_quiet_cycles() {
-        let v = violation_of(
-            CycleDelays {
-                min_ps: None,
-                max_ps: None,
-            },
-            &clock(),
-        );
-        assert!(!v.any());
-    }
-
-    #[test]
-    fn violation_of_detects_both_sides() {
-        let v = violation_of(
-            CycleDelays {
-                min_ps: Some(5.0),
-                max_ps: Some(120.0),
-            },
-            &clock(),
-        );
-        assert!(v.min && v.max);
     }
 }

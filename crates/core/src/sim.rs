@@ -2,11 +2,11 @@
 //! an instruction trace against a fabricated chip's delay oracle, and the
 //! scheme-free profiler behind the error-distribution figures.
 
-use crate::scheme::{violation_of, CycleContext, CycleOutcome, ResilienceScheme};
+use crate::scheme::{CycleContext, CycleOutcome, ResilienceScheme};
 use crate::tag_delay::{CycleDelays, TagDelayOracle, STREAM_CHUNK};
 use ntc_isa::{ErrorTag, Instruction, Opcode, OperandSize};
 use ntc_pipeline::{EnergyModel, EnergyReport, Pipeline, RunCost};
-use ntc_timing::{classify_stream, ClockSpec, ErrorClass};
+use ntc_timing::{classify_cycle, classify_stream, ClockSpec, ErrorClass};
 use std::collections::HashMap;
 
 /// Result of running one scheme over one trace on one chip.
@@ -307,11 +307,11 @@ pub fn profile_errors(
     // must not be re-counted as an SE(Min) of its own cycle.
     let mut min_consumed_by_ce = false;
     stream(oracle, trace, |i, _, delays, next_delays| {
-        let mut v = violation_of(delays, &clock);
+        let mut v = classify_cycle(delays, &clock);
         if min_consumed_by_ce {
             v.min = false;
         }
-        let next_min = next_delays.is_some_and(|d| violation_of(d, &clock).min);
+        let next_min = next_delays.is_some_and(|d| classify_cycle(d, &clock).min);
         let class = classify_stream(v, next_min);
         min_consumed_by_ce = class == Some(ErrorClass::Consecutive);
         let op = trace[i].opcode;

@@ -6,8 +6,9 @@
 //!
 //! **Phase A (lazy, gate-level):** the first time a `(previous, current)`
 //! instruction pair with a given operand bucket is seen, the two vectors
-//! are pushed through the glitch-aware [`DynamicSim`](ntc_timing::DynamicSim) against the bound
-//! chip signature, and the resulting min/max sensitized delays are cached.
+//! are encoded by [`encode_into`] and pushed through the glitch-aware
+//! kernel ([`SimWorkspace::simulate_pair_minmax`]) against the bound chip
+//! signature, and the resulting min/max sensitized delays are cached.
 //!
 //! **Phase B (instruction-level):** subsequent occurrences replay the
 //! cached delays. Because choke paths are a *permanent characteristic of a
@@ -29,8 +30,9 @@
 //! per cycle, not once per scheme.
 
 use ntc_isa::{ErrorTag, Instruction};
-use ntc_netlist::generators::alu::Alu;
+use ntc_netlist::generators::alu::{encode_into, Alu};
 use ntc_netlist::Netlist;
+pub use ntc_timing::CycleDelays;
 use ntc_timing::SimWorkspace;
 use ntc_varmodel::telemetry::{self, Counts, Metric};
 use ntc_varmodel::{ChipSignature, Corner};
@@ -212,15 +214,6 @@ pub fn take_oracle_stats() -> OracleStats {
     ]))
 }
 
-/// Min/max sensitized delay of one simulated cycle, picoseconds.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CycleDelays {
-    /// Earliest output transition (`None` when the cycle toggles nothing).
-    pub min_ps: Option<f64>,
-    /// Latest output transition.
-    pub max_ps: Option<f64>,
-}
-
 /// Operand buckets per tag: distinct gate-level samples kept for one
 /// `(prev, cur)` opcode+OWM tag. More buckets = finer within-tag delay
 /// diversity at more Phase-A cost.
@@ -298,16 +291,23 @@ impl TagDelayOracle {
     /// # Panics
     ///
     /// Panics if the signature length does not match the netlist, or the
-    /// netlist lacks the `op`/`a`/`b` input ports of an ALU-shaped block.
+    /// netlist's primary inputs are not exactly the ALU's `op` (4 bits),
+    /// `a` and `b` (`w` bits each), in that order: the layout
+    /// [`encode_into`] writes.
     pub fn new(netlist: Netlist, signature: ChipSignature) -> Self {
         assert_eq!(signature.delays_ps().len(), netlist.len());
-        let width = netlist
-            .input_port("a")
-            .expect("ALU-shaped netlist with an `a` port")
-            .bits
-            .len();
-        assert!(netlist.input_port("op").is_some(), "missing `op` port");
-        assert!(netlist.input_port("b").is_some(), "missing `b` port");
+        let ports = netlist.input_ports();
+        let width = ports.get(1).map_or(0, |p| p.bits.len());
+        let shape: Vec<(&str, usize)> = ports
+            .iter()
+            .map(|p| (p.name.as_str(), p.bits.len()))
+            .collect();
+        assert!(
+            shape == [("op", 4), ("a", width), ("b", width)]
+                && ports.iter().flat_map(|p| &p.bits).eq(netlist.inputs()),
+            "the oracle encodes the ALU inputs op[4], a[w], b[w] in that order, \
+             not {shape:?}"
+        );
         TagDelayOracle {
             netlist,
             signature,
@@ -429,21 +429,19 @@ impl TagDelayOracle {
             return self.slots[slot];
         }
         let mut simulate = || {
-            encode_into(self.width, prev, &mut self.pi_init);
-            encode_into(self.width, cur, &mut self.pi_sens);
+            for (i, pis) in [(prev, &mut self.pi_init), (cur, &mut self.pi_sens)] {
+                let (a, b) = (u64::from(i.a), u64::from(i.b));
+                encode_into(self.width, i.opcode.alu_func(), a, b, pis);
+            }
             // Lean min/max entry point on the owned workspace: no
             // per-miss simulator construction, no per-output activity
             // vectors.
-            let t = self.workspace.simulate_pair_minmax(
+            self.workspace.simulate_pair_minmax(
                 &self.netlist,
                 &self.signature,
                 &self.pi_init,
                 &self.pi_sens,
-            );
-            CycleDelays {
-                min_ps: t.min_ps,
-                max_ps: t.max_ps,
-            }
+            )
         };
         // A shared hit under the full-operand key is exactly the result
         // simulating (prev, cur) here would produce, so sharing changes
@@ -476,11 +474,6 @@ impl TagDelayOracle {
     pub fn netlist(&self) -> &Netlist {
         &self.netlist
     }
-
-    /// The bound chip signature.
-    pub fn signature(&self) -> &ChipSignature {
-        &self.signature
-    }
 }
 
 /// Stable operand bucket for within-tag delay diversity.
@@ -498,20 +491,6 @@ fn operand_bucket(prev: &Instruction, cur: &Instruction) -> usize {
 #[inline]
 fn slot_of(tag: ErrorTag, bucket: usize, buckets: usize) -> usize {
     tag.index() * buckets + bucket
-}
-
-/// Encode an instruction as the ALU-shaped netlist's primary inputs,
-/// reusing the caller's buffer (allocation-free once warm). The operands
-/// are widened first, so a netlist wider than 32 bits reads zeros above
-/// bit 31 instead of shifting a `u32` out of range.
-fn encode_into(width: usize, instr: &Instruction, pis: &mut Vec<bool>) {
-    let func = instr.opcode.alu_func();
-    let code = func.select_code();
-    let (a, b) = (u64::from(instr.a), u64::from(instr.b));
-    pis.clear();
-    pis.extend((0..4).map(|i| (code >> i) & 1 == 1));
-    pis.extend((0..width).map(|i| (a >> i) & 1 == 1));
-    pis.extend((0..width).map(|i| (b >> i) & 1 == 1));
 }
 
 #[cfg(test)]
@@ -684,6 +663,16 @@ mod tests {
         slots.sort_unstable();
         assert!(slots.into_iter().eq(0..ErrorTag::COUNT * buckets));
         assert!(ErrorTag::COUNT * buckets < usize::from(EMPTY_SLOT));
+    }
+
+    #[test]
+    #[should_panic(expected = "the oracle encodes the ALU inputs")]
+    fn an_ex_stage_netlist_is_refused() {
+        // Its inputs start with the ALU's op/a/b but go on to forwarding
+        // buses and bypass selects, which the encoder never writes.
+        let ex = ntc_netlist::generators::ex_stage::ExStage::new(32).into_netlist();
+        let signature = ChipSignature::nominal(&ex, Corner::NTC);
+        let _ = TagDelayOracle::new(ex, signature);
     }
 
     #[test]

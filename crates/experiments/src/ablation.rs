@@ -281,7 +281,7 @@ pub fn detection_window(scale: Scale) -> ResultTable {
 pub fn adder_architecture(scale: Scale) -> ResultTable {
     use ntc_netlist::generators::adder;
     use ntc_netlist::Builder;
-    use ntc_timing::{DynamicSim, StaticTiming};
+    use ntc_timing::{SimWorkspace, StaticTiming};
     use ntc_varmodel::{ChipSignature, VariationParams};
     use ntc_varmodel::rng::SplitMix64;
 
@@ -322,7 +322,7 @@ pub fn adder_architecture(scale: Scale) -> ResultTable {
             let sig = ChipSignature::fabricate(&nl, Corner::NTC, VariationParams::ntc(), chip as u64);
             let chip_static = StaticTiming::analyze(&nl, &sig).critical_delay_ps(&nl) / d_nom;
             let mut chip_dyn: f64 = 0.0;
-            let mut sim = DynamicSim::new(&nl, &sig);
+            let mut ws = SimWorkspace::new();
             let encode = |a: u64, x: u64| {
                 let mut pis: Vec<bool> = (0..width).map(|i| (a >> i) & 1 == 1).collect();
                 pis.extend((0..width).map(|i| (x >> i) & 1 == 1));
@@ -330,7 +330,7 @@ pub fn adder_architecture(scale: Scale) -> ResultTable {
                 pis
             };
             for &(a, x) in &vectors {
-                let timing = sim.simulate_pair_minmax(&encode(0, 0), &encode(a, x));
+                let timing = ws.simulate_pair_minmax(&nl, &sig, &encode(0, 0), &encode(a, x));
                 if let Some(d) = timing.max_ps {
                     chip_dyn = chip_dyn.max(100.0 * (d - d_nom) / d_nom);
                 }

@@ -3,7 +3,7 @@
 //! fabricated 64-bit ALUs, with CDL/CGL extraction.
 
 use ntc_netlist::generators::alu::{Alu, AluFunc};
-use ntc_timing::{identify_choke_event, CdlCglProfile, CycleTiming, DynamicSim, StaticTiming};
+use ntc_timing::{identify_choke_event, CdlCglProfile, CycleTiming, SimWorkspace, StaticTiming};
 use ntc_varmodel::{ChipSignature, Corner, VariationParams};
 use ntc_varmodel::rng::SplitMix64;
 use std::collections::HashMap;
@@ -103,11 +103,12 @@ pub fn run_choke_study(
     // the nominal critical path delay of the circuit).
     let mut nominal_crit: HashMap<AluFunc, f64> = HashMap::new();
     {
-        let mut sim = DynamicSim::new(nl, &nominal);
+        let mut ws = SimWorkspace::new();
         for &op in &STUDY_OPS {
             let mut worst: f64 = 0.0;
             for &(a1, b1, a2, b2) in &vectors[&op] {
-                let t = sim.simulate_pair_minmax(&alu.encode(op, a1, b1), &alu.encode(op, a2, b2));
+                let (init, sens) = (alu.encode(op, a1, b1), alu.encode(op, a2, b2));
+                let t = ws.simulate_pair_minmax(nl, &nominal, &init, &sens);
                 if let Some(d) = t.max_ps {
                     worst = worst.max(d);
                 }
@@ -125,7 +126,7 @@ pub fn run_choke_study(
         // Sanity anchor: the static critical delay bounds every dynamic
         // observation (checked in debug builds).
         debug_assert!(StaticTiming::analyze(nl, &sig).critical_delay_ps(nl) > 0.0);
-        let mut sim = DynamicSim::new(nl, &sig);
+        let mut ws = SimWorkspace::new();
         let mut timing = CycleTiming::default();
         let mut per_op: HashMap<AluFunc, CdlCglProfile> = HashMap::new();
         let mut cdl_by_owm: HashMap<AluFunc, (f64, f64)> = HashMap::new();
@@ -137,15 +138,12 @@ pub fn run_choke_study(
             for &(a1, b1, a2, b2) in &vectors[&op] {
                 // The full-activity path, so `sensitized_gates` below sees
                 // every gate that toggled this cycle.
-                sim.simulate_pair_into(
-                    &alu.encode(op, a1, b1),
-                    &alu.encode(op, a2, b2),
-                    &mut timing,
-                );
+                let (init, sens) = (alu.encode(op, a1, b1), alu.encode(op, a2, b2));
+                ws.simulate_pair_into(nl, &sig, &init, &sens, &mut timing);
                 let Some(d_pv) = timing.max_delay_ps else {
                     continue;
                 };
-                let sensitized = sim.sensitized_gates();
+                let sensitized = ws.sensitized_gates(nl);
                 // A choke path exists when the operation's sensitized delay
                 // overshoots the operation's own nominal critical delay —
                 // the normalization under which the paper's STC ceiling

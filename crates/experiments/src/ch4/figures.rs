@@ -9,11 +9,11 @@ use crate::table::ResultTable;
 use ntc_core::overhead::{trident_overheads, PipelineBaseline};
 use ntc_core::scenario::{SchemeSpec, SimAccumulator};
 use ntc_core::sim::{profile_errors, SimResult};
-use ntc_isa::{Instruction, Opcode};
+use ntc_isa::Opcode;
 use ntc_netlist::buffer_insertion::insert_hold_buffers;
 use ntc_netlist::generators::alu::Alu;
 use ntc_pipeline::EnergyModel;
-use ntc_timing::{DynamicSim, ErrorClass};
+use ntc_timing::{ErrorClass, SimWorkspace};
 use ntc_varmodel::rng::SplitMix64;
 use ntc_varmodel::{ChipSignature, Corner, VariationParams};
 use ntc_workload::{Benchmark, TraceGenerator, ALL_BENCHMARKS};
@@ -47,8 +47,7 @@ pub const STUDY_INSTRUCTIONS: [Opcode; 15] = [
 /// Columns: `<variant>-min` / `<variant>-max` = the *extreme* normalized
 /// min/max path delay observed (the paper's error bars).
 pub fn fig_4_2(scale: Scale) -> ResultTable {
-    let width = ntc_isa::ARCH_WIDTH;
-    let alu = Alu::new(width);
+    let alu = Alu::new(ntc_isa::ARCH_WIDTH);
     let mut t = ResultTable::new(
         "fig4.2",
         "Normalized sensitized path delay extremes (PV / PV-free)",
@@ -98,18 +97,17 @@ pub fn fig_4_2(scale: Scale) -> ResultTable {
             .collect();
 
         // Encode each (op, sample) vector pair once; every chip in the
-        // sweep replays the same pairs.
+        // sweep replays the same pairs. Both variants keep the ALU's
+        // inputs, so its encoder serves both; it reads only the low
+        // `ARCH_WIDTH` bits of each operand, the bits an `Instruction`
+        // keeps.
         let vectors: Vec<Vec<(Vec<bool>, Vec<bool>)>> = STUDY_INSTRUCTIONS
             .iter()
             .map(|&op| {
+                let func = op.alu_func();
                 samples
                     .iter()
-                    .map(|&(a1, b1, a2, b2)| {
-                        (
-                            encode(netlist, width, &Instruction::new(op, a1, b1)),
-                            encode(netlist, width, &Instruction::new(op, a2, b2)),
-                        )
-                    })
+                    .map(|&(a1, b1, a2, b2)| (alu.encode(func, a1, b1), alu.encode(func, a2, b2)))
                     .collect()
             })
             .collect();
@@ -118,14 +116,14 @@ pub fn fig_4_2(scale: Scale) -> ResultTable {
         // simulate them once per (op, sample) instead of once per chip.
         // Only min/max arrivals are consumed, so use the lean kernel path.
         let nom_delays: Vec<Vec<(Option<f64>, Option<f64>)>> = {
-            let mut sim_nom = DynamicSim::new(netlist, &nominal);
+            let mut ws = SimWorkspace::new();
             vectors
                 .iter()
                 .map(|per_op| {
                     per_op
                         .iter()
                         .map(|(init, sens)| {
-                            let t = sim_nom.simulate_pair_minmax(init, sens);
+                            let t = ws.simulate_pair_minmax(netlist, &nominal, init, sens);
                             (t.min_ps, t.max_ps)
                         })
                         .collect()
@@ -140,7 +138,7 @@ pub fn fig_4_2(scale: Scale) -> ResultTable {
         // bit-identical at any thread count.
         let per_chip = sweep(scale.circuit_chips(), |chip| {
             let sig = two_percent_choke_signature(netlist, corner, params, 0x42 + chip as u64);
-            let mut sim_pv = DynamicSim::new(netlist, &sig);
+            let mut ws = SimWorkspace::new();
             vectors
                 .iter()
                 .enumerate()
@@ -148,7 +146,7 @@ pub fn fig_4_2(scale: Scale) -> ResultTable {
                     let mut min_ratio = f64::INFINITY;
                     let mut max_ratio: f64 = 0.0;
                     for (s, (init, sens)) in per_op.iter().enumerate() {
-                        let t_pv = sim_pv.simulate_pair_minmax(init, sens);
+                        let t_pv = ws.simulate_pair_minmax(netlist, &sig, init, sens);
                         let (nom_min, nom_max) = nom_delays[i][s];
                         if let (Some(n), Some(p)) = (nom_min, t_pv.min_ps) {
                             if n > 0.0 {
@@ -225,17 +223,6 @@ fn two_percent_choke_signature(
         sig.inject_choke(&[i], mult);
     }
     sig
-}
-
-fn encode(nl: &ntc_netlist::Netlist, width: usize, instr: &Instruction) -> Vec<bool> {
-    let code = instr.opcode.alu_func().select_code();
-    let mut pis = Vec::with_capacity(4 + 2 * width);
-    let (a, b) = (u64::from(instr.a), u64::from(instr.b));
-    pis.extend((0..4).map(|i| (code >> i) & 1 == 1));
-    pis.extend((0..width).map(|i| (a >> i) & 1 == 1));
-    pis.extend((0..width).map(|i| (b >> i) & 1 == 1));
-    let _ = nl;
-    pis
 }
 
 /// Fig. 4.3: distribution of max-violation / min-violation / error-free

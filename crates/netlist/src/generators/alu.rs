@@ -220,13 +220,11 @@ impl Alu {
         self.width
     }
 
-    /// Encode one operation as a primary-input vector (`op`, `a`, `b`).
+    /// Encode one operation as a primary-input vector (`op`, `a`, `b`);
+    /// see [`encode_into`].
     pub fn encode(&self, func: AluFunc, a: u64, b: u64) -> Vec<bool> {
         let mut pis = Vec::with_capacity(4 + 2 * self.width);
-        let code = func.select_code();
-        pis.extend((0..4).map(|i| (code >> i) & 1 == 1));
-        pis.extend((0..self.width).map(|i| (a >> i) & 1 == 1));
-        pis.extend((0..self.width).map(|i| (b >> i) & 1 == 1));
+        encode_into(self.width, func, a, b, &mut pis);
         pis
     }
 
@@ -238,6 +236,19 @@ impl Alu {
             .enumerate()
             .fold(0u64, |acc, (i, &bit)| acc | ((bit as u64) << i))
     }
+}
+
+/// Write one operation as the ALU's primary inputs into `pis`, replacing
+/// its contents: the 4 `op` select bits, then the low `width` bits of `a`,
+/// then of `b`, each LSB first. This is the order [`Alu::new`] declares
+/// those ports in, and the EX stage declares them first. Reusing `pis`
+/// keeps a caller that encodes every cycle free of allocation.
+pub fn encode_into(width: usize, func: AluFunc, a: u64, b: u64, pis: &mut Vec<bool>) {
+    let code = func.select_code();
+    pis.clear();
+    pis.extend((0..4).map(|i| (code >> i) & 1 == 1));
+    pis.extend((0..width).map(|i| (a >> i) & 1 == 1));
+    pis.extend((0..width).map(|i| (b >> i) & 1 == 1));
 }
 
 /// The full ALU datapath body, shared between [`Alu`] and the EX-stage
@@ -479,6 +490,74 @@ mod tests {
                 },
                 "multiplier gate n{i}"
             );
+        }
+    }
+
+    /// Every bit `encode_into` writes lands on the primary input of the
+    /// matching `op`/`a`/`b` port bit: on the bare ALU, on its hold-buffered
+    /// copy, and as the prefix of the EX stage's stimulus.
+    #[test]
+    fn encoder_bits_sit_on_their_port_bits() {
+        use crate::buffer_insertion::{insert_hold_buffers, nominal_arrivals};
+        use crate::generators::ex_stage::ExStage;
+
+        // SplitMix64, inlined: this crate sits below `ntc-varmodel`.
+        let mut state = 0xA1_u64;
+        let mut draw = move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        for width in [8, 32, 64] {
+            let alu = Alu::new(width);
+            let (_, max_arr) = nominal_arrivals(alu.netlist());
+            let crit = alu
+                .netlist()
+                .outputs()
+                .iter()
+                .map(|s| max_arr[s.index()])
+                .fold(0.0, f64::max);
+            let (buffered, bufs, _) = insert_hold_buffers(alu.netlist(), crit * 0.4, crit * 1.001);
+            assert!(!bufs.0.is_empty(), "width {width}: the hold fix pads paths");
+            let ex = ExStage::new(width);
+            for (what, nl) in [
+                ("alu", alu.netlist()),
+                ("buffered", &buffered),
+                ("ex stage", ex.netlist()),
+            ] {
+                // Each port's bits as positions in `nl.inputs()`.
+                let layout: Vec<(&str, Vec<usize>)> = ["op", "a", "b"]
+                    .into_iter()
+                    .map(|name| {
+                        let port = nl.input_port(name).expect("an ALU port");
+                        let at = |s| nl.inputs().iter().position(|i| i == s);
+                        let positions = port.bits.iter().map(|s| at(s).expect("an input"));
+                        (name, positions.collect())
+                    })
+                    .collect();
+                for func in ALL_ALU_FUNCS {
+                    for _ in 0..4 {
+                        let (a, b) = (draw(), draw());
+                        let pis = match what {
+                            "ex stage" => ex.encode(func, a, b),
+                            _ => alu.encode(func, a, b),
+                        };
+                        assert_eq!(pis.len(), nl.inputs().len(), "{what} width {width}");
+                        let values = [u64::from(func.select_code()), a, b];
+                        for ((name, bits), value) in layout.iter().zip(values) {
+                            for (k, &pos) in bits.iter().enumerate() {
+                                assert_eq!(
+                                    pis[pos],
+                                    (value >> k) & 1 == 1,
+                                    "{what} width {width} {func}: {name}[{k}]"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
         }
     }
 

@@ -3,7 +3,7 @@
 //! capture logic). This is the block the paper instruments — both chapters
 //! focus their timing study on the EX pipestage.
 
-use crate::generators::alu::{build_alu_body, AluFunc};
+use crate::generators::alu::{build_alu_body, encode_into, AluFunc};
 use crate::generators::logic;
 use crate::netlist::{Builder, Netlist};
 
@@ -70,17 +70,14 @@ impl ExStage {
         self.width
     }
 
-    /// Encode a stimulus with bypasses disabled.
+    /// Encode a stimulus with bypasses disabled: the ALU's `op`, `a`, `b`
+    /// ([`encode_into`]), then idle forwarding buses and both bypass
+    /// selects at 0.
     pub fn encode(&self, func: AluFunc, a: u64, b: u64) -> Vec<bool> {
         let w = self.width;
         let mut pis = Vec::with_capacity(4 + 4 * w + 2);
-        let code = func.select_code();
-        pis.extend((0..4).map(|i| (code >> i) & 1 == 1));
-        pis.extend((0..w).map(|i| (a >> i) & 1 == 1));
-        pis.extend((0..w).map(|i| (b >> i) & 1 == 1));
-        pis.extend(std::iter::repeat_n(false, 2 * w)); // fwd buses idle
-        pis.push(false); // bypass_a
-        pis.push(false); // bypass_b
+        encode_into(w, func, a, b, &mut pis);
+        pis.extend(std::iter::repeat_n(false, 2 * w + 2));
         pis
     }
 

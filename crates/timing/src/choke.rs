@@ -96,7 +96,7 @@ impl ChokeEvent {
 /// * `d_nominal_ps` — the operation's nominal critical delay on a PV-free
 ///   chip;
 /// * `sensitized` — gate indices that toggled this cycle
-///   ([`DynamicSim::sensitized_gates`](crate::DynamicSim::sensitized_gates)).
+///   ([`SimWorkspace::sensitized_gates`](crate::SimWorkspace::sensitized_gates)).
 ///
 /// The choke-gate set is the smallest set of sensitized gates whose delay
 /// deviations (post-silicon minus nominal), removed, would bring the cycle

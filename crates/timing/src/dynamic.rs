@@ -44,8 +44,8 @@
 //! # The guarded lean sweep
 //!
 //! The sweep runs in one of two modes. The full sweep, behind
-//! [`SimWorkspace::simulate_pair_into`] and [`DynamicSim::simulate_pair`],
-//! evaluates every reachable gate. The lean sweep, behind
+//! [`SimWorkspace::simulate_pair_into`], evaluates every reachable gate.
+//! The lean sweep, behind
 //! [`SimWorkspace::simulate_pair_minmax`], also skips a popped gate when
 //! its entry in the netlist's guard index
 //! ([`Netlist::guard_of_index`]) holds this cycle: the gate is
@@ -88,8 +88,8 @@
 //! All per-net state is inline: a `Wave` holds a fixed-capacity
 //! `[f64; MAX_EVENTS_PER_NET]` instead of a heap `Vec`, a gate's merge
 //! state is three cursors and a 3-bit pin state on the stack, and the
-//! settle/dirty buffers belong to a reusable [`SimWorkspace`]. After
-//! warm-up, [`SimWorkspace`]'s `simulate_pair_minmax` and
+//! settle/dirty buffers belong to a reusable [`SimWorkspace`], the one
+//! handle on the kernel. After warm-up, its `simulate_pair_minmax` and
 //! `simulate_pair_into` entry points perform zero heap allocations per
 //! call.
 
@@ -151,18 +151,6 @@ pub struct OutputActivity {
     pub transitions: Vec<f64>,
 }
 
-impl OutputActivity {
-    /// Earliest transition time, if the output toggled at all.
-    pub fn first_transition(&self) -> Option<f64> {
-        self.transitions.first().copied()
-    }
-
-    /// Latest transition time, if the output toggled at all.
-    pub fn last_transition(&self) -> Option<f64> {
-        self.transitions.last().copied()
-    }
-}
-
 /// Result of simulating one (initializing, sensitizing) vector pair.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CycleTiming {
@@ -180,12 +168,14 @@ pub struct CycleTiming {
     pub internal_toggles: usize,
 }
 
-/// The lean result of [`simulate_pair_minmax`](SimWorkspace::simulate_pair_minmax):
-/// just the earliest/latest output arrivals, with no per-output activity.
-/// This is all the Phase-A delay oracle consumes.
+/// Min/max sensitized delay of one simulated cycle, picoseconds: the
+/// earliest and latest output arrivals, with no per-output activity. The
+/// lean result of [`simulate_pair_minmax`](SimWorkspace::simulate_pair_minmax),
+/// the value the delay oracle caches, and what
+/// [`classify_cycle`](crate::classify_cycle) checks against a clock.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct MinMaxDelays {
-    /// Earliest output transition (`None` when no output toggled).
+pub struct CycleDelays {
+    /// Earliest output transition (`None` when the cycle toggles nothing).
     pub min_ps: Option<f64>,
     /// Latest output transition.
     pub max_ps: Option<f64>,
@@ -200,6 +190,22 @@ pub struct MinMaxDelays {
 /// Phase-A delay oracle simulates one pair per cache miss — keep one
 /// workspace alive so steady-state simulation performs **zero heap
 /// allocations**.
+///
+/// # Examples
+///
+/// ```
+/// use ntc_netlist::generators::alu::{Alu, AluFunc};
+/// use ntc_timing::{CycleTiming, SimWorkspace};
+/// use ntc_varmodel::{ChipSignature, Corner};
+///
+/// let alu = Alu::new(8);
+/// let chip = ChipSignature::nominal(alu.netlist(), Corner::NTC);
+/// let init = alu.encode(AluFunc::Add, 0, 0);
+/// let sens = alu.encode(AluFunc::Add, 0xFF, 0x01);
+/// let mut timing = CycleTiming::default();
+/// SimWorkspace::new().simulate_pair_into(alu.netlist(), &chip, &init, &sens, &mut timing);
+/// assert!(timing.max_delay_ps.expect("carry chain toggles") > 0.0);
+/// ```
 #[derive(Debug, Default)]
 pub struct SimWorkspace {
     waves: Vec<Wave>,
@@ -372,7 +378,7 @@ impl SimWorkspace {
         internal_toggles
     }
 
-    fn min_max(&self, nl: &Netlist) -> MinMaxDelays {
+    fn min_max(&self, nl: &Netlist) -> CycleDelays {
         let mut min_d: Option<f64> = None;
         let mut max_d: Option<f64> = None;
         for s in nl.outputs() {
@@ -384,7 +390,7 @@ impl SimWorkspace {
                 max_d = Some(max_d.map_or(last, |m: f64| m.max(last)));
             }
         }
-        MinMaxDelays {
+        CycleDelays {
             min_ps: min_d,
             max_ps: max_d,
         }
@@ -405,15 +411,15 @@ impl SimWorkspace {
         sig: &ChipSignature,
         initializing: &[bool],
         sensitizing: &[bool],
-    ) -> MinMaxDelays {
+    ) -> CycleDelays {
         self.propagate(nl, sig, initializing, sensitizing, true);
         self.min_max(nl)
     }
 
     /// Simulate one cycle into a caller-owned [`CycleTiming`], reusing its
-    /// per-output transition buffers. Performs no heap allocation in
-    /// steady state (after the output vectors reach their high-water
-    /// capacity).
+    /// per-output transition buffers. Runs the full sweep, which evaluates
+    /// every reachable gate. Performs no heap allocation in steady state
+    /// (after the output vectors reach their high-water capacity).
     ///
     /// # Panics
     ///
@@ -430,142 +436,46 @@ impl SimWorkspace {
 
         let outs = nl.outputs();
         out.outputs.resize_with(outs.len(), OutputActivity::default);
-        let mut min_d: Option<f64> = None;
-        let mut max_d: Option<f64> = None;
         let mut total = 0usize;
         for (o, s) in out.outputs.iter_mut().zip(outs.iter()) {
             let i = s.index();
             let w = &self.waves[i];
             let toggles = w.toggles();
-            if let Some(&first) = toggles.first() {
-                min_d = Some(min_d.map_or(first, |m: f64| m.min(first)));
-            }
-            if let Some(&last) = toggles.last() {
-                max_d = Some(max_d.map_or(last, |m: f64| m.max(last)));
-            }
             total += toggles.len();
             o.initial = self.settle[i];
             o.final_value = w.final_value(self.settle[i]);
             o.transitions.clear();
             o.transitions.extend_from_slice(toggles);
         }
-        out.min_delay_ps = min_d;
-        out.max_delay_ps = max_d;
+        let CycleDelays { min_ps, max_ps } = self.min_max(nl);
+        out.min_delay_ps = min_ps;
+        out.max_delay_ps = max_ps;
         out.total_output_transitions = total;
         out.internal_toggles = internal_toggles;
     }
-}
 
-/// Reusable dynamic timing simulator bound to one netlist + chip signature.
-///
-/// # Examples
-///
-/// ```
-/// use ntc_netlist::generators::alu::{Alu, AluFunc};
-/// use ntc_timing::DynamicSim;
-/// use ntc_varmodel::{ChipSignature, Corner};
-///
-/// let alu = Alu::new(8);
-/// let chip = ChipSignature::nominal(alu.netlist(), Corner::NTC);
-/// let mut sim = DynamicSim::new(alu.netlist(), &chip);
-/// let init = alu.encode(AluFunc::Add, 0, 0);
-/// let sens = alu.encode(AluFunc::Add, 0xFF, 0x01);
-/// let timing = sim.simulate_pair(&init, &sens);
-/// assert!(timing.max_delay_ps.expect("carry chain toggles") > 0.0);
-/// ```
-#[derive(Debug)]
-pub struct DynamicSim<'a> {
-    nl: &'a Netlist,
-    sig: &'a ChipSignature,
-    ws: SimWorkspace,
-}
-
-impl<'a> DynamicSim<'a> {
-    /// Bind a simulator to a netlist and a fabricated chip's signature.
+    /// Indices of the gates of `nl` that toggled during this workspace's
+    /// most recent simulation of `nl`: the *sensitized* gates of that
+    /// cycle. Pseudo-cells (inputs) are excluded.
+    ///
+    /// After [`simulate_pair_into`](Self::simulate_pair_into) this is
+    /// every gate that toggled. After
+    /// [`simulate_pair_minmax`](Self::simulate_pair_minmax) it lists only
+    /// the gates the lean sweep evaluated: a gate whose guard held (see
+    /// the module docs) is missing even if it would have toggled.
     ///
     /// # Panics
     ///
-    /// Panics if the signature length does not match the netlist.
-    pub fn new(nl: &'a Netlist, sig: &'a ChipSignature) -> Self {
-        assert_eq!(sig.delays_ps().len(), nl.len(), "signature/netlist mismatch");
-        let mut ws = SimWorkspace::new();
-        ws.bind(nl.len());
-        DynamicSim { nl, sig, ws }
-    }
-
-    /// Simulate one cycle: the circuit is settled at `initializing`, then
-    /// `sensitizing` is applied at t = 0.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either vector's width differs from the primary-input count.
-    pub fn simulate_pair(&mut self, initializing: &[bool], sensitizing: &[bool]) -> CycleTiming {
-        let mut out = CycleTiming::default();
-        self.ws
-            .simulate_pair_into(self.nl, self.sig, initializing, sensitizing, &mut out);
-        out
-    }
-
-    /// [`simulate_pair`](Self::simulate_pair) into a caller-owned result,
-    /// reusing its buffers — allocation-free in steady state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either vector's width differs from the primary-input count.
-    pub fn simulate_pair_into(
-        &mut self,
-        initializing: &[bool],
-        sensitizing: &[bool],
-        out: &mut CycleTiming,
-    ) {
-        self.ws
-            .simulate_pair_into(self.nl, self.sig, initializing, sensitizing, out);
-    }
-
-    /// Simulate one cycle and return only the min/max output arrivals —
-    /// skips building the per-output activity entirely, and runs the lean
-    /// sweep, so [`sensitized_gates`](Self::sensitized_gates) afterwards
-    /// misses the gates it skipped. Allocation-free in steady state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either vector's width differs from the primary-input count.
-    pub fn simulate_pair_minmax(
-        &mut self,
-        initializing: &[bool],
-        sensitizing: &[bool],
-    ) -> MinMaxDelays {
-        self.ws
-            .simulate_pair_minmax(self.nl, self.sig, initializing, sensitizing)
-    }
-
-    /// Indices of gates that toggled during the most recent simulation —
-    /// i.e. the *sensitized* gates of that cycle. Pseudo-cells (inputs)
-    /// are excluded.
-    ///
-    /// After [`simulate_pair`](Self::simulate_pair) or
-    /// [`simulate_pair_into`](Self::simulate_pair_into) this is every gate
-    /// that toggled. After [`simulate_pair_minmax`](Self::simulate_pair_minmax)
-    /// it lists only the gates the lean sweep evaluated: a gate whose guard
-    /// held (see the module docs) is missing even if it would have toggled.
-    pub fn sensitized_gates(&self) -> Vec<usize> {
-        self.nl
-            .gates()
+    /// Panics if the last simulation was of a netlist of another size.
+    pub fn sensitized_gates(&self, nl: &Netlist) -> Vec<usize> {
+        assert_eq!(self.waves.len(), nl.len(), "last simulated another netlist");
+        nl.gates()
             .iter()
+            .zip(&self.waves)
             .enumerate()
-            .filter(|(i, g)| !g.kind().is_pseudo() && self.ws.waves[*i].len > 0)
+            .filter(|(_, (g, w))| !g.kind().is_pseudo() && w.len > 0)
             .map(|(i, _)| i)
             .collect()
-    }
-
-    /// The bound netlist.
-    pub fn netlist(&self) -> &Netlist {
-        self.nl
-    }
-
-    /// The bound chip signature.
-    pub fn signature(&self) -> &ChipSignature {
-        self.sig
     }
 }
 
@@ -576,11 +486,24 @@ mod tests {
     use ntc_netlist::Builder;
     use ntc_varmodel::{Corner, VariationParams};
 
+    /// The full sweep into a fresh result.
+    fn full(
+        ws: &mut SimWorkspace,
+        nl: &Netlist,
+        sig: &ChipSignature,
+        init: &[bool],
+        sens: &[bool],
+    ) -> CycleTiming {
+        let mut out = CycleTiming::default();
+        ws.simulate_pair_into(nl, sig, init, sens, &mut out);
+        out
+    }
+
     #[test]
     fn settled_final_values_match_eval() {
         let alu = Alu::new(8);
         let sig = ChipSignature::fabricate(alu.netlist(), Corner::NTC, VariationParams::ntc(), 2);
-        let mut sim = DynamicSim::new(alu.netlist(), &sig);
+        let mut ws = SimWorkspace::new();
         let cases = [
             (AluFunc::Add, 0u64, 0u64, AluFunc::Add, 0xFFu64, 0x01u64),
             (AluFunc::Xor, 0xAA, 0x55, AluFunc::Mult, 0x12, 0x34),
@@ -589,7 +512,7 @@ mod tests {
         for (f1, a1, b1, f2, a2, b2) in cases {
             let init = alu.encode(f1, a1, b1);
             let sens = alu.encode(f2, a2, b2);
-            let timing = sim.simulate_pair(&init, &sens);
+            let timing = full(&mut ws, alu.netlist(), &sig, &init, &sens);
             let expect = alu.netlist().eval(&sens);
             let got: Vec<bool> = timing.outputs.iter().map(|o| o.final_value).collect();
             assert_eq!(got, expect, "{f1}->{f2}");
@@ -604,9 +527,8 @@ mod tests {
     fn identical_vectors_produce_no_transitions() {
         let alu = Alu::new(8);
         let sig = ChipSignature::nominal(alu.netlist(), Corner::NTC);
-        let mut sim = DynamicSim::new(alu.netlist(), &sig);
         let v = alu.encode(AluFunc::And, 0x3C, 0x5A);
-        let timing = sim.simulate_pair(&v, &v);
+        let timing = full(&mut SimWorkspace::new(), alu.netlist(), &sig, &v, &v);
         assert_eq!(timing.total_output_transitions, 0);
         assert!(timing.min_delay_ps.is_none());
         assert!(timing.max_delay_ps.is_none());
@@ -618,11 +540,11 @@ mod tests {
         let sig = ChipSignature::fabricate(alu.netlist(), Corner::NTC, VariationParams::ntc(), 9);
         let static_t = crate::sta::StaticTiming::analyze(alu.netlist(), &sig);
         let bound = static_t.critical_delay_ps(alu.netlist());
-        let mut sim = DynamicSim::new(alu.netlist(), &sig);
+        let mut ws = SimWorkspace::new();
         for (a, b) in [(0u64, 0xFFu64), (0x80, 0x7F), (0xFF, 0xFF)] {
             let init = alu.encode(AluFunc::Mult, 0, 0);
             let sens = alu.encode(AluFunc::Mult, a, b);
-            let timing = sim.simulate_pair(&init, &sens);
+            let timing = full(&mut ws, alu.netlist(), &sig, &init, &sens);
             if let Some(d) = timing.max_delay_ps {
                 assert!(d <= bound + 1e-6, "dynamic {d} vs static bound {bound}");
             }
@@ -634,16 +556,15 @@ mod tests {
         // a=0xFF + 1 ripples the whole carry chain; a=0x01+1 does not.
         let alu = Alu::new(8);
         let sig = ChipSignature::nominal(alu.netlist(), Corner::NTC);
-        let mut sim = DynamicSim::new(alu.netlist(), &sig);
+        let mut ws = SimWorkspace::new();
         let init = alu.encode(AluFunc::Add, 0, 0);
-        let long = sim
-            .simulate_pair(&init, &alu.encode(AluFunc::Add, 0xFF, 0x01))
-            .max_delay_ps
-            .expect("toggles");
-        let short = sim
-            .simulate_pair(&init, &alu.encode(AluFunc::Buffer, 0x01, 0x00))
-            .max_delay_ps
-            .expect("toggles");
+        let mut max_delay = |sens: &[bool]| {
+            full(&mut ws, alu.netlist(), &sig, &init, sens)
+                .max_delay_ps
+                .expect("toggles")
+        };
+        let long = max_delay(&alu.encode(AluFunc::Add, 0xFF, 0x01));
+        let short = max_delay(&alu.encode(AluFunc::Buffer, 0x01, 0x00));
         assert!(
             long > short * 1.5,
             "full-carry add {long} vs buffer {short}"
@@ -654,10 +575,9 @@ mod tests {
     fn transition_lists_are_sorted() {
         let alu = Alu::new(8);
         let sig = ChipSignature::fabricate(alu.netlist(), Corner::NTC, VariationParams::ntc(), 4);
-        let mut sim = DynamicSim::new(alu.netlist(), &sig);
         let init = alu.encode(AluFunc::Xor, 0x00, 0x00);
         let sens = alu.encode(AluFunc::Add, 0xAB, 0x55);
-        let timing = sim.simulate_pair(&init, &sens);
+        let timing = full(&mut SimWorkspace::new(), alu.netlist(), &sig, &init, &sens);
         for o in &timing.outputs {
             for w in o.transitions.windows(2) {
                 assert!(w[0] <= w[1] + 1e-9);
@@ -679,8 +599,7 @@ mod tests {
         b.output("y", y);
         let nl = b.finish();
         let sig = ChipSignature::nominal(&nl, Corner::STC);
-        let mut sim = DynamicSim::new(&nl, &sig);
-        let timing = sim.simulate_pair(&[false], &[true]);
+        let timing = full(&mut SimWorkspace::new(), &nl, &sig, &[false], &[true]);
         // Output starts 0, pulses to 1, falls back to 0: two transitions.
         assert_eq!(timing.outputs[0].transitions.len(), 2);
         assert!(!timing.outputs[0].initial);
@@ -697,12 +616,10 @@ mod tests {
         let pv = ChipSignature::fabricate(alu.netlist(), Corner::NTC, VariationParams::ntc(), 77);
         let init = alu.encode(AluFunc::Add, 0, 0);
         let sens = alu.encode(AluFunc::Add, 0xFF, 0x01);
-        let d_nom = DynamicSim::new(alu.netlist(), &nom)
-            .simulate_pair(&init, &sens)
+        let d_nom = full(&mut SimWorkspace::new(), alu.netlist(), &nom, &init, &sens)
             .max_delay_ps
             .expect("toggles");
-        let d_pv = DynamicSim::new(alu.netlist(), &pv)
-            .simulate_pair(&init, &sens)
+        let d_pv = full(&mut SimWorkspace::new(), alu.netlist(), &pv, &init, &sens)
             .max_delay_ps
             .expect("toggles");
         assert!((d_pv - d_nom).abs() / d_nom > 0.01, "nom {d_nom} pv {d_pv}");
@@ -726,7 +643,7 @@ mod tests {
     fn minmax_matches_full_simulation() {
         let alu = Alu::new(16);
         let sig = ChipSignature::fabricate(alu.netlist(), Corner::NTC, VariationParams::ntc(), 3);
-        let mut sim = DynamicSim::new(alu.netlist(), &sig);
+        let mut ws = SimWorkspace::new();
         let cases = [
             (AluFunc::Add, 0u64, 0u64, AluFunc::Add, 0xFFFF, 1u64),
             (AluFunc::Buffer, 1, 0, AluFunc::Buffer, 3, 0),
@@ -736,8 +653,8 @@ mod tests {
         for (f1, a1, b1, f2, a2, b2) in cases {
             let init = alu.encode(f1, a1, b1);
             let sens = alu.encode(f2, a2, b2);
-            let full = sim.simulate_pair(&init, &sens);
-            let lean = sim.simulate_pair_minmax(&init, &sens);
+            let full = full(&mut ws, alu.netlist(), &sig, &init, &sens);
+            let lean = ws.simulate_pair_minmax(alu.netlist(), &sig, &init, &sens);
             assert_eq!(lean.min_ps.map(f64::to_bits), full.min_delay_ps.map(f64::to_bits));
             assert_eq!(lean.max_ps.map(f64::to_bits), full.max_delay_ps.map(f64::to_bits));
         }
@@ -762,14 +679,14 @@ mod tests {
         assert!(!nl.eval_all(&alu.encode(AluFunc::Add, 3, 5))[mult]);
 
         let sig = ChipSignature::fabricate(nl, Corner::NTC, VariationParams::ntc(), 5);
-        let mut sim = DynamicSim::new(nl, &sig);
+        let mut ws = SimWorkspace::new();
         let init = alu.encode(AluFunc::Add, 0x5A, 0x3C);
         let sens = alu.encode(AluFunc::Add, 0xA7, 0xC9);
-        sim.simulate_pair_minmax(&init, &sens);
-        let lean_gates = sim.sensitized_gates();
+        ws.simulate_pair_minmax(nl, &sig, &init, &sens);
+        let lean_gates = ws.sensitized_gates(nl);
         assert!(mult_cone.iter().all(|g| !lean_gates.contains(g)));
-        sim.simulate_pair(&init, &sens);
-        let full_gates = sim.sensitized_gates();
+        full(&mut ws, nl, &sig, &init, &sens);
+        let full_gates = ws.sensitized_gates(nl);
         assert!(mult_cone.iter().any(|g| full_gates.contains(g)));
     }
 
@@ -777,10 +694,10 @@ mod tests {
     fn simulate_pair_into_reuses_buffers() {
         let alu = Alu::new(8);
         let sig = ChipSignature::nominal(alu.netlist(), Corner::NTC);
-        let mut sim = DynamicSim::new(alu.netlist(), &sig);
+        let mut ws = SimWorkspace::new();
         let init = alu.encode(AluFunc::Add, 0, 0);
         let sens = alu.encode(AluFunc::Add, 0xFF, 0x01);
-        let fresh = sim.simulate_pair(&init, &sens);
+        let fresh = full(&mut ws, alu.netlist(), &sig, &init, &sens);
         // A dirty, differently-shaped output struct must be fully reset.
         let mut out = CycleTiming {
             min_delay_ps: Some(-1.0),
@@ -796,7 +713,7 @@ mod tests {
             total_output_transitions: 77,
             internal_toggles: 77,
         };
-        sim.simulate_pair_into(&init, &sens, &mut out);
+        ws.simulate_pair_into(alu.netlist(), &sig, &init, &sens, &mut out);
         assert_eq!(out, fresh);
     }
 
@@ -809,12 +726,14 @@ mod tests {
         let sig_s = ChipSignature::nominal(small.netlist(), Corner::NTC);
         let sig_l = ChipSignature::nominal(large.netlist(), Corner::NTC);
         let mut ws = SimWorkspace::new();
-        let expect_l = DynamicSim::new(large.netlist(), &sig_l)
-            .simulate_pair(
-                &large.encode(AluFunc::Add, 0, 0),
-                &large.encode(AluFunc::Add, 0xFFF, 1),
-            )
-            .max_delay_ps;
+        let expect_l = full(
+            &mut SimWorkspace::new(),
+            large.netlist(),
+            &sig_l,
+            &large.encode(AluFunc::Add, 0, 0),
+            &large.encode(AluFunc::Add, 0xFFF, 1),
+        )
+        .max_delay_ps;
         let _ = ws.simulate_pair_minmax(
             small.netlist(),
             &sig_s,

@@ -7,7 +7,8 @@
 //! * [`sta`] — static min/max arrival analysis and critical-path extraction
 //!   under a per-chip delay signature;
 //! * [`dynamic`] — glitch-aware two-vector (initializing + sensitizing)
-//!   timing simulation producing per-output transition waveforms;
+//!   timing simulation, driven through one [`SimWorkspace`], producing
+//!   min/max output arrivals or per-output transition waveforms;
 //! * [`choke`] — CDL / CGL choke-point metrics over sensitized cycles;
 //! * [`errors`] — classification of cycles into minimum / maximum timing
 //!   violations and Trident's SE / CE error classes.
@@ -18,7 +19,7 @@
 //!
 //! ```
 //! use ntc_netlist::generators::alu::{Alu, AluFunc};
-//! use ntc_timing::{classify_cycle, ClockSpec, DynamicSim, StaticTiming};
+//! use ntc_timing::{classify_cycle, ClockSpec, SimWorkspace, StaticTiming};
 //! use ntc_varmodel::{ChipSignature, Corner, VariationParams};
 //!
 //! let alu = Alu::new(8);
@@ -27,12 +28,15 @@
 //! let clock = ClockSpec::from_critical_delay(critical, 0.05, 0.12);
 //!
 //! let chip = ChipSignature::fabricate(alu.netlist(), Corner::NTC, VariationParams::ntc(), 42);
-//! let mut sim = DynamicSim::new(alu.netlist(), &chip);
-//! let timing = sim.simulate_pair(
+//! let mut ws = SimWorkspace::new();
+//! let delays = ws.simulate_pair_minmax(
+//!     alu.netlist(),
+//!     &chip,
 //!     &alu.encode(AluFunc::Mult, 0, 0),
 //!     &alu.encode(AluFunc::Mult, 0xFF, 0xFF),
 //! );
-//! let violation = classify_cycle(&timing, &clock);
+//! assert!(delays.max_ps.expect("the multiplier toggles") > 0.0);
+//! let violation = classify_cycle(delays, &clock);
 //! // Whether this chip errs depends on the fabrication lottery; both
 //! // outcomes are legal here.
 //! let _ = violation.any();
@@ -50,12 +54,7 @@ mod reference;
 pub mod sta;
 
 pub use choke::{identify_choke_event, CdlCategory, CdlCglProfile, ChokeEvent, ALL_CDL_CATEGORIES};
-pub use dynamic::{
-    CycleTiming, DynamicSim, MinMaxDelays, OutputActivity, SimWorkspace, MAX_EVENTS_PER_NET,
-};
-pub use errors::{
-    classify_cycle, classify_stream, illegal_transition_count, ClockSpec, CycleViolation,
-    ErrorClass,
-};
+pub use dynamic::{CycleDelays, CycleTiming, OutputActivity, SimWorkspace, MAX_EVENTS_PER_NET};
+pub use errors::{classify_cycle, classify_stream, ClockSpec, CycleViolation, ErrorClass};
 pub use paths::{k_critical_paths, RankedPath, SlackReport};
 pub use sta::{StaticTiming, TimingPath};

@@ -147,7 +147,7 @@ pub(crate) fn simulate_pair_reference(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dynamic::DynamicSim;
+    use crate::dynamic::SimWorkspace;
     use ntc_netlist::generators::alu::{Alu, AluFunc};
     use ntc_netlist::{Builder, Signal};
     use ntc_varmodel::{Corner, SplitMix64, VariationParams};
@@ -178,6 +178,19 @@ mod tests {
             let wb: Vec<u64> = w.transitions.iter().map(|t| t.to_bits()).collect();
             assert_eq!(gb, wb, "{ctx}: output {k} transition list");
         }
+    }
+
+    /// The event-driven kernel's full sweep into a fresh result.
+    fn full(
+        ws: &mut SimWorkspace,
+        nl: &Netlist,
+        sig: &ChipSignature,
+        init: &[bool],
+        sens: &[bool],
+    ) -> CycleTiming {
+        let mut out = CycleTiming::default();
+        ws.simulate_pair_into(nl, sig, init, sens, &mut out);
+        out
     }
 
     fn pick(rng: &mut SplitMix64, sigs: &[Signal]) -> Signal {
@@ -260,7 +273,7 @@ mod tests {
                 ("nominal", ChipSignature::nominal(&nl, Corner::NTC)),
             ];
             for (label, sig) in &signatures {
-                let mut sim = DynamicSim::new(&nl, sig);
+                let mut ws = SimWorkspace::new();
                 let mut rng = SplitMix64::seed_from_u64(seed ^ 0xD1CE);
                 let width = nl.inputs().len();
                 for pair in 0..10 {
@@ -268,10 +281,10 @@ mod tests {
                     let init = random_vector(&mut rng, width);
                     let sens = random_vector(&mut rng, width);
                     let want = simulate_pair_reference(&nl, sig, &init, &sens);
-                    let got = sim.simulate_pair(&init, &sens);
+                    let got = full(&mut ws, &nl, sig, &init, &sens);
                     assert_bit_identical(&got, &want, &ctx);
                     // The lean path must agree with the full path exactly.
-                    let lean = sim.simulate_pair_minmax(&init, &sens);
+                    let lean = ws.simulate_pair_minmax(&nl, sig, &init, &sens);
                     assert_eq!(
                         lean.min_ps.map(f64::to_bits),
                         want.min_delay_ps.map(f64::to_bits),
@@ -287,7 +300,7 @@ mod tests {
                 // in both kernels.
                 let v = random_vector(&mut rng, width);
                 let want = simulate_pair_reference(&nl, sig, &v, &v);
-                let got = sim.simulate_pair(&v, &v);
+                let got = full(&mut ws, &nl, sig, &v, &v);
                 assert_bit_identical(&got, &want, &format!("{label} netlist {seed}, quiet pair"));
                 assert_eq!(want.total_output_transitions, 0);
             }
@@ -298,7 +311,7 @@ mod tests {
     fn alu_matches_reference_bit_for_bit() {
         let alu = Alu::new(16);
         let sig = ChipSignature::fabricate(alu.netlist(), Corner::NTC, VariationParams::ntc(), 99);
-        let mut sim = DynamicSim::new(alu.netlist(), &sig);
+        let mut ws = SimWorkspace::new();
         let cases = [
             (AluFunc::Add, 0u64, 0u64, AluFunc::Add, 0xFFFF, 1u64),
             (AluFunc::Buffer, 1, 0, AluFunc::Buffer, 3, 0),
@@ -310,7 +323,7 @@ mod tests {
             let init = alu.encode(f1, a1, b1);
             let sens = alu.encode(f2, a2, b2);
             let want = simulate_pair_reference(alu.netlist(), &sig, &init, &sens);
-            let got = sim.simulate_pair(&init, &sens);
+            let got = full(&mut ws, alu.netlist(), &sig, &init, &sens);
             assert_bit_identical(&got, &want, &format!("{f1}->{f2}"));
         }
     }
@@ -336,14 +349,14 @@ mod tests {
         }
         let nl = b.finish();
         let sig = ChipSignature::fabricate(&nl, Corner::NTC, VariationParams::ntc(), 5);
-        let mut sim = DynamicSim::new(&nl, &sig);
+        let mut ws = SimWorkspace::new();
         let mut rng = SplitMix64::seed_from_u64(0xCAFE);
         let mut saw_cap = false;
         for pair in 0..20 {
             let init = random_vector(&mut rng, 6);
             let sens = random_vector(&mut rng, 6);
             let want = simulate_pair_reference(&nl, &sig, &init, &sens);
-            let got = sim.simulate_pair(&init, &sens);
+            let got = full(&mut ws, &nl, &sig, &init, &sens);
             assert_bit_identical(&got, &want, &format!("glitch pair {pair}"));
             saw_cap |= want
                 .outputs
@@ -378,27 +391,26 @@ mod tests {
             assert!(o.transitions.iter().all(|t| t.is_nan()));
         }
         // The event-driven kernel survives the same poisoned chip.
-        let mut sim = DynamicSim::new(&nl, &sig);
-        let _ = sim.simulate_pair_minmax(&init, &sens);
+        let _ = SimWorkspace::new().simulate_pair_minmax(&nl, &sig, &init, &sens);
     }
 
     #[test]
     fn sensitized_gates_match_reference_activity() {
         let nl = random_netlist(7);
         let sig = ChipSignature::fabricate(&nl, Corner::NTC, VariationParams::ntc(), 7);
-        let mut sim = DynamicSim::new(&nl, &sig);
+        let mut ws = SimWorkspace::new();
         let mut rng = SplitMix64::seed_from_u64(0xBEEF);
         let width = nl.inputs().len();
         let init = random_vector(&mut rng, width);
         let sens = random_vector(&mut rng, width);
-        let got = sim.simulate_pair(&init, &sens);
+        let got = full(&mut ws, &nl, &sig, &init, &sens);
         let full = simulate_pair_reference(&nl, &sig, &init, &sens);
         assert_bit_identical(&got, &full, "sensitized-gates pair");
         // Sensitized gates are exactly the non-pseudo gates whose nets
         // toggled; the total toggle count across them equals the kernel's
         // internal_toggles only when no wave hit the cap, so check the
         // weaker invariants that always hold.
-        let sens_gates = sim.sensitized_gates();
+        let sens_gates = ws.sensitized_gates(&nl);
         for &g in &sens_gates {
             assert!(!nl.gates()[g].kind().is_pseudo());
         }

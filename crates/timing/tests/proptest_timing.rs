@@ -7,7 +7,7 @@
 
 use ntc_netlist::generators::alu::{Alu, AluFunc, ALL_ALU_FUNCS};
 use ntc_netlist::{Builder, CellKind, Netlist, Signal};
-use ntc_timing::{k_critical_paths, DynamicSim, StaticTiming};
+use ntc_timing::{k_critical_paths, CycleTiming, SimWorkspace, StaticTiming};
 use ntc_varmodel::rng::SplitMix64;
 use ntc_varmodel::{ChipSignature, Corner, VariationParams};
 
@@ -17,6 +17,19 @@ fn alu8() -> Alu {
 
 fn pick_func(rng: &mut SplitMix64) -> AluFunc {
     ALL_ALU_FUNCS[rng.gen_index(ALL_ALU_FUNCS.len())]
+}
+
+/// The kernel's full sweep into a fresh result.
+fn full(
+    ws: &mut SimWorkspace,
+    nl: &Netlist,
+    sig: &ChipSignature,
+    init: &[bool],
+    sens: &[bool],
+) -> CycleTiming {
+    let mut out = CycleTiming::default();
+    ws.simulate_pair_into(nl, sig, init, sens, &mut out);
+    out
 }
 
 /// The dynamic simulator's settled state always equals combinational
@@ -29,12 +42,11 @@ fn dynamic_final_state_matches_eval() {
         let seed = rng.gen_u64() % 64;
         let sig =
             ChipSignature::fabricate(alu.netlist(), Corner::NTC, VariationParams::ntc(), seed);
-        let mut sim = DynamicSim::new(alu.netlist(), &sig);
         let init = alu.encode(pick_func(&mut rng), rng.gen_u64() & 0xFF, rng.gen_u64() & 0xFF);
         let sens_f = pick_func(&mut rng);
         let (a2, b2) = (rng.gen_u64() & 0xFF, rng.gen_u64() & 0xFF);
         let sens = alu.encode(sens_f, a2, b2);
-        let t = sim.simulate_pair(&init, &sens);
+        let t = full(&mut SimWorkspace::new(), alu.netlist(), &sig, &init, &sens);
         let expect = alu.netlist().eval(&sens);
         let got: Vec<bool> = t.outputs.iter().map(|o| o.final_value).collect();
         assert_eq!(got, expect, "case {case} chip {seed} {sens_f:?} a={a2} b={b2}");
@@ -102,9 +114,9 @@ fn dynamic_final_values_match_eval_on_random_netlists() {
                 ChipSignature::nominal(&nl, corner),
                 ChipSignature::fabricate(&nl, corner, params, chip),
             ] {
-                let mut sim = DynamicSim::new(&nl, &sig);
+                let mut ws = SimWorkspace::new();
                 for (p, (init, sens)) in pairs.iter().enumerate() {
-                    let t = sim.simulate_pair(init, sens);
+                    let t = full(&mut ws, &nl, &sig, init, sens);
                     let got: Vec<bool> = t.outputs.iter().map(|o| o.final_value).collect();
                     assert_eq!(
                         got,
@@ -187,9 +199,15 @@ fn random_gated_netlist(rng: &mut SplitMix64) -> Netlist {
 /// 8-bit ALU over all 169 function pairs on three chips.
 #[test]
 fn lean_minmax_matches_full_path_on_gated_netlists() {
-    fn check(sim: &mut DynamicSim<'_>, init: &[bool], sens: &[bool], what: &dyn Fn() -> String) {
-        let full = sim.simulate_pair(init, sens);
-        let lean = sim.simulate_pair_minmax(init, sens);
+    fn check(
+        ws: &mut SimWorkspace,
+        (nl, sig): (&Netlist, &ChipSignature),
+        init: &[bool],
+        sens: &[bool],
+        what: &dyn Fn() -> String,
+    ) {
+        let full = full(ws, nl, sig, init, sens);
+        let lean = ws.simulate_pair_minmax(nl, sig, init, sens);
         assert_eq!(
             lean.min_ps.map(f64::to_bits),
             full.min_delay_ps.map(f64::to_bits),
@@ -224,9 +242,9 @@ fn lean_minmax_matches_full_path_on_gated_netlists() {
                 ChipSignature::nominal(&nl, corner),
                 ChipSignature::fabricate(&nl, corner, params, chip),
             ] {
-                let mut sim = DynamicSim::new(&nl, &sig);
+                let mut ws = SimWorkspace::new();
                 for (p, (init, sens)) in pairs.iter().enumerate() {
-                    check(&mut sim, init, sens, &|| {
+                    check(&mut ws, (&nl, &sig), init, sens, &|| {
                         format!("netlist {case}, pair {p}, chip {chip}, {corner:?}")
                     });
                 }
@@ -238,7 +256,7 @@ fn lean_minmax_matches_full_path_on_gated_netlists() {
     for chip in 0..3u64 {
         let sig =
             ChipSignature::fabricate(alu.netlist(), Corner::NTC, VariationParams::ntc(), chip);
-        let mut sim = DynamicSim::new(alu.netlist(), &sig);
+        let mut ws = SimWorkspace::new();
         for f1 in ALL_ALU_FUNCS {
             for f2 in ALL_ALU_FUNCS {
                 for _ in 0..4 {
@@ -249,7 +267,8 @@ fn lean_minmax_matches_full_path_on_gated_netlists() {
                         rng.gen_u64() & 0xFF,
                     );
                     check(
-                        &mut sim,
+                        &mut ws,
+                        (alu.netlist(), &sig),
                         &alu.encode(f1, a1, b1),
                         &alu.encode(f2, a2, b2),
                         &|| format!("chip {chip}, {f1} {a1:#x},{b1:#x} -> {f2} {a2:#x},{b2:#x}"),
@@ -271,10 +290,9 @@ fn dynamic_bounded_by_static() {
         let sig =
             ChipSignature::fabricate(alu.netlist(), Corner::NTC, VariationParams::ntc(), seed);
         let bound = StaticTiming::analyze(alu.netlist(), &sig).critical_delay_ps(alu.netlist());
-        let mut sim = DynamicSim::new(alu.netlist(), &sig);
         let init = alu.encode(AluFunc::Buffer, 0, 0);
         let sens = alu.encode(pick_func(&mut rng), rng.gen_u64() & 0xFF, rng.gen_u64() & 0xFF);
-        let t = sim.simulate_pair(&init, &sens);
+        let t = full(&mut SimWorkspace::new(), alu.netlist(), &sig, &init, &sens);
         if let Some(d) = t.max_delay_ps {
             assert!(d <= bound + 1e-6, "case {case}: dynamic {d} vs static {bound}");
         }
@@ -317,9 +335,8 @@ fn no_transitions_without_input_change() {
         let seed = rng.gen_u64() % 32;
         let sig =
             ChipSignature::fabricate(alu.netlist(), Corner::NTC, VariationParams::ntc(), seed);
-        let mut sim = DynamicSim::new(alu.netlist(), &sig);
         let v = alu.encode(pick_func(&mut rng), rng.gen_u64() & 0xFF, rng.gen_u64() & 0xFF);
-        let t = sim.simulate_pair(&v, &v);
+        let t = full(&mut SimWorkspace::new(), alu.netlist(), &sig, &v, &v);
         assert_eq!(t.total_output_transitions, 0, "case {case}");
     }
 }
@@ -334,10 +351,9 @@ fn transition_parity_holds() {
         let seed = rng.gen_u64() % 16;
         let sig =
             ChipSignature::fabricate(alu.netlist(), Corner::NTC, VariationParams::ntc(), seed);
-        let mut sim = DynamicSim::new(alu.netlist(), &sig);
         let init = alu.encode(AluFunc::Xor, rng.gen_u64() & 0xFF, rng.gen_u64() & 0xFF);
         let sens = alu.encode(AluFunc::Add, rng.gen_u64() & 0xFF, rng.gen_u64() & 0xFF);
-        let t = sim.simulate_pair(&init, &sens);
+        let t = full(&mut SimWorkspace::new(), alu.netlist(), &sig, &init, &sens);
         for o in &t.outputs {
             assert_eq!(
                 o.final_value != o.initial,

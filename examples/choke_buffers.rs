@@ -9,22 +9,11 @@
 use ntc_choke::isa::{Instruction, Opcode};
 use ntc_choke::netlist::buffer_insertion::insert_hold_buffers;
 use ntc_choke::netlist::generators::alu::Alu;
-use ntc_choke::timing::{DynamicSim, StaticTiming};
+use ntc_choke::timing::{CycleTiming, SimWorkspace, StaticTiming};
 use ntc_choke::varmodel::{ChipSignature, Corner, VariationParams};
 
-fn encode(width: usize, instr: &Instruction) -> Vec<bool> {
-    let code = instr.opcode.alu_func().select_code();
-    let mut pis = Vec::with_capacity(4 + 2 * width);
-    let (a, b) = (u64::from(instr.a), u64::from(instr.b));
-    pis.extend((0..4).map(|i| (code >> i) & 1 == 1));
-    pis.extend((0..width).map(|i| (a >> i) & 1 == 1));
-    pis.extend((0..width).map(|i| (b >> i) & 1 == 1));
-    pis
-}
-
 fn main() {
-    let width = 32;
-    let alu = Alu::new(width);
+    let alu = Alu::new(32);
     let nominal = ChipSignature::nominal(alu.netlist(), Corner::NTC);
     let crit = StaticTiming::analyze(alu.netlist(), &nominal).critical_delay_ps(alu.netlist());
 
@@ -46,15 +35,18 @@ fn main() {
     assert!(!bufs.0.is_empty());
 
     // Post-silicon: fabricate dice and probe a short-path operation pair.
-    let prev = Instruction::new(Opcode::Move, 0, 0);
-    let cur = Instruction::new(Opcode::Move, 0xFFFF_FFFF, 0);
+    // The padded netlist keeps the ALU's inputs, so the ALU encodes for it.
+    let encode = |i: Instruction| alu.encode(i.opcode.alu_func(), u64::from(i.a), u64::from(i.b));
+    let prev = encode(Instruction::new(Opcode::Move, 0, 0));
+    let cur = encode(Instruction::new(Opcode::Move, 0xFFFF_FFFF, 0));
+    let mut ws = SimWorkspace::new();
+    let mut t = CycleTiming::default();
     println!("\n{:>4} {:>16} {:>10}", "die", "min delay (ps)", "verdict");
     let mut violations = 0;
     let dice = 10;
     for seed in 0..dice {
         let sig = ChipSignature::fabricate(&padded, Corner::NTC, VariationParams::ntc(), seed);
-        let mut sim = DynamicSim::new(&padded, &sig);
-        let t = sim.simulate_pair(&encode(width, &prev), &encode(width, &cur));
+        ws.simulate_pair_into(&padded, &sig, &prev, &cur, &mut t);
         let min = t.min_delay_ps.unwrap_or(f64::INFINITY);
         let violated = min < hold_ntc;
         violations += violated as u32;
