@@ -91,13 +91,17 @@ else
   echo "note: neither jq nor python3 found; relying on repro's built-in manifest self-validation"
 fi
 
-echo "==> full-scale fig3.10: byte-identical to its golden, same oracle counts"
+echo "==> full-scale fig3.10 and fig3.3: byte-identical to their goldens, same oracle counts"
 # The paper-scale grid exercises the exact kernel on all 32,800 first
 # pairs; its CSV and oracle counters must not move with kernel changes.
+# The paper-scale choke study's delay levels (fig3.3) come from the lean
+# sweep's max arrival on 10,560 pairs (11 ops x 40 vectors x 24 chips),
+# which no kernel change may move.
 rm -rf target/repro-ci-full
 ./target/release/repro --full --jobs 2 --no-cache --out target/repro-ci-full \
-  fig3.10 >/dev/null
+  fig3.10 fig3.3 >/dev/null
 cmp target/repro-ci-full/fig3_10.csv tests/golden/full/fig3_10.csv
+cmp target/repro-ci-full/fig3_3.csv tests/golden/full/fig3_3.csv
 grep -q '"gate_sims":32800,"local_hits":29967170' target/repro-ci-full/manifest.json
 
 echo "==> shared delay table: --jobs 2 reports the --jobs 1 oracle counters"

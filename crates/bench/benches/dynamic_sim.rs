@@ -119,7 +119,7 @@ fn bench(c: &mut Criterion) {
                 .iter()
                 .filter_map(|(init, sens)| {
                     ws.simulate_pair_into(oracle_nl, &chip, init, sens, &mut out);
-                    out.max_delay_ps
+                    out.delays.max_ps
                 })
                 .fold(0.0, f64::max)
         })
@@ -137,7 +137,7 @@ fn bench(c: &mut Criterion) {
             let mut out = CycleTiming::default();
             b.iter(|| {
                 ws.simulate_pair_into(nl, sig, init, sens, &mut out);
-                out.max_delay_ps
+                out.delays.max_ps
             })
         });
     }

@@ -1,9 +1,16 @@
 //! Shared circuit-level choke study for Figs. 3.2 / 3.3: Monte-Carlo
 //! sampling of sensitized-path delays per ALU operation on a population of
 //! fabricated 64-bit ALUs, with CDL/CGL extraction.
+//!
+//! Each vector pair runs the kernel's lean sweep, and an overshoot is
+//! charged to the gates of the cycle's causal path: the chain of toggles
+//! from a primary input to the latest output toggle
+//! ([`SimWorkspace::critical_path_into`]). A gate that toggled off that
+//! chain, say behind a deselected result mux, cannot have set the cycle's
+//! delay, so it is never named a choke gate.
 
 use ntc_netlist::generators::alu::{Alu, AluFunc};
-use ntc_timing::{identify_choke_event, CdlCglProfile, CycleTiming, SimWorkspace, StaticTiming};
+use ntc_timing::{identify_choke_event, CdlCglProfile, SimWorkspace, StaticTiming};
 use ntc_varmodel::{ChipSignature, Corner, VariationParams};
 use ntc_varmodel::rng::SplitMix64;
 use std::collections::HashMap;
@@ -127,7 +134,7 @@ pub fn run_choke_study(
         // observation (checked in debug builds).
         debug_assert!(StaticTiming::analyze(nl, &sig).critical_delay_ps(nl) > 0.0);
         let mut ws = SimWorkspace::new();
-        let mut timing = CycleTiming::default();
+        let mut path = Vec::new();
         let mut per_op: HashMap<AluFunc, CdlCglProfile> = HashMap::new();
         let mut cdl_by_owm: HashMap<AluFunc, (f64, f64)> = HashMap::new();
         for &op in &STUDY_OPS {
@@ -136,14 +143,13 @@ pub fn run_choke_study(
                 continue;
             }
             for &(a1, b1, a2, b2) in &vectors[&op] {
-                // The full-activity path, so `sensitized_gates` below sees
-                // every gate that toggled this cycle.
                 let (init, sens) = (alu.encode(op, a1, b1), alu.encode(op, a2, b2));
-                ws.simulate_pair_into(nl, &sig, &init, &sens, &mut timing);
-                let Some(d_pv) = timing.max_delay_ps else {
+                let Some(d_pv) = ws.simulate_pair_minmax(nl, &sig, &init, &sens).max_ps else {
                     continue;
                 };
-                let sensitized = ws.sensitized_gates(nl);
+                // The gates whose toggles chained to `d_pv`: the only ones
+                // that can have set it.
+                ws.critical_path_into(nl, &sig, &mut path);
                 // A choke path exists when the operation's sensitized delay
                 // overshoots the operation's own nominal critical delay —
                 // the normalization under which the paper's STC ceiling
@@ -151,7 +157,7 @@ pub fn run_choke_study(
                 // path is PV-affected") holds. At NTC our high-CDL band is
                 // open-ended: a single extreme choke gate can multiply a
                 // short path far beyond the paper's 30% axis.
-                if let Some(ev) = identify_choke_event(nl, &sig, &sensitized, d_pv, d_nom) {
+                if let Some(ev) = identify_choke_event(nl, &sig, &path, d_pv, d_nom) {
                     per_op.entry(op).or_default().record(&ev);
                     let slot = cdl_by_owm.entry(op).or_insert((0.0, 0.0));
                     if owm_of(a2, b2, width) {

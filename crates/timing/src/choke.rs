@@ -77,8 +77,8 @@ pub struct ChokeEvent {
     pub cdl_pct: f64,
     /// Choke Gate Level, percent of total logic gates.
     pub cgl_pct: f64,
-    /// The minimal set of sensitized PV-affected gates accounting for the
-    /// overshoot (greedy, largest deviation first).
+    /// The minimal set of PV-affected gates on the cycle's causal path
+    /// accounting for the overshoot (greedy, largest deviation first).
     pub choke_gates: Vec<usize>,
 }
 
@@ -95,17 +95,19 @@ impl ChokeEvent {
 /// * `d_pv_ps` — the cycle's observed (PV-affected) max sensitized delay;
 /// * `d_nominal_ps` — the operation's nominal critical delay on a PV-free
 ///   chip;
-/// * `sensitized` — gate indices that toggled this cycle
-///   ([`SimWorkspace::sensitized_gates`](crate::SimWorkspace::sensitized_gates)).
+/// * `path` — the cycle's causal path: the gates whose toggles chained
+///   from a primary input to the output toggle at `d_pv_ps`
+///   ([`SimWorkspace::critical_path_into`](crate::SimWorkspace::critical_path_into)).
 ///
-/// The choke-gate set is the smallest set of sensitized gates whose delay
+/// The choke-gate set is the smallest set of path gates whose delay
 /// deviations (post-silicon minus nominal), removed, would bring the cycle
 /// back under the nominal critical delay — taking the largest deviations
-/// first. Returns `None` when the cycle does not overshoot.
+/// first. Returns `None` when the cycle does not overshoot, or when no
+/// path gate is slower than nominal.
 pub fn identify_choke_event(
     nl: &Netlist,
     sig: &ChipSignature,
-    sensitized: &[usize],
+    path: &[usize],
     d_pv_ps: f64,
     d_nominal_ps: f64,
 ) -> Option<ChokeEvent> {
@@ -113,8 +115,8 @@ pub fn identify_choke_event(
         return None;
     }
     let overshoot = d_pv_ps - d_nominal_ps;
-    // Positive deviations of sensitized gates, largest first.
-    let mut devs: Vec<(usize, f64)> = sensitized
+    // Positive deviations of path gates, largest first.
+    let mut devs: Vec<(usize, f64)> = path
         .iter()
         .map(|&g| (g, sig.delay_ps(g) - sig.nominal_ps(g)))
         .filter(|(_, d)| *d > 0.0)
@@ -131,8 +133,9 @@ pub fn identify_choke_event(
         choke_gates.push(g);
     }
     if choke_gates.is_empty() {
-        // Overshoot without any slow sensitized gate (cannot happen with a
-        // consistent signature, but guard against numerical noise).
+        // Overshoot without any slow path gate: glitch timing differs
+        // between chips, so the pair's nominal sweep need not toggle along
+        // this path at all.
         return None;
     }
     let cdl_pct = 100.0 * overshoot / d_nominal_ps;

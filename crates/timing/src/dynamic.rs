@@ -44,8 +44,9 @@
 //! # The guarded lean sweep
 //!
 //! The sweep runs in one of two modes. The full sweep, behind
-//! [`SimWorkspace::simulate_pair_into`], evaluates every reachable gate.
-//! The lean sweep, behind
+//! [`SimWorkspace::simulate_pair_into`], evaluates every reachable gate;
+//! it serves only as the lean sweep's test oracle and as the
+//! `choke_buffers` example's per-output view. The lean sweep, behind
 //! [`SimWorkspace::simulate_pair_minmax`], also skips a popped gate when
 //! its entry in the netlist's guard index
 //! ([`Netlist::guard_of_index`]) holds this cycle: the gate is
@@ -83,15 +84,33 @@
 //! output wave, and with it `min_ps`/`max_ps`, is bit-identical to the
 //! full sweep's.
 //!
+//! # The causal path
+//!
+//! [`SimWorkspace::critical_path_into`] walks back from the latest output
+//! toggle to the primary-input toggle that launched it: the cycle's
+//! sensitized critical path, which the choke study charges for an
+//! overshoot. It starts at the first output, in declaration order, whose
+//! last toggle is `max_ps`. A gate `g` emits a toggle at exactly `x +
+//! delay(g)` for a toggle `x` of one of its fanins' final waves, so from a
+//! toggle at `t` the walk steps to the fanin toggle `x` with `(x +
+//! delay(g)).to_bits() == t.to_bits()`, taking the lowest pin, then the
+//! earliest toggle, on a tie. The event cap only drops toggles, so such a
+//! fanin toggle always exists, and each step lowers the gate index, so
+//! the walk ends at a primary input. Summing the path's delays from the
+//! input end, one `+=` per gate starting at `0.0`, reproduces `max_ps`
+//! bit for bit. The lean sweep evaluates every gate on the path: a
+//! skipped gate has an empty wave, and an evaluated gate's toggles come
+//! only from evaluated fanins and primary inputs.
+//!
 //! # Allocation discipline
 //!
 //! All per-net state is inline: a `Wave` holds a fixed-capacity
 //! `[f64; MAX_EVENTS_PER_NET]` instead of a heap `Vec`, a gate's merge
 //! state is three cursors and a 3-bit pin state on the stack, and the
 //! settle/dirty buffers belong to a reusable [`SimWorkspace`], the one
-//! handle on the kernel. After warm-up, its `simulate_pair_minmax` and
-//! `simulate_pair_into` entry points perform zero heap allocations per
-//! call.
+//! handle on the kernel. After warm-up, its `simulate_pair_minmax`,
+//! `simulate_pair_into` and `critical_path_into` entry points perform
+//! zero heap allocations per call.
 
 use ntc_netlist::{Guard, Netlist};
 use ntc_varmodel::ChipSignature;
@@ -154,11 +173,9 @@ pub struct OutputActivity {
 /// Result of simulating one (initializing, sensitizing) vector pair.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CycleTiming {
-    /// Earliest output transition across all primary outputs (`None` if no
-    /// output toggled).
-    pub min_delay_ps: Option<f64>,
-    /// Latest output transition across all primary outputs.
-    pub max_delay_ps: Option<f64>,
+    /// Earliest and latest output transitions across all primary outputs
+    /// (both `None` if no output toggled).
+    pub delays: CycleDelays,
     /// Per-output transition activity, in output declaration order.
     pub outputs: Vec<OutputActivity>,
     /// Total output transitions (a switching-activity proxy for the energy
@@ -204,7 +221,7 @@ pub struct CycleDelays {
 /// let sens = alu.encode(AluFunc::Add, 0xFF, 0x01);
 /// let mut timing = CycleTiming::default();
 /// SimWorkspace::new().simulate_pair_into(alu.netlist(), &chip, &init, &sens, &mut timing);
-/// assert!(timing.max_delay_ps.expect("carry chain toggles") > 0.0);
+/// assert!(timing.delays.max_ps.expect("carry chain toggles") > 0.0);
 /// ```
 #[derive(Debug, Default)]
 pub struct SimWorkspace {
@@ -447,9 +464,7 @@ impl SimWorkspace {
             o.transitions.clear();
             o.transitions.extend_from_slice(toggles);
         }
-        let CycleDelays { min_ps, max_ps } = self.min_max(nl);
-        out.min_delay_ps = min_ps;
-        out.max_delay_ps = max_ps;
+        out.delays = self.min_max(nl);
         out.total_output_transitions = total;
         out.internal_toggles = internal_toggles;
     }
@@ -476,6 +491,51 @@ impl SimWorkspace {
             .filter(|(_, (g, w))| !g.kind().is_pseudo() && w.len > 0)
             .map(|(i, _)| i)
             .collect()
+    }
+
+    /// Write into `path` the causal path of the latest output toggle of
+    /// this workspace's most recent simulation of `nl` under `sig`: the
+    /// gates, output first, whose toggles chained from a primary-input
+    /// toggle to `max_ps` (see the module docs). `path` is left empty when
+    /// no output toggled, or when the latest toggle sits on an output that
+    /// is itself a primary input. Performs no heap allocation once `path`
+    /// has the capacity of the longest path.
+    ///
+    /// Call it after either sweep; the lean sweep evaluates every gate on
+    /// the path, so both give the same path.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the last simulation was of a netlist of another size, or
+    /// if a gate on the path has no fanin toggle one delay before its own,
+    /// which would be a kernel bug.
+    pub fn critical_path_into(&self, nl: &Netlist, sig: &ChipSignature, path: &mut Vec<usize>) {
+        assert_eq!(self.waves.len(), nl.len(), "last simulated another netlist");
+        path.clear();
+        let Some(mut t) = self.min_max(nl).max_ps else {
+            return;
+        };
+        let mut g = nl
+            .outputs()
+            .iter()
+            .map(|s| s.index())
+            .find(|&i| self.waves[i].toggles().last().map(|x| x.to_bits()) == Some(t.to_bits()))
+            .expect("max_ps is some output's last toggle");
+        let gates = nl.gates();
+        while !gates[g].kind().is_pseudo() {
+            path.push(g);
+            let delay = sig.delay_ps(g);
+            // The lowest pin, then its earliest toggle, one delay before t.
+            (g, t) = gates[g]
+                .inputs()
+                .iter()
+                .find_map(|s| {
+                    let w = self.waves[s.index()].toggles();
+                    let x = w.iter().find(|&&x| (x + delay).to_bits() == t.to_bits())?;
+                    Some((s.index(), *x))
+                })
+                .unwrap_or_else(|| panic!("gate {g}: no fanin toggle causes its toggle at {t} ps"));
+        }
     }
 }
 
@@ -530,8 +590,7 @@ mod tests {
         let v = alu.encode(AluFunc::And, 0x3C, 0x5A);
         let timing = full(&mut SimWorkspace::new(), alu.netlist(), &sig, &v, &v);
         assert_eq!(timing.total_output_transitions, 0);
-        assert!(timing.min_delay_ps.is_none());
-        assert!(timing.max_delay_ps.is_none());
+        assert_eq!(timing.delays, CycleDelays::default());
     }
 
     #[test]
@@ -545,7 +604,7 @@ mod tests {
             let init = alu.encode(AluFunc::Mult, 0, 0);
             let sens = alu.encode(AluFunc::Mult, a, b);
             let timing = full(&mut ws, alu.netlist(), &sig, &init, &sens);
-            if let Some(d) = timing.max_delay_ps {
+            if let Some(d) = timing.delays.max_ps {
                 assert!(d <= bound + 1e-6, "dynamic {d} vs static bound {bound}");
             }
         }
@@ -560,7 +619,8 @@ mod tests {
         let init = alu.encode(AluFunc::Add, 0, 0);
         let mut max_delay = |sens: &[bool]| {
             full(&mut ws, alu.netlist(), &sig, &init, sens)
-                .max_delay_ps
+                .delays
+                .max_ps
                 .expect("toggles")
         };
         let long = max_delay(&alu.encode(AluFunc::Add, 0xFF, 0x01));
@@ -610,6 +670,31 @@ mod tests {
     }
 
     #[test]
+    fn critical_path_follows_the_toggle_that_set_max_ps() {
+        // The glitch netlist: y rises one AND delay after `a` (pin 0) and
+        // falls once `a`'s inverse arrives through the buffer (pin 1), so
+        // the latest toggle chains back through pin 1.
+        let mut b = Builder::new();
+        let a = b.input("a");
+        let na = b.not(a);
+        let na2 = b.buf(na);
+        let y = b.and(a, na2);
+        b.output("y", y);
+        let nl = b.finish();
+        let sig = ChipSignature::nominal(&nl, Corner::STC);
+        let mut ws = SimWorkspace::new();
+        let mut path = vec![99];
+        ws.simulate_pair_minmax(&nl, &sig, &[false], &[false]);
+        ws.critical_path_into(&nl, &sig, &mut path);
+        assert!(path.is_empty(), "a quiet cycle has no path");
+        let max_ps = ws.simulate_pair_minmax(&nl, &sig, &[false], &[true]).max_ps;
+        ws.critical_path_into(&nl, &sig, &mut path);
+        assert_eq!(path, [y.index(), na2.index(), na.index()]);
+        let sum = path.iter().rev().fold(0.0, |t, &g| t + sig.delay_ps(g));
+        assert_eq!(Some(sum.to_bits()), max_ps.map(f64::to_bits));
+    }
+
+    #[test]
     fn pv_changes_dynamic_delays() {
         let alu = Alu::new(8);
         let nom = ChipSignature::nominal(alu.netlist(), Corner::NTC);
@@ -617,10 +702,12 @@ mod tests {
         let init = alu.encode(AluFunc::Add, 0, 0);
         let sens = alu.encode(AluFunc::Add, 0xFF, 0x01);
         let d_nom = full(&mut SimWorkspace::new(), alu.netlist(), &nom, &init, &sens)
-            .max_delay_ps
+            .delays
+            .max_ps
             .expect("toggles");
         let d_pv = full(&mut SimWorkspace::new(), alu.netlist(), &pv, &init, &sens)
-            .max_delay_ps
+            .delays
+            .max_ps
             .expect("toggles");
         assert!((d_pv - d_nom).abs() / d_nom > 0.01, "nom {d_nom} pv {d_pv}");
     }
@@ -655,8 +742,8 @@ mod tests {
             let sens = alu.encode(f2, a2, b2);
             let full = full(&mut ws, alu.netlist(), &sig, &init, &sens);
             let lean = ws.simulate_pair_minmax(alu.netlist(), &sig, &init, &sens);
-            assert_eq!(lean.min_ps.map(f64::to_bits), full.min_delay_ps.map(f64::to_bits));
-            assert_eq!(lean.max_ps.map(f64::to_bits), full.max_delay_ps.map(f64::to_bits));
+            let bits = |d: CycleDelays| (d.min_ps.map(f64::to_bits), d.max_ps.map(f64::to_bits));
+            assert_eq!(bits(lean), bits(full.delays));
         }
     }
 
@@ -700,8 +787,10 @@ mod tests {
         let fresh = full(&mut ws, alu.netlist(), &sig, &init, &sens);
         // A dirty, differently-shaped output struct must be fully reset.
         let mut out = CycleTiming {
-            min_delay_ps: Some(-1.0),
-            max_delay_ps: Some(-1.0),
+            delays: CycleDelays {
+                min_ps: Some(-1.0),
+                max_ps: Some(-1.0),
+            },
             outputs: vec![
                 OutputActivity {
                     initial: true,
@@ -733,7 +822,8 @@ mod tests {
             &large.encode(AluFunc::Add, 0, 0),
             &large.encode(AluFunc::Add, 0xFFF, 1),
         )
-        .max_delay_ps;
+        .delays
+        .max_ps;
         let _ = ws.simulate_pair_minmax(
             small.netlist(),
             &sig_s,

@@ -11,7 +11,7 @@
 use ntc_netlist::{CellKind, Netlist};
 use ntc_varmodel::ChipSignature;
 
-use crate::dynamic::{CycleTiming, OutputActivity, MAX_EVENTS_PER_NET};
+use crate::dynamic::{CycleDelays, CycleTiming, OutputActivity, MAX_EVENTS_PER_NET};
 
 #[derive(Debug, Clone, Default)]
 struct RefWave {
@@ -136,8 +136,10 @@ pub(crate) fn simulate_pair_reference(
         .collect();
 
     CycleTiming {
-        min_delay_ps: min_d,
-        max_delay_ps: max_d,
+        delays: CycleDelays {
+            min_ps: min_d,
+            max_ps: max_d,
+        },
         outputs,
         total_output_transitions: total,
         internal_toggles,
@@ -156,14 +158,14 @@ mod tests {
     /// result that differs only in the last ulp still fails.
     fn assert_bit_identical(got: &CycleTiming, want: &CycleTiming, ctx: &str) {
         assert_eq!(
-            got.min_delay_ps.map(f64::to_bits),
-            want.min_delay_ps.map(f64::to_bits),
-            "{ctx}: min_delay_ps"
+            got.delays.min_ps.map(f64::to_bits),
+            want.delays.min_ps.map(f64::to_bits),
+            "{ctx}: min_ps"
         );
         assert_eq!(
-            got.max_delay_ps.map(f64::to_bits),
-            want.max_delay_ps.map(f64::to_bits),
-            "{ctx}: max_delay_ps"
+            got.delays.max_ps.map(f64::to_bits),
+            want.delays.max_ps.map(f64::to_bits),
+            "{ctx}: max_ps"
         );
         assert_eq!(
             got.total_output_transitions, want.total_output_transitions,
@@ -287,12 +289,12 @@ mod tests {
                     let lean = ws.simulate_pair_minmax(&nl, sig, &init, &sens);
                     assert_eq!(
                         lean.min_ps.map(f64::to_bits),
-                        want.min_delay_ps.map(f64::to_bits),
+                        want.delays.min_ps.map(f64::to_bits),
                         "{ctx}: lean min"
                     );
                     assert_eq!(
                         lean.max_ps.map(f64::to_bits),
-                        want.max_delay_ps.map(f64::to_bits),
+                        want.delays.max_ps.map(f64::to_bits),
                         "{ctx}: lean max"
                     );
                 }

@@ -1,6 +1,7 @@
 //! Proves the kernel's allocation discipline: after warm-up, the
-//! workspace entry points (`simulate_pair_minmax`, `simulate_pair_into`)
-//! perform **zero** heap allocations per call on the 64-bit ALU netlist.
+//! workspace entry points (`simulate_pair_minmax`, `simulate_pair_into`,
+//! `critical_path_into`) perform **zero** heap allocations per call on the
+//! 64-bit ALU netlist.
 //!
 //! A thread-local counting allocator wraps the system one; counting only
 //! this thread keeps the measurement immune to libtest's own threads.
@@ -68,10 +69,12 @@ fn steady_state_simulation_allocates_nothing() {
 
     let mut ws = SimWorkspace::new();
     let mut out = CycleTiming::default();
+    let mut path = Vec::new();
     // Warm-up: buffers reach their high-water capacity.
     for sig in [&nominal, &fabricated] {
         for (init, sens) in &pairs {
             let _ = ws.simulate_pair_minmax(alu.netlist(), sig, init, sens);
+            ws.critical_path_into(alu.netlist(), sig, &mut path);
             ws.simulate_pair_into(alu.netlist(), sig, init, sens, &mut out);
         }
     }
@@ -81,14 +84,16 @@ fn steady_state_simulation_allocates_nothing() {
         for sig in [&nominal, &fabricated] {
             for (init, sens) in &pairs {
                 let _ = ws.simulate_pair_minmax(alu.netlist(), sig, init, sens);
+                ws.critical_path_into(alu.netlist(), sig, &mut path);
                 ws.simulate_pair_into(alu.netlist(), sig, init, sens, &mut out);
             }
         }
     }
     let after = allocations();
+    assert!(!path.is_empty(), "the last pair toggles an output");
     assert_eq!(
         after - before,
         0,
-        "steady-state simulate_pair_minmax/simulate_pair_into must not allocate"
+        "steady-state simulate_pair_minmax/critical_path_into/simulate_pair_into must not allocate"
     );
 }

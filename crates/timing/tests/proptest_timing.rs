@@ -192,36 +192,20 @@ fn random_gated_netlist(rng: &mut SplitMix64) -> Netlist {
     b.finish()
 }
 
-/// The lean sweep behind `simulate_pair_minmax` skips gates whose guard
-/// holds; its min/max arrivals must still equal the full sweep's bit for
-/// bit. Random gated netlists at nominal and fabricated delays at both
-/// corners, each pair flipping each input with probability 1/4, then the
-/// 8-bit ALU over all 169 function pairs on three chips.
-#[test]
-fn lean_minmax_matches_full_path_on_gated_netlists() {
-    fn check(
-        ws: &mut SimWorkspace,
-        (nl, sig): (&Netlist, &ChipSignature),
-        init: &[bool],
-        sens: &[bool],
-        what: &dyn Fn() -> String,
-    ) {
-        let full = full(ws, nl, sig, init, sens);
-        let lean = ws.simulate_pair_minmax(nl, sig, init, sens);
-        assert_eq!(
-            lean.min_ps.map(f64::to_bits),
-            full.min_delay_ps.map(f64::to_bits),
-            "min, {}",
-            what()
-        );
-        assert_eq!(
-            lean.max_ps.map(f64::to_bits),
-            full.max_delay_ps.map(f64::to_bits),
-            "max, {}",
-            what()
-        );
-    }
-
+/// The inputs of the lean-sweep property tests: random gated netlists at
+/// nominal and fabricated delays at both corners, each pair flipping each
+/// input with probability 1/4, then the 8-bit ALU over all 169 function
+/// pairs on three chips. `check` gets a workspace reused across one
+/// signature's pairs, the pair, and a description of the case.
+fn for_each_gated_case(
+    mut check: impl FnMut(
+        &mut SimWorkspace,
+        (&Netlist, &ChipSignature),
+        &[bool],
+        &[bool],
+        &dyn Fn() -> String,
+    ),
+) {
     let mut rng = SplitMix64::seed_from_u64(0x71AE_0007);
     for case in 0..1_500 {
         let nl = random_gated_netlist(&mut rng);
@@ -279,6 +263,89 @@ fn lean_minmax_matches_full_path_on_gated_netlists() {
     }
 }
 
+/// The lean sweep behind `simulate_pair_minmax` skips gates whose guard
+/// holds; its min/max arrivals must still equal the full sweep's bit for
+/// bit, on every case of `for_each_gated_case`.
+#[test]
+fn lean_minmax_matches_full_path_on_gated_netlists() {
+    for_each_gated_case(|ws, (nl, sig), init, sens, what| {
+        let full = full(ws, nl, sig, init, sens);
+        let lean = ws.simulate_pair_minmax(nl, sig, init, sens);
+        assert_eq!(
+            lean.min_ps.map(f64::to_bits),
+            full.delays.min_ps.map(f64::to_bits),
+            "min, {}",
+            what()
+        );
+        assert_eq!(
+            lean.max_ps.map(f64::to_bits),
+            full.delays.max_ps.map(f64::to_bits),
+            "max, {}",
+            what()
+        );
+    });
+}
+
+/// `critical_path_into` after the lean sweep names the toggle chain that
+/// set `max_ps`: it starts at the first output whose last toggle is
+/// `max_ps`, steps from each gate to one of its fanins, ends on a gate fed
+/// by a primary input the pair flips, and its delays, summed from the
+/// input end, give `max_ps` bit for bit. Each of its gates also toggles on
+/// the full sweep. Every case of `for_each_gated_case`.
+#[test]
+fn causal_path_chains_an_input_toggle_to_the_latest_output_toggle() {
+    let mut path = Vec::new();
+    for_each_gated_case(|ws, (nl, sig), init, sens, what| {
+        let full = full(ws, nl, sig, init, sens);
+        let toggled = ws.sensitized_gates(nl);
+        let lean = ws.simulate_pair_minmax(nl, sig, init, sens);
+        ws.critical_path_into(nl, sig, &mut path);
+        let Some(max_ps) = lean.max_ps else {
+            assert!(path.is_empty(), "quiet cycle, {}", what());
+            return;
+        };
+        let start = nl
+            .outputs()
+            .iter()
+            .zip(&full.outputs)
+            .find(|(_, o)| o.transitions.last().map(|t| t.to_bits()) == Some(max_ps.to_bits()))
+            .map(|(s, _)| s.index());
+        assert_eq!(path.first().copied(), start, "start, {}", what());
+        for pair in path.windows(2) {
+            let fanins = nl.gates()[pair[0]].inputs();
+            assert!(
+                fanins.iter().any(|s| s.index() == pair[1]),
+                "{} is no fanin of {}, {}",
+                pair[1],
+                pair[0],
+                what()
+            );
+        }
+        let last = nl.gates()[*path.last().expect("nonempty")].inputs();
+        let launched = nl
+            .inputs()
+            .iter()
+            .zip(init.iter().zip(sens))
+            .any(|(s, (a, b))| a != b && last.contains(s));
+        assert!(launched, "no flipped input feeds the path, {}", what());
+        let mut t = 0.0f64;
+        for &g in path.iter().rev() {
+            t += sig.delay_ps(g);
+        }
+        assert_eq!(
+            t.to_bits(),
+            max_ps.to_bits(),
+            "delay sum {t} vs {max_ps}, {}",
+            what()
+        );
+        assert!(
+            path.iter().all(|g| toggled.contains(g)),
+            "a path gate is quiet on the full sweep, {}",
+            what()
+        );
+    });
+}
+
 /// Dynamic sensitized delays never exceed the static critical delay
 /// (static analysis assumes every path sensitizable).
 #[test]
@@ -293,10 +360,10 @@ fn dynamic_bounded_by_static() {
         let init = alu.encode(AluFunc::Buffer, 0, 0);
         let sens = alu.encode(pick_func(&mut rng), rng.gen_u64() & 0xFF, rng.gen_u64() & 0xFF);
         let t = full(&mut SimWorkspace::new(), alu.netlist(), &sig, &init, &sens);
-        if let Some(d) = t.max_delay_ps {
+        if let Some(d) = t.delays.max_ps {
             assert!(d <= bound + 1e-6, "case {case}: dynamic {d} vs static {bound}");
         }
-        if let (Some(lo), Some(hi)) = (t.min_delay_ps, t.max_delay_ps) {
+        if let (Some(lo), Some(hi)) = (t.delays.min_ps, t.delays.max_ps) {
             assert!(lo <= hi + 1e-9, "case {case}");
         }
     }

@@ -47,7 +47,7 @@ fn main() {
     for seed in 0..dice {
         let sig = ChipSignature::fabricate(&padded, Corner::NTC, VariationParams::ntc(), seed);
         ws.simulate_pair_into(&padded, &sig, &prev, &cur, &mut t);
-        let min = t.min_delay_ps.unwrap_or(f64::INFINITY);
+        let min = t.delays.min_ps.unwrap_or(f64::INFINITY);
         let violated = min < hold_ntc;
         violations += violated as u32;
         println!(

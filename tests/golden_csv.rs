@@ -1,11 +1,14 @@
-//! Golden-file regression tests: the fast-scale CSV output of four
-//! experiments is pinned byte-for-byte under `tests/golden/` — per
-//! evaluation chapter, one error-profile figure (`fig3.4`, `fig4.3`) and
-//! one scheme-comparison grid (`fig3.10`: one bare-oracle group of four
-//! schemes; `fig4.10`: buffered Razor/OCST beside bare Trident). Any
-//! change to the device model, timing analysis, trace generation, RNG
-//! streams, delay stream or sweep engine that shifts a single digit
-//! shows up here as a readable diff.
+//! Golden-file regression tests: the fast-scale CSV output of seven
+//! experiments is pinned byte-for-byte under `tests/golden/` — the
+//! circuit-level choke study at both corners (`fig3.2a`, `fig3.2b`: the
+//! choke gate level, which depends on the causal-path walk; `fig3.3`:
+//! the choke delay level, which does not), and per evaluation chapter one
+//! error-profile figure (`fig3.4`, `fig4.3`) and one scheme-comparison
+//! grid (`fig3.10`: one bare-oracle group of four schemes; `fig4.10`:
+//! buffered Razor/OCST beside bare Trident). Any change to the device
+//! model, timing analysis, trace generation, RNG streams, delay stream or
+//! sweep engine that shifts a single digit shows up here as a readable
+//! diff.
 //!
 //! After an *intentional* model change, regenerate the fixtures with:
 //!
@@ -52,6 +55,21 @@ fn check_against_golden(id: &str) {
          regenerate with NTC_UPDATE_GOLDEN=1 and review the diff",
         path.display()
     );
+}
+
+#[test]
+fn fig3_2a_matches_golden_csv() {
+    check_against_golden("fig3.2a");
+}
+
+#[test]
+fn fig3_2b_matches_golden_csv() {
+    check_against_golden("fig3.2b");
+}
+
+#[test]
+fn fig3_3_matches_golden_csv() {
+    check_against_golden("fig3.3");
 }
 
 #[test]

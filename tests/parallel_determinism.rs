@@ -24,13 +24,14 @@ fn csv_of(id: &str, scale: Scale) -> Vec<u8> {
 
 #[test]
 fn experiment_csvs_are_identical_at_any_thread_count() {
-    // Two multi-chip experiments, neither behind a result memo (the
+    // Three multi-chip experiments, none behind a result memo (the
     // scenario engine's grid cache would short-circuit the second run of
     // any run_grid experiment — run_grid_uncached has its own determinism
     // test in scenario_grid.rs). abl.tags folds f64 accuracies across a
     // (mode × benchmark × chip) grid — order-sensitive; abl.window folds
-    // f64 error-population counts over the ch4 bufferless netlist.
-    for id in ["abl.tags", "abl.window"] {
+    // f64 error-population counts over the ch4 bufferless netlist;
+    // fig3.2b merges per-chip choke profiles of the causal-path study.
+    for id in ["abl.tags", "abl.window", "fig3.2b"] {
         runner::set_jobs(1);
         let sequential = csv_of(id, Scale::Fast);
         assert!(!sequential.is_empty(), "{id}: empty CSV");
