@@ -25,7 +25,7 @@
 //! [`ErrorTag::index`].
 
 use crate::scheme::{CycleContext, CycleOutcome, ResilienceScheme};
-use crate::tables::{AssociativeTable, CountingBloom, SetAssociativeTable, TableStats};
+use crate::tables::{AssociativeTable, CountingBloom, SetAssociativeTable};
 use ntc_isa::ErrorTag;
 use ntc_timing::ErrorClass;
 
@@ -128,14 +128,6 @@ impl Dcs {
     /// The table organization.
     pub fn kind(&self) -> CsltKind {
         self.kind
-    }
-
-    /// CSLT lookup statistics.
-    pub fn table_stats(&self) -> TableStats {
-        match &self.table {
-            Cslt::Independent(t) => t.stats(),
-            Cslt::Associative(t) => t.stats(),
-        }
     }
 
     fn lookup(&mut self, tag: &ErrorTag) -> bool {

@@ -13,7 +13,8 @@
 //!   buffers.
 //! * [`baselines`] — Razor, HFG and OCST, the STC state of the art the
 //!   paper compares against.
-//! * [`tag_delay`] — the two-phase delay oracle bridging the gate-level
+//! * [`tag_delay`] — one fabricated die ([`tag_delay::Chip`]) and the
+//!   two-phase delay oracle that reads it, bridging the gate-level
 //!   timing simulation and the million-cycle instruction-level runs.
 //! * [`sim`] — the error-stream simulator and the scheme-free profiler.
 //! * [`scenario`] — the scheme registry ([`scenario::SchemeSpec`]) and the
@@ -67,7 +68,6 @@ pub use scenario::{ChipContext, ParseSchemeError, SchemeSpec, SimAccumulator};
 pub use scheme::{CycleContext, CycleOutcome, ResilienceScheme};
 pub use sim::{profile_errors, run_scheme, ErrorProfile, SimResult};
 pub use tag_delay::{
-    take_oracle_stats, CycleDelays, OracleStats, ShardedDelayCache, SharedDelayCache,
-    TagDelayOracle,
+    take_oracle_stats, Chip, CycleDelays, OracleStats, ShardedDelayCache, TagDelayOracle,
 };
 pub use trident::{Eid, Trident, EID_BITS};

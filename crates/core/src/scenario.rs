@@ -360,43 +360,13 @@ impl SchemeSpec {
 /// Counters add exactly in push order (so integer aggregates are
 /// order-exact and float sums are bit-identical to the sequential fold at
 /// any thread count); per-run ratios are recovered as true means over the
-/// run count.
+/// run count. The fields are public so the experiments crate's persistent
+/// grid cache can write and read them byte-exactly, float sums as bit
+/// patterns.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SimAccumulator {
-    /// Display name of the accumulated scheme (from the first result).
-    scheme: Option<&'static str>,
-    /// Results accumulated so far.
-    runs: u64,
-    /// Summed cycle accounting.
-    cost: RunCost,
-    /// Summed true-prediction stalls.
-    avoided: u64,
-    /// Summed false-positive stalls.
-    false_positives: u64,
-    /// Summed after-the-fact recoveries.
-    recovered: u64,
-    /// Summed silent corruptions.
-    corruptions: u64,
-    /// Summed per-class recoveries.
-    recovered_by_class: [u64; ErrorClass::COUNT],
-    /// Sum of per-run period stretches (divide by `runs` for the mean).
-    stretch_sum: f64,
-    /// Sum of per-run prediction accuracies (divide by `runs`).
-    accuracy_sum: f64,
-    /// The scheme's constant power overhead (from the first result).
-    power_overhead: f64,
-}
-
-/// The exact internal state of a [`SimAccumulator`], with every field
-/// public — the stable decomposition the experiments crate's persistent
-/// grid cache round-trips through its byte-exact on-disk encoding.
-/// [`SimAccumulator::to_parts`] / [`SimAccumulator::from_parts`] are
-/// inverses: an accumulator rebuilt from its parts is indistinguishable
-/// from the original, down to the bit patterns of the float sums.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SimAccumulatorParts {
-    /// Display name of the accumulated scheme (`None` for an empty
-    /// accumulator).
+    /// Display name of the accumulated scheme (from the first result;
+    /// `None` for an empty accumulator).
     pub scheme: Option<&'static str>,
     /// Results accumulated so far.
     pub runs: u64,
@@ -412,50 +382,15 @@ pub struct SimAccumulatorParts {
     pub corruptions: u64,
     /// Summed per-class recoveries.
     pub recovered_by_class: [u64; ErrorClass::COUNT],
-    /// Sum of per-run period stretches.
+    /// Sum of per-run period stretches (divide by `runs` for the mean).
     pub stretch_sum: f64,
-    /// Sum of per-run prediction accuracies.
+    /// Sum of per-run prediction accuracies (divide by `runs`).
     pub accuracy_sum: f64,
-    /// The scheme's constant power overhead.
+    /// The scheme's constant power overhead (from the first result).
     pub power_overhead: f64,
 }
 
 impl SimAccumulator {
-    /// Decompose into [`SimAccumulatorParts`] (all fields public).
-    pub fn to_parts(&self) -> SimAccumulatorParts {
-        SimAccumulatorParts {
-            scheme: self.scheme,
-            runs: self.runs,
-            cost: self.cost,
-            avoided: self.avoided,
-            false_positives: self.false_positives,
-            recovered: self.recovered,
-            corruptions: self.corruptions,
-            recovered_by_class: self.recovered_by_class,
-            stretch_sum: self.stretch_sum,
-            accuracy_sum: self.accuracy_sum,
-            power_overhead: self.power_overhead,
-        }
-    }
-
-    /// Rebuild an accumulator from its parts — the exact inverse of
-    /// [`SimAccumulator::to_parts`].
-    pub fn from_parts(p: SimAccumulatorParts) -> SimAccumulator {
-        SimAccumulator {
-            scheme: p.scheme,
-            runs: p.runs,
-            cost: p.cost,
-            avoided: p.avoided,
-            false_positives: p.false_positives,
-            recovered: p.recovered,
-            corruptions: p.corruptions,
-            recovered_by_class: p.recovered_by_class,
-            stretch_sum: p.stretch_sum,
-            accuracy_sum: p.accuracy_sum,
-            power_overhead: p.power_overhead,
-        }
-    }
-
     /// Fold one run into the accumulator.
     pub fn push(&mut self, r: &SimResult) {
         if self.runs == 0 {
@@ -594,8 +529,7 @@ mod tests {
         weighted.push_weighted(&a, 4);
         weighted.push_weighted(&b, 1);
         assert_eq!(repeated.runs(), weighted.runs());
-        let r = repeated.to_parts();
-        let w = weighted.to_parts();
+        let (r, w) = (&repeated, &weighted);
         assert_eq!(r.cost, w.cost);
         assert_eq!(r.avoided, w.avoided);
         assert_eq!(r.recovered_by_class, w.recovered_by_class);
@@ -726,23 +660,6 @@ mod tests {
         let accuracy = |a: u64, rec: u64| 100.0 * a as f64 / (a + rec) as f64;
         let expect = (accuracy(10, 2) + accuracy(20, 6) + accuracy(30, 10)) / 3.0;
         assert!((acc.mean_prediction_accuracy() - expect).abs() < 1e-12);
-    }
-
-    #[test]
-    fn parts_round_trip_is_exact() {
-        let mut acc = SimAccumulator::default();
-        acc.push(&sample(1.5, 10, 2));
-        acc.push(&sample(1.1, 20, 6));
-        let rebuilt = SimAccumulator::from_parts(acc.to_parts());
-        assert_eq!(rebuilt, acc);
-        assert_eq!(
-            rebuilt.mean_period_stretch().to_bits(),
-            acc.mean_period_stretch().to_bits()
-        );
-        assert_eq!(
-            SimAccumulator::from_parts(SimAccumulator::default().to_parts()),
-            SimAccumulator::default()
-        );
     }
 
     #[test]

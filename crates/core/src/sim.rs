@@ -34,12 +34,6 @@ pub struct SimResult {
 }
 
 impl SimResult {
-    /// Recovered errors of one class.
-    #[inline]
-    pub fn recovered_of(&self, class: ErrorClass) -> u64 {
-        self.recovered_by_class[class.index()]
-    }
-
     /// Prediction accuracy: correctly predicted errors over all true
     /// errors the scheme engaged with (avoided + recovered), per §3.5.2.
     pub fn prediction_accuracy(&self) -> f64 {

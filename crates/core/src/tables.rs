@@ -159,19 +159,6 @@ impl CountingBloom {
     }
 }
 
-/// Statistics shared by the lookup tables.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TableStats {
-    /// Successful lookups.
-    pub hits: u64,
-    /// Failed lookups.
-    pub misses: u64,
-    /// Entries evicted to make room.
-    pub evictions: u64,
-    /// Insertions performed.
-    pub insertions: u64,
-}
-
 /// A bounded fully-associative table with pseudo-LRU replacement: the DCS
 /// **ICSLT** (keyed by the full four-part tag) and Trident's **CET** (keyed
 /// by the EID) are both instances of this structure.
@@ -181,7 +168,6 @@ pub struct AssociativeTable<K: Eq + Hash + Clone, V: Clone> {
     slots: Vec<Option<(K, V)>>,
     index: HashMap<K, usize>,
     lru: PseudoLru,
-    stats: TableStats,
 }
 
 impl<K: Eq + Hash + Clone, V: Clone> AssociativeTable<K, V> {
@@ -197,7 +183,6 @@ impl<K: Eq + Hash + Clone, V: Clone> AssociativeTable<K, V> {
             slots: vec![None; capacity],
             index: HashMap::with_capacity(capacity),
             lru: PseudoLru::new(capacity),
-            stats: TableStats::default(),
         }
     }
 
@@ -216,22 +201,14 @@ impl<K: Eq + Hash + Clone, V: Clone> AssociativeTable<K, V> {
         self.index.is_empty()
     }
 
-    /// Look up a key, updating recency and hit/miss statistics.
+    /// Look up a key, updating recency.
     pub fn lookup(&mut self, key: &K) -> Option<&V> {
-        match self.index.get(key) {
-            Some(&slot) => {
-                self.lru.touch(slot);
-                self.stats.hits += 1;
-                self.slots[slot].as_ref().map(|(_, v)| v)
-            }
-            None => {
-                self.stats.misses += 1;
-                None
-            }
-        }
+        let &slot = self.index.get(key)?;
+        self.lru.touch(slot);
+        self.slots[slot].as_ref().map(|(_, v)| v)
     }
 
-    /// Peek without touching recency or statistics.
+    /// Peek without touching recency.
     pub fn peek(&self, key: &K) -> Option<&V> {
         self.index
             .get(key)
@@ -240,7 +217,6 @@ impl<K: Eq + Hash + Clone, V: Clone> AssociativeTable<K, V> {
 
     /// Insert (or update) an entry; returns the evicted entry, if any.
     pub fn insert(&mut self, key: K, value: V) -> Option<(K, V)> {
-        self.stats.insertions += 1;
         if let Some(&slot) = self.index.get(&key) {
             self.slots[slot] = Some((key, value));
             self.lru.touch(slot);
@@ -255,7 +231,6 @@ impl<K: Eq + Hash + Clone, V: Clone> AssociativeTable<K, V> {
                     .take()
                     .expect("full table has no empty victim");
                 self.index.remove(&old.0);
-                self.stats.evictions += 1;
                 (victim, Some(old))
             }
         };
@@ -263,11 +238,6 @@ impl<K: Eq + Hash + Clone, V: Clone> AssociativeTable<K, V> {
         self.slots[slot] = Some((key, value));
         self.lru.touch(slot);
         evicted
-    }
-
-    /// Lookup/eviction statistics.
-    pub fn stats(&self) -> TableStats {
-        self.stats
     }
 }
 
@@ -313,7 +283,7 @@ impl<S: Eq + Hash + Clone, W: Eq + Hash + Clone> SetAssociativeTable<S, W> {
         self.ways
     }
 
-    /// Whether `(set, way)` is present, updating recency + statistics.
+    /// Whether `(set, way)` is present, updating recency.
     pub fn lookup(&mut self, set: &S, way: &W) -> bool {
         match self.sets.lookup(set) {
             Some(_) => {
@@ -377,11 +347,6 @@ impl<S: Eq + Hash + Clone, W: Eq + Hash + Clone> SetAssociativeTable<S, W> {
             entry.lru.touch(victim);
         }
         displaced
-    }
-
-    /// Lookup/eviction statistics of the set directory.
-    pub fn stats(&self) -> TableStats {
-        self.sets.stats()
     }
 }
 
@@ -449,7 +414,6 @@ mod tests {
         assert_eq!(t.peek(&1), Some(&10));
         assert_eq!(t.peek(&2), None);
         assert_eq!(t.peek(&3), Some(&30));
-        assert_eq!(t.stats().evictions, 1);
     }
 
     #[test]
@@ -463,14 +427,11 @@ mod tests {
 
     #[test]
     fn table_stats_count_hits_misses() {
-        let mut t: AssociativeTable<u32, ()> = AssociativeTable::new(4);
-        t.insert(1, ());
-        let _ = t.lookup(&1);
-        let _ = t.lookup(&2);
-        let s = t.stats();
-        assert_eq!(s.hits, 1);
-        assert_eq!(s.misses, 1);
-        assert_eq!(s.insertions, 1);
+        let mut t: AssociativeTable<u32, u32> = AssociativeTable::new(4);
+        t.insert(1, 10);
+        assert_eq!(t.lookup(&1), Some(&10), "a hit returns the value");
+        assert_eq!(t.lookup(&2), None, "a miss returns nothing");
+        assert_eq!(t.len(), 1, "lookups insert nothing");
     }
 
     #[test]

@@ -4,10 +4,16 @@
 //! timing-error simulation runs at instruction granularity over millions of
 //! cycles (architecture layer).
 //!
+//! **The chip.** A [`Chip`] is one fabricated die: its netlist, its
+//! post-silicon signature, its critical delays and the table of delays
+//! its oracles have simulated. Every [`TagDelayOracle`] reads its chip
+//! through an `Arc<Chip>`, so oracles of one die share that die's parts
+//! and table instead of owning copies.
+//!
 //! **Phase A (lazy, gate-level):** the first time a `(previous, current)`
 //! instruction pair with a given operand bucket is seen, the two vectors
 //! are encoded by [`encode_into`] and pushed through the glitch-aware
-//! kernel ([`SimWorkspace::simulate_pair_minmax`]) against the bound chip
+//! kernel ([`SimWorkspace::simulate_pair_minmax`]) against the chip's
 //! signature, and the resulting min/max sensitized delays are cached.
 //!
 //! **Phase B (instruction-level):** subsequent occurrences replay the
@@ -33,17 +39,17 @@ use ntc_isa::{ErrorTag, Instruction};
 use ntc_netlist::generators::alu::{encode_into, Alu};
 use ntc_netlist::Netlist;
 pub use ntc_timing::CycleDelays;
-use ntc_timing::SimWorkspace;
+use ntc_timing::{SimWorkspace, StaticTiming};
 use ntc_varmodel::telemetry::{self, Counts, Metric};
-use ntc_varmodel::{ChipSignature, Corner};
+use ntc_varmodel::{ChipSignature, Corner, VariationParams};
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Mutex, PoisonError};
 
-/// Key of one entry in a [`SharedDelayCache`]: the tag plus the *full
-/// operand words* of both instructions.
+/// Key of one entry in a chip's [`ShardedDelayCache`]: the tag plus the
+/// *full operand words* of both instructions.
 ///
-/// The shared table deliberately uses a finer key than the per-oracle
+/// The chip's table deliberately uses a finer key than the per-oracle
 /// `(tag, bucket)` cache. A bucket aliases many operand pairs, so a
 /// `(tag, bucket)` entry is path-dependent — it holds the delays of
 /// whichever pair a given oracle happened to simulate first, which is part
@@ -115,17 +121,78 @@ impl ShardedDelayCache {
     }
 }
 
-/// A delay table shared between oracles bound to the *same* fabricated
-/// chip (same netlist + signature), so experiments replaying the same
-/// instruction pairs reuse each other's Phase-A gate simulations instead
-/// of repeating them.
+/// One fabricated die: the netlist it was fabricated from, its
+/// post-silicon signature, its nominal and static critical delays, and
+/// the delay table its oracles share.
 ///
-/// Sharing is sound because a [`SharedDelayKey`] entry is a pure function
-/// of the chip: whichever oracle simulates it first stores exactly the
-/// value every other oracle would have computed from the same pair.
-/// Results are therefore bit-identical with or without a shared cache, at
-/// any thread count — only the number of gate-level simulations changes.
-pub type SharedDelayCache = Arc<ShardedDelayCache>;
+/// Sharing the table is sound because a [`SharedDelayKey`] entry is a
+/// pure function of the chip: whichever oracle simulates it first stores
+/// exactly the value every other oracle would have computed from the same
+/// pair. Results are therefore the same bits however many oracles read
+/// the chip, at any thread count; only the number of gate-level
+/// simulations changes.
+pub struct Chip {
+    netlist: Arc<Netlist>,
+    signature: ChipSignature,
+    /// Operand width of the ALU the netlist implements.
+    width: usize,
+    /// Nominal (PV-free) critical delay: the reference for clock
+    /// selection.
+    nominal_critical_ps: f64,
+    /// Post-silicon static critical delay of this die.
+    static_critical_ps: f64,
+    delays: ShardedDelayCache,
+}
+
+impl std::fmt::Debug for Chip {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Chip")
+            .field("gates", &self.netlist.len())
+            .field("corner", &self.signature.corner())
+            .field("nominal_critical_ps", &self.nominal_critical_ps)
+            .field("static_critical_ps", &self.static_critical_ps)
+            .finish_non_exhaustive()
+    }
+}
+
+impl Chip {
+    /// A die fabricated from `netlist` with `signature`, whose nominal
+    /// (PV-free) critical delay at its corner is `nominal_critical_ps`.
+    /// Runs the chip's one static analysis, for its post-silicon critical
+    /// delay, and starts it with an empty delay table.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the signature length does not match the netlist, or the
+    /// netlist's primary inputs are not exactly the ALU's `op` (4 bits),
+    /// `a` and `b` (`w` bits each), in that order: the layout
+    /// [`encode_into`] writes.
+    pub fn new(netlist: Arc<Netlist>, signature: ChipSignature, nominal_critical_ps: f64) -> Self {
+        assert_eq!(signature.delays_ps().len(), netlist.len());
+        let ports = netlist.input_ports();
+        let width = ports.get(1).map_or(0, |p| p.bits.len());
+        let shape: Vec<(&str, usize)> = ports
+            .iter()
+            .map(|p| (p.name.as_str(), p.bits.len()))
+            .collect();
+        assert!(
+            shape == [("op", 4), ("a", width), ("b", width)]
+                && ports.iter().flat_map(|p| &p.bits).eq(netlist.inputs()),
+            "the oracle encodes the ALU inputs op[4], a[w], b[w] in that order, \
+             not {shape:?}"
+        );
+        let static_critical_ps =
+            StaticTiming::analyze(&netlist, &signature).critical_delay_ps(&netlist);
+        Chip {
+            netlist,
+            signature,
+            width,
+            nominal_critical_ps,
+            static_critical_ps,
+            delays: ShardedDelayCache::default(),
+        }
+    }
+}
 
 /// Oracle efficiency counters: a typed view of the oracle's
 /// [`telemetry`] metrics, from a [`take_oracle_stats`] drain or a
@@ -239,12 +306,10 @@ pub const STREAM_CHUNK: usize = 4_096;
 
 /// The per-chip tag→delay oracle.
 ///
-/// Owns the netlist and its fabricated signature; borrows nothing, so it
-/// can be moved into long-running simulations.
+/// Reads its [`Chip`] through an `Arc` and owns only its own lookup
+/// state, so it can be moved into long-running simulations.
 pub struct TagDelayOracle {
-    netlist: Netlist,
-    signature: ChipSignature,
-    width: usize,
+    chip: Arc<Chip>,
     /// The local `(tag, bucket)` table, dense: one slot per
     /// [`slot_of`] index holding an id into `values`, or [`EMPTY_SLOT`].
     slots: Vec<u16>,
@@ -252,11 +317,6 @@ pub struct TagDelayOracle {
     /// The chunk buffer [`resolve_pairs`](Self::resolve_pairs) fills:
     /// each pair's tag and the id of its delays in `values`.
     chunk: Vec<(ErrorTag, u16)>,
-    shared: Option<SharedDelayCache>,
-    /// Precomputed critical delays (from the chip memo pool); computed on
-    /// demand when absent.
-    nominal_critical_ps: Option<f64>,
-    static_critical_ps: Option<f64>,
     gate_sims: u64,
     /// Reusable kernel buffers: Phase-A simulation allocates nothing in
     /// steady state.
@@ -268,7 +328,7 @@ pub struct TagDelayOracle {
 impl std::fmt::Debug for TagDelayOracle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TagDelayOracle")
-            .field("gates", &self.netlist.len())
+            .field("gates", &self.chip.netlist.len())
             .field("cached", &self.values.len())
             .field("gate_sims", &self.gate_sims)
             .finish_non_exhaustive()
@@ -276,48 +336,30 @@ impl std::fmt::Debug for TagDelayOracle {
 }
 
 impl TagDelayOracle {
-    /// Build an oracle over an EX-stage ALU of the architectural width,
-    /// fabricated as chip `seed` at `corner` with `params` variation.
-    pub fn for_chip(corner: Corner, params: ntc_varmodel::VariationParams, seed: u64) -> Self {
-        let alu = Alu::new(ntc_isa::ARCH_WIDTH);
-        let netlist = alu.into_netlist();
+    /// Build an oracle over a fresh chip, with a delay table of its own:
+    /// an EX-stage ALU of the architectural width, fabricated as chip
+    /// `seed` at `corner` with `params` variation.
+    pub fn for_chip(corner: Corner, params: VariationParams, seed: u64) -> Self {
+        let netlist = Alu::new(ntc_isa::ARCH_WIDTH).into_netlist();
         let signature = ChipSignature::fabricate(&netlist, corner, params, seed);
-        Self::new(netlist, signature)
+        let nominal = ChipSignature::nominal(&netlist, corner);
+        let nominal_critical_ps =
+            StaticTiming::analyze(&netlist, &nominal).critical_delay_ps(&netlist);
+        Self::new(Arc::new(Chip::new(
+            Arc::new(netlist),
+            signature,
+            nominal_critical_ps,
+        )))
     }
 
-    /// Build an oracle from an explicit netlist + signature (e.g. the
-    /// hold-buffered variant used by Razor-style schemes).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the signature length does not match the netlist, or the
-    /// netlist's primary inputs are not exactly the ALU's `op` (4 bits),
-    /// `a` and `b` (`w` bits each), in that order: the layout
-    /// [`encode_into`] writes.
-    pub fn new(netlist: Netlist, signature: ChipSignature) -> Self {
-        assert_eq!(signature.delays_ps().len(), netlist.len());
-        let ports = netlist.input_ports();
-        let width = ports.get(1).map_or(0, |p| p.bits.len());
-        let shape: Vec<(&str, usize)> = ports
-            .iter()
-            .map(|p| (p.name.as_str(), p.bits.len()))
-            .collect();
-        assert!(
-            shape == [("op", 4), ("a", width), ("b", width)]
-                && ports.iter().flat_map(|p| &p.bits).eq(netlist.inputs()),
-            "the oracle encodes the ALU inputs op[4], a[w], b[w] in that order, \
-             not {shape:?}"
-        );
+    /// Build an oracle over `chip`. Its misses go to the chip's delay
+    /// table, which every other oracle of the chip shares.
+    pub fn new(chip: Arc<Chip>) -> Self {
         TagDelayOracle {
-            netlist,
-            signature,
-            width,
+            chip,
             slots: vec![EMPTY_SLOT; ErrorTag::COUNT * BUCKETS_PER_TAG],
             values: Vec::new(),
             chunk: Vec::new(),
-            shared: None,
-            nominal_critical_ps: None,
-            static_critical_ps: None,
             gate_sims: 0,
             workspace: SimWorkspace::new(),
             pi_init: Vec::new(),
@@ -325,50 +367,21 @@ impl TagDelayOracle {
         }
     }
 
-    /// Attach a [`SharedDelayCache`]: misses in the local table consult
-    /// (and populate) the shared one before falling back to gate-level
-    /// simulation. The cache must belong to the same fabricated chip —
-    /// the caller owns that invariant, typically by storing the cache
-    /// alongside the memoized netlist/signature pair.
-    pub fn with_shared_cache(mut self, cache: SharedDelayCache) -> Self {
-        self.shared = Some(cache);
-        self
-    }
-
-    /// Seed the precomputed critical delays (nominal and post-silicon
-    /// static), so the accessors below stop re-running static analysis.
-    /// The values must equal what the accessors would compute.
-    pub fn with_critical_delays(mut self, nominal_ps: f64, static_ps: f64) -> Self {
-        self.nominal_critical_ps = Some(nominal_ps);
-        self.static_critical_ps = Some(static_ps);
-        self
-    }
-
-    /// The nominal (PV-free) critical delay of this oracle's netlist at its
-    /// corner — the reference for clock selection. Answered from the value
-    /// seeded by the chip memo pool when present; otherwise one static
-    /// analysis runs per call.
+    /// The nominal (PV-free) critical delay of the chip's netlist at its
+    /// corner — the reference for clock selection.
     pub fn nominal_critical_delay_ps(&self) -> f64 {
-        self.nominal_critical_ps.unwrap_or_else(|| {
-            let nominal = ChipSignature::nominal(&self.netlist, self.signature.corner());
-            ntc_timing::StaticTiming::analyze(&self.netlist, &nominal)
-                .critical_delay_ps(&self.netlist)
-        })
+        self.chip.nominal_critical_ps
     }
 
     /// The *post-silicon* static critical delay of this chip — what a
     /// worst-case guardbanding controller (HFG) must budget for, since it
-    /// cannot know which paths a workload will sensitize. Seeded by the
-    /// chip memo pool when present.
+    /// cannot know which paths a workload will sensitize.
     pub fn static_critical_delay_ps(&self) -> f64 {
-        self.static_critical_ps.unwrap_or_else(|| {
-            ntc_timing::StaticTiming::analyze(&self.netlist, &self.signature)
-                .critical_delay_ps(&self.netlist)
-        })
+        self.chip.static_critical_ps
     }
 
     /// Sensitized min/max delays for executing `cur` right after `prev` on
-    /// this chip: the local `(tag, bucket)` table, then the shared
+    /// this chip: the local `(tag, bucket)` table, then the chip's
     /// full-operand table, then the exact kernel.
     pub fn delays(&mut self, prev: &Instruction, cur: &Instruction) -> CycleDelays {
         let mut tally = Tally::default();
@@ -428,28 +441,28 @@ impl TagDelayOracle {
             tally.local_hits += 1;
             return self.slots[slot];
         }
-        let mut simulate = || {
+        let chip = &*self.chip;
+        // A hit in the chip's table under the full-operand key is exactly
+        // the result simulating (prev, cur) here would produce, so sharing
+        // changes only the number of simulations, never a delay. An oracle
+        // alone on its chip never hits it: each key it holds came from a
+        // pair that filled this oracle's local slot, which answers first.
+        let key = (tag, prev.a, prev.b, cur.a, cur.b);
+        let (d, simulated) = chip.delays.get_or_simulate(key, || {
             for (i, pis) in [(prev, &mut self.pi_init), (cur, &mut self.pi_sens)] {
                 let (a, b) = (u64::from(i.a), u64::from(i.b));
-                encode_into(self.width, i.opcode.alu_func(), a, b, pis);
+                encode_into(chip.width, i.opcode.alu_func(), a, b, pis);
             }
             // Lean min/max entry point on the owned workspace: no
             // per-miss simulator construction, no per-output activity
             // vectors.
             self.workspace.simulate_pair_minmax(
-                &self.netlist,
-                &self.signature,
+                &chip.netlist,
+                &chip.signature,
                 &self.pi_init,
                 &self.pi_sens,
             )
-        };
-        // A shared hit under the full-operand key is exactly the result
-        // simulating (prev, cur) here would produce, so sharing changes
-        // only the number of simulations, never a delay.
-        let (d, simulated) = match &self.shared {
-            Some(shared) => shared.get_or_simulate((tag, prev.a, prev.b, cur.a, cur.b), simulate),
-            None => (simulate(), true),
-        };
+        });
         if simulated {
             self.gate_sims += 1;
             tally.gate_sims += 1;
@@ -470,9 +483,9 @@ impl TagDelayOracle {
         self.gate_sims
     }
 
-    /// The bound netlist.
+    /// The chip's netlist.
     pub fn netlist(&self) -> &Netlist {
-        &self.netlist
+        &self.chip.netlist
     }
 }
 
@@ -497,7 +510,6 @@ fn slot_of(tag: ErrorTag, bucket: usize, buckets: usize) -> usize {
 mod tests {
     use super::*;
     use ntc_isa::Opcode;
-    use ntc_varmodel::VariationParams;
 
     fn oracle() -> TagDelayOracle {
         TagDelayOracle::for_chip(Corner::NTC, VariationParams::ntc(), 11)
@@ -556,11 +568,15 @@ mod tests {
     #[test]
     fn shared_cache_matches_fresh_oracle_and_skips_simulation() {
         let mut fresh = oracle();
-        let shared: SharedDelayCache = Default::default();
-        let mut warm = TagDelayOracle::for_chip(Corner::NTC, VariationParams::ntc(), 11)
-            .with_shared_cache(shared.clone());
-        let mut reader = TagDelayOracle::for_chip(Corner::NTC, VariationParams::ntc(), 11)
-            .with_shared_cache(shared);
+        let netlist = Alu::new(ntc_isa::ARCH_WIDTH).into_netlist();
+        let signature = ChipSignature::fabricate(&netlist, Corner::NTC, VariationParams::ntc(), 11);
+        let chip = Arc::new(Chip::new(
+            Arc::new(netlist),
+            signature,
+            fresh.nominal_critical_delay_ps(),
+        ));
+        let mut warm = TagDelayOracle::new(chip.clone());
+        let mut reader = TagDelayOracle::new(chip);
         let pairs = [
             (Instruction::new(Opcode::Addu, 0, 0), Instruction::new(Opcode::Addu, u64::MAX, 1)),
             (Instruction::new(Opcode::Mult, 3, 9), Instruction::new(Opcode::Xor, 0xF0F0, 0x0F0F)),
@@ -569,7 +585,7 @@ mod tests {
         for (p, c) in &pairs {
             assert_eq!(warm.delays(p, c), fresh.delays(p, c));
         }
-        // The second shared-cache oracle answers every query without a
+        // The second oracle of the chip answers every query without a
         // single gate-level simulation of its own.
         for (p, c) in &pairs {
             assert_eq!(reader.delays(p, c), fresh.delays(p, c));
@@ -672,7 +688,7 @@ mod tests {
         // buses and bypass selects, which the encoder never writes.
         let ex = ntc_netlist::generators::ex_stage::ExStage::new(32).into_netlist();
         let signature = ChipSignature::nominal(&ex, Corner::NTC);
-        let _ = TagDelayOracle::new(ex, signature);
+        let _ = Chip::new(Arc::new(ex), signature, 1.0);
     }
 
     #[test]

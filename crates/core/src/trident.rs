@@ -20,7 +20,7 @@
 //! recurrent detection/correction penalty entirely.
 
 use crate::scheme::{CycleContext, CycleOutcome, ResilienceScheme};
-use crate::tables::{AssociativeTable, TableStats};
+use crate::tables::AssociativeTable;
 use ntc_isa::{ErrorTag, Instruction, OperandSize};
 use ntc_timing::ErrorClass;
 
@@ -80,16 +80,6 @@ impl Trident {
     /// The configuration the paper settles on: a 128-entry CET (§4.5.3).
     pub fn paper() -> Self {
         Trident::new(128)
-    }
-
-    /// CET lookup statistics.
-    pub fn cet_stats(&self) -> TableStats {
-        self.cet.stats()
-    }
-
-    /// Current CET occupancy.
-    pub fn cet_len(&self) -> usize {
-        self.cet.len()
     }
 }
 

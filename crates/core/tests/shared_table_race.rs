@@ -4,15 +4,16 @@
 //! count never changes the oracle's counters.
 
 use std::collections::HashSet;
-use std::sync::Barrier;
+use std::sync::{Arc, Barrier};
 
-use ntc_core::tag_delay::{SharedDelayCache, TagDelayOracle};
+use ntc_core::tag_delay::{Chip, TagDelayOracle};
 use ntc_isa::{ErrorTag, Instruction};
 use ntc_netlist::generators::alu::Alu;
 use ntc_varmodel::{ChipSignature, Corner, VariationParams};
 use ntc_workload::{Benchmark, TraceGenerator};
 
-/// Rounds, each on a fresh shared table and fresh oracles.
+/// Rounds, each on a fresh chip (so a fresh shared table) and fresh
+/// oracles.
 const ROUNDS: usize = 20;
 
 /// Pairs both workers resolve per round.
@@ -20,9 +21,10 @@ const PAIRS: usize = 24;
 
 #[test]
 fn racing_oracles_simulate_each_shared_key_once() {
-    let netlist = Alu::new(ntc_isa::ARCH_WIDTH).into_netlist();
+    let netlist = Arc::new(Alu::new(ntc_isa::ARCH_WIDTH).into_netlist());
     let signature = ChipSignature::fabricate(&netlist, Corner::NTC, VariationParams::ntc(), 3);
-    let oracle = || TagDelayOracle::new(netlist.clone(), signature.clone());
+    // The nominal critical delay only sets clocks, which this test has none of.
+    let chip = || Arc::new(Chip::new(netlist.clone(), signature.clone(), 1.0));
 
     // The first pair of each distinct tag: every pair misses an oracle's
     // local table and reaches the shared one under a key of its own.
@@ -40,18 +42,18 @@ fn racing_oracles_simulate_each_shared_key_once() {
         .map(|(p, c)| (ErrorTag::of(p, c), p.a, p.b, c.a, c.b))
         .collect();
 
-    let mut unshared = oracle();
+    let mut unshared = TagDelayOracle::new(chip());
     let expected: Vec<_> = pairs.iter().map(|(p, c)| unshared.delays(p, c)).collect();
     assert_eq!(unshared.gate_sim_count(), distinct_keys.len() as u64);
 
     for round in 0..ROUNDS {
-        let table = SharedDelayCache::default();
+        let chip = chip();
         let start = Barrier::new(2);
         let sims: u64 = std::thread::scope(|s| {
             let workers: Vec<_> = (0..2)
                 .map(|_| {
                     s.spawn(|| {
-                        let mut o = oracle().with_shared_cache(table.clone());
+                        let mut o = TagDelayOracle::new(chip.clone());
                         start.wait();
                         let got: Vec<_> = pairs.iter().map(|(p, c)| o.delays(p, c)).collect();
                         assert_eq!(got, expected, "round {round}: shared delays");

@@ -35,7 +35,7 @@
 //! any `--jobs` count (pinned by `tests/grid_cache.rs`).
 
 use crate::scenario::{GridResult, GridSpec};
-use ntc_core::scenario::{SchemeSpec, SimAccumulator, SimAccumulatorParts};
+use ntc_core::scenario::{SchemeSpec, SimAccumulator};
 use ntc_pipeline::RunCost;
 use ntc_varmodel::rng::SplitMix64;
 use ntc_varmodel::telemetry::{self, Counts, Metric};
@@ -216,30 +216,29 @@ pub fn encode(spec: &GridSpec, result: &GridResult) -> Vec<u8> {
         push_str(&mut out, point.name());
         push_u64(&mut out, accs.len() as u64);
         for acc in accs {
-            let p = acc.to_parts();
-            match p.scheme {
+            match acc.scheme {
                 Some(name) => {
                     out.push(1);
                     push_str(&mut out, name);
                 }
                 None => out.push(0),
             }
-            push_u64(&mut out, p.runs);
-            push_u64(&mut out, p.cost.instructions);
-            push_u64(&mut out, p.cost.stall_cycles);
-            push_u64(&mut out, p.cost.flush_cycles);
-            push_u64(&mut out, p.cost.flush_events);
-            push_u64(&mut out, p.avoided);
-            push_u64(&mut out, p.false_positives);
-            push_u64(&mut out, p.recovered);
-            push_u64(&mut out, p.corruptions);
-            push_u64(&mut out, p.recovered_by_class.len() as u64);
-            for c in p.recovered_by_class {
+            push_u64(&mut out, acc.runs);
+            push_u64(&mut out, acc.cost.instructions);
+            push_u64(&mut out, acc.cost.stall_cycles);
+            push_u64(&mut out, acc.cost.flush_cycles);
+            push_u64(&mut out, acc.cost.flush_events);
+            push_u64(&mut out, acc.avoided);
+            push_u64(&mut out, acc.false_positives);
+            push_u64(&mut out, acc.recovered);
+            push_u64(&mut out, acc.corruptions);
+            push_u64(&mut out, acc.recovered_by_class.len() as u64);
+            for &c in &acc.recovered_by_class {
                 push_u64(&mut out, c);
             }
-            push_u64(&mut out, p.stretch_sum.to_bits());
-            push_u64(&mut out, p.accuracy_sum.to_bits());
-            push_u64(&mut out, p.power_overhead.to_bits());
+            push_u64(&mut out, acc.stretch_sum.to_bits());
+            push_u64(&mut out, acc.accuracy_sum.to_bits());
+            push_u64(&mut out, acc.power_overhead.to_bits());
         }
     }
     let sum = fnv1a64(&out);
@@ -392,7 +391,7 @@ fn decode(bytes: &[u8], spec: &GridSpec) -> Decoded {
             let false_positives = want!(r.u64(), "false_positives");
             let recovered = want!(r.u64(), "recovered");
             let corruptions = want!(r.u64(), "corruptions");
-            let mut parts = SimAccumulatorParts {
+            let mut acc = SimAccumulator {
                 scheme,
                 runs,
                 cost,
@@ -406,16 +405,16 @@ fn decode(bytes: &[u8], spec: &GridSpec) -> Decoded {
                 power_overhead: 0.0,
             };
             let n_classes = want!(r.u64(), "class count");
-            if n_classes != parts.recovered_by_class.len() as u64 {
+            if n_classes != acc.recovered_by_class.len() as u64 {
                 return Decoded::Corrupt("error-class count drifted");
             }
-            for slot in parts.recovered_by_class.iter_mut() {
+            for slot in acc.recovered_by_class.iter_mut() {
                 *slot = want!(r.u64(), "class counter");
             }
-            parts.stretch_sum = f64::from_bits(want!(r.u64(), "stretch_sum"));
-            parts.accuracy_sum = f64::from_bits(want!(r.u64(), "accuracy_sum"));
-            parts.power_overhead = f64::from_bits(want!(r.u64(), "power_overhead"));
-            accs.push(SimAccumulator::from_parts(parts));
+            acc.stretch_sum = f64::from_bits(want!(r.u64(), "stretch_sum"));
+            acc.accuracy_sum = f64::from_bits(want!(r.u64(), "accuracy_sum"));
+            acc.power_overhead = f64::from_bits(want!(r.u64(), "power_overhead"));
+            accs.push(acc);
         }
         rows.push((bench, point, accs));
     }

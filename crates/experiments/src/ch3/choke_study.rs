@@ -79,11 +79,7 @@ pub fn run_choke_study(
 ) -> ChokeStudy {
     let alu = Alu::new(width);
     let nl = alu.netlist();
-    let params = if corner.name == "STC" {
-        VariationParams::stc()
-    } else {
-        VariationParams::ntc()
-    };
+    let params = VariationParams::for_corner(corner);
     let nominal = ChipSignature::nominal(nl, corner);
     let mut rng = SplitMix64::seed_from_u64(seed ^ 0x5eed);
 

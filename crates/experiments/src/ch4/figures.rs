@@ -84,11 +84,7 @@ pub fn fig_4_2(scale: Scale) -> ResultTable {
         (alu.netlist(), Corner::STC),
         (&buffered, Corner::STC),
     ] {
-        let params = if corner.name == "STC" {
-            VariationParams::stc()
-        } else {
-            VariationParams::ntc()
-        };
+        let params = VariationParams::for_corner(corner);
         let nominal = ChipSignature::nominal(netlist, corner);
         let mut rng = SplitMix64::seed_from_u64(0x42);
         // Operand sample shared across variants of a row.

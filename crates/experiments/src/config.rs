@@ -10,7 +10,7 @@
 //!   choke-induced minimum violations (choke buffers) appear alongside the
 //!   maximum violations.
 
-use ntc_core::tag_delay::{SharedDelayCache, TagDelayOracle};
+use ntc_core::tag_delay::{Chip, TagDelayOracle};
 use ntc_netlist::buffer_insertion::insert_hold_buffers;
 use ntc_netlist::generators::alu::Alu;
 use ntc_netlist::Netlist;
@@ -227,34 +227,20 @@ impl ClockRegime {
     }
 }
 
-/// Everything that is a pure function of one fabricated chip: its padded
-/// (or bare) netlist, its fabricated signature, the delay table its
-/// oracles fill in, and the static-timing summaries every consumer needs.
-/// Memoized so experiments sharing a chip neither re-fabricate it, repeat
-/// each other's Phase-A gate simulations, nor re-run static analysis per
-/// call site.
-struct ChipBlank {
-    netlist: Arc<Netlist>,
-    signature: ChipSignature,
-    delays: SharedDelayCache,
-    /// Nominal (PV-free) critical delay of this netlist variant.
-    nominal_critical_ps: f64,
-    /// Post-silicon static critical delay of this fabricated chip.
-    static_critical_ps: f64,
-}
-
 /// Memo key: everything [`build_oracle`] folds into the chip — the
 /// corner (`vdd` as a bit pattern, so custom corners of the voltage
 /// sweep compare exactly), the seed, the topology, and the
 /// selective-hardening count (0 = the stock chip).
 type ChipKey = (u64, &'static str, u64, TopoKey, usize);
 
-/// Chip blanks. Measured working sets with `--no-cache`: the fast suite
-/// builds 36 (66 under a 4-point `--vdd`, 106 under all 8 roster
-/// points), the full fig3.10 grid 5. A blank holds a shared netlist, a
-/// signature and a delay table capped at 16,384 entries, so the cap
-/// bounds the bytes too.
-static CHIP_BLANKS: Memo<ChipKey, Arc<ChipBlank>> = Memo::new(128);
+/// Fabricated chips, memoized so experiments sharing a chip neither
+/// re-fabricate it, repeat each other's Phase-A gate simulations, nor
+/// re-run its static analysis. Measured working sets with `--no-cache`:
+/// the fast suite builds 36 (66 under a 4-point `--vdd`, 106 under all 8
+/// roster points), the full fig3.10 grid 5. A chip holds its topology's
+/// shared netlist, a signature and a delay table capped at 16,384
+/// entries, so the cap bounds the bytes too.
+static CHIP_BLANKS: Memo<ChipKey, Arc<Chip>> = Memo::new(128);
 
 /// Topology key: the netlist variant is corner-free (see
 /// [`build_topology`]), so only the variant selector and the hold
@@ -270,9 +256,9 @@ static TOPOLOGIES: Memo<TopoKey, Arc<Netlist>> = Memo::new(8);
 /// off. The fast suite builds 3, 24 under all 8 roster points.
 static NOMINAL_ANCHORS: Memo<(TopoKey, u64), f64> = Memo::new(32);
 
-/// `(name, (entries held now, cap))` of every process memo: the chip
-/// blanks, topologies and nominal anchors here, the grids of
-/// [`crate::scenario::run_grid`] and the traces of
+/// `(name, (entries held now, cap))` of every process memo: the chips
+/// (`memo_chip_blanks`), topologies and nominal anchors here, the grids
+/// of [`crate::scenario::run_grid`] and the traces of
 /// [`ntc_workload::TraceSource`]. The serve daemon's `stats` op reports
 /// the entries under these names.
 pub fn memo_occupancy() -> [(&'static str, (usize, usize)); 5] {
@@ -333,32 +319,22 @@ fn nominal_critical_ps(buffered: bool, regime: ClockRegime, corner: Corner) -> f
     })
 }
 
-fn variation_params(corner: Corner) -> VariationParams {
-    // Variation amplification is a near-threshold effect: points in the
-    // upper part of the roster behave like the super-threshold corner
-    // (same policy the voltage-sweep extension applies to its custom
-    // corners).
-    if corner.vdd > 0.7 {
-        VariationParams::stc()
-    } else {
-        VariationParams::ntc()
-    }
-}
-
+/// The memoized chip `seed` at `corner` on the chosen topology, with its
+/// `hardened` slowest choke gates de-rated (0 = the stock chip).
 fn chip_blank(
     corner: Corner,
     seed: u64,
     buffered: bool,
     regime: ClockRegime,
     hardened: usize,
-) -> Arc<ChipBlank> {
+) -> Arc<Chip> {
     let topo = topo_key(buffered, regime);
     let key: ChipKey = (corner.vdd.to_bits(), corner.name, seed, topo, hardened);
     CHIP_BLANKS.get_or_init(&key, || {
         let netlist = topology(buffered, regime);
         let nominal_critical_ps = nominal_critical_ps(buffered, regime, corner);
         let mut signature =
-            ChipSignature::fabricate(&netlist, corner, variation_params(corner), seed);
+            ChipSignature::fabricate(&netlist, corner, VariationParams::for_corner(corner), seed);
         if hardened > 0 {
             // Selective hardening: the top-k slowest choke gates (by
             // delay multiplier, slowest first; stable on index for ties)
@@ -374,17 +350,7 @@ fn chip_blank(
             slow.truncate(hardened);
             signature.inject_choke(&slow, 1.0);
         }
-        // One static analysis per chip, hoisted here from the per-call
-        // accessors.
-        let static_critical_ps =
-            StaticTiming::analyze(&netlist, &signature).critical_delay_ps(&netlist);
-        Arc::new(ChipBlank {
-            netlist,
-            signature,
-            delays: SharedDelayCache::default(),
-            nominal_critical_ps,
-            static_critical_ps,
-        })
+        Arc::new(Chip::new(netlist, signature, nominal_critical_ps))
     })
 }
 
@@ -397,21 +363,20 @@ fn chip_blank(
 /// nominal delays, which is exactly why post-silicon choke buffers defeat
 /// the fix.
 ///
-/// Chips are memoized: repeat calls clone the fabricated netlist and
-/// signature, and every oracle for the same chip shares one
-/// [`SharedDelayCache`] and the chip's critical delays, so experiments
-/// reuse each other's Phase-A gate simulations and static analyses.
-/// Results are bit-identical either way: the delay table is a pure
-/// function of the chip.
+/// Chips are memoized: every oracle for the same chip reads one
+/// [`Chip`], its netlist, signature, critical delays and delay table, so
+/// experiments reuse each other's Phase-A gate simulations and static
+/// analyses. Results are bit-identical either way: the delay table is a
+/// pure function of the chip.
 pub fn build_oracle(corner: Corner, seed: u64, buffered: bool, regime: ClockRegime) -> TagDelayOracle {
-    oracle_from_blank(chip_blank(corner, seed, buffered, regime, 0))
+    TagDelayOracle::new(chip_blank(corner, seed, buffered, regime, 0))
 }
 
 /// [`build_oracle`] for a selectively-hardened variant of the same chip:
 /// fabrication is identical, then the `top_k` slowest choke gates are
 /// de-rated to their nominal delay before static analysis — the
 /// `harden-choke` ablation's what-if silicon. Hardened variants are
-/// memoized alongside the stock blanks (distinct memo key), so they
+/// memoized alongside the stock chips (distinct memo key), so they
 /// share nothing with — and never perturb — the stock chip's delay
 /// tables.
 pub fn build_hardened_oracle(
@@ -422,13 +387,7 @@ pub fn build_hardened_oracle(
     top_k: usize,
 ) -> TagDelayOracle {
     assert!(top_k > 0, "a hardened chip de-rates at least one gate");
-    oracle_from_blank(chip_blank(corner, seed, buffered, regime, top_k))
-}
-
-fn oracle_from_blank(blank: Arc<ChipBlank>) -> TagDelayOracle {
-    TagDelayOracle::new((*blank.netlist).clone(), blank.signature.clone())
-        .with_shared_cache(blank.delays.clone())
-        .with_critical_delays(blank.nominal_critical_ps, blank.static_critical_ps)
+    TagDelayOracle::new(chip_blank(corner, seed, buffered, regime, top_k))
 }
 
 /// Normalize a series against its first element (the figures normalize
@@ -524,13 +483,20 @@ mod tests {
         let hard = build_hardened_oracle(Corner::NTC, 7171, false, CH4_REGIME, 8);
         // De-rating gates to nominal can only shrink static timing.
         assert!(hard.static_critical_delay_ps() <= stock.static_critical_delay_ps());
-        // Distinct memo entries: the hardened blank must not have
-        // replaced the stock chip's.
+        // Distinct memo entries: the hardened chip must not have
+        // replaced the stock one.
         let stock_again = build_oracle(Corner::NTC, 7171, false, CH4_REGIME);
         assert_eq!(
             stock_again.static_critical_delay_ps(),
             stock.static_critical_delay_ps()
         );
+    }
+
+    #[test]
+    fn oracles_of_one_chip_share_one_netlist() {
+        let a = build_oracle(Corner::NTC, 4244, true, CH4_REGIME);
+        let b = build_oracle(Corner::NTC, 4244, true, CH4_REGIME);
+        assert!(std::ptr::eq(a.netlist(), b.netlist()), "no per-oracle copy");
     }
 
     #[test]
@@ -545,7 +511,7 @@ mod tests {
         let mut second = build_oracle(Corner::NTC, 4242, false, CH3_REGIME);
         assert_eq!(second.delays(&prev, &cur), d);
         assert_eq!(second.gate_sim_count(), 0, "warm via the shared cache");
-        // …while a different chip gets its own blank and simulates.
+        // …while a different chip gets its own table and simulates.
         let mut other = build_oracle(Corner::NTC, 4243, false, CH3_REGIME);
         let _ = other.delays(&prev, &cur);
         assert_eq!(other.gate_sim_count(), 1);

@@ -19,12 +19,13 @@ use crate::table::ResultTable;
 use ntc_core::baselines::Razor;
 use ntc_core::dcs::Dcs;
 use ntc_core::sim::run_scheme;
-use ntc_core::tag_delay::TagDelayOracle;
+use ntc_core::tag_delay::{Chip, TagDelayOracle};
 use ntc_netlist::generators::alu::Alu;
 use ntc_pipeline::Pipeline;
 use ntc_timing::{ClockSpec, StaticTiming};
 use ntc_varmodel::{at_condition, ChipSignature, Corner, OperatingCondition, VariationParams};
 use ntc_workload::{Benchmark, TraceGenerator};
+use std::sync::Arc;
 
 /// Voltage sweep: per supply point, the nominal delay factor, energy per
 /// operation (∝ Vdd²), a razor-style error rate on a fabricated chip, and
@@ -35,7 +36,7 @@ pub fn voltage_sweep(scale: Scale) -> ResultTable {
         "Supply-voltage sweep: delay, energy/op, error rate, relative EDP",
         ["delay factor", "energy/op", "error %", "rel EDP"],
     );
-    let alu = Alu::new(ntc_isa::ARCH_WIDTH);
+    let netlist = Arc::new(Alu::new(ntc_isa::ARCH_WIDTH).into_netlist());
     let trace = TraceGenerator::new(Benchmark::Gzip, 5).trace(scale.cycles() / 10);
     // One sweep task per supply point; `sweep_over` returns rows in key
     // order, so the table reads top-to-bottom from STC to deep NTC exactly
@@ -43,15 +44,12 @@ pub fn voltage_sweep(scale: Scale) -> ResultTable {
     let vdds = [0.80f64, 0.65, 0.55, 0.45, 0.42];
     let rows = sweep_over(&vdds, |_, &vdd| {
         let corner = Corner::custom(vdd);
-        let params = if vdd > 0.7 {
-            VariationParams::stc()
-        } else {
-            VariationParams::ntc()
-        };
-        let nominal = ChipSignature::nominal(alu.netlist(), corner);
-        let crit = StaticTiming::analyze(alu.netlist(), &nominal).critical_delay_ps(alu.netlist());
-        let sig = ChipSignature::fabricate(alu.netlist(), corner, params, 5);
-        let mut oracle = TagDelayOracle::new(alu.netlist().clone(), sig);
+        let nominal = ChipSignature::nominal(&netlist, corner);
+        let crit = StaticTiming::analyze(&netlist, &nominal).critical_delay_ps(&netlist);
+        let sig =
+            ChipSignature::fabricate(&netlist, corner, VariationParams::for_corner(corner), 5);
+        let chip = Chip::new(netlist.clone(), sig, crit);
+        let mut oracle = TagDelayOracle::new(Arc::new(chip));
         let clock = ClockSpec {
             period_ps: crit * 1.10,
             hold_ps: crit * 0.10,
@@ -81,11 +79,10 @@ pub fn aging_adaptation(scale: Scale) -> ResultTable {
         "DCS across chip lifetime: errors and penalty per phase",
         ["errors", "recovered", "penalty"],
     );
-    let alu = Alu::new(ntc_isa::ARCH_WIDTH);
-    let fresh_sig =
-        ChipSignature::fabricate(alu.netlist(), Corner::NTC, VariationParams::ntc(), 7);
-    let nominal = ChipSignature::nominal(alu.netlist(), Corner::NTC);
-    let crit = StaticTiming::analyze(alu.netlist(), &nominal).critical_delay_ps(alu.netlist());
+    let netlist = Arc::new(Alu::new(ntc_isa::ARCH_WIDTH).into_netlist());
+    let fresh_sig = ChipSignature::fabricate(&netlist, Corner::NTC, VariationParams::ntc(), 7);
+    let nominal = ChipSignature::nominal(&netlist, Corner::NTC);
+    let crit = StaticTiming::analyze(&netlist, &nominal).critical_delay_ps(&netlist);
     let clock = ClockSpec {
         period_ps: crit * 1.10,
         hold_ps: crit * 0.10,
@@ -96,7 +93,8 @@ pub fn aging_adaptation(scale: Scale) -> ResultTable {
 
     // Phase 1: fresh silicon, cold DCS.
     let mut dcs = Dcs::icslt_default();
-    let mut oracle = TagDelayOracle::new(alu.netlist().clone(), fresh_sig.clone());
+    let fresh_chip = Chip::new(netlist.clone(), fresh_sig.clone(), crit);
+    let mut oracle = TagDelayOracle::new(Arc::new(fresh_chip));
     let fresh = run_scheme(&mut dcs, &mut oracle, &trace, clock, pipe);
     t.push_row(
         "fresh, cold DCS",
@@ -111,14 +109,14 @@ pub fn aging_adaptation(scale: Scale) -> ResultTable {
     // (its CSLT already knows the fresh-chip choke tags; aging magnifies
     // them and adds a few new ones it must learn incrementally).
     let aged_sig = at_condition(
-        alu.netlist(),
+        &netlist,
         &fresh_sig,
         OperatingCondition {
             age_hours: 3.0 * 8760.0,
             ..OperatingCondition::nominal()
         },
     );
-    let mut aged_oracle = TagDelayOracle::new(alu.netlist().clone(), aged_sig);
+    let mut aged_oracle = TagDelayOracle::new(Arc::new(Chip::new(netlist, aged_sig, crit)));
     let warm = run_scheme(&mut dcs, &mut aged_oracle, &trace, clock, pipe);
     t.push_row(
         "aged, warm DCS",

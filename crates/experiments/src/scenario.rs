@@ -229,26 +229,6 @@ impl GridResult {
         out
     }
 
-    /// One benchmark's accumulators, in scheme order — the legacy
-    /// single-voltage accessor the per-chapter figures chart through.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the benchmark was not part of the grid, or if the grid
-    /// swept more than one operating point (use [`GridResult::cell`]).
-    pub fn benchmark(&self, bench: Benchmark) -> &[SimAccumulator] {
-        let mut matches = self.rows.iter().filter(|(b, _, _)| *b == bench);
-        let first = matches
-            .next()
-            .unwrap_or_else(|| panic!("benchmark {} not in this grid", bench.name()));
-        assert!(
-            matches.next().is_none(),
-            "benchmark {} spans multiple operating points; address a (benchmark, voltage) cell",
-            bench.name()
-        );
-        &first.2
-    }
-
     /// One (benchmark, operating point) row's accumulators, in scheme
     /// order.
     ///

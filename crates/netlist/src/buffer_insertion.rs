@@ -262,11 +262,6 @@ fn effective_min_arrivals(
     arr
 }
 
-/// Backwards-compatible helper: earliest nominal arrival per signal.
-pub fn nominal_min_arrivals(nl: &Netlist) -> Vec<f64> {
-    nominal_arrivals(nl).0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -7,7 +7,6 @@
 //! `ntc-timing` relies on.
 
 use crate::cell::CellKind;
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -157,8 +156,8 @@ pub struct Netlist {
     fanout_offsets: Vec<u32>,
     fanout_targets: Vec<u32>,
     /// One [`Guard`] per gate, built once in [`Builder::finish`] from the
-    /// fanout index. Shared, not copied, by clones: callers clone one
-    /// netlist per fabricated chip, and the index never changes.
+    /// fanout index. It never changes, so clones share it instead of
+    /// copying it.
     guards: Arc<[Guard]>,
 }
 
@@ -383,17 +382,6 @@ impl Netlist {
             }
         }
         Ok(())
-    }
-
-    /// Histogram of logic-cell usage, e.g. for library reports.
-    pub fn cell_histogram(&self) -> HashMap<CellKind, usize> {
-        let mut h = HashMap::new();
-        for g in &self.gates {
-            if !g.kind.is_pseudo() {
-                *h.entry(g.kind).or_insert(0) += 1;
-            }
-        }
-        h
     }
 
     /// Total standard-cell area in square micrometres.

@@ -4,8 +4,10 @@
 //! "statistical dynamic timing analysis tool" the paper's circuit layer is
 //! built around.
 //!
-//! * [`sta`] — static min/max arrival analysis and critical-path extraction
-//!   under a per-chip delay signature;
+//! * [`sta`] — static max-arrival analysis under a per-chip delay
+//!   signature, and the critical delay it gives;
+//! * [`paths`] — the K most critical paths and their slacks, for
+//!   inspecting one die;
 //! * [`dynamic`] — glitch-aware two-vector (initializing + sensitizing)
 //!   timing simulation, driven through one [`SimWorkspace`], producing
 //!   min/max output arrivals or per-output transition waveforms;
@@ -57,4 +59,4 @@ pub use choke::{identify_choke_event, CdlCategory, CdlCglProfile, ChokeEvent, AL
 pub use dynamic::{CycleDelays, CycleTiming, OutputActivity, SimWorkspace, MAX_EVENTS_PER_NET};
 pub use errors::{classify_cycle, classify_stream, ClockSpec, CycleViolation, ErrorClass};
 pub use paths::{k_critical_paths, RankedPath, SlackReport};
-pub use sta::{StaticTiming, TimingPath};
+pub use sta::StaticTiming;

@@ -1,7 +1,7 @@
 //! Path enumeration and slack reporting: the K most-critical paths of a
 //! netlist under a chip signature, with per-path choke-gate annotation.
 //!
-//! Static arrival analysis (see [`crate::sta`]) gives one critical path;
+//! Static arrival analysis (see [`crate::sta`]) gives one critical delay;
 //! post-silicon debugging of choke points needs the *population* of
 //! near-critical paths — which paths a choke gate newly promoted, how much
 //! slack the runner-up paths have, and which gates dominate each path's

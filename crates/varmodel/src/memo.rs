@@ -1,5 +1,5 @@
 //! A bounded, build-once memo for values that are pure functions of
-//! their key: every process memo of the stack (grids, chip blanks,
+//! their key: every process memo of the stack (grids, chips,
 //! topologies, nominal clock anchors, traces) is a `static` [`Memo`],
 //! and each serve daemon keeps one of experiment tables.
 //! Past its cap the least recently used key is dropped, and asking for

@@ -132,12 +132,6 @@ impl ChipSignature {
             .collect()
     }
 
-    /// Fraction of logic gates that are slow choke gates, in percent — the
-    /// raw material of the CGL (Choke Gate Level) metric.
-    pub fn slow_choke_fraction_pct(&self, nl: &Netlist) -> f64 {
-        100.0 * self.slow_choke_gates().len() as f64 / nl.logic_gate_count().max(1) as f64
-    }
-
     /// Overwrite the delays of selected gates with `multiplier × nominal`.
     ///
     /// This is the *controlled choke-injection* mode used by Fig. 4.2,

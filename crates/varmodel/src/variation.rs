@@ -50,6 +50,18 @@ impl VariationParams {
         }
     }
 
+    /// The setting a die fabricated for `corner` gets: [`stc`](Self::stc)
+    /// above 0.7 V, [`ntc`](Self::ntc) at and below it. Variation
+    /// amplification is a near-threshold effect, so the upper part of the
+    /// supply roster behaves like the super-threshold corner.
+    pub fn for_corner(corner: Corner) -> Self {
+        if corner.vdd > 0.7 {
+            Self::stc()
+        } else {
+            Self::ntc()
+        }
+    }
+
     /// Variation disabled (PV-free reference chip).
     pub fn none() -> Self {
         VariationParams {

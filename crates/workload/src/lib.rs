@@ -325,11 +325,6 @@ impl TraceGenerator {
         }
     }
 
-    /// The benchmark this generator models.
-    pub fn benchmark(&self) -> Benchmark {
-        self.benchmark
-    }
-
     /// Generate the next dynamic instruction.
     pub fn next_instruction(&mut self) -> Instruction {
         if self.cur_pos >= self.blocks[self.cur_block].len() {

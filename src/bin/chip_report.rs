@@ -10,11 +10,37 @@
 //! post-silicon report: choke-gate census, critical-delay inflation, the K
 //! most-critical paths with their dominating gates, and the worst slack
 //! endpoints. Optionally dumps the netlist as structural Verilog.
+//!
+//! Exit codes:
+//!
+//! * `0` — the report was printed (and the Verilog file written);
+//! * `1` — the Verilog file could not be written;
+//! * `2` — usage error: an unknown flag, a missing value, a seed that is
+//!   not an unsigned integer, a width outside 2..=64, a path count below
+//!   1, or a corner other than `ntc`/`stc`. The message names the flag
+//!   and nothing is printed to stdout.
 
 use ntc_choke::netlist::generators::alu::Alu;
 use ntc_choke::netlist::verilog;
 use ntc_choke::timing::{k_critical_paths, SlackReport, StaticTiming};
 use ntc_choke::varmodel::{ChipSignature, Corner, VariationParams};
+use std::io::Write;
+
+/// Report a usage error on stderr and exit with code 2.
+fn usage_error(message: &str) -> ! {
+    eprintln!("{message}; try --help");
+    std::process::exit(2);
+}
+
+/// `value` of `flag` parsed as a number that `valid` accepts, or a usage
+/// error saying the flag expects `want`.
+fn number<T: std::str::FromStr>(flag: &str, value: &str, valid: fn(&T) -> bool, want: &str) -> T {
+    value
+        .parse()
+        .ok()
+        .filter(valid)
+        .unwrap_or_else(|| usage_error(&format!("{flag} expects {want}, not `{value}`")))
+}
 
 fn main() {
     let mut seed = 1u64;
@@ -26,19 +52,25 @@ fn main() {
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         let mut value = |name: &str| {
-            args.next().unwrap_or_else(|| {
-                eprintln!("{name} requires a value");
-                std::process::exit(2);
-            })
+            args.next()
+                .unwrap_or_else(|| usage_error(&format!("{name} requires a value")))
         };
         match arg.as_str() {
-            "--seed" => seed = value("--seed").parse().expect("numeric seed"),
-            "--width" => width = value("--width").parse().expect("numeric width"),
-            "--paths" => k = value("--paths").parse().expect("numeric path count"),
+            "--seed" => seed = number("--seed", &value("--seed"), |_| true, "an unsigned integer"),
+            "--width" => {
+                width = number(
+                    "--width",
+                    &value("--width"),
+                    |w| (2..=64).contains(w),
+                    "a width from 2 to 64",
+                )
+            }
+            "--paths" => k = number("--paths", &value("--paths"), |&k| k >= 1, "at least 1"),
             "--corner" => {
                 corner = match value("--corner").as_str() {
+                    "ntc" | "NTC" => Corner::NTC,
                     "stc" | "STC" => Corner::STC,
-                    _ => Corner::NTC,
+                    other => usage_error(&format!("--corner expects ntc or stc, not `{other}`")),
                 }
             }
             "--verilog" => verilog_out = Some(value("--verilog")),
@@ -49,22 +81,14 @@ fn main() {
                 );
                 return;
             }
-            other => {
-                eprintln!("unknown argument `{other}`; try --help");
-                std::process::exit(2);
-            }
+            other => usage_error(&format!("unknown argument `{other}`")),
         }
     }
 
     let alu = Alu::new(width);
     let nl = alu.netlist();
-    let params = if corner.name == "STC" {
-        VariationParams::stc()
-    } else {
-        VariationParams::ntc()
-    };
     let nominal = ChipSignature::nominal(nl, corner);
-    let chip = ChipSignature::fabricate(nl, corner, params, seed);
+    let chip = ChipSignature::fabricate(nl, corner, VariationParams::for_corner(corner), seed);
 
     let d_nom = StaticTiming::analyze(nl, &nominal).critical_delay_ps(nl);
     let d_pv = StaticTiming::analyze(nl, &chip).critical_delay_ps(nl);
@@ -114,9 +138,15 @@ fn main() {
     );
 
     if let Some(path) = verilog_out {
-        let file = std::fs::File::create(&path).expect("create verilog file");
-        verilog::write_verilog(nl, "ntc_alu", std::io::BufWriter::new(file))
-            .expect("write verilog");
+        let written = std::fs::File::create(&path).and_then(|file| {
+            let mut w = std::io::BufWriter::new(file);
+            verilog::write_verilog(nl, "ntc_alu", &mut w)?;
+            w.flush()
+        });
+        if let Err(e) = written {
+            eprintln!("cannot write {path}: {e}");
+            std::process::exit(1);
+        }
         println!("\n  netlist written to {path}");
     }
 }
