@@ -158,13 +158,15 @@ grep -Eq '"corrupt_evictions":[1-9][0-9]*,' target/repro-ci-evict/manifest.json
 ls target/repro-ci-cache/*.grid.corrupt >/dev/null
 
 echo "==> voltage axis: 4-point grid, cached byte-identically, old schema ignored"
-# A four-point --vdd sweep through a fresh cache dir, twice: the warm run
-# must reproduce the cold CSV byte-for-byte from the disk tier, per-point
-# rows must be labelled, and the manifest must count cells per point.
+# A four-point --vdd sweep through a fresh cache dir, twice: the cold and
+# the warm CSV must both equal the pinned 4-point golden (every row
+# labelled `bench @ vX.XX`, every value), the warm one from the disk tier,
+# and the manifest must count cells per point.
 rm -rf target/repro-ci-vdd-cache target/repro-ci-vdd-cold target/repro-ci-vdd-warm
 ./target/release/repro --fast --vdd ntc,v0.55,v0.65,stc \
   --cache-dir target/repro-ci-vdd-cache --out target/repro-ci-vdd-cold \
   fig3.10 >/dev/null
+cmp target/repro-ci-vdd-cold/fig3_10.csv tests/golden/vdd/fig3_10.csv
 grep -q '@ v0.55' target/repro-ci-vdd-cold/fig3_10.csv
 grep -q '@ v0.80' target/repro-ci-vdd-cold/fig3_10.csv
 grep -q '"voltages":{"v0.45":' target/repro-ci-vdd-cold/manifest.json
@@ -177,6 +179,7 @@ NTC_VDD=ntc,v0.55,v0.65,stc ./target/release/repro --fast \
   --cache-dir target/repro-ci-vdd-cache --out target/repro-ci-vdd-warm \
   fig3.10 >/dev/null
 cmp target/repro-ci-vdd-cold/fig3_10.csv target/repro-ci-vdd-warm/fig3_10.csv
+cmp target/repro-ci-vdd-warm/fig3_10.csv tests/golden/vdd/fig3_10.csv
 grep -Eq '"disk_hits":[1-9][0-9]*,"disk_misses":0,' target/repro-ci-vdd-warm/manifest.json
 grep -q '"corrupt_evictions":0,' target/repro-ci-vdd-warm/manifest.json
 test "$(cat "$stale")" = 'NTCGRID1 written by an older schema'

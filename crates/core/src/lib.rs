@@ -67,7 +67,5 @@ pub use dvs::{DvsController, DvsLevel, DVS_TARGET_PPM};
 pub use scenario::{ChipContext, ParseSchemeError, SchemeSpec, SimAccumulator};
 pub use scheme::{CycleContext, CycleOutcome, ResilienceScheme};
 pub use sim::{profile_errors, run_scheme, ErrorProfile, SimResult};
-pub use tag_delay::{
-    take_oracle_stats, Chip, CycleDelays, OracleStats, ShardedDelayCache, TagDelayOracle,
-};
+pub use tag_delay::{take_oracle_stats, Chip, CycleDelays, OracleStats, TagDelayOracle};
 pub use trident::{Eid, Trident, EID_BITS};

@@ -6,7 +6,7 @@ use crate::scheme::{CycleContext, CycleOutcome, ResilienceScheme};
 use crate::tag_delay::{CycleDelays, TagDelayOracle, STREAM_CHUNK};
 use ntc_isa::{ErrorTag, Instruction, Opcode, OperandSize};
 use ntc_pipeline::{EnergyModel, EnergyReport, Pipeline, RunCost};
-use ntc_timing::{classify_cycle, classify_stream, ClockSpec, ErrorClass};
+use ntc_timing::{ClockSpec, ErrorClass};
 use std::collections::HashMap;
 
 /// Result of running one scheme over one trace on one chip.
@@ -60,42 +60,6 @@ impl SimResult {
             .with_overhead(self.power_overhead)
             .report(&self.cost, self.period_stretch)
     }
-}
-
-/// Stream the cyclewise tags and delays of `trace` through `visit` as
-/// `(i, tag, delays, next_delays)`: cycle `i` executes `trace[i]` after
-/// `trace[i - 1]`, `tag` is that pair's [`ErrorTag`], and the lookahead
-/// is cycle `i + 1`'s delays (`None` at the end of the stream). The
-/// oracle resolves the pairs one window of [`STREAM_CHUNK`] at a time;
-/// the last cycle of a window waits for its lookahead in the next one.
-/// This is the one lookahead loop behind [`run_schemes`] and
-/// [`profile_errors`].
-///
-/// # Panics
-///
-/// Panics if the trace has fewer than two instructions.
-fn stream(
-    oracle: &mut TagDelayOracle,
-    trace: &[Instruction],
-    mut visit: impl FnMut(usize, ErrorTag, CycleDelays, Option<CycleDelays>),
-) {
-    assert!(trace.len() >= 2, "need at least two instructions");
-    let pairs = trace.len() - 1;
-    // Tag and delays of the cycle waiting for its lookahead.
-    let mut carried: Option<(ErrorTag, CycleDelays)> = None;
-    let mut first = 0;
-    while first < pairs {
-        let end = (first + STREAM_CHUNK).min(pairs);
-        for (j, (tag, d)) in oracle.resolve_pairs(&trace[first..=end]).enumerate() {
-            if let Some((ct, cd)) = carried {
-                visit(first + j, ct, cd, Some(d));
-            }
-            carried = Some((tag, d));
-        }
-        first = end;
-    }
-    let (tag, d) = carried.expect("at least one pair");
-    visit(pairs, tag, d, None);
 }
 
 /// One scheme's seat in a stream: the scheme, its clock, the
@@ -191,19 +155,45 @@ impl<'s> Lane<'s> {
     }
 }
 
-/// Advance every lane over the delay stream of `trace`, each cycle's
-/// tag and delays resolved once for all of them.
+/// Advance every lane over the delay stream of `trace`: cycle `i`
+/// executes `trace[i]` after `trace[i - 1]`, its tag and delays are
+/// resolved once for all lanes, and its lookahead is cycle `i + 1`'s
+/// delays (`None` at the end of the stream). The oracle resolves the pairs
+/// one window of [`STREAM_CHUNK`] at a time; the last cycle of a window
+/// waits for its lookahead in the next one. This is the one lookahead loop
+/// behind [`run_schemes`], [`run_scheme`] and [`profile_errors`].
+///
+/// # Panics
+///
+/// Panics if the trace has fewer than two instructions.
 fn run_lanes(
     lanes: &mut [Lane<'_>],
     oracle: &mut TagDelayOracle,
     trace: &[Instruction],
     pipe: Pipeline,
 ) {
-    stream(oracle, trace, |i, tag, delays, next| {
+    assert!(trace.len() >= 2, "need at least two instructions");
+    let pairs = trace.len() - 1;
+    let mut step = |i: usize, tag: ErrorTag, delays: CycleDelays, next: Option<CycleDelays>| {
         for lane in lanes.iter_mut() {
             lane.step(&trace[i - 1], &trace[i], tag, delays, next, &pipe);
         }
-    });
+    };
+    // Tag and delays of the cycle waiting for its lookahead.
+    let mut carried: Option<(ErrorTag, CycleDelays)> = None;
+    let mut first = 0;
+    while first < pairs {
+        let end = (first + STREAM_CHUNK).min(pairs);
+        for (j, (tag, d)) in oracle.resolve_pairs(&trace[first..=end]).enumerate() {
+            if let Some((ct, cd)) = carried {
+                step(first + j, ct, cd, Some(d));
+            }
+            carried = Some((tag, d));
+        }
+        first = end;
+    }
+    let (tag, d) = carried.expect("at least one pair");
+    step(pairs, tag, d, None);
 }
 
 /// Run several schemes, each at its own clock, over `trace` on one chip:
@@ -258,7 +248,12 @@ pub fn run_scheme(
 
 /// Scheme-free error profile of a trace on a chip: the raw material of the
 /// error-distribution figures (3.4, 4.3, 4.4, 4.8).
-#[derive(Debug, Clone, Default)]
+///
+/// The profile is itself a lane of the delay stream: it tallies each
+/// cycle at the base clock and reports every error as recovered, so the
+/// consecutive-error carry every scheme's lane applies also keeps a CE's
+/// absorbed min violation from counting again as an SE(Min).
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ErrorProfile {
     /// Cycles simulated.
     pub cycles: u64,
@@ -285,8 +280,41 @@ impl ErrorProfile {
     }
 }
 
+impl ResilienceScheme for ErrorProfile {
+    fn name(&self) -> &'static str {
+        "profile"
+    }
+
+    fn on_cycle(&mut self, ctx: &CycleContext<'_>) -> CycleOutcome {
+        let v = ctx.violation_at(&ctx.base_clock);
+        let class = ctx.error_class_at(&ctx.base_clock);
+        let op = ctx.cur.opcode;
+        self.cycles += 1;
+        let mm = self.per_opcode_minmax.entry(op).or_insert((0, 0));
+        mm.0 += u64::from(v.max);
+        mm.1 += u64::from(v.min);
+        let entry = self.per_opcode.entry(op).or_insert((0, 0));
+        let Some(class) = class else {
+            entry.1 += 1;
+            return CycleOutcome::Clean;
+        };
+        entry.0 += 1;
+        *self.by_class.entry(class).or_insert(0) += 1;
+        let sizes = self.by_size.entry(op).or_insert([0; 4]);
+        let small = usize::from(ctx.cur.operand_size() != OperandSize::Large);
+        if v.max {
+            sizes[small] += 1;
+        }
+        if v.min || class == ErrorClass::Consecutive {
+            sizes[2 + small] += 1;
+        }
+        CycleOutcome::Recovered { class }
+    }
+}
+
 /// Profile the unmitigated error behaviour of a trace (the avoidance
-/// mechanism disabled, as in §4.5.2's distribution study).
+/// mechanism disabled, as in §4.5.2's distribution study): one
+/// [`run_scheme`] stream with an [`ErrorProfile`] as its lane.
 ///
 /// # Panics
 ///
@@ -297,46 +325,7 @@ pub fn profile_errors(
     clock: ClockSpec,
 ) -> ErrorProfile {
     let mut profile = ErrorProfile::default();
-    // A min violation absorbed into the previous cycle's consecutive error
-    // must not be re-counted as an SE(Min) of its own cycle.
-    let mut min_consumed_by_ce = false;
-    stream(oracle, trace, |i, _, delays, next_delays| {
-        let mut v = classify_cycle(delays, &clock);
-        if min_consumed_by_ce {
-            v.min = false;
-        }
-        let next_min = next_delays.is_some_and(|d| classify_cycle(d, &clock).min);
-        let class = classify_stream(v, next_min);
-        min_consumed_by_ce = class == Some(ErrorClass::Consecutive);
-        let op = trace[i].opcode;
-        let entry = profile.per_opcode.entry(op).or_insert((0, 0));
-        let mm = profile.per_opcode_minmax.entry(op).or_insert((0, 0));
-        if v.max {
-            mm.0 += 1;
-        }
-        if v.min {
-            mm.1 += 1;
-        }
-        if let Some(c) = class {
-            entry.0 += 1;
-            *profile.by_class.entry(c).or_insert(0) += 1;
-            let sizes = profile.by_size.entry(op).or_insert([0; 4]);
-            let large = trace[i].operand_size() == OperandSize::Large;
-            if v.max {
-                sizes[if large { 0 } else { 1 }] += 1;
-            }
-            if v.min || c == ErrorClass::Consecutive {
-                sizes[if large { 2 } else { 3 }] += 1;
-            }
-        } else if v.min {
-            // A min violation consumed by the previous cycle's CE: count
-            // the occurrence as errant for the opcode view.
-            entry.0 += 1;
-        } else {
-            entry.1 += 1;
-        }
-        profile.cycles += 1;
-    });
+    run_scheme(&mut profile, oracle, trace, clock, Pipeline::core1());
     profile
 }
 
@@ -346,6 +335,7 @@ mod tests {
     use crate::baselines::Razor;
     use crate::dcs::Dcs;
     use crate::tag_delay::TagDelayOracle;
+    use ntc_timing::{classify_cycle, classify_stream};
     use ntc_varmodel::{Corner, VariationParams};
     use ntc_workload::{Benchmark, TraceGenerator};
 
@@ -390,6 +380,104 @@ mod tests {
         let per_op_total: u64 = p.per_opcode.values().map(|(e, f)| e + f).sum();
         assert_eq!(per_op_total, p.cycles);
         assert!(p.errors_total() > 0);
+    }
+
+    /// The profiler as a loop of its own, with its own copy of the
+    /// consecutive-error carry: the reference the [`ErrorProfile`] lane
+    /// must equal. Pair `j`'s delays are resolved in stream order, as the
+    /// lane's stream resolves them.
+    fn reference_profile(
+        oracle: &mut TagDelayOracle,
+        trace: &[Instruction],
+        clock: ClockSpec,
+    ) -> ErrorProfile {
+        let delays: Vec<CycleDelays> = trace
+            .windows(2)
+            .map(|w| oracle.delays(&w[0], &w[1]))
+            .collect();
+        let mut profile = ErrorProfile::default();
+        // A min violation absorbed into the previous cycle's consecutive
+        // error must not be re-counted as an SE(Min) of its own cycle.
+        let mut min_consumed_by_ce = false;
+        for (j, &d) in delays.iter().enumerate() {
+            let i = j + 1;
+            let mut v = classify_cycle(d, &clock);
+            if min_consumed_by_ce {
+                v.min = false;
+            }
+            let next_min = delays
+                .get(i)
+                .is_some_and(|&n| classify_cycle(n, &clock).min);
+            let class = classify_stream(v, next_min);
+            min_consumed_by_ce = class == Some(ErrorClass::Consecutive);
+            let op = trace[i].opcode;
+            let entry = profile.per_opcode.entry(op).or_insert((0, 0));
+            let mm = profile.per_opcode_minmax.entry(op).or_insert((0, 0));
+            if v.max {
+                mm.0 += 1;
+            }
+            if v.min {
+                mm.1 += 1;
+            }
+            if let Some(c) = class {
+                entry.0 += 1;
+                *profile.by_class.entry(c).or_insert(0) += 1;
+                let sizes = profile.by_size.entry(op).or_insert([0; 4]);
+                let large = trace[i].operand_size() == OperandSize::Large;
+                if v.max {
+                    sizes[if large { 0 } else { 1 }] += 1;
+                }
+                if v.min || c == ErrorClass::Consecutive {
+                    sizes[if large { 2 } else { 3 }] += 1;
+                }
+            } else if v.min {
+                entry.0 += 1;
+            } else {
+                entry.1 += 1;
+            }
+            profile.cycles += 1;
+        }
+        profile
+    }
+
+    #[test]
+    fn profile_lane_equals_the_reference_loop() {
+        let mut consecutive = 0;
+        for seed in [5, 9] {
+            let fresh = || TagDelayOracle::for_chip(Corner::NTC, VariationParams::ntc(), seed);
+            let nominal = fresh().nominal_critical_delay_ps();
+            let clocks = [
+                // Ch. 3-like: just above the nominal critical delay.
+                ClockSpec {
+                    period_ps: nominal * 1.10,
+                    hold_ps: nominal * 0.10,
+                },
+                // Aggressive, with a wide hold window: all three classes.
+                ClockSpec {
+                    period_ps: nominal * 0.75,
+                    hold_ps: nominal * 0.30,
+                },
+            ];
+            for bench in [Benchmark::Mcf, Benchmark::Vortex] {
+                let long = TraceGenerator::new(bench, 3).trace(2 * STREAM_CHUNK + 5);
+                for len in [2, 3, STREAM_CHUNK, STREAM_CHUNK + 1, 2 * STREAM_CHUNK + 5] {
+                    for clock in clocks {
+                        let trace = &long[..len];
+                        let lane = profile_errors(&mut fresh(), trace, clock);
+                        let reference = reference_profile(&mut fresh(), trace, clock);
+                        assert_eq!(
+                            lane, reference,
+                            "chip {seed}, {bench:?}, {len} instructions, {clock:?}"
+                        );
+                        consecutive += lane.class_count(ErrorClass::Consecutive);
+                    }
+                }
+            }
+        }
+        assert!(
+            consecutive > 0,
+            "no CE: the absorption rule went unexercised"
+        );
     }
 
     #[test]

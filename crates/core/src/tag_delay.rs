@@ -58,7 +58,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 /// simulation inputs exactly, making the entry a pure function of the
 /// chip: safe to share across experiments and threads. The words are the
 /// instructions' own `u32` operands, so a key is 20 bytes.
-pub type SharedDelayKey = (ErrorTag, u32, u32, u32, u32);
+type SharedDelayKey = (ErrorTag, u32, u32, u32, u32);
 
 /// Number of independently locked shards in a [`ShardedDelayCache`]. A
 /// power of two so the shard index is a mask of the key hash.
@@ -81,7 +81,7 @@ const SHARD_CAP: usize = 1_024;
 /// simulated once per table however many workers miss it together, and
 /// the simulation count does not depend on the thread count.
 #[derive(Debug, Default)]
-pub struct ShardedDelayCache {
+struct ShardedDelayCache {
     shards: [Mutex<HashMap<SharedDelayKey, CycleDelays>>; CACHE_SHARDS],
 }
 
@@ -98,7 +98,7 @@ impl ShardedDelayCache {
     /// The delays of `key`, and whether `simulate` ran to produce them.
     /// A missing key is simulated while its shard is locked, then kept
     /// unless the shard is full.
-    pub fn get_or_simulate(
+    fn get_or_simulate(
         &self,
         key: SharedDelayKey,
         simulate: impl FnOnce() -> CycleDelays,
@@ -125,12 +125,12 @@ impl ShardedDelayCache {
 /// post-silicon signature, its nominal and static critical delays, and
 /// the delay table its oracles share.
 ///
-/// Sharing the table is sound because a [`SharedDelayKey`] entry is a
-/// pure function of the chip: whichever oracle simulates it first stores
-/// exactly the value every other oracle would have computed from the same
-/// pair. Results are therefore the same bits however many oracles read
-/// the chip, at any thread count; only the number of gate-level
-/// simulations changes.
+/// Sharing the table is sound because an entry, keyed by the tag and the
+/// full operand words of both instructions, is a pure function of the
+/// chip: whichever oracle simulates it first stores exactly the value
+/// every other oracle would have computed from the same pair. Results are
+/// therefore the same bits however many oracles read the chip, at any
+/// thread count; only the number of gate-level simulations changes.
 pub struct Chip {
     netlist: Arc<Netlist>,
     signature: ChipSignature,

@@ -42,10 +42,12 @@ pub struct Eid {
 pub const EID_BITS: usize = ErrorTag::BITS + 2 + 2 + 4;
 
 impl Eid {
-    /// Build the EID for an instruction pair at a pipestage.
-    pub fn of(prev: &Instruction, cur: &Instruction, pipestage: u8) -> Self {
+    /// Build the EID for an instruction pair whose [`ErrorTag`] is `tag`
+    /// (the one the delay stream already built for the cycle) at a
+    /// pipestage.
+    pub fn of(tag: ErrorTag, prev: &Instruction, cur: &Instruction, pipestage: u8) -> Self {
         Eid {
-            tag: ErrorTag::of(prev, cur),
+            tag,
             size: cur.operand_size(),
             prev_size: prev.operand_size(),
             pipestage,
@@ -89,7 +91,7 @@ impl ResilienceScheme for Trident {
     }
 
     fn on_cycle(&mut self, ctx: &CycleContext<'_>) -> CycleOutcome {
-        let eid = Eid::of(ctx.prev, ctx.cur, EX_STAGE);
+        let eid = Eid::of(ctx.tag, ctx.prev, ctx.cur, EX_STAGE);
         let actual = ctx.error_class_at(&ctx.base_clock);
 
         if let Some(&predicted) = self.cet.lookup(&eid).map(|c| c as &ErrorClass) {
@@ -238,8 +240,8 @@ mod tests {
         let p = Instruction::new(Opcode::Addu, 1, 2);
         let small = Instruction::new(Opcode::Mult, 0xFF, 0x0F);
         let large = Instruction::new(Opcode::Mult, 0xFFFF_0000, 0x0F);
-        let e1 = Eid::of(&p, &small, EX_STAGE);
-        let e2 = Eid::of(&p, &large, EX_STAGE);
+        let e1 = Eid::of(ErrorTag::of(&p, &small), &p, &small, EX_STAGE);
+        let e2 = Eid::of(ErrorTag::of(&p, &large), &p, &large, EX_STAGE);
         assert_ne!(e1, e2, "operand size is part of the EID");
         // Note both share the ErrorTag when OWM matches; the EID is finer.
     }

@@ -11,9 +11,9 @@
 //!
 //! With no IDs, the whole suite runs. `--full` switches to paper-scale
 //! parameters (million-cycle traces); the default fast scale keeps the run
-//! laptop-friendly. `--jobs N` (or the `NTC_JOBS` environment variable)
-//! pins the sweep-engine thread count — results are bit-identical at any
-//! value, only the wall clock changes. `--vdd LIST` (or the `NTC_VDD`
+//! laptop-friendly. `--jobs N` pins the sweep-engine thread count —
+//! results are bit-identical at any value, only the wall clock changes.
+//! `--vdd LIST` (or the `NTC_VDD`
 //! environment variable) widens the supply-voltage axis of every
 //! grid-shaped experiment to the given comma-separated operating points
 //! (`0.45`, `v0.60`, `ntc`, `stc`, …); the default is the single NTC
@@ -399,13 +399,7 @@ fn run() -> i32 {
                 }
             }
             Err(payload) => {
-                let message: &str = if let Some(s) = payload.downcast_ref::<&str>() {
-                    s
-                } else if let Some(s) = payload.downcast_ref::<String>() {
-                    s
-                } else {
-                    "non-string panic payload"
-                };
+                let message = runner::panic_message(&*payload);
                 record.error = Some(format!("experiment panicked: {message}"));
             }
         }

@@ -187,11 +187,13 @@ pub fn take_stats() -> CacheStats {
 // Artifact encoding
 // ---------------------------------------------------------------------
 
-fn push_u64(out: &mut Vec<u8>, v: u64) {
+/// Append `v` as eight little-endian bytes.
+pub(crate) fn push_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-fn push_str(out: &mut Vec<u8>, s: &str) {
+/// Append `s` as its byte length ([`push_u64`]) followed by its bytes.
+pub(crate) fn push_str(out: &mut Vec<u8>, s: &str) {
     push_u64(out, s.len() as u64);
     out.extend_from_slice(s.as_bytes());
 }

@@ -3,7 +3,7 @@
 
 use crate::ch3::choke_study::{run_choke_study, STUDY_OPS};
 use crate::config::{build_oracle, normalize_to_first, Scale, CH3_REGIME};
-use crate::scenario::{row_label, run_grid, GridResult, GridSpec, Regime};
+use crate::scenario::{grid_figure, normalized, study_grid, GridResult, Regime};
 use crate::table::ResultTable;
 use ntc_core::overhead::{dcs_acslt_overheads, dcs_icslt_overheads, PipelineBaseline};
 use ntc_core::scenario::{SchemeSpec, SimAccumulator};
@@ -12,7 +12,8 @@ use ntc_isa::Opcode;
 use ntc_pipeline::EnergyModel;
 use ntc_timing::ALL_CDL_CATEGORIES;
 use ntc_varmodel::Corner;
-use ntc_workload::{Benchmark, TraceGenerator, ALL_BENCHMARKS};
+use ntc_workload::{Benchmark, TraceGenerator};
+use std::sync::Arc;
 
 /// Fig. 3.2: per-operation CGL (minimum % of gates forming a choke point)
 /// for each CDL category, at one corner.
@@ -104,35 +105,26 @@ pub fn fig_3_4(scale: Scale) -> ResultTable {
     t
 }
 
-/// Run a roster of DCS capacity variants over every benchmark on averaged
-/// chips, returning per-benchmark prediction accuracy (%).
-fn accuracy_sweep(kinds: &[(String, SchemeSpec)], scale: Scale) -> ResultTable {
-    let mut t = ResultTable::new(
-        "sweep",
-        "prediction accuracy (%)",
+/// A DCS capacity sweep over every benchmark on averaged chips: per row,
+/// the mean prediction accuracy (%) of each `(column, scheme)` variant.
+fn accuracy_sweep(
+    id: &str,
+    title: &str,
+    kinds: &[(String, SchemeSpec)],
+    scale: Scale,
+) -> ResultTable {
+    let schemes = kinds.iter().map(|(_, s)| *s).collect();
+    grid_figure(
+        id,
+        title,
         kinds.iter().map(|(name, _)| name.clone()),
-    );
-    let grid = run_grid(&GridSpec {
-        benchmarks: ALL_BENCHMARKS.to_vec(),
-        chips: scale.chips(),
-        schemes: kinds.iter().map(|(_, s)| *s).collect(),
-        voltages: crate::config::voltages(),
-        regime: Regime::Ch3,
-        chip_seed_base: 100,
-        trace_seed: 7,
-        cycles: scale.cycles(),
-        source: crate::config::workload_source(),
-    });
-    let multi = grid.voltages().len() > 1;
-    for (bench, point, accs) in grid.rows() {
-        t.push_row(
-            row_label(*bench, *point, multi),
+        &study_grid(scale, schemes, Regime::Ch3, 100, 7),
+        |accs| {
             accs.iter()
                 .map(SimAccumulator::mean_prediction_accuracy)
-                .collect(),
-        );
-    }
-    t
+                .collect()
+        },
+    )
 }
 
 /// Fig. 3.8: DCS-ICSLT prediction accuracy vs CSLT entry count.
@@ -141,10 +133,12 @@ pub fn fig_3_8(scale: Scale) -> ResultTable {
         .into_iter()
         .map(|entries| (entries.to_string(), SchemeSpec::DcsIcslt { entries }))
         .collect();
-    let mut t = accuracy_sweep(&kinds, scale);
-    t.id = "fig3.8".into();
-    t.title = "DCS-ICSLT prediction accuracy (%) vs CSLT entries".into();
-    t
+    accuracy_sweep(
+        "fig3.8",
+        "DCS-ICSLT prediction accuracy (%) vs CSLT entries",
+        &kinds,
+        scale,
+    )
 }
 
 /// Fig. 3.9: DCS-ACSLT prediction accuracy for entry/associativity
@@ -162,10 +156,12 @@ pub fn fig_3_9(scale: Scale) -> ResultTable {
             )
         })
         .collect();
-    let mut t = accuracy_sweep(&kinds, scale);
-    t.id = "fig3.9".into();
-    t.title = "DCS-ACSLT prediction accuracy (%) vs entries/associativity".into();
-    t
+    accuracy_sweep(
+        "fig3.9",
+        "DCS-ACSLT prediction accuracy (%) vs entries/associativity",
+        &kinds,
+        scale,
+    )
 }
 
 /// The full Ch. 3 comparison grid (Razor, HFG, ICSLT, ACSLT) over every
@@ -178,91 +174,54 @@ pub fn fig_3_9(scale: Scale) -> ResultTable {
 /// in-tree SplitMix64 lottery: it draws dice whose post-silicon guardband
 /// spread reproduces the paper's qualitative ordering (HFG worst on most
 /// benchmarks, §3.5.4).
-fn ch3_compare(scale: Scale) -> std::sync::Arc<GridResult> {
-    run_grid(&GridSpec {
-        benchmarks: ALL_BENCHMARKS.to_vec(),
-        chips: scale.chips(),
-        schemes: vec![
-            SchemeSpec::RazorCh3,
-            SchemeSpec::Hfg,
-            SchemeSpec::DcsIcslt { entries: 128 },
-            SchemeSpec::DcsAcslt {
-                entries: 32,
-                associativity: 16,
-            },
-        ],
-        voltages: crate::config::voltages(),
-        regime: Regime::Ch3,
-        chip_seed_base: 220,
-        trace_seed: 7,
-        cycles: scale.cycles(),
-        source: crate::config::workload_source(),
-    })
-}
-
-/// Per-row scheme results of the Ch. 3 comparison grid, labelled with
-/// [`row_label`] so single-voltage tables keep their legacy row names.
-fn ch3_compare_rows(scale: Scale) -> Vec<(String, Vec<SimResult>)> {
-    let grid = ch3_compare(scale);
-    let multi = grid.voltages().len() > 1;
-    grid.rows()
-        .iter()
-        .map(|(bench, point, accs)| {
-            (
-                row_label(*bench, *point, multi),
-                accs.iter().map(SimAccumulator::result).collect(),
-            )
-        })
-        .collect()
+fn ch3_compare(scale: Scale) -> Arc<GridResult> {
+    let schemes = vec![
+        SchemeSpec::RazorCh3,
+        SchemeSpec::Hfg,
+        SchemeSpec::DcsIcslt { entries: 128 },
+        SchemeSpec::DcsAcslt {
+            entries: 32,
+            associativity: 16,
+        },
+    ];
+    study_grid(scale, schemes, Regime::Ch3, 220, 7)
 }
 
 /// Fig. 3.10: recovery penalty of Razor / DCS-ICSLT / DCS-ACSLT,
 /// normalized to Razor (lower is better).
 pub fn fig_3_10(scale: Scale) -> ResultTable {
-    let mut t = ResultTable::new(
+    grid_figure(
         "fig3.10",
         "Recovery penalty normalized to Razor (lower is better)",
         ["Razor", "DCS-ICSLT", "DCS-ACSLT"],
-    );
-    for (label, rs) in ch3_compare_rows(scale) {
-        let penalties: Vec<f64> = [&rs[0], &rs[2], &rs[3]]
-            .iter()
-            .map(|r| r.cost.penalty_cycles() as f64)
-            .collect();
-        t.push_row(label, normalize_to_first(&penalties));
-    }
-    t
+        &ch3_compare(scale),
+        |accs| normalize_to_first(&[0, 2, 3].map(|i| accs[i].cost.penalty_cycles() as f64)),
+    )
 }
 
 /// Fig. 3.11: performance of Razor / HFG / DCS-ICSLT / DCS-ACSLT,
 /// normalized to Razor (higher is better).
 pub fn fig_3_11(scale: Scale) -> ResultTable {
-    let mut t = ResultTable::new(
+    grid_figure(
         "fig3.11",
         "Performance normalized to Razor (higher is better)",
         ["Razor", "HFG", "DCS-ICSLT", "DCS-ACSLT"],
-    );
-    for (label, rs) in ch3_compare_rows(scale) {
-        let perf: Vec<f64> = rs.iter().map(SimResult::performance).collect();
-        t.push_row(label, normalize_to_first(&perf));
-    }
-    t
+        &ch3_compare(scale),
+        |accs| normalized(accs, SimResult::performance),
+    )
 }
 
 /// Fig. 3.12: energy efficiency (1/EDP) of the four schemes, normalized to
 /// Razor (higher is better).
 pub fn fig_3_12(scale: Scale) -> ResultTable {
-    let mut t = ResultTable::new(
+    let model = EnergyModel::ntc_core();
+    grid_figure(
         "fig3.12",
         "Energy efficiency normalized to Razor (higher is better)",
         ["Razor", "HFG", "DCS-ICSLT", "DCS-ACSLT"],
-    );
-    let model = EnergyModel::ntc_core();
-    for (label, rs) in ch3_compare_rows(scale) {
-        let eff: Vec<f64> = rs.iter().map(|r| r.energy(model).efficiency).collect();
-        t.push_row(label, normalize_to_first(&eff));
-    }
-    t
+        &ch3_compare(scale),
+        |accs| normalized(accs, |r| r.energy(model).efficiency),
+    )
 }
 
 /// §3.5.6: the DCS hardware-overhead table.

@@ -2,13 +2,15 @@
 //! (4.2–4.4), the Trident evaluation (4.8–4.12) and the §4.5.7 overhead
 //! table.
 
-use crate::config::{build_oracle, normalize_to_first, Scale, CH4_REGIME};
+use crate::config::{build_oracle, Scale, CH4_REGIME};
 use crate::runner::{sweep, sweep_over};
-use crate::scenario::{expand, fold_cells, row_label, run_grid, GridResult, GridSpec, Regime};
+use crate::scenario::{
+    expand, fold_cells, grid_figure, normalized, study_grid, GridResult, Regime,
+};
 use crate::table::ResultTable;
 use ntc_core::overhead::{trident_overheads, PipelineBaseline};
 use ntc_core::scenario::{SchemeSpec, SimAccumulator};
-use ntc_core::sim::{profile_errors, SimResult};
+use ntc_core::sim::{profile_errors, ErrorProfile, SimResult};
 use ntc_isa::Opcode;
 use ntc_netlist::buffer_insertion::insert_hold_buffers;
 use ntc_netlist::generators::alu::Alu;
@@ -18,6 +20,7 @@ use ntc_varmodel::rng::SplitMix64;
 use ntc_varmodel::{ChipSignature, Corner, VariationParams};
 use ntc_workload::{Benchmark, TraceGenerator, ALL_BENCHMARKS};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// The fifteen instructions of Fig. 4.2 / 4.3 / 4.4.
 pub const STUDY_INSTRUCTIONS: [Opcode; 15] = [
@@ -221,6 +224,20 @@ fn two_percent_choke_signature(
     sig
 }
 
+/// Per-chip error profiles of the Ch. 4 motivation study: buffered NTC
+/// chips `seed + c` at the Ch. 4 clock, each profiling one mixed trace —
+/// vortex, then `other`, half the cycles each, both generated from `seed`
+/// — so the study instructions are all covered.
+fn mixed_profiles(scale: Scale, seed: u64, other: Benchmark) -> Vec<ErrorProfile> {
+    sweep(scale.chips(), |chip| {
+        let mut oracle = build_oracle(Corner::NTC, seed + chip as u64, true, CH4_REGIME);
+        let clock = CH4_REGIME.clock(oracle.nominal_critical_delay_ps());
+        let mut trace = TraceGenerator::new(Benchmark::Vortex, seed).trace(scale.cycles() / 2);
+        trace.extend(TraceGenerator::new(other, seed).trace(scale.cycles() / 2));
+        profile_errors(&mut oracle, &trace, clock)
+    })
+}
+
 /// Fig. 4.3: distribution of max-violation / min-violation / error-free
 /// occurrences per instruction, over a mixed trace on buffered NTC chips.
 pub fn fig_4_3(scale: Scale) -> ResultTable {
@@ -229,15 +246,7 @@ pub fn fig_4_3(scale: Scale) -> ResultTable {
         "Occurrence distribution per instruction (%)",
         ["Max errors", "Min errors", "No error"],
     );
-    let per_chip = sweep(scale.chips(), |chip| {
-        let mut oracle = build_oracle(Corner::NTC, 0x43 + chip as u64, true, CH4_REGIME);
-        let clock = CH4_REGIME.clock(oracle.nominal_critical_delay_ps());
-        // A mixed trace covering all study instructions: union of two
-        // diverse benchmarks.
-        let mut trace = TraceGenerator::new(Benchmark::Vortex, 0x43).trace(scale.cycles() / 2);
-        trace.extend(TraceGenerator::new(Benchmark::Gap, 0x43).trace(scale.cycles() / 2));
-        profile_errors(&mut oracle, &trace, clock)
-    });
+    let per_chip = mixed_profiles(scale, 0x43, Benchmark::Gap);
     let mut agg: HashMap<Opcode, (u64, u64, u64)> = Default::default();
     for p in &per_chip {
         for (&op, &(maxe, mine)) in &p.per_opcode_minmax {
@@ -271,13 +280,7 @@ pub fn fig_4_4(scale: Scale) -> ResultTable {
         "Error distribution by operand size (%)",
         ["Max-Large", "Max-Small", "Min-Large", "Min-Small"],
     );
-    let per_chip = sweep(scale.chips(), |chip| {
-        let mut oracle = build_oracle(Corner::NTC, 0x44 + chip as u64, true, CH4_REGIME);
-        let clock = CH4_REGIME.clock(oracle.nominal_critical_delay_ps());
-        let mut trace = TraceGenerator::new(Benchmark::Vortex, 0x44).trace(scale.cycles() / 2);
-        trace.extend(TraceGenerator::new(Benchmark::Mcf, 0x44).trace(scale.cycles() / 2));
-        profile_errors(&mut oracle, &trace, clock)
-    });
+    let per_chip = mixed_profiles(scale, 0x44, Benchmark::Mcf);
     let mut agg: HashMap<Opcode, [u64; 4]> = Default::default();
     for p in &per_chip {
         for (&op, sizes) in &p.by_size {
@@ -354,35 +357,21 @@ pub fn fig_4_8(scale: Scale) -> ResultTable {
 /// Fig. 4.9: Trident prediction accuracy vs CET entry count.
 pub fn fig_4_9(scale: Scale) -> ResultTable {
     let sizes = [32usize, 64, 128, 256, 512];
-    let mut t = ResultTable::new(
+    let schemes = sizes
+        .iter()
+        .map(|&cet_entries| SchemeSpec::Trident { cet_entries })
+        .collect();
+    grid_figure(
         "fig4.9",
         "Trident prediction accuracy (%) vs CET entries",
         sizes.iter().map(|s| s.to_string()),
-    );
-    let grid = run_grid(&GridSpec {
-        benchmarks: ALL_BENCHMARKS.to_vec(),
-        chips: scale.chips(),
-        schemes: sizes
-            .iter()
-            .map(|&cet_entries| SchemeSpec::Trident { cet_entries })
-            .collect(),
-        voltages: crate::config::voltages(),
-        regime: Regime::Ch4,
-        chip_seed_base: 0x49,
-        trace_seed: 13,
-        cycles: scale.cycles(),
-        source: crate::config::workload_source(),
-    });
-    let multi = grid.voltages().len() > 1;
-    for (bench, point, accs) in grid.rows() {
-        t.push_row(
-            row_label(*bench, *point, multi),
+        &study_grid(scale, schemes, Regime::Ch4, 0x49, 13),
+        |accs| {
             accs.iter()
                 .map(SimAccumulator::mean_prediction_accuracy)
-                .collect(),
-        );
-    }
-    t
+                .collect()
+        },
+    )
 }
 
 /// The full Ch. 4 comparison grid (Razor, OCST, Trident) over every
@@ -393,84 +382,50 @@ pub fn fig_4_9(scale: Scale) -> ResultTable {
 ///
 /// Figs. 4.10–4.12 chart different columns of the *same* grid, which the
 /// scenario engine's spec-keyed cache sweeps once and shares.
-fn ch4_compare(scale: Scale) -> std::sync::Arc<GridResult> {
-    run_grid(&GridSpec {
-        benchmarks: ALL_BENCHMARKS.to_vec(),
-        chips: scale.chips(),
-        schemes: vec![
-            SchemeSpec::RazorCh4,
-            SchemeSpec::Ocst,
-            SchemeSpec::Trident { cet_entries: 128 },
-        ],
-        voltages: crate::config::voltages(),
-        regime: Regime::Ch4,
-        chip_seed_base: 400,
-        trace_seed: 17,
-        cycles: scale.cycles(),
-        source: crate::config::workload_source(),
-    })
-}
-
-/// Per-row scheme results of the Ch. 4 comparison grid, labelled with
-/// [`row_label`] so single-voltage tables keep their legacy row names.
-fn ch4_compare_rows(scale: Scale) -> Vec<(String, Vec<SimResult>)> {
-    let grid = ch4_compare(scale);
-    let multi = grid.voltages().len() > 1;
-    grid.rows()
-        .iter()
-        .map(|(bench, point, accs)| {
-            (
-                row_label(*bench, *point, multi),
-                accs.iter().map(SimAccumulator::result).collect(),
-            )
-        })
-        .collect()
+fn ch4_compare(scale: Scale) -> Arc<GridResult> {
+    let schemes = vec![
+        SchemeSpec::RazorCh4,
+        SchemeSpec::Ocst,
+        SchemeSpec::Trident { cet_entries: 128 },
+    ];
+    study_grid(scale, schemes, Regime::Ch4, 400, 17)
 }
 
 /// Fig. 4.10: penalty cycles of Razor / OCST / Trident, normalized to
 /// Razor (lower is better).
 pub fn fig_4_10(scale: Scale) -> ResultTable {
-    let mut t = ResultTable::new(
+    grid_figure(
         "fig4.10",
         "Penalty cycles normalized to Razor (lower is better)",
         ["Razor", "OCST", "Trident"],
-    );
-    for (label, rs) in ch4_compare_rows(scale) {
-        let p: Vec<f64> = rs.iter().map(|r| r.cost.penalty_cycles() as f64).collect();
-        t.push_row(label, normalize_to_first(&p));
-    }
-    t
+        &ch4_compare(scale),
+        |accs| normalized(accs, |r| r.cost.penalty_cycles() as f64),
+    )
 }
 
 /// Fig. 4.11: performance of Razor / OCST / Trident normalized to Razor
 /// (higher is better).
 pub fn fig_4_11(scale: Scale) -> ResultTable {
-    let mut t = ResultTable::new(
+    grid_figure(
         "fig4.11",
         "Performance normalized to Razor (higher is better)",
         ["Razor", "OCST", "Trident"],
-    );
-    for (label, rs) in ch4_compare_rows(scale) {
-        let p: Vec<f64> = rs.iter().map(SimResult::performance).collect();
-        t.push_row(label, normalize_to_first(&p));
-    }
-    t
+        &ch4_compare(scale),
+        |accs| normalized(accs, SimResult::performance),
+    )
 }
 
 /// Fig. 4.12: energy efficiency of Razor / OCST / Trident normalized to
 /// Razor (higher is better).
 pub fn fig_4_12(scale: Scale) -> ResultTable {
-    let mut t = ResultTable::new(
+    let model = EnergyModel::ntc_core();
+    grid_figure(
         "fig4.12",
         "Energy efficiency normalized to Razor (higher is better)",
         ["Razor", "OCST", "Trident"],
-    );
-    let model = EnergyModel::ntc_core();
-    for (label, rs) in ch4_compare_rows(scale) {
-        let p: Vec<f64> = rs.iter().map(|r| r.energy(model).efficiency).collect();
-        t.push_row(label, normalize_to_first(&p));
-    }
-    t
+        &ch4_compare(scale),
+        |accs| normalized(accs, |r| r.energy(model).efficiency),
+    )
 }
 
 /// §4.5.7: the Trident hardware-overhead table (relative to the EX stage

@@ -303,14 +303,16 @@ fn topo_key(buffered: bool, regime: ClockRegime) -> TopoKey {
     (buffered, regime.hold_frac.to_bits())
 }
 
-fn topology(buffered: bool, regime: ClockRegime) -> Arc<Netlist> {
+/// The memoized netlist variant of a topology (see [`build_topology`]).
+pub(crate) fn topology(buffered: bool, regime: ClockRegime) -> Arc<Netlist> {
     TOPOLOGIES.get_or_init(&topo_key(buffered, regime), || {
         Arc::new(build_topology(buffered, regime))
     })
 }
 
-/// The nominal (PV-free) critical delay of a topology at one supply.
-fn nominal_critical_ps(buffered: bool, regime: ClockRegime, corner: Corner) -> f64 {
+/// The nominal (PV-free) critical delay of a topology at one supply,
+/// memoized.
+pub(crate) fn nominal_critical_ps(buffered: bool, regime: ClockRegime, corner: Corner) -> f64 {
     let key = (topo_key(buffered, regime), corner.vdd.to_bits());
     NOMINAL_ANCHORS.get_or_init(&key, || {
         let netlist = topology(buffered, regime);

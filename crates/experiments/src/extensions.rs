@@ -12,7 +12,7 @@
 //!   completes within two cycles (§3.3.1); measure how often a choke
 //!   delay actually exceeds that budget.
 
-use crate::config::{build_oracle, Scale, CH3_REGIME};
+use crate::config::{build_oracle, nominal_critical_ps, topology, Scale, CH3_REGIME};
 use crate::runner::{sweep, sweep_over};
 use crate::scenario::{expand, fold_cells};
 use crate::table::ResultTable;
@@ -20,9 +20,7 @@ use ntc_core::baselines::Razor;
 use ntc_core::dcs::Dcs;
 use ntc_core::sim::run_scheme;
 use ntc_core::tag_delay::{Chip, TagDelayOracle};
-use ntc_netlist::generators::alu::Alu;
 use ntc_pipeline::Pipeline;
-use ntc_timing::{ClockSpec, StaticTiming};
 use ntc_varmodel::{at_condition, ChipSignature, Corner, OperatingCondition, VariationParams};
 use ntc_workload::{Benchmark, TraceGenerator};
 use std::sync::Arc;
@@ -36,7 +34,7 @@ pub fn voltage_sweep(scale: Scale) -> ResultTable {
         "Supply-voltage sweep: delay, energy/op, error rate, relative EDP",
         ["delay factor", "energy/op", "error %", "rel EDP"],
     );
-    let netlist = Arc::new(Alu::new(ntc_isa::ARCH_WIDTH).into_netlist());
+    let netlist = topology(false, CH3_REGIME);
     let trace = TraceGenerator::new(Benchmark::Gzip, 5).trace(scale.cycles() / 10);
     // One sweep task per supply point; `sweep_over` returns rows in key
     // order, so the table reads top-to-bottom from STC to deep NTC exactly
@@ -44,16 +42,12 @@ pub fn voltage_sweep(scale: Scale) -> ResultTable {
     let vdds = [0.80f64, 0.65, 0.55, 0.45, 0.42];
     let rows = sweep_over(&vdds, |_, &vdd| {
         let corner = Corner::custom(vdd);
-        let nominal = ChipSignature::nominal(&netlist, corner);
-        let crit = StaticTiming::analyze(&netlist, &nominal).critical_delay_ps(&netlist);
+        let crit = nominal_critical_ps(false, CH3_REGIME, corner);
         let sig =
             ChipSignature::fabricate(&netlist, corner, VariationParams::for_corner(corner), 5);
         let chip = Chip::new(netlist.clone(), sig, crit);
         let mut oracle = TagDelayOracle::new(Arc::new(chip));
-        let clock = ClockSpec {
-            period_ps: crit * 1.10,
-            hold_ps: crit * 0.10,
-        };
+        let clock = CH3_REGIME.clock(crit);
         let r = run_scheme(&mut Razor::ch3(), &mut oracle, &trace, clock, Pipeline::core1());
         let error_pct = 100.0 * r.errors_total() as f64 / (trace.len() - 1) as f64;
         let delay_factor = corner.delay_factor();
@@ -79,14 +73,10 @@ pub fn aging_adaptation(scale: Scale) -> ResultTable {
         "DCS across chip lifetime: errors and penalty per phase",
         ["errors", "recovered", "penalty"],
     );
-    let netlist = Arc::new(Alu::new(ntc_isa::ARCH_WIDTH).into_netlist());
+    let netlist = topology(false, CH3_REGIME);
     let fresh_sig = ChipSignature::fabricate(&netlist, Corner::NTC, VariationParams::ntc(), 7);
-    let nominal = ChipSignature::nominal(&netlist, Corner::NTC);
-    let crit = StaticTiming::analyze(&netlist, &nominal).critical_delay_ps(&netlist);
-    let clock = ClockSpec {
-        period_ps: crit * 1.10,
-        hold_ps: crit * 0.10,
-    };
+    let crit = nominal_critical_ps(false, CH3_REGIME, Corner::NTC);
+    let clock = CH3_REGIME.clock(crit);
     let cycles = scale.cycles() / 4;
     let trace = TraceGenerator::new(Benchmark::Parser, 9).trace(cycles);
     let pipe = Pipeline::core1();

@@ -18,11 +18,9 @@
 //! exactly as reproducible as the old `for` loops: they fold the returned
 //! `Vec` in index order on the calling thread.
 //!
-//! Thread count resolution, in priority order: [`set_jobs`] (the `--jobs`
-//! flag), the `NTC_JOBS` environment variable, then the machine's
-//! available parallelism. One job means the sweep runs inline on the
-//! calling thread with zero overhead. A malformed `NTC_JOBS` value is
-//! ignored with a single warning rather than silently.
+//! The thread count is the [`set_jobs`] override (the binaries' `--jobs`
+//! flag), else the machine's available parallelism. One job means the
+//! sweep runs inline on the calling thread with zero overhead.
 //!
 //! The engine counts busy and wall time as [`telemetry`] metrics so
 //! callers (the `repro` binary) can report the effective speedup of each
@@ -45,69 +43,32 @@
 //!   manifest can report them per experiment.
 
 use ntc_varmodel::telemetry::{self, Counts, Metric};
+use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Explicit thread-count override; 0 = unset.
 static JOBS_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-/// `NTC_JOBS`, read and parsed once per process (every sweep consults
-/// [`jobs`], and the variable cannot change meaningfully mid-run). The
-/// one-shot init also gives the malformed-value warning its warn-once
-/// behaviour for free.
-static ENV_JOBS: OnceLock<Option<usize>> = OnceLock::new();
 /// Per-index panics caught by [`sweep_catching`] since the last
 /// [`take_sweep_failures`] drain, in sweep-submission order.
 static SWEEP_FAILURES: Mutex<Vec<IndexFailure>> = Mutex::new(Vec::new());
 
 /// Force the number of worker threads for all subsequent sweeps
-/// (`--jobs N`). Pass 0 to clear the override and fall back to `NTC_JOBS`
-/// / the machine's parallelism.
+/// (`--jobs N`). Pass 0 to clear the override and fall back to the
+/// machine's parallelism.
 pub fn set_jobs(n: usize) {
     JOBS_OVERRIDE.store(n, Ordering::SeqCst);
 }
 
-/// The cached `NTC_JOBS` value: parsed on first call, then free.
-fn env_jobs() -> Option<usize> {
-    *ENV_JOBS.get_or_init(|| {
-        let v = std::env::var("NTC_JOBS").ok()?;
-        match v.trim().parse::<usize>() {
-            Ok(n) if n > 0 => Some(n),
-            _ => {
-                eprintln!(
-                    "warning: ignoring invalid NTC_JOBS={v:?} \
-                     (expected a positive integer); using machine parallelism"
-                );
-                None
-            }
-        }
-    })
-}
-
-/// The pure resolution rule behind [`jobs`]: explicit override (0 =
-/// unset) beats the environment beats the machine's parallelism, floored
-/// at one worker. Split out so the precedence is unit-testable without
-/// mutating process globals.
-fn resolve_jobs(explicit: usize, env: Option<usize>, machine: usize) -> usize {
-    if explicit > 0 {
-        explicit
-    } else {
-        env.unwrap_or(machine).max(1)
-    }
-}
-
 /// The number of worker threads a sweep will use: the [`set_jobs`]
-/// override, else `NTC_JOBS` (parsed once per process), else the
-/// machine's available parallelism.
+/// override, else the machine's available parallelism.
 pub fn jobs() -> usize {
-    resolve_jobs(
-        JOBS_OVERRIDE.load(Ordering::SeqCst),
-        env_jobs(),
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
-    )
+    match JOBS_OVERRIDE.load(Ordering::SeqCst) {
+        0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+        n => n,
+    }
 }
 
 /// Busy/wall accounting for sweeps: a typed view of the runner's
@@ -163,7 +124,7 @@ where
 }
 
 /// Panic payload carried off a worker thread.
-type Payload = Box<dyn std::any::Any + Send + 'static>;
+type Payload = Box<dyn Any + Send + 'static>;
 
 /// The engine proper: returns `Err(first panic payload)` instead of
 /// unwinding so both exits flow through the same stats accounting.
@@ -251,14 +212,16 @@ impl std::fmt::Display for IndexFailure {
     }
 }
 
-/// Best-effort human-readable rendering of a panic payload.
-fn panic_message(payload: &Payload) -> String {
+/// The message a panic payload carries: the `&str` or `String` of a
+/// `panic!`, else a placeholder. Pass the payload itself (`&*boxed`), not
+/// the `Box` holding it.
+pub fn panic_message(payload: &(dyn Any + Send)) -> &str {
     if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_owned()
+        s
     } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
+        s
     } else {
-        "non-string panic payload".to_owned()
+        "non-string panic payload"
     }
 }
 
@@ -281,7 +244,7 @@ where
     let results = sweep(n, |i| {
         catch_unwind(AssertUnwindSafe(|| f(i))).map_err(|p| IndexFailure {
             index: i,
-            message: panic_message(&p),
+            message: panic_message(&*p).to_owned(),
         })
     });
     let failures: Vec<IndexFailure> = results
@@ -396,19 +359,6 @@ mod tests {
         assert_eq!(jobs(), 3);
         set_jobs(0);
         assert!(jobs() >= 1);
-    }
-
-    #[test]
-    fn resolve_jobs_precedence_is_override_env_machine() {
-        // Explicit --jobs wins over everything.
-        assert_eq!(resolve_jobs(3, Some(5), 8), 3);
-        assert_eq!(resolve_jobs(3, None, 8), 3);
-        // The environment beats the machine…
-        assert_eq!(resolve_jobs(0, Some(5), 8), 5);
-        // …and the machine is the default…
-        assert_eq!(resolve_jobs(0, None, 8), 8);
-        // …floored at one worker even on a degenerate probe.
-        assert_eq!(resolve_jobs(0, None, 0), 1);
     }
 
     #[test]

@@ -30,15 +30,19 @@
 //! any `--jobs` count (pinned by the determinism test in
 //! `tests/scenario_grid.rs`).
 
-use crate::cache;
-use crate::config::{build_hardened_oracle, build_oracle, ClockRegime, CH3_REGIME, CH4_REGIME};
+use crate::cache::{self, push_str, push_u64};
+use crate::config::{
+    build_hardened_oracle, build_oracle, normalize_to_first, ClockRegime, Scale, CH3_REGIME,
+    CH4_REGIME,
+};
 use crate::runner::sweep_over;
+use crate::table::ResultTable;
 use ntc_core::scenario::{ChipContext, SchemeSpec, SimAccumulator};
 use ntc_core::sim::{run_schemes, SimResult};
 use ntc_pipeline::Pipeline;
 use ntc_varmodel::telemetry::{self, Counts, Metric};
 use ntc_varmodel::{Memo, OperatingPoint};
-use ntc_workload::{Benchmark, TraceSource};
+use ntc_workload::{Benchmark, TraceSource, ALL_BENCHMARKS};
 use std::sync::Arc;
 
 /// The two evaluation regimes of the study, as grid-spec data (the
@@ -115,13 +119,6 @@ impl GridSpec {
     /// the legacy fields; the cache schema tag was bumped alongside it,
     /// so pre-axis artifacts self-invalidate as plain misses.
     pub fn canonical_bytes(&self) -> Vec<u8> {
-        fn push_u64(out: &mut Vec<u8>, v: u64) {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        fn push_str(out: &mut Vec<u8>, s: &str) {
-            push_u64(out, s.len() as u64);
-            out.extend_from_slice(s.as_bytes());
-        }
         let mut out = Vec::new();
         push_u64(&mut out, self.benchmarks.len() as u64);
         for b in &self.benchmarks {
@@ -185,6 +182,56 @@ pub fn row_label(bench: Benchmark, point: OperatingPoint, multi_voltage: bool) -
     } else {
         bench.name().to_owned()
     }
+}
+
+/// The grid of a benchmark-comparison study: every benchmark, `scale`'s
+/// chips and cycles, the process's voltage roster
+/// ([`config::voltages`](crate::config::voltages)) and workload source
+/// ([`config::workload_source`](crate::config::workload_source)), run
+/// through [`run_grid`].
+pub(crate) fn study_grid(
+    scale: Scale,
+    schemes: Vec<SchemeSpec>,
+    regime: Regime,
+    chip_seed_base: u64,
+    trace_seed: u64,
+) -> Arc<GridResult> {
+    run_grid(&GridSpec {
+        benchmarks: ALL_BENCHMARKS.to_vec(),
+        chips: scale.chips(),
+        schemes,
+        voltages: crate::config::voltages(),
+        regime,
+        chip_seed_base,
+        trace_seed,
+        cycles: scale.cycles(),
+        source: crate::config::workload_source(),
+    })
+}
+
+/// A figure of `grid`: one row per (benchmark, operating point) row,
+/// labelled by [`row_label`], whose values are `row` of that row's
+/// accumulators (in scheme order).
+pub(crate) fn grid_figure(
+    id: &str,
+    title: &str,
+    columns: impl IntoIterator<Item = impl Into<String>>,
+    grid: &GridResult,
+    row: impl Fn(&[SimAccumulator]) -> Vec<f64>,
+) -> ResultTable {
+    let mut t = ResultTable::new(id, title, columns);
+    let multi = grid.voltages().len() > 1;
+    for (bench, point, accs) in grid.rows() {
+        t.push_row(row_label(*bench, *point, multi), row(accs));
+    }
+    t
+}
+
+/// Per scheme, `metric` of the accumulator's [`SimAccumulator::result`],
+/// normalized to the first scheme's (Razor's, in every comparison grid).
+pub(crate) fn normalized(accs: &[SimAccumulator], metric: impl Fn(&SimResult) -> f64) -> Vec<f64> {
+    let values: Vec<f64> = accs.iter().map(|a| metric(&a.result())).collect();
+    normalize_to_first(&values)
 }
 
 /// The folded output of [`run_grid`]: per (benchmark, operating point)

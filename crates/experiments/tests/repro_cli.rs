@@ -3,7 +3,7 @@
 //! get black-box regression tests against the real executable.
 //!
 //! Each test runs its own `--out` directory under the system temp dir and
-//! pins `NTC_JOBS=1` via the child environment, so tests stay independent
+//! passes `--jobs 1` ahead of its own arguments, so tests stay independent
 //! of each other and of the host machine.
 
 use ntc_core::scenario::SchemeSpec;
@@ -12,10 +12,11 @@ use ntc_experiments::report::{parse_json, Json, MANIFEST_SCHEMA};
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
-/// Path to the compiled `repro` binary under test.
+/// The compiled `repro` binary under test, at one job (a later `--jobs`
+/// argument overrides it).
 fn repro() -> Command {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_repro"));
-    cmd.env("NTC_JOBS", "1");
+    cmd.args(["--jobs", "1"]);
     cmd
 }
 
@@ -402,7 +403,9 @@ fn cache_dir_reruns_hit_disk_and_reproduce_csv_bytes_at_any_job_count() {
     // Warm run, different --out, different thread count: every grid comes
     // off disk, the CSV bytes are identical, and the sweep engine had
     // strictly less to do.
-    let result = run(repro().env("NTC_JOBS", "2").args([
+    let result = run(repro().args([
+        "--jobs",
+        "2",
         "--fast",
         "--cache-dir",
         cache.to_str().unwrap(),

@@ -91,11 +91,13 @@ impl HardwareReport {
 }
 
 /// Equality comparator over `tag_bits` (XNOR per bit + AND tree) gated by a
-/// valid bit — the single verify comparator of a RAM-based lookup table.
-fn tag_comparator(b: &mut Builder, tag_bits: usize) {
-    let probe = b.input_bus("probe", tag_bits);
-    let stored = b.input_bus("stored", tag_bits);
-    let valid = b.input("valid");
+/// valid bit — one verify comparator of a RAM-based lookup table. Its
+/// ports are `probe`, `stored`, `valid` and `hit`, each name prefixed by
+/// `port_prefix`.
+fn tag_comparator(b: &mut Builder, port_prefix: &str, tag_bits: usize) {
+    let probe = b.input_bus(&format!("{port_prefix}probe"), tag_bits);
+    let stored = b.input_bus(&format!("{port_prefix}stored"), tag_bits);
+    let valid = b.input(&format!("{port_prefix}valid"));
     let eq_bits: Vec<_> = probe
         .iter()
         .zip(stored.iter())
@@ -103,7 +105,7 @@ fn tag_comparator(b: &mut Builder, tag_bits: usize) {
         .collect();
     let eq = crate::generators::logic::and_tree(b, &eq_bits);
     let hit = b.and(eq, valid);
-    b.output("hit", hit);
+    b.output(&format!("{port_prefix}hit"), hit);
 }
 
 fn index_bits(entries: usize) -> usize {
@@ -123,7 +125,7 @@ pub fn synth_associative_table(name: &str, entries: usize, tag_bits: usize) -> H
     // Row-select OR tree models the word-line driver network.
     let _wl = crate::generators::logic::or_tree(&mut b, &rows);
     // Verify comparator on the read-out tag.
-    tag_comparator(&mut b, tag_bits);
+    tag_comparator(&mut b, "", tag_bits);
     // Pseudo-LRU update logic: one mux + one AND per tree level.
     let lvl = index_bits(entries);
     let seed = b.input("lru_in");
@@ -156,26 +158,13 @@ pub fn synth_set_associative_table(
     let set_idx = b.input_bus("set_index", index_bits(sets));
     let rows = crate::generators::logic::decoder(&mut b, &set_idx, sets.min(1 << set_idx.len()));
     let _wl = crate::generators::logic::or_tree(&mut b, &rows);
-    tag_comparator(&mut b, set_tag_bits);
+    tag_comparator(&mut b, "", set_tag_bits);
     // Way comparators are time-multiplexed in the RAM design: one way
     // comparator plus a way-select decoder.
     let way_idx = b.input_bus("way_index", index_bits(ways));
     let wsel = crate::generators::logic::decoder(&mut b, &way_idx, ways.min(1 << way_idx.len()));
     let _ws = crate::generators::logic::or_tree(&mut b, &wsel);
-    {
-        // Second comparator (distinct ports).
-        let probe = b.input_bus("way_probe", way_tag_bits);
-        let stored = b.input_bus("way_stored", way_tag_bits);
-        let valid = b.input("way_valid");
-        let eq_bits: Vec<_> = probe
-            .iter()
-            .zip(stored.iter())
-            .map(|(&p, &s)| b.gate2(CellKind::Xnor2, p, s))
-            .collect();
-        let eq = crate::generators::logic::and_tree(&mut b, &eq_bits);
-        let hit = b.and(eq, valid);
-        b.output("way_hit", hit);
-    }
+    tag_comparator(&mut b, "way_", way_tag_bits);
     let nl = b.finish();
 
     let plru_bits = sets * ways.saturating_sub(1) + sets.saturating_sub(1);

@@ -49,7 +49,7 @@ pub struct ServeConfig {
     /// Listen address.
     pub addr: Addr,
     /// Worker threads for the parallel runner (`None`: the runner's own
-    /// default — `NTC_JOBS` or available parallelism).
+    /// default, the available parallelism).
     pub jobs: Option<usize>,
     /// On-disk grid-cache directory shared with batch `repro` runs
     /// (`None`: memory tiers only).
@@ -542,12 +542,7 @@ impl Server {
             }
             Err(panic) => {
                 self.stats.errors.fetch_add(1, Ordering::Relaxed);
-                let msg = panic
-                    .downcast_ref::<&str>()
-                    .map(|s| s.to_string())
-                    .or_else(|| panic.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "compute panicked".into());
-                render_error(ErrorCode::Internal, &msg)
+                render_error(ErrorCode::Internal, runner::panic_message(&*panic))
             }
         }
     }

@@ -7,6 +7,7 @@
 //! slack the runner-up paths have, and which gates dominate each path's
 //! delay. This module provides that view.
 
+use crate::sta::StaticTiming;
 use ntc_netlist::{Netlist, Signal};
 use ntc_varmodel::ChipSignature;
 use std::collections::BinaryHeap;
@@ -62,7 +63,8 @@ impl RankedPath {
 /// `sig`, in decreasing delay order.
 ///
 /// Enumeration uses the standard deviation-ranked approach: for every
-/// output, walk the max-arrival tree, and at each gate optionally branch
+/// output, walk the max-arrival tree of one [`StaticTiming::analyze`]
+/// pass, and at each gate optionally branch
 /// to the second-best input, priced by the arrival-time sacrifice. A
 /// bounded priority queue keeps the cost `O(k · depth · log k)`.
 ///
@@ -71,22 +73,7 @@ impl RankedPath {
 /// Panics if the signature does not match the netlist or `k == 0`.
 pub fn k_critical_paths(nl: &Netlist, sig: &ChipSignature, k: usize) -> Vec<RankedPath> {
     assert!(k > 0, "need at least one path");
-    assert_eq!(sig.delays_ps().len(), nl.len(), "signature/netlist mismatch");
-
-    // Max arrival per signal.
-    let n = nl.len();
-    let mut arrival = vec![0.0f64; n];
-    for (i, gate) in nl.gates().iter().enumerate() {
-        if gate.kind().is_pseudo() {
-            continue;
-        }
-        let hi = gate
-            .inputs()
-            .iter()
-            .map(|s| arrival[s.index()])
-            .fold(0.0f64, f64::max);
-        arrival[i] = hi + sig.delay_ps(i);
-    }
+    let sta = StaticTiming::analyze(nl, sig);
 
     // Partial path state: current frontier signal (walking backwards from
     // an endpoint), accumulated suffix delay, and the signals collected so
@@ -125,7 +112,7 @@ pub fn k_critical_paths(nl: &Netlist, sig: &ChipSignature, k: usize) -> Vec<Rank
     let mut heap: BinaryHeap<Partial> = BinaryHeap::new();
     for &o in nl.outputs() {
         heap.push(Partial {
-            score: arrival[o.index()],
+            score: sta.max_arrival(o.index()),
             frontier: o,
             suffix: 0.0,
             collected: vec![o],
@@ -164,7 +151,7 @@ pub fn k_critical_paths(nl: &Netlist, sig: &ChipSignature, k: usize) -> Vec<Rank
             let mut collected = p.collected.clone();
             collected.push(u);
             heap.push(Partial {
-                score: arrival[u.index()] + d + p.suffix,
+                score: sta.max_arrival(u.index()) + d + p.suffix,
                 frontier: u,
                 suffix: d + p.suffix,
                 collected,
@@ -186,7 +173,7 @@ pub struct SlackReport {
 impl SlackReport {
     /// Build the report.
     pub fn analyze(nl: &Netlist, sig: &ChipSignature, period_ps: f64) -> Self {
-        let sta = crate::sta::StaticTiming::analyze(nl, sig);
+        let sta = StaticTiming::analyze(nl, sig);
         let mut endpoints: Vec<(Signal, f64, f64)> = nl
             .outputs()
             .iter()

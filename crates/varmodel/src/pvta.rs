@@ -15,7 +15,7 @@
 //!   slowing every gate — slightly, but enough to promote borderline
 //!   paths into new choke paths over a chip's lifetime.
 
-use crate::device::{delay_scale, Corner, MIN_VDD, VTH_NOMINAL};
+use crate::device::Corner;
 use crate::signature::ChipSignature;
 use ntc_netlist::Netlist;
 
@@ -72,23 +72,18 @@ impl OperatingCondition {
     /// Combines the mobility slowdown (hotter → slower) with the
     /// Vth-driven speedup (hotter → lower Vth → faster) and the aging
     /// drift (older → higher Vth → slower). Near threshold the Vth term
-    /// dominates, inverting the usual temperature dependence.
+    /// dominates, inverting the usual temperature dependence. The Vth term
+    /// is the corner's [`Corner::variation_multiplier`] of the combined
+    /// threshold shift.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the corner's supply is at or below
+    /// [`MIN_VDD`](crate::device::MIN_VDD).
     pub fn delay_multiplier(&self, corner: Corner) -> f64 {
-        // Struct-literal corners bypass `Corner::custom`'s validation;
-        // below MIN_VDD the clamp window on the next line inverts and the
-        // alpha-power law has no safe evaluation point — refuse loudly.
-        assert!(
-            corner.vdd > MIN_VDD,
-            "corner {} at {} V is below the {MIN_VDD} V floor: the Vth clamp \
-             window [0.05, vdd - 0.008] is inverted",
-            corner.name,
-            corner.vdd
-        );
         let dvth = VTH_TEMP_COEFF * (self.temperature_k - T_REF_K) + self.aging_dvth();
-        let vth = (VTH_NOMINAL + dvth).clamp(0.05, corner.vdd - 0.008);
-        let vth_term = delay_scale(corner.vdd, vth) / delay_scale(corner.vdd, VTH_NOMINAL);
         let mobility_term = (self.temperature_k / T_REF_K).powf(MOBILITY_EXPONENT);
-        vth_term * mobility_term
+        corner.variation_multiplier(dvth) * mobility_term
     }
 }
 

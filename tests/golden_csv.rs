@@ -1,14 +1,17 @@
-//! Golden-file regression tests: the fast-scale CSV output of seven
+//! Golden-file regression tests: the fast-scale CSV output of 21
 //! experiments is pinned byte-for-byte under `tests/golden/` — the
 //! circuit-level choke study at both corners (`fig3.2a`, `fig3.2b`: the
 //! choke gate level, which depends on the causal-path walk; `fig3.3`:
-//! the choke delay level, which does not), and per evaluation chapter one
-//! error-profile figure (`fig3.4`, `fig4.3`) and one scheme-comparison
-//! grid (`fig3.10`: one bare-oracle group of four schemes; `fig4.10`:
-//! buffered Razor/OCST beside bare Trident). Any change to the device
-//! model, timing analysis, trace generation, RNG streams, delay stream or
-//! sweep engine that shifts a single digit shows up here as a readable
-//! diff.
+//! the choke delay level, which does not), every error-profile figure
+//! (`fig3.4`, `fig4.3`, `fig4.4`, `fig4.8`), every grid figure of both
+//! evaluation chapters (`fig3.8`–`fig3.12`: DCS accuracy sweeps and the
+//! one bare-oracle group of four schemes; `fig4.9`–`fig4.12`: the CET
+//! sweep and buffered Razor/OCST beside bare Trident), the window
+//! ablation (`abl.window`), the voltage and aging extensions (`ext.vdd`,
+//! `ext.aging`) and both overhead tables (`tab3.overheads`,
+//! `tab4.overheads`). Any change to the device model, timing analysis,
+//! trace generation, RNG streams, delay stream, profiler or sweep engine
+//! that shifts a single digit shows up here as a readable diff.
 //!
 //! After an *intentional* model change, regenerate the fixtures with:
 //!
@@ -90,4 +93,74 @@ fn fig3_10_matches_golden_csv() {
 #[test]
 fn fig4_10_matches_golden_csv() {
     check_against_golden("fig4.10");
+}
+
+#[test]
+fn fig3_8_matches_golden_csv() {
+    check_against_golden("fig3.8");
+}
+
+#[test]
+fn fig3_9_matches_golden_csv() {
+    check_against_golden("fig3.9");
+}
+
+#[test]
+fn fig3_11_matches_golden_csv() {
+    check_against_golden("fig3.11");
+}
+
+#[test]
+fn fig3_12_matches_golden_csv() {
+    check_against_golden("fig3.12");
+}
+
+#[test]
+fn fig4_4_matches_golden_csv() {
+    check_against_golden("fig4.4");
+}
+
+#[test]
+fn fig4_8_matches_golden_csv() {
+    check_against_golden("fig4.8");
+}
+
+#[test]
+fn fig4_9_matches_golden_csv() {
+    check_against_golden("fig4.9");
+}
+
+#[test]
+fn fig4_11_matches_golden_csv() {
+    check_against_golden("fig4.11");
+}
+
+#[test]
+fn fig4_12_matches_golden_csv() {
+    check_against_golden("fig4.12");
+}
+
+#[test]
+fn abl_window_matches_golden_csv() {
+    check_against_golden("abl.window");
+}
+
+#[test]
+fn ext_vdd_matches_golden_csv() {
+    check_against_golden("ext.vdd");
+}
+
+#[test]
+fn ext_aging_matches_golden_csv() {
+    check_against_golden("ext.aging");
+}
+
+#[test]
+fn tab3_overheads_matches_golden_csv() {
+    check_against_golden("tab3.overheads");
+}
+
+#[test]
+fn tab4_overheads_matches_golden_csv() {
+    check_against_golden("tab4.overheads");
 }
