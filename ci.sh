@@ -175,7 +175,7 @@ grep -q '"voltages":{"v0.45":' target/repro-ci-vdd-cold/manifest.json
 # eviction, bytes untouched — while the real artifacts hit.
 stale=target/repro-ci-vdd-cache/00000000000000000000000000000000.grid
 printf 'NTCGRID1 written by an older schema' > "$stale"
-NTC_VDD=ntc,v0.55,v0.65,stc ./target/release/repro --fast \
+./target/release/repro --fast --vdd ntc,v0.55,v0.65,stc \
   --cache-dir target/repro-ci-vdd-cache --out target/repro-ci-vdd-warm \
   fig3.10 >/dev/null
 cmp target/repro-ci-vdd-cold/fig3_10.csv target/repro-ci-vdd-warm/fig3_10.csv
@@ -328,15 +328,19 @@ if ./target/release/repro --fast --out target/repro-ci-blocker fig3.4 >/dev/null
 fi
 rm -f target/repro-ci-blocker
 
-echo "==> ntc-serve exit-code semantics (bad NTC_VDD => 2 before binding)"
+echo "==> ntc-serve exit-code semantics (bad argument => 2 before binding)"
 # `timeout` turns a daemon that starts anyway into exit 124, not a hang.
-rm -f target/serve-ci/bad-vdd.sock
-bad_vdd_code=0
-NTC_VDD=garbage timeout 20 ./target/release/ntc-serve serve \
-  --socket target/serve-ci/bad-vdd.sock 2>/dev/null || bad_vdd_code=$?
-if [ "$bad_vdd_code" != 2 ]; then
-  echo "FAIL: ntc-serve with NTC_VDD=garbage must exit 2, got $bad_vdd_code"; exit 1
-fi
-test ! -e target/serve-ci/bad-vdd.sock
+# `--tcp` is not a flag: the daemon listens on a Unix socket only.
+for bad in "--jobs x" "--tcp 127.0.0.1:0"; do
+  rm -f target/serve-ci/bad-arg.sock
+  bad_code=0
+  # Unquoted on purpose: $bad is a flag and its value.
+  timeout 20 ./target/release/ntc-serve serve \
+    --socket target/serve-ci/bad-arg.sock $bad 2>/dev/null || bad_code=$?
+  if [ "$bad_code" != 2 ]; then
+    echo "FAIL: ntc-serve serve $bad must exit 2, got $bad_code"; exit 1
+  fi
+  test ! -e target/serve-ci/bad-arg.sock
+done
 
 echo "==> CI OK"

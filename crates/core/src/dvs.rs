@@ -56,9 +56,6 @@ pub struct DvsController {
     pos: u64,
     /// Corrections observed in the current window.
     corrections: u64,
-    /// Whole-run telemetry for the energy accounting.
-    cycles: u64,
-    vdd_sum: f64,
     power_overhead: f64,
 }
 
@@ -91,8 +88,6 @@ impl DvsController {
             target_ppm,
             pos: 0,
             corrections: 0,
-            cycles: 0,
-            vdd_sum: 0.0,
             // The loop hardware: supply-rail control, the per-window error
             // counter and the comparator (far below HFG's sensor network).
             power_overhead: 0.006,
@@ -127,22 +122,6 @@ impl DvsController {
     pub fn level(&self) -> usize {
         self.level
     }
-
-    /// Supply voltage at the current rung, volts.
-    pub fn level_vdd(&self) -> f64 {
-        self.levels[self.level].vdd
-    }
-
-    /// Cycle-weighted mean supply voltage over the run so far, as a
-    /// fraction of the grid point's supply — squared, this is the dynamic
-    /// energy the closed loop harvested (`< 1.0` once any rung below the
-    /// grid was occupied).
-    pub fn mean_supply_ratio(&self) -> f64 {
-        if self.cycles == 0 {
-            return 1.0;
-        }
-        (self.vdd_sum / self.cycles as f64) / self.levels[0].vdd
-    }
 }
 
 impl ResilienceScheme for DvsController {
@@ -159,8 +138,6 @@ impl ResilienceScheme for DvsController {
             }
             None => CycleOutcome::Clean,
         };
-        self.cycles += 1;
-        self.vdd_sum += self.levels[self.level].vdd;
         self.pos += 1;
         if self.pos >= self.window {
             self.retune();
@@ -230,7 +207,6 @@ mod tests {
             assert_eq!(dvs.on_cycle(&ctx(&p, &c, Some(70.0))), CycleOutcome::Clean);
         }
         assert_eq!(dvs.level(), 2, "still clean: bottom rung reached");
-        assert!(dvs.level_vdd() < 0.51);
         // At the bottom rung 70 ps > 62 ps: every cycle corrects, and the
         // next boundary walks the supply back up.
         for _ in 0..10 {
@@ -240,7 +216,6 @@ mod tests {
             ));
         }
         assert_eq!(dvs.level(), 1, "saturated correction rate backs off");
-        assert!(dvs.mean_supply_ratio() < 1.0, "margin was harvested");
     }
 
     #[test]

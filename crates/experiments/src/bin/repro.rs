@@ -13,8 +13,7 @@
 //! parameters (million-cycle traces); the default fast scale keeps the run
 //! laptop-friendly. `--jobs N` pins the sweep-engine thread count —
 //! results are bit-identical at any value, only the wall clock changes.
-//! `--vdd LIST` (or the `NTC_VDD`
-//! environment variable) widens the supply-voltage axis of every
+//! `--vdd LIST` widens the supply-voltage axis of every
 //! grid-shaped experiment to the given comma-separated operating points
 //! (`0.45`, `v0.60`, `ntc`, `stc`, …); the default is the single NTC
 //! point, which keeps every legacy table byte-identical. Tables print to
@@ -59,9 +58,9 @@
 //!
 //! * `0` — every requested experiment ran, every CSV and the manifest
 //!   were written;
-//! * `1` — at least one experiment failed (panic, caught sweep-index
-//!   panic, CSV or manifest write error), or `--resume` found a manifest
-//!   it cannot trust; the diagnostics name it;
+//! * `1` — at least one experiment failed (panic, CSV or manifest write
+//!   error), or `--resume` found a manifest it cannot trust; the
+//!   diagnostics name it;
 //! * `2` — usage error: bad flag, or **any** requested ID matching no
 //!   experiment (a misspelled ID must never silently shrink the suite).
 
@@ -93,7 +92,6 @@ fn run() -> i32 {
     let mut cache_dir: Option<PathBuf> = None;
     let mut no_cache = false;
     let mut resume = false;
-    let mut vdd_flag = false;
     let mut trace_dir: Option<PathBuf> = None;
     let mut record = false;
     let mut selected: Vec<String> = Vec::new();
@@ -119,10 +117,7 @@ fn run() -> i32 {
             },
             "--record" => record = true,
             "--vdd" => match args.next().as_deref().map(ntc_experiments::parse_voltages) {
-                Some(Ok(points)) => {
-                    vdd_flag = true;
-                    ntc_experiments::set_voltages(points);
-                }
+                Some(Ok(points)) => ntc_experiments::set_voltages(points),
                 Some(Err(e)) => {
                     eprintln!("--vdd: {e}");
                     return 2;
@@ -184,7 +179,7 @@ fn run() -> i32 {
                      [--trace-dir DIR [--record]] [--resume] [--list] [ID ...]\n\
                      --cache-dir DIR  persistent grid-result cache shared across runs\n\
                      --no-cache       bypass all grid caching (cold run)\n\
-                     --vdd LIST       sweep grids over these operating points (also NTC_VDD);\n\
+                     --vdd LIST       sweep grids over these operating points;\n\
                      \u{20}                comma-separated, e.g. `0.45,0.60,stc`; default ntc only\n\
                      --trace-dir DIR  replay recorded binary traces from DIR instead of the\n\
                      \u{20}                statistical generator (see also `ntc-workload record`)\n\
@@ -217,18 +212,6 @@ fn run() -> i32 {
     };
     ntc_experiments::set_workload_source(Some(source.clone()));
     let source_label = source.to_string();
-
-    // A malformed NTC_VDD is a usage error the moment the process
-    // starts, not a mid-suite surprise — unless `--vdd` was given, which
-    // overrides the environment entirely (so a stale env var cannot veto
-    // an explicit request).
-    if !vdd_flag {
-        if let Err(e) = ntc_experiments::config::env_voltages() {
-            eprintln!("error: {e}");
-            eprintln!("fix the list or unset NTC_VDD; see `repro --list` for the roster");
-            return 2;
-        }
-    }
 
     let suite = all_experiments();
     // Strict selection: every requested ID must name a real experiment. A
@@ -347,9 +330,6 @@ fn run() -> i32 {
             records.push(prev);
             continue;
         }
-        // The registry of caught sweep panics is not a counter: drain
-        // leftovers so this record lists only its own.
-        let _ = runner::take_sweep_failures();
         let start = Instant::now();
         // Experiment-level fault isolation: a panicking experiment (e.g. a
         // chip failing inside a strict `sweep`) becomes a failed record and
@@ -379,7 +359,7 @@ fn run() -> i32 {
             requested_vdd: requested_vdd.clone(),
             source: source_label.clone(),
             workload: WorkloadStats::from(&counts),
-            sweep_failures: runner::take_sweep_failures(),
+            sweep_failures: Vec::new(),
             rows: 0,
             csv: None,
             resumed: false,
@@ -491,12 +471,6 @@ fn describe(r: &RunRecord) -> String {
         line.push_str(&format!(
             ", trace {} recorded / {} replayed",
             r.workload.traces_recorded, r.workload.trace_replays
-        ));
-    }
-    if !r.sweep_failures.is_empty() {
-        line.push_str(&format!(
-            ", {} sweep index(es) panicked",
-            r.sweep_failures.len()
         ));
     }
     match (&r.csv, &r.error) {

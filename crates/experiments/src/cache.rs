@@ -41,7 +41,7 @@ use ntc_varmodel::rng::SplitMix64;
 use ntc_varmodel::telemetry::{self, Counts, Metric};
 use ntc_varmodel::OperatingPoint;
 use ntc_workload::trace_bin::{fnv1a64, fnv1a64_seeded, FNV_OFFSET};
-use ntc_workload::{Benchmark, ALL_BENCHMARKS};
+use ntc_workload::Benchmark;
 use std::collections::BTreeSet;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -302,11 +302,6 @@ fn intern(s: &str) -> &'static str {
     leaked
 }
 
-/// Resolve a stored benchmark name against the workload registry.
-fn benchmark_by_name(name: &str) -> Option<Benchmark> {
-    ALL_BENCHMARKS.into_iter().find(|b| b.name() == name)
-}
-
 fn decode(bytes: &[u8], spec: &GridSpec) -> Decoded {
     // Trailer first: everything else is only meaningful under a valid
     // checksum.
@@ -359,7 +354,7 @@ fn decode(bytes: &[u8], spec: &GridSpec) -> Decoded {
     let mut rows = Vec::new();
     for (expected_bench, expected_point) in groups {
         let name = want!(r.str(), "benchmark name");
-        let bench = want!(benchmark_by_name(name), "unknown benchmark name");
+        let bench = want!(Benchmark::parse(name), "unknown benchmark name");
         if bench != expected_bench {
             return Decoded::Corrupt("row order does not match the spec");
         }

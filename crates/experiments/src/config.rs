@@ -20,59 +20,24 @@ use std::sync::{Arc, Mutex};
 
 /// Process-wide voltage roster for the grid-backed experiments: which
 /// operating points the benchmark grids sweep. Empty means "unset" —
-/// [`voltages`] then consults `NTC_VDD` and finally defaults to the NTC
-/// corner alone, which keeps every legacy single-corner golden
-/// byte-identical.
+/// [`voltages`] then defaults to the NTC corner alone, which keeps every
+/// legacy single-corner golden byte-identical.
 static VOLTAGES: Mutex<Vec<OperatingPoint>> = Mutex::new(Vec::new());
 
 /// Select the operating points grid-backed experiments sweep — the
-/// `repro --vdd` escape hatch. An empty list restores the default
-/// (NTC only / `NTC_VDD`).
+/// `repro --vdd` flag. An empty list restores the NTC-only default.
 pub fn set_voltages(points: Vec<OperatingPoint>) {
     *VOLTAGES.lock().expect("voltage roster poisoned") = points;
 }
 
-/// The `NTC_VDD` environment roster, validated through the same parser
-/// as `--vdd`: `Ok(None)` when the variable is unset, `Ok(Some(points))`
-/// for a valid list, and `Err` with the parse message otherwise. Entry
-/// points (the `repro` binary, the serve daemon) call this at startup so
-/// a bad roster is a clean usage error — exit code 2, no backtrace — not
-/// a mid-run panic.
-///
-/// # Errors
-///
-/// The [`parse_voltages`] message for an invalid or empty list.
-pub fn env_voltages() -> Result<Option<Vec<OperatingPoint>>, String> {
-    match std::env::var("NTC_VDD") {
-        Ok(list) => parse_voltages(&list).map(Some).map_err(|e| format!("NTC_VDD: {e}")),
-        Err(_) => Ok(None),
-    }
-}
-
 /// The voltage axis for grid-backed experiments: the list given to
-/// [`set_voltages`], else a valid `NTC_VDD` environment variable (a
-/// comma-separated list of roster names, bare voltages, or the
-/// `ntc`/`stc` aliases), else the NTC corner alone.
-///
-/// An *invalid* `NTC_VDD` is ignored here with a warning on stderr — the
-/// entry points validate it up front via [`env_voltages`] and exit with
-/// a usage error, so deep inside an experiment the only sound move left
-/// is the safe default, never a panic (this used to `panic!` and take
-/// the whole run down with a backtrace mid-sweep).
+/// [`set_voltages`], else the NTC corner alone.
 pub fn voltages() -> Vec<OperatingPoint> {
-    {
-        let set = VOLTAGES.lock().expect("voltage roster poisoned");
-        if !set.is_empty() {
-            return set.clone();
-        }
-    }
-    match env_voltages() {
-        Ok(Some(points)) => points,
-        Ok(None) => vec![OperatingPoint::NTC],
-        Err(e) => {
-            eprintln!("warning: {e}; sweeping the NTC corner only");
-            vec![OperatingPoint::NTC]
-        }
+    let set = VOLTAGES.lock().expect("voltage roster poisoned");
+    if set.is_empty() {
+        vec![OperatingPoint::NTC]
+    } else {
+        set.clone()
     }
 }
 
@@ -449,10 +414,8 @@ mod tests {
 
     #[test]
     fn voltage_axis_defaults_to_ntc_and_honors_overrides() {
-        // Unset (and no NTC_VDD in the test environment): NTC only.
-        if std::env::var("NTC_VDD").is_err() {
-            assert_eq!(voltages(), vec![OperatingPoint::NTC]);
-        }
+        // Unset: NTC only.
+        assert_eq!(voltages(), vec![OperatingPoint::NTC]);
         let sweep = vec![OperatingPoint::NTC, OperatingPoint::STC];
         set_voltages(sweep.clone());
         assert_eq!(voltages(), sweep);

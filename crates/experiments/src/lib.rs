@@ -18,7 +18,7 @@
 //! [`ntc_core::scenario::SchemeSpec`]s through the parallel sweep engine
 //! and folds per (benchmark, voltage) row with one shared accumulator.
 //! The supply-voltage axis defaults to NTC and is widened globally with
-//! [`config::set_voltages`] (the `repro --vdd` flag / `NTC_VDD` env var).
+//! [`config::set_voltages`] (the `repro --vdd` flag).
 //!
 //! # Examples
 //!
@@ -51,7 +51,7 @@ pub use config::{
 };
 pub use report::{Manifest, RunRecord};
 pub use runner::{
-    set_jobs, sweep, sweep_catching, sweep_over, take_stats, take_sweep_failures, IndexFailure,
+    set_jobs, sweep, sweep_over, take_stats, take_sweep_failures, IndexFailure,
     SweepStats,
 };
 pub use scenario::{

@@ -77,8 +77,10 @@ pub struct RunRecord {
     pub source: String,
     /// Trace record/replay counters of this experiment.
     pub workload: ntc_workload::WorkloadStats,
-    /// Per-index panics caught by `runner::sweep_catching` during this
-    /// experiment (empty for strict sweeps, which fail the whole record).
+    /// Per-index sweep panics of this experiment. Always empty: a sweep
+    /// fails fast, so a panic fails the whole record through `error`.
+    /// Kept, with its manifest member, because the benchmark's
+    /// `layer-trace` binary (under `perfbench/`) builds records too.
     pub sweep_failures: Vec<IndexFailure>,
     /// Rows in the produced table (0 when the run failed).
     pub rows: usize,

@@ -30,30 +30,19 @@
 //! unwinding — a panicking sweep still accounts its wall and busy time,
 //! so per-experiment telemetry stays honest even for failing runs.
 //!
-//! Two failure disciplines are offered:
-//!
-//! * [`sweep`] — fail fast: a panic in any task propagates to the caller
-//!   after stats are recorded. Experiments use this; a panicking chip
-//!   means the table is untrustworthy and must not be emitted.
-//! * [`sweep_catching`] — fault isolation: each index runs under
-//!   [`std::panic::catch_unwind`], a panicking index yields
-//!   `Err(IndexFailure)` in its slot while every other index completes
-//!   bit-identically, and the failures are additionally pushed to a
-//!   process-global registry ([`take_sweep_failures`]) so the `repro`
-//!   manifest can report them per experiment.
+//! A sweep fails fast: a panic in any task propagates to the caller
+//! after stats are recorded. A panicking chip means the table is
+//! untrustworthy and must not be emitted; `repro` turns it into a failed
+//! record of that experiment.
 
 use ntc_varmodel::telemetry::{self, Counts, Metric};
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Explicit thread-count override; 0 = unset.
 static JOBS_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-/// Per-index panics caught by [`sweep_catching`] since the last
-/// [`take_sweep_failures`] drain, in sweep-submission order.
-static SWEEP_FAILURES: Mutex<Vec<IndexFailure>> = Mutex::new(Vec::new());
 
 /// Force the number of worker threads for all subsequent sweeps
 /// (`--jobs N`). Pass 0 to clear the override and fall back to the
@@ -110,8 +99,7 @@ pub fn take_stats() -> SweepStats {
 ///
 /// A panic in any task propagates to the caller after the scope joins;
 /// the busy/wall counters are recorded before the unwind resumes, so
-/// [`SweepStats`] stay accurate across failed sweeps. For per-index
-/// fault isolation instead of fail-fast, see [`sweep_catching`].
+/// [`SweepStats`] stay accurate across failed sweeps.
 pub fn sweep<T, F>(n: usize, f: F) -> Vec<T>
 where
     T: Send,
@@ -196,7 +184,7 @@ where
     result
 }
 
-/// One caught per-index panic from a [`sweep_catching`] run.
+/// One panicking sweep index, as a manifest record lists it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IndexFailure {
     /// The sweep index whose task panicked.
@@ -204,12 +192,6 @@ pub struct IndexFailure {
     /// The panic message (`&str`/`String` payloads; a placeholder
     /// otherwise).
     pub message: String,
-}
-
-impl std::fmt::Display for IndexFailure {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "index {}: {}", self.index, self.message)
-    }
 }
 
 /// The message a panic payload carries: the `&str` or `String` of a
@@ -225,49 +207,10 @@ pub fn panic_message(payload: &(dyn Any + Send)) -> &str {
     }
 }
 
-/// Fault-isolating variant of [`sweep`]: each index runs under
-/// [`catch_unwind`], so one panicking task yields `Err(IndexFailure)` in
-/// its own slot while **every other index completes and stays
-/// bit-identical to a fully sequential run** — scheduling still cannot
-/// leak into results, and neither can a neighbour's failure.
-///
-/// Caught failures are also appended (in index order) to a process-global
-/// registry; drain it with [`take_sweep_failures`] to report them, as the
-/// `repro` binary does per experiment in its `manifest.json`. The default
-/// panic hook still prints each panic to stderr — isolation changes who
-/// survives, not who gets logged.
-pub fn sweep_catching<T, F>(n: usize, f: F) -> Vec<Result<T, IndexFailure>>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let results = sweep(n, |i| {
-        catch_unwind(AssertUnwindSafe(|| f(i))).map_err(|p| IndexFailure {
-            index: i,
-            message: panic_message(&*p).to_owned(),
-        })
-    });
-    let failures: Vec<IndexFailure> = results
-        .iter()
-        .filter_map(|r| r.as_ref().err().cloned())
-        .collect();
-    if !failures.is_empty() {
-        SWEEP_FAILURES
-            .lock()
-            .expect("sweep-failure registry poisoned")
-            .extend(failures);
-    }
-    results
-}
-
-/// Drain the process-global registry of panics caught by
-/// [`sweep_catching`] since the last drain, in sweep-submission order.
+/// Always empty: no sweep catches its panics. Kept only because the
+/// benchmark's `layer-trace` binary (under `perfbench/`) calls it.
 pub fn take_sweep_failures() -> Vec<IndexFailure> {
-    std::mem::take(
-        &mut *SWEEP_FAILURES
-            .lock()
-            .expect("sweep-failure registry poisoned"),
-    )
+    Vec::new()
 }
 
 /// Keyed sweep over an explicit work list — the (chip × benchmark ×
@@ -407,63 +350,5 @@ mod tests {
             assert!(SweepStats::from(&counts).wall > Duration::ZERO, "jobs={jobs}");
         }
         set_jobs(0);
-    }
-
-    #[test]
-    fn sweep_catching_isolates_panics_and_stays_deterministic() {
-        let _guard = JOBS_LOCK.lock().unwrap();
-        let _ = take_sweep_failures();
-        let run = || {
-            sweep_catching(24, |i| {
-                if i == 5 || i == 17 {
-                    panic!("chip {i} exploded");
-                }
-                let mut rng = ntc_varmodel::SplitMix64::seed_from_u64(900 + i as u64);
-                (0..64).map(|_| rng.gen_f64()).sum::<f64>()
-            })
-        };
-        set_jobs(1);
-        let sequential = run();
-        let seq_failures = take_sweep_failures();
-        set_jobs(8);
-        let parallel = run();
-        let par_failures = take_sweep_failures();
-        set_jobs(0);
-
-        assert_eq!(seq_failures, par_failures, "same failures at any thread count");
-        assert_eq!(
-            seq_failures.iter().map(|f| f.index).collect::<Vec<_>>(),
-            vec![5, 17]
-        );
-        assert_eq!(seq_failures[0].message, "chip 5 exploded");
-        for (i, (a, b)) in sequential.iter().zip(&parallel).enumerate() {
-            match (a, b) {
-                (Ok(x), Ok(y)) => {
-                    assert_eq!(x.to_bits(), y.to_bits(), "index {i} bit-identical")
-                }
-                (Err(x), Err(y)) => assert_eq!(x, y),
-                _ => panic!("index {i}: pass/fail status differs across thread counts"),
-            }
-        }
-    }
-
-    #[test]
-    fn sweep_failure_registry_drains() {
-        let _guard = JOBS_LOCK.lock().unwrap();
-        let _ = take_sweep_failures();
-        set_jobs(1);
-        let out = sweep_catching(3, |i| {
-            if i == 1 {
-                panic!("boom");
-            }
-            i
-        });
-        set_jobs(0);
-        assert_eq!(out[0], Ok(0));
-        assert_eq!(out[2], Ok(2));
-        let failures = take_sweep_failures();
-        assert_eq!(failures.len(), 1);
-        assert_eq!(failures[0].index, 1);
-        assert!(take_sweep_failures().is_empty(), "drain resets the registry");
     }
 }

@@ -209,32 +209,23 @@ fn bad_flag_and_bad_format_exit_2() {
 }
 
 #[test]
-fn malformed_ntc_vdd_is_a_startup_usage_error_unless_vdd_overrides_it() {
-    let out = out_dir("bad-env");
-    // A garbage NTC_VDD must be rejected before any experiment runs:
-    // exit code 2, a message naming the variable, no output directory.
-    // (This used to panic with a backtrace mid-sweep.)
-    let result = run(repro()
-        .env("NTC_VDD", "0.62,bogus")
-        .args(["--fast", "--out", out.to_str().unwrap(), "fig3.4"]));
-    assert_eq!(result.status.code(), Some(2), "usage error, not a panic");
-    let stderr = String::from_utf8_lossy(&result.stderr);
-    assert!(stderr.contains("NTC_VDD"), "names the variable: {stderr}");
-    assert!(!stderr.contains("panicked"), "no backtrace: {stderr}");
-    assert!(!out.exists(), "nothing may run under a malformed roster");
-
-    // An explicit --vdd replaces the environment roster entirely, so the
-    // same garbage NTC_VDD is irrelevant and the run succeeds.
-    let result = run(repro().env("NTC_VDD", "0.62,bogus").args([
+fn malformed_vdd_is_a_startup_usage_error() {
+    let out = out_dir("bad-vdd");
+    // A garbage --vdd must be rejected before any experiment runs: exit
+    // code 2, a message naming the flag, no output directory.
+    let result = run(repro().args([
         "--fast",
         "--vdd",
-        "v0.45",
+        "0.62,bogus",
         "--out",
         out.to_str().unwrap(),
         "fig3.4",
     ]));
-    assert_eq!(result.status.code(), Some(0), "--vdd overrides a bad NTC_VDD");
-    std::fs::remove_dir_all(&out).ok();
+    assert_eq!(result.status.code(), Some(2), "usage error, not a panic");
+    let stderr = String::from_utf8_lossy(&result.stderr);
+    assert!(stderr.contains("--vdd"), "names the flag: {stderr}");
+    assert!(!stderr.contains("panicked"), "no backtrace: {stderr}");
+    assert!(!out.exists(), "nothing may run under a malformed roster");
 }
 
 /// The first record of an on-disk manifest, parsed.
@@ -298,9 +289,7 @@ fn resume_skips_passing_experiments_and_completes_the_rest() {
 fn resume_reruns_when_the_voltage_roster_changes() {
     let out = out_dir("resume-vdd");
     // Baseline manifest at the default single-point roster.
-    let result = run(repro()
-        .env_remove("NTC_VDD")
-        .args(["--fast", "--out", out.to_str().unwrap(), "fig3.4"]));
+    let result = run(repro().args(["--fast", "--out", out.to_str().unwrap(), "fig3.4"]));
     assert_eq!(result.status.code(), Some(0));
     assert_eq!(
         first_record(&out).get("requested_vdd").unwrap().as_arr().unwrap().len(),
@@ -311,7 +300,7 @@ fn resume_reruns_when_the_voltage_roster_changes() {
     // Resuming under a wider --vdd roster must NOT carry the old record
     // forward: its grids were computed at a different voltage axis, so
     // the experiment reruns and the manifest records the new roster.
-    let result = run(repro().env_remove("NTC_VDD").args([
+    let result = run(repro().args([
         "--fast",
         "--resume",
         "--vdd",
@@ -338,7 +327,7 @@ fn resume_reruns_when_the_voltage_roster_changes() {
     assert_eq!(roster, ["v0.45", "v0.60"], "manifest records the roster it ran");
 
     // Resuming again under the SAME roster does carry forward.
-    let result = run(repro().env_remove("NTC_VDD").args([
+    let result = run(repro().args([
         "--fast",
         "--resume",
         "--vdd",

@@ -137,7 +137,8 @@ impl CellKind {
         self.area_um2() * 0.9
     }
 
-    /// Evaluate the cell's logic function.
+    /// Evaluate the cell's logic function: pin `j` is bit `j` of the
+    /// [`truth_table`](Self::truth_table) index.
     ///
     /// `ins` must contain at least [`arity`](Self::arity) values; extra
     /// entries are ignored.
@@ -149,27 +150,12 @@ impl CellKind {
     /// from the stimulus).
     #[inline]
     pub fn eval(self, ins: &[bool]) -> bool {
-        match self {
-            CellKind::Input => panic!("primary inputs have no logic function"),
-            CellKind::Const0 => false,
-            CellKind::Const1 => true,
-            CellKind::Inv => !ins[0],
-            CellKind::Buf => ins[0],
-            CellKind::And2 => ins[0] & ins[1],
-            CellKind::Or2 => ins[0] | ins[1],
-            CellKind::Nand2 => !(ins[0] & ins[1]),
-            CellKind::Nor2 => !(ins[0] | ins[1]),
-            CellKind::Xor2 => ins[0] ^ ins[1],
-            CellKind::Xnor2 => !(ins[0] ^ ins[1]),
-            CellKind::Mux2 => {
-                if ins[2] {
-                    ins[1]
-                } else {
-                    ins[0]
-                }
-            }
-            CellKind::Maj3 => (ins[0] & ins[1]) | (ins[2] & (ins[0] ^ ins[1])),
-        }
+        assert!(self != CellKind::Input, "primary inputs have no logic function");
+        let state = ins[..self.arity()]
+            .iter()
+            .enumerate()
+            .fold(0u8, |s, (j, &v)| s | (v as u8) << j);
+        self.truth_table() >> state & 1 == 1
     }
 
     /// The cell's logic function as an 8-entry truth table: bit `s` is the

@@ -2,10 +2,9 @@
 //! response lines. What the `ntc-serve request` subcommand, the CI
 //! gate's concurrent clients, and the integration tests all drive.
 
-use crate::server::Addr;
 use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
 use std::os::unix::net::UnixStream;
+use std::path::Path;
 
 /// Send one request line and return the one response line (without the
 /// trailing newline).
@@ -14,8 +13,8 @@ use std::os::unix::net::UnixStream;
 ///
 /// Propagates connect/write/read failures; an empty response (server
 /// closed without answering) maps to `UnexpectedEof`.
-pub fn roundtrip(addr: &Addr, request_line: &str) -> std::io::Result<String> {
-    let responses = roundtrip_many(addr, std::slice::from_ref(&request_line))?;
+pub fn roundtrip(socket: &Path, request_line: &str) -> std::io::Result<String> {
+    let responses = roundtrip_many(socket, std::slice::from_ref(&request_line))?;
     responses
         .into_iter()
         .next()
@@ -29,18 +28,12 @@ pub fn roundtrip(addr: &Addr, request_line: &str) -> std::io::Result<String> {
 ///
 /// Propagates connect/write/read failures; a short response set
 /// (server closed early) maps to `UnexpectedEof`.
-pub fn roundtrip_many<S: AsRef<str>>(addr: &Addr, requests: &[S]) -> std::io::Result<Vec<String>> {
-    let (mut writer, reader): (Box<dyn Write>, Box<dyn std::io::Read>) = match addr {
-        Addr::Unix(path) => {
-            let s = UnixStream::connect(path)?;
-            (Box::new(s.try_clone()?), Box::new(s))
-        }
-        Addr::Tcp(a) => {
-            let s = TcpStream::connect(a.as_str())?;
-            (Box::new(s.try_clone()?), Box::new(s))
-        }
-    };
-    let mut reader = BufReader::new(reader);
+pub fn roundtrip_many<S: AsRef<str>>(
+    socket: &Path,
+    requests: &[S],
+) -> std::io::Result<Vec<String>> {
+    let mut writer = UnixStream::connect(socket)?;
+    let mut reader = BufReader::new(writer.try_clone()?);
     let mut out = Vec::with_capacity(requests.len());
     for req in requests {
         writer.write_all(req.as_ref().as_bytes())?;

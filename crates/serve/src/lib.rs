@@ -2,7 +2,7 @@
 //!
 //! The grid-compute daemon: a long-lived server that turns the one-shot
 //! batch repro harness into a shared service. Clients speak a JSON-lines
-//! protocol over a Unix or TCP socket ([`protocol`]), requesting either
+//! protocol over a Unix-domain socket ([`protocol`]), requesting either
 //! a whole experiment of the suite or an arbitrary
 //! [`GridSpec`](ntc_experiments::scenario::GridSpec); the daemon answers
 //! from the in-memory grid memo, the on-disk artifact cache, or a fresh
@@ -46,4 +46,4 @@ pub mod server;
 pub use admission::{Admission, Busy};
 pub use client::{roundtrip, roundtrip_many};
 pub use protocol::{ErrorCode, Receipt, Request, RECEIPT_SCHEMA};
-pub use server::{install_signal_handlers, request_shutdown, Addr, ServeConfig, Server};
+pub use server::{install_signal_handlers, ServeConfig, Server};

@@ -51,7 +51,7 @@ use ntc_experiments::scenario::{row_label, GridResult, GridSpec, Regime};
 use ntc_experiments::table::ResultTable;
 use ntc_experiments::Scale;
 use ntc_varmodel::OperatingPoint;
-use ntc_workload::ALL_BENCHMARKS;
+use ntc_workload::Benchmark;
 
 /// Schema tag of the per-request receipt, bumped on any
 /// field/semantics change (mirrors the manifest's
@@ -186,11 +186,7 @@ fn spec_from_json(v: &Json) -> Result<GridSpec, String> {
         .iter()
         .map(|b| {
             let name = b.as_str().ok_or("spec: benchmark names must be strings")?;
-            ALL_BENCHMARKS
-                .iter()
-                .copied()
-                .find(|bench| bench.name() == name)
-                .ok_or_else(|| format!("unknown benchmark {name:?}"))
+            Benchmark::parse(name).ok_or_else(|| format!("unknown benchmark {name:?}"))
         })
         .collect::<Result<Vec<_>, _>>()?;
     let schemes = v
@@ -423,7 +419,6 @@ pub fn table_csv(t: &ResultTable) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ntc_workload::Benchmark;
 
     #[test]
     fn request_lines_parse() {

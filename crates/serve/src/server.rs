@@ -25,29 +25,20 @@ use ntc_experiments::{
 use ntc_varmodel::{telemetry, Memo, OperatingPoint};
 use ntc_workload::{TraceSource, ALL_BENCHMARKS};
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
-use std::net::TcpListener;
-use std::os::unix::net::UnixListener;
+use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-
-/// Where the daemon listens.
-#[derive(Debug, Clone)]
-pub enum Addr {
-    /// A Unix-domain socket path (removed on clean shutdown).
-    Unix(PathBuf),
-    /// A TCP bind address, e.g. `127.0.0.1:7433`.
-    Tcp(String),
-}
 
 /// Daemon configuration. `Default` gives a single-slot compute budget
 /// (exact per-request telemetry) and a 32-deep admission queue on a
 /// Unix socket at `ntc-serve.sock`.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Listen address.
-    pub addr: Addr,
+    /// The Unix-domain socket path the daemon listens on (removed on
+    /// clean shutdown).
+    pub socket: PathBuf,
     /// Worker threads for the parallel runner (`None`: the runner's own
     /// default, the available parallelism).
     pub jobs: Option<usize>,
@@ -67,7 +58,7 @@ pub struct ServeConfig {
 impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
-            addr: Addr::Unix(PathBuf::from("ntc-serve.sock")),
+            socket: PathBuf::from("ntc-serve.sock"),
             jobs: None,
             cache_dir: None,
             budget: 1,
@@ -77,21 +68,10 @@ impl Default for ServeConfig {
     }
 }
 
-/// Process-wide shutdown latch, set by [`request_shutdown`] (the
-/// `shutdown` op and the signal handler both land here). Static because
-/// a signal handler cannot carry state.
+/// Process-wide shutdown latch, set only by the signal handler (the
+/// `shutdown` op sets its server's own latch). Static because a signal
+/// handler cannot carry state.
 static SHUTDOWN: AtomicBool = AtomicBool::new(false);
-
-/// Ask the daemon to drain and exit; the accept loop notices within one
-/// poll interval. Safe to call from any thread.
-pub fn request_shutdown() {
-    SHUTDOWN.store(true, Ordering::SeqCst);
-}
-
-/// Whether shutdown has been requested.
-pub fn shutdown_requested() -> bool {
-    SHUTDOWN.load(Ordering::SeqCst)
-}
 
 extern "C" fn on_signal(_signum: i32) {
     // Async-signal-safe: one relaxed-ordering store into a static.
@@ -140,11 +120,6 @@ type TableKey = (String, Scale, Vec<OperatingPoint>, TraceSource);
 /// scales.
 const TABLE_MEMO_CAP: usize = 64;
 
-enum Listener {
-    Unix(UnixListener),
-    Tcp(TcpListener),
-}
-
 /// How long a connection's read blocks before it checks for shutdown, so
 /// an idle client cannot hold up the drain.
 const IDLE_POLL: Duration = Duration::from_millis(100);
@@ -174,32 +149,8 @@ impl Drop for ConnectionSlot<'_> {
     }
 }
 
-/// A connected client stream, unix or TCP.
-trait Conn: std::io::Read + Write + Send {
-    fn try_clone_reader(&self) -> std::io::Result<Box<dyn std::io::Read + Send>>;
-    fn set_read_timeout(&self, timeout: Option<Duration>) -> std::io::Result<()>;
-}
-
-impl Conn for std::os::unix::net::UnixStream {
-    fn try_clone_reader(&self) -> std::io::Result<Box<dyn std::io::Read + Send>> {
-        Ok(Box::new(self.try_clone()?))
-    }
-    fn set_read_timeout(&self, timeout: Option<Duration>) -> std::io::Result<()> {
-        std::os::unix::net::UnixStream::set_read_timeout(self, timeout)
-    }
-}
-
-impl Conn for std::net::TcpStream {
-    fn try_clone_reader(&self) -> std::io::Result<Box<dyn std::io::Read + Send>> {
-        Ok(Box::new(self.try_clone()?))
-    }
-    fn set_read_timeout(&self, timeout: Option<Duration>) -> std::io::Result<()> {
-        std::net::TcpStream::set_read_timeout(self, timeout)
-    }
-}
-
 /// Write one response line.
-fn write_line(stream: &mut dyn Conn, response: &str) -> std::io::Result<()> {
+fn write_line(stream: &mut UnixStream, response: &str) -> std::io::Result<()> {
     debug_assert!(!response.contains('\n'), "single-line framing");
     stream.write_all(response.as_bytes())?;
     stream.write_all(b"\n")?;
@@ -208,11 +159,10 @@ fn write_line(stream: &mut dyn Conn, response: &str) -> std::io::Result<()> {
 
 /// The daemon. [`bind`](Server::bind) then [`run`](Server::run); `run`
 /// returns after a clean drain once shutdown is requested (by the
-/// `shutdown` op, [`request_shutdown`], or an installed signal
-/// handler).
+/// `shutdown` op or an installed signal handler).
 pub struct Server {
     cfg: ServeConfig,
-    listener: Listener,
+    listener: UnixListener,
     admission: Admission,
     /// Experiment CSVs by [`TableKey`].
     tables: Memo<TableKey, Arc<str>>,
@@ -242,21 +192,11 @@ impl Server {
             runner::set_jobs(jobs);
         }
         cache::set_disk_dir(cfg.cache_dir.clone());
-        let listener = match &cfg.addr {
-            Addr::Unix(path) => {
-                // A fresh daemon owns its socket path: a stale file from
-                // a crashed predecessor would otherwise block the bind.
-                let _ = std::fs::remove_file(path);
-                let l = UnixListener::bind(path)?;
-                l.set_nonblocking(true)?;
-                Listener::Unix(l)
-            }
-            Addr::Tcp(addr) => {
-                let l = TcpListener::bind(addr.as_str())?;
-                l.set_nonblocking(true)?;
-                Listener::Tcp(l)
-            }
-        };
+        // A fresh daemon owns its socket path: a stale file from a
+        // crashed predecessor would otherwise block the bind.
+        let _ = std::fs::remove_file(&cfg.socket);
+        let listener = UnixListener::bind(&cfg.socket)?;
+        listener.set_nonblocking(true)?;
         Ok(Server {
             admission: Admission::new(cfg.budget, cfg.queue_cap),
             tables: Memo::new(TABLE_MEMO_CAP),
@@ -269,7 +209,7 @@ impl Server {
     }
 
     /// Serve until shutdown is requested, then drain open connections
-    /// and (for Unix sockets) unlink the socket path.
+    /// and unlink the socket path.
     ///
     /// # Errors
     ///
@@ -279,17 +219,10 @@ impl Server {
         let poll = Duration::from_millis(25);
         std::thread::scope(|scope| -> std::io::Result<()> {
             while !self.draining() {
-                let conn: Option<Box<dyn Conn>> = match &self.listener {
-                    Listener::Unix(l) => match l.accept() {
-                        Ok((s, _)) => Some(Box::new(s)),
-                        Err(e) if e.kind() == ErrorKind::WouldBlock => None,
-                        Err(e) => return Err(e),
-                    },
-                    Listener::Tcp(l) => match l.accept() {
-                        Ok((s, _)) => Some(Box::new(s)),
-                        Err(e) if e.kind() == ErrorKind::WouldBlock => None,
-                        Err(e) => return Err(e),
-                    },
+                let conn = match self.listener.accept() {
+                    Ok((s, _)) => Some(s),
+                    Err(e) if e.kind() == ErrorKind::WouldBlock => None,
+                    Err(e) => return Err(e),
                 };
                 match conn {
                     // Only this thread takes slots, so the check cannot
@@ -299,7 +232,7 @@ impl Server {
                     {
                         self.stats.busy_rejections.fetch_add(1, Ordering::Relaxed);
                         let msg = format!("connection limit reached ({MAX_CONNECTIONS} open)");
-                        let _ = write_line(&mut *stream, &render_error(ErrorCode::Busy, &msg));
+                        let _ = write_line(&mut stream, &render_error(ErrorCode::Busy, &msg));
                     }
                     Some(stream) => {
                         let slot = ConnectionSlot::take(&self.live_connections);
@@ -315,24 +248,22 @@ impl Server {
             // Scope exit joins every connection thread: in-flight
             // requests finish their responses before run() returns.
         })?;
-        if let Addr::Unix(path) = &self.cfg.addr {
-            let _ = std::fs::remove_file(path);
-        }
+        let _ = std::fs::remove_file(&self.cfg.socket);
         Ok(())
     }
 
     /// Whether this instance should stop accepting work (its own
     /// `shutdown` op, or the process-wide signal latch).
     fn draining(&self) -> bool {
-        self.shutdown.load(Ordering::SeqCst) || shutdown_requested()
+        self.shutdown.load(Ordering::SeqCst) || SHUTDOWN.load(Ordering::SeqCst)
     }
 
     /// Serve one connection: JSON-line requests in, JSON-line responses
     /// out, until EOF, an oversized line, or shutdown. Reads wake every
     /// [`IDLE_POLL`] to check for shutdown; a line split across such a
     /// wake-up keeps its bytes and still parses.
-    fn handle_connection(&self, mut stream: Box<dyn Conn>) {
-        let mut reader = match stream.try_clone_reader() {
+    fn handle_connection(&self, mut stream: UnixStream) {
+        let mut reader = match stream.try_clone() {
             Ok(r) => BufReader::new(r),
             Err(_) => return,
         };
@@ -359,7 +290,7 @@ impl Server {
                 self.stats.requests.fetch_add(1, Ordering::Relaxed);
                 self.stats.errors.fetch_add(1, Ordering::Relaxed);
                 let msg = format!("request line exceeds {MAX_REQUEST_BYTES} bytes");
-                let _ = write_line(&mut *stream, &render_error(ErrorCode::BadRequest, &msg));
+                let _ = write_line(&mut stream, &render_error(ErrorCode::BadRequest, &msg));
                 return;
             }
             let text = std::str::from_utf8(&buf).map(|line| line.trim_end_matches(['\n', '\r']));
@@ -378,7 +309,7 @@ impl Server {
                 };
                 // After the shutdown ack, the last response of this
                 // connection, close so the drain can finish.
-                if write_line(&mut *stream, &response).is_err() || self.draining() {
+                if write_line(&mut stream, &response).is_err() || self.draining() {
                     return;
                 }
             }

@@ -15,7 +15,8 @@ use ntc_choke_serve_tests::*;
 // structure readable by giving the helper fns a flat namespace.
 mod ntc_choke_serve_tests {
     pub use ntc_experiments::report::{parse_json, Json};
-    pub use ntc_serve::{client, Addr, ServeConfig, Server};
+    pub use ntc_serve::{client, ServeConfig, Server};
+    pub use std::path::{Path, PathBuf};
     pub use std::time::Duration;
 
     /// Grid request line used throughout: small enough to compute in
@@ -57,15 +58,15 @@ mod ntc_choke_serve_tests {
     }
 
     /// Spawn a daemon on a fresh Unix socket under `dir`; returns the
-    /// address and the join handle (send `shutdown` to stop it).
+    /// socket path and the join handle (send `shutdown` to stop it).
     pub fn start_server(
-        dir: &std::path::Path,
+        dir: &Path,
         name: &str,
         cfg_mut: impl FnOnce(&mut ServeConfig),
-    ) -> (Addr, std::thread::JoinHandle<std::io::Result<()>>) {
+    ) -> (PathBuf, std::thread::JoinHandle<std::io::Result<()>>) {
         let sock = dir.join(format!("{name}.sock"));
         let mut cfg = ServeConfig {
-            addr: Addr::Unix(sock.clone()),
+            socket: sock.clone(),
             ..ServeConfig::default()
         };
         cfg_mut(&mut cfg);
@@ -73,16 +74,14 @@ mod ntc_choke_serve_tests {
         let handle = std::thread::spawn(move || server.run());
         // The listener exists as soon as bind returns; connects succeed
         // even before run() starts accepting (the socket queues them).
-        (Addr::Unix(sock), handle)
+        (sock, handle)
     }
 
-    pub fn shutdown(addr: &Addr, handle: std::thread::JoinHandle<std::io::Result<()>>) {
-        let ack = client::roundtrip(addr, r#"{"op":"shutdown"}"#).expect("shutdown roundtrip");
+    pub fn shutdown(sock: &Path, handle: std::thread::JoinHandle<std::io::Result<()>>) {
+        let ack = client::roundtrip(sock, r#"{"op":"shutdown"}"#).expect("shutdown roundtrip");
         assert!(ack.contains("\"ok\":true"), "clean ack: {ack}");
         handle.join().expect("server thread").expect("clean drain");
-        if let Addr::Unix(p) = addr {
-            assert!(!p.exists(), "socket unlinked on clean shutdown");
-        }
+        assert!(!sock.exists(), "socket unlinked on clean shutdown");
     }
 
     pub fn response_csv(v: &Json) -> String {
@@ -128,7 +127,7 @@ fn daemon_serves_concurrent_clients_one_compute_byte_identically() {
     // clients overlap the first: each queues for the slot, or waits on
     // the build in the grid memo, and then answers from the memo. They
     // do no work of their own, so their receipts count none.
-    let (addr, handle) = start_server(&dir, "dedup", |cfg| {
+    let (sock, handle) = start_server(&dir, "dedup", |cfg| {
         cfg.cache_dir = Some(cache_dir.clone());
         cfg.jobs = Some(2);
         cfg.hold_before_compute = Duration::from_millis(400);
@@ -137,9 +136,9 @@ fn daemon_serves_concurrent_clients_one_compute_byte_identically() {
     const CLIENTS: usize = 3;
     let _ = ntc_core::tag_delay::take_oracle_stats();
     let responses: Vec<Json> = std::thread::scope(|s| {
-        let addr = &addr;
+        let sock = &sock;
         let handles: Vec<_> = (0..CLIENTS)
-            .map(|_| s.spawn(move || client::roundtrip(addr, GRID_LINE).expect("grid roundtrip")))
+            .map(|_| s.spawn(move || client::roundtrip(sock, GRID_LINE).expect("grid roundtrip")))
             .collect();
         handles
             .into_iter()
@@ -190,14 +189,14 @@ fn daemon_serves_concurrent_clients_one_compute_byte_identically() {
     // A follow-up request is a pure memo hit with zeroed compute
     // counters.
     let again =
-        parse_json(&client::roundtrip(&addr, GRID_LINE).expect("memo roundtrip")).expect("json");
+        parse_json(&client::roundtrip(&sock, GRID_LINE).expect("memo roundtrip")).expect("json");
     assert_eq!(receipt_tier(&again), "memo");
     assert_eq!(response_csv(&again), csv0);
 
     // The voltage-axis variant of the same grid is a distinct key: the
     // daemon computes it fresh and its rows carry the `@ vX.XX` labels.
     let vdd_resp = parse_json(
-        &client::roundtrip(&addr, VDD_GRID_LINE).expect("vdd grid roundtrip"),
+        &client::roundtrip(&sock, VDD_GRID_LINE).expect("vdd grid roundtrip"),
     )
     .expect("json");
     assert!(vdd_resp.get("ok") == Some(&Json::Bool(true)), "ok response");
@@ -207,7 +206,7 @@ fn daemon_serves_concurrent_clients_one_compute_byte_identically() {
         vdd_csv.contains("mcf @ v0.45") && vdd_csv.contains("mcf @ v0.60"),
         "multi-voltage rows are labelled per operating point:\n{vdd_csv}"
     );
-    shutdown(&addr, handle);
+    shutdown(&sock, handle);
 
     // ---- Scenario 2: byte-identity vs the batch path at other jobs ---
     // The daemon above computed at jobs=2 and wrote the artifact; the
@@ -244,7 +243,7 @@ fn daemon_serves_concurrent_clients_one_compute_byte_identically() {
     // for a *different* cold grid is refused with `busy` instead of
     // queuing, but the grid scenario 1 left in the memo, and an
     // experiment this daemon already answered, answer at once.
-    let (addr, handle) = start_server(&dir, "busy", |cfg| {
+    let (sock, handle) = start_server(&dir, "busy", |cfg| {
         cfg.cache_dir = None;
         cfg.jobs = Some(2);
         cfg.budget = 1;
@@ -255,12 +254,12 @@ fn daemon_serves_concurrent_clients_one_compute_byte_identically() {
     let other_grid = GRID_LINE.replace("\"trace_seed\":11", "\"trace_seed\":15");
     const TABLE_LINE: &str = r#"{"op":"experiment","id":"tab3.overheads"}"#;
     let first_table =
-        parse_json(&client::roundtrip(&addr, TABLE_LINE).expect("table roundtrip")).expect("json");
+        parse_json(&client::roundtrip(&sock, TABLE_LINE).expect("table roundtrip")).expect("json");
     assert_eq!(first_table.get("ok"), Some(&Json::Bool(true)));
     // An analytic table sweeps nothing and reads no disk, but its first
     // request ran the build: `computed`, and counted so.
     assert_eq!(receipt_tier(&first_table), "computed");
-    let stats = parse_json(&client::roundtrip(&addr, r#"{"op":"stats"}"#).expect("stats"))
+    let stats = parse_json(&client::roundtrip(&sock, r#"{"op":"stats"}"#).expect("stats"))
         .expect("stats JSON");
     assert_eq!(
         stats.get("computed").and_then(Json::as_u64),
@@ -268,14 +267,14 @@ fn daemon_serves_concurrent_clients_one_compute_byte_identically() {
         "the table build counts as a compute: {stats:?}"
     );
     let (busy_outcome, memo_outcome, table_outcome) = std::thread::scope(|s| {
-        let addr = &addr;
+        let sock = &sock;
         let slow_grid = &slow_grid;
-        let slow = s.spawn(move || client::roundtrip(addr, slow_grid).expect("slow roundtrip"));
+        let slow = s.spawn(move || client::roundtrip(sock, slow_grid).expect("slow roundtrip"));
         // Give the slow request time to take the slot, then collide.
         std::thread::sleep(Duration::from_millis(400));
-        let fast = client::roundtrip(addr, &other_grid).expect("busy roundtrip");
-        let memo = client::roundtrip(addr, GRID_LINE).expect("memo roundtrip");
-        let table = client::roundtrip(addr, TABLE_LINE).expect("table memo roundtrip");
+        let fast = client::roundtrip(sock, &other_grid).expect("busy roundtrip");
+        let memo = client::roundtrip(sock, GRID_LINE).expect("memo roundtrip");
+        let table = client::roundtrip(sock, TABLE_LINE).expect("table memo roundtrip");
         assert!(!slow.is_finished(), "the slow compute still holds the slot");
         let slow = parse_json(&slow.join().expect("slow client")).expect("slow JSON");
         assert_eq!(receipt_tier(&slow), "computed");
@@ -314,10 +313,10 @@ fn daemon_serves_concurrent_clients_one_compute_byte_identically() {
     assert_eq!(receipt_tier(&v), "memo");
     assert_eq!(response_csv(&v), response_csv(&first_table));
     assert_eq!(receipt_u64(&v, "queue_wait_us"), 0, "a table hit never queues");
-    shutdown(&addr, handle);
+    shutdown(&sock, handle);
 
     // ---- Scenario 5: protocol errors don't kill the connection -------
-    let (addr, handle) = start_server(&dir, "errors", |cfg| {
+    let (sock, handle) = start_server(&dir, "errors", |cfg| {
         cfg.cache_dir = None;
     });
     let bad_vdd = GRID_LINE.replace("\"regime\":\"ch3\"", "\"regime\":\"ch3\",\"vdd\":[\"0.99\"]");
@@ -327,7 +326,7 @@ fn daemon_serves_concurrent_clients_one_compute_byte_identically() {
         bad_vdd.as_str(),
         r#"{"op":"ping"}"#,
     ];
-    let responses = client::roundtrip_many(&addr, &lines).expect("four roundtrips on one conn");
+    let responses = client::roundtrip_many(&sock, &lines).expect("four roundtrips on one conn");
     assert!(responses[0].contains("\"code\":\"bad-request\""));
     assert!(responses[1].contains("\"code\":\"unknown-id\""));
     assert!(
@@ -340,10 +339,7 @@ fn daemon_serves_concurrent_clients_one_compute_byte_identically() {
     // A line that is not UTF-8 is a bad request too, and the ping after
     // it on the same connection is answered.
     use std::io::{BufRead, Write};
-    let Addr::Unix(sock) = &addr else {
-        unreachable!("test daemons listen on unix sockets")
-    };
-    let raw = std::os::unix::net::UnixStream::connect(sock).expect("connect");
+    let raw = std::os::unix::net::UnixStream::connect(&sock).expect("connect");
     raw.set_read_timeout(Some(Duration::from_secs(5)))
         .expect("read timeout");
     let mut raw = std::io::BufReader::new(raw);
@@ -360,7 +356,7 @@ fn daemon_serves_concurrent_clients_one_compute_byte_identically() {
     raw.read_line(&mut line).expect("the ping after it");
     assert!(line.contains("\"ok\":true"), "connection survived: {line}");
     drop(raw);
-    let stats = parse_json(&client::roundtrip(&addr, r#"{"op":"stats"}"#).expect("stats"))
+    let stats = parse_json(&client::roundtrip(&sock, r#"{"op":"stats"}"#).expect("stats"))
         .expect("stats json");
     assert_eq!(
         (
@@ -370,7 +366,7 @@ fn daemon_serves_concurrent_clients_one_compute_byte_identically() {
         (Some(7), Some(4)),
         "six lines and the stats request; four errors: {stats:?}"
     );
-    shutdown(&addr, handle);
+    shutdown(&sock, handle);
 
     // ---- Scenario 6: per-request counters are disjoint at budget 2 ---
     // Two clients compute *different* cold grids concurrently. Scoped
@@ -378,7 +374,7 @@ fn daemon_serves_concurrent_clients_one_compute_byte_identically() {
     // bills only its own compute (nonzero), and the two receipts
     // together account for every global increment — no double counting,
     // no leakage between concurrent jobs.
-    let (addr, handle) = start_server(&dir, "scoped", |cfg| {
+    let (sock, handle) = start_server(&dir, "scoped", |cfg| {
         cfg.cache_dir = None;
         cfg.jobs = Some(2);
         cfg.budget = 2;
@@ -387,10 +383,10 @@ fn daemon_serves_concurrent_clients_one_compute_byte_identically() {
     let grid_b = GRID_LINE.replace("\"trace_seed\":11", "\"trace_seed\":14");
     let _ = ntc_core::tag_delay::take_oracle_stats();
     let (resp_a, resp_b) = std::thread::scope(|s| {
-        let addr = &addr;
+        let sock = &sock;
         let (ga, gb) = (&grid_a, &grid_b);
-        let a = s.spawn(move || client::roundtrip(addr, ga).expect("grid a roundtrip"));
-        let b = s.spawn(move || client::roundtrip(addr, gb).expect("grid b roundtrip"));
+        let a = s.spawn(move || client::roundtrip(sock, ga).expect("grid a roundtrip"));
+        let b = s.spawn(move || client::roundtrip(sock, gb).expect("grid b roundtrip"));
         (
             parse_json(&a.join().expect("client a")).expect("json a"),
             parse_json(&b.join().expect("client b")).expect("json b"),
@@ -412,20 +408,17 @@ fn daemon_serves_concurrent_clients_one_compute_byte_identically() {
             "scoped {key} counters sum to the global delta"
         );
     }
-    shutdown(&addr, handle);
+    shutdown(&sock, handle);
 
     // ---- Scenario 7: bounded request lines; idle clients do not block
     // shutdown -----------------------------------------------------------
     // The test's own sockets time out their reads, so a daemon that
     // never answers or never closes fails the test instead of hanging it.
-    let (addr, handle) = start_server(&dir, "bounded", |cfg| {
+    let (sock, handle) = start_server(&dir, "bounded", |cfg| {
         cfg.cache_dir = None;
     });
-    let Addr::Unix(sock) = &addr else {
-        unreachable!("test daemons listen on unix sockets")
-    };
     let connect = || {
-        let s = std::os::unix::net::UnixStream::connect(sock).expect("connect");
+        let s = std::os::unix::net::UnixStream::connect(&sock).expect("connect");
         s.set_read_timeout(Some(Duration::from_secs(5)))
             .expect("read timeout");
         s
@@ -459,7 +452,7 @@ fn daemon_serves_concurrent_clients_one_compute_byte_identically() {
     std::io::BufReader::new(split).read_line(&mut ping).expect("ping answered");
     assert!(ping.contains("\"ok\":true"), "a fresh, paused ping: {ping}");
     let idle = connect();
-    let ack = client::roundtrip(&addr, r#"{"op":"shutdown"}"#).expect("shutdown roundtrip");
+    let ack = client::roundtrip(&sock, r#"{"op":"shutdown"}"#).expect("shutdown roundtrip");
     assert!(ack.contains("\"ok\":true"), "clean ack: {ack}");
     let deadline = std::time::Instant::now() + Duration::from_secs(5);
     while !handle.is_finished() && std::time::Instant::now() < deadline {
@@ -470,15 +463,12 @@ fn daemon_serves_concurrent_clients_one_compute_byte_identically() {
     drop(idle);
 
     // ---- Scenario 8: connections past the cap get busy, then EOF -------
-    let (addr, handle) = start_server(&dir, "capped", |cfg| {
+    let (sock, handle) = start_server(&dir, "capped", |cfg| {
         cfg.cache_dir = None;
     });
-    let Addr::Unix(sock) = &addr else {
-        unreachable!("test daemons listen on unix sockets")
-    };
     type Client = std::io::BufReader<std::os::unix::net::UnixStream>;
     let ping = || -> std::io::Result<(String, Client)> {
-        let s = std::os::unix::net::UnixStream::connect(sock)?;
+        let s = std::os::unix::net::UnixStream::connect(&sock)?;
         s.set_read_timeout(Some(Duration::from_secs(5)))?;
         let mut reader = std::io::BufReader::new(s);
         // A refused connection may close before the write lands.
@@ -495,7 +485,7 @@ fn daemon_serves_concurrent_clients_one_compute_byte_identically() {
             reader
         })
         .collect();
-    let over = std::os::unix::net::UnixStream::connect(sock).expect("connect");
+    let over = std::os::unix::net::UnixStream::connect(&sock).expect("connect");
     over.set_read_timeout(Some(Duration::from_secs(5)))
         .expect("read timeout");
     let mut over = std::io::BufReader::new(over);
@@ -561,7 +551,7 @@ fn daemon_serves_concurrent_clients_one_compute_byte_identically() {
     // Each one-chip spec fabricates its own chip, so more specs than the
     // chip-blank memo holds must evict. The memos are process-wide, so the
     // caps read here are the daemon's.
-    let (addr, handle) = start_server(&dir, "soak", |cfg| {
+    let (sock, handle) = start_server(&dir, "soak", |cfg| {
         cfg.cache_dir = None;
         cfg.jobs = Some(2);
     });
@@ -582,8 +572,8 @@ fn daemon_serves_concurrent_clients_one_compute_byte_identically() {
                 .replace("\"cycles\":2000", "\"cycles\":64")
         })
         .collect();
-    let answers = client::roundtrip_many(&addr, &lines).expect("soak roundtrips");
-    let stats = parse_json(&client::roundtrip(&addr, r#"{"op":"stats"}"#).expect("stats"))
+    let answers = client::roundtrip_many(&sock, &lines).expect("soak roundtrips");
+    let stats = parse_json(&client::roundtrip(&sock, r#"{"op":"stats"}"#).expect("stats"))
         .expect("stats json");
     for (name, (_, cap)) in ntc_experiments::memo_occupancy() {
         let held = stats
@@ -614,7 +604,7 @@ fn daemon_serves_concurrent_clients_one_compute_byte_identically() {
             "soak spec {i} == batch bytes"
         );
     }
-    shutdown(&addr, handle);
+    shutdown(&sock, handle);
 
     let _ = std::fs::remove_dir_all(&dir);
 }

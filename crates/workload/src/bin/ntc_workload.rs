@@ -57,10 +57,8 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             "--dir" => dir = Some(PathBuf::from(value("--dir")?)),
             "--bench" => {
                 let name = value("--bench")?;
-                let b = ALL_BENCHMARKS
-                    .into_iter()
-                    .find(|b| b.name() == name.as_str())
-                    .ok_or_else(|| format!("unknown benchmark `{name}`"))?;
+                let b =
+                    Benchmark::parse(name).ok_or_else(|| format!("unknown benchmark `{name}`"))?;
                 benches = vec![b];
             }
             "--seed" => {

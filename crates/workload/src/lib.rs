@@ -75,6 +75,11 @@ impl Benchmark {
         }
     }
 
+    /// The benchmark whose [`name`](Self::name) is `name`, if any.
+    pub fn parse(name: &str) -> Option<Benchmark> {
+        ALL_BENCHMARKS.into_iter().find(|b| b.name() == name)
+    }
+
     /// The statistical profile of the benchmark.
     pub fn profile(self) -> Profile {
         match self {

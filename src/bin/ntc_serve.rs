@@ -1,9 +1,9 @@
 //! `ntc-serve` — the grid-compute daemon and its scripted client.
 //!
 //! ```text
-//! ntc-serve serve   [--socket PATH | --tcp ADDR] [--cache-dir DIR]
+//! ntc-serve serve   [--socket PATH] [--cache-dir DIR]
 //!                   [--jobs N] [--budget N] [--queue N] [--hold-ms N]
-//! ntc-serve request [--socket PATH | --tcp ADDR] [--out FILE]
+//! ntc-serve request [--socket PATH] [--out FILE]
 //!                   (--experiment ID [--scale fast|full] | --grid JSON | --line JSON)
 //! ```
 //!
@@ -12,20 +12,20 @@
 //! sends one request, prints the receipt (or the full response for
 //! non-compute ops) to stdout, and with `--out` writes the CSV payload
 //! bytes to a file — which `cmp`s clean against the batch `repro` CSVs.
-//! Exit codes: 0 success, 1 server-side error response, 2 usage/I/O
-//! (an invalid `NTC_VDD` included: `serve` checks it before it binds).
+//! The socket defaults to `ntc-serve.sock`. Exit codes: 0 success, 1
+//! server-side error response, 2 usage/I/O (`serve` checks its arguments
+//! before it binds).
 
-use ntc_choke::experiments::config;
 use ntc_choke::experiments::report::{parse_json, Json};
-use ntc_choke::serve::{self, Addr, ServeConfig, Server};
+use ntc_choke::serve::{self, ServeConfig, Server};
 use std::path::PathBuf;
 use std::time::Duration;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: ntc-serve serve   [--socket PATH | --tcp ADDR] [--cache-dir DIR] \
+        "usage: ntc-serve serve   [--socket PATH] [--cache-dir DIR] \
          [--jobs N] [--budget N] [--queue N] [--hold-ms N]\n\
-         \x20      ntc-serve request [--socket PATH | --tcp ADDR] [--out FILE] \
+         \x20      ntc-serve request [--socket PATH] [--out FILE] \
          (--experiment ID [--scale fast|full] | --grid JSON | --line JSON)"
     );
     std::process::exit(2);
@@ -52,27 +52,12 @@ fn take_value(args: &mut std::vec::IntoIter<String>, flag: &str) -> String {
     })
 }
 
-fn parse_addr(socket: Option<String>, tcp: Option<String>) -> Addr {
-    match (socket, tcp) {
-        (Some(_), Some(_)) => {
-            eprintln!("--socket and --tcp are mutually exclusive");
-            usage();
-        }
-        (None, Some(a)) => Addr::Tcp(a),
-        (Some(p), None) => Addr::Unix(PathBuf::from(p)),
-        (None, None) => Addr::Unix(PathBuf::from("ntc-serve.sock")),
-    }
-}
-
 fn run_serve(args: Vec<String>) {
-    let mut socket = None;
-    let mut tcp = None;
     let mut cfg = ServeConfig::default();
     let mut it = args.into_iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--socket" => socket = Some(take_value(&mut it, "--socket")),
-            "--tcp" => tcp = Some(take_value(&mut it, "--tcp")),
+            "--socket" => cfg.socket = PathBuf::from(take_value(&mut it, "--socket")),
             "--cache-dir" => {
                 cfg.cache_dir = Some(PathBuf::from(take_value(&mut it, "--cache-dir")));
             }
@@ -89,14 +74,6 @@ fn run_serve(args: Vec<String>) {
             _ => usage(),
         }
     }
-    cfg.addr = parse_addr(socket, tcp);
-    // A malformed NTC_VDD is a usage error at startup, as in `repro`:
-    // the daemon exits before it creates its socket, instead of warning
-    // on every experiment request and sweeping the NTC corner only.
-    if let Err(e) = config::env_voltages() {
-        eprintln!("ntc-serve: {e}");
-        std::process::exit(2);
-    }
     serve::install_signal_handlers();
     let server = match Server::bind(cfg.clone()) {
         Ok(s) => s,
@@ -105,10 +82,7 @@ fn run_serve(args: Vec<String>) {
             std::process::exit(2);
         }
     };
-    match &cfg.addr {
-        Addr::Unix(p) => eprintln!("ntc-serve: listening on unix socket {}", p.display()),
-        Addr::Tcp(a) => eprintln!("ntc-serve: listening on tcp {a}"),
-    }
+    eprintln!("ntc-serve: listening on unix socket {}", cfg.socket.display());
     if let Err(e) = server.run() {
         eprintln!("ntc-serve: accept loop failed: {e}");
         std::process::exit(2);
@@ -124,8 +98,7 @@ fn parse_num(s: &str, flag: &str) -> usize {
 }
 
 fn run_request(args: Vec<String>) {
-    let mut socket = None;
-    let mut tcp = None;
+    let mut socket = ServeConfig::default().socket;
     let mut out: Option<PathBuf> = None;
     let mut line: Option<String> = None;
     let mut experiment: Option<String> = None;
@@ -133,8 +106,7 @@ fn run_request(args: Vec<String>) {
     let mut it = args.into_iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--socket" => socket = Some(take_value(&mut it, "--socket")),
-            "--tcp" => tcp = Some(take_value(&mut it, "--tcp")),
+            "--socket" => socket = PathBuf::from(take_value(&mut it, "--socket")),
             "--out" => out = Some(PathBuf::from(take_value(&mut it, "--out"))),
             "--experiment" => experiment = Some(take_value(&mut it, "--experiment")),
             "--scale" => scale = take_value(&mut it, "--scale"),
@@ -148,7 +120,6 @@ fn run_request(args: Vec<String>) {
             _ => usage(),
         }
     }
-    let addr = parse_addr(socket, tcp);
     let line = match (line, experiment) {
         (Some(l), None) => l,
         (None, Some(id)) => Json::obj([
@@ -159,7 +130,7 @@ fn run_request(args: Vec<String>) {
         .to_string(),
         _ => usage(),
     };
-    let response = match serve::roundtrip(&addr, &line) {
+    let response = match serve::roundtrip(&socket, &line) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("ntc-serve: request failed: {e}");

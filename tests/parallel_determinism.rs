@@ -65,48 +65,4 @@ fn experiment_csvs_are_identical_at_any_thread_count() {
             "memoized chip diverges from fresh fabrication"
         );
     }
-
-    // Fault-isolated sweeps inherit the same contract: with panics
-    // injected at fixed indices, every surviving index must stay
-    // bit-identical across thread counts, and the caught failures must be
-    // identical too. (Lives in this test fn because `set_jobs` is
-    // process-global.)
-    let chip_delay = |i: usize| {
-        if i == 3 || i == 11 {
-            panic!("injected: chip {i} failed fabrication");
-        }
-        let mut oracle =
-            TagDelayOracle::for_chip(Corner::NTC, VariationParams::ntc(), 7000 + i as u64);
-        let probe = TraceGenerator::new(Benchmark::Mcf, 0xBEEF ^ i as u64).trace(8);
-        probe
-            .windows(2)
-            .map(|w| oracle.delays(&w[0], &w[1]).max_ps.unwrap_or(0.0))
-            .sum::<f64>()
-    };
-    let _ = runner::take_sweep_failures();
-    runner::set_jobs(1);
-    let sequential = runner::sweep_catching(16, chip_delay);
-    let seq_failures = runner::take_sweep_failures();
-    runner::set_jobs(8);
-    let parallel = runner::sweep_catching(16, chip_delay);
-    let par_failures = runner::take_sweep_failures();
-    runner::set_jobs(1);
-
-    assert_eq!(seq_failures, par_failures, "identical caught failures");
-    assert_eq!(
-        seq_failures.iter().map(|f| f.index).collect::<Vec<_>>(),
-        vec![3, 11],
-        "exactly the injected indices fail"
-    );
-    for (i, (a, b)) in sequential.iter().zip(&parallel).enumerate() {
-        match (a, b) {
-            (Ok(x), Ok(y)) => assert_eq!(
-                x.to_bits(),
-                y.to_bits(),
-                "index {i}: surviving chips bit-identical across thread counts"
-            ),
-            (Err(x), Err(y)) => assert_eq!(x, y, "index {i}"),
-            _ => panic!("index {i}: pass/fail flipped with thread count"),
-        }
-    }
 }
