@@ -28,6 +28,9 @@ for example in chip_lottery choke_buffers quickstart scheme_shootout; do
 done
 cmp target/example-choke_buffers.txt tests/golden/examples/choke_buffers.txt
 
+echo "==> cargo fmt --all --check"
+cargo fmt --all --check
+
 echo "==> cargo clippy --offline --workspace --all-targets -- -D warnings"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 

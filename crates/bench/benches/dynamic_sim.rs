@@ -38,8 +38,7 @@ fn settings(c: &mut Criterion) -> criterion::BenchmarkGroup<'_, criterion::measu
 /// The encoded first pair of each distinct error tag in the first
 /// 200,000 instructions of the vortex trace (seed 7).
 fn first_pairs(alu: &Alu) -> Vec<(Vec<bool>, Vec<bool>)> {
-    let encode =
-        |i: &Instruction| alu.encode(i.opcode.alu_func(), u64::from(i.a), u64::from(i.b));
+    let encode = |i: &Instruction| alu.encode(i.opcode.alu_func(), u64::from(i.a), u64::from(i.b));
     let trace: Vec<Instruction> = TraceGenerator::new(Benchmark::Vortex, 7)
         .take(200_000)
         .collect();

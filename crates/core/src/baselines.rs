@@ -321,7 +321,10 @@ mod tests {
                 class: ErrorClass::SingleMax
             }
         );
-        assert_eq!(r.on_cycle(&ctx(&p, &c, Some(50.0), Some(90.0))), CycleOutcome::Clean);
+        assert_eq!(
+            r.on_cycle(&ctx(&p, &c, Some(50.0), Some(90.0))),
+            CycleOutcome::Clean
+        );
     }
 
     #[test]
@@ -333,7 +336,10 @@ mod tests {
             CycleOutcome::SilentCorruption
         );
         let mut r3 = Razor::ch3();
-        assert_eq!(r3.on_cycle(&ctx(&p, &c, Some(5.0), Some(90.0))), CycleOutcome::Clean);
+        assert_eq!(
+            r3.on_cycle(&ctx(&p, &c, Some(5.0), Some(90.0))),
+            CycleOutcome::Clean
+        );
     }
 
     #[test]
@@ -345,7 +351,10 @@ mod tests {
             h.on_cycle(&ctx(&p, &c, Some(50.0), Some(150.0))),
             CycleOutcome::Recovered { .. }
         ));
-        assert_eq!(h.on_cycle(&ctx(&p, &c, Some(5.0), Some(90.0))), CycleOutcome::Clean);
+        assert_eq!(
+            h.on_cycle(&ctx(&p, &c, Some(5.0), Some(90.0))),
+            CycleOutcome::Clean
+        );
         // More hardened gates cost more power, saturating past 32.
         assert!(HardenedRazor::new(16).power_overhead_frac() > h.power_overhead_frac());
         assert_eq!(
@@ -360,7 +369,10 @@ mod tests {
         let (p, c) = instrs();
         let mut h = Hfg::with_stretch(1.6);
         // 150 ps < 160 ps stretched period: clean, but at a slower clock.
-        assert_eq!(h.on_cycle(&ctx(&p, &c, Some(50.0), Some(150.0))), CycleOutcome::Clean);
+        assert_eq!(
+            h.on_cycle(&ctx(&p, &c, Some(50.0), Some(150.0))),
+            CycleOutcome::Clean
+        );
         assert!(h.period_stretch() > 1.0);
         // An extreme outlier still escapes the guardband.
         assert!(matches!(

@@ -221,11 +221,7 @@ mod tests {
     use ntc_isa::{Instruction, Opcode};
     use ntc_timing::ClockSpec;
 
-    fn ctx<'a>(
-        prev: &'a Instruction,
-        cur: &'a Instruction,
-        max: Option<f64>,
-    ) -> CycleContext<'a> {
+    fn ctx<'a>(prev: &'a Instruction, cur: &'a Instruction, max: Option<f64>) -> CycleContext<'a> {
         CycleContext {
             prev,
             cur,

@@ -77,7 +77,9 @@ impl DvsController {
             "rung 0 is the grid point (scale 1.0)"
         );
         assert!(
-            levels.windows(2).all(|w| w[1].vdd < w[0].vdd && w[1].period_scale < w[0].period_scale),
+            levels
+                .windows(2)
+                .all(|w| w[1].vdd < w[0].vdd && w[1].period_scale < w[0].period_scale),
             "rungs must descend in voltage and effective-clock scale"
         );
         assert!(window > 0, "retune window must be nonzero");
@@ -158,17 +160,22 @@ mod tests {
 
     fn ladder() -> Vec<DvsLevel> {
         vec![
-            DvsLevel { vdd: 0.60, period_scale: 1.0 },
-            DvsLevel { vdd: 0.55, period_scale: 0.80 },
-            DvsLevel { vdd: 0.50, period_scale: 0.62 },
+            DvsLevel {
+                vdd: 0.60,
+                period_scale: 1.0,
+            },
+            DvsLevel {
+                vdd: 0.55,
+                period_scale: 0.80,
+            },
+            DvsLevel {
+                vdd: 0.50,
+                period_scale: 0.62,
+            },
         ]
     }
 
-    fn ctx<'a>(
-        prev: &'a Instruction,
-        cur: &'a Instruction,
-        max: Option<f64>,
-    ) -> CycleContext<'a> {
+    fn ctx<'a>(prev: &'a Instruction, cur: &'a Instruction, max: Option<f64>) -> CycleContext<'a> {
         CycleContext {
             prev,
             cur,

@@ -89,7 +89,11 @@ impl PipelineBaseline {
     }
 }
 
-fn finish(scheme: &'static str, blocks: Vec<HardwareReport>, base: &PipelineBaseline) -> OverheadReport {
+fn finish(
+    scheme: &'static str,
+    blocks: Vec<HardwareReport>,
+    base: &PipelineBaseline,
+) -> OverheadReport {
     let area: f64 = blocks.iter().map(|b| b.area_um2).sum();
     let gates: usize = blocks.iter().map(|b| b.gate_equivalents).sum();
     let wire: f64 = blocks.iter().map(|b| b.wirelength_um).sum();

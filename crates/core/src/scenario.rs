@@ -260,7 +260,10 @@ impl SchemeSpec {
     /// The spec's capacity parameters (empty for unparameterized schemes).
     fn capacity_params(&self) -> Vec<usize> {
         match *self {
-            SchemeSpec::DcsIcslt { entries } | SchemeSpec::Trident { cet_entries: entries } => {
+            SchemeSpec::DcsIcslt { entries }
+            | SchemeSpec::Trident {
+                cet_entries: entries,
+            } => {
                 vec![entries]
             }
             SchemeSpec::DcsAcslt {
@@ -588,8 +591,14 @@ mod tests {
             Ok(SchemeSpec::HardenChoke { top_k: 4 })
         );
         // Paper defaults collapse to the bare name.
-        assert_eq!(SchemeSpec::parse("dcs-icslt:128").unwrap().name(), "dcs-icslt");
-        assert_eq!(SchemeSpec::parse("harden-choke:8").unwrap().name(), "harden-choke");
+        assert_eq!(
+            SchemeSpec::parse("dcs-icslt:128").unwrap().name(),
+            "dcs-icslt"
+        );
+        assert_eq!(
+            SchemeSpec::parse("harden-choke:8").unwrap().name(),
+            "harden-choke"
+        );
     }
 
     #[test]
@@ -636,7 +645,10 @@ mod tests {
             assert!(!spec.build(&ctx).name().is_empty());
         }
         // The hardening count flows through to the harness hook.
-        assert_eq!(SchemeSpec::HardenChoke { top_k: 8 }.hardened_top_k(), Some(8));
+        assert_eq!(
+            SchemeSpec::HardenChoke { top_k: 8 }.hardened_top_k(),
+            Some(8)
+        );
         assert_eq!(SchemeSpec::Dvs.hardened_top_k(), None);
     }
 

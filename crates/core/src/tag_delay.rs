@@ -578,9 +578,18 @@ mod tests {
         let mut warm = TagDelayOracle::new(chip.clone());
         let mut reader = TagDelayOracle::new(chip);
         let pairs = [
-            (Instruction::new(Opcode::Addu, 0, 0), Instruction::new(Opcode::Addu, u64::MAX, 1)),
-            (Instruction::new(Opcode::Mult, 3, 9), Instruction::new(Opcode::Xor, 0xF0F0, 0x0F0F)),
-            (Instruction::new(Opcode::Sllv, 1, 7), Instruction::new(Opcode::Srav, 0x8000, 4)),
+            (
+                Instruction::new(Opcode::Addu, 0, 0),
+                Instruction::new(Opcode::Addu, u64::MAX, 1),
+            ),
+            (
+                Instruction::new(Opcode::Mult, 3, 9),
+                Instruction::new(Opcode::Xor, 0xF0F0, 0x0F0F),
+            ),
+            (
+                Instruction::new(Opcode::Sllv, 1, 7),
+                Instruction::new(Opcode::Srav, 0x8000, 4),
+            ),
         ];
         for (p, c) in &pairs {
             assert_eq!(warm.delays(p, c), fresh.delays(p, c));
@@ -590,7 +599,11 @@ mod tests {
         for (p, c) in &pairs {
             assert_eq!(reader.delays(p, c), fresh.delays(p, c));
         }
-        assert_eq!(reader.gate_sim_count(), 0, "all hits came from the shared table");
+        assert_eq!(
+            reader.gate_sim_count(),
+            0,
+            "all hits came from the shared table"
+        );
     }
 
     #[test]

@@ -63,14 +63,26 @@ fn warm_run_scheme_allocates_nothing() {
 
     // Warm-up: every (prev, cur) pair of the trace lands in the oracle's
     // delay cache.
-    let warm = run_scheme(&mut Razor::ch3(), &mut oracle, &trace, clock, Pipeline::core1());
+    let warm = run_scheme(
+        &mut Razor::ch3(),
+        &mut oracle,
+        &trace,
+        clock,
+        Pipeline::core1(),
+    );
     assert!(
         warm.recovered > 0,
         "the clock must induce recoveries, or the class counters are never exercised"
     );
 
     let before = allocations();
-    let counted = run_scheme(&mut Razor::ch3(), &mut oracle, &trace, clock, Pipeline::core1());
+    let counted = run_scheme(
+        &mut Razor::ch3(),
+        &mut oracle,
+        &trace,
+        clock,
+        Pipeline::core1(),
+    );
     let after = allocations();
     assert_eq!(counted, warm, "a warm re-run reproduces the result");
     assert_eq!(

@@ -23,7 +23,11 @@ fn table_capacity_and_mru_retention() {
         for &k in &keys {
             t.insert(k, k * 10);
             assert!(t.len() <= capacity, "case {case}");
-            assert_eq!(t.peek(&k), Some(&(k * 10)), "case {case}: MRU entry present");
+            assert_eq!(
+                t.peek(&k),
+                Some(&(k * 10)),
+                "case {case}: MRU entry present"
+            );
         }
         let unique: HashSet<u32> = keys.iter().copied().collect();
         assert!(t.len() <= unique.len(), "case {case}");
@@ -75,7 +79,11 @@ fn plru_victim_is_not_mru() {
         for _ in 0..n_touches {
             let slot = rng.gen_index(slots);
             lru.touch(slot);
-            assert_ne!(lru.victim(), slot, "case {case}: victim must avoid the MRU slot");
+            assert_ne!(
+                lru.victim(),
+                slot,
+                "case {case}: victim must avoid the MRU slot"
+            );
             assert!(lru.victim() < slots, "case {case}");
         }
     }
@@ -97,7 +105,10 @@ fn set_assoc_displacements_are_real() {
             let w = rng.gen_index(12) as u8;
             let displaced = t.insert(s, w);
             for d in &displaced {
-                assert!(resident.remove(d), "case {case}: displaced {d:?} was resident");
+                assert!(
+                    resident.remove(d),
+                    "case {case}: displaced {d:?} was resident"
+                );
             }
             resident.insert((s, w));
             assert!(t.lookup(&s, &w), "case {case}: just-inserted pair resident");
@@ -105,7 +116,10 @@ fn set_assoc_displacements_are_real() {
         }
         // Everything we believe resident must actually hit.
         for &(s, w) in &resident {
-            assert!(t.lookup(&s, &w), "case {case}: tracked pair ({s},{w}) must hit");
+            assert!(
+                t.lookup(&s, &w),
+                "case {case}: tracked pair ({s},{w}) must hit"
+            );
         }
     }
 }

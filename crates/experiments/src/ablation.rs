@@ -282,8 +282,8 @@ pub fn adder_architecture(scale: Scale) -> ResultTable {
     use ntc_netlist::generators::adder;
     use ntc_netlist::Builder;
     use ntc_timing::{SimWorkspace, StaticTiming};
-    use ntc_varmodel::{ChipSignature, VariationParams};
     use ntc_varmodel::rng::SplitMix64;
+    use ntc_varmodel::{ChipSignature, VariationParams};
 
     let width = 32;
     let build = |kind: u8| {
@@ -319,7 +319,8 @@ pub fn adder_architecture(scale: Scale) -> ResultTable {
         // with max — order-independent, hence bit-identical at any thread
         // count.
         let per_chip = sweep(chips, |chip| {
-            let sig = ChipSignature::fabricate(&nl, Corner::NTC, VariationParams::ntc(), chip as u64);
+            let sig =
+                ChipSignature::fabricate(&nl, Corner::NTC, VariationParams::ntc(), chip as u64);
             let chip_static = StaticTiming::analyze(&nl, &sig).critical_delay_ps(&nl) / d_nom;
             let mut chip_dyn: f64 = 0.0;
             let mut ws = SimWorkspace::new();

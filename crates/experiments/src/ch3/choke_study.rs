@@ -11,8 +11,8 @@
 
 use ntc_netlist::generators::alu::{Alu, AluFunc};
 use ntc_timing::{identify_choke_event, CdlCglProfile, SimWorkspace, StaticTiming};
-use ntc_varmodel::{ChipSignature, Corner, VariationParams};
 use ntc_varmodel::rng::SplitMix64;
+use ntc_varmodel::{ChipSignature, Corner, VariationParams};
 use std::collections::HashMap;
 
 /// The eleven ALU operations of the paper's Fig. 3.2 study.

@@ -170,7 +170,11 @@ pub fn fig_4_2(scale: Scale) -> ResultTable {
                 min_ratio = min_ratio.min(chip[i].0);
                 max_ratio = max_ratio.max(chip[i].1);
             }
-            rows[i].push(if min_ratio.is_finite() { min_ratio } else { f64::NAN });
+            rows[i].push(if min_ratio.is_finite() {
+                min_ratio
+            } else {
+                f64::NAN
+            });
             rows[i].push(if max_ratio > 0.0 { max_ratio } else { f64::NAN });
         }
     }
@@ -203,7 +207,11 @@ fn two_percent_choke_signature(
         .map(|(i, _)| i)
         .collect();
     let mut by_mult = logic.clone();
-    by_mult.sort_by(|&a, &b| fabricated.multiplier(b).total_cmp(&fabricated.multiplier(a)));
+    by_mult.sort_by(|&a, &b| {
+        fabricated
+            .multiplier(b)
+            .total_cmp(&fabricated.multiplier(a))
+    });
     // Clamp the tail so the two slices can never overlap: on a
     // degenerate netlist (one logic gate, or none at all) `ceil` still
     // yields 1, and overlapping tails would keep the same gate twice —

@@ -335,7 +335,12 @@ fn chip_blank(
 /// experiments reuse each other's Phase-A gate simulations and static
 /// analyses. Results are bit-identical either way: the delay table is a
 /// pure function of the chip.
-pub fn build_oracle(corner: Corner, seed: u64, buffered: bool, regime: ClockRegime) -> TagDelayOracle {
+pub fn build_oracle(
+    corner: Corner,
+    seed: u64,
+    buffered: bool,
+    regime: ClockRegime,
+) -> TagDelayOracle {
     TagDelayOracle::new(chip_blank(corner, seed, buffered, regime, 0))
 }
 

@@ -48,7 +48,13 @@ pub fn voltage_sweep(scale: Scale) -> ResultTable {
         let chip = Chip::new(netlist.clone(), sig, crit);
         let mut oracle = TagDelayOracle::new(Arc::new(chip));
         let clock = CH3_REGIME.clock(crit);
-        let r = run_scheme(&mut Razor::ch3(), &mut oracle, &trace, clock, Pipeline::core1());
+        let r = run_scheme(
+            &mut Razor::ch3(),
+            &mut oracle,
+            &trace,
+            clock,
+            Pipeline::core1(),
+        );
         let error_pct = 100.0 * r.errors_total() as f64 / (trace.len() - 1) as f64;
         let delay_factor = corner.delay_factor();
         let energy_per_op = corner.energy_factor();

@@ -51,8 +51,7 @@ pub use config::{
 };
 pub use report::{Manifest, RunRecord};
 pub use runner::{
-    set_jobs, sweep, sweep_over, take_stats, take_sweep_failures, IndexFailure,
-    SweepStats,
+    set_jobs, sweep, sweep_over, take_stats, take_sweep_failures, IndexFailure, SweepStats,
 };
 pub use scenario::{
     row_label, run_grid, run_grid_uncached, take_voltage_cells, voltage_cells, GridResult,

@@ -178,9 +178,7 @@ impl RunRecord {
         let voltages = match v.get("voltages") {
             Some(obj @ Json::Obj(members)) => members
                 .iter()
-                .map(|(name, _)| {
-                    Ok::<(String, u64), String>((name.clone(), u64_of(obj, name)?))
-                })
+                .map(|(name, _)| Ok::<(String, u64), String>((name.clone(), u64_of(obj, name)?)))
                 .collect::<Result<Vec<_>, _>>()?,
             _ => return Err("record member \"voltages\" missing or not an object".to_owned()),
         };
@@ -689,10 +687,7 @@ impl Parser<'_> {
             self.pos += 1;
             Ok(())
         } else {
-            Err(format!(
-                "expected {:?} at byte {}",
-                b as char, self.pos
-            ))
+            Err(format!("expected {:?} at byte {}", b as char, self.pos))
         }
     }
 
@@ -714,10 +709,7 @@ impl Parser<'_> {
             Some(b'[') => self.array(),
             Some(b'{') => self.object(),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            Some(c) => Err(format!(
-                "unexpected {:?} at byte {}",
-                c as char, self.pos
-            )),
+            Some(c) => Err(format!("unexpected {:?} at byte {}", c as char, self.pos)),
             None => Err("unexpected end of input".to_owned()),
         }
     }
@@ -804,8 +796,7 @@ impl Parser<'_> {
                                              followed by \\u{low:04x}, not a low surrogate"
                                         ));
                                     }
-                                    let scalar =
-                                        0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+                                    let scalar = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
                                     out.push(
                                         char::from_u32(scalar).expect("paired surrogates decode"),
                                     );
@@ -944,7 +935,12 @@ mod tests {
         assert_eq!(parsed.get("rows").unwrap().as_f64(), Some(6.0));
         assert_eq!(parsed.get("sweep_busy_ns").unwrap().as_f64(), Some(300.0));
         assert_eq!(
-            parsed.get("oracle").unwrap().get("local_hits").unwrap().as_f64(),
+            parsed
+                .get("oracle")
+                .unwrap()
+                .get("local_hits")
+                .unwrap()
+                .as_f64(),
             Some(40.0)
         );
         let volts = parsed.get("voltages").unwrap();
@@ -1036,7 +1032,10 @@ mod tests {
         let parsed = parse_json(&big.to_string()).expect("valid integer");
         assert_eq!(parsed.as_u64(), Some(big), "no f64 rounding");
         assert_eq!(parsed, Json::Int(big as i128));
-        assert_eq!(parse_json("18446744073709551615").unwrap().as_u64(), Some(u64::MAX));
+        assert_eq!(
+            parse_json("18446744073709551615").unwrap().as_u64(),
+            Some(u64::MAX)
+        );
         // as_u64 is exact-or-nothing: fractions and negatives don't coerce.
         assert_eq!(parse_json("1.5").unwrap().as_u64(), None);
         assert_eq!(parse_json("-3").unwrap().as_u64(), None);

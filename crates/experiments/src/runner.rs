@@ -90,7 +90,10 @@ impl From<&Counts> for SweepStats {
 
 /// Drain and reset the process-wide sweep counters.
 pub fn take_stats() -> SweepStats {
-    SweepStats::from(&telemetry::take(&[Metric::SweepBusyNanos, Metric::SweepWallNanos]))
+    SweepStats::from(&telemetry::take(&[
+        Metric::SweepBusyNanos,
+        Metric::SweepWallNanos,
+    ]))
 }
 
 /// Run `f(0), f(1), …, f(n-1)` across worker threads and return the
@@ -127,7 +130,10 @@ where
         // Inline fast path: identical semantics, zero thread overhead.
         let busy_start = Instant::now();
         let out = catch_unwind(AssertUnwindSafe(|| (0..n).map(f).collect::<Vec<T>>()));
-        telemetry::add(Metric::SweepBusyNanos, busy_start.elapsed().as_nanos() as u64);
+        telemetry::add(
+            Metric::SweepBusyNanos,
+            busy_start.elapsed().as_nanos() as u64,
+        );
         out
     } else {
         let next = AtomicUsize::new(0);
@@ -180,7 +186,10 @@ where
                 .collect()),
         }
     };
-    telemetry::add(Metric::SweepWallNanos, wall_start.elapsed().as_nanos() as u64);
+    telemetry::add(
+        Metric::SweepWallNanos,
+        wall_start.elapsed().as_nanos() as u64,
+    );
     result
 }
 
@@ -347,7 +356,10 @@ mod tests {
             assert_eq!(counts.get(Metric::TraceReplays), 16, "jobs={jobs}");
             // Wall time is measured with Instant, so even a trivial sweep
             // records a nonzero duration.
-            assert!(SweepStats::from(&counts).wall > Duration::ZERO, "jobs={jobs}");
+            assert!(
+                SweepStats::from(&counts).wall > Duration::ZERO,
+                "jobs={jobs}"
+            );
         }
         set_jobs(0);
     }

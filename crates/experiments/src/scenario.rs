@@ -287,9 +287,7 @@ impl GridResult {
             .iter()
             .find(|(b, v, _)| *b == bench && *v == point)
             .map(|(_, _, accs)| accs.as_slice())
-            .unwrap_or_else(|| {
-                panic!("row ({}, {}) not in this grid", bench.name(), point.name())
-            })
+            .unwrap_or_else(|| panic!("row ({}, {}) not in this grid", bench.name(), point.name()))
     }
 }
 
@@ -443,7 +441,9 @@ pub fn voltage_cells(counts: &Counts) -> Vec<(OperatingPoint, u64)> {
 /// Drain the process-wide per-voltage computed-cell counters (see
 /// [`voltage_cells`]), resetting them to zero.
 pub fn take_voltage_cells() -> Vec<(OperatingPoint, u64)> {
-    voltage_cells(&telemetry::take(&OperatingPoint::roster().map(Metric::CellsAt)))
+    voltage_cells(&telemetry::take(
+        &OperatingPoint::roster().map(Metric::CellsAt),
+    ))
 }
 
 /// Run a grid without consulting or filling the cache: cells through

@@ -243,10 +243,7 @@ mod tests {
             parse_csv_record(lines[0]),
             vec!["label", "plain", "a,b", "say \"hi\""]
         );
-        assert_eq!(
-            parse_csv_record(lines[1]),
-            vec!["alu,dense", "1", "2", "3"]
-        );
+        assert_eq!(parse_csv_record(lines[1]), vec!["alu,dense", "1", "2", "3"]);
     }
 
     #[test]

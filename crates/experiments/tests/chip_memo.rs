@@ -26,10 +26,17 @@ fn static_analysis_runs_once_per_chip_blank() {
 
     // The accessors read the memoized values — zero additional passes.
     let ((nominal, static_crit), counts) = scoped(|| {
-        (oracle.nominal_critical_delay_ps(), oracle.static_critical_delay_ps())
+        (
+            oracle.nominal_critical_delay_ps(),
+            oracle.static_critical_delay_ps(),
+        )
     });
     assert!(static_crit > nominal * 0.5 && static_crit.is_finite());
-    assert_eq!(counts.get(Metric::StaFull), 0, "accessors must not re-run STA");
+    assert_eq!(
+        counts.get(Metric::StaFull),
+        0,
+        "accessors must not re-run STA"
+    );
 
     // A second oracle for the same chip replays the blank wholesale.
     let (_again, counts) = scoped(|| build_oracle(Corner::NTC, BARE_SEED, false, CH3_REGIME));

@@ -119,15 +119,26 @@ fn lookups_equal_pairs_per_oracle_and_segment_and_scopes_match_the_drain() {
         telemetry::scoped(|| run_grid_uncached(&spec)).1
     };
     let record = scoped_run(TraceSource::Record(fresh.clone()));
-    assert_eq!(WorkloadStats::from(&record).traces_recorded, 1, "both chips share one trace");
+    assert_eq!(
+        WorkloadStats::from(&record).traces_recorded,
+        1,
+        "both chips share one trace"
+    );
     let replay = scoped_run(TraceSource::Replay(fresh));
     let workload = WorkloadStats::from(&replay);
     assert_eq!(workload.trace_replays, 2);
     assert_eq!(workload.replayed_instructions, 2 * CYCLES as u64);
     assert_eq!(voltage_cells(&replay), [(OperatingPoint::NTC, 2)]);
-    assert_eq!(OracleStats::from(&replay).queries(), 2 * (CYCLES as u64 - 1));
+    assert_eq!(
+        OracleStats::from(&replay).queries(),
+        2 * (CYCLES as u64 - 1)
+    );
     assert!(SweepStats::from(&replay).busy.as_nanos() > 0);
-    assert_eq!(CacheStats::from(&replay), CacheStats::default(), "uncached grids touch no cache");
+    assert_eq!(
+        CacheStats::from(&replay),
+        CacheStats::default(),
+        "uncached grids touch no cache"
+    );
     set_jobs(0);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -76,7 +76,13 @@ fn misspelled_id_among_valid_ones_exits_2_and_runs_nothing() {
     let out = out_dir("typo");
     // fig3.4 is real; `fgi3.10` is the misspelling from the bug report.
     // The old harness silently dropped the typo and ran the rest.
-    let result = run(repro().args(["--fast", "--out", out.to_str().unwrap(), "fig3.4", "fgi3.10"]));
+    let result = run(repro().args([
+        "--fast",
+        "--out",
+        out.to_str().unwrap(),
+        "fig3.4",
+        "fgi3.10",
+    ]));
     assert_eq!(result.status.code(), Some(2), "usage error exit code");
     let stderr = String::from_utf8_lossy(&result.stderr);
     assert!(stderr.contains("fgi3.10"), "names the bad id: {stderr}");
@@ -200,7 +206,9 @@ fn bad_flag_and_bad_format_exit_2() {
     let traces = out_dir("bad-trace-flags");
     let traces = traces.to_str().unwrap();
     assert_eq!(
-        run(repro().args(["--trace-dir", traces, "--phases"])).status.code(),
+        run(repro().args(["--trace-dir", traces, "--phases"]))
+            .status
+            .code(),
         Some(2)
     );
     assert!(!std::path::Path::new(traces).exists(), "nothing ran");
@@ -231,7 +239,12 @@ fn malformed_vdd_is_a_startup_usage_error() {
 /// The first record of an on-disk manifest, parsed.
 fn first_record(out: &std::path::Path) -> Json {
     let body = std::fs::read_to_string(out.join("manifest.json")).expect("manifest written");
-    parse_json(&body).expect("manifest parses").get("records").unwrap().as_arr().unwrap()[0]
+    parse_json(&body)
+        .expect("manifest parses")
+        .get("records")
+        .unwrap()
+        .as_arr()
+        .unwrap()[0]
         .clone()
 }
 
@@ -240,20 +253,38 @@ fn resume_skips_passing_experiments_and_completes_the_rest() {
     let out = out_dir("resume");
     // First invocation: fig3.4 passes, then the injected failure kills
     // tab3.overheads mid-suite — the crash the resume mode exists for.
-    let result = run(repro()
-        .env("NTC_REPRO_FAIL", "tab3.overheads")
-        .args(["--fast", "--out", out.to_str().unwrap(), "fig3.4", "tab3.overheads"]));
-    assert_eq!(result.status.code(), Some(1), "injected failure must fail the run");
+    let result = run(repro().env("NTC_REPRO_FAIL", "tab3.overheads").args([
+        "--fast",
+        "--out",
+        out.to_str().unwrap(),
+        "fig3.4",
+        "tab3.overheads",
+    ]));
+    assert_eq!(
+        result.status.code(),
+        Some(1),
+        "injected failure must fail the run"
+    );
     let body = std::fs::read_to_string(out.join("manifest.json")).expect("manifest written");
     let manifest = parse_json(&body).expect("manifest parses");
     let records = manifest.get("records").unwrap().as_arr().unwrap();
     assert_eq!(records[0].get("status").unwrap().as_str(), Some("pass"));
     assert_eq!(records[1].get("status").unwrap().as_str(), Some("fail"));
     assert!(
-        records[1].get("error").unwrap().as_str().unwrap().contains("injected failure"),
+        records[1]
+            .get("error")
+            .unwrap()
+            .as_str()
+            .unwrap()
+            .contains("injected failure"),
         "failure names its cause"
     );
-    let csv_path = records[0].get("csv").unwrap().as_str().expect("csv recorded").to_owned();
+    let csv_path = records[0]
+        .get("csv")
+        .unwrap()
+        .as_str()
+        .expect("csv recorded")
+        .to_owned();
     let csv_before = std::fs::read(&csv_path).expect("passing CSV exists");
 
     // Second invocation resumes: the passing record is carried forward,
@@ -292,7 +323,12 @@ fn resume_reruns_when_the_voltage_roster_changes() {
     let result = run(repro().args(["--fast", "--out", out.to_str().unwrap(), "fig3.4"]));
     assert_eq!(result.status.code(), Some(0));
     assert_eq!(
-        first_record(&out).get("requested_vdd").unwrap().as_arr().unwrap().len(),
+        first_record(&out)
+            .get("requested_vdd")
+            .unwrap()
+            .as_arr()
+            .unwrap()
+            .len(),
         1,
         "default roster is one operating point"
     );
@@ -324,7 +360,11 @@ fn resume_reruns_when_the_voltage_roster_changes() {
         .iter()
         .map(|p| p.as_str().unwrap().to_owned())
         .collect();
-    assert_eq!(roster, ["v0.45", "v0.60"], "manifest records the roster it ran");
+    assert_eq!(
+        roster,
+        ["v0.45", "v0.60"],
+        "manifest records the roster it ran"
+    );
 
     // Resuming again under the SAME roster does carry forward.
     let result = run(repro().args([
@@ -407,7 +447,10 @@ fn cache_dir_reruns_hit_disk_and_reproduce_csv_bytes_at_any_job_count() {
     let warm_cache = warm.get("cache").unwrap();
     assert!(warm_cache.get("disk_hits").unwrap().as_u64() >= Some(1));
     assert_eq!(warm_cache.get("disk_misses").unwrap().as_u64(), Some(0));
-    assert_eq!(warm_cache.get("corrupt_evictions").unwrap().as_u64(), Some(0));
+    assert_eq!(
+        warm_cache.get("corrupt_evictions").unwrap().as_u64(),
+        Some(0)
+    );
     let warm_csv =
         std::fs::read(warm.get("csv").unwrap().as_str().unwrap()).expect("warm CSV readable");
     assert_eq!(warm_csv, cold_csv, "disk hits reproduce CSV bytes exactly");
@@ -438,10 +481,20 @@ fn cache_dir_reruns_hit_disk_and_reproduce_csv_bytes_at_any_job_count() {
         out_evict.to_str().unwrap(),
         "fig3.8",
     ]));
-    assert_eq!(result.status.code(), Some(0), "corruption must not fail the run");
+    assert_eq!(
+        result.status.code(),
+        Some(0),
+        "corruption must not fail the run"
+    );
     let evict = first_record(&out_evict);
     assert!(
-        evict.get("cache").unwrap().get("corrupt_evictions").unwrap().as_u64() >= Some(1),
+        evict
+            .get("cache")
+            .unwrap()
+            .get("corrupt_evictions")
+            .unwrap()
+            .as_u64()
+            >= Some(1),
         "the quarantine is accounted"
     );
     let evict_csv =
@@ -469,9 +522,7 @@ fn no_cache_forces_a_cold_run_even_with_a_cache_dir() {
     assert_eq!(result.status.code(), Some(0));
     // --no-cache wins: no lookups, no writes, and the cache dir gains
     // nothing.
-    let artifacts = |dir: &std::path::Path| {
-        std::fs::read_dir(dir).map(|d| d.count()).unwrap_or(0)
-    };
+    let artifacts = |dir: &std::path::Path| std::fs::read_dir(dir).map(|d| d.count()).unwrap_or(0);
     let before = artifacts(&cache);
     let result = run(repro().args([
         "--fast",
@@ -488,7 +539,11 @@ fn no_cache_forces_a_cold_run_even_with_a_cache_dir() {
     assert_eq!(stats.get("disk_hits").unwrap().as_u64(), Some(0));
     assert_eq!(stats.get("disk_misses").unwrap().as_u64(), Some(0));
     assert_eq!(stats.get("bytes_written").unwrap().as_u64(), Some(0));
-    assert_eq!(artifacts(&cache), before, "--no-cache must not touch the cache dir");
+    assert_eq!(
+        artifacts(&cache),
+        before,
+        "--no-cache must not touch the cache dir"
+    );
     for dir in [&cache, &out1, &out2] {
         std::fs::remove_dir_all(dir).ok();
     }

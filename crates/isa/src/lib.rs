@@ -368,7 +368,10 @@ mod tests {
         let m = arch_mask();
         assert_eq!(Instruction::new(Opcode::Addu, m, 1).execute(), 0);
         assert_eq!(Instruction::new(Opcode::Subu, 5, 7).execute(), m - 1);
-        assert_eq!(Instruction::new(Opcode::Andi, 0xFF00, 0x0FF0).execute(), 0x0F00);
+        assert_eq!(
+            Instruction::new(Opcode::Andi, 0xFF00, 0x0FF0).execute(),
+            0x0F00
+        );
         assert_eq!(Instruction::new(Opcode::Nor, 0, 0).execute(), m);
         assert_eq!(Instruction::new(Opcode::Sll, 1, 4).execute(), 16);
         assert_eq!(
@@ -429,7 +432,10 @@ mod tests {
         let tag = ErrorTag::of(&prev, &cur);
         assert_eq!(tag.opcode, Opcode::Nor.encoding());
         assert_eq!(tag.prev_opcode, Opcode::Lui.encoding());
-        assert!(tag.owm, "NOR of an all-ones operand has high significant width");
+        assert!(
+            tag.owm,
+            "NOR of an all-ones operand has high significant width"
+        );
         assert_eq!(tag.errant_pair(), (Opcode::Nor.encoding(), true));
         assert_eq!(ErrorTag::BITS, 18);
     }

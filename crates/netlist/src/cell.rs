@@ -150,7 +150,10 @@ impl CellKind {
     /// from the stimulus).
     #[inline]
     pub fn eval(self, ins: &[bool]) -> bool {
-        assert!(self != CellKind::Input, "primary inputs have no logic function");
+        assert!(
+            self != CellKind::Input,
+            "primary inputs have no logic function"
+        );
         let state = ins[..self.arity()]
             .iter()
             .enumerate()

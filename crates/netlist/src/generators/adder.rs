@@ -189,8 +189,16 @@ mod tests {
             (1, 1, 0),
             (mask, 1, 0),
             (mask, mask, 1),
-            (0x5555_5555_5555_5555 & mask, 0xAAAA_AAAA_AAAA_AAAA & mask, 0),
-            (0x1234_5678_9ABC_DEF0 & mask, 0x0FED_CBA9_8765_4321 & mask, 1),
+            (
+                0x5555_5555_5555_5555 & mask,
+                0xAAAA_AAAA_AAAA_AAAA & mask,
+                0,
+            ),
+            (
+                0x1234_5678_9ABC_DEF0 & mask,
+                0x0FED_CBA9_8765_4321 & mask,
+                1,
+            ),
         ];
         for (a, x, cin) in cases {
             let mut pis = to_bits(a, w);

@@ -84,7 +84,11 @@ pub fn decoder(b: &mut Builder, sel: &[Signal], count: usize) -> Vec<Signal> {
 ///
 /// Panics if candidate buses differ in width, or the one-hot bus length
 /// differs from the number of candidates.
-pub fn onehot_select(b: &mut Builder, candidates: &[Vec<Signal>], onehot: &[Signal]) -> Vec<Signal> {
+pub fn onehot_select(
+    b: &mut Builder,
+    candidates: &[Vec<Signal>],
+    onehot: &[Signal],
+) -> Vec<Signal> {
     assert_eq!(
         candidates.len(),
         onehot.len(),
@@ -125,7 +129,12 @@ mod tests {
     #[test]
     fn bitwise_ops_match() {
         let w = 8;
-        for kind in [CellKind::And2, CellKind::Or2, CellKind::Xor2, CellKind::Nor2] {
+        for kind in [
+            CellKind::And2,
+            CellKind::Or2,
+            CellKind::Xor2,
+            CellKind::Nor2,
+        ] {
             let mut b = Builder::new();
             let a = b.input_bus("a", w);
             let x = b.input_bus("x", w);

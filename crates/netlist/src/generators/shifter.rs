@@ -152,7 +152,10 @@ mod tests {
         let nl = build(w, ShiftKind::RotateRight);
         for amt in 0..8u32 {
             let v = 0xA3u8;
-            assert_eq!(run(&nl, w, v as u64, amt as u64), v.rotate_right(amt) as u64);
+            assert_eq!(
+                run(&nl, w, v as u64, amt as u64),
+                v.rotate_right(amt) as u64
+            );
         }
     }
 

@@ -282,7 +282,11 @@ mod tests {
             r.gate_equivalents
         );
         assert!(r.area_um2 > 0.0);
-        assert!(r.logic_gates > 50, "peripheral logic present: {}", r.logic_gates);
+        assert!(
+            r.logic_gates > 50,
+            "peripheral logic present: {}",
+            r.logic_gates
+        );
     }
 
     #[test]

@@ -80,7 +80,11 @@ pub fn write_verilog<W: Write>(nl: &Netlist, module_name: &str, mut w: W) -> io:
     // Gate instances.
     for (i, g) in nl.gates().iter().enumerate() {
         let y = &names[i];
-        let ins: Vec<&str> = g.inputs().iter().map(|s| names[s.index()].as_str()).collect();
+        let ins: Vec<&str> = g
+            .inputs()
+            .iter()
+            .map(|s| names[s.index()].as_str())
+            .collect();
         match g.kind() {
             CellKind::Input => {}
             CellKind::Const0 => writeln!(w, "  assign {y} = 1'b0;")?,
@@ -201,12 +205,16 @@ mod tests {
         let instances = v.matches("\n  assign n").count()
             + v.matches("\n  assign result").count()
             + v.matches("\n  assign zero").count()
-            + v.lines().filter(|l| {
-                let t = l.trim_start();
-                ["not ", "buf ", "and ", "or ", "nand ", "nor ", "xor ", "xnor "]
+            + v.lines()
+                .filter(|l| {
+                    let t = l.trim_start();
+                    [
+                        "not ", "buf ", "and ", "or ", "nand ", "nor ", "xor ", "xnor ",
+                    ]
                     .iter()
                     .any(|p| t.starts_with(p))
-            }).count();
+                })
+                .count();
         assert!(
             instances >= alu.netlist().logic_gate_count(),
             "instances {instances} vs gates {}",

@@ -93,7 +93,10 @@ fn barrel_shifts() {
         let v = rng.next_u64() as u16;
         let amt = rng.next_u64() % 16;
         for (kind, expect) in [
-            (shifter::ShiftKind::LogicalLeft, ((v as u64) << amt) & 0xFFFF),
+            (
+                shifter::ShiftKind::LogicalLeft,
+                ((v as u64) << amt) & 0xFFFF,
+            ),
             (shifter::ShiftKind::LogicalRight, (v as u64) >> amt),
             (
                 shifter::ShiftKind::ArithmeticRight,

@@ -267,7 +267,9 @@ mod tests {
     fn overhead_power_reduces_efficiency() {
         let cost = RunCost::new(1000);
         let base = EnergyModel::ntc_core().report(&cost, 1.0);
-        let with = EnergyModel::ntc_core().with_overhead(0.012).report(&cost, 1.0);
+        let with = EnergyModel::ntc_core()
+            .with_overhead(0.012)
+            .report(&cost, 1.0);
         assert!(with.efficiency < base.efficiency);
         let ratio = base.efficiency / with.efficiency;
         assert!((ratio - 1.012).abs() < 1e-9);

@@ -412,7 +412,8 @@ pub fn grid_table(spec: &GridSpec, result: &GridResult) -> ResultTable {
 /// Never: writes to an in-memory buffer cannot fail.
 pub fn table_csv(t: &ResultTable) -> String {
     let mut buf = Vec::new();
-    t.write_csv(&mut buf).expect("Vec<u8> writes are infallible");
+    t.write_csv(&mut buf)
+        .expect("Vec<u8> writes are infallible");
     String::from_utf8(buf).expect("CSV output is UTF-8")
 }
 

@@ -335,10 +335,8 @@ impl Server {
                 render_ok("shutdown")
             }
             Request::List => {
-                let experiments: Vec<&str> =
-                    all_experiments().iter().map(|(id, _)| *id).collect();
-                let benchmarks: Vec<&str> =
-                    ALL_BENCHMARKS.iter().map(|b| b.name()).collect();
+                let experiments: Vec<&str> = all_experiments().iter().map(|(id, _)| *id).collect();
+                let benchmarks: Vec<&str> = ALL_BENCHMARKS.iter().map(|b| b.name()).collect();
                 let schemes: Vec<String> =
                     SchemeSpec::roster().iter().map(SchemeSpec::name).collect();
                 let vdd: Vec<&str> = OperatingPoint::roster().iter().map(|p| p.name()).collect();

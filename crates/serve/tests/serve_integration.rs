@@ -195,10 +195,9 @@ fn daemon_serves_concurrent_clients_one_compute_byte_identically() {
 
     // The voltage-axis variant of the same grid is a distinct key: the
     // daemon computes it fresh and its rows carry the `@ vX.XX` labels.
-    let vdd_resp = parse_json(
-        &client::roundtrip(&sock, VDD_GRID_LINE).expect("vdd grid roundtrip"),
-    )
-    .expect("json");
+    let vdd_resp =
+        parse_json(&client::roundtrip(&sock, VDD_GRID_LINE).expect("vdd grid roundtrip"))
+            .expect("json");
     assert!(vdd_resp.get("ok") == Some(&Json::Bool(true)), "ok response");
     let vdd_csv = response_csv(&vdd_resp);
     assert_ne!(vdd_csv, csv0, "widening the axis changes the payload");
@@ -312,14 +311,21 @@ fn daemon_serves_concurrent_clients_one_compute_byte_identically() {
     );
     assert_eq!(receipt_tier(&v), "memo");
     assert_eq!(response_csv(&v), response_csv(&first_table));
-    assert_eq!(receipt_u64(&v, "queue_wait_us"), 0, "a table hit never queues");
+    assert_eq!(
+        receipt_u64(&v, "queue_wait_us"),
+        0,
+        "a table hit never queues"
+    );
     shutdown(&sock, handle);
 
     // ---- Scenario 5: protocol errors don't kill the connection -------
     let (sock, handle) = start_server(&dir, "errors", |cfg| {
         cfg.cache_dir = None;
     });
-    let bad_vdd = GRID_LINE.replace("\"regime\":\"ch3\"", "\"regime\":\"ch3\",\"vdd\":[\"0.99\"]");
+    let bad_vdd = GRID_LINE.replace(
+        "\"regime\":\"ch3\"",
+        "\"regime\":\"ch3\",\"vdd\":[\"0.99\"]",
+    );
     let lines = [
         r#"{"op":"warp"}"#,
         r#"{"op":"experiment","id":"fig9.99"}"#,
@@ -347,7 +353,8 @@ fn daemon_serves_concurrent_clients_one_compute_byte_identically() {
         .write_all(b"\xff\xfe\n{\"op\":\"ping\"}\n")
         .expect("write");
     let mut line = String::new();
-    raw.read_line(&mut line).expect("an answer to the non-UTF-8 line");
+    raw.read_line(&mut line)
+        .expect("an answer to the non-UTF-8 line");
     assert!(
         line.contains("\"code\":\"bad-request\"") && line.contains("UTF-8"),
         "a non-UTF-8 line is refused by name: {line}"
@@ -431,7 +438,9 @@ fn daemon_serves_concurrent_clients_one_compute_byte_identically() {
     let _ = oversized.write_all(&line);
     let mut reader = std::io::BufReader::new(oversized);
     let mut response = String::new();
-    reader.read_line(&mut response).expect("a response before the close");
+    reader
+        .read_line(&mut response)
+        .expect("a response before the close");
     assert!(
         response.contains("\"code\":\"bad-request\"") && response.contains("1048576"),
         "an oversized line is refused by name of the cap: {response}"
@@ -449,7 +458,9 @@ fn daemon_serves_concurrent_clients_one_compute_byte_identically() {
     std::thread::sleep(Duration::from_millis(350));
     split.write_all(b"ng\"}\n").expect("second half");
     let mut ping = String::new();
-    std::io::BufReader::new(split).read_line(&mut ping).expect("ping answered");
+    std::io::BufReader::new(split)
+        .read_line(&mut ping)
+        .expect("ping answered");
     assert!(ping.contains("\"ok\":true"), "a fresh, paused ping: {ping}");
     let idle = connect();
     let ack = client::roundtrip(&sock, r#"{"op":"shutdown"}"#).expect("shutdown roundtrip");
@@ -458,7 +469,10 @@ fn daemon_serves_concurrent_clients_one_compute_byte_identically() {
     while !handle.is_finished() && std::time::Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(20));
     }
-    assert!(handle.is_finished(), "an idle client must not block shutdown");
+    assert!(
+        handle.is_finished(),
+        "an idle client must not block shutdown"
+    );
     handle.join().expect("server thread").expect("clean drain");
     drop(idle);
 

@@ -263,7 +263,11 @@ impl SimWorkspace {
         sensitizing: &[bool],
         lean: bool,
     ) -> usize {
-        assert_eq!(sig.delays_ps().len(), nl.len(), "signature/netlist mismatch");
+        assert_eq!(
+            sig.delays_ps().len(),
+            nl.len(),
+            "signature/netlist mismatch"
+        );
         assert_eq!(sensitizing.len(), nl.inputs().len(), "sens vector width");
         self.bind(nl.len());
 

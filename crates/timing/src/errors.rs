@@ -186,8 +186,14 @@ mod tests {
     #[test]
     fn stream_classification() {
         use ErrorClass::*;
-        let max_v = CycleViolation { min: false, max: true };
-        let min_v = CycleViolation { min: true, max: false };
+        let max_v = CycleViolation {
+            min: false,
+            max: true,
+        };
+        let min_v = CycleViolation {
+            min: true,
+            max: false,
+        };
         let none = CycleViolation::default();
         assert_eq!(classify_stream(max_v, true), Some(Consecutive));
         assert_eq!(classify_stream(max_v, false), Some(SingleMax));

@@ -171,7 +171,10 @@ mod tests {
             got.total_output_transitions, want.total_output_transitions,
             "{ctx}: total_output_transitions"
         );
-        assert_eq!(got.internal_toggles, want.internal_toggles, "{ctx}: internal_toggles");
+        assert_eq!(
+            got.internal_toggles, want.internal_toggles,
+            "{ctx}: internal_toggles"
+        );
         assert_eq!(got.outputs.len(), want.outputs.len(), "{ctx}: output count");
         for (k, (g, w)) in got.outputs.iter().zip(want.outputs.iter()).enumerate() {
             assert_eq!(g.initial, w.initial, "{ctx}: output {k} initial");

@@ -12,9 +12,9 @@
 //! [`Metric::StaFull`] in [`ntc_varmodel::telemetry`], which the
 //! delay-oracle stats report as `sta_full`.
 
+use ntc_netlist::Netlist;
 use ntc_varmodel::telemetry::{self, Metric};
 use ntc_varmodel::ChipSignature;
-use ntc_netlist::Netlist;
 
 /// Static latest-arrival times for every signal of a netlist under one
 /// chip's delay signature.

@@ -42,14 +42,21 @@ fn dynamic_final_state_matches_eval() {
         let seed = rng.gen_u64() % 64;
         let sig =
             ChipSignature::fabricate(alu.netlist(), Corner::NTC, VariationParams::ntc(), seed);
-        let init = alu.encode(pick_func(&mut rng), rng.gen_u64() & 0xFF, rng.gen_u64() & 0xFF);
+        let init = alu.encode(
+            pick_func(&mut rng),
+            rng.gen_u64() & 0xFF,
+            rng.gen_u64() & 0xFF,
+        );
         let sens_f = pick_func(&mut rng);
         let (a2, b2) = (rng.gen_u64() & 0xFF, rng.gen_u64() & 0xFF);
         let sens = alu.encode(sens_f, a2, b2);
         let t = full(&mut SimWorkspace::new(), alu.netlist(), &sig, &init, &sens);
         let expect = alu.netlist().eval(&sens);
         let got: Vec<bool> = t.outputs.iter().map(|o| o.final_value).collect();
-        assert_eq!(got, expect, "case {case} chip {seed} {sens_f:?} a={a2} b={b2}");
+        assert_eq!(
+            got, expect,
+            "case {case} chip {seed} {sens_f:?} a={a2} b={b2}"
+        );
     }
 }
 
@@ -358,10 +365,17 @@ fn dynamic_bounded_by_static() {
             ChipSignature::fabricate(alu.netlist(), Corner::NTC, VariationParams::ntc(), seed);
         let bound = StaticTiming::analyze(alu.netlist(), &sig).critical_delay_ps(alu.netlist());
         let init = alu.encode(AluFunc::Buffer, 0, 0);
-        let sens = alu.encode(pick_func(&mut rng), rng.gen_u64() & 0xFF, rng.gen_u64() & 0xFF);
+        let sens = alu.encode(
+            pick_func(&mut rng),
+            rng.gen_u64() & 0xFF,
+            rng.gen_u64() & 0xFF,
+        );
         let t = full(&mut SimWorkspace::new(), alu.netlist(), &sig, &init, &sens);
         if let Some(d) = t.delays.max_ps {
-            assert!(d <= bound + 1e-6, "case {case}: dynamic {d} vs static {bound}");
+            assert!(
+                d <= bound + 1e-6,
+                "case {case}: dynamic {d} vs static {bound}"
+            );
         }
         if let (Some(lo), Some(hi)) = (t.delays.min_ps, t.delays.max_ps) {
             assert!(lo <= hi + 1e-9, "case {case}");
@@ -402,7 +416,11 @@ fn no_transitions_without_input_change() {
         let seed = rng.gen_u64() % 32;
         let sig =
             ChipSignature::fabricate(alu.netlist(), Corner::NTC, VariationParams::ntc(), seed);
-        let v = alu.encode(pick_func(&mut rng), rng.gen_u64() & 0xFF, rng.gen_u64() & 0xFF);
+        let v = alu.encode(
+            pick_func(&mut rng),
+            rng.gen_u64() & 0xFF,
+            rng.gen_u64() & 0xFF,
+        );
         let t = full(&mut SimWorkspace::new(), alu.netlist(), &sig, &v, &v);
         assert_eq!(t.total_output_transitions, 0, "case {case}");
     }

@@ -63,7 +63,10 @@ impl Corner {
             vdd > VTH_NOMINAL + 0.02,
             "supply voltage {vdd} V must stay above Vth = {VTH_NOMINAL} V"
         );
-        Corner { vdd, name: "custom" }
+        Corner {
+            vdd,
+            name: "custom",
+        }
     }
 
     /// Re-check the [`MIN_VDD`] floor on the delay paths: `Corner`'s
@@ -195,7 +198,10 @@ mod tests {
     fn struct_literal_corner_below_floor_fails_loudly() {
         // Public fields let a literal bypass `custom`; the delay path
         // still refuses to evaluate an inverted clamp window.
-        let rogue = Corner { vdd: 0.05, name: "rogue" };
+        let rogue = Corner {
+            vdd: 0.05,
+            name: "rogue",
+        };
         let _ = rogue.variation_multiplier(0.01);
     }
 }

@@ -212,7 +212,10 @@ mod tests {
         let mid = OperatingPoint::parse("v0.60").unwrap();
         assert_eq!(mid.corner().name, "v0.60");
         assert!((mid.corner().vdd - 0.60).abs() < 1e-12);
-        assert_eq!(OperatingPoint::from_corner(Corner::NTC), Some(OperatingPoint::NTC));
+        assert_eq!(
+            OperatingPoint::from_corner(Corner::NTC),
+            Some(OperatingPoint::NTC)
+        );
         assert_eq!(OperatingPoint::from_corner(Corner::custom(0.61)), None);
     }
 

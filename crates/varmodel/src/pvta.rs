@@ -106,7 +106,11 @@ pub fn at_condition(
     sig: &ChipSignature,
     condition: OperatingCondition,
 ) -> ChipSignature {
-    assert_eq!(sig.delays_ps().len(), nl.len(), "signature/netlist mismatch");
+    assert_eq!(
+        sig.delays_ps().len(),
+        nl.len(),
+        "signature/netlist mismatch"
+    );
     let m = condition.delay_multiplier(sig.corner());
     let mut out = sig.clone();
     let indices: Vec<usize> = nl
@@ -141,7 +145,10 @@ mod tests {
     fn sub_floor_corner_is_rejected_not_inverted() {
         // A struct-literal corner at 50 mV used to reach the raw clamp,
         // whose window [0.05, vdd - 0.008] is inverted there.
-        let rogue = Corner { vdd: 0.05, name: "rogue" };
+        let rogue = Corner {
+            vdd: 0.05,
+            name: "rogue",
+        };
         let _ = OperatingCondition::nominal().delay_multiplier(rogue);
     }
 
@@ -221,6 +228,9 @@ mod tests {
         for g in &chokes_fresh {
             assert!(chokes_aged.contains(g), "choke gate {g} persists");
         }
-        assert!(chokes_aged.len() >= chokes_fresh.len(), "aging adds, never removes");
+        assert!(
+            chokes_aged.len() >= chokes_fresh.len(),
+            "aging adds, never removes"
+        );
     }
 }

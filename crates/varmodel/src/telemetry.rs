@@ -193,6 +193,10 @@ mod tests {
         add(stc, 4);
         let drained = take(&[stc]);
         assert_eq!((drained.get(ntc), drained.get(stc)), (0, 4));
-        assert_eq!(take(&[ntc, stc]).get(ntc), 2, "an unlisted metric keeps its total");
+        assert_eq!(
+            take(&[ntc, stc]).get(ntc),
+            2,
+            "an unlisted metric keeps its total"
+        );
     }
 }

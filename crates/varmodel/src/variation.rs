@@ -107,7 +107,11 @@ impl SystematicField {
             }
         }
         // Restore target sigma (empirical factor for the 5-point average).
-        let scale = if sigma > 0.0 { 5.0f64.sqrt() / 1.6 } else { 0.0 };
+        let scale = if sigma > 0.0 {
+            5.0f64.sqrt() / 1.6
+        } else {
+            0.0
+        };
         for v in &mut smooth {
             *v *= scale.max(1.0);
         }
@@ -242,7 +246,10 @@ mod tests {
             near += (f.at(x, 0.5) - f.at(x + 0.02, 0.5)).abs();
             far += (f.at(x, 0.1) - f.at((x + 0.45) % 0.95, 0.9)).abs();
         }
-        assert!(near < far, "near diff {near:.4} should be < far diff {far:.4}");
+        assert!(
+            near < far,
+            "near diff {near:.4} should be < far diff {far:.4}"
+        );
     }
 
     #[test]

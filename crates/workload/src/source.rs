@@ -240,7 +240,10 @@ mod tests {
         let source = TraceSource::Record(dir.clone());
         let recorded = source.trace(Benchmark::Mcf, 21, 600).expect("record");
         let generated = TraceGenerator::new(Benchmark::Mcf, 21).trace(600);
-        assert_eq!(*recorded, generated, "record simulates the generated stream");
+        assert_eq!(
+            *recorded, generated,
+            "record simulates the generated stream"
+        );
 
         let replayed = TraceSource::Replay(dir.clone())
             .trace(Benchmark::Mcf, 21, 600)

@@ -108,7 +108,10 @@ impl fmt::Display for TraceBinError {
             TraceBinError::BadMagic => write!(f, "not a binary trace (bad magic)"),
             TraceBinError::BadVersion(v) => write!(f, "unsupported trace format version {v}"),
             TraceBinError::Truncated { expected, actual } => {
-                write!(f, "truncated trace: expected {expected} bytes, found {actual}")
+                write!(
+                    f,
+                    "truncated trace: expected {expected} bytes, found {actual}"
+                )
             }
             TraceBinError::ChecksumMismatch => write!(f, "trace checksum mismatch"),
             TraceBinError::BadOpcode { record, code } => {
@@ -332,7 +335,11 @@ mod tests {
         let from_file = read_trace_file(&path);
         std::fs::remove_file(&path).ok();
         let from_slice = decode_trace(bytes);
-        assert_eq!(outcome(&from_file), outcome(&from_slice), "file and slice decode alike");
+        assert_eq!(
+            outcome(&from_file),
+            outcome(&from_slice),
+            "file and slice decode alike"
+        );
         from_slice
     }
 
@@ -352,16 +359,27 @@ mod tests {
         assert_eq!(decode_both(&bytes, "roundtrip").expect("decode"), trace);
         // The empty trace is a valid (if useless) artifact too.
         let empty = encode_trace(&[]);
-        assert_eq!(decode_both(&empty, "roundtrip").expect("decode empty"), Vec::new());
+        assert_eq!(
+            decode_both(&empty, "roundtrip").expect("decode empty"),
+            Vec::new()
+        );
     }
 
     #[test]
     fn chunk_edges_decode_exactly() {
         // One record short of, exactly at and one past a chunk, and
         // several chunks with a partial one at the end.
-        for n in [CHUNK_RECORDS - 1, CHUNK_RECORDS, CHUNK_RECORDS + 1, 3 * CHUNK_RECORDS + 7] {
+        for n in [
+            CHUNK_RECORDS - 1,
+            CHUNK_RECORDS,
+            CHUNK_RECORDS + 1,
+            3 * CHUNK_RECORDS + 7,
+        ] {
             let trace = TraceGenerator::new(Benchmark::Parser, 6).trace(n);
-            assert_eq!(decode_both(&encode_trace(&trace), "chunks").expect("decode"), trace);
+            assert_eq!(
+                decode_both(&encode_trace(&trace), "chunks").expect("decode"),
+                trace
+            );
         }
     }
 
@@ -386,7 +404,10 @@ mod tests {
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x40;
         assert!(
-            matches!(decode_both(&bytes, "flipped"), Err(TraceBinError::ChecksumMismatch)),
+            matches!(
+                decode_both(&bytes, "flipped"),
+                Err(TraceBinError::ChecksumMismatch)
+            ),
             "flipped byte caught"
         );
         // Appending a byte is trailing garbage.
@@ -416,7 +437,10 @@ mod tests {
         let trace = TraceGenerator::new(Benchmark::Mcf, 1).trace(4);
         let mut bytes = encode_trace(&trace);
         bytes[0] = b'X';
-        assert!(matches!(decode_both(&bytes, "magic"), Err(TraceBinError::BadMagic)));
+        assert!(matches!(
+            decode_both(&bytes, "magic"),
+            Err(TraceBinError::BadMagic)
+        ));
         let mut bytes = encode_trace(&trace);
         bytes[8] = 99;
         // The checksum is over the (now mutated) body, so recompute it to
@@ -436,7 +460,10 @@ mod tests {
         reseal(&mut bytes);
         assert!(matches!(
             decode_both(&bytes, "opcode"),
-            Err(TraceBinError::BadOpcode { record: 0, code: 0xFF })
+            Err(TraceBinError::BadOpcode {
+                record: 0,
+                code: 0xFF
+            })
         ));
     }
 
@@ -449,7 +476,10 @@ mod tests {
             let mut bytes = encode_trace(&trace);
             bytes[HEADER_BYTES + record * RECORD_BYTES] = 0xFF;
             assert!(
-                matches!(decode_both(&bytes, "unsealed"), Err(TraceBinError::ChecksumMismatch)),
+                matches!(
+                    decode_both(&bytes, "unsealed"),
+                    Err(TraceBinError::ChecksumMismatch)
+                ),
                 "record {record}"
             );
         }

@@ -39,10 +39,18 @@ fn record_writes_one_generator_trace_per_benchmark() {
         .expect("spawn ntc-workload");
     assert_eq!(out.status.code(), Some(0));
     let files = std::fs::read_dir(&dir).expect("trace dir").count();
-    assert_eq!(files, ALL_BENCHMARKS.len(), "one .ntt per benchmark, nothing else");
+    assert_eq!(
+        files,
+        ALL_BENCHMARKS.len(),
+        "one .ntt per benchmark, nothing else"
+    );
     let stdout = String::from_utf8(out.stdout).expect("utf-8 report");
     let lines: Vec<&str> = stdout.lines().collect();
-    assert_eq!(lines.len(), ALL_BENCHMARKS.len(), "one report line per trace");
+    assert_eq!(
+        lines.len(),
+        ALL_BENCHMARKS.len(),
+        "one report line per trace"
+    );
     for (bench, line) in ALL_BENCHMARKS.into_iter().zip(lines) {
         let path = TraceSource::trace_path(&dir, bench, seed, cycles);
         // Header, one 17-byte record per instruction, trailing checksum.
@@ -50,7 +58,10 @@ fn record_writes_one_generator_trace_per_benchmark() {
         assert_eq!(len, 24 + 17 * cycles as u64 + 8, "{bench}: file length");
         assert_eq!(
             line,
-            format!("recorded {} ({cycles} instructions, {len} bytes)", path.display()),
+            format!(
+                "recorded {} ({cycles} instructions, {len} bytes)",
+                path.display()
+            ),
             "{bench}: the printed byte count is the file's length"
         );
         let bytes = std::fs::read(&path).expect("trace bytes");
@@ -78,9 +89,18 @@ fn record_writes_one_generator_trace_per_benchmark() {
 fn retired_sample_and_missing_dir_exit_2() {
     let dir = test_dir("usage");
     let dir = dir.to_str().unwrap();
-    for args in [vec!["sample", "--dir", dir], vec!["record", "--cycles", "100"]] {
-        let out = ntc_workload().args(&args).output().expect("spawn ntc-workload");
+    for args in [
+        vec!["sample", "--dir", dir],
+        vec!["record", "--cycles", "100"],
+    ] {
+        let out = ntc_workload()
+            .args(&args)
+            .output()
+            .expect("spawn ntc-workload");
         assert_eq!(out.status.code(), Some(2), "{args:?}");
     }
-    assert!(!std::path::Path::new(dir).exists(), "usage errors write nothing");
+    assert!(
+        !std::path::Path::new(dir).exists(),
+        "usage errors write nothing"
+    );
 }

@@ -47,6 +47,10 @@ fn main() {
     println!(
         "\ntotal slow choke gates across the batch — STC: {stc_chokes}, NTC: {ntc_chokes} \
          ({}x more at near-threshold)",
-        if stc_chokes > 0 { ntc_chokes / stc_chokes.max(1) } else { ntc_chokes }
+        if stc_chokes > 0 {
+            ntc_chokes / stc_chokes.max(1)
+        } else {
+            ntc_chokes
+        }
     );
 }

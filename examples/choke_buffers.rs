@@ -22,8 +22,7 @@ fn main() {
     // delays only.
     let f = Corner::NTC.delay_factor();
     let hold_ntc = crit * 0.22;
-    let (padded, bufs, report) =
-        insert_hold_buffers(alu.netlist(), hold_ntc / f, crit * 0.72 / f);
+    let (padded, bufs, report) = insert_hold_buffers(alu.netlist(), hold_ntc / f, crit * 0.72 / f);
     println!(
         "hold target {hold_ntc:.0} ps: inserted {} buffers on {} edges \
          (min path {:.0} -> {:.0} ps in the design frame)",

@@ -39,7 +39,10 @@ fn main() {
     let razor = run_scheme(&mut Razor::ch3(), &mut oracle, &trace, clock, pipe);
     let dcs = run_scheme(&mut Dcs::icslt_default(), &mut oracle, &trace, clock, pipe);
 
-    println!("\n{:<12} {:>10} {:>10} {:>10} {:>9}", "scheme", "errors", "recovered", "avoided", "penalty");
+    println!(
+        "\n{:<12} {:>10} {:>10} {:>10} {:>9}",
+        "scheme", "errors", "recovered", "avoided", "penalty"
+    );
     for r in [&razor, &dcs] {
         println!(
             "{:<12} {:>10} {:>10} {:>10} {:>9}",

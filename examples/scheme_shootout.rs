@@ -52,7 +52,13 @@ fn main() {
     let mut acslt = Dcs::acslt_default().with_min_corruption(true);
     results.push(run_scheme(&mut acslt, &mut oracle_buf, &trace, clock, pipe));
     let mut trident = Trident::paper();
-    results.push(run_scheme(&mut trident, &mut oracle_bare, &trace, tdc_clock, pipe));
+    results.push(run_scheme(
+        &mut trident,
+        &mut oracle_bare,
+        &trace,
+        tdc_clock,
+        pipe,
+    ));
 
     let base_perf = results[0].performance();
     let base_eff = results[0].energy(model).efficiency;

@@ -67,9 +67,10 @@ fn run_serve(args: Vec<String>) {
             "--budget" => cfg.budget = parse_num(&take_value(&mut it, "--budget"), "--budget"),
             "--queue" => cfg.queue_cap = parse_num(&take_value(&mut it, "--queue"), "--queue"),
             "--hold-ms" => {
-                cfg.hold_before_compute =
-                    Duration::from_millis(parse_num(&take_value(&mut it, "--hold-ms"), "--hold-ms")
-                        as u64);
+                cfg.hold_before_compute = Duration::from_millis(parse_num(
+                    &take_value(&mut it, "--hold-ms"),
+                    "--hold-ms",
+                ) as u64);
             }
             _ => usage(),
         }
@@ -82,7 +83,10 @@ fn run_serve(args: Vec<String>) {
             std::process::exit(2);
         }
     };
-    eprintln!("ntc-serve: listening on unix socket {}", cfg.socket.display());
+    eprintln!(
+        "ntc-serve: listening on unix socket {}",
+        cfg.socket.display()
+    );
     if let Err(e) = server.run() {
         eprintln!("ntc-serve: accept loop failed: {e}");
         std::process::exit(2);

@@ -24,10 +24,10 @@
 
 pub use ntc_core as core;
 pub use ntc_experiments as experiments;
-pub use ntc_serve as serve;
 pub use ntc_isa as isa;
 pub use ntc_netlist as netlist;
 pub use ntc_pipeline as pipeline;
+pub use ntc_serve as serve;
 pub use ntc_timing as timing;
 pub use ntc_varmodel as varmodel;
 pub use ntc_workload as workload;

@@ -73,7 +73,13 @@ fn hfg_trades_errors_for_a_slow_clock() {
     let c = clock(&o);
     let trace = TraceGenerator::new(Benchmark::Gap, 2).trace(6_000);
     let stretch = (o.static_critical_delay_ps() * 1.02 / c.period_ps).max(1.0);
-    let hfg = run_scheme(&mut Hfg::with_stretch(stretch), &mut o, &trace, c, Pipeline::core1());
+    let hfg = run_scheme(
+        &mut Hfg::with_stretch(stretch),
+        &mut o,
+        &trace,
+        c,
+        Pipeline::core1(),
+    );
     assert_eq!(hfg.recovered, 0, "guardband covers the worst case");
     assert_eq!(hfg.cost.penalty_cycles(), 0);
     assert!(hfg.period_stretch > 1.0, "but every cycle pays for it");
@@ -85,7 +91,13 @@ fn ocst_reduces_recoveries_after_tuning() {
     let c = clock(&o);
     let trace = TraceGenerator::new(Benchmark::Mcf, 3).trace(10_000);
     let razor = run_scheme(&mut Razor::ch3(), &mut o, &trace, c, Pipeline::core1());
-    let ocst = run_scheme(&mut Ocst::new(1_000, 0.30), &mut o, &trace, c, Pipeline::core1());
+    let ocst = run_scheme(
+        &mut Ocst::new(1_000, 0.30),
+        &mut o,
+        &trace,
+        c,
+        Pipeline::core1(),
+    );
     assert!(
         ocst.cost.penalty_cycles() < razor.cost.penalty_cycles(),
         "OCST {} vs Razor {}",
@@ -119,8 +131,19 @@ fn error_stream_is_deterministic_per_chip() {
         let mut o = oracle(9);
         let c = clock(&o);
         let trace = TraceGenerator::new(Benchmark::Parser, 4).trace(5_000);
-        let r = run_scheme(&mut Dcs::acslt_default(), &mut o, &trace, c, Pipeline::core1());
-        (r.recovered, r.avoided, r.false_positives, r.cost.penalty_cycles())
+        let r = run_scheme(
+            &mut Dcs::acslt_default(),
+            &mut o,
+            &trace,
+            c,
+            Pipeline::core1(),
+        );
+        (
+            r.recovered,
+            r.avoided,
+            r.false_positives,
+            r.cost.penalty_cycles(),
+        )
     };
     assert_eq!(run(), run());
 }
@@ -147,16 +170,19 @@ fn buffered_and_bare_netlists_share_function_not_timing() {
     use ntc_choke::netlist::buffer_insertion::insert_hold_buffers;
     let alu = Alu::new(16);
     let nominal = ChipSignature::nominal(alu.netlist(), Corner::NTC);
-    let crit =
-        ntc_choke::timing::StaticTiming::analyze(alu.netlist(), &nominal).critical_delay_ps(alu.netlist());
+    let crit = ntc_choke::timing::StaticTiming::analyze(alu.netlist(), &nominal)
+        .critical_delay_ps(alu.netlist());
     let f = Corner::NTC.delay_factor();
-    let (padded, _, report) =
-        insert_hold_buffers(alu.netlist(), crit * 0.25 / f, crit * 0.72 / f);
+    let (padded, _, report) = insert_hold_buffers(alu.netlist(), crit * 0.25 / f, crit * 0.72 / f);
     assert!(report.buffers_inserted > 0);
     // Same function...
     for op in [Opcode::Addu, Opcode::Nor, Opcode::Sllv] {
         let i = Instruction::new(op, 0xBEEF, 0x13);
-        let pis = alu.encode(op.alu_func(), u64::from(i.a & 0xFFFF), u64::from(i.b & 0xFFFF));
+        let pis = alu.encode(
+            op.alu_func(),
+            u64::from(i.a & 0xFFFF),
+            u64::from(i.b & 0xFFFF),
+        );
         assert_eq!(alu.netlist().eval(&pis), padded.eval(&pis));
     }
     // ...different min-path timing.

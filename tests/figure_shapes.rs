@@ -54,7 +54,10 @@ fn manifest_shape_is_golden() {
     // Golden shape: these exact keys, in this exact order. Extending the
     // manifest is fine — update the golden lists *and* MANIFEST_SCHEMA
     // consumers deliberately when you do.
-    assert_eq!(parsed.get("schema").unwrap().as_str(), Some(MANIFEST_SCHEMA));
+    assert_eq!(
+        parsed.get("schema").unwrap().as_str(),
+        Some(MANIFEST_SCHEMA)
+    );
     assert_eq!(
         parsed.keys().unwrap(),
         vec!["schema", "scale", "jobs", "passed", "failed", "wall_s", "records"],
@@ -93,7 +96,12 @@ fn manifest_shape_is_golden() {
     );
     assert_eq!(
         rec.get("cache").unwrap().keys().unwrap(),
-        vec!["disk_hits", "disk_misses", "corrupt_evictions", "bytes_written"],
+        vec![
+            "disk_hits",
+            "disk_misses",
+            "corrupt_evictions",
+            "bytes_written"
+        ],
         "grid cache counter shape"
     );
     assert_eq!(
@@ -113,12 +121,20 @@ fn manifest_shape_is_golden() {
         vec!["v0.45"],
         "default roster is the single NTC point"
     );
-    assert_eq!(rec.get("resumed"), Some(&ntc_choke::experiments::report::Json::Bool(false)));
+    assert_eq!(
+        rec.get("resumed"),
+        Some(&ntc_choke::experiments::report::Json::Bool(false))
+    );
     // And the values describe the run we just made.
     assert_eq!(rec.get("rows").unwrap().as_f64(), Some(8.0));
     assert_eq!(rec.get("status").unwrap().as_str(), Some("pass"));
     assert!(
-        rec.get("oracle").unwrap().get("gate_sims").unwrap().as_f64() >= Some(1.0),
+        rec.get("oracle")
+            .unwrap()
+            .get("gate_sims")
+            .unwrap()
+            .as_f64()
+            >= Some(1.0),
         "a fresh fig3.4 run performs gate-level simulations"
     );
     assert_eq!(
@@ -126,7 +142,10 @@ fn manifest_shape_is_golden() {
         Some(1.0),
         "suite totals fold the records"
     );
-    assert!(oracle_queries > 0, "oracle counters were drained into the record");
+    assert!(
+        oracle_queries > 0,
+        "oracle counters were drained into the record"
+    );
 }
 
 #[test]
@@ -135,11 +154,7 @@ fn fig3_2_ntc_reaches_high_cdl_stc_does_not() {
     let ntc = ch3::fig_3_2(Corner::NTC, Scale::Fast);
     // STC choke points stay out of the high-CDL band for every operation
     // (paper: STC CDL tops out around 12%).
-    let stc_high = stc
-        .rows
-        .iter()
-        .filter(|(_, v)| v[3].is_finite())
-        .count();
+    let stc_high = stc.rows.iter().filter(|(_, v)| v[3].is_finite()).count();
     assert_eq!(stc_high, 0, "STC rows reaching CDL_H: {stc_high}");
     // NTC reaches CDL_H for most operations, with a tiny CGL.
     let ntc_high: Vec<f64> = ntc
@@ -163,7 +178,11 @@ fn fig3_10_dcs_cuts_penalty_everywhere() {
     let t = ch3::fig_3_10(Scale::Fast);
     for (bench, v) in &t.rows {
         assert!((v[0] - 1.0).abs() < 1e-9, "{bench}: Razor is the baseline");
-        assert!(v[1] < 0.6, "{bench}: ICSLT penalty {:.2} must be well below Razor", v[1]);
+        assert!(
+            v[1] < 0.6,
+            "{bench}: ICSLT penalty {:.2} must be well below Razor",
+            v[1]
+        );
         assert!(v[2] < 0.6, "{bench}: ACSLT penalty {:.2}", v[2]);
     }
 }
@@ -174,7 +193,10 @@ fn fig3_11_ordering_dcs_best_hfg_worst_on_most() {
     let mut hfg_below_razor = 0;
     for (bench, v) in &t.rows {
         let (razor, hfg, icslt, acslt) = (v[0], v[1], v[2], v[3]);
-        assert!(icslt > razor && acslt > razor, "{bench}: DCS must beat Razor");
+        assert!(
+            icslt > razor && acslt > razor,
+            "{bench}: DCS must beat Razor"
+        );
         if hfg < razor {
             hfg_below_razor += 1;
         }
@@ -206,7 +228,10 @@ fn fig4_10_11_trident_beats_ocst_beats_razor() {
     let p = ch4::fig_4_10(Scale::Fast);
     let mut trident_below_ocst = 0;
     for (bench, v) in &p.rows {
-        assert!(v[1] < v[0] && v[2] < v[0], "{bench}: both beat Razor: {v:?}");
+        assert!(
+            v[1] < v[0] && v[2] < v[0],
+            "{bench}: both beat Razor: {v:?}"
+        );
         if v[2] < v[1] {
             trident_below_ocst += 1;
         }
@@ -256,7 +281,10 @@ fn overhead_tables_match_paper_bands() {
     let t3 = ch3::overheads_3();
     for (scheme, v) in &t3.rows {
         assert!(v[0] > 500.0, "{scheme}: gate count {}", v[0]);
-        assert!(v[1] < 2.0 && v[2] < 2.0 && v[3] < 2.0, "{scheme}: sub-2% of pipeline");
+        assert!(
+            v[1] < 2.0 && v[2] < 2.0 && v[3] < 2.0,
+            "{scheme}: sub-2% of pipeline"
+        );
     }
     let t4 = ch4::overheads_4();
     let pipeline_row = &t4.rows[1].1;

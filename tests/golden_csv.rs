@@ -53,7 +53,8 @@ fn check_against_golden(id: &str) {
         )
     });
     assert_eq!(
-        golden, actual,
+        golden,
+        actual,
         "{id}: CSV drifted from {}; if the change is intentional, \
          regenerate with NTC_UPDATE_GOLDEN=1 and review the diff",
         path.display()

@@ -91,9 +91,15 @@ fn corrupt_artifacts_are_quarantined_and_recomputed() {
     let stats = cache::take_stats();
     assert_eq!(stats.corrupt_evictions, 1);
     assert_eq!(stats.disk_misses, 1, "a corrupt load counts as a miss");
-    assert!(!path.exists(), "corrupt artifact left the addressable namespace");
+    assert!(
+        !path.exists(),
+        "corrupt artifact left the addressable namespace"
+    );
     let quarantined = PathBuf::from(format!("{}.corrupt", path.display()));
-    assert!(quarantined.exists(), "corrupt artifact was quarantined, not lost");
+    assert!(
+        quarantined.exists(),
+        "corrupt artifact was quarantined, not lost"
+    );
 
     // Truncation at every interesting boundary also degrades to a miss.
     let good = {
@@ -113,7 +119,10 @@ fn corrupt_artifacts_are_quarantined_and_recomputed() {
     std::fs::write(&path, &good[..good.len() - 1]).expect("truncation written");
     if cache::load(&dir, &spec).is_none() {
         let recomputed = run_grid_uncached(&spec);
-        assert_eq!(recomputed, cold, "recompute after eviction is bit-identical");
+        assert_eq!(
+            recomputed, cold,
+            "recompute after eviction is bit-identical"
+        );
     }
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -143,8 +152,14 @@ fn old_schema_artifacts_are_ignored_not_quarantined() {
         OperatingPoint::NTC,
         OperatingPoint::parse("v0.60").expect("roster point"),
     ];
-    assert!(cache::load(&dir, &wide).is_none(), "wider axis is a plain miss");
-    assert!(cache::load(&dir, &spec).is_some(), "current artifact still hits");
+    assert!(
+        cache::load(&dir, &wide).is_none(),
+        "wider axis is a plain miss"
+    );
+    assert!(
+        cache::load(&dir, &spec).is_some(),
+        "current artifact still hits"
+    );
     let stats = cache::take_stats();
     assert_eq!(stats.corrupt_evictions, 0, "nothing was quarantined");
 
@@ -159,7 +174,10 @@ fn old_schema_artifacts_are_ignored_not_quarantined() {
         .filter_map(Result::ok)
         .filter(|e| e.path().extension().is_some_and(|x| x == "corrupt"))
         .collect();
-    assert!(corpses.is_empty(), "no .corrupt quarantine files: {corpses:?}");
+    assert!(
+        corpses.is_empty(),
+        "no .corrupt quarantine files: {corpses:?}"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -14,8 +14,8 @@
 //! process-global: parallel test functions would race on it.
 
 use ntc_choke::core::scenario::{ChipContext, SchemeSpec};
-use ntc_choke::experiments::scenario::{run_grid_uncached, GridSpec, Regime};
 use ntc_choke::experiments::runner;
+use ntc_choke::experiments::scenario::{run_grid_uncached, GridSpec, Regime};
 use ntc_choke::timing::ClockSpec;
 use ntc_choke::varmodel::OperatingPoint;
 use ntc_choke::workload::Benchmark;
@@ -107,9 +107,7 @@ fn registry_round_trips_and_grids_are_thread_count_invariant() {
     }
     for (&(jobs, run_spec), grid) in runs.iter().zip(&grids).skip(1) {
         assert_eq!(grid.schemes(), &run_spec.schemes[..]);
-        for ((b_ref, v_ref, accs_ref), (b, v, accs)) in
-            reference.rows().iter().zip(grid.rows())
-        {
+        for ((b_ref, v_ref, accs_ref), (b, v, accs)) in reference.rows().iter().zip(grid.rows()) {
             assert_eq!(b, b_ref, "--jobs {jobs}: benchmark order");
             assert_eq!(v, v_ref, "--jobs {jobs}: voltage order");
             for (spec, acc) in run_spec.schemes.iter().zip(accs) {

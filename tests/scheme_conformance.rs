@@ -107,7 +107,10 @@ fn all_schemes(o: &TagDelayOracle) -> Vec<(Box<dyn ResilienceScheme>, ClockSpec)
         (Box::new(Dcs::acslt_default()), c3),
         (Box::new(Trident::paper()), c4),
         (registry_scheme(SchemeSpec::Dvs, o, c3), c3),
-        (registry_scheme(SchemeSpec::HardenChoke { top_k: 8 }, o, c3), c3),
+        (
+            registry_scheme(SchemeSpec::HardenChoke { top_k: 8 }, o, c3),
+            c3,
+        ),
     ]
 }
 
@@ -154,7 +157,11 @@ fn every_scheme_satisfies_the_universal_invariants() {
         // Mechanical sanity on the remaining knobs.
         assert!(r.period_stretch >= 1.0, "{name}: stretch");
         assert!(r.power_overhead >= 0.0, "{name}: power overhead");
-        assert_eq!(r.cost.instructions, (trace.len() - 1) as u64, "{name}: cycles");
+        assert_eq!(
+            r.cost.instructions,
+            (trace.len() - 1) as u64,
+            "{name}: cycles"
+        );
     }
 }
 
@@ -264,14 +271,20 @@ fn base_clock_schemes_account_for_every_profiled_error() {
         c3,
         pipe,
     );
-    assert!(hfg.errors_total() <= p3.errors_total(), "HFG sees fewer errors");
+    assert!(
+        hfg.errors_total() <= p3.errors_total(),
+        "HFG sees fewer errors"
+    );
     assert_eq!(hfg.corruptions, 0, "HFG has no silent corruptions");
 
     // OCST masks overshoots it has tuned slack for: never more events
     // than the profile.
     let mut chip = oracle();
     let ocst = run_scheme(&mut Ocst::new(1_000, 0.30), &mut chip, &trace, c3, pipe);
-    assert!(ocst.errors_total() <= p3.errors_total(), "OCST masks tuned errors");
+    assert!(
+        ocst.errors_total() <= p3.errors_total(),
+        "OCST masks tuned errors"
+    );
 
     // DVS thresholds against its effective clock, which only tightens as
     // the controller harvests supply rungs: at least the base-clock
@@ -314,12 +327,14 @@ fn razor_ch4_double_counts_consecutive_errors() {
     // catches every late transition, and a max violation shadows any min
     // violation of the same cycle).
     let max_cycles: u64 = p4.per_opcode_minmax.values().map(|(max_e, _)| *max_e).sum();
-    assert_eq!(razor.recovered, max_cycles, "Razor ch4 recovers every max violation");
+    assert_eq!(
+        razor.recovered, max_cycles,
+        "Razor ch4 recovers every max violation"
+    );
     // It reports strictly more events than the profiler (the min half of
     // a CE corrupts as a separate event), but at most one extra per CE.
     assert!(
-        razor.errors_total() > p4.errors_total()
-            && razor.errors_total() <= p4.errors_total() + ce,
+        razor.errors_total() > p4.errors_total() && razor.errors_total() <= p4.errors_total() + ce,
         "Razor ch4: avoided {} + recovered {} + corruptions {} vs profiled {} (+{} CEs)",
         razor.avoided,
         razor.recovered,
@@ -346,7 +361,11 @@ fn same_seed_runs_produce_identical_results() {
         };
         let a = run_once();
         let b = run_once();
-        assert_eq!(a, b, "scheme #{idx} ({}): same-seed runs diverged", a.scheme);
+        assert_eq!(
+            a, b,
+            "scheme #{idx} ({}): same-seed runs diverged",
+            a.scheme
+        );
     }
 }
 
@@ -369,7 +388,9 @@ fn run_schemes_equals_one_run_scheme_per_scheme_across_chunk_edges() {
         let shared = run_schemes(&mut roster, &mut oracle(), trace, pipe);
         let alone: Vec<SimResult> = all_schemes(&o)
             .into_iter()
-            .map(|(mut scheme, clock)| run_scheme(scheme.as_mut(), &mut oracle(), trace, clock, pipe))
+            .map(|(mut scheme, clock)| {
+                run_scheme(scheme.as_mut(), &mut oracle(), trace, clock, pipe)
+            })
             .collect();
         assert_eq!(shared, alone, "{len}-instruction trace");
 
@@ -380,7 +401,10 @@ fn run_schemes_equals_one_run_scheme_per_scheme_across_chunk_edges() {
         let mut probe = Probe(Vec::new());
         run_scheme(&mut probe, &mut oracle(), trace, ch3_clock(&o), pipe);
         let mut chip = oracle();
-        let pairs: Vec<_> = trace.windows(2).map(|w| chip.delays(&w[0], &w[1])).collect();
+        let pairs: Vec<_> = trace
+            .windows(2)
+            .map(|w| chip.delays(&w[0], &w[1]))
+            .collect();
         let expected: Vec<_> = trace
             .windows(2)
             .zip(&pairs)

@@ -47,7 +47,10 @@ fn serve_rejects_a_bad_ntc_vdd_before_binding() {
     std::fs::remove_dir_all(&dir).ok();
     for (bad, code, stderr, socket_left) in outcomes {
         assert_eq!(code, Some(2), "{bad:?}: usage exit; stderr: {stderr}");
-        assert!(stderr.contains("usage: ntc-serve"), "{bad:?}: prints the usage: {stderr}");
+        assert!(
+            stderr.contains("usage: ntc-serve"),
+            "{bad:?}: prints the usage: {stderr}"
+        );
         assert!(!socket_left, "{bad:?}: no socket is created");
     }
 }
