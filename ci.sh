@@ -10,12 +10,17 @@ cargo build --release --offline --workspace
 echo "==> cargo test -q --offline --workspace"
 cargo test -q --offline --workspace
 
-echo "==> kernel reference-equivalence + allocation-free suites"
+echo "==> kernel reference-equivalence, guard-index, lean-sweep + allocation-free suites"
 cargo test -q --offline -p ntc-netlist --lib truth_table_agrees_with_eval
+cargo test -q --offline -p ntc-netlist --lib a_mask_grows_to_three_selects_and_no_further
+cargo test -q --offline -p ntc-netlist --lib three_select_lines_guard_the_adder_and_the_right_shifter
 cargo test -q --offline -p ntc-timing reference:: --lib
+cargo test -q --offline -p ntc-timing --lib lean_sweep_
 cargo test -q --offline -p ntc-timing --test alloc_free
 cargo test -q --offline -p ntc-timing --test proptest_timing \
   lean_minmax_matches_full_path_on_gated_netlists
+cargo test -q --offline -p ntc-timing --test proptest_timing \
+  a_cut_wave_past_the_caps_exact_prefix_reruns_the_pair
 
 echo "==> cargo check --offline -p ntc-bench --features bench --benches"
 cargo check --offline -p ntc-bench --features bench --benches
@@ -64,8 +69,15 @@ grep -qx 'scheme harden-choke (Harden-choke)' target/repro-ci-list.txt
 grep -qx 'vdd v0.45 (0.45 V)' target/repro-ci-list.txt
 grep -qx 'vdd v0.80 (0.80 V)' target/repro-ci-list.txt
 
-echo "==> cargo doc --offline --no-deps (rustdoc warnings are errors)"
-RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace -q
+echo "==> cargo doc --offline --no-deps (rustdoc and cargo warnings are errors)"
+# Cargo's own warnings (an output filename collision, say) do not fail the
+# build, so the step fails on any warning line it prints.
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace 2> target/ci-doc.log \
+  || { cat target/ci-doc.log; exit 1; }
+if grep -q '^warning' target/ci-doc.log; then
+  cat target/ci-doc.log
+  echo "FAIL: cargo doc printed a warning"; exit 1
+fi
 
 echo "==> repro --fast fig3.4"
 ./target/release/repro --fast fig3.4

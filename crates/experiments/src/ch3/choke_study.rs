@@ -103,22 +103,23 @@ pub fn run_choke_study(
 
     // Nominal per-op critical delays, and the circuit's nominal critical
     // delay (the CDL reference: the paper expresses CDL as a percentage of
-    // the nominal critical path delay of the circuit).
-    let mut nominal_crit: HashMap<AluFunc, f64> = HashMap::new();
-    {
+    // the nominal critical path delay of the circuit). One sweep task per
+    // op, each with its own workspace; `max` folds each op's sample alone,
+    // so the result is the same at any thread count.
+    let worst = crate::runner::sweep(STUDY_OPS.len(), |k| {
+        let op = STUDY_OPS[k];
         let mut ws = SimWorkspace::new();
-        for &op in &STUDY_OPS {
-            let mut worst: f64 = 0.0;
-            for &(a1, b1, a2, b2) in &vectors[&op] {
+        vectors[&op]
+            .iter()
+            .fold(0.0f64, |worst, &(a1, b1, a2, b2)| {
                 let (init, sens) = (alu.encode(op, a1, b1), alu.encode(op, a2, b2));
-                let t = ws.simulate_pair_minmax(nl, &nominal, &init, &sens);
-                if let Some(d) = t.max_ps {
-                    worst = worst.max(d);
+                match ws.simulate_pair_minmax(nl, &nominal, &init, &sens).max_ps {
+                    Some(d) => worst.max(d),
+                    None => worst,
                 }
-            }
-            nominal_crit.insert(op, worst);
-        }
-    }
+            })
+    });
+    let nominal_crit: HashMap<AluFunc, f64> = STUDY_OPS.into_iter().zip(worst).collect();
 
     // One sweep task per fabricated chip; each returns its local profiles,
     // merged below in chip order. Every fold (min CGL, max CDL, event

@@ -366,6 +366,7 @@ fn combined_right_shifter(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Guard;
 
     #[test]
     fn select_codes_roundtrip() {
@@ -443,53 +444,105 @@ mod tests {
         assert_eq!(AluFunc::ShiftLeft.golden(0x01, 7, 8), 0x80);
     }
 
-    #[test]
-    fn the_mult_select_line_guards_the_whole_multiplier_cone() {
-        use crate::{Builder, Guard};
-        let alu = Alu::new(8);
-        let nl = alu.netlist();
-        // `Alu::new` builds its three input buses and then the one-hot
-        // decoder first, so the same steps on a fresh builder give the Mult
-        // select line's index.
+    /// A `width`-bit ALU and its one-hot select lines, in select-code order:
+    /// `Alu::new` builds its three input buses and then the one-hot decoder
+    /// first, so the same steps on a fresh builder give the lines' indices.
+    fn alu_and_select_lines(width: usize) -> (Alu, Vec<Signal>) {
         let mut b = Builder::new();
         let op = b.input_bus("op", 4);
-        b.input_bus("a", 8);
-        b.input_bus("b", 8);
+        b.input_bus("a", width);
+        b.input_bus("b", width);
         let onehot = logic::decoder(&mut b, &op, ALL_ALU_FUNCS.len());
+        (Alu::new(width), onehot)
+    }
+
+    /// The logic gates above the decoder that the data pins of the
+    /// result-mux ANDs of `funcs` depend on: those functions' datapath.
+    fn datapath_cone(nl: &Netlist, onehot: &[Signal], funcs: &[AluFunc]) -> Vec<usize> {
+        let floor = onehot.iter().max().expect("select lines").index();
+        let mut stack: Vec<Signal> = funcs
+            .iter()
+            .flat_map(|f| nl.fanout_of(onehot[f.select_code() as usize]))
+            .flat_map(|&g| nl.gates()[g as usize].inputs().to_vec())
+            .filter(|s| !onehot.contains(s))
+            .collect();
+        let mut cone = vec![false; nl.len()];
+        while let Some(s) = stack.pop() {
+            if s.index() > floor && !cone[s.index()] && !nl.gate(s).kind().is_pseudo() {
+                cone[s.index()] = true;
+                stack.extend_from_slice(nl.gate(s).inputs());
+            }
+        }
+        (0..nl.len()).filter(|&i| cone[i]).collect()
+    }
+
+    /// Asserts that every gate of `cone` carries exactly the select lines
+    /// of `funcs` at 0.
+    fn assert_cone_masked(nl: &Netlist, cone: &[usize], onehot: &[Signal], funcs: &[AluFunc]) {
+        let mut expect: Vec<(Signal, bool)> = funcs
+            .iter()
+            .map(|f| (onehot[f.select_code() as usize], false))
+            .collect();
+        expect.sort();
+        for &i in cone {
+            let Guard::MaskedBy(mask) = nl.guard_of_index(i) else {
+                panic!("gate n{i} is {:?}", nl.guard_of_index(i));
+            };
+            assert_eq!(mask.pairs().collect::<Vec<_>>(), expect, "gate n{i}");
+        }
+    }
+
+    #[test]
+    fn the_mult_select_line_guards_the_whole_multiplier_cone() {
+        let (alu, onehot) = alu_and_select_lines(8);
+        let nl = alu.netlist();
         let mult = onehot[AluFunc::Mult.select_code() as usize];
         assert!(nl.eval_all(&alu.encode(AluFunc::Mult, 3, 5))[mult.index()]);
         assert!(!nl.eval_all(&alu.encode(AluFunc::Add, 3, 5))[mult.index()]);
         // The select line gates each multiplier output bit into the result
         // mux; the multiplier cone is everything those bits depend on.
-        let mut stack: Vec<Signal> = nl
-            .fanout_of(mult)
-            .iter()
-            .flat_map(|&g| nl.gates()[g as usize].inputs().to_vec())
-            .filter(|&s| s != mult)
-            .collect();
-        assert_eq!(stack.len(), 8, "one multiplier bit per result bit");
-        let mut cone = vec![false; nl.len()];
-        while let Some(s) = stack.pop() {
-            if !cone[s.index()] && !nl.gate(s).kind().is_pseudo() {
-                cone[s.index()] = true;
-                stack.extend_from_slice(nl.gate(s).inputs());
-            }
-        }
-        let cone: Vec<usize> = (0..nl.len()).filter(|&i| cone[i]).collect();
+        assert_eq!(
+            nl.fanout_of(mult).len(),
+            8,
+            "one multiplier bit per result bit"
+        );
+        let cone = datapath_cone(nl, &onehot, &[AluFunc::Mult]);
         assert!(
             cone.len() > 100,
             "an 8-bit multiplier, got {} gates",
             cone.len()
         );
-        for i in cone {
-            assert_eq!(
-                nl.guard_of_index(i),
-                Guard::MaskedBy {
-                    net: mult,
-                    value: false
-                },
-                "multiplier gate n{i}"
-            );
+        assert_cone_masked(nl, &cone, &onehot, &[AluFunc::Mult]);
+    }
+
+    /// On the 32-bit ALU the shared adder sits behind the ADD, SUB and
+    /// LOAD lines, the right shifter behind ASR, LSR and ROR, and the
+    /// multiplier behind MULT alone; every mask net lies below its gate.
+    #[test]
+    fn three_select_lines_guard_the_adder_and_the_right_shifter() {
+        let (alu, onehot) = alu_and_select_lines(32);
+        let nl = alu.netlist();
+        let adder = [AluFunc::Add, AluFunc::Sub, AluFunc::Load];
+        let right = [
+            AluFunc::ShiftRightArith,
+            AluFunc::ShiftRightLogical,
+            AluFunc::RotateRight,
+        ];
+        // LOAD's data pins are the AGU buffers behind the adder; the adder
+        // proper is what the ADD and SUB data pins depend on.
+        let adder_cone = datapath_cone(nl, &onehot, &adder[..2]);
+        let right_cone = datapath_cone(nl, &onehot, &right);
+        let mult_cone = datapath_cone(nl, &onehot, &[AluFunc::Mult]);
+        assert_eq!(adder_cone.len(), 471);
+        assert_eq!(right_cone.len(), 192);
+        assert_eq!(mult_cone.len(), 2_337);
+        assert_cone_masked(nl, &adder_cone, &onehot, &adder);
+        assert_cone_masked(nl, &right_cone, &onehot, &right);
+        assert_cone_masked(nl, &mult_cone, &onehot, &[AluFunc::Mult]);
+        for i in 0..nl.len() {
+            if let Guard::MaskedBy(mask) = nl.guard_of_index(i) {
+                assert!(mask.pairs().all(|(net, _)| net.index() < i), "n{i}");
+            }
         }
     }
 

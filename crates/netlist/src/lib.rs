@@ -42,4 +42,4 @@ pub mod synth;
 pub mod verilog;
 
 pub use cell::{CellKind, ALL_CELL_KINDS};
-pub use netlist::{BuildNetlistError, Builder, Gate, Guard, Netlist, Port, Signal};
+pub use netlist::{BuildNetlistError, Builder, Gate, Guard, Mask, Netlist, Port, Signal};

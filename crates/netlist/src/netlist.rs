@@ -60,30 +60,98 @@ pub struct Port {
 
 /// One gate's entry in the netlist's guard index
 /// ([`Netlist::guard_of_index`]): whether the gate's activity can reach a
-/// primary output, and if not, which single steady net masks it.
+/// primary output, and if not, which nets mask it.
 ///
-/// The lean dynamic-timing sweep skips a gate whose guard holds for the
-/// cycle; `ntc_timing::dynamic` proves the skip leaves every output
-/// waveform unchanged.
+/// The lean dynamic-timing sweep skips or truncates a gate whose mask
+/// holds for the cycle; `ntc_timing::dynamic` proves that leaves every
+/// output waveform unchanged.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Guard {
-    /// The gate may reach a primary output and no single net masks it.
-    /// Every primary output is `Observable`.
+    /// The gate may reach a primary output and no mask covers it. Every
+    /// primary output is `Observable`.
     Observable,
     /// No path leads from the gate to a primary output.
     Unobservable,
-    /// While `net` holds `value` for a whole cycle, nothing the gate does
-    /// reaches a primary output. Every fanout edge of the gate goes into an
-    /// `Unobservable` gate, into a gate with this same guard, or into a
-    /// target whose output cannot depend on that pin while every pin `net`
-    /// drives holds `value`.
-    MaskedBy {
-        /// The masking net; its index is below the gate's.
-        net: Signal,
-        /// The value at which `net` masks the gate.
-        value: bool,
-    },
+    /// While every pair of the mask holds (its net carries its value),
+    /// nothing the gate does reaches a primary output. Every fanout edge
+    /// of the gate goes into an `Unobservable` gate, into a gate whose
+    /// mask is a subset of this one, or into a target whose output cannot
+    /// depend on that pin while every pin one pair's net drives holds that
+    /// pair's value.
+    MaskedBy(Mask),
 }
+
+/// The one to three `(net, value)` pairs of a [`Guard::MaskedBy`] gate,
+/// in ascending net order. Every net lies below the gate and appears
+/// once. Nets and values sit in separate arrays so a [`Guard`] takes 16
+/// bytes; the index holds one per gate.
+#[derive(Debug, Clone, Copy)]
+pub struct Mask {
+    nets: [Signal; Mask::CAP],
+    values: [bool; Mask::CAP],
+    len: u8,
+}
+
+impl Mask {
+    /// The most pairs one mask holds. The shared adder and the right
+    /// shifter of the ALU each sit behind three one-hot select lines.
+    const CAP: usize = 3;
+
+    const EMPTY: Mask = Mask {
+        nets: [Signal(0); Mask::CAP],
+        values: [false; Mask::CAP],
+        len: 0,
+    };
+
+    /// The pairs, in ascending net order.
+    #[inline]
+    pub fn pairs(self) -> impl ExactSizeIterator<Item = (Signal, bool)> {
+        (0..self.len as usize).map(move |k| (self.nets[k], self.values[k]))
+    }
+
+    /// Whether every pair of `self` is a pair of `other`, so that `self`
+    /// holds whenever `other` does.
+    #[inline]
+    pub fn is_subset_of(&self, other: &Mask) -> bool {
+        self.pairs().all(|p| other.pairs().any(|q| q == p))
+    }
+
+    /// `self` with `pairs` added, or `None` when the union would name a
+    /// net at both values or hold more than `CAP` pairs.
+    fn union(mut self, pairs: impl Iterator<Item = (Signal, bool)>) -> Option<Mask> {
+        for (net, value) in pairs {
+            let len = self.len as usize;
+            if let Some(k) = self.nets[..len].iter().position(|&n| n == net) {
+                if self.values[k] != value {
+                    return None;
+                }
+                continue;
+            }
+            if len == Mask::CAP {
+                return None;
+            }
+            // Insert in net order.
+            let mut k = len;
+            while k > 0 && self.nets[k - 1] > net {
+                self.nets[k] = self.nets[k - 1];
+                self.values[k] = self.values[k - 1];
+                k -= 1;
+            }
+            self.nets[k] = net;
+            self.values[k] = value;
+            self.len += 1;
+        }
+        Some(self)
+    }
+}
+
+impl PartialEq for Mask {
+    fn eq(&self, other: &Mask) -> bool {
+        self.pairs().eq(other.pairs())
+    }
+}
+
+impl Eq for Mask {}
 
 /// Errors raised while building or validating a netlist.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -310,8 +378,9 @@ impl Netlist {
     /// The guard-index entry of the gate driving signal index `i`: whether
     /// the gate is [`Observable`](Guard::Observable),
     /// [`Unobservable`](Guard::Unobservable), or
-    /// [`MaskedBy`](Guard::MaskedBy) a lower-index net at a given value.
-    /// The lean dynamic-timing sweep skips a gate whose guard holds.
+    /// [`MaskedBy`](Guard::MaskedBy) up to three lower-index nets at given
+    /// values. The lean dynamic-timing sweep skips or truncates a gate
+    /// whose mask holds.
     #[inline]
     pub fn guard_of_index(&self, i: usize) -> Guard {
         self.guards[i]
@@ -441,60 +510,77 @@ fn build_fanout_index(gates: &[Gate]) -> (Vec<u32>, Vec<u32>) {
 
 /// Build the guard index (see [`Guard`]) in one reverse pass: a gate's
 /// entry depends only on the entries of its fanout gates, which all come
-/// later in topological order.
+/// later in topological order. The index is built in place in the shared
+/// slice the netlist keeps.
+///
+/// A gate's mask grows edge by edge. An edge into an unobservable gate
+/// constrains nothing. For each other edge the mask does not yet cover,
+/// the target's own pairs are tried first, then each of the target's fanin
+/// nets at either value; the first that covers the edge and keeps the
+/// mask within three pairs, all below the gate, is added. Adding pairs
+/// never uncovers an edge, so the mask covers every edge once the last
+/// is done. A gate with an edge no candidate covers is `Observable`;
+/// one with no constraining edge stays `Unobservable`.
 fn build_guard_index(
     gates: &[Gate],
     outputs: &[Signal],
     offsets: &[u32],
     targets: &[u32],
-) -> Vec<Guard> {
-    let mut guards = vec![Guard::Unobservable; gates.len()];
+) -> Arc<[Guard]> {
+    let mut index: Arc<[Guard]> = std::iter::repeat_n(Guard::Unobservable, gates.len()).collect();
+    let guards = Arc::get_mut(&mut index).expect("a fresh index has one owner");
     for s in outputs {
         guards[s.index()] = Guard::Observable;
     }
-    for i in (0..gates.len()).rev() {
+    'gates: for i in (0..gates.len()).rev() {
         if guards[i] == Guard::Observable {
             continue; // a primary output
         }
         let input = Signal(i as u32);
-        let fanout = &targets[offsets[i] as usize..offsets[i + 1] as usize];
-        // Edges into unobservable gates constrain nothing; with none left
-        // the gate stays unobservable.
-        let Some(first) = fanout
-            .iter()
-            .map(|&h| h as usize)
-            .find(|&h| guards[h] != Guard::Unobservable)
-        else {
-            continue;
-        };
-        // Candidates come from the first constraining edge: its target's
-        // own guard, then each of its target's fanin nets at either value.
-        let target_guard = match guards[first] {
-            Guard::MaskedBy { net, value } => Some((net, value)),
-            _ => None,
-        };
-        let pins = gates[first]
-            .inputs()
-            .iter()
-            .flat_map(|&net| [(net, false), (net, true)]);
-        guards[i] = target_guard
-            .into_iter()
-            .chain(pins)
-            .filter(|&(net, _)| net < input)
-            .find(|&(net, value)| {
-                let guard = Guard::MaskedBy { net, value };
-                fanout.iter().map(|&h| h as usize).all(|h| {
-                    guards[h] == Guard::Unobservable
-                        || guards[h] == guard
-                        || masks(&gates[h], input, net, value)
-                })
-            })
-            .map_or(Guard::Observable, |(net, value)| Guard::MaskedBy {
-                net,
-                value,
-            });
+        let mut mask = Mask::EMPTY;
+        for &h in &targets[offsets[i] as usize..offsets[i + 1] as usize] {
+            let (target, gate) = (guards[h as usize], &gates[h as usize]);
+            if target == Guard::Unobservable || covers(&mask, target, gate, input) {
+                continue;
+            }
+            if let Guard::MaskedBy(own) = target {
+                let grown = mask.union(own.pairs());
+                if let Some(m) = grown.filter(|m| m.pairs().all(|(net, _)| net < input)) {
+                    mask = m;
+                    continue;
+                }
+            }
+            let Some(grown) = gate
+                .inputs()
+                .iter()
+                .filter(|&&net| net < input)
+                .flat_map(|&net| [(net, false), (net, true)])
+                .filter_map(|pair| mask.union(std::iter::once(pair)))
+                .find(|m| covers(m, target, gate, input))
+            else {
+                guards[i] = Guard::Observable;
+                continue 'gates;
+            };
+            mask = grown;
+        }
+        if mask.len > 0 {
+            guards[i] = Guard::MaskedBy(mask);
+        }
     }
-    guards
+    index
+}
+
+/// Whether `mask` covers the edge from `input` into `gate`, whose own guard
+/// is `target`: the target's mask is a subset of `mask`, or one pair of
+/// `mask` [`masks`] the pins `input` drives.
+fn covers(mask: &Mask, target: Guard, gate: &Gate, input: Signal) -> bool {
+    if let Guard::MaskedBy(m) = target {
+        if m.is_subset_of(mask) {
+            return true;
+        }
+    }
+    mask.pairs()
+        .any(|(net, value)| masks(gate, input, net, value))
 }
 
 /// Whether `gate`'s output cannot depend on the pins `input` drives while
@@ -746,7 +832,7 @@ impl Builder {
             output_ports: self.output_ports,
             fanout_offsets,
             fanout_targets,
-            guards: guards.into(),
+            guards,
         };
         for ports in [&nl.input_ports, &nl.output_ports] {
             for (i, p) in ports.iter().enumerate() {
@@ -765,6 +851,14 @@ impl Builder {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn masked(pairs: &[(Signal, bool)]) -> Guard {
+        Guard::MaskedBy(
+            Mask::EMPTY
+                .union(pairs.iter().copied())
+                .expect("a valid mask"),
+        )
+    }
 
     fn full_adder_netlist() -> Netlist {
         let mut b = Builder::new();
@@ -887,20 +981,8 @@ mod tests {
         b.output("and", and);
         b.output("or", or);
         let nl = b.finish();
-        assert_eq!(
-            nl.guard_of_index(x.index()),
-            Guard::MaskedBy {
-                net: s,
-                value: false
-            }
-        );
-        assert_eq!(
-            nl.guard_of_index(y.index()),
-            Guard::MaskedBy {
-                net: s,
-                value: true
-            }
-        );
+        assert_eq!(nl.guard_of_index(x.index()), masked(&[(s, false)]));
+        assert_eq!(nl.guard_of_index(y.index()), masked(&[(s, true)]));
     }
 
     #[test]
@@ -916,20 +998,8 @@ mod tests {
         let nl = b.finish();
         // `sel == 1` picks d1, so d0 is masked while s holds 1, and the
         // other way round.
-        assert_eq!(
-            nl.guard_of_index(d0.index()),
-            Guard::MaskedBy {
-                net: s,
-                value: true
-            }
-        );
-        assert_eq!(
-            nl.guard_of_index(d1.index()),
-            Guard::MaskedBy {
-                net: s,
-                value: false
-            }
-        );
+        assert_eq!(nl.guard_of_index(d0.index()), masked(&[(s, true)]));
+        assert_eq!(nl.guard_of_index(d1.index()), masked(&[(s, false)]));
     }
 
     #[test]
@@ -993,6 +1063,52 @@ mod tests {
         let nl = b.finish();
         // Its only gate fanout is masked by s, but x is captured itself.
         assert_eq!(nl.guard_of_index(x.index()), Guard::Observable);
+    }
+
+    #[test]
+    fn a_mask_grows_to_three_selects_and_no_further() {
+        let mut b = Builder::new();
+        let s: Vec<Signal> = (0..4).map(|k| b.input(&format!("s{k}"))).collect();
+        let a = b.input("a");
+        let c = b.input("c");
+        let x = b.xor(a, c);
+        let y = b.gate2(CellKind::Xnor2, a, c);
+        let w = b.nand(a, c);
+        // z sits behind s0 and s1, so x covers its edge into z with z's own
+        // mask, and its edge into the s2 gate with s2.
+        let z = b.buf(x);
+        for (k, &sel) in s[..2].iter().enumerate() {
+            let out = b.and(z, sel);
+            b.output(&format!("z{k}"), out);
+        }
+        let x2 = b.and(x, s[2]);
+        b.output("x2", x2);
+        // y sits behind all four lines, one too many.
+        for (k, &sel) in s.iter().enumerate() {
+            let out = b.and(y, sel);
+            b.output(&format!("y{k}"), out);
+        }
+        // w is gated at 0 by s0 and at 1 by s0: no mask holds both.
+        let w0 = b.and(w, s[0]);
+        let w1 = b.or(w, s[0]);
+        b.output("w0", w0);
+        b.output("w1", w1);
+        let nl = b.finish();
+        let low = |k: &[usize]| masked(&k.iter().map(|&k| (s[k], false)).collect::<Vec<_>>());
+        assert_eq!(nl.guard_of_index(z.index()), low(&[0, 1]));
+        assert_eq!(nl.guard_of_index(x.index()), low(&[0, 1, 2]));
+        assert_eq!(nl.guard_of_index(y.index()), Guard::Observable);
+        assert_eq!(nl.guard_of_index(w.index()), Guard::Observable);
+        let Guard::MaskedBy(m) = nl.guard_of_index(x.index()) else {
+            unreachable!()
+        };
+        let Guard::MaskedBy(sub) = nl.guard_of_index(z.index()) else {
+            unreachable!()
+        };
+        assert!(sub.is_subset_of(&m) && !m.is_subset_of(&sub));
+        // Nets and values in separate arrays keep the index at 16 bytes a
+        // gate.
+        assert_eq!(std::mem::size_of::<Guard>(), 16);
     }
 
     #[test]

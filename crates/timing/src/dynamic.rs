@@ -47,42 +47,94 @@
 //! [`SimWorkspace::simulate_pair_into`], evaluates every reachable gate;
 //! it serves only as the lean sweep's test oracle and as the
 //! `choke_buffers` example's per-output view. The lean sweep, behind
-//! [`SimWorkspace::simulate_pair_minmax`], also skips a popped gate when
-//! its entry in the netlist's guard index
-//! ([`Netlist::guard_of_index`]) holds this cycle: the gate is
-//! [`Unobservable`](Guard::Unobservable), or it is
-//! [`MaskedBy { net, value }`](Guard::MaskedBy), `net`'s wave is empty
-//! and `net`'s settled value is `value`. A skipped gate keeps an empty
-//! wave and marks no fanout. On the 32-bit ALU the one-hot Mult select
-//! line guards the 2,337-gate multiplier cone, so every pair whose
-//! operations both leave that line at 0 skips it.
+//! [`SimWorkspace::simulate_pair_minmax`], reads each popped gate's entry
+//! in the netlist's guard index ([`Netlist::guard_of_index`]). It skips an
+//! [`Unobservable`](Guard::Unobservable) gate. A gate
+//! [`MaskedBy`](Guard::MaskedBy) one to three `(net, value)` pairs has a
+//! mask that *holds from* `T` when every pair's net ends the cycle at its
+//! value; `T` is the latest last toggle of those nets (−∞ when none
+//! toggles). The nets precede the gate, so their waves are final when it
+//! is popped. Four rules follow.
 //!
-//! The skip never changes an output wave. The proof is an induction over
-//! gate order: every gate whose guard does not hold on the lean sweep
-//! gets the same wave as on the full sweep. A guard net precedes its
-//! gate, so its wave is final when the gate is popped. Take a gate `h`
-//! whose guard does not hold, and assume the claim for every gate before
-//! it. Its fanins whose guards do not hold, and its primary inputs and
-//! constants, carry the same waves in both sweeps. Now take a skipped
-//! fanin `x`. It cannot be unobservable, since then `h` would be too.
-//! Nor can `h` share `x`'s guard, since then `h` would be skipped as
-//! well. So the guard index promises that `h`'s output does not depend on
-//! `x`'s pins while `x`'s guard net `n` holds its value, whatever `h`'s
-//! other pins carry. Take the skipped fanins in ascending order. The
-//! first one's `n` is not a skipped fanin of `h`. Either `n` drives no
-//! pin of `h`, or its wave is the same empty wave in both sweeps, so `n`
-//! holds its value all cycle in both. A later one's `n` may be an earlier
-//! skipped fanin. This is the case where the guard net was itself
-//! skipped. `h` already ignores that fanin, so `h`'s output equals its
-//! output with `n` at its value, which in turn ignores the later fanin.
-//! So `h`'s output is a function of its other fanins alone, and those
-//! carry the same waves in both sweeps. The full sweep's extra evaluation
-//! times come only from skipped fanins. At each such time `h` evaluates
-//! to the value it already holds, so it emits nothing there. Both sweeps
-//! therefore push the same toggles in the same order, and the event cap
-//! truncates them alike. Primary outputs are never guarded, so every
-//! output wave, and with it `min_ps`/`max_ps`, is bit-identical to the
-//! full sweep's.
+//! 1. **Guards.** The index promises, for every fanout edge of the gate,
+//!    one of: (a) the target is unobservable; (b) the target's mask is a
+//!    subset of the gate's; (c) one pair of the gate's mask masks the
+//!    target's pin, so the target ignores the pin while that pair's net
+//!    carries its value.
+//! 2. **Steady rule.** When the mask holds from `T = −∞`, the gate is
+//!    skipped: it keeps an empty wave and marks no fanout. On the 32-bit
+//!    ALU the MULT select line guards the 2,337-gate multiplier, the ADD,
+//!    SUB and LOAD lines together the 471-gate shared adder, and the ASR,
+//!    LSR and ROR lines the 192-gate right shifter.
+//! 3. **Deadline rule.** When the mask holds from a finite `T`, the gate
+//!    is *truncated*: it runs only the merge passes at times `t` with
+//!    `t + delay < T`, those whose toggles land before `T`. From `T` on,
+//!    each fanout target masks the gate's pin, is unobservable, or holds
+//!    from `T` or earlier itself. The decoder ANDs raw `op` bits with
+//!    inverted ones that arrive a gate later, so an op change often pulses
+//!    the MULT line; the multiplier then stops where the pulse ends.
+//! 4. **The event cap.** `Wave::push_toggle` evicts positions 5 and
+//!    6 when a ninth toggle arrives, so on the full sweep toggles after `T`
+//!    can evict toggles before it, and a truncated wave is the full wave's
+//!    prefix only while it holds at most five toggles. A truncated gate is
+//!    *cut* when it drops a pass, or when it reads a fanin whose mask holds
+//!    every pair of its own and whose lean wave may lack toggles: a cut
+//!    fanin, or one with an empty wave. A gate the sweep never reached has
+//!    an empty wave and no cut mark, though its full wave may toggle after
+//!    `T`. A truncated gate that reaches `T` holding six or more toggles and
+//!    is not cut finishes in full instead. A cut gate holding six or more
+//!    toggles makes `simulate_pair_minmax` rerun the pair under the steady
+//!    rule alone, inside the call.
+//!
+//! None of this changes an output wave. Call a net *faithful* at `t` when
+//! both sweeps give it the same value at `t`. First, the masking argument.
+//! Take a gate `h` and a time `t`, and say each fanin of `h` that is not
+//! faithful at `t` has a pair `(n, v)` in its mask that masks `h`'s pin,
+//! where `n` carries `v` at `t` on the lean sweep and is either faithful at
+//! `t`, not a pin of `h`, or itself such a fanin. Then `h`'s output at `t`
+//! is the same on both sweeps. Take those fanins in ascending order. The
+//! first one's `n` comes earlier, so it is not such a fanin. If `n` drives
+//! no pin of `h`, `h` never depends on the fanin; if `n` is faithful, it
+//! carries `v` on both sweeps, and `h` ignores the fanin. A later one's `n`
+//! may be an earlier such fanin. `h` already ignores that one, so setting
+//! it to `v` changes nothing, and then `h` ignores the later fanin too. So
+//! `h`'s output at `t` depends only on faithful fanins. Where that holds at
+//! every `t`, both sweeps push the same toggles in the same order (at a
+//! time only the full sweep evaluates, `h` keeps the value it holds), and
+//! the event cap truncates them alike.
+//!
+//! Now an induction over gate order, on the gates that are not
+//! unobservable. The claim: when a gate's lean wave differs from its full
+//! wave, its mask holds from some `T`, its lean wave is empty or it is
+//! cut, and it is faithful before `T`; and a cut gate's lean wave holds
+//! exactly the full wave's toggles before `T`. Take a gate `h` and a fanin
+//! `y` not faithful at some `t`. By the claim `y`'s mask holds from
+//! `T_y <= t`, and the guard index gives the edge `y -> h` one of its
+//! three cases. If (c), the masking pair's net ends at its value, its last
+//! lean toggle at or before `T_y`, so it carries its value at `t`. If (b),
+//! `h`'s mask is a subset of `y`'s, so it holds from `T_h <= T_y`.
+//!
+//! - `h` evaluated in full, as observable or with a mask that does not
+//!   hold: no such `y` is (b), so the masking argument holds at every `t`.
+//!   Every primary output is observable.
+//! - `h` truncated and not cut: each (b) fanin has a non-empty lean wave
+//!   and is not cut, so by the claim it is faithful everywhere. The masking
+//!   argument holds at every `t`, and `h` ran every lean pass.
+//! - `h` cut: it reads its fanins only at `t < T_h`, where the (b) fanins
+//!   are faithful, so its lean toggles are the full wave's toggles before
+//!   `T_h`. Holding at most five, they are all the cap keeps of the full
+//!   wave there; with six or more, the pair reruns.
+//! - `h` skipped by the steady rule: its mask holds from `T = −∞`.
+//! - `h` never reached, with a non-empty full wave: no lean fanin wave
+//!   toggles, so if no unfaithful fanin were (b), the masking argument
+//!   would leave `h`'s output constant. So one is, `h`'s mask holds from
+//!   `T_h`, and before `T_h` the masking argument keeps its lean value.
+//!
+//! So every output wave, and with it `min_ps`/`max_ps`, is bit-identical
+//! to the full sweep's. The rerun, the steady rule alone, is the case
+//! without truncated gates. No rule needs a mask net to be observable
+//! itself: a net whose lean wave falls short of its full one is faithful
+//! before its own `T`, and the masking argument covers it after.
 //!
 //! # The causal path
 //!
@@ -98,27 +150,36 @@
 //! fanin toggle always exists, and each step lowers the gate index, so
 //! the walk ends at a primary input. Summing the path's delays from the
 //! input end, one `+=` per gate starting at `0.0`, reproduces `max_ps`
-//! bit for bit. The lean sweep evaluates every gate on the path: a
-//! skipped gate has an empty wave, and an evaluated gate's toggles come
-//! only from evaluated fanins and primary inputs.
+//! bit for bit. After the lean sweep the walk reads lean waves, and each
+//! is a prefix of the full one: the full wave, the toggles before a cut
+//! gate's deadline, or empty. So every gate on the path toggles on the
+//! full sweep too. The path can differ from the full sweep's only where a
+//! toggle has two causes at a bit-equal time and the lower pin's lies
+//! past a deadline; that takes two paths whose delays sum alike.
 //!
 //! # Allocation discipline
 //!
 //! All per-net state is inline: a `Wave` holds a fixed-capacity
 //! `[f64; MAX_EVENTS_PER_NET]` instead of a heap `Vec`, a gate's merge
 //! state is three cursors and a 3-bit pin state on the stack, and the
-//! settle/dirty buffers belong to a reusable [`SimWorkspace`], the one
-//! handle on the kernel. After warm-up, its `simulate_pair_minmax`,
+//! settle, dirty and cut buffers belong to a reusable [`SimWorkspace`],
+//! the one handle on the kernel. After warm-up, its `simulate_pair_minmax`,
 //! `simulate_pair_into` and `critical_path_into` entry points perform
 //! zero heap allocations per call.
 
-use ntc_netlist::{Guard, Netlist};
+use ntc_netlist::{Guard, Mask, Netlist};
 use ntc_varmodel::ChipSignature;
 
 /// Maximum transitions tracked per net within one cycle. Nets that glitch
 /// more keep their first and last transitions (the ones that matter for
 /// min/max violation analysis) and drop interior ones.
 pub const MAX_EVENTS_PER_NET: usize = 8;
+
+/// How many leading toggles of a wave the event cap never evicts:
+/// `Wave::push_toggle` drops positions 5 and 6 when a ninth arrives. A
+/// truncated wave holding at most this many toggles is therefore exactly
+/// the toggles of the full wave before its deadline.
+const EXACT_PREFIX: usize = MAX_EVENTS_PER_NET - 3;
 
 /// One net's transition times during a cycle, stored inline — no heap
 /// allocation per net. The net's settled initial value lives in the
@@ -228,6 +289,9 @@ pub struct SimWorkspace {
     waves: Vec<Wave>,
     settle: Vec<bool>,
     dirty: Vec<u64>,
+    /// One bit per net: the gates the current lean sweep cut (see the
+    /// module docs).
+    cut: Vec<u64>,
     /// Nets that toggled in the most recent call — the only waves that
     /// need resetting next call, so per-call cost scales with switching
     /// activity, not netlist size.
@@ -246,23 +310,28 @@ impl SimWorkspace {
             self.waves.resize(n, Wave::default());
             self.dirty.clear();
             self.dirty.resize(n.div_ceil(64), 0);
+            self.cut.clear();
+            self.cut.resize(n.div_ceil(64), 0);
             self.active.clear();
         }
     }
 
     /// Settle `initializing`, apply `sensitizing` at t = 0 and propagate
     /// transition waveforms through every gate reachable from a toggled
-    /// net — on the `lean` sweep, except gates whose guard holds this
-    /// cycle (see the module docs). Returns the total internal toggle
-    /// count of the gates evaluated.
-    fn propagate(
+    /// net. The `LEAN` sweep skips a gate whose mask holds all cycle and,
+    /// with `deadlines`, truncates one whose mask holds from a time on (see
+    /// the module docs). Returns the total internal toggle count of the
+    /// gates evaluated, or `None` when a truncated wave may have lost
+    /// toggles to the event cap and the pair must be rerun without
+    /// `deadlines`.
+    fn propagate<const LEAN: bool>(
         &mut self,
         nl: &Netlist,
         sig: &ChipSignature,
         initializing: &[bool],
         sensitizing: &[bool],
-        lean: bool,
-    ) -> usize {
+        deadlines: bool,
+    ) -> Option<usize> {
         assert_eq!(
             sig.delays_ps().len(),
             nl.len(),
@@ -282,6 +351,9 @@ impl SimWorkspace {
         self.active.clear();
         debug_assert!(self.waves.iter().all(|w| w.len == 0));
         debug_assert!(self.dirty.iter().all(|&w| w == 0));
+        if LEAN {
+            self.cut.fill(0);
+        }
 
         // Primary-input transitions at t = 0 seed the worklist with their
         // fanout gates.
@@ -311,15 +383,23 @@ impl SimWorkspace {
                 self.dirty[word] &= !(1u64 << bit);
                 let i = word * 64 + bit;
 
-                if lean {
+                // A truncated gate runs only the passes whose toggle would
+                // land before `deadline`; it is cut when it drops one, or
+                // when a fanin whose mask holds its own may be cut.
+                let mut truncated = false;
+                let mut deadline = f64::INFINITY;
+                let mut cut = false;
+                if LEAN {
                     match nl.guard_of_index(i) {
                         Guard::Observable => {}
                         Guard::Unobservable => continue,
-                        Guard::MaskedBy { net, value } => {
-                            let n = net.index();
-                            if self.waves[n].len == 0 && self.settle[n] == value {
-                                continue;
+                        Guard::MaskedBy(mask) => {
+                            deadline = self.mask_deadline(mask);
+                            if deadline == f64::NEG_INFINITY {
+                                continue; // the steady rule
                             }
+                            truncated = deadlines && deadline < f64::INFINITY;
+                            cut = truncated && self.reads_cut(nl, i, &mask);
                         }
                     }
                 }
@@ -349,7 +429,7 @@ impl SimWorkspace {
 
                 let delay = sig.delay_ps(i);
                 let mut last_val = self.settle[i];
-                let mut emitted = false;
+                let mut emitted = 0usize;
                 loop {
                     // The earliest toggle not yet applied on any pin. A NaN
                     // time never wins the minimum, but is applied below, so
@@ -367,6 +447,16 @@ impl SimWorkspace {
                     if !pending {
                         break;
                     }
+                    if LEAN && truncated && t + delay >= deadline {
+                        // A wave past the cap's exact prefix whose fanins
+                        // are all exact finishes in full instead.
+                        if emitted > EXACT_PREFIX && !cut {
+                            truncated = false;
+                        } else {
+                            cut = true;
+                            break;
+                        }
+                    }
                     // Apply every toggle at or before t: the waves ascend,
                     // so each pin's value is now its value at t. Equal
                     // times on several pins (or twice on one) land in one
@@ -383,20 +473,60 @@ impl SimWorkspace {
                     let v = table >> pins & 1 == 1;
                     if v != last_val {
                         out_wave.push_toggle(t + delay);
-                        internal_toggles += 1;
-                        emitted = true;
+                        emitted += 1;
                         last_val = v;
                     }
                 }
-                if emitted {
+                internal_toggles += emitted;
+                if emitted > 0 {
                     self.active.push(i as u32);
                     for &g in nl.fanout_of_index(i) {
                         self.dirty[g as usize / 64] |= 1u64 << (g % 64);
                     }
                 }
+                if LEAN && cut {
+                    self.cut[i / 64] |= 1u64 << (i % 64);
+                    if emitted > EXACT_PREFIX {
+                        // The cap may have kept toggles the full wave lost.
+                        self.dirty[word..].fill(0);
+                        return None;
+                    }
+                }
             }
         }
-        internal_toggles
+        Some(internal_toggles)
+    }
+
+    /// When `mask` starts to hold on the lean sweep: the latest last toggle
+    /// of its nets when every net ends the cycle at its value (−∞ when none
+    /// toggles), else +∞.
+    #[inline]
+    fn mask_deadline(&self, mask: Mask) -> f64 {
+        let mut deadline = f64::NEG_INFINITY;
+        for (net, value) in mask.pairs() {
+            let n = net.index();
+            let wave = &self.waves[n];
+            if wave.final_value(self.settle[n]) != value {
+                return f64::INFINITY;
+            }
+            if let Some(&last) = wave.toggles().last() {
+                deadline = deadline.max(last);
+            }
+        }
+        deadline
+    }
+
+    /// Whether gate `i`, guarded by `mask`, reads a fanin whose mask holds
+    /// every pair of `mask` and whose lean wave may lack toggles of its
+    /// full one: a cut fanin, or one with an empty wave, which covers the
+    /// fanins the sweep never reached.
+    #[inline]
+    fn reads_cut(&self, nl: &Netlist, i: usize, mask: &Mask) -> bool {
+        nl.gates()[i].inputs().iter().any(|s| {
+            let y = s.index();
+            matches!(nl.guard_of_index(y), Guard::MaskedBy(m) if mask.is_subset_of(&m))
+                && (self.waves[y].len == 0 || self.cut[y / 64] >> (y % 64) & 1 == 1)
+        })
     }
 
     fn min_max(&self, nl: &Netlist) -> CycleDelays {
@@ -419,9 +549,11 @@ impl SimWorkspace {
 
     /// Simulate one cycle and return only the min/max output arrivals —
     /// the Phase-A oracle's entry point. Runs the lean sweep, which skips
-    /// gates whose guard holds (see the module docs); the arrivals are
-    /// bit-identical to the full sweep's. Performs no heap allocation in
-    /// steady state.
+    /// gates whose mask holds all cycle and truncates gates whose mask
+    /// holds from a deadline on, rerunning the pair without deadlines in
+    /// the rare case the event cap calls for it (see the module docs); the
+    /// arrivals are bit-identical to the full sweep's. Performs no heap
+    /// allocation in steady state.
     ///
     /// # Panics
     ///
@@ -433,7 +565,12 @@ impl SimWorkspace {
         initializing: &[bool],
         sensitizing: &[bool],
     ) -> CycleDelays {
-        self.propagate(nl, sig, initializing, sensitizing, true);
+        if self
+            .propagate::<true>(nl, sig, initializing, sensitizing, true)
+            .is_none()
+        {
+            self.propagate::<true>(nl, sig, initializing, sensitizing, false);
+        }
         self.min_max(nl)
     }
 
@@ -453,7 +590,9 @@ impl SimWorkspace {
         sensitizing: &[bool],
         out: &mut CycleTiming,
     ) {
-        let internal_toggles = self.propagate(nl, sig, initializing, sensitizing, false);
+        let internal_toggles = self
+            .propagate::<false>(nl, sig, initializing, sensitizing, false)
+            .expect("the full sweep truncates nothing");
 
         let outs = nl.outputs();
         out.outputs.resize_with(outs.len(), OutputActivity::default);
@@ -480,8 +619,10 @@ impl SimWorkspace {
     /// After [`simulate_pair_into`](Self::simulate_pair_into) this is
     /// every gate that toggled. After
     /// [`simulate_pair_minmax`](Self::simulate_pair_minmax) it lists only
-    /// the gates the lean sweep evaluated: a gate whose guard held (see
-    /// the module docs) is missing even if it would have toggled.
+    /// the gates that toggled on the lean sweep (see the module docs): a
+    /// gate whose mask held all cycle is missing even if it would have
+    /// toggled, and a truncated gate is listed only if it toggled before
+    /// its deadline.
     ///
     /// # Panics
     ///
@@ -505,8 +646,10 @@ impl SimWorkspace {
     /// is itself a primary input. Performs no heap allocation once `path`
     /// has the capacity of the longest path.
     ///
-    /// Call it after either sweep; the lean sweep evaluates every gate on
-    /// the path, so both give the same path.
+    /// Call it after either sweep. Each lean wave is a prefix of the full
+    /// one, so every gate on a lean-sweep path toggles on the full sweep
+    /// too; the two paths part only where a toggle has two causes at a
+    /// bit-equal time (see the module docs).
     ///
     /// # Panics
     ///
@@ -546,7 +689,7 @@ impl SimWorkspace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ntc_netlist::generators::alu::{Alu, AluFunc};
+    use ntc_netlist::generators::alu::{Alu, AluFunc, ALL_ALU_FUNCS};
     use ntc_netlist::Builder;
     use ntc_varmodel::{Corner, VariationParams};
 
@@ -751,34 +894,117 @@ mod tests {
         }
     }
 
+    /// The gates of `alu` whose mask is exactly its functions' select
+    /// lines at 0: the datapath those functions alone read. A select line
+    /// is the net that settles at 1 under exactly its function.
+    fn cone_behind(alu: &Alu, funcs: &[AluFunc]) -> Vec<usize> {
+        let nl = alu.netlist();
+        let settled: Vec<Vec<bool>> = ALL_ALU_FUNCS
+            .iter()
+            .map(|&f| nl.eval_all(&alu.encode(f, 0, 0)))
+            .collect();
+        let line = |f: AluFunc| {
+            (0..nl.len())
+                .find(|&n| {
+                    ALL_ALU_FUNCS
+                        .iter()
+                        .zip(&settled)
+                        .all(|(&g, v)| v[n] == (g == f))
+                })
+                .expect("a one-hot select line")
+        };
+        let mut lines: Vec<(usize, bool)> = funcs.iter().map(|&f| (line(f), false)).collect();
+        lines.sort();
+        (0..nl.len())
+            .filter(|&i| match nl.guard_of_index(i) {
+                Guard::MaskedBy(m) => m
+                    .pairs()
+                    .map(|(n, v)| (n.index(), v))
+                    .eq(lines.iter().copied()),
+                _ => false,
+            })
+            .collect()
+    }
+
+    /// Gates of `cone` the last sweep of `ws` toggled.
+    fn toggled_in(ws: &SimWorkspace, nl: &Netlist, cone: &[usize]) -> usize {
+        let toggled = ws.sensitized_gates(nl);
+        cone.iter().filter(|g| toggled.contains(g)).count()
+    }
+
     #[test]
     fn lean_sweep_skips_the_masked_multiplier() {
         let alu = Alu::new(8);
         let nl = alu.netlist();
-        // The Mult select line guards more gates than any other net.
-        let mut guarded: std::collections::HashMap<usize, Vec<usize>> = Default::default();
-        for i in 0..nl.len() {
-            if let Guard::MaskedBy { net, value: false } = nl.guard_of_index(i) {
-                guarded.entry(net.index()).or_default().push(i);
-            }
-        }
-        let (mult, mult_cone) = guarded
-            .into_iter()
-            .max_by_key(|(_, gates)| gates.len())
-            .expect("guarded gates");
-        assert!(nl.eval_all(&alu.encode(AluFunc::Mult, 3, 5))[mult]);
-        assert!(!nl.eval_all(&alu.encode(AluFunc::Add, 3, 5))[mult]);
+        let mult_cone = cone_behind(&alu, &[AluFunc::Mult]);
+        assert!(
+            mult_cone.len() > 100,
+            "{} multiplier gates",
+            mult_cone.len()
+        );
 
         let sig = ChipSignature::fabricate(nl, Corner::NTC, VariationParams::ntc(), 5);
         let mut ws = SimWorkspace::new();
         let init = alu.encode(AluFunc::Add, 0x5A, 0x3C);
         let sens = alu.encode(AluFunc::Add, 0xA7, 0xC9);
         ws.simulate_pair_minmax(nl, &sig, &init, &sens);
-        let lean_gates = ws.sensitized_gates(nl);
-        assert!(mult_cone.iter().all(|g| !lean_gates.contains(g)));
+        assert_eq!(toggled_in(&ws, nl, &mult_cone), 0);
         full(&mut ws, nl, &sig, &init, &sens);
-        let full_gates = ws.sensitized_gates(nl);
-        assert!(mult_cone.iter().any(|g| full_gates.contains(g)));
+        assert!(toggled_in(&ws, nl, &mult_cone) > 0);
+    }
+
+    /// On the 32-bit ALU three select lines guard the shared adder and
+    /// three the right shifter: a pair of AND operations evaluates neither.
+    #[test]
+    fn lean_sweep_skips_the_adder_and_the_right_shifter() {
+        let alu = Alu::new(32);
+        let nl = alu.netlist();
+        let adder = cone_behind(&alu, &[AluFunc::Add, AluFunc::Sub, AluFunc::Load]);
+        let right = cone_behind(
+            &alu,
+            &[
+                AluFunc::ShiftRightArith,
+                AluFunc::ShiftRightLogical,
+                AluFunc::RotateRight,
+            ],
+        );
+        assert_eq!((adder.len(), right.len()), (471, 192));
+
+        let sig = ChipSignature::fabricate(nl, Corner::NTC, VariationParams::ntc(), 11);
+        let mut ws = SimWorkspace::new();
+        let init = alu.encode(AluFunc::And, 0x5A5A_0F0F, 0x3C3C_1234);
+        let sens = alu.encode(AluFunc::And, 0xA7A7_F00F, 0xC9C9_8765);
+        ws.simulate_pair_minmax(nl, &sig, &init, &sens);
+        assert_eq!(toggled_in(&ws, nl, &adder) + toggled_in(&ws, nl, &right), 0);
+        full(&mut ws, nl, &sig, &init, &sens);
+        assert!(toggled_in(&ws, nl, &adder) > 0 && toggled_in(&ws, nl, &right) > 0);
+    }
+
+    /// ADD→SLL pulses the MULT select line (the decoder ANDs raw `op` bits
+    /// with inverted ones that arrive a gate later), so its mask does not
+    /// hold all cycle; the lean sweep still stops the multiplier at the
+    /// pulse's end, where the full sweep runs it to completion.
+    #[test]
+    fn lean_sweep_stops_the_multiplier_when_its_select_line_pulses() {
+        let alu = Alu::new(32);
+        let nl = alu.netlist();
+        let mult_cone = cone_behind(&alu, &[AluFunc::Mult]);
+        let sig = ChipSignature::fabricate(nl, Corner::NTC, VariationParams::ntc(), 3);
+        let mut ws = SimWorkspace::new();
+        let init = alu.encode(AluFunc::Add, 0x1357_9BDF, 0x2468_ACE0);
+        let sens = alu.encode(AluFunc::ShiftLeft, 0xFDB9_7531, 0x0ECA_8643);
+        let timing = full(&mut ws, nl, &sig, &init, &sens);
+        let on_full = toggled_in(&ws, nl, &mult_cone);
+        let lean = ws.simulate_pair_minmax(nl, &sig, &init, &sens);
+        let on_lean = toggled_in(&ws, nl, &mult_cone);
+        assert!(on_lean < on_full, "lean {on_lean} vs full {on_full}");
+        assert_eq!(lean, timing.delays);
+        // The pulse: the line's mask net toggles and ends at 0.
+        let Guard::MaskedBy(mask) = nl.guard_of_index(mult_cone[0]) else {
+            unreachable!()
+        };
+        let (line, _) = mask.pairs().next().expect("one pair");
+        assert!(ws.sensitized_gates(nl).contains(&line.index()));
     }
 
     #[test]

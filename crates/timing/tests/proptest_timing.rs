@@ -6,7 +6,7 @@
 //! registry dependencies and every failure reproduces exactly.
 
 use ntc_netlist::generators::alu::{Alu, AluFunc, ALL_ALU_FUNCS};
-use ntc_netlist::{Builder, CellKind, Netlist, Signal};
+use ntc_netlist::{Builder, CellKind, Guard, Netlist, Signal};
 use ntc_timing::{k_critical_paths, CycleTiming, SimWorkspace, StaticTiming};
 use ntc_varmodel::rng::SplitMix64;
 use ntc_varmodel::{ChipSignature, Corner, VariationParams};
@@ -270,12 +270,20 @@ fn for_each_gated_case(
     }
 }
 
-/// The lean sweep behind `simulate_pair_minmax` skips gates whose guard
-/// holds; its min/max arrivals must still equal the full sweep's bit for
-/// bit, on every case of `for_each_gated_case`.
+/// The lean sweep behind `simulate_pair_minmax` skips gates whose mask
+/// holds all cycle and truncates gates whose mask holds from a deadline
+/// on; its min/max arrivals must still equal the full sweep's bit for
+/// bit, on every case of `for_each_gated_case`. The random netlists carry
+/// masks of one, two and three pairs.
 #[test]
 fn lean_minmax_matches_full_path_on_gated_netlists() {
+    let mut mask_sizes = [0usize; 4];
     for_each_gated_case(|ws, (nl, sig), init, sens, what| {
+        for i in 0..nl.len() {
+            if let Guard::MaskedBy(m) = nl.guard_of_index(i) {
+                mask_sizes[m.pairs().len()] += 1;
+            }
+        }
         let full = full(ws, nl, sig, init, sens);
         let lean = ws.simulate_pair_minmax(nl, sig, init, sens);
         assert_eq!(
@@ -291,6 +299,72 @@ fn lean_minmax_matches_full_path_on_gated_netlists() {
             what()
         );
     });
+    assert!(mask_sizes[1..].iter().all(|&n| n > 0), "{mask_sizes:?}");
+}
+
+/// The lean sweep must rerun a pair when a cut wave holds more toggles
+/// than the event cap always keeps. Select line `s` falls at its delay,
+/// T. `x = XOR(y, w)`, masked by {s=0}, toggles six times before T through
+/// `w`, and three times after it through `y`, masked by {r=0, s=0}. `y`
+/// hangs off a buffer chain whose first gate drops its only pass at T, so
+/// the lean sweep never reaches `y`. The full `x` toggles nine times, and
+/// the cap evicts its sixth and seventh toggle, so `z = AND(x, s)` stays
+/// high until `s` falls. A lean `x` stopped at T with six toggles keeps its
+/// sixth, and `z` would fall early. So `x` must be cut: it reads an
+/// unreached fanin whose mask strictly contains its own. And a cut wave of
+/// six toggles sends the pair to the rerun.
+#[test]
+fn a_cut_wave_past_the_caps_exact_prefix_reruns_the_pair() {
+    let mut b = Builder::new();
+    let a = b.input("a");
+    let sel = b.input("sel");
+    let r = b.input("r");
+    let mut taps = vec![b.buf(a)];
+    for k in 1..6 {
+        taps.push(b.buf(taps[k - 1]));
+    }
+    let mut w = b.xor(taps[0], taps[1]);
+    for &tap in &taps[2..] {
+        w = b.xor(w, tap);
+    }
+    // `s` comes after `w`'s cone, so it cannot mask it.
+    let s = b.buf(sel);
+    let late0 = b.buf(taps[5]);
+    let late1 = b.buf(late0);
+    let late = [late0, late1, b.buf(late1)];
+    let y1 = b.xor(late[0], late[1]);
+    let y = b.xor(y1, late[2]);
+    let x = b.xor(y, w);
+    let z = b.and(x, s);
+    let q = b.and(y, r);
+    b.output("z", z);
+    b.output("q", q);
+    let nl = b.finish();
+    let mask = |g: Signal| match nl.guard_of_index(g.index()) {
+        Guard::MaskedBy(m) => m.pairs().collect::<Vec<_>>(),
+        other => panic!("{g} is {other:?}"),
+    };
+    assert_eq!(mask(x), [(s, false)]);
+    assert_eq!(mask(y), [(r, false), (s, false)]);
+    assert_eq!(mask(late[0]), [(r, false), (s, false)]);
+
+    // Taps every 65 ps, `s` falls at 520 ps, late taps at 650, 715, 780.
+    let mut sig = ChipSignature::nominal(&nl, Corner::STC);
+    let index = |sigs: &[Signal]| sigs.iter().map(|g| g.index()).collect::<Vec<_>>();
+    sig.inject_choke(&index(&taps), 5.0);
+    sig.inject_choke(&index(&[s]), 40.0);
+    sig.inject_choke(&index(&late[..1]), 20.0);
+    sig.inject_choke(&index(&late[1..]), 5.0);
+    let (init, sens) = ([false, true, false], [true, false, false]);
+    let mut ws = SimWorkspace::new();
+    let full = full(&mut ws, &nl, &sig, &init, &sens);
+    // z follows the five toggles the cap kept before T, then falls with s.
+    let fall = sig.delay_ps(s.index()) + sig.delay_ps(z.index());
+    assert_eq!(full.outputs[0].transitions.len(), 6);
+    assert_eq!(full.delays.max_ps, Some(fall));
+    let lean = ws.simulate_pair_minmax(&nl, &sig, &init, &sens);
+    assert_eq!(lean.max_ps.map(f64::to_bits), Some(fall.to_bits()));
+    assert_eq!(lean, full.delays);
 }
 
 /// `critical_path_into` after the lean sweep names the toggle chain that

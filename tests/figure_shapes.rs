@@ -173,6 +173,40 @@ fn fig3_2_ntc_reaches_high_cdl_stc_does_not() {
     );
 }
 
+/// A moderate delay level at STC takes more choke gates than the highest
+/// at NTC: every operation with a CDL_ML cell in fig3.2a names more gates
+/// there than the largest CDL_H cell of fig3.2b. (CDL_L is not compared:
+/// one gate reaches it at STC on several operations.)
+#[test]
+fn fig3_2_stc_needs_more_gates_for_cdl_ml_than_ntc_for_cdl_h() {
+    use ntc_choke::netlist::generators::alu::Alu;
+    let stc = ch3::fig_3_2(Corner::STC, Scale::Fast);
+    let ntc = ch3::fig_3_2(Corner::NTC, Scale::Fast);
+    // Cells are minimal CGLs in percent of the 64-bit ALU's logic gates.
+    let logic = Alu::new(64).netlist().logic_gate_count() as f64;
+    let gates = |pct: f64| (pct / 100.0 * logic).round() as usize;
+    let ntc_high = ntc
+        .rows
+        .iter()
+        .filter(|(_, v)| v[3].is_finite())
+        .map(|(_, v)| gates(v[3]))
+        .max()
+        .expect("NTC reaches CDL_H");
+    let stc_moderate: Vec<(&str, usize)> = stc
+        .rows
+        .iter()
+        .filter(|(_, v)| v[1].is_finite())
+        .map(|(op, v)| (op.as_str(), gates(v[1])))
+        .collect();
+    assert!(!stc_moderate.is_empty(), "STC reaches CDL_ML");
+    for (op, n) in stc_moderate {
+        assert!(
+            n > ntc_high,
+            "{op}: {n} STC CDL_ML gates vs up to {ntc_high} NTC CDL_H gates"
+        );
+    }
+}
+
 #[test]
 fn fig3_10_dcs_cuts_penalty_everywhere() {
     let t = ch3::fig_3_10(Scale::Fast);
