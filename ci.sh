@@ -90,14 +90,14 @@ test -s target/repro-ci/manifest.json
 test -s target/repro-ci/fig3_4.csv
 # The manifest and every stdout table document must parse as JSON.
 if command -v jq >/dev/null 2>&1; then
-  jq -e '.schema == "ntc-repro-manifest/8" and .failed == 0 and (.records | length) == 1' \
+  jq -e '.schema == "ntc-repro-manifest/9" and .failed == 0 and (.records | length) == 1' \
     target/repro-ci/manifest.json >/dev/null
   jq -e . target/repro-ci-tables.jsonl >/dev/null
 elif command -v python3 >/dev/null 2>&1; then
   python3 - <<'EOF'
 import json
 m = json.load(open("target/repro-ci/manifest.json"))
-assert m["schema"] == "ntc-repro-manifest/8" and m["failed"] == 0 and len(m["records"]) == 1, m
+assert m["schema"] == "ntc-repro-manifest/9" and m["failed"] == 0 and len(m["records"]) == 1, m
 for line in open("target/repro-ci-tables.jsonl"):
     if line.strip():
         json.loads(line)
@@ -203,39 +203,44 @@ if ls target/repro-ci-vdd-cache/*.corrupt >/dev/null 2>&1; then
 fi
 
 echo "==> repro --resume finishes a suite a failed experiment cut short"
-rm -rf target/repro-ci-resume
-if NTC_REPRO_FAIL=tab3.overheads ./target/release/repro --fast \
-  --out target/repro-ci-resume fig3.4 tab3.overheads >/dev/null 2>&1; then
-  echo "FAIL: injected experiment failure must exit nonzero"; exit 1
+# fig3.8 replays from an empty trace directory and fails, naming its
+# first missing trace; fig3.4 reads no trace and passes. Once the traces
+# are recorded, --resume carries fig3.4 forward and computes fig3.8.
+rm -rf target/repro-ci-resume target/repro-ci-resume-traces
+mkdir -p target/repro-ci-resume-traces
+if ./target/release/repro --fast --trace-dir target/repro-ci-resume-traces \
+  --out target/repro-ci-resume fig3.4 fig3.8 >/dev/null 2>&1; then
+  echo "FAIL: a replay from an empty trace directory must exit nonzero"; exit 1
 fi
-./target/release/repro --fast --resume --out target/repro-ci-resume \
-  fig3.4 tab3.overheads >/dev/null
+grep -q 'repro-ci-resume-traces/bzip-s7-c60000.ntt' target/repro-ci-resume/manifest.json
+./target/release/ntc-workload record --dir target/repro-ci-resume-traces >/dev/null
+./target/release/repro --fast --resume --trace-dir target/repro-ci-resume-traces \
+  --out target/repro-ci-resume fig3.4 fig3.8 >/dev/null
 grep -q '"resumed":true,' target/repro-ci-resume/manifest.json
 grep -q '"failed":0,' target/repro-ci-resume/manifest.json
 
 echo "==> trace record/replay: full replay reproduces the generator CSV byte-for-byte"
-# Three cold processes, no --cache-dir (a shared cache would alias the
-# record run onto the generator's artifacts and skip the cells that
-# write traces): plain generator, --record (writes .ntt files), then
-# replay of those files. All three CSVs must be byte-identical — the
-# replay gate is the acceptance criterion for the binary trace format.
-rm -rf target/repro-ci-traces target/repro-ci-trace-gen \
-  target/repro-ci-trace-rec target/repro-ci-trace-rep
+# `ntc-workload record` is the one writer of .ntt files; its defaults
+# (trace seed 7, 60,000 cycles) are fast fig3.8's cells. Two cold
+# processes, no --cache-dir: plain generator, then replay of the
+# recorded files. The CSVs must be byte-identical — the replay gate is
+# the acceptance criterion for the binary trace format.
+rm -rf target/repro-ci-traces target/repro-ci-trace-gen target/repro-ci-trace-rep
+./target/release/ntc-workload record --dir target/repro-ci-traces >/dev/null
 ./target/release/repro --fast --out target/repro-ci-trace-gen fig3.8 >/dev/null
-./target/release/repro --fast --trace-dir target/repro-ci-traces --record \
-  --out target/repro-ci-trace-rec fig3.8 >/dev/null
-ls target/repro-ci-traces/*.ntt >/dev/null
 ./target/release/repro --fast --trace-dir target/repro-ci-traces \
   --out target/repro-ci-trace-rep fig3.8 >/dev/null
-cmp target/repro-ci-trace-gen/fig3_8.csv target/repro-ci-trace-rec/fig3_8.csv
 cmp target/repro-ci-trace-gen/fig3_8.csv target/repro-ci-trace-rep/fig3_8.csv
 # The manifest tags each run's workload source and counts the traffic
 # (WorkloadStats::fields emits a fixed key order).
 grep -q '"source":"generator"' target/repro-ci-trace-gen/manifest.json
-grep -q '"source":"record:' target/repro-ci-trace-rec/manifest.json
-grep -Eq '"traces_recorded":[1-9][0-9]*,' target/repro-ci-trace-rec/manifest.json
 grep -q '"source":"replay:' target/repro-ci-trace-rep/manifest.json
-grep -Eq '"trace_replays":[1-9][0-9]*,' target/repro-ci-trace-rep/manifest.json
+grep -Eq '"workload":\{"trace_replays":[1-9][0-9]*,' target/repro-ci-trace-rep/manifest.json
+# repro writes no traces: the retired --record is an unknown flag.
+record_code=0
+./target/release/repro --fast --trace-dir target/repro-ci-traces --record \
+  fig3.8 >/dev/null 2>&1 || record_code=$?
+test "$record_code" = 2
 
 echo "==> ntc-serve: concurrent clients, batch-identical CSVs, disk hit, bad-request, memo stats, clean SIGTERM"
 # Daemon on a temp unix socket, sharing a fresh cache dir. Two concurrent
@@ -247,12 +252,24 @@ echo "==> ntc-serve: concurrent clients, batch-identical CSVs, disk hit, bad-req
 rm -rf target/serve-ci
 mkdir -p target/serve-ci
 serve_sock=target/serve-ci/daemon.sock
+# The daemon is up once it answers a ping: the socket file exists from
+# bind(), before listen(), so a request sent on its mere presence can
+# be refused.
+wait_for_ping() {
+  for _ in $(seq 1 100); do
+    if ./target/release/ntc-serve request --socket "$serve_sock" \
+      --line '{"op":"ping"}' >/dev/null 2>&1; then
+      return 0
+    fi
+    sleep 0.1
+  done
+  echo "FAIL: the daemon never answered a ping"; exit 1
+}
 ./target/release/ntc-serve serve --socket "$serve_sock" \
   --cache-dir target/serve-ci/cache --jobs 2 --hold-ms 300 \
   2> target/serve-ci/daemon.log &
 serve_pid=$!
-for _ in $(seq 1 100); do [ -S "$serve_sock" ] && break; sleep 0.1; done
-test -S "$serve_sock"
+wait_for_ping
 ./target/release/ntc-serve request --socket "$serve_sock" \
   --experiment fig3.8 --out target/serve-ci/c1.csv \
   > target/serve-ci/r1.json &
@@ -287,7 +304,7 @@ test ! -e "$serve_sock"
   --cache-dir target/serve-ci/cache --jobs 2 \
   2>> target/serve-ci/daemon.log &
 serve_pid=$!
-for _ in $(seq 1 100); do [ -S "$serve_sock" ] && break; sleep 0.1; done
+wait_for_ping
 # A spec past the wire's bounds (a one-cycle trace has no pair) is a
 # bad-request naming the field, and the daemon keeps serving.
 if ./target/release/ntc-serve request --socket "$serve_sock" \
@@ -297,6 +314,15 @@ if ./target/release/ntc-serve request --socket "$serve_sock" \
 fi
 grep -q '"code":"bad-request"' target/serve-ci/bad.txt
 grep -q 'cycles' target/serve-ci/bad.txt
+# So is a spec that repeats a benchmark: its rows would fold twice into
+# one, and the artifact would fail its own row count on the next load.
+if ./target/release/ntc-serve request --socket "$serve_sock" \
+  --grid '{"benchmarks":["mcf","mcf"],"chips":1,"schemes":["razor"],"regime":"ch3","chip_seed_base":0,"trace_seed":0,"cycles":50}' \
+  > /dev/null 2> target/serve-ci/bad-repeat.txt; then
+  echo "FAIL: a grid that repeats a benchmark must be refused"; exit 1
+fi
+grep -q '"code":"bad-request"' target/serve-ci/bad-repeat.txt
+grep -q 'benchmarks' target/serve-ci/bad-repeat.txt
 ./target/release/ntc-serve request --socket "$serve_sock" \
   --experiment fig3.8 --out target/serve-ci/c3.csv \
   > target/serve-ci/r3.json

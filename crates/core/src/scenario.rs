@@ -116,7 +116,8 @@ impl std::fmt::Display for ParseSchemeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "unknown scheme `{}`; registered: {}",
+            "unknown scheme `{}`; registered: {} (a capacity, ACSLT entries × ways, \
+             is 1 to {MAX_CAPACITY})",
             self.input,
             SchemeSpec::roster()
                 .iter()
@@ -128,6 +129,12 @@ impl std::fmt::Display for ParseSchemeError {
 }
 
 impl std::error::Error for ParseSchemeError {}
+
+/// The largest table a scheme name may ask for: ICSLT or CET entries,
+/// ACSLT entries × ways, or harden-choke gates. A scheme sizes its
+/// tables up front, so a parsed name must not ask for an unbounded
+/// allocation; this is 8× the largest table the suite sweeps (CET 512).
+const MAX_CAPACITY: usize = 4_096;
 
 impl SchemeSpec {
     /// The canonical roster: every scheme of the study in its
@@ -211,7 +218,8 @@ impl SchemeSpec {
     /// # Errors
     ///
     /// Returns [`ParseSchemeError`] (naming the registered schemes) for
-    /// anything the registry cannot resolve, including zero capacities.
+    /// anything the registry cannot resolve, including a zero capacity
+    /// and one past 4,096 (ACSLT: entries × ways).
     pub fn parse(input: &str) -> Result<SchemeSpec, ParseSchemeError> {
         let err = || ParseSchemeError {
             input: input.to_owned(),
@@ -251,27 +259,26 @@ impl SchemeSpec {
             },
             _ => return Err(err()),
         };
-        if spec.capacity_params().contains(&0) {
-            return Err(err());
+        match spec.capacity() {
+            Some(1..=MAX_CAPACITY) => Ok(spec),
+            _ => Err(err()),
         }
-        Ok(spec)
     }
 
-    /// The spec's capacity parameters (empty for unparameterized schemes).
-    fn capacity_params(&self) -> Vec<usize> {
+    /// The entries the spec's tables hold (ACSLT: entries × ways; 1 for
+    /// unparameterized schemes), or `None` past `usize`.
+    fn capacity(&self) -> Option<usize> {
         match *self {
             SchemeSpec::DcsIcslt { entries }
             | SchemeSpec::Trident {
                 cet_entries: entries,
-            } => {
-                vec![entries]
             }
+            | SchemeSpec::HardenChoke { top_k: entries } => Some(entries),
             SchemeSpec::DcsAcslt {
                 entries,
                 associativity,
-            } => vec![entries, associativity],
-            SchemeSpec::HardenChoke { top_k } => vec![top_k],
-            _ => Vec::new(),
+            } => entries.checked_mul(associativity),
+            _ => Some(1),
         }
     }
 
@@ -617,6 +624,33 @@ mod tests {
             let e = SchemeSpec::parse(bad).expect_err(bad);
             assert_eq!(e.input, bad);
             assert!(e.to_string().contains("registered: razor"), "{e}");
+        }
+    }
+
+    #[test]
+    fn capacities_are_bounded_at_parse_time() {
+        assert_eq!(
+            SchemeSpec::parse("trident:4096"),
+            Ok(SchemeSpec::Trident { cet_entries: 4096 })
+        );
+        assert_eq!(
+            SchemeSpec::parse("dcs-acslt:64/64"),
+            Ok(SchemeSpec::DcsAcslt {
+                entries: 64,
+                associativity: 64
+            })
+        );
+        let past_usize = format!("dcs-acslt:{}/2", usize::MAX / 2 + 1);
+        for bad in [
+            "trident:4097",
+            "dcs-icslt:1000000000",
+            "harden-choke:4097",
+            "dcs-acslt:128/64",
+            past_usize.as_str(),
+        ] {
+            let e = SchemeSpec::parse(bad).expect_err(bad);
+            assert_eq!(e.input, bad);
+            assert!(e.to_string().contains("1 to 4096"), "{e}");
         }
     }
 

@@ -5,8 +5,7 @@
 //! ```text
 //! repro [--full] [--jobs N] [--out DIR] [--format text|json]
 //!       [--cache-dir DIR] [--no-cache] [--vdd LIST]
-//!       [--trace-dir DIR [--record]]
-//!       [--resume] [ID ...]
+//!       [--trace-dir DIR] [--resume] [ID ...]
 //! ```
 //!
 //! With no IDs, the whole suite runs. `--full` switches to paper-scale
@@ -41,10 +40,10 @@
 //! `--trace-dir DIR` switches every grid cell's instruction stream from
 //! the statistical generator to recorded binary traces in `DIR`, each
 //! replayed whole (byte-identical results to the generator when the
-//! traces were recorded from the same seeds). With `--record` the run
-//! generates *and* writes each cell's trace file instead (results
-//! identical to a plain generator run); `--record` requires
-//! `--trace-dir`.
+//! traces were recorded from the same seeds). `ntc-workload record`
+//! writes them: the study grids use trace seeds 7, 13 and 17, at 60,000
+//! cycles for the fast suite and 1,000,000 for the full one. A missing
+//! trace fails the experiment that needs it, naming the file.
 //!
 //! Every run also writes `<out>/manifest.json`: one structured
 //! [`RunRecord`] per experiment (scale, jobs, wall time, sweep busy/wall
@@ -92,8 +91,7 @@ fn run() -> i32 {
     let mut cache_dir: Option<PathBuf> = None;
     let mut no_cache = false;
     let mut resume = false;
-    let mut trace_dir: Option<PathBuf> = None;
-    let mut record = false;
+    let mut source = ntc_workload::TraceSource::Generator;
     let mut selected: Vec<String> = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -109,13 +107,12 @@ fn run() -> i32 {
             },
             "--no-cache" => no_cache = true,
             "--trace-dir" => match args.next() {
-                Some(dir) => trace_dir = Some(PathBuf::from(dir)),
+                Some(dir) => source = ntc_workload::TraceSource::Replay(PathBuf::from(dir)),
                 None => {
                     eprintln!("--trace-dir requires a directory");
                     return 2;
                 }
             },
-            "--record" => record = true,
             "--vdd" => match args.next().as_deref().map(ntc_experiments::parse_voltages) {
                 Some(Ok(points)) => ntc_experiments::set_voltages(points),
                 Some(Err(e)) => {
@@ -176,14 +173,13 @@ fn run() -> i32 {
                 println!(
                     "usage: repro [--full] [--jobs N] [--out DIR] [--format text|json] \
                      [--cache-dir DIR] [--no-cache] [--vdd LIST] \
-                     [--trace-dir DIR [--record]] [--resume] [--list] [ID ...]\n\
+                     [--trace-dir DIR] [--resume] [--list] [ID ...]\n\
                      --cache-dir DIR  persistent grid-result cache shared across runs\n\
                      --no-cache       bypass all grid caching (cold run)\n\
                      --vdd LIST       sweep grids over these operating points;\n\
                      \u{20}                comma-separated, e.g. `0.45,0.60,stc`; default ntc only\n\
                      --trace-dir DIR  replay recorded binary traces from DIR instead of the\n\
                      \u{20}                statistical generator (see also `ntc-workload record`)\n\
-                     --record         with --trace-dir: generate and record each cell's trace\n\
                      --resume         skip experiments already passing in <out>/manifest.json;\n\
                      \u{20}                reruns records whose vdd roster or trace source changed\n\
                      exit codes: 0 all good; 1 experiment/CSV/manifest failure; \
@@ -199,19 +195,8 @@ fn run() -> i32 {
         }
     }
 
-    // Trace flags compose into one source; `--record` is meaningless
-    // without a directory.
-    let source = match (&trace_dir, record) {
-        (None, false) => ntc_workload::TraceSource::Generator,
-        (None, true) => {
-            eprintln!("--record requires --trace-dir");
-            return 2;
-        }
-        (Some(dir), true) => ntc_workload::TraceSource::Record(dir.clone()),
-        (Some(dir), false) => ntc_workload::TraceSource::Replay(dir.clone()),
-    };
-    ntc_experiments::set_workload_source(Some(source.clone()));
     let source_label = source.to_string();
+    ntc_experiments::set_workload_source(source);
 
     let suite = all_experiments();
     // Strict selection: every requested ID must name a real experiment. A
@@ -318,11 +303,6 @@ fn run() -> i32 {
         to_run.len()
     ));
 
-    // Deterministic failure injection for the resume black-box tests:
-    // the named experiment panics instead of running, standing in for a
-    // mid-suite crash without a bespoke fault build.
-    let injected_failure = std::env::var("NTC_REPRO_FAIL").ok();
-
     let mut records: Vec<RunRecord> = Vec::new();
     for (id, run_experiment) in to_run {
         if let Some(prev) = carry_forward(id) {
@@ -335,14 +315,8 @@ fn run() -> i32 {
         // chip failing inside a strict `sweep`) becomes a failed record and
         // a nonzero exit, not a dead suite. The telemetry scope attributes
         // exactly this experiment's work to its record.
-        let (outcome, counts) = telemetry::scoped(|| {
-            catch_unwind(AssertUnwindSafe(|| {
-                if injected_failure.as_deref() == Some(*id) {
-                    panic!("injected failure via NTC_REPRO_FAIL");
-                }
-                run_experiment(scale)
-            }))
-        });
+        let (outcome, counts) =
+            telemetry::scoped(|| catch_unwind(AssertUnwindSafe(|| run_experiment(scale))));
         let mut record = RunRecord {
             id: (*id).to_owned(),
             title: String::new(),
@@ -465,13 +439,10 @@ fn describe(r: &RunRecord) -> String {
             .collect();
         line.push_str(&format!(", cells per vdd {}", per_point.join(" ")));
     }
-    // Trace record/replay traffic: only present when a --trace-dir mode
-    // was active (the generator path leaves all three counters zero).
+    // Trace replay traffic: only present under --trace-dir (the
+    // generator path leaves both counters zero).
     if r.workload.any() {
-        line.push_str(&format!(
-            ", trace {} recorded / {} replayed",
-            r.workload.traces_recorded, r.workload.trace_replays
-        ));
+        line.push_str(&format!(", trace {} replayed", r.workload.trace_replays));
     }
     match (&r.csv, &r.error) {
         (Some(path), None) => line.push_str(&format!(" → {}\n", path.display())),

@@ -16,6 +16,7 @@ use ntc_netlist::generators::alu::Alu;
 use ntc_netlist::Netlist;
 use ntc_timing::{ClockSpec, StaticTiming};
 use ntc_varmodel::{ChipSignature, Corner, Memo, OperatingPoint, VariationParams};
+use ntc_workload::TraceSource;
 use std::sync::{Arc, Mutex};
 
 /// Process-wide voltage roster for the grid-backed experiments: which
@@ -44,26 +45,23 @@ pub fn voltages() -> Vec<OperatingPoint> {
 /// Process-wide trace source for the grid-backed experiments — which
 /// [`TraceSource`] the figure runners put in their [`GridSpec`]s. The
 /// default is the statistical generator, keeping every legacy run
-/// byte-identical; `repro --trace-dir` (with or without `--record`)
-/// selects the record/replay paths.
+/// byte-identical; `repro --trace-dir` selects replay.
 ///
 /// [`GridSpec`]: crate::scenario::GridSpec
-static WORKLOAD_SOURCE: Mutex<Option<ntc_workload::TraceSource>> = Mutex::new(None);
+static WORKLOAD_SOURCE: Mutex<TraceSource> = Mutex::new(TraceSource::Generator);
 
-/// Select the trace source grid-backed experiments use. `None` restores
-/// the generator default.
-pub fn set_workload_source(source: Option<ntc_workload::TraceSource>) {
+/// Select the trace source grid-backed experiments use.
+pub fn set_workload_source(source: TraceSource) {
     *WORKLOAD_SOURCE.lock().expect("workload source poisoned") = source;
 }
 
 /// The trace source in force ([`set_workload_source`], else the
 /// statistical generator).
-pub fn workload_source() -> ntc_workload::TraceSource {
+pub fn workload_source() -> TraceSource {
     WORKLOAD_SOURCE
         .lock()
         .expect("workload source poisoned")
         .clone()
-        .unwrap_or(ntc_workload::TraceSource::Generator)
 }
 
 /// Parse a comma-separated voltage list (`"0.45,v0.60,stc"`) into roster

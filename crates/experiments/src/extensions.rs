@@ -21,7 +21,7 @@ use ntc_core::dcs::Dcs;
 use ntc_core::sim::run_scheme;
 use ntc_core::tag_delay::{Chip, TagDelayOracle};
 use ntc_pipeline::Pipeline;
-use ntc_varmodel::{at_condition, ChipSignature, Corner, OperatingCondition, VariationParams};
+use ntc_varmodel::{at_age, ChipSignature, Corner, VariationParams};
 use ntc_workload::{Benchmark, TraceGenerator};
 use std::sync::Arc;
 
@@ -104,14 +104,7 @@ pub fn aging_adaptation(scale: Scale) -> ResultTable {
     // Phase 2: three-year-old silicon; the SAME DCS instance continues
     // (its CSLT already knows the fresh-chip choke tags; aging magnifies
     // them and adds a few new ones it must learn incrementally).
-    let aged_sig = at_condition(
-        &netlist,
-        &fresh_sig,
-        OperatingCondition {
-            age_hours: 3.0 * 8760.0,
-            ..OperatingCondition::nominal()
-        },
-    );
+    let aged_sig = at_age(&netlist, &fresh_sig, 3.0 * 8760.0);
     let mut aged_oracle = TagDelayOracle::new(Arc::new(Chip::new(netlist, aged_sig, crit)));
     let warm = run_scheme(&mut dcs, &mut aged_oracle, &trace, clock, pipe);
     t.push_row(

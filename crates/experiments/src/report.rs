@@ -38,8 +38,9 @@ use std::time::Duration;
 /// incremental-STA counters, leaving the oracle object `gate_sims` /
 /// `local_hits` / `shared_hits` / `sta_full`; `/8` dropped the phase
 /// counters, leaving the workload object `traces_recorded` /
-/// `trace_replays` / `replayed_instructions`.)
-pub const MANIFEST_SCHEMA: &str = "ntc-repro-manifest/8";
+/// `trace_replays` / `replayed_instructions`; `/9` dropped
+/// `traces_recorded`, since `repro` no longer writes traces.)
+pub const MANIFEST_SCHEMA: &str = "ntc-repro-manifest/9";
 
 /// Telemetry of one experiment run inside a `repro` invocation.
 #[derive(Debug, Clone, PartialEq)]
@@ -71,11 +72,11 @@ pub struct RunRecord {
     /// roster and recomputes on mismatch rather than carrying forward
     /// results for the wrong voltage set.
     pub requested_vdd: Vec<String>,
-    /// Workload trace source the run used (`"generator"`,
-    /// `"record:<dir>"` or `"replay:<dir>"`) — `--resume` recomputes
-    /// when it differs, same as the voltage roster.
+    /// Workload trace source the run used (`"generator"` or
+    /// `"replay:<dir>"`) — `--resume` recomputes when it differs, same
+    /// as the voltage roster.
     pub source: String,
-    /// Trace record/replay counters of this experiment.
+    /// Trace replay counters of this experiment.
     pub workload: ntc_workload::WorkloadStats,
     /// Per-index sweep panics of this experiment. Always empty: a sweep
     /// fails fast, so a panic fails the whole record through `error`.
@@ -197,7 +198,6 @@ impl RunRecord {
             .get("workload")
             .ok_or_else(|| "record member \"workload\" missing".to_owned())?;
         let workload = ntc_workload::WorkloadStats {
-            traces_recorded: u64_of(workload_obj, "traces_recorded")?,
             trace_replays: u64_of(workload_obj, "trace_replays")?,
             replayed_instructions: u64_of(workload_obj, "replayed_instructions")?,
         };
@@ -914,7 +914,6 @@ mod tests {
             requested_vdd: vec!["v0.45".to_owned(), "v0.60".to_owned()],
             source: "generator".to_owned(),
             workload: ntc_workload::WorkloadStats {
-                traces_recorded: 2,
                 trace_replays: 4,
                 replayed_instructions: 120_000,
             },
@@ -1070,9 +1069,11 @@ mod tests {
     #[test]
     fn from_json_str_rejects_foreign_schemas() {
         let m = Manifest::new("fast", 1, vec![record("fig3.4", None)]);
-        let old = m.to_json().replace(MANIFEST_SCHEMA, "ntc-repro-manifest/1");
-        let err = Manifest::from_json_str(&old).expect_err("old schema must not resume");
-        assert!(err.contains("schema"), "{err}");
+        for old_schema in ["ntc-repro-manifest/1", "ntc-repro-manifest/8"] {
+            let old = m.to_json().replace(MANIFEST_SCHEMA, old_schema);
+            let err = Manifest::from_json_str(&old).expect_err("old schema must not resume");
+            assert!(err.contains("schema"), "{err}");
+        }
     }
 
     #[test]
@@ -1109,15 +1110,15 @@ mod tests {
         assert_eq!(
             m.to_json(),
             r#"{
-  "schema":"ntc-repro-manifest/8",
+  "schema":"ntc-repro-manifest/9",
   "scale":"fast",
   "jobs":2,
   "passed":0,
   "failed":2,
   "wall_s":1.55,
   "records":[
-    {"id":"fig4.2","title":"say \"hi\" \\ \tthen \u0001","scale":"fast","jobs":2,"wall_s":0.30000000000000004,"sweep_busy_ns":300,"sweep_wall_ns":200,"oracle":{"gate_sims":7,"local_hits":40,"shared_hits":3,"sta_full":3},"cache":{"disk_hits":1,"disk_misses":2,"corrupt_evictions":0,"bytes_written":4096},"voltages":{"v0.45":30,"v0.60":30},"requested_vdd":["v0.45","v0.60"],"source":"generator","workload":{"traces_recorded":2,"trace_replays":4,"replayed_instructions":120000},"sweep_failures":[],"rows":6,"csv":null,"status":"fail","resumed":false,"error":"disk full\r\n"},
-    {"id":"fig3.9","title":"Title of fig3.9","scale":"fast","jobs":2,"wall_s":1.25,"sweep_busy_ns":300,"sweep_wall_ns":200,"oracle":{"gate_sims":7,"local_hits":40,"shared_hits":3,"sta_full":3},"cache":{"disk_hits":1,"disk_misses":2,"corrupt_evictions":0,"bytes_written":4096},"voltages":{"v0.45":30,"v0.60":30},"requested_vdd":["v0.45","v0.60"],"source":"generator","workload":{"traces_recorded":2,"trace_replays":4,"replayed_instructions":120000},"sweep_failures":[{"index":3,"message":"chip 3 exploded"}],"rows":6,"csv":"target/repro/x.csv","status":"fail","resumed":true,"error":null}
+    {"id":"fig4.2","title":"say \"hi\" \\ \tthen \u0001","scale":"fast","jobs":2,"wall_s":0.30000000000000004,"sweep_busy_ns":300,"sweep_wall_ns":200,"oracle":{"gate_sims":7,"local_hits":40,"shared_hits":3,"sta_full":3},"cache":{"disk_hits":1,"disk_misses":2,"corrupt_evictions":0,"bytes_written":4096},"voltages":{"v0.45":30,"v0.60":30},"requested_vdd":["v0.45","v0.60"],"source":"generator","workload":{"trace_replays":4,"replayed_instructions":120000},"sweep_failures":[],"rows":6,"csv":null,"status":"fail","resumed":false,"error":"disk full\r\n"},
+    {"id":"fig3.9","title":"Title of fig3.9","scale":"fast","jobs":2,"wall_s":1.25,"sweep_busy_ns":300,"sweep_wall_ns":200,"oracle":{"gate_sims":7,"local_hits":40,"shared_hits":3,"sta_full":3},"cache":{"disk_hits":1,"disk_misses":2,"corrupt_evictions":0,"bytes_written":4096},"voltages":{"v0.45":30,"v0.60":30},"requested_vdd":["v0.45","v0.60"],"source":"generator","workload":{"trace_replays":4,"replayed_instructions":120000},"sweep_failures":[{"index":3,"message":"chip 3 exploded"}],"rows":6,"csv":"target/repro/x.csv","status":"fail","resumed":true,"error":null}
   ]
 }
 "#
@@ -1125,7 +1126,7 @@ mod tests {
         assert_eq!(
             Manifest::new("full", 1, Vec::new()).to_json(),
             r#"{
-  "schema":"ntc-repro-manifest/8",
+  "schema":"ntc-repro-manifest/9",
   "scale":"full",
   "jobs":1,
   "passed":0,

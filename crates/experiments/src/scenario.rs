@@ -105,8 +105,7 @@ pub struct GridSpec {
     /// Trace length per cell, instructions.
     pub cycles: usize,
     /// Where each cell's instruction stream comes from: the statistical
-    /// generator (the legacy path), record-while-generating, or
-    /// whole-trace replay.
+    /// generator (the legacy path) or whole-trace replay.
     pub source: TraceSource,
 }
 
@@ -138,13 +137,10 @@ impl GridSpec {
             push_str(&mut out, v.name());
         }
         // The trace source, appended after the voltage axis (schema /3).
-        // `Record` deliberately encodes exactly like `Generator` (the
-        // canonical tag aliases them): a recording run simulates the
-        // generated stream, so the two must share cache identity. Replay
-        // appends its directory too — note the key covers the *path*, not
-        // the files' contents, so replacing trace files in place under
-        // the same directory requires `--no-cache` (or a fresh directory)
-        // to avoid stale artifact hits.
+        // Replay appends its directory too — note the key covers the
+        // *path*, not the files' contents, so replacing trace files in
+        // place under the same directory requires `--no-cache` (or a
+        // fresh directory) to avoid stale artifact hits.
         push_str(&mut out, self.source.canon_tag());
         if let TraceSource::Replay(dir) = &self.source {
             push_str(&mut out, &dir.display().to_string());

@@ -3,9 +3,9 @@
 //! trace exactly once — as a gate-level simulation, a shared-table hit
 //! or a local-table hit — however many schemes read the result, and the
 //! per-chunk flush reaches a telemetry scope exactly as it reaches the
-//! process-wide drain. The identity holds for every trace source:
-//! generator, record and replay. One scope also covers every other
-//! layer's counters, across sweep workers.
+//! process-wide drain. The identity holds for both trace sources:
+//! generator and replay. One scope also covers every other layer's
+//! counters, across sweep workers.
 //!
 //! One `#[test]` body: the oracle counters are process-global, so the
 //! runs must drain them sequentially.
@@ -17,7 +17,8 @@ use ntc_experiments::{
 };
 use ntc_varmodel::telemetry;
 use ntc_varmodel::OperatingPoint;
-use ntc_workload::{Benchmark, TraceSource, WorkloadStats};
+use ntc_workload::{trace_bin, Benchmark, TraceGenerator, TraceSource, WorkloadStats};
+use std::path::Path;
 
 const TRACE_SEED: u64 = 17;
 /// Long enough to cross two chunk edges of the delay stream.
@@ -37,11 +38,18 @@ fn spec(regime: Regime, schemes: Vec<SchemeSpec>, source: TraceSource) -> GridSp
     }
 }
 
+/// Record the cell's trace into `dir` the way `ntc-workload record` does.
+fn record(dir: &Path) {
+    let trace = TraceGenerator::new(Benchmark::Gzip, TRACE_SEED).trace(CYCLES);
+    let path = TraceSource::trace_path(dir, Benchmark::Gzip, TRACE_SEED, CYCLES);
+    trace_bin::write_trace_file(&path, &trace).expect("record");
+}
+
 #[test]
 fn lookups_equal_pairs_per_oracle_and_segment_and_scopes_match_the_drain() {
     let dir = std::env::temp_dir().join(format!("ntc-oracle-counters-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("test dir");
+    record(&dir);
     let ch4_mix = vec![
         SchemeSpec::RazorCh4,
         SchemeSpec::Trident { cet_entries: 128 },
@@ -52,11 +60,7 @@ fn lookups_equal_pairs_per_oracle_and_segment_and_scopes_match_the_drain() {
     // still builds the bare die for its clocks, but never streams it.
     let cases = [
         (
-            spec(
-                Regime::Ch4,
-                ch4_mix.clone(),
-                TraceSource::Record(dir.clone()),
-            ),
+            spec(Regime::Ch4, ch4_mix.clone(), TraceSource::Generator),
             3,
         ),
         (
@@ -107,24 +111,20 @@ fn lookups_equal_pairs_per_oracle_and_segment_and_scopes_match_the_drain() {
         );
     }
 
-    // One scope covers every layer, across sweep workers: record, then
-    // replay, a two-chip grid into a fresh directory at two jobs.
+    // One scope covers every layer, across sweep workers: replay a
+    // two-chip grid from a fresh directory at two jobs.
     set_jobs(2);
     let fresh = dir.join("fresh");
-    let scoped_run = |source| {
-        let spec = GridSpec {
-            chips: 2,
-            ..spec(Regime::Ch3, vec![SchemeSpec::RazorCh3], source)
-        };
-        telemetry::scoped(|| run_grid_uncached(&spec)).1
+    record(&fresh);
+    let two_chips = GridSpec {
+        chips: 2,
+        ..spec(
+            Regime::Ch3,
+            vec![SchemeSpec::RazorCh3],
+            TraceSource::Replay(fresh),
+        )
     };
-    let record = scoped_run(TraceSource::Record(fresh.clone()));
-    assert_eq!(
-        WorkloadStats::from(&record).traces_recorded,
-        1,
-        "both chips share one trace"
-    );
-    let replay = scoped_run(TraceSource::Replay(fresh));
+    let (_, replay) = telemetry::scoped(|| run_grid_uncached(&two_chips));
     let workload = WorkloadStats::from(&replay);
     assert_eq!(workload.trace_replays, 2);
     assert_eq!(workload.replayed_instructions, 2 * CYCLES as u64);

@@ -9,6 +9,7 @@
 use ntc_core::scenario::SchemeSpec;
 use ntc_experiments::all_experiments;
 use ntc_experiments::report::{parse_json, Json, MANIFEST_SCHEMA};
+use ntc_workload::{trace_bin, TraceGenerator, TraceSource, ALL_BENCHMARKS};
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
@@ -201,18 +202,21 @@ fn bad_flag_and_bad_format_exit_2() {
     );
     assert_eq!(run(repro().args(["--jobs", "zero"])).status.code(), Some(2));
     assert_eq!(run(repro().arg("--cache-dir")).status.code(), Some(2));
-    // Trace flags: the retired `--phases`, `--record` with no directory
-    // to record into, and a `--trace-dir` missing its value.
+    // Trace flags: the retired `--phases` and `--record` (traces are
+    // written by `ntc-workload record`), and a `--trace-dir` missing its
+    // value.
     let traces = out_dir("bad-trace-flags");
     let traces = traces.to_str().unwrap();
-    assert_eq!(
-        run(repro().args(["--trace-dir", traces, "--phases"]))
-            .status
-            .code(),
-        Some(2)
-    );
+    for retired in ["--phases", "--record"] {
+        let result = run(repro().args(["--trace-dir", traces, retired, "fig3.8"]));
+        assert_eq!(result.status.code(), Some(2), "{retired}");
+        let stderr = String::from_utf8_lossy(&result.stderr);
+        assert!(
+            stderr.contains(&format!("unknown flag `{retired}`")),
+            "{stderr}"
+        );
+    }
     assert!(!std::path::Path::new(traces).exists(), "nothing ran");
-    assert_eq!(run(repro().arg("--record")).status.code(), Some(2));
     assert_eq!(run(repro().arg("--trace-dir")).status.code(), Some(2));
 }
 
@@ -251,33 +255,40 @@ fn first_record(out: &std::path::Path) -> Json {
 #[test]
 fn resume_skips_passing_experiments_and_completes_the_rest() {
     let out = out_dir("resume");
-    // First invocation: fig3.4 passes, then the injected failure kills
-    // tab3.overheads mid-suite — the crash the resume mode exists for.
-    let result = run(repro().env("NTC_REPRO_FAIL", "tab3.overheads").args([
-        "--fast",
-        "--out",
-        out.to_str().unwrap(),
-        "fig3.4",
-        "tab3.overheads",
-    ]));
+    let traces = out_dir("resume-traces");
+    let suite = |resume: bool| {
+        let mut cmd = repro();
+        cmd.arg("--fast");
+        if resume {
+            cmd.arg("--resume");
+        }
+        cmd.args(["--trace-dir", traces.to_str().unwrap()]).args([
+            "--out",
+            out.to_str().unwrap(),
+            "fig3.4",
+            "fig3.8",
+        ]);
+        run(&mut cmd)
+    };
+    // First invocation: fig3.4 passes (it reads no trace), then fig3.8
+    // fails on its first missing trace — the crash the resume mode
+    // exists for.
+    let result = suite(false);
     assert_eq!(
         result.status.code(),
         Some(1),
-        "injected failure must fail the run"
+        "a missing trace must fail the run"
     );
     let body = std::fs::read_to_string(out.join("manifest.json")).expect("manifest written");
     let manifest = parse_json(&body).expect("manifest parses");
     let records = manifest.get("records").unwrap().as_arr().unwrap();
     assert_eq!(records[0].get("status").unwrap().as_str(), Some("pass"));
     assert_eq!(records[1].get("status").unwrap().as_str(), Some("fail"));
+    let missing = traces.join("bzip-s7-c60000.ntt");
+    let error = records[1].get("error").unwrap().as_str().unwrap();
     assert!(
-        records[1]
-            .get("error")
-            .unwrap()
-            .as_str()
-            .unwrap()
-            .contains("injected failure"),
-        "failure names its cause"
+        error.contains(missing.to_str().unwrap()),
+        "the failure names the missing file: {error}"
     );
     let csv_path = records[0]
         .get("csv")
@@ -287,19 +298,21 @@ fn resume_skips_passing_experiments_and_completes_the_rest() {
         .to_owned();
     let csv_before = std::fs::read(&csv_path).expect("passing CSV exists");
 
-    // Second invocation resumes: the passing record is carried forward,
-    // only the failed experiment runs, and the suite goes green.
-    let result = run(repro().args([
-        "--fast",
-        "--resume",
-        "--out",
-        out.to_str().unwrap(),
-        "fig3.4",
-        "tab3.overheads",
-    ]));
+    // Record the traces fig3.8 replays (what `ntc-workload record --dir`
+    // writes by default: seed 7, 60,000 cycles); then the second
+    // invocation resumes: the passing record is carried forward, only
+    // the failed experiment runs, and the suite goes green.
+    for bench in ALL_BENCHMARKS {
+        let trace = TraceGenerator::new(bench, 7).trace(60_000);
+        trace_bin::write_trace_file(&TraceSource::trace_path(&traces, bench, 7, 60_000), &trace)
+            .expect("record");
+    }
+    let result = suite(true);
     assert_eq!(result.status.code(), Some(0), "resumed suite completes");
     let stdout = String::from_utf8_lossy(&result.stdout);
     assert!(stdout.contains("[fig3.4] ok (resumed)"), "{stdout}");
+    // fig3.8 replays one trace per cell: six benchmarks × two chips.
+    assert!(stdout.contains(", trace 12 replayed"), "{stdout}");
     assert!(stdout.contains("# suite: 2 passed, 0 failed"), "{stdout}");
     let body = std::fs::read_to_string(out.join("manifest.json")).expect("manifest rewritten");
     let manifest = parse_json(&body).expect("manifest parses");
@@ -314,6 +327,7 @@ fn resume_skips_passing_experiments_and_completes_the_rest() {
         "the resumed experiment's CSV is untouched"
     );
     std::fs::remove_dir_all(&out).ok();
+    std::fs::remove_dir_all(&traces).ok();
 }
 
 #[test]

@@ -137,31 +137,17 @@ pub fn carry_select(
     AdderOut { sum, cout: carry }
 }
 
-/// Two's-complement subtract (`a - x`) via inverted `x` and carry-in 1,
-/// built on the Kogge–Stone adder.
-///
-/// # Panics
-///
-/// Panics if the operand buses differ in width or are empty.
-pub fn subtractor(b: &mut Builder, a: &[Signal], x: &[Signal]) -> AdderOut {
-    let inv: Vec<Signal> = x.iter().map(|&s| b.not(s)).collect();
-    let one = b.const1();
-    kogge_stone(b, a, &inv, one)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::netlist::Netlist;
 
-    fn build_adder(w: usize, kogge: bool, sub: bool) -> Netlist {
+    fn build_adder(w: usize, kogge: bool) -> Netlist {
         let mut b = Builder::new();
         let a = b.input_bus("a", w);
         let x = b.input_bus("x", w);
         let cin = b.input("cin");
-        let out = if sub {
-            subtractor(&mut b, &a, &x)
-        } else if kogge {
+        let out = if kogge {
             kogge_stone(&mut b, &a, &x, cin)
         } else {
             ripple_carry(&mut b, &a, &x, cin)
@@ -182,7 +168,7 @@ mod tests {
     }
 
     fn check_adder(w: usize, kogge: bool) {
-        let nl = build_adder(w, kogge, false);
+        let nl = build_adder(w, kogge);
         let mask = if w == 64 { u64::MAX } else { (1u64 << w) - 1 };
         let cases = [
             (0u64, 0u64, 0u64),
@@ -232,7 +218,7 @@ mod tests {
     #[test]
     fn kogge_stone_exhaustive_small() {
         let w = 4;
-        let nl = build_adder(w, true, false);
+        let nl = build_adder(w, true);
         for a in 0..16u64 {
             for x in 0..16u64 {
                 for cin in 0..2u64 {
@@ -245,19 +231,6 @@ mod tests {
                     assert_eq!(out[w], expected >> w == 1);
                 }
             }
-        }
-    }
-
-    #[test]
-    fn subtractor_wraps_like_twos_complement() {
-        let w = 8;
-        let nl = build_adder(w, true, true);
-        for (a, x) in [(5u64, 3u64), (3, 5), (0, 1), (255, 255), (128, 64)] {
-            let mut pis = to_bits(a, w);
-            pis.extend(to_bits(x, w));
-            pis.push(false); // cin input exists but is unused by subtractor
-            let out = nl.eval(&pis);
-            assert_eq!(from_bits(&out[..w]), a.wrapping_sub(x) & 0xFF, "{a} - {x}");
         }
     }
 
@@ -323,8 +296,8 @@ mod tests {
 
     #[test]
     fn kogge_stone_is_logarithmic_depth() {
-        let nl64 = build_adder(64, true, false);
-        let ripple64 = build_adder(64, false, false);
+        let nl64 = build_adder(64, true);
+        let ripple64 = build_adder(64, false);
         assert!(
             nl64.max_depth() < ripple64.max_depth() / 3,
             "kogge-stone depth {} should be far below ripple depth {}",

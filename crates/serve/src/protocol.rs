@@ -32,7 +32,10 @@
 //! it, so a misspelled or retired field is never silently ignored. So is
 //! a size outside the paper-scale run's: `chips` must be 1 to 24,
 //! `cycles` 2 to 1,000,000, and the last chip seed,
-//! `chip_seed_base + chips - 1`, must fit a `u64`.
+//! `chip_seed_base + chips - 1`, must fit a `u64`. `benchmarks`, `vdd`
+//! and `schemes` must not repeat an entry (`ntc` and `v0.45` are one
+//! point), `schemes` holds at most 16, and a scheme's capacity is 1 to
+//! 4,096 (ACSLT: entries × ways).
 //!
 //! # Responses
 //!
@@ -168,6 +171,29 @@ const SPEC_KEYS: [&str; 9] = [
     "trace_dir",
 ];
 
+/// The most schemes one grid may compare. Each scheme sizes its tables
+/// per cell (a DCS lane's per-tag slot table alone is 31 KB), so one
+/// request line must not ask for an unbounded number of them.
+const MAX_SCHEMES: usize = 16;
+
+/// Refuse a list that repeats an entry, naming the field and the entry.
+/// A repeat would return duplicate rows and write an artifact that fails
+/// its own row-count check on its next load.
+fn distinct<T: PartialEq>(
+    key: &str,
+    items: &[T],
+    name: impl Fn(&T) -> String,
+) -> Result<(), String> {
+    match items
+        .iter()
+        .enumerate()
+        .find(|(i, x)| items[..*i].contains(x))
+    {
+        Some((_, x)) => Err(format!("spec: {key:?} repeats {:?}", name(x))),
+        None => Ok(()),
+    }
+}
+
 /// Decode a [`GridSpec`] from its wire object.
 fn spec_from_json(v: &Json) -> Result<GridSpec, String> {
     let keys = v.keys().ok_or("grid: \"spec\" must be an object")?;
@@ -232,6 +258,15 @@ fn spec_from_json(v: &Json) -> Result<GridSpec, String> {
     if benchmarks.is_empty() || schemes.is_empty() || voltages.is_empty() {
         return Err("spec: benchmarks, schemes and vdd must be non-empty".into());
     }
+    if schemes.len() > MAX_SCHEMES {
+        return Err(format!(
+            "spec: \"schemes\" lists {} entries, at most {MAX_SCHEMES}",
+            schemes.len()
+        ));
+    }
+    distinct("benchmarks", &benchmarks, |b| b.name().to_owned())?;
+    distinct("vdd", &voltages, |p| p.name().to_owned())?;
+    distinct("schemes", &schemes, SchemeSpec::name)?;
     // Sizes are bounded by the paper-scale run, so one request cannot
     // make the daemon allocate without limit; a trace needs a pair.
     let bounded = |key: &str, lo: u64, hi: usize| match u64_field(v, key)? {
@@ -563,6 +598,73 @@ mod tests {
             assert!(
                 spec_of(chips, seed, cycles).is_ok(),
                 "{chips} {seed} {cycles}"
+            );
+        }
+    }
+
+    #[test]
+    fn repeated_entries_and_unbounded_schemes_are_refused_by_field() {
+        let spec_of = |benchmarks: &str, schemes: &str, vdd: &str| {
+            parse_request(&format!(
+                r#"{{"op":"grid","spec":{{"benchmarks":{benchmarks},"chips":1,
+                    "schemes":{schemes},"regime":"ch3","vdd":{vdd},
+                    "chip_seed_base":0,"trace_seed":0,"cycles":50}}}}"#
+            ))
+        };
+        let seventeen = format!(
+            "[{}]",
+            (1..=17)
+                .map(|n| format!("\"dcs-icslt:{n}\""))
+                .collect::<Vec<_>>()
+                .join(",")
+        );
+        for (benchmarks, schemes, vdd, field) in [
+            (
+                r#"["mcf","mcf"]"#,
+                r#"["razor"]"#,
+                r#"["ntc"]"#,
+                "benchmarks",
+            ),
+            (r#"["mcf"]"#, r#"["razor"]"#, r#"["ntc","v0.45"]"#, "vdd"),
+            (
+                r#"["mcf"]"#,
+                r#"["razor","razor"]"#,
+                r#"["ntc"]"#,
+                "schemes",
+            ),
+            (
+                r#"["mcf"]"#,
+                r#"["dcs-icslt","dcs-icslt:128"]"#,
+                r#"["ntc"]"#,
+                "schemes",
+            ),
+            (r#"["mcf"]"#, seventeen.as_str(), r#"["ntc"]"#, "schemes"),
+        ] {
+            let err = spec_of(benchmarks, schemes, vdd).expect_err(field);
+            assert!(err.contains(&format!("\"{field}\"")), "{field}: {err}");
+        }
+        // A table past 4,096 entries is a bad scheme, named as such.
+        for scheme in ["dcs-icslt:1000000000", "dcs-acslt:128/64", "trident:4097"] {
+            let err =
+                spec_of(r#"["mcf"]"#, &format!("[\"{scheme}\"]"), r#"["ntc"]"#).expect_err(scheme);
+            assert!(err.contains(&format!("bad scheme \"{scheme}\"")), "{err}");
+        }
+        // Sixteen distinct schemes are servable.
+        let sixteen = seventeen.replace(",\"dcs-icslt:17\"", "");
+        assert!(spec_of(r#"["mcf"]"#, &sixteen, r#"["ntc"]"#).is_ok());
+    }
+
+    #[test]
+    fn the_benchmark_specs_still_parse() {
+        // `full_grid`'s grid and a `serve_mix` cold spec, as the
+        // benchmark sends them.
+        for line in [
+            r#"{"op":"grid","spec":{"benchmarks":["bzip","gap","gzip","mcf","parser","vortex"],"chips":5,"schemes":["razor","hfg","dcs-icslt","dcs-acslt"],"regime":"ch3","chip_seed_base":220,"trace_seed":7,"cycles":1000000,"trace_dir":"/tmp/traces2"}}"#,
+            r#"{"op":"grid","spec":{"benchmarks":["gap"],"chips":1,"schemes":["razor-ch4","trident","dcs-icslt","dvs","harden-choke"],"regime":"ch4","vdd":["v0.45","v0.60"],"chip_seed_base":10001,"trace_seed":13,"cycles":4000}}"#,
+        ] {
+            assert!(
+                matches!(parse_request(line), Ok(Request::Grid { .. })),
+                "{line}"
             );
         }
     }

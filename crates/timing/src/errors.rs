@@ -89,13 +89,6 @@ impl ErrorClass {
     /// Number of error classes (the size of per-class count arrays).
     pub const COUNT: usize = 3;
 
-    /// Every class, ordered by [`ErrorClass::index`].
-    pub const ALL: [ErrorClass; ErrorClass::COUNT] = [
-        ErrorClass::SingleMin,
-        ErrorClass::SingleMax,
-        ErrorClass::Consecutive,
-    ];
-
     /// Dense index of this class into a `[T; ErrorClass::COUNT]` array.
     #[inline]
     pub fn index(self) -> usize {

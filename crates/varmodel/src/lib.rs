@@ -15,6 +15,7 @@
 //!   FinFET parameters.
 //! * [`signature`] — per-chip post-silicon delay assignments, choke-gate
 //!   identification, controlled choke injection, and the chip lottery.
+//! * [`aging`] — BTI-style threshold drift over a chip's lifetime.
 //! * [`telemetry`] — the one counter array and attribution scope every
 //!   layer above counts its work through.
 //! * [`memo`] — the one bounded, build-once memo behind every process
@@ -37,19 +38,19 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+pub mod aging;
 pub mod device;
 pub mod memo;
 pub mod point;
-pub mod pvta;
 pub mod rng;
 pub mod signature;
 pub mod telemetry;
 pub mod variation;
 
+pub use aging::at_age;
 pub use device::{Corner, ALPHA, MIN_VDD, VTH_NOMINAL};
 pub use memo::Memo;
 pub use point::{OperatingPoint, ParsePointError, VDD_STEP};
-pub use pvta::{at_condition, OperatingCondition};
 pub use rng::SplitMix64;
 pub use signature::{chip_lottery, ChipSignature, MultiplierStats};
 pub use variation::{GateVariation, SystematicField, VariationParams, VariationSampler};

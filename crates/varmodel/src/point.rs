@@ -93,22 +93,9 @@ impl OperatingPoint {
         }
     }
 
-    /// The roster point matching a corner's supply voltage, if any.
-    pub fn from_corner(corner: Corner) -> Option<OperatingPoint> {
-        Self::roster()
-            .into_iter()
-            .find(|p| (p.vdd() - corner.vdd).abs() < 1e-9)
-    }
-
     /// The next roster point down in voltage (toward NTC), if any.
     pub fn step_down(self) -> Option<OperatingPoint> {
         self.0.checked_sub(1).map(OperatingPoint)
-    }
-
-    /// The next roster point up in voltage (toward STC), if any.
-    pub fn step_up(self) -> Option<OperatingPoint> {
-        let up = self.0 + 1;
-        (usize::from(up) < Self::COUNT).then_some(OperatingPoint(up))
     }
 
     /// Parse a point from its stable name (`"v0.60"`), a bare voltage
@@ -212,11 +199,6 @@ mod tests {
         let mid = OperatingPoint::parse("v0.60").unwrap();
         assert_eq!(mid.corner().name, "v0.60");
         assert!((mid.corner().vdd - 0.60).abs() < 1e-12);
-        assert_eq!(
-            OperatingPoint::from_corner(Corner::NTC),
-            Some(OperatingPoint::NTC)
-        );
-        assert_eq!(OperatingPoint::from_corner(Corner::custom(0.61)), None);
     }
 
     #[test]
@@ -231,7 +213,6 @@ mod tests {
     #[test]
     fn stepping_walks_the_roster() {
         assert_eq!(OperatingPoint::NTC.step_down(), None);
-        assert_eq!(OperatingPoint::STC.step_up(), None);
         let mut p = OperatingPoint::STC;
         let mut steps = 0;
         while let Some(down) = p.step_down() {

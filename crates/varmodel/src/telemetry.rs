@@ -45,8 +45,6 @@ pub enum Metric {
     SweepBusyNanos,
     /// Wall-clock time of parallel sweeps, nanoseconds.
     SweepWallNanos,
-    /// Binary trace files newly written.
-    TracesRecorded,
     /// Grid cells resolved by whole-trace replay.
     TraceReplays,
     /// Instructions fed to simulators from replayed traces.
@@ -57,7 +55,7 @@ pub enum Metric {
 }
 
 /// Metrics ahead of the per-point cell counters.
-const FIXED: usize = 13;
+const FIXED: usize = 12;
 /// Length of the counter array.
 const LEN: usize = FIXED + OperatingPoint::COUNT;
 
@@ -74,9 +72,8 @@ impl Metric {
             Metric::BytesWritten => 7,
             Metric::SweepBusyNanos => 8,
             Metric::SweepWallNanos => 9,
-            Metric::TracesRecorded => 10,
-            Metric::TraceReplays => 11,
-            Metric::ReplayedInstructions => 12,
+            Metric::TraceReplays => 10,
+            Metric::ReplayedInstructions => 11,
             Metric::CellsAt(point) => FIXED + usize::from(point.0),
         }
     }

@@ -102,17 +102,20 @@ fn record(args: &Args) -> ExitCode {
     for &bench in &args.benches {
         let trace = TraceGenerator::new(bench, args.seed).trace(args.cycles);
         let path = TraceSource::trace_path(&args.dir, bench, args.seed, args.cycles);
-        let bytes = trace_bin::encode_trace(&trace);
-        if let Err(e) = trace_bin::write_atomic(&path, &bytes) {
-            eprintln!("error: recording {}: {e}", path.display());
-            return ExitCode::FAILURE;
+        let written =
+            trace_bin::write_trace_file(&path, &trace).and_then(|()| std::fs::metadata(&path));
+        match written {
+            Ok(file) => println!(
+                "recorded {} ({} instructions, {} bytes)",
+                path.display(),
+                trace.len(),
+                file.len()
+            ),
+            Err(e) => {
+                eprintln!("error: recording {}: {e}", path.display());
+                return ExitCode::FAILURE;
+            }
         }
-        println!(
-            "recorded {} ({} instructions, {} bytes)",
-            path.display(),
-            trace.len(),
-            bytes.len()
-        );
     }
     ExitCode::SUCCESS
 }

@@ -7,21 +7,16 @@
 //!
 //! * [`TraceSource::Generator`] — the statistical generator. The legacy
 //!   path; bit-identical to every pre-trace release.
-//! * [`TraceSource::Record`] — generate like `Generator` *and* write the
-//!   binary trace file into the directory (atomically, if not already
-//!   present). Results are identical to `Generator` by construction —
-//!   the generated stream itself is simulated — so recording is free to
-//!   share cache identity with generator runs.
 //! * [`TraceSource::Replay`] — decode the cell's recorded trace file and
 //!   simulate it whole. Byte-identical results to the generator when the
 //!   file was recorded from the same seed (pinned by
-//!   `trace_sampling.rs`).
+//!   `trace_sampling.rs`). `ntc-workload record` writes the files.
 //!
-//! Recorded and replayed traces are memoized process-wide per file (an
-//! `Arc` per file, in a bounded [`Memo`]), so a grid's many (chip ×
-//! scheme × voltage) cells generate or decode each trace once. Record
-//! and replay are counted as [`telemetry`] metrics, which `repro` reads
-//! per experiment ([`WorkloadStats`]).
+//! Replayed traces are memoized process-wide per file (an `Arc` per
+//! file, in a bounded [`Memo`]), so a grid's many (chip × scheme ×
+//! voltage) cells decode each trace once. Replays are counted as
+//! [`telemetry`] metrics, which `repro` reads per experiment
+//! ([`WorkloadStats`]).
 
 use crate::trace_bin;
 use crate::{Benchmark, TraceGenerator};
@@ -46,29 +41,16 @@ pub struct Segment {
 pub enum TraceSource {
     /// The statistical generator (the legacy path).
     Generator,
-    /// Generate *and* record: write each cell's binary trace under the
-    /// directory (if absent), then simulate the generated stream.
-    Record(PathBuf),
     /// Replay recorded binary traces from the directory, whole.
     Replay(PathBuf),
 }
 
 impl TraceSource {
-    /// Stable short tag for canonical encodings and display. `Record`
-    /// deliberately shares the generator's tag: its results are the
-    /// generated stream's, so the two must share cache identity.
+    /// Stable short tag for canonical encodings and display.
     pub fn canon_tag(&self) -> &'static str {
         match self {
-            TraceSource::Generator | TraceSource::Record(_) => "generator",
+            TraceSource::Generator => "generator",
             TraceSource::Replay(_) => "replay",
-        }
-    }
-
-    /// The trace directory, for the variants that have one.
-    pub fn dir(&self) -> Option<&Path> {
-        match self {
-            TraceSource::Generator => None,
-            TraceSource::Record(d) | TraceSource::Replay(d) => Some(d),
         }
     }
 
@@ -94,21 +76,9 @@ impl TraceSource {
     ) -> Result<Arc<Vec<Instruction>>, String> {
         match self {
             TraceSource::Generator => Ok(Arc::new(TraceGenerator::new(bench, seed).trace(cycles))),
-            TraceSource::Record(dir) => {
-                let path = Self::trace_path(dir, bench, seed, cycles);
-                TRACES.get_or_try_init(&(path.clone(), false), || {
-                    let trace = TraceGenerator::new(bench, seed).trace(cycles);
-                    if !path.is_file() {
-                        trace_bin::write_trace_file(&path, &trace)
-                            .map_err(|e| format!("recording {}: {e}", path.display()))?;
-                        telemetry::add(Metric::TracesRecorded, 1);
-                    }
-                    Ok(Arc::new(trace))
-                })
-            }
             TraceSource::Replay(dir) => {
                 let path = Self::trace_path(dir, bench, seed, cycles);
-                let trace = TRACES.get_or_try_init(&(path.clone(), true), || {
+                let trace = TRACES.get_or_try_init(&path, || {
                     trace_bin::read_trace_file(&path)
                         .map(Arc::new)
                         .map_err(|e| format!("{}: {e}", path.display()))
@@ -148,21 +118,18 @@ impl std::fmt::Display for TraceSource {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             TraceSource::Generator => f.write_str("generator"),
-            TraceSource::Record(d) => write!(f, "record:{}", d.display()),
             TraceSource::Replay(d) => write!(f, "replay:{}", d.display()),
         }
     }
 }
 
-/// Recorded and replayed traces by (file, replayed): one entry per file
-/// a process records or replays, so a grid's many (chip × scheme ×
-/// voltage) cells generate or decode each trace once, and a recording
-/// writes each file once. An instruction is 12 bytes, so a trace of N
-/// instructions holds 12·N bytes. Measured: a grid reads at most 6 files
-/// (one per benchmark); full fig3.10 replays 6 traces of 12 MB, and the
-/// fast suite records or replays 18 of 0.72 MB (60,000 instructions, 3
-/// trace seeds), each decoded once.
-static TRACES: Memo<(PathBuf, bool), Arc<Vec<Instruction>>> = Memo::new(8);
+/// Replayed traces by file: one entry per file a process replays, so a
+/// grid's many (chip × scheme × voltage) cells decode each trace once.
+/// An instruction is 12 bytes, so a trace of N instructions holds 12·N
+/// bytes. Measured: a grid reads at most 6 files (one per benchmark);
+/// full fig3.10 replays 6 traces of 12 MB, and the fast suite replays 18
+/// of 0.72 MB (60,000 instructions, 3 trace seeds), each decoded once.
+static TRACES: Memo<PathBuf, Arc<Vec<Instruction>>> = Memo::new(8);
 
 /// Traces the memo holds now, and its cap.
 pub fn trace_memo_occupancy() -> (usize, usize) {
@@ -173,13 +140,10 @@ pub fn trace_memo_occupancy() -> (usize, usize) {
 // Telemetry
 // ---------------------------------------------------------------------
 
-/// Record/replay counters: a typed view of the workload's
-/// [`telemetry`] metrics, from a [`take_stats`] drain or a
-/// [`telemetry::scoped`] run.
+/// Replay counters: a typed view of the workload's [`telemetry`]
+/// metrics, from a [`take_stats`] drain or a [`telemetry::scoped`] run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WorkloadStats {
-    /// Binary trace files newly written by [`TraceSource::Record`].
-    pub traces_recorded: u64,
     /// Cells resolved by whole-trace replay.
     pub trace_replays: u64,
     /// Instructions fed to simulators from whole-trace replays.
@@ -189,16 +153,15 @@ pub struct WorkloadStats {
 impl WorkloadStats {
     /// The counters as stable `(field name, value)` pairs, in
     /// declaration order — the single source of truth for serializers.
-    pub fn fields(&self) -> [(&'static str, u64); 3] {
+    pub fn fields(&self) -> [(&'static str, u64); 2] {
         [
-            ("traces_recorded", self.traces_recorded),
             ("trace_replays", self.trace_replays),
             ("replayed_instructions", self.replayed_instructions),
         ]
     }
 
-    /// Whether any record/replay activity happened at all (the manifest
-    /// summary prints the counters only when it did).
+    /// Whether any replay happened at all (the status line prints the
+    /// counters only when it did).
     pub fn any(&self) -> bool {
         *self != WorkloadStats::default()
     }
@@ -207,17 +170,15 @@ impl WorkloadStats {
 impl From<&Counts> for WorkloadStats {
     fn from(c: &Counts) -> Self {
         WorkloadStats {
-            traces_recorded: c.get(Metric::TracesRecorded),
             trace_replays: c.get(Metric::TraceReplays),
             replayed_instructions: c.get(Metric::ReplayedInstructions),
         }
     }
 }
 
-/// Drain and reset the process-wide record/replay counters.
+/// Drain and reset the process-wide replay counters.
 pub fn take_stats() -> WorkloadStats {
     WorkloadStats::from(&telemetry::take(&[
-        Metric::TracesRecorded,
         Metric::TraceReplays,
         Metric::ReplayedInstructions,
     ]))
@@ -234,21 +195,26 @@ mod tests {
         dir
     }
 
-    #[test]
-    fn record_then_replay_reproduces_the_generator_stream() {
-        let dir = test_dir("roundtrip");
-        let source = TraceSource::Record(dir.clone());
-        let recorded = source.trace(Benchmark::Mcf, 21, 600).expect("record");
-        let generated = TraceGenerator::new(Benchmark::Mcf, 21).trace(600);
-        assert_eq!(
-            *recorded, generated,
-            "record simulates the generated stream"
-        );
+    /// Record a generator trace into `dir` the way `ntc-workload record`
+    /// does.
+    fn record(dir: &Path, bench: Benchmark, seed: u64, cycles: usize) {
+        let trace = TraceGenerator::new(bench, seed).trace(cycles);
+        trace_bin::write_trace_file(&TraceSource::trace_path(dir, bench, seed, cycles), &trace)
+            .expect("record");
+    }
 
+    #[test]
+    fn replay_reproduces_the_generator_stream() {
+        let dir = test_dir("roundtrip");
+        record(&dir, Benchmark::Mcf, 21, 600);
         let replayed = TraceSource::Replay(dir.clone())
             .trace(Benchmark::Mcf, 21, 600)
             .expect("replay");
-        assert_eq!(*replayed, generated, "replay decodes the same stream");
+        assert_eq!(
+            *replayed,
+            TraceGenerator::new(Benchmark::Mcf, 21).trace(600),
+            "replay decodes the generated stream"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -256,13 +222,12 @@ mod tests {
     fn replay_refuses_missing_and_wrong_length_traces() {
         let dir = test_dir("refuse");
         let missing = TraceSource::Replay(dir.clone()).trace(Benchmark::Gap, 1, 500);
-        assert!(missing.is_err(), "missing file is an error");
+        let msg = missing.expect_err("missing file is an error");
+        assert!(msg.contains("gap-s1-c500.ntt"), "names the file: {msg}");
         // A file whose recorded length disagrees with the cell (here: a
         // 500-instruction trace renamed to the 400-cycle cell's path) is
         // refused, not padded or truncated.
-        TraceSource::Record(dir.clone())
-            .trace(Benchmark::Gap, 1, 500)
-            .expect("record");
+        record(&dir, Benchmark::Gap, 1, 500);
         std::fs::rename(
             TraceSource::trace_path(&dir, Benchmark::Gap, 1, 500),
             TraceSource::trace_path(&dir, Benchmark::Gap, 1, 400),
@@ -272,13 +237,5 @@ mod tests {
         let msg = wrong.expect_err("length mismatch is an error");
         assert!(msg.contains("500") && msg.contains("400"), "{msg}");
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn canon_tags_alias_record_to_generator() {
-        let d = PathBuf::from("/tmp/x");
-        assert_eq!(TraceSource::Generator.canon_tag(), "generator");
-        assert_eq!(TraceSource::Record(d.clone()).canon_tag(), "generator");
-        assert_eq!(TraceSource::Replay(d).canon_tag(), "replay");
     }
 }

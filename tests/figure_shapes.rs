@@ -106,7 +106,7 @@ fn manifest_shape_is_golden() {
     );
     assert_eq!(
         rec.get("workload").unwrap().keys().unwrap(),
-        vec!["traces_recorded", "trace_replays", "replayed_instructions"],
+        vec!["trace_replays", "replayed_instructions"],
         "workload counter shape"
     );
     assert_eq!(rec.get("source").unwrap().as_str(), Some("generator"));
