@@ -204,11 +204,12 @@ fi
 
 echo "==> repro --resume finishes a suite a failed experiment cut short"
 # fig3.8 replays from an empty trace directory and fails, naming its
-# first missing trace; fig3.4 reads no trace and passes. Once the traces
-# are recorded, --resume carries fig3.4 forward and computes fig3.8.
+# first missing trace (one worker, so the first cell's: bzip's); fig3.4
+# reads no trace and passes. Once the traces are recorded, --resume
+# carries fig3.4 forward and computes fig3.8.
 rm -rf target/repro-ci-resume target/repro-ci-resume-traces
 mkdir -p target/repro-ci-resume-traces
-if ./target/release/repro --fast --trace-dir target/repro-ci-resume-traces \
+if ./target/release/repro --fast --jobs 1 --trace-dir target/repro-ci-resume-traces \
   --out target/repro-ci-resume fig3.4 fig3.8 >/dev/null 2>&1; then
   echo "FAIL: a replay from an empty trace directory must exit nonzero"; exit 1
 fi

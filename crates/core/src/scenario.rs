@@ -110,15 +110,26 @@ pub enum SchemeSpec {
 pub struct ParseSchemeError {
     /// The name that failed to resolve.
     pub input: String,
+    /// Whether the name is a registered scheme whose capacity is outside
+    /// 1 to 4,096 (ACSLT: entries × ways), rather than an unknown name.
+    pub capacity_out_of_range: bool,
 }
 
 impl std::fmt::Display for ParseSchemeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        if self.capacity_out_of_range {
+            write!(
+                f,
+                "scheme `{}` asks for a capacity (ACSLT: entries × ways) outside 1 to \
+                 {MAX_CAPACITY}",
+                self.input
+            )?;
+        } else {
+            write!(f, "unknown scheme `{}`", self.input)?;
+        }
         write!(
             f,
-            "unknown scheme `{}`; registered: {} (a capacity, ACSLT entries × ways, \
-             is 1 to {MAX_CAPACITY})",
-            self.input,
+            "; registered: {}",
             SchemeSpec::roster()
                 .iter()
                 .map(|s| s.name())
@@ -223,6 +234,7 @@ impl SchemeSpec {
     pub fn parse(input: &str) -> Result<SchemeSpec, ParseSchemeError> {
         let err = || ParseSchemeError {
             input: input.to_owned(),
+            capacity_out_of_range: false,
         };
         let (base, args) = match input.split_once(':') {
             Some((b, a)) => (b, Some(a)),
@@ -261,7 +273,10 @@ impl SchemeSpec {
         };
         match spec.capacity() {
             Some(1..=MAX_CAPACITY) => Ok(spec),
-            _ => Err(err()),
+            _ => Err(ParseSchemeError {
+                capacity_out_of_range: true,
+                ..err()
+            }),
         }
     }
 
@@ -624,6 +639,9 @@ mod tests {
             let e = SchemeSpec::parse(bad).expect_err(bad);
             assert_eq!(e.input, bad);
             assert!(e.to_string().contains("registered: razor"), "{e}");
+            // Only a registered name with a zero capacity is a capacity
+            // error; the rest are unknown names.
+            assert_eq!(e.capacity_out_of_range, bad.ends_with(":0"), "{e}");
         }
     }
 
@@ -650,8 +668,13 @@ mod tests {
         ] {
             let e = SchemeSpec::parse(bad).expect_err(bad);
             assert_eq!(e.input, bad);
+            assert!(e.capacity_out_of_range, "{e}");
             assert!(e.to_string().contains("1 to 4096"), "{e}");
+            assert!(!e.to_string().contains("unknown"), "{e}");
         }
+        // An unknown name is not told about capacities.
+        let e = SchemeSpec::parse("no-such-scheme").expect_err("unknown");
+        assert!(!e.to_string().contains("capacity"), "{e}");
     }
 
     #[test]

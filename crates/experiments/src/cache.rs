@@ -519,6 +519,11 @@ mod tests {
         let mut volts = spec(7);
         volts.voltages = vec![OperatingPoint::NTC, OperatingPoint::STC];
         assert_ne!(a, cache_key(&volts));
+        // A replay spec's key is pinned too: it embeds the source's tag
+        // and directory, so replay artifacts keep hitting as well.
+        let mut replay = spec(7);
+        replay.source = ntc_workload::TraceSource::Replay(PathBuf::from("traces"));
+        assert_eq!(cache_key(&replay), "8afc8585097d48486c083c29838409ae");
     }
 
     #[test]

@@ -256,9 +256,11 @@ fn first_record(out: &std::path::Path) -> Json {
 fn resume_skips_passing_experiments_and_completes_the_rest() {
     let out = out_dir("resume");
     let traces = out_dir("resume-traces");
+    // One worker: the sweep reports its first worker's failure, and a
+    // lone worker fails on the first cell, bzip's.
     let suite = |resume: bool| {
         let mut cmd = repro();
-        cmd.arg("--fast");
+        cmd.args(["--fast", "--jobs", "1"]);
         if resume {
             cmd.arg("--resume");
         }

@@ -648,6 +648,8 @@ mod tests {
             let err =
                 spec_of(r#"["mcf"]"#, &format!("[\"{scheme}\"]"), r#"["ntc"]"#).expect_err(scheme);
             assert!(err.contains(&format!("bad scheme \"{scheme}\"")), "{err}");
+            assert!(err.contains("outside 1 to 4096"), "{err}");
+            assert!(!err.contains("unknown"), "a known scheme: {err}");
         }
         // Sixteen distinct schemes are servable.
         let sixteen = seventeen.replace(",\"dcs-icslt:17\"", "");

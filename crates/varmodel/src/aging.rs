@@ -73,13 +73,20 @@ mod tests {
     #[test]
     #[should_panic(expected = "below the 0.058 V floor")]
     fn sub_floor_corner_is_rejected_not_inverted() {
-        // A struct-literal corner at 50 mV used to reach the raw clamp,
-        // whose window [0.05, vdd - 0.008] is inverted there.
+        // A struct-literal corner at 50 mV would reach the raw clamp,
+        // whose window [0.05, vdd - 0.008] is inverted there. A netlist
+        // of one primary input fabricates without evaluating a gate
+        // delay, so the refusal is `at_age`'s own.
+        let mut b = ntc_netlist::Builder::new();
+        b.input("a");
+        let nl = b.finish();
         let rogue = Corner {
             vdd: 0.05,
             name: "rogue",
         };
-        let _ = rogue.variation_multiplier(aging_dvth(0.0));
+        let sig = ChipSignature::nominal(&nl, rogue);
+        assert_eq!(sig.corner(), rogue, "fabrication does not refuse it");
+        let _ = at_age(&nl, &sig, 8760.0);
     }
 
     #[test]

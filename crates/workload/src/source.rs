@@ -238,4 +238,15 @@ mod tests {
         assert!(msg.contains("500") && msg.contains("400"), "{msg}");
         let _ = std::fs::remove_dir_all(&dir);
     }
+
+    #[test]
+    fn canon_tags_are_stable() {
+        // The tags are part of every grid-cache key: changing one
+        // orphans every artifact written under it.
+        assert_eq!(TraceSource::Generator.canon_tag(), "generator");
+        assert_eq!(
+            TraceSource::Replay(PathBuf::from("/tmp/x")).canon_tag(),
+            "replay"
+        );
+    }
 }
