@@ -14,16 +14,13 @@ echo "==> kernel reference-equivalence, guard-index, lean-sweep + allocation-fre
 cargo test -q --offline -p ntc-netlist --lib truth_table_agrees_with_eval
 cargo test -q --offline -p ntc-netlist --lib a_mask_grows_to_three_selects_and_no_further
 cargo test -q --offline -p ntc-netlist --lib three_select_lines_guard_the_adder_and_the_right_shifter
-cargo test -q --offline -p ntc-timing reference:: --lib
-cargo test -q --offline -p ntc-timing --lib lean_sweep_
+# The lean sweep against the all-gates reference: random, gated,
+# glitch-cap and ALU cases, among them
+# reference::tests::lean_sweep_matches_reference_on_gated_netlists and
+# reference::tests::a_cut_wave_past_the_caps_exact_prefix_reruns_the_pair.
+cargo test -q --offline -p ntc-timing --lib reference::tests::
+cargo test -q --offline -p ntc-timing --lib dynamic::tests::lean_sweep_
 cargo test -q --offline -p ntc-timing --test alloc_free
-cargo test -q --offline -p ntc-timing --test proptest_timing \
-  lean_minmax_matches_full_path_on_gated_netlists
-cargo test -q --offline -p ntc-timing --test proptest_timing \
-  a_cut_wave_past_the_caps_exact_prefix_reruns_the_pair
-
-echo "==> cargo check --offline -p ntc-bench --features bench --benches"
-cargo check --offline -p ntc-bench --features bench --benches
 
 echo "==> examples: each runs to exit 0; choke_buffers prints its golden"
 # `cargo test` compiles the examples but runs none of them.
@@ -204,12 +201,13 @@ fi
 
 echo "==> repro --resume finishes a suite a failed experiment cut short"
 # fig3.8 replays from an empty trace directory and fails, naming its
-# first missing trace (one worker, so the first cell's: bzip's); fig3.4
-# reads no trace and passes. Once the traces are recorded, --resume
-# carries fig3.4 forward and computes fig3.8.
+# first missing trace (a failed sweep reports its lowest failing cell at
+# any thread count, so the first cell's: bzip's); fig3.4 reads no trace
+# and passes. Once the traces are recorded, --resume carries fig3.4
+# forward and computes fig3.8.
 rm -rf target/repro-ci-resume target/repro-ci-resume-traces
 mkdir -p target/repro-ci-resume-traces
-if ./target/release/repro --fast --jobs 1 --trace-dir target/repro-ci-resume-traces \
+if ./target/release/repro --fast --trace-dir target/repro-ci-resume-traces \
   --out target/repro-ci-resume fig3.4 fig3.8 >/dev/null 2>&1; then
   echo "FAIL: a replay from an empty trace directory must exit nonzero"; exit 1
 fi

@@ -184,8 +184,8 @@ pub struct Ocst {
 }
 
 impl Ocst {
-    /// OCST with the paper's 100 k-cycle tuning interval and a skew budget
-    /// of `max_slack_frac` of the period.
+    /// OCST that retunes every `interval` cycles (the paper tunes every
+    /// 100,000) within a skew budget of `max_slack_frac` of the period.
     ///
     /// # Panics
     ///
@@ -201,11 +201,6 @@ impl Ocst {
             overshoots: Vec::new(),
             power_overhead: 0.008,
         }
-    }
-
-    /// The paper's configuration: tune every 100 000 cycles.
-    pub fn paper() -> Self {
-        Ocst::new(100_000, 0.30)
     }
 
     /// Currently granted skew slack, ps.
@@ -418,7 +413,7 @@ mod tests {
     #[test]
     fn ocst_min_violations_corrupt() {
         let (p, c) = instrs();
-        let mut o = Ocst::paper();
+        let mut o = Ocst::new(100_000, 0.30);
         assert_eq!(
             o.on_cycle(&ctx(&p, &c, Some(3.0), Some(90.0))),
             CycleOutcome::SilentCorruption

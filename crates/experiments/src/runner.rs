@@ -30,10 +30,10 @@
 //! unwinding — a panicking sweep still accounts its wall and busy time,
 //! so per-experiment telemetry stays honest even for failing runs.
 //!
-//! A sweep fails fast: a panic in any task propagates to the caller
-//! after stats are recorded. A panicking chip means the table is
-//! untrustworthy and must not be emitted; `repro` turns it into a failed
-//! record of that experiment.
+//! A failed sweep propagates the panic of its lowest failing index, the
+//! same at any thread count, to the caller after stats are recorded. A
+//! panicking chip means the table is untrustworthy and must not be
+//! emitted; `repro` turns it into a failed record of that experiment.
 
 use ntc_varmodel::telemetry::{self, Counts, Metric};
 use std::any::Any;
@@ -100,9 +100,10 @@ pub fn take_stats() -> SweepStats {
 /// results in index order — bit-identical to the sequential loop for any
 /// thread count (see the module docs for why).
 ///
-/// A panic in any task propagates to the caller after the scope joins;
-/// the busy/wall counters are recorded before the unwind resumes, so
-/// [`SweepStats`] stay accurate across failed sweeps.
+/// A panic in any task propagates to the caller after the scope joins:
+/// the panic of the lowest failing index, at any thread count (see
+/// `sweep_impl`). The busy/wall counters are recorded before the unwind
+/// resumes, so [`SweepStats`] stay accurate across failed sweeps.
 pub fn sweep<T, F>(n: usize, f: F) -> Vec<T>
 where
     T: Send,
@@ -117,8 +118,11 @@ where
 /// Panic payload carried off a worker thread.
 type Payload = Box<dyn Any + Send + 'static>;
 
-/// The engine proper: returns `Err(first panic payload)` instead of
-/// unwinding so both exits flow through the same stats accounting.
+/// The engine proper: returns `Err(payload)` instead of unwinding so both
+/// exits flow through the same stats accounting. The payload is the lowest
+/// failing index's. That index is always attempted: workers claim indices
+/// in ascending order, and each stops only at its own first panic, so
+/// every index below a claimed one was claimed and run.
 fn sweep_impl<T, F>(n: usize, f: &F) -> Result<Vec<T>, Payload>
 where
     T: Send,
@@ -138,7 +142,7 @@ where
     } else {
         let next = AtomicUsize::new(0);
         let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
-        let mut first_panic: Option<Payload> = None;
+        let mut lowest_panic: Option<(usize, Payload)> = None;
         // The telemetry scope is thread-local and does not cross thread
         // boundaries on its own; hand the caller's scope to each worker
         // so a run's counters include the work its sweep fanned out.
@@ -152,17 +156,20 @@ where
                         telemetry::set_scope(scope);
                         let busy_start = Instant::now();
                         let mut local: Vec<(usize, T)> = Vec::new();
+                        let mut claimed = 0;
                         // Catch inside the worker so a panicking task still
                         // reports the thread's busy time (and its completed
-                        // results) to the join loop below.
+                        // results) to the join loop below, with the index
+                        // it panicked on.
                         let panic = catch_unwind(AssertUnwindSafe(|| loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= n {
+                            claimed = next.fetch_add(1, Ordering::Relaxed);
+                            if claimed >= n {
                                 break;
                             }
-                            local.push((i, f(i)));
+                            local.push((claimed, f(claimed)));
                         }))
-                        .err();
+                        .err()
+                        .map(|p| (claimed, p));
                         (local, busy_start.elapsed(), panic)
                     })
                 })
@@ -173,13 +180,15 @@ where
                 for (i, t) in local {
                     slots[i] = Some(t);
                 }
-                if let Some(p) = panic {
-                    first_panic.get_or_insert(p);
+                if let Some((i, p)) = panic {
+                    if lowest_panic.as_ref().is_none_or(|(j, _)| i < *j) {
+                        lowest_panic = Some((i, p));
+                    }
                 }
             }
         });
-        match first_panic {
-            Some(p) => Err(p),
+        match lowest_panic {
+            Some((_, p)) => Err(p),
             None => Ok(slots
                 .into_iter()
                 .map(|s| s.expect("every index claimed exactly once"))
@@ -337,6 +346,25 @@ mod tests {
                 stats.busy > Duration::ZERO,
                 "jobs={jobs}: busy time recorded on the unwind path"
             );
+        }
+        set_jobs(0);
+    }
+
+    #[test]
+    fn a_failed_sweep_reports_its_lowest_failing_index() {
+        let _guard = JOBS_LOCK.lock().unwrap();
+        for jobs in [1, 2, 8] {
+            set_jobs(jobs);
+            let unwound = catch_unwind(AssertUnwindSafe(|| {
+                sweep(16, |i| {
+                    if i >= 3 {
+                        panic!("task {i}");
+                    }
+                    i
+                })
+            }));
+            let payload = unwound.expect_err("the sweep must fail");
+            assert_eq!(panic_message(&*payload), "task 3", "jobs={jobs}");
         }
         set_jobs(0);
     }

@@ -256,11 +256,11 @@ fn first_record(out: &std::path::Path) -> Json {
 fn resume_skips_passing_experiments_and_completes_the_rest() {
     let out = out_dir("resume");
     let traces = out_dir("resume-traces");
-    // One worker: the sweep reports its first worker's failure, and a
-    // lone worker fails on the first cell, bzip's.
+    // Four workers: a failed sweep reports its lowest failing cell at any
+    // thread count, here the first one, bzip's.
     let suite = |resume: bool| {
         let mut cmd = repro();
-        cmd.args(["--fast", "--jobs", "1"]);
+        cmd.args(["--fast", "--jobs", "4"]);
         if resume {
             cmd.arg("--resume");
         }

@@ -15,8 +15,8 @@ pub struct AdderOut {
 
 /// Build a ripple-carry adder.
 ///
-/// Logic depth grows linearly with width; used for the compact rows of the
-/// array multiplier and as a baseline in the depth/ablation studies.
+/// Logic depth grows linearly with width; the adder ablation's compact,
+/// deep baseline.
 ///
 /// # Panics
 ///

@@ -3,7 +3,7 @@
 //! its statistical timing analysis against it).
 //!
 //! Structure: a 4-bit function select feeds a one-hot decoder; the adder
-//! (shared by ADD / SUB / LOAD address generation), array multiplier,
+//! (shared by ADD / SUB / LOAD address generation), Wallace-tree multiplier,
 //! bitwise logic arrays, a combined right shifter (logical / arithmetic /
 //! rotate) and a left shifter all compute in parallel; a one-hot AND–OR
 //! stage selects the result. This mirrors a synthesized ALU's path
@@ -247,7 +247,7 @@ pub fn encode_into(width: usize, func: AluFunc, a: u64, b: u64, pis: &mut Vec<bo
 }
 
 /// The full ALU datapath body, shared between [`Alu`] and the EX-stage
-/// generator: one-hot function decode, shared adder (ADD/SUB/LOAD), array
+/// generator: one-hot function decode, shared adder (ADD/SUB/LOAD), Wallace
 /// multiplier, bitwise arrays, combined right shifter (LSR/ASR/ROR share
 /// the mux array with per-mode fill), left shifter, pass-through buffers,
 /// and the one-hot AND–OR result selection.

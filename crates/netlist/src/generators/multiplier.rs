@@ -1,67 +1,13 @@
-//! Multiplier generators for the ALU's MULT / MFLO datapath.
-//!
-//! Two structures are provided:
-//!
-//! * [`array_multiplier_low`] — the classic row-by-row carry-save array;
-//!   linear depth, compact. Used for depth-contrast studies.
-//! * [`wallace_multiplier_low`] — a Wallace/CSA-tree reduction with a
-//!   parallel-prefix final adder; logarithmic depth. This is what a
-//!   timing-constrained synthesis run emits, and it is the variant the
-//!   ALU uses: the multiplier stays the *deepest* unit (matching the
-//!   paper's observation that MULT/MFLO sensitize the longest paths)
-//!   without towering an order of magnitude over the rest of the
-//!   datapath.
+//! The multiplier generator for the ALU's MULT / MFLO datapath:
+//! [`wallace_multiplier_low`], a Wallace/CSA-tree reduction with a
+//! parallel-prefix final adder, of logarithmic depth. This is what a
+//! timing-constrained synthesis run emits: the multiplier stays the
+//! *deepest* unit (matching the paper's observation that MULT/MFLO
+//! sensitize the longest paths) without towering an order of magnitude
+//! over the rest of the datapath.
 
 use crate::generators::adder;
 use crate::netlist::{Builder, Signal};
-
-/// Build an array multiplier returning the low `width` bits of `a * x`.
-///
-/// Partial products are formed by an AND array and reduced row-by-row with
-/// carry-save full adders; a final ripple stage resolves the remaining
-/// carries. Only the low half of the product is kept (the ISA's `MULT`
-/// writes LO, and `MFLO` reads it).
-///
-/// # Panics
-///
-/// Panics if the operand buses differ in width or are empty.
-pub fn array_multiplier_low(b: &mut Builder, a: &[Signal], x: &[Signal]) -> Vec<Signal> {
-    let w = a.len();
-    assert_eq!(w, x.len(), "multiplier operand width mismatch");
-    assert!(w > 0, "multiplier width must be nonzero");
-
-    if w == 1 {
-        return vec![b.and(a[0], x[0])];
-    }
-
-    // Row 0: partial product of x[0].
-    let mut acc: Vec<Signal> = a.iter().map(|&ai| b.and(ai, x[0])).collect();
-    let mut result = Vec::with_capacity(w);
-
-    // Each subsequent row adds (a & x[j]) << j. Working in a shifted frame:
-    // after processing row j, acc holds bits [j..w) of the running sum and
-    // result holds bits [0..j).
-    for j in 1..w {
-        // Bit j of the final (low-w) product is acc[0] before adding row j
-        // shifted... careful: row j aligns with acc starting at offset 0 in
-        // the shifted frame *after* we retire one bit.
-        result.push(acc[0]);
-        // Remaining accumulator bits shift down by one.
-        let hi: Vec<Signal> = acc[1..].to_vec();
-        // Partial product row j contributes to bits [j..w) => in the shifted
-        // frame, to positions [0..w-j).
-        let pp: Vec<Signal> = a[..w - j].iter().map(|&ai| b.and(ai, x[j])).collect();
-        // hi has w-1 bits but only the low w-j positions matter for the low
-        // product; truncate (upper product bits are discarded by the ISA).
-        let hi_trunc = &hi[..w - j];
-        let zero = b.const0();
-        let sum = adder::ripple_carry(b, hi_trunc, &pp, zero);
-        acc = sum.sum;
-    }
-    result.push(acc[0]);
-    debug_assert_eq!(result.len(), w);
-    result
-}
 
 /// Build a Wallace-tree multiplier returning the low `width` bits of
 /// `a * x`: the partial-product matrix is reduced column-wise with 3:2
@@ -146,20 +92,11 @@ mod tests {
     use super::*;
     use crate::netlist::Netlist;
 
-    fn build_wallace(w: usize) -> Netlist {
-        let mut b = Builder::new();
-        let a = b.input_bus("a", w);
-        let x = b.input_bus("x", w);
-        let p = wallace_multiplier_low(&mut b, &a, &x);
-        b.output_bus("p", &p);
-        b.finish()
-    }
-
     fn build(w: usize) -> Netlist {
         let mut b = Builder::new();
         let a = b.input_bus("a", w);
         let x = b.input_bus("x", w);
-        let p = array_multiplier_low(&mut b, &a, &x);
+        let p = wallace_multiplier_low(&mut b, &a, &x);
         b.output_bus("p", &p);
         b.finish()
     }
@@ -174,47 +111,6 @@ mod tests {
     }
 
     #[test]
-    fn exhaustive_4_bit() {
-        let nl = build(4);
-        for a in 0..16u64 {
-            for x in 0..16u64 {
-                assert_eq!(run(&nl, 4, a, x), (a * x) & 0xF, "{a} * {x}");
-            }
-        }
-    }
-
-    #[test]
-    fn spot_checks_16_bit() {
-        let nl = build(16);
-        for (a, x) in [
-            (0u64, 0u64),
-            (1, 0xFFFF),
-            (0xFFFF, 0xFFFF),
-            (1234, 5678),
-            (0x8000, 2),
-            (257, 255),
-        ] {
-            assert_eq!(run(&nl, 16, a, x), a.wrapping_mul(x) & 0xFFFF, "{a} * {x}");
-        }
-    }
-
-    #[test]
-    fn spot_checks_32_bit() {
-        let nl = build(32);
-        for (a, x) in [
-            (0xDEAD_BEEFu64, 0xCAFE_F00Du64),
-            (u32::MAX as u64, u32::MAX as u64),
-            (3, 0x5555_5555),
-        ] {
-            assert_eq!(
-                run(&nl, 32, a, x),
-                a.wrapping_mul(x) & 0xFFFF_FFFF,
-                "{a} * {x}"
-            );
-        }
-    }
-
-    #[test]
     fn width_one_is_an_and_gate() {
         let nl = build(1);
         assert_eq!(run(&nl, 1, 1, 1), 1);
@@ -223,7 +119,7 @@ mod tests {
 
     #[test]
     fn wallace_exhaustive_4_bit() {
-        let nl = build_wallace(4);
+        let nl = build(4);
         for a in 0..16u64 {
             for x in 0..16u64 {
                 assert_eq!(run(&nl, 4, a, x), (a * x) & 0xF, "{a} * {x}");
@@ -234,7 +130,7 @@ mod tests {
     #[test]
     fn wallace_exhaustive_5_bit() {
         // Odd width exercises the half-adder remainder handling.
-        let nl = build_wallace(5);
+        let nl = build(5);
         for a in 0..32u64 {
             for x in 0..32u64 {
                 assert_eq!(run(&nl, 5, a, x), (a * x) & 0x1F, "{a} * {x}");
@@ -244,7 +140,7 @@ mod tests {
 
     #[test]
     fn wallace_spot_checks_32_bit() {
-        let nl = build_wallace(32);
+        let nl = build(32);
         for (a, x) in [
             (0xDEAD_BEEFu64, 0xCAFE_F00Du64),
             (u32::MAX as u64, u32::MAX as u64),
@@ -261,21 +157,10 @@ mod tests {
     }
 
     #[test]
-    fn wallace_is_much_shallower_than_array() {
-        let wallace = build_wallace(32);
-        let array = build(32);
-        assert!(
-            wallace.max_depth() * 2 < array.max_depth(),
-            "wallace {} vs array {}",
-            wallace.max_depth(),
-            array.max_depth()
-        );
-    }
-
-    #[test]
     fn multiplier_is_deepest_datapath_unit() {
         let mul = build(16);
-        // Compare against a Kogge-Stone adder of the same width.
+        // Compare against a Kogge-Stone adder of the same width: deeper,
+        // but not an order of magnitude deeper (18 levels against 10).
         let mut b = Builder::new();
         let a = b.input_bus("a", 16);
         let x = b.input_bus("x", 16);
@@ -283,6 +168,11 @@ mod tests {
         let s = crate::generators::adder::kogge_stone(&mut b, &a, &x, zero);
         b.output_bus("s", &s.sum);
         let add = b.finish();
-        assert!(mul.max_depth() > 2 * add.max_depth());
+        assert!(
+            add.max_depth() < mul.max_depth() && mul.max_depth() < 10 * add.max_depth(),
+            "multiplier {} vs adder {}",
+            mul.max_depth(),
+            add.max_depth()
+        );
     }
 }

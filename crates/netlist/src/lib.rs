@@ -11,7 +11,7 @@
 //! * an arena [`Netlist`] whose gate order is a topological order by
 //!   construction, plus the incremental [`Builder`];
 //! * [structural generators](generators) for the datapath blocks the paper
-//!   studies: parallel-prefix and ripple adders, an array multiplier,
+//!   studies: parallel-prefix and ripple adders, a Wallace-tree multiplier,
 //!   barrel shifters, bitwise logic - composed into the width-parametric
 //!   [`Alu`](generators::alu::Alu) and [`ExStage`](generators::ex_stage::ExStage);
 //! * the Razor-style [hold-fixing buffer-insertion pass](buffer_insertion)

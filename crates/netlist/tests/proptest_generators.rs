@@ -70,7 +70,7 @@ fn multiplier_multiplies() {
     let mut builder = Builder::new();
     let abus = builder.input_bus("a", w);
     let bbus = builder.input_bus("b", w);
-    let p = multiplier::array_multiplier_low(&mut builder, &abus, &bbus);
+    let p = multiplier::wallace_multiplier_low(&mut builder, &abus, &bbus);
     builder.output_bus("p", &p);
     let nl = builder.finish();
 

@@ -6,9 +6,9 @@
 //! settles the circuit state, and the **sensitizing** vector (current
 //! cycle) launches transitions through whichever paths the pair activates.
 //! The simulator propagates bounded per-net transition waveforms through
-//! the netlist in topological order, so it is glitch-aware: it reports not
-//! just the earliest/latest output arrival but the full transition list per
-//! output — precisely what Trident's transition detector monitors.
+//! the netlist in topological order, so it is glitch-aware: an output's
+//! earliest and latest arrivals count every glitch on the way, the
+//! transitions Trident's transition detector monitors.
 //!
 //! # Event-driven evaluation
 //!
@@ -36,20 +36,18 @@
 //! settle the gate at the wrong value. The gate is thus evaluated at the
 //! same times, on the same pin values, as the reference kernel's sorted,
 //! deduplicated candidate list, and emits the same toggles in the same
-//! order: every wave, every event-cap truncation and every
-//! `internal_toggles` count is unchanged. A NaN time (from a corrupted
-//! delay) never wins the minimum but is applied in the same pass, so the
-//! merge still ends.
+//! order: every wave and every event-cap truncation is unchanged. A NaN
+//! time (from a corrupted delay) never wins the minimum but is applied in
+//! the same pass, so the merge still ends.
 //!
 //! # The guarded lean sweep
 //!
-//! The sweep runs in one of two modes. The full sweep, behind
-//! [`SimWorkspace::simulate_pair_into`], evaluates every reachable gate;
-//! it serves only as the lean sweep's test oracle and as the
-//! `choke_buffers` example's per-output view. The lean sweep, behind
-//! [`SimWorkspace::simulate_pair_minmax`], reads each popped gate's entry
-//! in the netlist's guard index ([`Netlist::guard_of_index`]). It skips an
-//! [`Unobservable`](Guard::Unobservable) gate. A gate
+//! Call the sweep above, run on every reachable gate, the *unguarded*
+//! sweep: its waves are the reference kernel's, which the tests keep as
+//! the kernel's one oracle. The lean sweep, the only one the kernel runs,
+//! behind [`SimWorkspace::simulate_pair_minmax`], reads each popped gate's
+//! entry in the netlist's guard index ([`Netlist::guard_of_index`]). It
+//! skips an [`Unobservable`](Guard::Unobservable) gate. A gate
 //! [`MaskedBy`](Guard::MaskedBy) one to three `(net, value)` pairs has a
 //! mask that *holds from* `T` when every pair's net ends the cycle at its
 //! value; `T` is the latest last toggle of those nets (−∞ when none
@@ -74,17 +72,17 @@
 //!    inverted ones that arrive a gate later, so an op change often pulses
 //!    the MULT line; the multiplier then stops where the pulse ends.
 //! 4. **The event cap.** `Wave::push_toggle` evicts positions 5 and
-//!    6 when a ninth toggle arrives, so on the full sweep toggles after `T`
-//!    can evict toggles before it, and a truncated wave is the full wave's
-//!    prefix only while it holds at most five toggles. A truncated gate is
-//!    *cut* when it drops a pass, or when it reads a fanin whose mask holds
-//!    every pair of its own and whose lean wave may lack toggles: a cut
-//!    fanin, or one with an empty wave. A gate the sweep never reached has
-//!    an empty wave and no cut mark, though its full wave may toggle after
-//!    `T`. A truncated gate that reaches `T` holding six or more toggles and
-//!    is not cut finishes in full instead. A cut gate holding six or more
-//!    toggles makes `simulate_pair_minmax` rerun the pair under the steady
-//!    rule alone, inside the call.
+//!    6 when a ninth toggle arrives, so on the unguarded sweep toggles after
+//!    `T` can evict toggles before it, and a truncated wave is the unguarded
+//!    wave's prefix only while it holds at most five toggles. A truncated
+//!    gate is *cut* when it drops a pass, or when it reads a fanin whose
+//!    mask holds every pair of its own and whose lean wave may lack toggles:
+//!    a cut fanin, or one with an empty wave. A gate the sweep never reached
+//!    has an empty wave and no cut mark, though its unguarded wave may
+//!    toggle after `T`. A truncated gate that reaches `T` holding six or
+//!    more toggles and is not cut finishes in full instead. A cut gate
+//!    holding six or more toggles makes `simulate_pair_minmax` rerun the
+//!    pair under the steady rule alone, inside the call.
 //!
 //! None of this changes an output wave. Call a net *faithful* at `t` when
 //! both sweeps give it the same value at `t`. First, the masking argument.
@@ -100,16 +98,16 @@
 //! it to `v` changes nothing, and then `h` ignores the later fanin too. So
 //! `h`'s output at `t` depends only on faithful fanins. Where that holds at
 //! every `t`, both sweeps push the same toggles in the same order (at a
-//! time only the full sweep evaluates, `h` keeps the value it holds), and
-//! the event cap truncates them alike.
+//! time only the unguarded sweep evaluates, `h` keeps the value it holds),
+//! and the event cap truncates them alike.
 //!
 //! Now an induction over gate order, on the gates that are not
-//! unobservable. The claim: when a gate's lean wave differs from its full
-//! wave, its mask holds from some `T`, its lean wave is empty or it is
-//! cut, and it is faithful before `T`; and a cut gate's lean wave holds
-//! exactly the full wave's toggles before `T`. Take a gate `h` and a fanin
-//! `y` not faithful at some `t`. By the claim `y`'s mask holds from
-//! `T_y <= t`, and the guard index gives the edge `y -> h` one of its
+//! unobservable. The claim: when a gate's lean wave differs from its
+//! unguarded wave, its mask holds from some `T`, its lean wave is empty or
+//! it is cut, and it is faithful before `T`; and a cut gate's lean wave
+//! holds exactly the unguarded wave's toggles before `T`. Take a gate `h`
+//! and a fanin `y` not faithful at some `t`. By the claim `y`'s mask holds
+//! from `T_y <= t`, and the guard index gives the edge `y -> h` one of its
 //! three cases. If (c), the masking pair's net ends at its value, its last
 //! lean toggle at or before `T_y`, so it carries its value at `t`. If (b),
 //! `h`'s mask is a subset of `y`'s, so it holds from `T_h <= T_y`.
@@ -121,20 +119,21 @@
 //!   and is not cut, so by the claim it is faithful everywhere. The masking
 //!   argument holds at every `t`, and `h` ran every lean pass.
 //! - `h` cut: it reads its fanins only at `t < T_h`, where the (b) fanins
-//!   are faithful, so its lean toggles are the full wave's toggles before
-//!   `T_h`. Holding at most five, they are all the cap keeps of the full
-//!   wave there; with six or more, the pair reruns.
+//!   are faithful, so its lean toggles are the unguarded wave's toggles
+//!   before `T_h`. Holding at most five, they are all the cap keeps of the
+//!   unguarded wave there; with six or more, the pair reruns.
 //! - `h` skipped by the steady rule: its mask holds from `T = −∞`.
-//! - `h` never reached, with a non-empty full wave: no lean fanin wave
+//! - `h` never reached, with a non-empty unguarded wave: no lean fanin wave
 //!   toggles, so if no unfaithful fanin were (b), the masking argument
 //!   would leave `h`'s output constant. So one is, `h`'s mask holds from
 //!   `T_h`, and before `T_h` the masking argument keeps its lean value.
 //!
 //! So every output wave, and with it `min_ps`/`max_ps`, is bit-identical
-//! to the full sweep's. The rerun, the steady rule alone, is the case
-//! without truncated gates. No rule needs a mask net to be observable
-//! itself: a net whose lean wave falls short of its full one is faithful
-//! before its own `T`, and the masking argument covers it after.
+//! to the unguarded sweep's, and so to the reference's. The rerun, the
+//! steady rule alone, is the case without truncated gates. No rule needs a
+//! mask net to be observable itself: a net whose lean wave falls short of
+//! its unguarded one is faithful before its own `T`, and the masking
+//! argument covers it after.
 //!
 //! # The causal path
 //!
@@ -150,10 +149,10 @@
 //! fanin toggle always exists, and each step lowers the gate index, so
 //! the walk ends at a primary input. Summing the path's delays from the
 //! input end, one `+=` per gate starting at `0.0`, reproduces `max_ps`
-//! bit for bit. After the lean sweep the walk reads lean waves, and each
-//! is a prefix of the full one: the full wave, the toggles before a cut
-//! gate's deadline, or empty. So every gate on the path toggles on the
-//! full sweep too. The path can differ from the full sweep's only where a
+//! bit for bit. The walk reads lean waves, and each is a prefix of the
+//! unguarded one: the unguarded wave, the toggles before a cut gate's
+//! deadline, or empty. So every gate on the path toggles on the unguarded
+//! sweep too. The path can differ from the unguarded sweep's only where a
 //! toggle has two causes at a bit-equal time and the lower pin's lies
 //! past a deadline; that takes two paths whose delays sum alike.
 //!
@@ -163,9 +162,9 @@
 //! `[f64; MAX_EVENTS_PER_NET]` instead of a heap `Vec`, a gate's merge
 //! state is three cursors and a 3-bit pin state on the stack, and the
 //! settle, dirty and cut buffers belong to a reusable [`SimWorkspace`],
-//! the one handle on the kernel. After warm-up, its `simulate_pair_minmax`,
-//! `simulate_pair_into` and `critical_path_into` entry points perform
-//! zero heap allocations per call.
+//! the one handle on the kernel. After warm-up, its `simulate_pair_minmax`
+//! and `critical_path_into` entry points perform zero heap allocations per
+//! call.
 
 use ntc_netlist::{Guard, Mask, Netlist};
 use ntc_varmodel::ChipSignature;
@@ -178,7 +177,7 @@ pub const MAX_EVENTS_PER_NET: usize = 8;
 /// How many leading toggles of a wave the event cap never evicts:
 /// `Wave::push_toggle` drops positions 5 and 6 when a ninth arrives. A
 /// truncated wave holding at most this many toggles is therefore exactly
-/// the toggles of the full wave before its deadline.
+/// the toggles of the unguarded wave before its deadline.
 const EXACT_PREFIX: usize = MAX_EVENTS_PER_NET - 3;
 
 /// One net's transition times during a cycle, stored inline — no heap
@@ -220,36 +219,10 @@ impl Wave {
     }
 }
 
-/// Transition activity of one primary output during a cycle.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct OutputActivity {
-    /// Settled value before the sensitizing vector was applied.
-    pub initial: bool,
-    /// Final settled value.
-    pub final_value: bool,
-    /// Transition times, ps after the launch edge, in increasing order.
-    pub transitions: Vec<f64>,
-}
-
-/// Result of simulating one (initializing, sensitizing) vector pair.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct CycleTiming {
-    /// Earliest and latest output transitions across all primary outputs
-    /// (both `None` if no output toggled).
-    pub delays: CycleDelays,
-    /// Per-output transition activity, in output declaration order.
-    pub outputs: Vec<OutputActivity>,
-    /// Total output transitions (a switching-activity proxy for the energy
-    /// model).
-    pub total_output_transitions: usize,
-    /// Total internal net toggles observed (switching-activity proxy).
-    pub internal_toggles: usize,
-}
-
 /// Min/max sensitized delay of one simulated cycle, picoseconds: the
-/// earliest and latest output arrivals, with no per-output activity. The
-/// lean result of [`simulate_pair_minmax`](SimWorkspace::simulate_pair_minmax),
-/// the value the delay oracle caches, and what
+/// earliest and latest output arrivals. The result of
+/// [`simulate_pair_minmax`](SimWorkspace::simulate_pair_minmax), the value
+/// the delay oracle caches, and what
 /// [`classify_cycle`](crate::classify_cycle) checks against a clock.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct CycleDelays {
@@ -273,16 +246,15 @@ pub struct CycleDelays {
 ///
 /// ```
 /// use ntc_netlist::generators::alu::{Alu, AluFunc};
-/// use ntc_timing::{CycleTiming, SimWorkspace};
+/// use ntc_timing::SimWorkspace;
 /// use ntc_varmodel::{ChipSignature, Corner};
 ///
 /// let alu = Alu::new(8);
 /// let chip = ChipSignature::nominal(alu.netlist(), Corner::NTC);
 /// let init = alu.encode(AluFunc::Add, 0, 0);
 /// let sens = alu.encode(AluFunc::Add, 0xFF, 0x01);
-/// let mut timing = CycleTiming::default();
-/// SimWorkspace::new().simulate_pair_into(alu.netlist(), &chip, &init, &sens, &mut timing);
-/// assert!(timing.delays.max_ps.expect("carry chain toggles") > 0.0);
+/// let delays = SimWorkspace::new().simulate_pair_minmax(alu.netlist(), &chip, &init, &sens);
+/// assert!(delays.max_ps.expect("carry chain toggles") > 0.0);
 /// ```
 #[derive(Debug, Default)]
 pub struct SimWorkspace {
@@ -317,21 +289,20 @@ impl SimWorkspace {
     }
 
     /// Settle `initializing`, apply `sensitizing` at t = 0 and propagate
-    /// transition waveforms through every gate reachable from a toggled
-    /// net. The `LEAN` sweep skips a gate whose mask holds all cycle and,
-    /// with `deadlines`, truncates one whose mask holds from a time on (see
-    /// the module docs). Returns the total internal toggle count of the
-    /// gates evaluated, or `None` when a truncated wave may have lost
+    /// transition waveforms through the gates reachable from a toggled
+    /// net, skipping a gate whose mask holds all cycle and, with
+    /// `deadlines`, truncating one whose mask holds from a time on (see the
+    /// module docs). Returns `false` when a truncated wave may have lost
     /// toggles to the event cap and the pair must be rerun without
     /// `deadlines`.
-    fn propagate<const LEAN: bool>(
+    fn propagate(
         &mut self,
         nl: &Netlist,
         sig: &ChipSignature,
         initializing: &[bool],
         sensitizing: &[bool],
         deadlines: bool,
-    ) -> Option<usize> {
+    ) -> bool {
         assert_eq!(
             sig.delays_ps().len(),
             nl.len(),
@@ -351,9 +322,7 @@ impl SimWorkspace {
         self.active.clear();
         debug_assert!(self.waves.iter().all(|w| w.len == 0));
         debug_assert!(self.dirty.iter().all(|&w| w == 0));
-        if LEAN {
-            self.cut.fill(0);
-        }
+        self.cut.fill(0);
 
         // Primary-input transitions at t = 0 seed the worklist with their
         // fanout gates.
@@ -372,7 +341,6 @@ impl SimWorkspace {
         // so a gate is visited only after every fanin waveform is final.
         // Fanout marks always land ahead of the cursor (targets have larger
         // indices), so each dirty gate is processed exactly once.
-        let mut internal_toggles = 0usize;
         for word in 0..self.dirty.len() {
             loop {
                 let bits = self.dirty[word];
@@ -386,23 +354,19 @@ impl SimWorkspace {
                 // A truncated gate runs only the passes whose toggle would
                 // land before `deadline`; it is cut when it drops one, or
                 // when a fanin whose mask holds its own may be cut.
-                let mut truncated = false;
-                let mut deadline = f64::INFINITY;
-                let mut cut = false;
-                if LEAN {
-                    match nl.guard_of_index(i) {
-                        Guard::Observable => {}
-                        Guard::Unobservable => continue,
-                        Guard::MaskedBy(mask) => {
-                            deadline = self.mask_deadline(mask);
-                            if deadline == f64::NEG_INFINITY {
-                                continue; // the steady rule
-                            }
-                            truncated = deadlines && deadline < f64::INFINITY;
-                            cut = truncated && self.reads_cut(nl, i, &mask);
+                let (mut truncated, deadline, mut cut) = match nl.guard_of_index(i) {
+                    Guard::Observable => (false, f64::INFINITY, false),
+                    Guard::Unobservable => continue,
+                    Guard::MaskedBy(mask) => {
+                        let deadline = self.mask_deadline(mask);
+                        if deadline == f64::NEG_INFINITY {
+                            continue; // the steady rule
                         }
+                        let truncated = deadlines && deadline < f64::INFINITY;
+                        let cut = truncated && self.reads_cut(nl, i, &mask);
+                        (truncated, deadline, cut)
                     }
-                }
+                };
 
                 let gate = &nl.gates()[i];
                 debug_assert!(!gate.kind().is_pseudo(), "pseudo-cells have no fanins");
@@ -447,7 +411,7 @@ impl SimWorkspace {
                     if !pending {
                         break;
                     }
-                    if LEAN && truncated && t + delay >= deadline {
+                    if truncated && t + delay >= deadline {
                         // A wave past the cap's exact prefix whose fanins
                         // are all exact finishes in full instead.
                         if emitted > EXACT_PREFIX && !cut {
@@ -477,24 +441,24 @@ impl SimWorkspace {
                         last_val = v;
                     }
                 }
-                internal_toggles += emitted;
                 if emitted > 0 {
                     self.active.push(i as u32);
                     for &g in nl.fanout_of_index(i) {
                         self.dirty[g as usize / 64] |= 1u64 << (g % 64);
                     }
                 }
-                if LEAN && cut {
+                if cut {
                     self.cut[i / 64] |= 1u64 << (i % 64);
                     if emitted > EXACT_PREFIX {
-                        // The cap may have kept toggles the full wave lost.
+                        // The cap may have kept toggles the unguarded wave
+                        // lost.
                         self.dirty[word..].fill(0);
-                        return None;
+                        return false;
                     }
                 }
             }
         }
-        Some(internal_toggles)
+        true
     }
 
     /// When `mask` starts to hold on the lean sweep: the latest last toggle
@@ -518,7 +482,7 @@ impl SimWorkspace {
 
     /// Whether gate `i`, guarded by `mask`, reads a fanin whose mask holds
     /// every pair of `mask` and whose lean wave may lack toggles of its
-    /// full one: a cut fanin, or one with an empty wave, which covers the
+    /// unguarded one: a cut fanin, or one with an empty wave, which covers the
     /// fanins the sweep never reached.
     #[inline]
     fn reads_cut(&self, nl: &Netlist, i: usize, mask: &Mask) -> bool {
@@ -552,7 +516,7 @@ impl SimWorkspace {
     /// gates whose mask holds all cycle and truncates gates whose mask
     /// holds from a deadline on, rerunning the pair without deadlines in
     /// the rare case the event cap calls for it (see the module docs); the
-    /// arrivals are bit-identical to the full sweep's. Performs no heap
+    /// arrivals are bit-identical to the unguarded sweep's. Performs no heap
     /// allocation in steady state.
     ///
     /// # Panics
@@ -565,77 +529,10 @@ impl SimWorkspace {
         initializing: &[bool],
         sensitizing: &[bool],
     ) -> CycleDelays {
-        if self
-            .propagate::<true>(nl, sig, initializing, sensitizing, true)
-            .is_none()
-        {
-            self.propagate::<true>(nl, sig, initializing, sensitizing, false);
+        if !self.propagate(nl, sig, initializing, sensitizing, true) {
+            self.propagate(nl, sig, initializing, sensitizing, false);
         }
         self.min_max(nl)
-    }
-
-    /// Simulate one cycle into a caller-owned [`CycleTiming`], reusing its
-    /// per-output transition buffers. Runs the full sweep, which evaluates
-    /// every reachable gate. Performs no heap allocation in steady state
-    /// (after the output vectors reach their high-water capacity).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a vector width or the signature length mismatches `nl`.
-    pub fn simulate_pair_into(
-        &mut self,
-        nl: &Netlist,
-        sig: &ChipSignature,
-        initializing: &[bool],
-        sensitizing: &[bool],
-        out: &mut CycleTiming,
-    ) {
-        let internal_toggles = self
-            .propagate::<false>(nl, sig, initializing, sensitizing, false)
-            .expect("the full sweep truncates nothing");
-
-        let outs = nl.outputs();
-        out.outputs.resize_with(outs.len(), OutputActivity::default);
-        let mut total = 0usize;
-        for (o, s) in out.outputs.iter_mut().zip(outs.iter()) {
-            let i = s.index();
-            let w = &self.waves[i];
-            let toggles = w.toggles();
-            total += toggles.len();
-            o.initial = self.settle[i];
-            o.final_value = w.final_value(self.settle[i]);
-            o.transitions.clear();
-            o.transitions.extend_from_slice(toggles);
-        }
-        out.delays = self.min_max(nl);
-        out.total_output_transitions = total;
-        out.internal_toggles = internal_toggles;
-    }
-
-    /// Indices of the gates of `nl` that toggled during this workspace's
-    /// most recent simulation of `nl`: the *sensitized* gates of that
-    /// cycle. Pseudo-cells (inputs) are excluded.
-    ///
-    /// After [`simulate_pair_into`](Self::simulate_pair_into) this is
-    /// every gate that toggled. After
-    /// [`simulate_pair_minmax`](Self::simulate_pair_minmax) it lists only
-    /// the gates that toggled on the lean sweep (see the module docs): a
-    /// gate whose mask held all cycle is missing even if it would have
-    /// toggled, and a truncated gate is listed only if it toggled before
-    /// its deadline.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the last simulation was of a netlist of another size.
-    pub fn sensitized_gates(&self, nl: &Netlist) -> Vec<usize> {
-        assert_eq!(self.waves.len(), nl.len(), "last simulated another netlist");
-        nl.gates()
-            .iter()
-            .zip(&self.waves)
-            .enumerate()
-            .filter(|(_, (g, w))| !g.kind().is_pseudo() && w.len > 0)
-            .map(|(i, _)| i)
-            .collect()
     }
 
     /// Write into `path` the causal path of the latest output toggle of
@@ -646,10 +543,10 @@ impl SimWorkspace {
     /// is itself a primary input. Performs no heap allocation once `path`
     /// has the capacity of the longest path.
     ///
-    /// Call it after either sweep. Each lean wave is a prefix of the full
-    /// one, so every gate on a lean-sweep path toggles on the full sweep
-    /// too; the two paths part only where a toggle has two causes at a
-    /// bit-equal time (see the module docs).
+    /// Each lean wave is a prefix of the unguarded one, so every gate on
+    /// the path toggles on the unguarded sweep too; the two sweeps' paths
+    /// part only where a toggle has two causes at a bit-equal time (see the
+    /// module docs).
     ///
     /// # Panics
     ///
@@ -684,26 +581,43 @@ impl SimWorkspace {
                 .unwrap_or_else(|| panic!("gate {g}: no fanin toggle causes its toggle at {t} ps"));
         }
     }
+
+    /// Net `i` after the last sweep: its settled value before the
+    /// sensitizing vector, and its lean wave.
+    #[cfg(test)]
+    pub(crate) fn net_wave(&self, i: usize) -> (bool, &[f64]) {
+        (self.settle[i], self.waves[i].toggles())
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::{reference_delays, simulate_pair_reference, RefWave};
     use ntc_netlist::generators::alu::{Alu, AluFunc, ALL_ALU_FUNCS};
     use ntc_netlist::Builder;
     use ntc_varmodel::{Corner, VariationParams};
 
-    /// The full sweep into a fresh result.
-    fn full(
-        ws: &mut SimWorkspace,
-        nl: &Netlist,
-        sig: &ChipSignature,
-        init: &[bool],
-        sens: &[bool],
-    ) -> CycleTiming {
-        let mut out = CycleTiming::default();
-        ws.simulate_pair_into(nl, sig, init, sens, &mut out);
-        out
+    /// One primary output after a sweep.
+    struct Output {
+        initial: bool,
+        final_value: bool,
+        transitions: Vec<f64>,
+    }
+
+    /// The outputs of the last sweep of `ws`, in declaration order.
+    fn outputs(ws: &SimWorkspace, nl: &Netlist) -> Vec<Output> {
+        nl.outputs()
+            .iter()
+            .map(|s| {
+                let (initial, toggles) = ws.net_wave(s.index());
+                Output {
+                    initial,
+                    final_value: initial ^ (toggles.len() % 2 == 1),
+                    transitions: toggles.to_vec(),
+                }
+            })
+            .collect()
     }
 
     #[test]
@@ -719,13 +633,14 @@ mod tests {
         for (f1, a1, b1, f2, a2, b2) in cases {
             let init = alu.encode(f1, a1, b1);
             let sens = alu.encode(f2, a2, b2);
-            let timing = full(&mut ws, alu.netlist(), &sig, &init, &sens);
+            ws.simulate_pair_minmax(alu.netlist(), &sig, &init, &sens);
+            let outs = outputs(&ws, alu.netlist());
             let expect = alu.netlist().eval(&sens);
-            let got: Vec<bool> = timing.outputs.iter().map(|o| o.final_value).collect();
+            let got: Vec<bool> = outs.iter().map(|o| o.final_value).collect();
             assert_eq!(got, expect, "{f1}->{f2}");
             // Initial values must match the settled initializing vector.
             let expect_init = alu.netlist().eval(&init);
-            let got_init: Vec<bool> = timing.outputs.iter().map(|o| o.initial).collect();
+            let got_init: Vec<bool> = outs.iter().map(|o| o.initial).collect();
             assert_eq!(got_init, expect_init);
         }
     }
@@ -735,9 +650,11 @@ mod tests {
         let alu = Alu::new(8);
         let sig = ChipSignature::nominal(alu.netlist(), Corner::NTC);
         let v = alu.encode(AluFunc::And, 0x3C, 0x5A);
-        let timing = full(&mut SimWorkspace::new(), alu.netlist(), &sig, &v, &v);
-        assert_eq!(timing.total_output_transitions, 0);
-        assert_eq!(timing.delays, CycleDelays::default());
+        let mut ws = SimWorkspace::new();
+        let delays = ws.simulate_pair_minmax(alu.netlist(), &sig, &v, &v);
+        let outs = outputs(&ws, alu.netlist());
+        assert!(outs.iter().all(|o| o.transitions.is_empty()));
+        assert_eq!(delays, CycleDelays::default());
     }
 
     #[test]
@@ -750,8 +667,10 @@ mod tests {
         for (a, b) in [(0u64, 0xFFu64), (0x80, 0x7F), (0xFF, 0xFF)] {
             let init = alu.encode(AluFunc::Mult, 0, 0);
             let sens = alu.encode(AluFunc::Mult, a, b);
-            let timing = full(&mut ws, alu.netlist(), &sig, &init, &sens);
-            if let Some(d) = timing.delays.max_ps {
+            if let Some(d) = ws
+                .simulate_pair_minmax(alu.netlist(), &sig, &init, &sens)
+                .max_ps
+            {
                 assert!(d <= bound + 1e-6, "dynamic {d} vs static bound {bound}");
             }
         }
@@ -765,8 +684,7 @@ mod tests {
         let mut ws = SimWorkspace::new();
         let init = alu.encode(AluFunc::Add, 0, 0);
         let mut max_delay = |sens: &[bool]| {
-            full(&mut ws, alu.netlist(), &sig, &init, sens)
-                .delays
+            ws.simulate_pair_minmax(alu.netlist(), &sig, &init, sens)
                 .max_ps
                 .expect("toggles")
         };
@@ -784,13 +702,16 @@ mod tests {
         let sig = ChipSignature::fabricate(alu.netlist(), Corner::NTC, VariationParams::ntc(), 4);
         let init = alu.encode(AluFunc::Xor, 0x00, 0x00);
         let sens = alu.encode(AluFunc::Add, 0xAB, 0x55);
-        let timing = full(&mut SimWorkspace::new(), alu.netlist(), &sig, &init, &sens);
-        for o in &timing.outputs {
+        let mut ws = SimWorkspace::new();
+        ws.simulate_pair_minmax(alu.netlist(), &sig, &init, &sens);
+        let settled = alu.netlist().eval(&sens);
+        for (o, want) in outputs(&ws, alu.netlist()).iter().zip(settled) {
             for w in o.transitions.windows(2) {
                 assert!(w[0] <= w[1] + 1e-9);
             }
-            // Parity: even transition count => final == initial.
-            assert_eq!(o.final_value, o.initial ^ (o.transitions.len() % 2 == 1));
+            // Parity: the toggles carry the settled initial value to the
+            // sensitizing vector's.
+            assert_eq!(o.final_value, want);
         }
     }
 
@@ -806,13 +727,15 @@ mod tests {
         b.output("y", y);
         let nl = b.finish();
         let sig = ChipSignature::nominal(&nl, Corner::STC);
-        let timing = full(&mut SimWorkspace::new(), &nl, &sig, &[false], &[true]);
+        let mut ws = SimWorkspace::new();
+        ws.simulate_pair_minmax(&nl, &sig, &[false], &[true]);
+        let outs = outputs(&ws, &nl);
         // Output starts 0, pulses to 1, falls back to 0: two transitions.
-        assert_eq!(timing.outputs[0].transitions.len(), 2);
-        assert!(!timing.outputs[0].initial);
-        assert!(!timing.outputs[0].final_value);
-        let rise = timing.outputs[0].transitions[0];
-        let fall = timing.outputs[0].transitions[1];
+        assert_eq!(outs[0].transitions.len(), 2);
+        assert!(!outs[0].initial);
+        assert!(!outs[0].final_value);
+        let rise = outs[0].transitions[0];
+        let fall = outs[0].transitions[1];
         assert!(fall > rise);
     }
 
@@ -848,14 +771,13 @@ mod tests {
         let pv = ChipSignature::fabricate(alu.netlist(), Corner::NTC, VariationParams::ntc(), 77);
         let init = alu.encode(AluFunc::Add, 0, 0);
         let sens = alu.encode(AluFunc::Add, 0xFF, 0x01);
-        let d_nom = full(&mut SimWorkspace::new(), alu.netlist(), &nom, &init, &sens)
-            .delays
-            .max_ps
-            .expect("toggles");
-        let d_pv = full(&mut SimWorkspace::new(), alu.netlist(), &pv, &init, &sens)
-            .delays
-            .max_ps
-            .expect("toggles");
+        let max_delay = |sig: &ChipSignature| {
+            SimWorkspace::new()
+                .simulate_pair_minmax(alu.netlist(), sig, &init, &sens)
+                .max_ps
+                .expect("toggles")
+        };
+        let (d_nom, d_pv) = (max_delay(&nom), max_delay(&pv));
         assert!((d_pv - d_nom).abs() / d_nom > 0.01, "nom {d_nom} pv {d_pv}");
     }
 
@@ -874,7 +796,7 @@ mod tests {
     }
 
     #[test]
-    fn minmax_matches_full_simulation() {
+    fn minmax_matches_reference() {
         let alu = Alu::new(16);
         let sig = ChipSignature::fabricate(alu.netlist(), Corner::NTC, VariationParams::ntc(), 3);
         let mut ws = SimWorkspace::new();
@@ -887,10 +809,10 @@ mod tests {
         for (f1, a1, b1, f2, a2, b2) in cases {
             let init = alu.encode(f1, a1, b1);
             let sens = alu.encode(f2, a2, b2);
-            let full = full(&mut ws, alu.netlist(), &sig, &init, &sens);
+            let want = simulate_pair_reference(alu.netlist(), &sig, &init, &sens);
             let lean = ws.simulate_pair_minmax(alu.netlist(), &sig, &init, &sens);
             let bits = |d: CycleDelays| (d.min_ps.map(f64::to_bits), d.max_ps.map(f64::to_bits));
-            assert_eq!(bits(lean), bits(full.delays));
+            assert_eq!(bits(lean), bits(reference_delays(alu.netlist(), &want)));
         }
     }
 
@@ -927,9 +849,18 @@ mod tests {
     }
 
     /// Gates of `cone` the last sweep of `ws` toggled.
-    fn toggled_in(ws: &SimWorkspace, nl: &Netlist, cone: &[usize]) -> usize {
-        let toggled = ws.sensitized_gates(nl);
-        cone.iter().filter(|g| toggled.contains(g)).count()
+    fn toggled_in(ws: &SimWorkspace, cone: &[usize]) -> usize {
+        cone.iter()
+            .filter(|&&g| !ws.net_wave(g).1.is_empty())
+            .count()
+    }
+
+    /// Gates of `cone` that toggle in a reference simulation, which
+    /// evaluates every gate.
+    fn toggled_on(reference: &[RefWave], cone: &[usize]) -> usize {
+        cone.iter()
+            .filter(|&&g| !reference[g].toggles.is_empty())
+            .count()
     }
 
     #[test]
@@ -948,9 +879,9 @@ mod tests {
         let init = alu.encode(AluFunc::Add, 0x5A, 0x3C);
         let sens = alu.encode(AluFunc::Add, 0xA7, 0xC9);
         ws.simulate_pair_minmax(nl, &sig, &init, &sens);
-        assert_eq!(toggled_in(&ws, nl, &mult_cone), 0);
-        full(&mut ws, nl, &sig, &init, &sens);
-        assert!(toggled_in(&ws, nl, &mult_cone) > 0);
+        assert_eq!(toggled_in(&ws, &mult_cone), 0);
+        let reference = simulate_pair_reference(nl, &sig, &init, &sens);
+        assert!(toggled_on(&reference, &mult_cone) > 0);
     }
 
     /// On the 32-bit ALU three select lines guard the shared adder and
@@ -975,15 +906,15 @@ mod tests {
         let init = alu.encode(AluFunc::And, 0x5A5A_0F0F, 0x3C3C_1234);
         let sens = alu.encode(AluFunc::And, 0xA7A7_F00F, 0xC9C9_8765);
         ws.simulate_pair_minmax(nl, &sig, &init, &sens);
-        assert_eq!(toggled_in(&ws, nl, &adder) + toggled_in(&ws, nl, &right), 0);
-        full(&mut ws, nl, &sig, &init, &sens);
-        assert!(toggled_in(&ws, nl, &adder) > 0 && toggled_in(&ws, nl, &right) > 0);
+        assert_eq!(toggled_in(&ws, &adder) + toggled_in(&ws, &right), 0);
+        let reference = simulate_pair_reference(nl, &sig, &init, &sens);
+        assert!(toggled_on(&reference, &adder) > 0 && toggled_on(&reference, &right) > 0);
     }
 
     /// ADD→SLL pulses the MULT select line (the decoder ANDs raw `op` bits
     /// with inverted ones that arrive a gate later), so its mask does not
     /// hold all cycle; the lean sweep still stops the multiplier at the
-    /// pulse's end, where the full sweep runs it to completion.
+    /// pulse's end, where the reference runs it to completion.
     #[test]
     fn lean_sweep_stops_the_multiplier_when_its_select_line_pulses() {
         let alu = Alu::new(32);
@@ -993,47 +924,21 @@ mod tests {
         let mut ws = SimWorkspace::new();
         let init = alu.encode(AluFunc::Add, 0x1357_9BDF, 0x2468_ACE0);
         let sens = alu.encode(AluFunc::ShiftLeft, 0xFDB9_7531, 0x0ECA_8643);
-        let timing = full(&mut ws, nl, &sig, &init, &sens);
-        let on_full = toggled_in(&ws, nl, &mult_cone);
+        let reference = simulate_pair_reference(nl, &sig, &init, &sens);
+        let on_reference = toggled_on(&reference, &mult_cone);
         let lean = ws.simulate_pair_minmax(nl, &sig, &init, &sens);
-        let on_lean = toggled_in(&ws, nl, &mult_cone);
-        assert!(on_lean < on_full, "lean {on_lean} vs full {on_full}");
-        assert_eq!(lean, timing.delays);
+        let on_lean = toggled_in(&ws, &mult_cone);
+        assert!(
+            on_lean < on_reference,
+            "lean {on_lean} vs reference {on_reference}"
+        );
+        assert_eq!(lean, reference_delays(nl, &reference));
         // The pulse: the line's mask net toggles and ends at 0.
         let Guard::MaskedBy(mask) = nl.guard_of_index(mult_cone[0]) else {
             unreachable!()
         };
         let (line, _) = mask.pairs().next().expect("one pair");
-        assert!(ws.sensitized_gates(nl).contains(&line.index()));
-    }
-
-    #[test]
-    fn simulate_pair_into_reuses_buffers() {
-        let alu = Alu::new(8);
-        let sig = ChipSignature::nominal(alu.netlist(), Corner::NTC);
-        let mut ws = SimWorkspace::new();
-        let init = alu.encode(AluFunc::Add, 0, 0);
-        let sens = alu.encode(AluFunc::Add, 0xFF, 0x01);
-        let fresh = full(&mut ws, alu.netlist(), &sig, &init, &sens);
-        // A dirty, differently-shaped output struct must be fully reset.
-        let mut out = CycleTiming {
-            delays: CycleDelays {
-                min_ps: Some(-1.0),
-                max_ps: Some(-1.0),
-            },
-            outputs: vec![
-                OutputActivity {
-                    initial: true,
-                    final_value: true,
-                    transitions: vec![1.0, 2.0, 3.0],
-                };
-                99
-            ],
-            total_output_transitions: 77,
-            internal_toggles: 77,
-        };
-        ws.simulate_pair_into(alu.netlist(), &sig, &init, &sens, &mut out);
-        assert_eq!(out, fresh);
+        assert!(!ws.net_wave(line.index()).1.is_empty());
     }
 
     #[test]
@@ -1045,15 +950,14 @@ mod tests {
         let sig_s = ChipSignature::nominal(small.netlist(), Corner::NTC);
         let sig_l = ChipSignature::nominal(large.netlist(), Corner::NTC);
         let mut ws = SimWorkspace::new();
-        let expect_l = full(
-            &mut SimWorkspace::new(),
-            large.netlist(),
-            &sig_l,
-            &large.encode(AluFunc::Add, 0, 0),
-            &large.encode(AluFunc::Add, 0xFFF, 1),
-        )
-        .delays
-        .max_ps;
+        let expect_l = SimWorkspace::new()
+            .simulate_pair_minmax(
+                large.netlist(),
+                &sig_l,
+                &large.encode(AluFunc::Add, 0, 0),
+                &large.encode(AluFunc::Add, 0xFFF, 1),
+            )
+            .max_ps;
         let _ = ws.simulate_pair_minmax(
             small.netlist(),
             &sig_s,

@@ -29,22 +29,6 @@ pub struct ClockSpec {
 }
 
 impl ClockSpec {
-    /// A clock derived from a nominal critical delay with a guardband
-    /// margin and a hold window expressed as a fraction of the period.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the resulting hold window is not below the period.
-    pub fn from_critical_delay(nominal_critical_ps: f64, guardband: f64, hold_frac: f64) -> Self {
-        let period = nominal_critical_ps * (1.0 + guardband);
-        let hold = period * hold_frac;
-        assert!(hold < period, "hold window must be below the clock period");
-        ClockSpec {
-            period_ps: period,
-            hold_ps: hold,
-        }
-    }
-
     /// Stretch the period by `factor` (used by guardbanding schemes like
     /// HFG and by OCST's skew tuning).
     pub fn stretched(&self, factor: f64) -> ClockSpec {
@@ -203,18 +187,13 @@ mod tests {
     }
 
     #[test]
-    fn clock_from_critical_delay() {
-        let c = ClockSpec::from_critical_delay(200.0, 0.1, 0.15);
-        assert!((c.period_ps - 220.0).abs() < 1e-9);
-        assert!((c.hold_ps - 33.0).abs() < 1e-9);
+    fn stretching_scales_the_period_only() {
+        let c = ClockSpec {
+            period_ps: 220.0,
+            hold_ps: 33.0,
+        };
         let s = c.stretched(1.5);
         assert!((s.period_ps - 330.0).abs() < 1e-9);
         assert!((s.hold_ps - c.hold_ps).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "hold window")]
-    fn hold_must_be_below_period() {
-        let _ = ClockSpec::from_critical_delay(100.0, 0.0, 1.5);
     }
 }

@@ -10,7 +10,7 @@
 //!   inspecting one die;
 //! * [`dynamic`] — glitch-aware two-vector (initializing + sensitizing)
 //!   timing simulation, driven through one [`SimWorkspace`], producing
-//!   min/max output arrivals or per-output transition waveforms;
+//!   each cycle's min/max output arrivals and its causal path;
 //! * [`choke`] — CDL / CGL choke-point metrics over sensitized cycles;
 //! * [`errors`] — classification of cycles into minimum / maximum timing
 //!   violations and Trident's SE / CE error classes.
@@ -27,7 +27,13 @@
 //! let alu = Alu::new(8);
 //! let nominal = ChipSignature::nominal(alu.netlist(), Corner::NTC);
 //! let critical = StaticTiming::analyze(alu.netlist(), &nominal).critical_delay_ps(alu.netlist());
-//! let clock = ClockSpec::from_critical_delay(critical, 0.05, 0.12);
+//! // A 5% guardband on the nominal critical delay; the hold window closes
+//! // at 12% of the period.
+//! let period_ps = critical * 1.05;
+//! let clock = ClockSpec {
+//!     period_ps,
+//!     hold_ps: period_ps * 0.12,
+//! };
 //!
 //! let chip = ChipSignature::fabricate(alu.netlist(), Corner::NTC, VariationParams::ntc(), 42);
 //! let mut ws = SimWorkspace::new();
@@ -56,7 +62,7 @@ mod reference;
 pub mod sta;
 
 pub use choke::{identify_choke_event, CdlCategory, CdlCglProfile, ChokeEvent, ALL_CDL_CATEGORIES};
-pub use dynamic::{CycleDelays, CycleTiming, OutputActivity, SimWorkspace, MAX_EVENTS_PER_NET};
+pub use dynamic::{CycleDelays, SimWorkspace, MAX_EVENTS_PER_NET};
 pub use errors::{classify_cycle, classify_stream, ClockSpec, CycleViolation, ErrorClass};
 pub use paths::{k_critical_paths, RankedPath, SlackReport};
 pub use sta::StaticTiming;

@@ -9,7 +9,7 @@
 use ntc_choke::isa::{Instruction, Opcode};
 use ntc_choke::netlist::buffer_insertion::insert_hold_buffers;
 use ntc_choke::netlist::generators::alu::Alu;
-use ntc_choke::timing::{CycleTiming, SimWorkspace, StaticTiming};
+use ntc_choke::timing::{SimWorkspace, StaticTiming};
 use ntc_choke::varmodel::{ChipSignature, Corner, VariationParams};
 
 fn main() {
@@ -39,14 +39,15 @@ fn main() {
     let prev = encode(Instruction::new(Opcode::Move, 0, 0));
     let cur = encode(Instruction::new(Opcode::Move, 0xFFFF_FFFF, 0));
     let mut ws = SimWorkspace::new();
-    let mut t = CycleTiming::default();
     println!("\n{:>4} {:>16} {:>10}", "die", "min delay (ps)", "verdict");
     let mut violations = 0;
     let dice = 10;
     for seed in 0..dice {
         let sig = ChipSignature::fabricate(&padded, Corner::NTC, VariationParams::ntc(), seed);
-        ws.simulate_pair_into(&padded, &sig, &prev, &cur, &mut t);
-        let min = t.delays.min_ps.unwrap_or(f64::INFINITY);
+        let min = ws
+            .simulate_pair_minmax(&padded, &sig, &prev, &cur)
+            .min_ps
+            .unwrap_or(f64::INFINITY);
         let violated = min < hold_ntc;
         violations += violated as u32;
         println!(
